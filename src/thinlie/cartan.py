@@ -4,8 +4,8 @@ Bases are divided-power monomials x^(i) y^(j) ordered row-major in (i, j),
 or graded vectors E_i / e_alpha / u_alpha.  Structure constants come from
 binomial coefficients mod p (Lucas) and the two coefficient functions N and
 N'; products whose target monomial falls outside the truncation bound always
-carry a vanishing coefficient, which the constructors assert rather than
-assume.
+carry a vanishing coefficient, which the constructors check rather than
+assume, raising NotASubalgebra when one does not.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import FieldSizeMismatch, NotAdditivelyClosed, ThetaNotAdditive
+from .errors import FieldSizeMismatch, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
 from .ffield import FieldElement, FieldSpec, field_create
 from .liealg import StructureTable
 
@@ -86,17 +86,12 @@ def build_W1n(p: int, n: int, field: FieldSpec | None = None) -> StructureTable:
         for j in range(i + 1, top + 1):
             c = (binom_mod_p(i + j + 1, j, p) - binom_mod_p(i + j + 1, i, p)) % p
             if i + j > top:
-                assert c == 0, f"nonzero coefficient escaping the basis at ({i},{j})"
+                if c:
+                    raise NotASubalgebra(f"nonzero coefficient escaping the basis at ({i},{j})")
                 continue
             if c:
                 entries.append((i + 1, j + 1, [(i + j + 1, field.element(c))]))
     return StructureTable.from_entries(field, labels, entries)
-
-
-def render_scalar(a: FieldElement) -> str:
-    if a.spec.k == 1:
-        return str(a.coords[0])
-    return "(" + ",".join(str(c) for c in a.coords) + ")"
 
 
 def zassenhaus_group_basis(
@@ -110,7 +105,7 @@ def zassenhaus_group_basis(
     if field.p != p or field.k != n:
         raise FieldSizeMismatch(f"need a field with {p}^{n} elements, got {field!r}")
     alphas = list(field.elements())
-    labels = [f"e_{render_scalar(a)}" for a in alphas]
+    labels = [f"e_{a}" for a in alphas]
     index = {a: m for m, a in enumerate(alphas)}
     entries = []
     for a in range(len(alphas)):
@@ -159,10 +154,6 @@ class CartanParams:
     def tau(self) -> tuple[int, int]:
         return (self.p ** self.n1 - 1, self.p ** self.n2 - 1)
 
-    @property
-    def dim_full(self) -> int:
-        return self.p ** (self.n1 + self.n2)
-
 
 def _monomial_table(
     params: CartanParams,
@@ -182,7 +173,8 @@ def _monomial_table(
                 if not c:
                     continue
                 pos = index.get(target)
-                assert pos is not None, f"coefficient escaping the basis: {target}"
+                if pos is None:
+                    raise NotASubalgebra(f"coefficient escaping the basis: {target}")
                 terms.append((pos, c))
             if terms:
                 entries.append((a, b, terms))
@@ -204,7 +196,8 @@ def build_H2_second_derived(
         if (ti, tj) == (0, 0):
             return []  # constants are killed in the quotient mod F.1
         if ti < 0 or tj < 0 or ti > tau1 or tj > tau2 or (ti, tj) == (tau1, tau2):
-            assert c == 0, f"nonzero product escaping H(2;n)^(2) at ({i},{j},{k},{l})"
+            if c:
+                raise NotASubalgebra(f"nonzero product escaping H(2;n)^(2) at ({i},{j},{k},{l})")
             return []
         return [((ti, tj), field.element(c))]
 
@@ -228,12 +221,14 @@ def build_H2_phi_tau_derived(
         c = coeff_N(i, j, k, l, p)
         ti, tj = i + k - 1, j + l - 1
         if ti < 0 or tj < 0:
-            assert c == 0
+            if c:
+                raise NotASubalgebra(f"nonzero product escaping Phi(tau) basis at ({i},{j},{k},{l})")
             return []
         if (ti, tj) == (0, 0):
             return [((tau1, tau2), field.element(c))]
         if ti > tau1 or tj > tau2:
-            assert c == 0, f"nonzero product escaping Phi(tau) basis at ({i},{j},{k},{l})"
+            if c:
+                raise NotASubalgebra(f"nonzero product escaping Phi(tau) basis at ({i},{j},{k},{l})")
             return []
         return [((ti, tj), field.element(c))]
 
@@ -268,13 +263,15 @@ def build_H2_phi1(
             c = (binom_mod_p(j + l - 1, l, p) - binom_mod_p(j + l - 1, j, p)) % p
             tj = j + l - 1
             if tj > tau2:
-                assert c == 0
+                if c:
+                    raise NotASubalgebra(f"nonzero product escaping Phi(1) basis at ({i},{j},{k},{l})")
                 return []
             return [((tau1, tj), eps * field.element(c))]
         c = coeff_N(i, j, k, l, p)
         ti, tj = i + k - 1, j + l - 1
         if ti > tau1 or tj > tau2:
-            assert c == 0, f"nonzero product escaping Phi(1) basis at ({i},{j},{k},{l})"
+            if c:
+                raise NotASubalgebra(f"nonzero product escaping Phi(1) basis at ({i},{j},{k},{l})")
             return []
         return [((ti, tj), field.element(c))]
 
@@ -317,7 +314,7 @@ def build_albert_frank(spec: AlbertFrankSpec) -> StructureTable:
     spec.validate()
     field = spec.group[0].spec
     index = {a: m for m, a in enumerate(spec.group)}
-    labels = [f"u_{render_scalar(a)}" for a in spec.group]
+    labels = [f"u_{a}" for a in spec.group]
     entries = []
     theta = spec.theta
     for m in range(len(spec.group)):

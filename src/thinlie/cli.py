@@ -51,11 +51,15 @@ from .liealg import (
 from .thinloop import INFINITY, ThinReport, thin_report
 
 
-def _default_depth(modulus: int) -> int:
-    env = os.environ.get("THINLOOP_DEPTH")
-    if env:
-        return int(env)
-    return 3 * modulus
+def _resolve_depth(depth: int | None, modulus: int) -> int:
+    """The given depth, else THINLOOP_DEPTH, else three grading periods;
+    a depth below one is a configuration error, never replaced."""
+    if depth is None:
+        env = os.environ.get("THINLOOP_DEPTH")
+        depth = int(env) if env else 3 * modulus
+    if depth < 1:
+        raise ThinlieError(f"expansion depth must be positive, got {depth}")
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +134,7 @@ def run_mixed(p: int, n1: int, n2: int, depth: int | None = None) -> VerifyRun:
     """
     q, r = p ** n2, p ** n1
     modulus = (q - 1) * r
-    depth = depth or _default_depth(modulus)
+    depth = _resolve_depth(depth, modulus)
     fieldspec = field_create(p)
     table = build_H2_phi1(p, n1, n2, fieldspec, 1)
     dm = grade_mixed(table, q, r)
@@ -212,7 +216,7 @@ def run_finite(
             raise ThinlieError("run_finite needs either mu3 or (field, sigma[, rho])")
         fieldspec = field
         params = toral_params(fieldspec, sigma, eps=1, rho=rho)
-    depth = depth or _default_depth((q - 1) * p)
+    depth = _resolve_depth(depth, (q - 1) * p)
     table = build_H2_phi1(p, 1, n2, fieldspec, 1)
     basis = eigenbasis(table, params)
     mismatches: list[str] = []
@@ -242,6 +246,7 @@ def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
     """The sigma = 0 degeneration: X and Y generate a q-dimensional
     Zassenhaus subalgebra whose loop algebra has all diamonds of type -1."""
     q = p ** n2
+    depth = _resolve_depth(depth, q - 1)
     fieldspec = field_create(p)
     params = toral_params(fieldspec, 0, eps=1)  # rho = 1
     table = build_H2_phi1(p, 1, n2, fieldspec, 1)
@@ -251,7 +256,6 @@ def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
     generated = subalgebra_generated(table, [basis.vectors[x_pos], basis.vectors[y_pos]])
     if generated.dim != q:
         mismatches.append(f"generated subalgebra has dim {generated.dim}, expected {q}")
-    depth = depth or _default_depth(q - 1)
     rep = thin_report(sub, dm, q, depth, X=sub.basis_element(x_pos), Y=sub.basis_element(y_pos))
     _check_common(rep, mismatches)
     minus_one = -fieldspec.one
@@ -269,6 +273,7 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
     ratio %= p
     if ratio == 0 or ratio == p - 1:
         raise ThinlieError("the ratio sigma/rho must be a nonzero element other than -1")
+    depth = _resolve_depth(depth, (q - 1) * p)
     fieldspec = field_create(p)
     hhat = build_H2_phi1(p, 1, n2, fieldspec, 0)
     mismatches: list[str] = []
@@ -293,7 +298,6 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
     dmq = dm.restrict(keep)
     x_pos, y_pos = generator_positions(basis)
     x_pos, y_pos = keep.index(x_pos), keep.index(y_pos)
-    depth = depth or _default_depth((q - 1) * p)
     rep = thin_report(
         quotient, dmq, q, depth, X=quotient.basis_element(x_pos), Y=quotient.basis_element(y_pos)
     )
@@ -333,7 +337,7 @@ def _write_out(args, payload: dict) -> None:
 def _construct_table(args) -> StructureTable:
     name = args.algebra
     if name == "W":
-        return build_W1n(args.p, args.n or 1, _make_field(args) if args.field_k else None)
+        return build_W1n(args.p, args.n, _make_field(args) if args.field_k else None)
     if name == "Hsecond":
         return build_H2_second_derived(args.p, args.n1, args.n2)
     if name == "Hphitau":
@@ -474,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build a structure table and validate it")
     c.add_argument("--algebra", required=True, choices=["W", "Hsecond", "Hphitau", "Hphi1", "AF"])
     c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, help="height for W")
+    c.add_argument("--n", type=int, default=1, help="height for W")
     c.add_argument("--n1", type=int, default=1)
     c.add_argument("--n2", type=int, default=1)
     c.add_argument("--eps", help="field element literal a0,a1,...")

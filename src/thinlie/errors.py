@@ -67,3 +67,7 @@ class ConsecutiveDiamonds(ThinlieError):
 
 class NotStabilized(ThinlieError):
     pass
+
+
+class CriterionFailed(ThinlieError):
+    """An acceptance criterion does not hold."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .cartan import binom_mod_p, monomial_label, monomials, render_scalar
+from .cartan import binom_mod_p, monomial_label, monomials
 from .errors import DenominatorZero, Mu3InPrimeField, NoRootInField
 from .ffield import (
     FieldElement,
@@ -164,7 +164,7 @@ class EigenBasis:
 
     @property
     def labels(self) -> list[str]:
-        return [f"e[{r},{render_scalar(a)}]" for r, _, a in self.entries]
+        return [f"e[{r},{a}]" for r, _, a in self.entries]
 
     def position(self, r: int, s: int) -> int:
         for m, (rr, ss, _) in enumerate(self.entries):

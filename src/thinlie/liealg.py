@@ -2,13 +2,14 @@
 
 A StructureTable stores sparse bracket coefficients for ordered basis pairs
 (i < j); antisymmetry is implicit and diagonal brackets are zero even in
-characteristic two (the tables are alternating).  All subspace work reduces
-to row-reduced echelon form, which is canonical over an exact field, so
-subspace equality is matrix equality.
+characteristic two (the tables are alternating).  All subspace work goes
+through one incremental echelon kernel, Echelon, whose reduced form is
+canonical over an exact field, so subspace equality is matrix equality.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,10 +90,6 @@ class StructureTable:
 
     def element(self, coeffs: dict[int, FieldElement]) -> "Element":
         return Element(self, {k: c for k, c in coeffs.items() if c})
-
-    def element_by_label(self, mapping: dict[str, FieldElement]) -> "Element":
-        index = {lab: i for i, lab in enumerate(self.labels)}
-        return self.element({index[lab]: c for lab, c in mapping.items()})
 
     def full_subspace(self) -> "Subspace":
         return Subspace.from_rows(self, [unit_row(self, i) for i in range(self.dim)])
@@ -209,59 +206,108 @@ def unit_row(table: StructureTable, i: int) -> Row:
     return tuple(one if j == i else zero for j in range(table.dim))
 
 
+def _combine(pairs: Iterable[tuple[FieldElement, dict[int, FieldElement]]]) -> dict[int, FieldElement]:
+    """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs."""
+    out: dict[int, FieldElement] = {}
+    for c, v in pairs:
+        for i, x in v.items():
+            s = out.get(i)
+            s = c * x if s is None else s + c * x
+            if s:
+                out[i] = s
+            else:
+                out.pop(i, None)
+    return out
+
+
+class Echelon:
+    """Reduced row echelon form with unit pivots, grown one vector at a time.
+
+    rows[r] is a sparse {column: coefficient} dict whose pivot column
+    pivots[r] holds one and is zero in every other row; pivots stay sorted.
+    Row operations touch only the nonzero entries of the row subtracted.
+    The form is canonical: the same span gives the same rows whatever
+    vectors built it.
+    """
+
+    __slots__ = ("field", "ncols", "rows", "pivots")
+
+    def __init__(self, field: FieldSpec, ncols: int, vectors: Iterable[Sequence[FieldElement]] = ()):
+        self.field = field
+        self.ncols = ncols
+        self.rows: list[dict[int, FieldElement]] = []
+        self.pivots: list[int] = []
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
+        """vec with every pivot column eliminated; zero iff vec lies in the span."""
+        vec = list(vec)
+        for row, pc in zip(self.rows, self.pivots):
+            c = vec[pc]
+            if c:
+                for idx, x in row.items():
+                    vec[idx] = vec[idx] - c * x
+        return vec
+
+    def add(self, vec: Sequence[FieldElement]) -> bool:
+        """Extend the span by vec; False, with nothing changed, if it is already in it."""
+        residual = self.reduce(vec)
+        pc = next((i for i, c in enumerate(residual) if c), None)
+        if pc is None:
+            return False
+        inv = residual[pc].inverse()
+        new = {i: inv * c for i, c in enumerate(residual) if c}
+        for row in self.rows:
+            c = row.get(pc)
+            if c:
+                for idx, x in new.items():
+                    s = row.get(idx)
+                    s = -(c * x) if s is None else s - c * x
+                    if s:
+                        row[idx] = s
+                    else:
+                        del row[idx]
+        at = bisect.bisect(self.pivots, pc)
+        self.pivots.insert(at, pc)
+        self.rows.insert(at, new)
+        return True
+
+    def dense_rows(self) -> list[Row]:
+        """The rows as dense tuples, in pivot order."""
+        zero = self.field.zero
+        return [tuple(row.get(i, zero) for i in range(self.ncols)) for row in self.rows]
+
+
 def rref(field: FieldSpec, rows: Iterable[Sequence[FieldElement]]) -> list[list[FieldElement]]:
     """Reduced row echelon form with unit pivots; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    out: list[list[FieldElement]] = []
-    pivots: list[int] = []
-    for row in mat:
-        row = list(row)
-        for prow, pc in zip(out, pivots):
-            c = row[pc]
-            if c:
-                for idx in range(ncols):
-                    row[idx] = row[idx] - c * prow[idx]
-        pc = next((idx for idx, c in enumerate(row) if c), None)
-        if pc is None:
-            continue
-        inv = row[pc].inverse()
-        row = [inv * c for c in row]
-        for prow in out:
-            c = prow[pc]
-            if c:
-                for idx in range(ncols):
-                    prow[idx] = prow[idx] - c * row[idx]
-        out.append(row)
-        pivots.append(pc)
-    order = sorted(range(len(out)), key=lambda r: pivots[r])
-    return [out[r] for r in order]
-
-
-def _reduce_against(rows: list[list[FieldElement]], pivots: list[int], vec: list[FieldElement]) -> list[FieldElement]:
-    for row, pc in zip(rows, pivots):
-        c = vec[pc]
-        if c:
-            for idx in range(len(vec)):
-                vec[idx] = vec[idx] - c * row[idx]
-    return vec
+    rows = [list(r) for r in rows]
+    return [list(r) for r in Echelon(field, len(rows[0]) if rows else 0, rows).dense_rows()]
 
 
 class Subspace:
-    """A subspace of a table's underlying vector space, held in RREF."""
+    """A subspace of a table's underlying vector space.
 
-    __slots__ = ("table", "rows", "pivots")
+    echelon holds it in reduced echelon form and must not change after
+    construction; rows are the same rows as dense tuples in pivot order,
+    canonical, so equal subspaces have equal rows.
+    """
 
-    def __init__(self, table: StructureTable, rows: Sequence[Row]):
+    __slots__ = ("table", "echelon", "rows", "pivots")
+
+    def __init__(self, table: StructureTable, echelon: Echelon):
         self.table = table
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(next(i for i, c in enumerate(r) if c) for r in self.rows)
+        self.echelon = echelon
+        self.rows = tuple(echelon.dense_rows())
+        self.pivots = tuple(echelon.pivots)
 
     @classmethod
     def from_rows(cls, table: StructureTable, rows: Iterable[Sequence[FieldElement]]) -> "Subspace":
-        return cls(table, rref(table.field, rows))
+        return cls(table, Echelon(table.field, table.dim, rows))
 
     @classmethod
     def from_elements(cls, table: StructureTable, elements: Iterable[Element]) -> "Subspace":
@@ -269,7 +315,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, table: StructureTable) -> "Subspace":
-        return cls(table, [])
+        return cls(table, Echelon(table.field, table.dim))
 
     @property
     def dim(self) -> int:
@@ -286,42 +332,16 @@ class Subspace:
         return hash((id(self.table), self.rows))
 
     def contains(self, elem: Element) -> bool:
-        vec = _reduce_against([list(r) for r in self.rows], list(self.pivots), list(elem.dense()))
-        return not any(vec)
+        return not any(self.echelon.reduce(elem.dense()))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(e) for e in other.basis_elements())
 
     def basis_elements(self) -> list[Element]:
-        out = []
-        for row in self.rows:
-            out.append(Element(self.table, {i: c for i, c in enumerate(row) if c}))
-        return out
+        return [Element(self.table, dict(sorted(row.items()))) for row in self.echelon.rows]
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace.from_rows(self.table, list(self.rows) + list(other.rows))
-
-    def coords_of(self, elem: Element) -> list[FieldElement] | None:
-        """Coordinates of elem in the RREF row basis, or None if outside."""
-        vec = list(elem.dense())
-        coords = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = vec[pc]
-            coords.append(c)
-            if c:
-                for idx in range(len(vec)):
-                    vec[idx] = vec[idx] - c * row[idx]
-        if any(vec):
-            return None
-        return coords
-
-    def is_subalgebra(self) -> bool:
-        basis = self.basis_elements()
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                if not self.contains(bracket(basis[a], basis[b])):
-                    return False
-        return True
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.table.dim})"
@@ -411,19 +431,19 @@ def subalgebra_generated(t: StructureTable, gens: Sequence[Element]) -> Subspace
     """Smallest bracket-closed subspace containing the generators."""
     if not gens:
         raise ValueError("generator list must be nonempty")
-    span = Subspace.from_elements(t, gens)
-    frontier = span.basis_elements()
+    span = Echelon(t.field, t.dim)
+    basis = [g for g in gens if span.add(g.dense())]
+    frontier = basis
     while frontier:
-        basis = span.basis_elements()
         new: list[Element] = []
         for u in frontier:
             for v in basis:
                 w = bracket(u, v)
-                if w and not span.contains(w):
+                if w and span.add(w.dense()):
                     new.append(w)
-                    span = span.add(Subspace.from_elements(t, [w]))
+        basis = basis + new
         frontier = new
-    return span
+    return Subspace(t, span)
 
 
 def derived_subalgebra(t: StructureTable, s: Subspace) -> Subspace:
@@ -446,41 +466,36 @@ def centralizer_in(t: StructureTable, ambient: Subspace, target: Subspace) -> Su
     if m == 0 or target.dim == 0:
         return ambient
     arows = ambient.basis_elements()
+    zero = t.field.zero
     constraints: list[list[FieldElement]] = []
     for b in target.basis_elements():
         images = [bracket(a, b) for a in arows]
         support = sorted({k for img in images for k in img.coords})
-        zero = t.field.zero
         for k in support:
             constraints.append([img.coords.get(k, zero) for img in images])
-    kernel = _nullspace(t.field, constraints, m)
-    rows = []
-    for combo in kernel:
-        acc = t.zero_element()
-        for c, a in zip(combo, arows):
-            if c:
-                acc = acc + a.scale(c)
-        rows.append(acc.dense())
-    return Subspace.from_rows(t, rows)
+    kernel = [
+        Element(t, _combine((c, arows[i].coords) for i, c in combo.items()))
+        for combo in _nullspace(t.field, constraints, m)
+    ]
+    return Subspace.from_elements(t, kernel)
 
 
 def center(t: StructureTable, s: Subspace) -> Subspace:
     return centralizer_in(t, s, s)
 
 
-def _nullspace(field: FieldSpec, constraints: list[list[FieldElement]], m: int) -> list[list[FieldElement]]:
-    """Basis of {x in F^m : A x = 0} for constraint rows A."""
-    reduced = rref(field, constraints) if constraints else []
-    pivots = [next(i for i, c in enumerate(r) if c) for r in reduced]
-    free = [i for i in range(m) if i not in pivots]
-    zero, one = field.zero, field.one
+def _nullspace(field: FieldSpec, constraints: list[list[FieldElement]], m: int) -> list[dict[int, FieldElement]]:
+    """Basis of {x in F^m : A x = 0} for constraint rows A, as sparse vectors."""
+    ech = Echelon(field, m, constraints)
+    pivots = set(ech.pivots)
     out = []
-    for f in free:
-        vec = [zero] * m
-        vec[f] = one
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[f]
-        out.append(vec)
+    for f in range(m):
+        if f not in pivots:
+            vec = {f: field.one}
+            for row, pc in zip(ech.rows, ech.pivots):
+                if f in row:
+                    vec[pc] = -row[f]
+            out.append(vec)
     return out
 
 
@@ -495,12 +510,11 @@ def quotient_by_ideal(t: StructureTable, ideal: Subspace) -> StructureTable:
     keep = [i for i in range(t.dim) if i not in pivset]
     pos = {c: n for n, c in enumerate(keep)}
     labels = [t.labels[c] for c in keep]
-    irows = [list(r) for r in ideal.rows]
     entries = []
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
             w = bracket(t.basis_element(keep[a]), t.basis_element(keep[b]))
-            vec = _reduce_against(irows, list(ideal.pivots), list(w.dense()))
+            vec = ideal.echelon.reduce(w.dense())
             terms = [(pos[c], vec[c]) for c in keep if vec[c]]
             if terms:
                 entries.append((a, b, terms))
@@ -558,20 +572,12 @@ def check_structure_map(
         raise ValueError("need one image per src basis vector")
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
-    if len(rref(dst.field, [e.dense() for e in images])) != src.dim:
+    if Echelon(dst.field, dst.dim, [e.dense() for e in images]).rank != src.dim:
         return False
-
-    def push(u: Element) -> Element:
-        acc = dst.zero_element()
-        for k, c in u.coords.items():
-            acc = acc + images[k].scale(c)
-        return acc
-
     for i in range(src.dim):
         for j in range(i + 1, src.dim):
-            lhs = push(Element(src, dict(src.basis_bracket(i, j))))
-            rhs = bracket(images[i], images[j])
-            if lhs != rhs:
+            lhs = _combine((c, images[k].coords) for k, c in src.basis_bracket(i, j))
+            if lhs != bracket(images[i], images[j]).coords:
                 return False
     return True
 
@@ -580,46 +586,37 @@ def check_structure_map(
 # base change and subalgebra tables
 # ---------------------------------------------------------------------------
 
-def _mat_inverse(field: FieldSpec, rows: Sequence[Row]) -> list[list[FieldElement]]:
-    n = len(rows)
+def _augmented_echelon(field: FieldSpec, rows: Sequence[Sequence[FieldElement]], n: int) -> Echelon | None:
+    """Reduced echelon form of [rows | I] for rows of length n, or None when
+    the rows are dependent: then some pivot falls at or past column n."""
+    m = len(rows)
     zero, one = field.zero, field.one
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * c for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    unit = [[one if s == i else zero for s in range(m)] for i in range(m)]
+    aug = Echelon(field, n + m, (list(r) + unit[i] for i, r in enumerate(rows)))
+    return None if any(pc >= n for pc in aug.pivots) else aug
 
 
 def change_basis(t: StructureTable, rows: Sequence[Sequence[FieldElement]], labels: Sequence[str]) -> StructureTable:
-    """Rewrite the table in a new basis given by full-rank coordinate rows."""
+    """Rewrite the table in a new basis given by full-rank coordinate rows.
+
+    Each bracket of two new basis vectors is pushed through the sparse rows
+    of the inverse matrix, the right half of the echelon form of [A | I].
+    """
     n = t.dim
     if len(rows) != n:
         raise ValueError("change of basis requires a square matrix")
-    rows = [tuple(r) for r in rows]
-    inv = _mat_inverse(t.field, rows)
+    aug = _augmented_echelon(t.field, rows, n)
+    if aug is None:
+        raise ValueError("matrix is singular")
+    inv = [{c - n: x for c, x in row.items() if c >= n} for row in aug.rows]
     elems = [Element(t, {i: c for i, c in enumerate(r) if c}) for r in rows]
     entries = []
     for a in range(n):
         for b in range(a + 1, n):
-            w = bracket(elems[a], elems[b]).dense()
-            terms = []
-            for c in range(n):
-                acc = t.field.zero
-                for i, wi in enumerate(w):
-                    if wi:
-                        acc = acc + wi * inv[i][c]
-                if acc:
-                    terms.append((c, acc))
+            w = bracket(elems[a], elems[b])
+            terms = _combine((c, inv[k]) for k, c in w.coords.items())
             if terms:
-                entries.append((a, b, terms))
+                entries.append((a, b, terms.items()))
     return StructureTable.from_entries(t.field, labels, entries)
 
 
@@ -629,32 +626,12 @@ def subalgebra_table(
     labels: Sequence[str] | None = None,
 ) -> StructureTable:
     """Structure table on a given independent, bracket-closed family."""
-    m = len(elements)
-    rows = [e.dense() for e in elements]
-    reduced = rref(t.field, rows)
-    if len(reduced) != m:
+    m, n = len(elements), t.dim
+    # reducing (v | 0) against [elements | I] leaves (0 | -x) when v = sum x_r elements[r]
+    aug = _augmented_echelon(t.field, [e.dense() for e in elements], n)
+    if aug is None:
         raise ValueError("elements are linearly dependent")
-    span = Subspace(t, reduced)
-
-    def coords_in_given(v: Element) -> list[FieldElement] | None:
-        # solve sum_r x_r * elements[r] = v by elimination on an augmented system
-        zero = t.field.zero
-        aug = [list(rows[r]) + [t.field.one if s == r else zero for s in range(m)] for r in range(m)]
-        red = rref(t.field, aug)
-        vec = list(v.dense()) + [zero] * m
-        n = t.dim
-        for row in red:
-            pc = next(i for i, c in enumerate(row) if c)
-            if pc >= n:
-                continue
-            c = vec[pc]
-            if c:
-                for idx in range(len(vec)):
-                    vec[idx] = vec[idx] - c * row[idx]
-        if any(vec[:n]):
-            return None
-        return [-c for c in vec[n:]]
-
+    padding = [t.field.zero] * m
     if labels is None:
         labels = []
         for e in elements:
@@ -669,10 +646,10 @@ def subalgebra_table(
             w = bracket(elements[a], elements[b])
             if not w:
                 continue
-            coords = coords_in_given(w)
-            if coords is None:
+            vec = aug.reduce(list(w.dense()) + padding)
+            if any(vec[:n]):
                 raise NotASubalgebra("family is not closed under the bracket")
-            terms = [(k, c) for k, c in enumerate(coords) if c]
+            terms = [(k, -c) for k, c in enumerate(vec[n:]) if c]
             if terms:
                 entries.append((a, b, terms))
     return StructureTable.from_entries(t.field, labels, entries)

@@ -1,8 +1,9 @@
 """The acceptance matrix: one callable per criterion, exact checks only.
 
-Each criterion raises AssertionError on failure; the CLI `suite` command and
-the test suite both run this list.  Everything here is a reproduction of a
-structural statement at desk scale, so all comparisons are exact.
+Each criterion raises CriterionFailed on failure, an explicit raise that
+python -O keeps; the CLI `suite` command and the test suite both run this
+list.  Everything here is a reproduction of a structural statement at desk
+scale, so all comparisons are exact.
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ from .cartan import (
     zassenhaus_group_basis,
 )
 from .cli import run_eps_zero, run_finite, run_mixed, run_sigma_zero
+from .errors import CriterionFailed
 from .ffield import field_create, frobenius, in_prime_field
 from .grading import params_from_mu3
 from .liealg import change_basis, check_structure_map, subalgebra_table, validate_table
 from .thinloop import check_covering, covering_criterion_at, thin_report
+
+
+def _require(ok: bool, detail: object) -> None:
+    if not ok:
+        raise CriterionFailed(detail)
 
 
 def _nonprime_elements(fieldspec):
@@ -36,13 +43,13 @@ def criterion_01_dimension_formulas() -> None:
     """W(1;n) = p^n; H(2;n)^(2) = p^|n| - 2; Phi(tau)^(1) = p^|n| - 1;
     Phi(1) = p^|n|, across |n| <= 3."""
     for p, n in [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
-        assert build_W1n(p, n).dim == p ** n, (p, n)
+        _require(build_W1n(p, n).dim == p ** n, (p, n))
     for p, n1, n2 in [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2),
                       (3, 2, 1), (5, 1, 1), (7, 1, 1)]:
         d = p ** (n1 + n2)
-        assert build_H2_second_derived(p, n1, n2).dim == d - 2, (p, n1, n2)
-        assert build_H2_phi_tau_derived(p, n1, n2).dim == d - 1, (p, n1, n2)
-        assert build_H2_phi1(p, n1, n2).dim == d, (p, n1, n2)
+        _require(build_H2_second_derived(p, n1, n2).dim == d - 2, (p, n1, n2))
+        _require(build_H2_phi_tau_derived(p, n1, n2).dim == d - 1, (p, n1, n2))
+        _require(build_H2_phi1(p, n1, n2).dim == d, (p, n1, n2))
 
 
 def criterion_02_jacobi_scan() -> None:
@@ -69,7 +76,7 @@ def criterion_02_jacobi_scan() -> None:
     tables.append(zassenhaus_group_basis(5, 1, field_create(5))[0])
     for t in tables:
         rep = validate_table(t)
-        assert rep.ok, f"Jacobi fails on dim-{t.dim} table: {rep.violations[:3]}"
+        _require(rep.ok, f"Jacobi fails on dim-{t.dim} table: {rep.violations[:3]}")
 
 
 def criterion_03_basis_transition() -> None:
@@ -81,12 +88,12 @@ def criterion_03_basis_transition() -> None:
         group, transition = zassenhaus_group_basis(p, n, fieldspec)
         w = build_W1n(p, n, fieldspec)
         conj = change_basis(w, transition, group.labels)
-        assert conj.brackets == group.brackets, (p, n)
+        _require(conj.brackets == group.brackets, (p, n))
         if p == 2:
             keep = [m for m, a in enumerate(fieldspec.elements()) if a]
             sub_c = subalgebra_table(conj, [conj.basis_element(m) for m in keep])
             sub_g = subalgebra_table(group, [group.basis_element(m) for m in keep])
-            assert sub_c.brackets == sub_g.brackets, "derived-subalgebra restriction"
+            _require(sub_c.brackets == sub_g.brackets, "derived-subalgebra restriction")
 
 
 def criterion_04_mixed_grading() -> None:
@@ -96,8 +103,8 @@ def criterion_04_mixed_grading() -> None:
     for p, n1, n2 in [(3, 1, 1), (5, 1, 1), (3, 1, 2)]:
         run = run_mixed(p, n1, n2)
         modulus = (p ** n2 - 1) * p ** n1
-        assert run.report.depth >= 2 * modulus, "fewer than two periods checked"
-        assert run.ok, (p, n1, n2, run.mismatches)
+        _require(run.report.depth >= 2 * modulus, "fewer than two periods checked")
+        _require(run.ok, (p, n1, n2, run.mismatches))
 
 
 def criterion_05_finite_grading() -> None:
@@ -109,16 +116,16 @@ def criterion_05_finite_grading() -> None:
         q = p ** n2
         for mu3 in _nonprime_elements(fieldspec):
             run = run_finite(p, n2, mu3=mu3)
-            assert run.ok, (p, q, str(mu3), run.mismatches)
+            _require(run.ok, (p, q, str(mu3), run.mismatches))
             second = run.report.diamonds[1]
-            assert (second.degree, second.ordinal) == (q, 2) and second.kind == "genuine"
+            _require((second.degree, second.ordinal) == (q, 2) and second.kind == "genuine", "second diamond")
             third = run.report.diamonds[2]
-            assert third.degree == 2 * q - 1 and third.type == mu3, "third diamond type"
+            _require(third.degree == 2 * q - 1 and third.type == mu3, "third diamond type")
     f49 = field_create(7, 2)
     run = run_finite(7, 1, mu3=f49.generator())
-    assert run.ok, run.mismatches
-    assert run.report.chains.first_ok and run.report.chains.second_ok
-    assert run.report.chains.proviso is None
+    _require(run.ok, run.mismatches)
+    _require(run.report.chains.first_ok and run.report.chains.second_ok, "centralizer chains")
+    _require(run.report.chains.proviso is None, run.report.chains.proviso)
 
 
 def criterion_06_assigned_type_roundtrip() -> None:
@@ -129,8 +136,8 @@ def criterion_06_assigned_type_roundtrip() -> None:
         one = fieldspec.one
         for mu3 in _nonprime_elements(fieldspec):
             params = params_from_mu3(mu3)
-            assert -one + params.sigma / params.rho == mu3
-            assert not (params.rho ** p - params.pi * params.rho - one)
+            _require(-one + params.sigma / params.rho == mu3, ("roundtrip", str(mu3)))
+            _require(not (params.rho ** p - params.pi * params.rho - one), ("toral relation", str(mu3)))
 
 
 def criterion_07_degenerations() -> None:
@@ -139,28 +146,28 @@ def criterion_07_degenerations() -> None:
     exactly at 0 and 1."""
     for p in (3, 5):
         run = run_sigma_zero(p, 1)
-        assert run.ok, (p, run.mismatches)
+        _require(run.ok, (p, run.mismatches))
     for p in (3, 5):
         for ratio in range(1, p - 1):  # nonzero ratios other than -1
             run = run_eps_zero(p, 1, ratio)
-            assert run.ok, (p, ratio, run.mismatches)
+            _require(run.ok, (p, ratio, run.mismatches))
             kinds = {r.kind for r in run.report.diamonds}
-            assert {"fake0", "fake1"} <= kinds, "expected both fake kinds to occur"
+            _require({"fake0", "fake1"} <= kinds, "expected both fake kinds to occur")
 
 
 def criterion_08_parameter_k() -> None:
     """k = q with a two-dimensional component at q for odd p (q > 3); k = q
     with a one-dimensional component for the two characteristic-two runs."""
     run = run_finite(5, 1, mu3=field_create(5, 2).generator())
-    assert run.report.k == 5 and run.report.dim_at(5) == 2
+    _require(run.report.k == 5 and run.report.dim_at(5) == 2, (run.report.k, run.report.dims))
     run = run_finite(3, 2, mu3=field_create(3, 2).generator())
-    assert run.report.k == 9 and run.report.dim_at(9) == 2
+    _require(run.report.k == 9 and run.report.dim_at(9) == 2, (run.report.k, run.report.dims))
     mixed = run_mixed(3, 1, 2)
-    assert mixed.report.k == 9 and mixed.report.dim_at(9) == 2
+    _require(mixed.report.k == 9 and mixed.report.dim_at(9) == 2, (mixed.report.k, mixed.report.dims))
     mixed2 = run_mixed(2, 1, 2)
-    assert mixed2.report.k == 4 and mixed2.report.dim_at(4) == 1
+    _require(mixed2.report.k == 4 and mixed2.report.dim_at(4) == 1, (mixed2.report.k, mixed2.report.dims))
     finite2 = run_finite(2, 2, mu3=field_create(2, 2).generator())
-    assert finite2.report.k == 4 and finite2.report.dim_at(4) == 1
+    _require(finite2.report.k == 4 and finite2.report.dim_at(4) == 1, (finite2.report.k, finite2.report.dims))
 
 
 def criterion_09_char_two_isomorphism() -> None:
@@ -178,7 +185,7 @@ def criterion_09_char_two_isomorphism() -> None:
         for (i, j) in (m for m in monomials(1, 2 ** n - 1) if m != (0, 0)):
             e = j - 1 if i == 1 else j + 2 ** n - 2
             images.append(dst.basis_element(dst_index[f"E_{e}"]))
-        assert check_structure_map(src, dst, images), f"n = {n}"
+        _require(check_structure_map(src, dst, images), f"n = {n}")
 
 
 def criterion_10_property_suites() -> None:
@@ -202,8 +209,8 @@ def criterion_10_property_suites() -> None:
             if expansion.component(d).dim == 2:
                 by_enum = d not in enum_failures
                 by_crit = covering_criterion_at(expansion, x, y, d)
-                assert by_enum == by_crit, f"covering oracles disagree at degree {d}"
-                assert by_enum, f"covering fails at degree {d}"
+                _require(by_enum == by_crit, f"covering oracles disagree at degree {d}")
+                _require(by_enum, f"covering fails at degree {d}")
 
     base = run_finite(3, 1, mu3=field_create(3, 2).generator())
     rep = base.report
@@ -219,7 +226,7 @@ def criterion_10_property_suites() -> None:
             X=rep.generators.X.scale(lam), Y=rep.generators.Y.scale(nu),
         )
         got = [(r.degree, r.kind, r.type) for r in scaled.diamonds]
-        assert got == baseline, "diamond data changed under generator rescaling"
+        _require(got == baseline, "diamond data changed under generator rescaling")
 
     p, (tau1, tau2) = 3, (2, 2)
     for i in range(2 * tau1 + 1):
@@ -229,7 +236,7 @@ def criterion_10_property_suites() -> None:
                     agree = coeff_N(i, j, k, l, p) == coeff_Nprime(i, j, k, l, p)
                     exceptional = (i == 0 and k == 0) or (j == 0 and l == 0)
                     if not exceptional:
-                        assert agree, (i, j, k, l)
+                        _require(agree, (i, j, k, l))
 
 
 CRITERIA = [

@@ -21,6 +21,7 @@ from .errors import (
 from .ffield import FieldElement
 from .liealg import (
     DegreeMap,
+    Echelon,
     Element,
     StructureTable,
     Subspace,
@@ -488,8 +489,7 @@ def parameter_k(expansion: LoopExpansion, window: int | None = None) -> int:
         out = [zero] * (depth + 1)
         for d in range(2, depth + 1):
             cap = m[d].dim
-            rows: list = []
-            acc = zero
+            acc = Echelon(base.field, base.dim)
             for a in range(1, d):
                 b = d - a
                 if not lbasis[a] or not rbasis[b]:
@@ -497,14 +497,13 @@ def parameter_k(expansion: LoopExpansion, window: int | None = None) -> int:
                 for u in lbasis[a]:
                     for v in rbasis[b]:
                         w = bracket(u, v)
-                        if w and not acc.contains(w):
-                            rows.append(w.dense())
-                            acc = Subspace.from_rows(base, rows)
-                    if acc.dim >= cap:
+                        if w:
+                            acc.add(w.dense())
+                    if acc.rank >= cap:
                         break
-                if acc.dim >= cap:
+                if acc.rank >= cap:
                     break
-            out[d] = acc
+            out[d] = Subspace(base, acc)
         return out
 
     lp = graded_bracket(m, m)

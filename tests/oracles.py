@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they verify: binomials come from a
 Pascal triangle, Poisson coefficients from explicit divided-power calculus
-on untruncated monomial dictionaries, congruences from linear scans.
+on untruncated monomial dictionaries, congruences from linear scans, reduced
+echelon forms from a dense Gauss-Jordan pass over whole rows.
 """
 
 from math import comb
@@ -97,3 +98,35 @@ def poly_pow_mod(base: list[int], exponent: int, modulus: list[int], p: int) -> 
     for _ in range(exponent):
         result = mul(result, base)
     return result + [0] * (len(modulus) - 1 - len(result))
+
+
+def oracle_rref(field, rows):
+    """Reduced row echelon form with unit pivots, zero rows dropped: every
+    row operation runs over all columns, zero entries included."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    out = []
+    pivots = []
+    for row in mat:
+        row = list(row)
+        for prow, pc in zip(out, pivots):
+            c = row[pc]
+            if c:
+                for idx in range(ncols):
+                    row[idx] = row[idx] - c * prow[idx]
+        pc = next((idx for idx, c in enumerate(row) if c), None)
+        if pc is None:
+            continue
+        inv = row[pc].inverse()
+        row = [inv * c for c in row]
+        for prow in out:
+            c = prow[pc]
+            if c:
+                for idx in range(ncols):
+                    prow[idx] = prow[idx] - c * row[idx]
+        out.append(row)
+        pivots.append(pc)
+    order = sorted(range(len(out)), key=lambda r: pivots[r])
+    return [out[r] for r in order]

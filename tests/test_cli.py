@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from thinlie import cli
 from thinlie.liealg import StructureTable
@@ -20,6 +26,11 @@ def test_construct_w_writes_table(tmp_path, capsys):
 def test_construct_rejects_nonprime(capsys):
     assert run_cli(["construct", "--algebra", "W", "--p", "4", "--n", "1"]) == 2
     assert "prime" in capsys.readouterr().err
+
+
+def test_construct_rejects_nonpositive_height(capsys):
+    assert run_cli(["construct", "--algebra", "W", "--p", "3", "--n", "0"]) == 2
+    assert "height" in capsys.readouterr().err
 
 
 def test_construct_hphi1_dimension(tmp_path, capsys):
@@ -114,3 +125,35 @@ def test_depth_env_override(tmp_path, monkeypatch):
     assert run_cli(["verify", "--grading", "mixed", "--p", "3", "--n1", "1", "--n2", "1",
                     "--out", str(out)]) == 0
     assert json.loads(out.read_text())["depth"] == 14
+
+
+@pytest.mark.parametrize("args", [
+    ["--grading", "mixed", "--p", "3", "--depth", "0"],
+    ["--grading", "sigma-zero", "--p", "3", "--q", "3", "--depth", "-4"],
+])
+def test_verify_rejects_nonpositive_depth(args, capsys):
+    assert run_cli(["verify", *args]) == 2
+    assert "depth must be positive" in capsys.readouterr().err
+
+
+def test_depth_env_rejects_zero(monkeypatch, capsys):
+    monkeypatch.setenv("THINLOOP_DEPTH", "0")
+    assert run_cli(["verify", "--grading", "mixed", "--p", "3"]) == 2
+    assert "depth must be positive" in capsys.readouterr().err
+
+
+def test_suite_criterion_fails_under_python_O():
+    # python -O strips assert statements; a broken criterion must still fail
+    script = (
+        "import sys\n"
+        "from thinlie import cli, suite\n"
+        "real = suite.build_W1n\n"
+        "suite.build_W1n = lambda p, n: real(p, n + 1)\n"
+        "sys.exit(cli.main(['suite', '--only', '01-dimension']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "01-dimension-formulas: FAIL" in proc.stdout
