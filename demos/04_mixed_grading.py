@@ -8,7 +8,7 @@ is thin: diamonds sit in every degree congruent to 1 mod (q-1), with type
 the others.
 """
 
-from thinlie.cli import run_mixed
+from thinlie.verify import run_mixed
 
 for p, n1, n2 in [(3, 1, 1), (5, 1, 1), (3, 1, 2)]:
     q, r = p ** n2, p ** n1

@@ -10,7 +10,7 @@ determines (sigma, rho) exactly, and distinct mu_3 give distinct towers.
 """
 
 from thinlie import field_create, in_prime_field, params_from_mu3
-from thinlie.cli import run_finite
+from thinlie.verify import run_finite
 
 F9 = field_create(3, 2)
 print("All six mu3 in F_9 \\ F_3, via sigma^p (1/(mu3^p+1) - 1/(mu3+1)) = 1:")

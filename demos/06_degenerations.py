@@ -11,7 +11,7 @@ Two limits of the finite-type construction land back in the prime field:
     into a fake diamond whenever it hits 0 or 1.
 """
 
-from thinlie.cli import run_eps_zero, run_sigma_zero
+from thinlie.verify import run_eps_zero, run_sigma_zero
 
 print("sigma = 0 (all diamonds of type -1):")
 for p in (3, 5):

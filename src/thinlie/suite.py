@@ -22,12 +22,12 @@ from .cartan import (
     monomials,
     zassenhaus_group_basis,
 )
-from .cli import run_eps_zero, run_finite, run_mixed, run_sigma_zero
 from .errors import CriterionFailed
 from .ffield import field_create, frobenius, in_prime_field
 from .grading import params_from_mu3
 from .liealg import change_basis, check_structure_map, subalgebra_table, validate_table
 from .thinloop import check_covering, covering_criterion_at, thin_report
+from .verify import run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
 
 def _require(ok: bool, detail: object) -> None:

@@ -571,8 +571,12 @@ def thin_report(
     X: Element | None = None,
     Y: Element | None = None,
 ) -> ThinReport:
-    """Expand, choose generators, and aggregate every thinness verdict."""
-    depth = depth or 3 * degmap.modulus
+    """Expand, choose generators, and aggregate every thinness verdict; the
+    depth defaults to three grading periods and may not be below one."""
+    if depth is None:
+        depth = 3 * degmap.modulus
+    if depth < 1:
+        raise ValueError(f"expansion depth must be positive, got {depth}")
     expansion = loop_expand(base, degmap, depth)
     gens = choose_generators(expansion, q=q, X=X, Y=Y)
     covering = check_covering(expansion, gens.X, gens.Y)

@@ -157,3 +157,41 @@ def test_suite_criterion_fails_under_python_O():
     )
     assert proc.returncode == 1, proc.stderr
     assert "01-dimension-formulas: FAIL" in proc.stdout
+
+
+def test_verify_sigma_zero_char_two_passes(tmp_path):
+    # -1 = 1 in characteristic two, so every predicted type -1 slot is a fake1
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--grading", "sigma-zero", "--p", "2", "--q", "4",
+                    "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["verdict"] == "PASS" and data["pattern_mismatches"] == []
+    assert [d["kind"] for d in data["diamonds"][1:]] == ["fake1"] * (len(data["diamonds"]) - 1)
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["verify", "--grading", "mixed", "--p", "3", "--n1", "0", "--n2", "1"], "--n1"),
+    (["verify", "--grading", "mixed", "--p", "3", "--n1", "1", "--n2", "-1"], "--n2"),
+    (["grade", "--grading", "mixed", "--p", "3", "--n1", "0"], "--n1"),
+    (["grade", "--grading", "mixed", "--p", "3", "--n2", "0"], "--n2"),
+])
+def test_nonpositive_exponent_names_the_flag(command, flag, capsys):
+    assert run_cli(command) == 2
+    assert f"{flag} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--algebra", "Hphi1", "--p", "3", "--field-k", "0"],
+    ["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1", "--field-k", "0"],
+])
+def test_nonpositive_field_degree_rejected(command, capsys):
+    assert run_cli(command) == 2
+    assert "--field-k must be positive" in capsys.readouterr().err
+
+
+def test_grade_finite_mu3_defaults_to_quadratic_field(tmp_path):
+    out = tmp_path / "dm.json"
+    assert run_cli(["grade", "--grading", "finite", "--p", "3", "--n2", "1",
+                    "--mu3", "0,1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["modulus"] == 6 and len(data["degrees"]) == 9

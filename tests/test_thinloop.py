@@ -233,3 +233,9 @@ def test_thin_report_json_schema():
     parsed = json.loads(text)
     assert parsed["covering"] == "PASS"
     assert parsed["diamonds"][1] == {"degree": 3, "ordinal": 2, "kind": "genuine", "type": [2]}
+
+
+def test_thin_report_rejects_zero_depth():
+    table, dm, x, y = mixed_setup()
+    with pytest.raises(ValueError, match="depth must be positive"):
+        thin_report(table, dm, q=3, depth=0, X=x, Y=y)
