@@ -5,7 +5,8 @@ the underlying objects; verify runs the drivers of thinlie.verify and exits
 0 only when every verdict passes and the diamond pattern matches the
 prediction for the selected grading.  --n1, --n2 and --field-k must be
 positive.  Exit codes: 0 full pass, 1 verification failure, 2
-configuration error.
+configuration error, 3 internal error (an unexpected exception, reported as
+`internal error: <Type>: <message>` after its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .cartan import (
     build_albert_frank,
@@ -258,6 +260,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not a verdict: keep it off exit code 1
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ A StructureTable stores sparse bracket coefficients for ordered basis pairs
 characteristic two (the tables are alternating).  All subspace work goes
 through one incremental echelon kernel, Echelon, whose reduced form is
 canonical over an exact field, so subspace equality is matrix equality.
+validate_table checks the Jacobi identity with one scan per basis pair over
+sparse ad rows, so its cost follows the nonzero bracket compositions rather
+than the number of basis triples.
 """
 
 from __future__ import annotations
@@ -364,7 +367,16 @@ class ValidationReport:
 
 
 def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationReport:
-    """Check the i < j encoding and the Jacobi identity on all basis triples."""
+    """Check the i < j encoding and the Jacobi identity on all basis triples.
+
+    The Jacobi scan reads only well-formed entries (keys 0 <= i < j < dim,
+    targets in range).  It runs once per basis pair i < j and finds at once
+    every k > j with
+        J(i, j, k) = sum_m c_ij^m [b_m, b_k] - [b_i, [b_j, b_k]] + [b_j, [b_i, b_k]]
+    nonzero, so its cost follows the nonzero bracket compositions rather
+    than the number of triples.  Violations come in lexicographic order, at
+    most max_violations of them.
+    """
     messages: list[str] = []
     encoding_ok = True
     dim = t.dim
@@ -380,45 +392,80 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
                 encoding_ok = False
                 messages.append(f"stored zero coefficient in ({i}, {j})")
 
-    zero = t.field.zero
-    table = t.brackets
+    # Scalars become ids of the table's distinct coefficients, closed under
+    # negation, and the product of two ids is an int whose base-2^s digits
+    # are the product's polynomial coordinates.  A sum of such ints is
+    # reduced mod p digit by digit only when tested for zero.
+    ids: dict[FieldElement, int] = {}
+    values: list[FieldElement] = []
+
+    def intern(c: FieldElement) -> int:
+        n = ids.get(c)
+        if n is None:
+            n = ids[c] = len(values)
+            values.append(c)
+        return n
+
+    # ad[a][b]: the terms of [b_a, b_b] as (target, coefficient id)
+    ad: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(dim)]
+    for (i, j), terms in t.brackets.items():
+        terms = [(k, c) for k, c in terms if 0 <= k < dim]
+        if 0 <= i < j < dim and terms:
+            ad[i][j] = [(k, intern(c)) for k, c in terms]
+            ad[j][i] = [(k, intern(-c)) for k, c in terms]
+    neg = [ids[-c] for c in values]
+
+    # Each of the three sums puts at most longest^2 products into one
+    # (k, target) cell (a hand-built bracket may repeat a target), and each
+    # coordinate of a product is at most p - 1, so no digit ever carries.
+    p = t.field.p
+    longest = max((len(terms) for row in ad for terms in row.values()), default=0)
+    s = (3 * longest * longest * (p - 1)).bit_length()
+    mask = (1 << s) - 1
+
+    def pack(c: FieldElement) -> int:
+        return sum(x << (s * e) for e, x in enumerate(c.coords))
+
+    prod = [[pack(a * b) for b in values] for a in values]
+
+    def nonzero(v: int) -> bool:
+        while v:
+            if (v & mask) % p:
+                return True
+            v >>= s
+        return False
+
     violations: list[tuple[int, int, int]] = []
-
-    def pair(i: int, j: int):
-        # signed lookup for i != j
-        if i < j:
-            return table.get((i, j), ()), False
-        return table.get((j, i), ()), True
-
     for i in range(dim):
+        adi = ad[i]
         for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc: dict[int, FieldElement] = {}
-                # [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
-                for terms, neg, other in (
-                    (table.get((i, j), ()), False, k),
-                    (table.get((j, k), ()), False, i),
-                    (table.get((i, k), ()), True, j),
-                ):
-                    for m, c in terms:
-                        if neg:
-                            c = -c
-                        inner, flip = pair(m, other)
-                        for n, cn in inner:
-                            v = c * cn
-                            if flip:
-                                v = -v
-                            s = acc.get(n)
-                            s = v if s is None else s + v
-                            if s:
-                                acc[n] = s
-                            else:
-                                acc.pop(n, None)
-                if acc:
-                    violations.append((i, j, k))
-                    if len(violations) >= max_violations:
-                        messages.append("Jacobi scan aborted at violation cap")
-                        return ValidationReport(False, encoding_ok, False, violations, messages)
+            adj = ad[j]
+            acc: dict[int, int] = {}
+            get = acc.get
+            # sum_m c_ij^m [b_m, b_k]
+            for m, c in adi.get(j, ()):
+                pc = prod[c]
+                for k, terms in ad[m].items():
+                    if k > j:
+                        base = k * dim
+                        for n, d in terms:
+                            key = base + n
+                            acc[key] = get(key, 0) + pc[d]
+            # -[b_i, [b_j, b_k]], then +[b_j, [b_i, b_k]]
+            for outer, inner, negate in ((adj, adi, True), (adi, adj, False)):
+                for k, terms in outer.items():
+                    if k > j:
+                        base = k * dim
+                        for m, c in terms:
+                            pc = prod[neg[c] if negate else c]
+                            for n, d in inner.get(m, ()):
+                                key = base + n
+                                acc[key] = get(key, 0) + pc[d]
+            for k in sorted({key // dim for key, v in acc.items() if nonzero(v)}):
+                violations.append((i, j, k))
+                if len(violations) >= max_violations:
+                    messages.append("Jacobi scan aborted at violation cap")
+                    return ValidationReport(False, encoding_ok, False, violations, messages)
     jacobi_ok = not violations
     return ValidationReport(encoding_ok and jacobi_ok, encoding_ok, jacobi_ok, violations, messages)
 

@@ -79,7 +79,7 @@ class LoopExpansion:
 
 
 def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpansion:
-    """Iterated bracketing of the degree-1 component, depth >= N+1 enforced.
+    """Iterated bracketing of the degree-1 component up to depth >= N+1.
 
     Also records whether M_{N+1} = M_1, the criterion under which the
     generated loop algebra exhausts all of (+) S_k (x) t^k.
@@ -87,7 +87,8 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
     if not validate_grading(base, degmap):
         raise ValueError("degree map is not compatible with the table")
     n = degmap.modulus
-    depth = max(depth, n + 1)
+    if depth < n + 1:
+        raise ValueError(f"expansion depth {depth} is below N+1 = {n + 1} for grading modulus N = {n}")
     classes: dict[int, set[int]] = {}
     for i, d in enumerate(degmap.degrees):
         classes.setdefault(d, set()).add(i)
@@ -572,7 +573,8 @@ def thin_report(
     Y: Element | None = None,
 ) -> ThinReport:
     """Expand, choose generators, and aggregate every thinness verdict; the
-    depth defaults to three grading periods and may not be below one."""
+    depth defaults to three grading periods, and a depth below one or below
+    the grading modulus plus one raises ValueError."""
     if depth is None:
         depth = 3 * degmap.modulus
     if depth < 1:

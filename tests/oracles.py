@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they verify: binomials come from a
 Pascal triangle, Poisson coefficients from explicit divided-power calculus
 on untruncated monomial dictionaries, congruences from linear scans, reduced
-echelon forms from a dense Gauss-Jordan pass over whole rows.
+echelon forms from a dense Gauss-Jordan pass over whole rows, Jacobi
+violations from a visit to every basis triple.
 """
 
 from math import comb
@@ -130,3 +131,48 @@ def oracle_rref(field, rows):
         pivots.append(pc)
     order = sorted(range(len(out)), key=lambda r: pivots[r])
     return [out[r] for r in order]
+
+
+def oracle_jacobi_violations(table, cap):
+    """Basis triples i < j < k on which the Jacobi identity fails, in
+    lexicographic order and at most cap of them: every triple is visited
+    and every product is a FieldElement multiply and add."""
+    dim = table.dim
+    brackets = table.brackets
+    violations = []
+
+    def pair(i, j):
+        # signed lookup for i != j
+        if i < j:
+            return brackets.get((i, j), ()), False
+        return brackets.get((j, i), ()), True
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                acc = {}
+                # [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
+                for terms, neg, other in (
+                    (brackets.get((i, j), ()), False, k),
+                    (brackets.get((j, k), ()), False, i),
+                    (brackets.get((i, k), ()), True, j),
+                ):
+                    for m, c in terms:
+                        if neg:
+                            c = -c
+                        inner, flip = pair(m, other)
+                        for n, cn in inner:
+                            v = c * cn
+                            if flip:
+                                v = -v
+                            s = acc.get(n)
+                            s = v if s is None else s + v
+                            if s:
+                                acc[n] = s
+                            else:
+                                acc.pop(n, None)
+                if acc:
+                    violations.append((i, j, k))
+                    if len(violations) >= cap:
+                        return violations
+    return violations

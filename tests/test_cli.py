@@ -195,3 +195,19 @@ def test_grade_finite_mu3_defaults_to_quadratic_field(tmp_path):
                     "--mu3", "0,1", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["modulus"] == 6 and len(data["degrees"]) == 9
+
+
+def test_depth_below_modulus_plus_one_rejected(capsys):
+    # the mixed grading for p = 3 has modulus N = 6, so depth 1 < N+1 = 7
+    assert run_cli(["verify", "--grading", "mixed", "--p", "3", "--depth", "1"]) == 2
+    assert "expansion depth 1 is below N+1 = 7" in capsys.readouterr().err
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken_run(p, n1, n2, depth=None):
+        raise AssertionError("component at degree 4 is not homogeneous")
+
+    monkeypatch.setattr(cli, "run_mixed", broken_run)
+    assert run_cli(["verify", "--grading", "mixed", "--p", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: AssertionError: component at degree 4 is not homogeneous" in err
