@@ -1,10 +1,26 @@
 """Exact arithmetic in small finite fields F_p and F_{p^k}.
 
-Extension elements use the polynomial-quotient representation: a tuple of
-k coefficients in {0..p-1} relative to a fixed monic irreducible modulus.
+An element's coordinates are a tuple of k coefficients in {0..p-1}
+relative to a fixed monic irreducible modulus (k = 1 for a prime field).
 Everything is exact integer arithmetic; field sizes are capped at 5**6
 elements so that exhaustive procedures (root finding, irreducibility by
-trial division) stay instant.
+trial division, the tables below) stay instant.
+
+Each field is one shared FieldSpec per (p, k, modulus), and each of its q
+elements is one shared FieldElement that stores its coordinates and its
+discrete logarithm to a primitive element g (the first in canonical
+order); zero gets the log 2(q-1).  The first time an element of a field is
+asked for, its FieldSpec builds from the polynomial kernels _mul, _add and _neg:
+
+- the elements, by canonical index (base-p digits of the coordinates);
+- exp, log -> element: g^i at i and at i + q-1, then zero from 2(q-1) on,
+  so that a*b is exp[log a + log b] and a zero factor lands on zero;
+- Zech, d -> log(1 + g^d), so that g^a + g^b = g^(a + Z(b - a)); this is
+  how GAP stores small finite-field elements.
+
+After that every operator is a few integer lookups returning a shared
+element: no arithmetic allocates.  Mixing elements of two fields raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +45,20 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +100,6 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int],
     return _poly_trim(quot), rem
 
 
-def _poly_xgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Return (g, s, t) with s*a + t*b = g over F_p."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([(x - y) % p for x, y in itertools.zip_longest(s0, _poly_mul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _poly_trim([(x - y) % p for x, y in itertools.zip_longest(t0, _poly_mul(q, t1, p), fillvalue=0)])
-    return r0, s0, t0
-
-
 def _irreducible(modulus: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     k = len(modulus) - 1
@@ -98,16 +115,21 @@ def _irreducible(modulus: Sequence[int], p: int) -> bool:
 class FieldSpec:
     """A concrete finite field F_{p^k} with a fixed monic irreducible modulus.
 
-    Instances are immutable; use :func:`field_create`.
+    Instances are immutable and shared, one per (p, k, modulus); use
+    :func:`field_create`.  The element, exp and Zech tables are built the
+    first time an element of the field is asked for.
     """
 
-    __slots__ = ("p", "k", "modulus", "_hash")
+    __slots__ = (
+        "p", "k", "modulus", "_hash", "_elements", "_exp", "_zech", "_units", "_zero_log", "_neg_one",
+    )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
         self.k = k
         self.modulus = modulus
         self._hash = hash((p, k, modulus))
+        self._elements: list[FieldElement] | None = None
 
     @property
     def size(self) -> int:
@@ -129,48 +151,96 @@ class FieldSpec:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.k}"
 
+    # -- tables ----------------------------------------------------------------
+
+    def _digits(self, m: int) -> tuple[int, ...]:
+        coords = []
+        for _ in range(self.k):
+            coords.append(m % self.p)
+            m //= self.p
+        return tuple(coords)
+
+    def _build(self) -> list[FieldElement]:
+        """Make every element and the exp and Zech tables from the kernels.
+
+        g is the first primitive element in canonical order.  With n = q - 1
+        units, _exp[i] = g^(i mod n) for i < 2n and zero from 2n on, the log
+        of zero; _zech[d] = log(1 + g^d) for d mod n, stored twice over so
+        that any d in (-n, 2n) indexes it directly.
+        """
+        n = self.size - 1
+        coords = [self._digits(m) for m in range(n + 1)]
+        index = {c: m for m, c in enumerate(coords)}
+        one = coords[1]
+
+        def power(c: tuple[int, ...], e: int) -> tuple[int, ...]:
+            out = one
+            while e:
+                if e & 1:
+                    out = self._mul(out, c)
+                c = self._mul(c, c)
+                e >>= 1
+            return out
+
+        factors = _prime_factors(n)
+        g = next(c for c in coords[1:] if all(power(c, n // r) != one for r in factors))
+        logs = [2 * n] * (n + 1)
+        by_log = []
+        c = one
+        for i in range(n):
+            logs[index[c]] = i
+            by_log.append(index[c])
+            c = self._mul(c, g)
+        elements = [FieldElement(self, c, logs[m]) for m, c in enumerate(coords)]
+        powers = [elements[m] for m in by_log]
+        zech = [logs[index[self._add(one, coords[m])]] for m in by_log]
+        self._exp = powers + powers + [elements[0]] * (2 * n + 1)
+        self._zech = zech + zech
+        self._units = n
+        self._zero_log = 2 * n
+        self._neg_one = logs[index[self._neg(one)]]
+        self._elements = elements
+        return elements
+
     # -- element construction ------------------------------------------------
 
     def element(self, value: Coercible) -> FieldElement:
         """Coerce an int (prime-subfield image), coordinate sequence or element."""
         if isinstance(value, FieldElement):
+            if value.spec is self:
+                return value
             if value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return value
+                raise ValueError(f"element of {value.spec!r} used in {self!r}")
+            value = value.coords
+        elements = self._elements or self._build()
         if isinstance(value, int):
-            coords = [value % self.p] + [0] * (self.k - 1)
-            return FieldElement(self, tuple(coords))
+            return elements[value % self.p]
         coords = [int(c) % self.p for c in value]
         if len(coords) > self.k:
             raise ValueError(f"expected at most {self.k} coordinates, got {len(coords)}")
-        coords += [0] * (self.k - len(coords))
-        return FieldElement(self, tuple(coords))
+        m = 0
+        for c in reversed(coords):
+            m = m * self.p + c
+        return elements[m]
 
     @property
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.k)
+        return (self._elements or self._build())[0]
 
     @property
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
+        return (self._elements or self._build())[1]
 
     def generator(self) -> FieldElement:
         """The class of t (for k > 1), or 1 for the prime field."""
-        if self.k == 1:
-            return self.one
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+        return (self._elements or self._build())[self.p if self.k > 1 else 1]
 
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in canonical order (base-p digits, ascending)."""
-        for m in range(self.size):
-            yield self.element_by_index(m)
+        return iter(self._elements or self._build())
 
     def element_by_index(self, m: int) -> FieldElement:
-        coords = []
-        for _ in range(self.k):
-            coords.append(m % self.p)
-            m //= self.p
-        return FieldElement(self, tuple(coords))
+        return (self._elements or self._build())[m % self.size]
 
     def index_of(self, a: FieldElement) -> int:
         m = 0
@@ -178,15 +248,11 @@ class FieldSpec:
             m = m * self.p + c
         return m
 
-    # -- coordinate kernels ----------------------------------------------------
+    # -- coordinate kernels (table construction) -------------------------------
 
     def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
 
     def _neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
         p = self.p
@@ -202,19 +268,6 @@ class FieldSpec:
         prod = list(prod) + [0] * (self.k - len(prod))
         return tuple(prod)
 
-    def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        p = self.p
-        if self.k == 1:
-            return (pow(a[0], p - 2, p),)
-        g, s, _ = _poly_xgcd(a, self.modulus, p)
-        # g is a nonzero constant since the modulus is irreducible
-        scale = pow(g[0], p - 2, p)
-        s = [(c * scale) % p for c in s]
-        s += [0] * (self.k - len(s))
-        return tuple(s[: self.k])
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -229,76 +282,100 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of a :class:`FieldSpec`, stored as polynomial coordinates."""
+    """An element of a :class:`FieldSpec`: polynomial coordinates and the
+    discrete logarithm to the field's primitive element (2(q-1) for zero).
 
-    __slots__ = ("spec", "coords")
+    Each element exists once per field, made by its FieldSpec; the operators
+    are table lookups that return those shared objects.  An operand may be
+    an element of the same field or anything FieldSpec.element accepts; an
+    element of another field raises ValueError.
+    """
 
-    def __init__(self, spec: FieldSpec, coords: tuple[int, ...]):
+    __slots__ = ("spec", "coords", "log", "_hash")
+
+    def __init__(self, spec: FieldSpec, coords: tuple[int, ...], log: int):
         self.spec = spec
         self.coords = coords
+        self.log = log
+        self._hash = hash((spec, coords))
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return self.log != self.spec._zero_log
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FieldElement)
             and self.spec == other.spec
             and self.coords == other.coords
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.coords))
-
-    def _coerce(self, other: Coercible) -> FieldElement:
-        if isinstance(other, FieldElement):
-            return other
-        return self.spec.element(other)
+        return self._hash
 
     def __add__(self, other: Coercible) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec._add(self.coords, other.coords))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = spec.element(other)
+        a, b = self.log, other.log
+        if a == spec._zero_log:
+            return other
+        if b == spec._zero_log:
+            return self
+        return spec._exp[a + spec._zech[b - a]]
 
     __radd__ = __add__
 
     def __sub__(self, other: Coercible) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec._sub(self.coords, other.coords))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = spec.element(other)
+        a, b = self.log, other.log
+        if b == spec._zero_log:
+            return self
+        b += spec._neg_one
+        if a == spec._zero_log:
+            return spec._exp[b]
+        return spec._exp[a + spec._zech[b - a]]
 
     def __rsub__(self, other: Coercible) -> FieldElement:
-        return self._coerce(other) - self
+        return self.spec.element(other) - self
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec._neg(self.coords))
+        spec = self.spec
+        return spec._exp[self.log + spec._neg_one]
 
     def __mul__(self, other: Coercible) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec._mul(self.coords, other.coords))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = spec.element(other)
+        return spec._exp[self.log + other.log]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Coercible) -> FieldElement:
-        other = self._coerce(other)
-        return FieldElement(self.spec, self.spec._mul(self.coords, self.spec._inv(other.coords)))
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = spec.element(other)
+        if other.log == spec._zero_log:
+            raise ZeroDivisionError("inverse of zero field element")
+        return spec._exp[self.log - other.log + spec._units]
 
     def __rtruediv__(self, other: Coercible) -> FieldElement:
-        return self._coerce(other) / self
+        return self.spec.element(other) / self
 
     def inverse(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec._inv(self.coords))
+        spec = self.spec
+        if self.log == spec._zero_log:
+            raise ZeroDivisionError("inverse of zero field element")
+        return spec._exp[spec._units - self.log]
 
     def __pow__(self, exponent: int) -> FieldElement:
+        spec = self.spec
+        if self.log != spec._zero_log:
+            return spec._exp[self.log * exponent % spec._units]
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.spec.one
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            raise ZeroDivisionError("inverse of zero field element")
+        return self if exponent else spec._exp[0]
 
     def __repr__(self) -> str:
         if self.spec.k == 1:
@@ -309,12 +386,18 @@ class FieldElement:
         return list(self.coords)
 
 
+# the shared FieldSpec of every field made so far, by (p, k, modulus) as
+# given (None for the default modulus) and as resolved
+_FIELDS: dict[tuple[int, int, tuple[int, ...] | None], FieldSpec] = {}
+
+
 def field_create(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> FieldSpec:
     """Create F_{p^k}; for k > 1 a monic irreducible modulus is checked or found.
 
     When no modulus is supplied the lexicographically smallest monic
     irreducible polynomial (by its tuple of non-leading coefficients) is
     chosen, so a given (p, k) always yields the same field presentation.
+    Every call for the same field returns the same FieldSpec object.
     """
     if not _is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic must be prime, got {p}")
@@ -322,12 +405,21 @@ def field_create(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fi
         raise ValueError(f"extension degree must be >= 1, got {k}")
     if p ** k > SEARCH_BOUND:
         raise FieldTooLarge(f"field size {p ** k} exceeds the design bound {SEARCH_BOUND}")
+    key = (p, k, None if modulus is None else tuple(int(c) % p for c in modulus))
+    spec = _FIELDS.get(key)
+    if spec is None:
+        spec = _new_field(p, k, key[2])
+        spec = _FIELDS.setdefault((p, k, spec.modulus), spec)
+        _FIELDS[key] = spec
+    return spec
+
+
+def _new_field(p: int, k: int, mod: tuple[int, ...] | None) -> FieldSpec:
     if k == 1:
-        if modulus is not None:
+        if mod is not None:
             raise ValueError("prime fields carry no modulus")
         return FieldSpec(p, 1, None)
-    if modulus is not None:
-        mod = tuple(int(c) % p for c in modulus)
+    if mod is not None:
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {k}")
         if not _irreducible(mod, p):

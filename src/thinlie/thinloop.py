@@ -18,7 +18,7 @@ from .errors import (
     NoAnnihilator,
     NotStabilized,
 )
-from .ffield import FieldElement
+from .ffield import FieldElement, find_roots
 from .liealg import (
     DegreeMap,
     Echelon,
@@ -30,10 +30,6 @@ from .liealg import (
     unit_row,
     validate_grading,
 )
-
-# Largest field size for which covering is checked by projective enumeration.
-ENUMERATION_BOUND = 729
-
 
 class _Infinity:
     """Type marker for diamonds whose relation reads -[V,X,Y] = [V,Y,X]."""
@@ -273,17 +269,51 @@ def covering_criterion_at(expansion: LoopExpansion, X: Element, Y: Element, d: i
     )
 
 
+def _coords_in(space: Subspace, e: Element) -> list[FieldElement] | None:
+    """Coordinates of e in the echelon rows of space, None if e is not in it."""
+    if not space.contains(e):
+        return None
+    zero = space.table.field.zero
+    return [e.coords.get(pc, zero) for pc in space.pivots]
+
+
+def _det2(a: list[FieldElement], b: list[FieldElement]) -> FieldElement:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _plane_covers(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
+    """Covering at a two-dimensional M_d, decided exactly by rank.
+
+    With b0, b1 the basis of M_d, u = s b0 + t b1 covers iff [u,X] and
+    [u,Y] span M_{d+1}.  All four [b_i,X], [b_i,Y] must lie in M_{d+1}.
+    If it is a line through w, with [b_i,X] = a_i w and [b_i,Y] = beta_i w,
+    every u covers iff det[[a0,a1],[beta0,beta1]] != 0.  If it is a plane,
+    with A the coordinate columns ([b0,X], [b0,Y]) and B those of b1,
+    every u covers iff the binary form det(sA + tB) has no projective zero.
+    """
+    target = expansion.component(d + 1)
+    if target.dim > 2:
+        return False
+    b0, b1 = expansion.component(d).basis_elements()
+    x0, y0, x1, y1 = cols = [_coords_in(target, bracket(b, Z)) for b in (b0, b1) for Z in (X, Y)]
+    if any(c is None for c in cols):
+        return False
+    if target.dim == 1:
+        return bool(x0[0] * y1[0] - x1[0] * y0[0])
+    # det(sA + tB) = s^2 det A + st m + t^2 det B
+    det_a, det_b = _det2(x0, y0), _det2(x1, y1)
+    m = _det2([u + v for u, v in zip(x0, x1)], [u + v for u, v in zip(y0, y1)]) - det_a - det_b
+    return bool(det_b) and not find_roots(target.table.field, [det_a, m, det_b])
+
+
 def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> CoveringReport:
     """Covering property at every degree: [u, M_1] = M_{d+1} for 0 != u in M_d.
 
-    One-dimensional components need only their basis vector.  Two-dimensional
-    ones are checked on all |F| + 1 projective lines when the field is small
-    enough, and by the sufficient criterion otherwise.
+    One-dimensional components need only their basis vector; two-dimensional
+    ones are decided exactly by rank (see _plane_covers); larger ones fail.
     """
-    base = expansion.base
     failures = []
     upto = expansion.depth - 1
-    enumerate_lines = base.field.size <= ENUMERATION_BOUND
     for d in range(1, upto + 1):
         comp = expansion.component(d)
         if comp.dim == 0:
@@ -292,22 +322,11 @@ def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> Covering
             # the expansion dies: some nonzero u has [u, L_1] = 0, so the
             # loop algebra is finite-dimensional and certainly not thin
             failures.append(d)
-            continue
-        if comp.dim == 1:
+        elif comp.dim == 1:
             if not _covers(expansion, comp.basis_elements()[0], X, Y, d):
                 failures.append(d)
-            continue
-        if comp.dim > 2:
+        elif comp.dim > 2 or not _plane_covers(expansion, X, Y, d):
             failures.append(d)
-            continue
-        if enumerate_lines:
-            b0, b1 = comp.basis_elements()
-            reps = [b0 + b1.scale(c) for c in base.field.elements()] + [b1]
-            if not all(_covers(expansion, u, X, Y, d) for u in reps):
-                failures.append(d)
-        else:
-            if not (d >= 2 and covering_criterion_at(expansion, X, Y, d)):
-                failures.append(d)
     return CoveringReport(not failures, failures, upto)
 
 

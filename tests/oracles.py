@@ -4,7 +4,8 @@ These deliberately avoid the code paths they verify: binomials come from a
 Pascal triangle, Poisson coefficients from explicit divided-power calculus
 on untruncated monomial dictionaries, congruences from linear scans, reduced
 echelon forms from a dense Gauss-Jordan pass over whole rows, Jacobi
-violations from a visit to every basis triple.
+violations from a visit to every basis triple, covering from every
+projective line of a two-dimensional component.
 """
 
 from math import comb
@@ -176,3 +177,31 @@ def oracle_jacobi_violations(table, cap):
                     if len(violations) >= cap:
                         return violations
     return violations
+
+
+def oracle_covering_failures(expansion, X, Y):
+    """Degrees d where some nonzero u in M_d has span([u,X], [u,Y]) !=
+    M_{d+1}: a two-dimensional M_d is checked on each of its |F| + 1
+    projective lines, each by a Subspace built from the two brackets."""
+    from thinlie.liealg import Subspace, bracket
+
+    def covers(u, d):
+        got = Subspace.from_elements(expansion.base, [bracket(u, X), bracket(u, Y)])
+        return got == expansion.component(d + 1)
+
+    failures = []
+    for d in range(1, expansion.depth):
+        comp = expansion.component(d)
+        if comp.dim == 0:
+            continue
+        if expansion.component(d + 1).dim == 0 or comp.dim > 2:
+            failures.append(d)
+            continue
+        if comp.dim == 1:
+            reps = comp.basis_elements()
+        else:
+            b0, b1 = comp.basis_elements()
+            reps = [b0 + b1.scale(c) for c in expansion.base.field.elements()] + [b1]
+        if not all(covers(u, d) for u in reps):
+            failures.append(d)
+    return failures

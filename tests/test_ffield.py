@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -168,3 +169,23 @@ def test_field_spec_json_roundtrip():
         assert again == fieldspec
         a = fieldspec.element_by_index(fieldspec.size - 1)
         assert fieldspec.element(a.to_json()) == a
+
+
+def test_field_create_shares_one_spec_per_field():
+    f9 = field_create(3, 2)
+    assert field_create(3, 2) is f9
+    assert field_create(3, 2, [1, 0, 1]) is f9
+    assert FieldSpec.from_json(f9.to_json()) is f9
+    assert field_create(3, 2, [2, 1, 1]) is not f9
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_arithmetic_across_fields_raises(op):
+    f3, f9 = field_create(3), field_create(3, 2)
+    t = f9.generator()
+    other_f9 = field_create(3, 2, [2, 1, 1])
+    for a, b in ((t, f3.one), (f3.one, t), (t, other_f9.one), (other_f9.one, t)):
+        with pytest.raises(ValueError):
+            op(a, b)
+    with pytest.raises(ValueError):
+        f9.element(f3.one)
