@@ -5,6 +5,11 @@ A StructureTable stores sparse bracket coefficients for ordered basis pairs
 characteristic two (the tables are alternating).  All subspace work goes
 through one incremental echelon kernel, Echelon, whose reduced form is
 canonical over an exact field, so subspace equality is matrix equality.
+Echelon takes and returns sparse {column: coefficient} dicts, the same
+coordinates an Element stores, so its cost follows the supports of the
+vectors rather than the dimension; dense rows are converted once, where
+they enter (rref, Subspace.from_rows, change_basis), and Subspace.rows is a
+dense view computed only when it is read.
 validate_table checks the Jacobi identity with one scan per basis pair over
 sparse ad rows, so its cost follows the nonzero bracket compositions rather
 than the number of basis triples.
@@ -95,7 +100,7 @@ class StructureTable:
         return Element(self, {k: c for k, c in coeffs.items() if c})
 
     def full_subspace(self) -> "Subspace":
-        return Subspace.from_rows(self, [unit_row(self, i) for i in range(self.dim)])
+        return Subspace.from_elements(self, map(self.basis_element, range(self.dim)))
 
     def to_json(self) -> dict:
         return {
@@ -201,17 +206,20 @@ def bracket(u: Element, v: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: dense rows, reduced echelon form
+# exact linear algebra: sparse rows, reduced echelon form
 # ---------------------------------------------------------------------------
 
-def unit_row(table: StructureTable, i: int) -> Row:
-    zero, one = table.field.zero, table.field.one
-    return tuple(one if j == i else zero for j in range(table.dim))
+Vec = dict[int, FieldElement]
 
 
-def _combine(pairs: Iterable[tuple[FieldElement, dict[int, FieldElement]]]) -> dict[int, FieldElement]:
+def _sparse(row: Sequence[FieldElement]) -> Vec:
+    """The nonzero entries of a dense row."""
+    return {i: c for i, c in enumerate(row) if c}
+
+
+def _combine(pairs: Iterable[tuple[FieldElement, Vec]]) -> Vec:
     """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs."""
-    out: dict[int, FieldElement] = {}
+    out: Vec = {}
     for c, v in pairs:
         for i, x in v.items():
             s = out.get(i)
@@ -226,19 +234,21 @@ def _combine(pairs: Iterable[tuple[FieldElement, dict[int, FieldElement]]]) -> d
 class Echelon:
     """Reduced row echelon form with unit pivots, grown one vector at a time.
 
-    rows[r] is a sparse {column: coefficient} dict whose pivot column
-    pivots[r] holds one and is zero in every other row; pivots stay sorted.
-    Row operations touch only the nonzero entries of the row subtracted.
-    The form is canonical: the same span gives the same rows whatever
-    vectors built it.
+    Vectors go in and come out as sparse {column: coefficient} dicts with no
+    zero coefficient.  rows maps each pivot column to its row, which holds
+    one there and is zero at every other pivot; pivots lists the pivot
+    columns in increasing order.  Row operations touch only the nonzero
+    entries of the row subtracted, so the cost follows the supports, not
+    ncols.  The form is canonical: the same span gives the same rows
+    whatever vectors built it.
     """
 
     __slots__ = ("field", "ncols", "rows", "pivots")
 
-    def __init__(self, field: FieldSpec, ncols: int, vectors: Iterable[Sequence[FieldElement]] = ()):
+    def __init__(self, field: FieldSpec, ncols: int, vectors: Iterable[Vec] = ()):
         self.field = field
         self.ncols = ncols
-        self.rows: list[dict[int, FieldElement]] = []
+        self.rows: dict[int, Vec] = {}
         self.pivots: list[int] = []
         for vec in vectors:
             self.add(vec)
@@ -247,25 +257,35 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: Sequence[FieldElement]) -> list[FieldElement]:
-        """vec with every pivot column eliminated; zero iff vec lies in the span."""
-        vec = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            c = vec[pc]
-            if c:
-                for idx, x in row.items():
-                    vec[idx] = vec[idx] - c * x
-        return vec
+    def reduce(self, vec: Vec) -> Vec:
+        """vec with every pivot column eliminated; empty iff vec lies in the span.
 
-    def add(self, vec: Sequence[FieldElement]) -> bool:
+        A row is zero at every other pivot, so subtracting it leaves the
+        other pivot entries of vec as they were: each row is subtracted at
+        most once, scaled by the entry of vec itself.
+        """
+        rows = self.rows
+        out = {i: c for i, c in vec.items() if c}
+        for pc in [i for i in out if i in rows]:
+            c = out[pc]
+            for idx, x in rows[pc].items():
+                s = out.get(idx)
+                s = -(c * x) if s is None else s - c * x
+                if s:
+                    out[idx] = s
+                else:
+                    del out[idx]
+        return out
+
+    def add(self, vec: Vec) -> bool:
         """Extend the span by vec; False, with nothing changed, if it is already in it."""
         residual = self.reduce(vec)
-        pc = next((i for i, c in enumerate(residual) if c), None)
-        if pc is None:
+        if not residual:
             return False
+        pc = min(residual)
         inv = residual[pc].inverse()
-        new = {i: inv * c for i, c in enumerate(residual) if c}
-        for row in self.rows:
+        new = {i: inv * c for i, c in residual.items()}
+        for row in self.rows.values():
             c = row.get(pc)
             if c:
                 for idx, x in new.items():
@@ -275,46 +295,47 @@ class Echelon:
                         row[idx] = s
                     else:
                         del row[idx]
-        at = bisect.bisect(self.pivots, pc)
-        self.pivots.insert(at, pc)
-        self.rows.insert(at, new)
+        bisect.insort(self.pivots, pc)
+        self.rows[pc] = new
         return True
 
     def dense_rows(self) -> list[Row]:
-        """The rows as dense tuples, in pivot order."""
-        zero = self.field.zero
-        return [tuple(row.get(i, zero) for i in range(self.ncols)) for row in self.rows]
+        """The rows as dense tuples of length ncols, in pivot order."""
+        zero, rows = self.field.zero, self.rows
+        return [tuple(rows[pc].get(i, zero) for i in range(self.ncols)) for pc in self.pivots]
 
 
 def rref(field: FieldSpec, rows: Iterable[Sequence[FieldElement]]) -> list[list[FieldElement]]:
-    """Reduced row echelon form with unit pivots; zero rows dropped."""
-    rows = [list(r) for r in rows]
-    return [list(r) for r in Echelon(field, len(rows[0]) if rows else 0, rows).dense_rows()]
+    """Reduced row echelon form with unit pivots of dense rows; zero rows dropped."""
+    rows = list(rows)
+    ech = Echelon(field, len(rows[0]) if rows else 0, map(_sparse, rows))
+    return [list(r) for r in ech.dense_rows()]
 
 
 class Subspace:
     """A subspace of a table's underlying vector space.
 
     echelon holds it in reduced echelon form and must not change after
-    construction; rows are the same rows as dense tuples in pivot order,
-    canonical, so equal subspaces have equal rows.
+    construction.  Its sparse rows are canonical, so two subspaces are equal
+    (and hash alike) exactly when their rows are.  rows, the same rows as
+    dense tuples in pivot order, is computed only when it is read.
     """
 
-    __slots__ = ("table", "echelon", "rows", "pivots")
+    __slots__ = ("table", "echelon", "pivots", "_dense")
 
     def __init__(self, table: StructureTable, echelon: Echelon):
         self.table = table
         self.echelon = echelon
-        self.rows = tuple(echelon.dense_rows())
         self.pivots = tuple(echelon.pivots)
+        self._dense: tuple[Row, ...] | None = None
 
     @classmethod
     def from_rows(cls, table: StructureTable, rows: Iterable[Sequence[FieldElement]]) -> "Subspace":
-        return cls(table, Echelon(table.field, table.dim, rows))
+        return cls(table, Echelon(table.field, table.dim, map(_sparse, rows)))
 
     @classmethod
     def from_elements(cls, table: StructureTable, elements: Iterable[Element]) -> "Subspace":
-        return cls.from_rows(table, [e.dense() for e in elements])
+        return cls(table, Echelon(table.field, table.dim, (e.coords for e in elements)))
 
     @classmethod
     def zero(cls, table: StructureTable) -> "Subspace":
@@ -322,29 +343,38 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        if self._dense is None:
+            self._dense = tuple(self.echelon.dense_rows())
+        return self._dense
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.table is other.table
-            and self.rows == other.rows
+            and self.echelon.rows == other.echelon.rows
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.table), self.rows))
+        rows = self.echelon.rows
+        return hash((id(self.table), tuple(frozenset(rows[pc].items()) for pc in self.pivots)))
 
     def contains(self, elem: Element) -> bool:
-        return not any(self.echelon.reduce(elem.dense()))
+        return not self.echelon.reduce(elem.coords)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(e) for e in other.basis_elements())
 
     def basis_elements(self) -> list[Element]:
-        return [Element(self.table, dict(sorted(row.items()))) for row in self.echelon.rows]
+        rows = self.echelon.rows
+        return [Element(self.table, dict(sorted(rows[pc].items()))) for pc in self.pivots]
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_rows(self.table, list(self.rows) + list(other.rows))
+        vectors = list(self.echelon.rows.values()) + list(other.echelon.rows.values())
+        return Subspace(self.table, Echelon(self.table.field, self.table.dim, vectors))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.table.dim})"
@@ -479,14 +509,14 @@ def subalgebra_generated(t: StructureTable, gens: Sequence[Element]) -> Subspace
     if not gens:
         raise ValueError("generator list must be nonempty")
     span = Echelon(t.field, t.dim)
-    basis = [g for g in gens if span.add(g.dense())]
+    basis = [g for g in gens if span.add(g.coords)]
     frontier = basis
     while frontier:
         new: list[Element] = []
         for u in frontier:
             for v in basis:
                 w = bracket(u, v)
-                if w and span.add(w.dense()):
+                if w and span.add(w.coords):
                     new.append(w)
         basis = basis + new
         frontier = new
@@ -513,13 +543,14 @@ def centralizer_in(t: StructureTable, ambient: Subspace, target: Subspace) -> Su
     if m == 0 or target.dim == 0:
         return ambient
     arows = ambient.basis_elements()
-    zero = t.field.zero
-    constraints: list[list[FieldElement]] = []
+    constraints: list[Vec] = []
     for b in target.basis_elements():
-        images = [bracket(a, b) for a in arows]
-        support = sorted({k for img in images for k in img.coords})
-        for k in support:
-            constraints.append([img.coords.get(k, zero) for img in images])
+        # one constraint per coordinate k of the images [a_i, b]
+        by_coord: dict[int, Vec] = {}
+        for i, a in enumerate(arows):
+            for k, c in bracket(a, b).coords.items():
+                by_coord.setdefault(k, {})[i] = c
+        constraints.extend(by_coord.values())
     kernel = [
         Element(t, _combine((c, arows[i].coords) for i, c in combo.items()))
         for combo in _nullspace(t.field, constraints, m)
@@ -531,15 +562,14 @@ def center(t: StructureTable, s: Subspace) -> Subspace:
     return centralizer_in(t, s, s)
 
 
-def _nullspace(field: FieldSpec, constraints: list[list[FieldElement]], m: int) -> list[dict[int, FieldElement]]:
-    """Basis of {x in F^m : A x = 0} for constraint rows A, as sparse vectors."""
+def _nullspace(field: FieldSpec, constraints: list[Vec], m: int) -> list[Vec]:
+    """Basis of {x in F^m : A x = 0} for sparse constraint rows A."""
     ech = Echelon(field, m, constraints)
-    pivots = set(ech.pivots)
     out = []
     for f in range(m):
-        if f not in pivots:
+        if f not in ech.rows:
             vec = {f: field.one}
-            for row, pc in zip(ech.rows, ech.pivots):
+            for pc, row in ech.rows.items():
                 if f in row:
                     vec[pc] = -row[f]
             out.append(vec)
@@ -561,8 +591,8 @@ def quotient_by_ideal(t: StructureTable, ideal: Subspace) -> StructureTable:
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
             w = bracket(t.basis_element(keep[a]), t.basis_element(keep[b]))
-            vec = ideal.echelon.reduce(w.dense())
-            terms = [(pos[c], vec[c]) for c in keep if vec[c]]
+            # the residual lives on the non-pivot columns, that is on keep
+            terms = [(pos[c], x) for c, x in ideal.echelon.reduce(w.coords).items()]
             if terms:
                 entries.append((a, b, terms))
     return StructureTable.from_entries(t.field, labels, entries)
@@ -619,7 +649,7 @@ def check_structure_map(
         raise ValueError("need one image per src basis vector")
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
-    if Echelon(dst.field, dst.dim, [e.dense() for e in images]).rank != src.dim:
+    if Echelon(dst.field, dst.dim, (e.coords for e in images)).rank != src.dim:
         return False
     for i in range(src.dim):
         for j in range(i + 1, src.dim):
@@ -633,13 +663,11 @@ def check_structure_map(
 # base change and subalgebra tables
 # ---------------------------------------------------------------------------
 
-def _augmented_echelon(field: FieldSpec, rows: Sequence[Sequence[FieldElement]], n: int) -> Echelon | None:
-    """Reduced echelon form of [rows | I] for rows of length n, or None when
-    the rows are dependent: then some pivot falls at or past column n."""
-    m = len(rows)
-    zero, one = field.zero, field.one
-    unit = [[one if s == i else zero for s in range(m)] for i in range(m)]
-    aug = Echelon(field, n + m, (list(r) + unit[i] for i, r in enumerate(rows)))
+def _augmented_echelon(field: FieldSpec, rows: Sequence[Vec], n: int) -> Echelon | None:
+    """Reduced echelon form of [rows | I] for sparse rows over n columns, or
+    None when the rows are dependent: then some pivot falls at or past n."""
+    one = field.one
+    aug = Echelon(field, n + len(rows), ({**r, n + i: one} for i, r in enumerate(rows)))
     return None if any(pc >= n for pc in aug.pivots) else aug
 
 
@@ -652,11 +680,12 @@ def change_basis(t: StructureTable, rows: Sequence[Sequence[FieldElement]], labe
     n = t.dim
     if len(rows) != n:
         raise ValueError("change of basis requires a square matrix")
-    aug = _augmented_echelon(t.field, rows, n)
+    sparse = [_sparse(r) for r in rows]
+    aug = _augmented_echelon(t.field, sparse, n)
     if aug is None:
         raise ValueError("matrix is singular")
-    inv = [{c - n: x for c, x in row.items() if c >= n} for row in aug.rows]
-    elems = [Element(t, {i: c for i, c in enumerate(r) if c}) for r in rows]
+    inv = [{c - n: x for c, x in aug.rows[pc].items() if c >= n} for pc in aug.pivots]
+    elems = [Element(t, v) for v in sparse]
     entries = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -675,10 +704,9 @@ def subalgebra_table(
     """Structure table on a given independent, bracket-closed family."""
     m, n = len(elements), t.dim
     # reducing (v | 0) against [elements | I] leaves (0 | -x) when v = sum x_r elements[r]
-    aug = _augmented_echelon(t.field, [e.dense() for e in elements], n)
+    aug = _augmented_echelon(t.field, [e.coords for e in elements], n)
     if aug is None:
         raise ValueError("elements are linearly dependent")
-    padding = [t.field.zero] * m
     if labels is None:
         labels = []
         for e in elements:
@@ -693,10 +721,10 @@ def subalgebra_table(
             w = bracket(elements[a], elements[b])
             if not w:
                 continue
-            vec = aug.reduce(list(w.dense()) + padding)
-            if any(vec[:n]):
+            vec = aug.reduce(w.coords)
+            if any(k < n for k in vec):
                 raise NotASubalgebra("family is not closed under the bracket")
-            terms = [(k, -c) for k, c in enumerate(vec[n:]) if c]
+            terms = [(k - n, -c) for k, c in vec.items()]
             if terms:
                 entries.append((a, b, terms))
     return StructureTable.from_entries(t.field, labels, entries)

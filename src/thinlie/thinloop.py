@@ -27,7 +27,6 @@ from .liealg import (
     Subspace,
     bracket,
     centralizer_in,
-    unit_row,
     validate_grading,
 )
 
@@ -88,7 +87,7 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
     classes: dict[int, set[int]] = {}
     for i, d in enumerate(degmap.degrees):
         classes.setdefault(d, set()).add(i)
-    m1 = Subspace.from_rows(base, [unit_row(base, i) for i in sorted(classes.get(1 % n, ()))])
+    m1 = Subspace.from_elements(base, map(base.basis_element, sorted(classes.get(1 % n, ()))))
     components = [m1]
     gens = m1.basis_elements()
     for d in range(2, depth + 1):
@@ -518,7 +517,7 @@ def parameter_k(expansion: LoopExpansion, window: int | None = None) -> int:
                     for v in rbasis[b]:
                         w = bracket(u, v)
                         if w:
-                            acc.add(w.dense())
+                            acc.add(w.coords)
                     if acc.rank >= cap:
                         break
                 if acc.rank >= cap:

@@ -85,6 +85,15 @@ def _resolve_depth(depth: int | None) -> int | None:
     return depth
 
 
+def _check_q(q: int) -> None:
+    """Reject q = 2 before any work: its second diamond would sit in degree 2."""
+    if q == 2:
+        raise ThinlieError(
+            "q = 2 is outside the class: a second diamond in degree 2 needs dim L_2 = 2, "
+            "but L_2 = [L_1, L_1] is at most 1-dimensional"
+        )
+
+
 def _expected(mu) -> tuple[str, object]:
     """Kind and type of a diamond predicted to have type mu."""
     if mu is not INFINITY:
@@ -159,8 +168,9 @@ def run_mixed(p: int, n1: int, n2: int, depth: int | None = None) -> VerifyRun:
     characteristic two, inside the derived subalgebra), type infinity
     elsewhere.
     """
-    depth = _resolve_depth(depth)
     q, r = p ** n2, p ** n1
+    _check_q(q)
+    depth = _resolve_depth(depth)
     modulus = (q - 1) * r
     fieldspec = field_create(p)
     table = build_H2_phi1(p, n1, n2, fieldspec, 1)
@@ -189,8 +199,9 @@ def run_finite(
     mu_t = -1 + (t-2) sigma/rho, an arithmetic progression outside the prime
     field; in characteristic two the run moves into the derived subalgebra.
     """
-    depth = _resolve_depth(depth)
     q = p ** n2
+    _check_q(q)
+    depth = _resolve_depth(depth)
     if mu3 is not None:
         params = params_from_mu3(mu3)
     else:
@@ -213,8 +224,9 @@ def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
     """The sigma = 0 degeneration: X and Y generate a q-dimensional
     Zassenhaus subalgebra whose loop algebra has all diamonds of type -1
     (fake in characteristic two, where -1 = 1)."""
-    depth = _resolve_depth(depth)
     q = p ** n2
+    _check_q(q)
+    depth = _resolve_depth(depth)
     fieldspec = field_create(p)
     params = toral_params(fieldspec, 0, eps=1)  # rho = 1
     table = build_H2_phi1(p, 1, n2, fieldspec, 1)
@@ -233,11 +245,14 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
     """The eps = 0 deformation limit: the center quotient of the loop algebra
     of the central extension, with prime-field progression step sigma/rho and
     fake diamonds exactly where the progression passes through 0 or 1."""
+    if p == 2:
+        raise ThinlieError("eps-zero needs odd p: the only nonzero ratio sigma/rho in F_2 is 1 = -1")
     ratio %= p
     if ratio == 0 or ratio == p - 1:
         raise ThinlieError("the ratio sigma/rho must be a nonzero element other than -1")
-    depth = _resolve_depth(depth)
     q = p ** n2
+    _check_q(q)
+    depth = _resolve_depth(depth)
     fieldspec = field_create(p)
     hhat = build_H2_phi1(p, 1, n2, fieldspec, 0)
     mismatches = []

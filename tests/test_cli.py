@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from thinlie import cli
+from thinlie import cli, verify
 from thinlie.liealg import StructureTable
 
 
@@ -211,3 +211,29 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert run_cli(["verify", "--grading", "mixed", "--p", "3"]) == 3
     err = capsys.readouterr().err
     assert "internal error: AssertionError: component at degree 4 is not homogeneous" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--grading", "finite", "--p", "2", "--q", "2", "--mu3", "0,1"],
+    ["--grading", "mixed", "--p", "2", "--n1", "1", "--n2", "1"],
+    ["--grading", "sigma-zero", "--p", "2", "--q", "2"],
+])
+def test_q_two_rejected_before_any_work(args, monkeypatch, capsys):
+    def no_build(*a, **k):
+        raise AssertionError("build_H2_phi1 called for q = 2")
+
+    monkeypatch.setattr(verify, "build_H2_phi1", no_build)
+    assert run_cli(["verify", *args]) == 2
+    err = capsys.readouterr().err
+    assert "q = 2" in err
+    assert "second diamond in degree 2 needs dim L_2 = 2" in err
+    assert "L_2 = [L_1, L_1] is at most 1-dimensional" in err
+
+
+def test_eps_zero_char_two_rejected_before_any_work(monkeypatch, capsys):
+    def no_build(*a, **k):
+        raise AssertionError("build_H2_phi1 called for eps-zero at p = 2")
+
+    monkeypatch.setattr(verify, "build_H2_phi1", no_build)
+    assert run_cli(["verify", "--grading", "eps-zero", "--p", "2", "--q", "4", "--ratio", "1"]) == 2
+    assert "the only nonzero ratio sigma/rho in F_2 is 1 = -1" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from oracles import oracle_covering_failures
 from thinlie.cartan import build_H2_phi1
 from thinlie.ffield import field_create
 from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_finite
-from thinlie.liealg import DegreeMap, StructureTable, Subspace, unit_row
+from thinlie.liealg import DegreeMap, StructureTable, Subspace
 from thinlie.thinloop import LoopExpansion, check_covering, loop_expand
 from thinlie.verify import run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
@@ -122,11 +122,10 @@ def plane_slots(draw):
             terms[Z] = scalar(1)
         entries.append((b, g, list(terms.items())))
     table = StructureTable.from_entries(field, ["x", "y", "b0", "b1", "w0", "w1", "z"], entries)
-    zero = field.zero
     components = [
-        Subspace.from_rows(table, [unit_row(table, X), unit_row(table, Y)]),
-        Subspace.from_rows(table, [unit_row(table, B0), unit_row(table, B1)]),
-        Subspace.from_rows(table, [[w.get(i, zero) for i in range(table.dim)] for w in target]),
+        Subspace.from_elements(table, [table.basis_element(X), table.basis_element(Y)]),
+        Subspace.from_elements(table, [table.basis_element(B0), table.basis_element(B1)]),
+        Subspace.from_elements(table, [table.element(w) for w in target]),
     ]
     degmap = DegreeMap(4, (1, 1, 2, 2, 3, 3, 3))
     return LoopExpansion(table, degmap, 3, components, False)

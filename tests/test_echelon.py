@@ -1,5 +1,6 @@
 """The echelon kernel against the dense Gauss-Jordan oracle, on random
-matrices over F_3, F_4 and F_9, and change of basis against its inverse."""
+dense matrices over F_3, F_4 and F_9 and on random sparse vectors over F_2,
+F_3 and F_9, and change of basis against its inverse."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import oracle_rref
 from thinlie.cartan import build_H2_second_derived, build_W1n
 from thinlie.ffield import field_create
-from thinlie.liealg import StructureTable, Subspace, change_basis, rref, subalgebra_table
+from thinlie.liealg import Echelon, StructureTable, Subspace, change_basis, rref, subalgebra_table
 
-F3, F4, F9 = field_create(3), field_create(2, 2), field_create(3, 2)
+F2, F3, F4, F9 = field_create(2), field_create(3), field_create(2, 2), field_create(3, 2)
+SPARSE_FIELDS = pytest.mark.parametrize("field", [F2, F3, F9], ids=["F2", "F3", "F9"])
 FIELDS = pytest.mark.parametrize("field", [F3, F4, F9], ids=["F3", "F4", "F9"])
 TABLES = pytest.mark.parametrize(
     "table",
@@ -121,3 +123,87 @@ def test_singular_matrix_raises(table, data):
         change_basis(table, rows, table.labels)
     with pytest.raises(ValueError):
         subalgebra_table(table, [element(table, r) for r in rows])
+
+
+def nonzeros(field):
+    return st.integers(1, field.size - 1).map(field.element_by_index)
+
+
+@st.composite
+def sparse_family(draw, field, ncols, max_vectors=10):
+    """Sparse {column: coefficient} vectors over ncols columns: random ones
+    with at most ncols/5 nonzeros (at least one), then repeats, multiples
+    and combinations of two earlier vectors, in a shuffled order."""
+    support = max(1, ncols // 5)
+    vec = st.dictionaries(st.integers(0, ncols - 1), nonzeros(field), max_size=support)
+    vectors = draw(st.lists(vec, max_size=max_vectors // 2))
+    for _ in range(draw(st.integers(0, max_vectors // 2)) if vectors else 0):
+        u = draw(st.sampled_from(vectors))
+        w = draw(st.sampled_from(vectors))
+        a, b = draw(scalars(field)), draw(scalars(field))
+        out = {}
+        for v, c in ((u, a), (w, b)):
+            for i, x in v.items():
+                out[i] = out.get(i, field.zero) + c * x
+        vectors.append({i: x for i, x in out.items() if x})
+    return draw(st.permutations(vectors))
+
+
+def dense(field, ncols, vec):
+    return [vec.get(i, field.zero) for i in range(ncols)]
+
+
+@SPARSE_FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_echelon_matches_oracle(field, data):
+    ncols = data.draw(st.integers(1, 40))
+    vectors = data.draw(sparse_family(field, ncols))
+    ech = Echelon(field, ncols, vectors)
+    want = oracle_rref(field, [dense(field, ncols, v) for v in vectors])
+    assert [dense(field, ncols, ech.rows[pc]) for pc in ech.pivots] == want
+    assert ech.pivots == [next(i for i, c in enumerate(row) if c) for row in want]
+    assert all(c for row in ech.rows.values() for c in row.values())
+
+
+@SPARSE_FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_subspace_equality_and_hash_follow_dense_rows(field, data):
+    ncols = data.draw(st.integers(1, 40))
+    table = StructureTable(field, [f"a{i}" for i in range(ncols)], {})
+    left = data.draw(sparse_family(field, ncols))
+    if data.draw(st.booleans()):
+        # the same vectors in another order and scaling, so the same span
+        order = data.draw(st.permutations(left))
+        scales = data.draw(st.lists(nonzeros(field), min_size=len(order), max_size=len(order)))
+        right = [{i: c * x for i, x in v.items()} for v, c in zip(order, scales)]
+    else:
+        right = data.draw(sparse_family(field, ncols))
+    a = Subspace(table, Echelon(field, ncols, left))
+    b = Subspace.from_elements(table, [table.element(v) for v in right])
+    want = oracle_rref(field, [dense(field, ncols, v) for v in left])
+    same = want == oracle_rref(field, [dense(field, ncols, v) for v in right])
+    assert (a == b) == same
+    assert a.rows == tuple(map(tuple, want))
+    if same:
+        assert hash(a) == hash(b)
+
+
+@SPARSE_FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_contains_agrees_with_oracle_rank(field, data):
+    ncols = data.draw(st.integers(1, 40))
+    table = StructureTable(field, [f"a{i}" for i in range(ncols)], {})
+    family = data.draw(sparse_family(field, ncols))
+    # fresh vectors, members of the family and combinations of both
+    candidates = data.draw(sparse_family(field, ncols, max_vectors=4)) + family[:2]
+    span = Subspace.from_elements(table, [table.element(v) for v in family])
+    rows = [dense(field, ncols, v) for v in family]
+    rank = len(oracle_rref(field, rows))
+    assert span.dim == rank
+    for v in candidates:
+        inside = len(oracle_rref(field, rows + [dense(field, ncols, v)])) == rank
+        assert span.contains(table.element(v)) == inside
+        assert (not span.echelon.reduce(v)) == inside
