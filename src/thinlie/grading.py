@@ -3,17 +3,24 @@
 grade_mixed assigns monomial degrees (1-q)i - j + q modulo (q-1)r, the
 grading whose loop algebra mixes diamonds of types -1 and infinity.
 
-grade_finite diagonalizes the toral element e_0 = y + pi*xbar*y, labels the
-eigenvectors e[r, alpha] with alpha = r*rho + s*sigma, and combines the two
-residues r mod (q-1) and s mod p into a degree modulo (q-1)p.  The resulting
-loop algebra has diamond types in arithmetic progression with step
-sigma/rho, so prescribing the third type mu3 outside the prime field pins
-(sigma, rho) down exactly; params_from_mu3 inverts that prescription.
+eigenbasis diagonalizes the toral element e_0 = y + pi*xbar*y and labels the
+eigenvectors e[r, alpha] with alpha = r*rho + s*sigma.  In that basis the
+algebra is an Albert-Zassenhaus algebra with one-term products
+
+    {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
+
+so its table is written down from this formula (closed_eigen_table), not
+conjugated, and a generator certificate (liealg.check_structure_map) proves
+the basis map an isomorphism onto the monomial table.  grade_finite combines
+the two residues r mod (q-1) and s mod p into a degree modulo (q-1)p.  The
+resulting loop algebra has diamond types in arithmetic progression with
+step sigma/rho, so prescribing the third type mu3 outside the prime field
+pins (sigma, rho) down exactly; params_from_mu3 inverts that prescription.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .cartan import binom_mod_p, monomial_label, monomials
 from .errors import DenominatorZero, Mu3InPrimeField, NoRootInField
@@ -29,10 +36,11 @@ from .ffield import (
 from .liealg import (
     DegreeMap,
     Element,
+    MapCheck,
     StructureTable,
     bracket,
-    change_basis,
-    rref,
+    check_structure_map,
+    extend_to_generators,
     subalgebra_table,
     validate_grading,
 )
@@ -149,8 +157,11 @@ class EigenBasis:
 
     entries[m] = (r, s, alpha) for basis position m of eigen_table, where
     r = 1 - j is the integer slice label and alpha = r*rho + s*sigma the
-    eigenvalue.  For sigma = 0 only the single admissible alpha per slice
-    exists and no eigen table is formed (partial = True).
+    eigenvalue.  eigen_table is the closed Albert-Zassenhaus table on these
+    labels and certificate the outcome of check_structure_map for the basis
+    map e[r, alpha] -> vectors[m] into the monomial table.  For sigma = 0
+    only the single admissible alpha per slice exists and neither is formed
+    (partial = True).
     """
 
     table: StructureTable
@@ -160,11 +171,16 @@ class EigenBasis:
     vectors: list[Element]
     partial: bool
     eigen_table: StructureTable | None = None
-    rows: list[list[FieldElement]] = dc_field(default_factory=list)
+    certificate: MapCheck | None = None
 
     @property
     def labels(self) -> list[str]:
         return [f"e[{r},{a}]" for r, _, a in self.entries]
+
+    @property
+    def rows(self) -> list[list[FieldElement]]:
+        """The eigenvectors as dense coordinate rows in the monomial basis."""
+        return [list(v.dense()) for v in self.vectors]
 
     def position(self, r: int, s: int) -> int:
         for m, (rr, ss, _) in enumerate(self.entries):
@@ -188,6 +204,10 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     Each vector is checked against the eigen-equation {e_0, v} = alpha*v.
     With sigma = 0 the basis is partial: one eigenvector per slice, jointly
     spanning the Zassenhaus subalgebra of the sigma = 0 degeneration.
+    Otherwise eigen_table is built from the closed product formula
+    (closed_eigen_table), and certificate proves the basis map an
+    isomorphism onto the monomial table: check_structure_map from X, Y and,
+    where these do not generate, the basis vectors extend_to_generators adds.
     """
     fieldspec = table.field
     p, n1 = params.p, params.n1
@@ -235,44 +255,44 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     partial = not bool(params.sigma)
     basis = EigenBasis(table, params, q, entries, vectors, partial)
     if not partial:
-        rows = [v.dense() for v in vectors]
-        if len(rref(fieldspec, rows)) != table.dim:
-            raise AssertionError("eigenvectors do not form a basis")
-        basis.rows = [list(r) for r in rows]
-        basis.eigen_table = change_basis(table, rows, basis.labels)
+        et = basis.eigen_table = closed_eigen_table(basis)
+        gens = extend_to_generators(et, generator_positions(basis))
+        basis.certificate = check_structure_map(et, table, vectors, gens)
     return basis
 
 
-def eigen_bracket_check(basis: EigenBasis) -> bool:
-    """Conjugated table versus the closed product formula, on every pair.
+def closed_eigen_table(basis: EigenBasis) -> StructureTable:
+    """The table on basis.entries from the closed Albert-Zassenhaus product
 
-    {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j))
-    e_{2-j-l, alpha+beta}, read as zero when 2-j-l leaves [2-q, 1].
+        {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
+
+    read as zero when 2-j-l leaves [2-q, 1].  In slice labels r = 1-j,
+    r' = 1-l the target slice is r + r', and entries run down the slices,
+    so once r + r' drops below 2-q it stays there for the rest of the row.
     """
-    if basis.eigen_table is None:
-        raise ValueError("bracket check requires a full eigenbasis")
-    t = basis.eigen_table
-    fieldspec = t.field
-    p = basis.params.p
-    q = basis.q
-    pos = {}
-    for m, (r, _, alpha) in enumerate(basis.entries):
-        pos[(r, alpha.coords)] = m
-    for a in range(t.dim):
-        ra, _, alpha = basis.entries[a]
-        ja = 1 - ra
-        for b in range(a + 1, t.dim):
-            rb, _, beta = basis.entries[b]
-            jb = 1 - rb
-            rc = 2 - ja - jb
-            expected: list[tuple[int, FieldElement]] = []
-            if 2 - q <= rc <= 1:
-                coeff = beta * binom_mod_p(ja + jb - 1, jb, p) - alpha * binom_mod_p(ja + jb - 1, ja, p)
-                if coeff:
-                    expected = [(pos[(rc, (alpha + beta).coords)], coeff)]
-            if list(t.basis_bracket(a, b)) != expected:
-                return False
-    return True
+    fieldspec = basis.table.field
+    p, q, entries = basis.params.p, basis.q, basis.entries
+    position = {(r, alpha): m for m, (r, _, alpha) in enumerate(entries)}
+    binoms: dict[tuple[int, int], tuple[FieldElement, FieldElement]] = {}
+    brackets = {}
+    for a, (ra, _, alpha) in enumerate(entries):
+        for b in range(a + 1, len(entries)):
+            rb, _, beta = entries[b]
+            rc = ra + rb
+            if rc > 1:
+                continue
+            if rc < 2 - q:
+                break
+            pair = binoms.get((ra, rb))
+            if pair is None:
+                pair = binoms[(ra, rb)] = (
+                    fieldspec.element(binom_mod_p(1 - rc, 1 - rb, p)),
+                    fieldspec.element(binom_mod_p(1 - rc, 1 - ra, p)),
+                )
+            coeff = beta * pair[0] - alpha * pair[1]
+            if coeff:
+                brackets[(a, b)] = ((position[(rc, alpha + beta)], coeff),)
+    return StructureTable(fieldspec, basis.labels, brackets)
 
 
 def grade_finite(basis: EigenBasis, q: int | None = None, p: int | None = None) -> DegreeMap:

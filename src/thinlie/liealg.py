@@ -523,6 +523,46 @@ def subalgebra_generated(t: StructureTable, gens: Sequence[Element]) -> Subspace
     return Subspace(t, span)
 
 
+class _RightNormedSpan:
+    """The span of the right-normed brackets [g1, [g2, ..., gk]] of a growing
+    list of basis positions gens: the smallest subspace that contains them
+    and is closed under ad g for each.  In a Lie algebra this is the
+    subalgebra they generate, at |gens| brackets per dimension."""
+
+    def __init__(self, t: StructureTable):
+        self.t = t
+        self.span = Echelon(t.field, t.dim)
+        self.found: list[Element] = []  # a basis of span
+        self.gens: list[Element] = []
+
+    def adjoin(self, i: int) -> None:
+        g = self.t.basis_element(i)
+        self.gens.append(g)
+        # the span so far is closed under the earlier generators, not yet under ad g
+        candidates = [bracket(g, u) for u in self.found] + [g]
+        while candidates:
+            new = [w for w in candidates if w and self.span.add(w.coords)]
+            self.found += new
+            candidates = [bracket(h, u) for u in new for h in self.gens]
+
+
+def extend_to_generators(t: StructureTable, start: Sequence[int]) -> list[int]:
+    """start, then each basis position, lowest first, outside the span of
+    the right-normed brackets of the positions chosen so far, until that
+    span is all of t: for a Lie algebra, a generating set of t."""
+    closure = _RightNormedSpan(t)
+    gens = list(start)
+    for i in gens:
+        closure.adjoin(i)
+    for i in range(t.dim):
+        if closure.span.rank == t.dim:
+            break
+        if closure.span.reduce({i: t.field.one}):
+            gens.append(i)
+            closure.adjoin(i)
+    return gens
+
+
 def derived_subalgebra(t: StructureTable, s: Subspace) -> Subspace:
     """Span of all brackets of basis pairs of s; s must be a subalgebra."""
     basis = s.basis_elements()
@@ -639,24 +679,125 @@ def validate_grading(t: StructureTable, d: DegreeMap) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class MapCheck:
+    """Outcome of check_structure_map: check is None when the map passes,
+    else the first check that failed, with the basis labels in detail."""
+
+    check: str | None = None
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.check is None
+
+    def __str__(self) -> str:
+        return "pass" if self.check is None else f"{self.check} fails: {self.detail}"
+
+
+def _ad_rows(t: StructureTable) -> list[dict[int, tuple[tuple[int, FieldElement], ...]]]:
+    """rows[a][b]: the stored terms of [b_a, b_b], for both orders of a pair."""
+    rows: list[dict[int, tuple[tuple[int, FieldElement], ...]]] = [{} for _ in range(t.dim)]
+    for (i, j), terms in t.brackets.items():
+        rows[i][j] = terms
+        rows[j][i] = tuple((k, -c) for k, c in terms)
+    return rows
+
+
+def _derivation_failure(rows, g: int) -> tuple[int, int] | None:
+    """The first pair a < b with [g,[a,b]] != [[g,a],b] + [a,[g,b]], if any.
+
+    One pass per a collects, for every b > a at once, the nonzero terms of
+    the three products, keyed by b * dim + target."""
+    dim = len(rows)
+    adg = rows[g]
+    empty = ()
+    for a, row_a in enumerate(rows):
+        acc: dict[int, FieldElement] = {}
+        get = acc.get
+        for b, terms in row_a.items():  # [g, [a, b]]
+            if b > a:
+                for m, c in terms:
+                    for k, d in adg.get(m, empty):
+                        key = b * dim + k
+                        s = get(key)
+                        acc[key] = c * d if s is None else s + c * d
+        for m, c in adg.get(a, empty):  # -[[g, a], b]
+            for b, terms in rows[m].items():
+                if b > a:
+                    for k, d in terms:
+                        key = b * dim + k
+                        s = get(key)
+                        acc[key] = -(c * d) if s is None else s - c * d
+        for b, terms in adg.items():  # -[a, [g, b]]
+            if b > a:
+                for m, c in terms:
+                    for k, d in row_a.get(m, empty):
+                        key = b * dim + k
+                        s = get(key)
+                        acc[key] = -(c * d) if s is None else s - c * d
+        bad = [key for key, v in acc.items() if v]
+        if bad:
+            return a, min(bad) // dim
+    return None
+
+
 def check_structure_map(
     src: StructureTable,
     dst: StructureTable,
     images: Sequence[Element],
-) -> bool:
-    """True iff the basis map is injective and preserves all brackets."""
+    gens: Sequence[int] | None = None,
+) -> MapCheck:
+    """Certify that the basis map phi: b_i -> images[i] is an injective
+    homomorphism, from a generating set gens of src (basis positions,
+    default every one).  The checks, in order:
+
+    - rank: the images are linearly independent;
+    - intertwining: phi[g, b] = [phi g, phi b] for g in gens, b in the basis;
+    - derivation: ad g is a derivation of src for every g in gens;
+    - generation: the right-normed brackets [g1, [g2, ..., gk]] of gens
+      span src (in a Lie algebra: gens generate src).
+
+    If ad g is a derivation, ad [g, u] = [ad g, ad u]; so the elements whose
+    ad is a derivation of src contain [g, u] with u, and, when dst is a Lie
+    algebra, so do the elements on which phi intertwines the brackets.  Both
+    contain gens, hence the right-normed brackets, hence all of src: src is
+    a Lie algebra and phi a homomorphism.  When gens is every basis vector
+    the intertwining covers every pair, which alone is the proof, and the
+    last two checks are skipped.
+    """
     if len(images) != src.dim:
         raise ValueError("need one image per src basis vector")
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
-    if Echelon(dst.field, dst.dim, (e.coords for e in images)).rank != src.dim:
-        return False
-    for i in range(src.dim):
-        for j in range(i + 1, src.dim):
-            lhs = _combine((c, images[k].coords) for k, c in src.basis_bracket(i, j))
-            if lhs != bracket(images[i], images[j]).coords:
-                return False
-    return True
+    labels = src.labels
+    rank = Echelon(dst.field, dst.dim, (e.coords for e in images)).rank
+    if rank != src.dim:
+        return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
+    gens = range(src.dim) if gens is None else gens
+    genset = set(gens)
+    for g in gens:
+        for b in range(src.dim):
+            if b in genset and b <= g:
+                continue  # [g, g] = 0, and [b, g] comes with b
+            lhs = _combine((c, images[k].coords) for k, c in src.basis_bracket(g, b))
+            if lhs != bracket(images[g], images[b]).coords:
+                return MapCheck("intertwining", f"[{labels[g]}, {labels[b]}]")
+    if len(genset) == src.dim:
+        return MapCheck()
+    rows = _ad_rows(src)
+    for g in gens:
+        pair = _derivation_failure(rows, g)
+        if pair is not None:
+            a, b = pair
+            return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
+    closure = _RightNormedSpan(src)
+    for g in gens:
+        closure.adjoin(g)
+    dim = closure.span.rank
+    if dim != src.dim:
+        names = ", ".join(labels[g] for g in gens)
+        return MapCheck("generation", f"{names} generate {dim} of {src.dim} dimensions")
+    return MapCheck()
 
 
 # ---------------------------------------------------------------------------

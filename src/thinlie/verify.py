@@ -14,8 +14,8 @@ from .cartan import build_H2_phi1, phi1_monomials
 from .errors import ThinlieError
 from .ffield import FieldElement, FieldSpec, field_create
 from .grading import (
+    EigenBasis,
     ToralParams,
-    eigen_bracket_check,
     eigenbasis,
     generator_positions,
     grade_finite,
@@ -153,6 +153,13 @@ def _derived_in_char_two(g: Grading, drop: int) -> Grading:
     )
 
 
+def _certificate_mismatches(basis: EigenBasis) -> list[str]:
+    """The failed check of the eigen-table certificate, as a mismatch."""
+    if basis.certificate:
+        return []
+    return [f"eigen table certificate: {basis.certificate}"]
+
+
 def _progression(params: ToralParams) -> Callable[[DiamondRecord], FieldElement]:
     """mu_t = -1 + (t-2) sigma/rho at the t-th diamond."""
     fieldspec = params.field
@@ -210,9 +217,7 @@ def run_finite(
         params = toral_params(field, sigma, eps=1, rho=rho)
     table = build_H2_phi1(p, 1, n2, params.field, 1)
     basis = eigenbasis(table, params)
-    mismatches = []
-    if not eigen_bracket_check(basis):
-        mismatches.append("eigenbasis products disagree with the closed formula")
+    mismatches = _certificate_mismatches(basis)
     grading = Grading(
         basis.eigen_table, grade_finite(basis), q, *generator_positions(basis),
         _progression(params), mismatches, coincidence=True, certificate=True, params=params,
@@ -262,8 +267,7 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
         mismatches.append("center of the eps = 0 extension is not the constant line")
     params = ToralParams(fieldspec.element(ratio), fieldspec.one, fieldspec.zero)
     basis = eigenbasis(hhat, params)
-    if not eigen_bracket_check(basis):
-        mismatches.append("eigenbasis products disagree with the closed formula")
+    mismatches += _certificate_mismatches(basis)
     et = basis.eigen_table
     central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
     if basis.vectors[central] != constant:

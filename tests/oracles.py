@@ -5,7 +5,8 @@ Pascal triangle, Poisson coefficients from explicit divided-power calculus
 on untruncated monomial dictionaries, congruences from linear scans, reduced
 echelon forms from a dense Gauss-Jordan pass over whole rows, Jacobi
 violations from a visit to every basis triple, covering from every
-projective line of a two-dimensional component.
+projective line of a two-dimensional component, and eigen-table products
+from the closed formula checked pair by pair.
 """
 
 from math import comb
@@ -205,3 +206,34 @@ def oracle_covering_failures(expansion, X, Y):
         if not all(covers(u, d) for u in reps):
             failures.append(d)
     return failures
+
+
+def eigen_bracket_check(basis) -> bool:
+    """An eigen table against the closed product formula, on every pair:
+
+        {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
+
+    read as zero when 2-j-l leaves [2-q, 1]; binomials from a Pascal
+    triangle, targets found by eigenvalue and slice."""
+    if basis.eigen_table is None:
+        raise ValueError("bracket check requires a full eigenbasis")
+    t = basis.eigen_table
+    p = basis.params.p
+    q = basis.q
+    pos = {(r, alpha.coords): m for m, (r, _, alpha) in enumerate(basis.entries)}
+    for a in range(t.dim):
+        ra, _, alpha = basis.entries[a]
+        ja = 1 - ra
+        for b in range(a + 1, t.dim):
+            rb, _, beta = basis.entries[b]
+            jb = 1 - rb
+            rc = 2 - ja - jb
+            expected = []
+            if 2 - q <= rc <= 1:
+                coeff = (beta * pascal_binom(ja + jb - 1, jb, p)
+                         - alpha * pascal_binom(ja + jb - 1, ja, p))
+                if coeff:
+                    expected = [(pos[(rc, (alpha + beta).coords)], coeff)]
+            if list(t.basis_bracket(a, b)) != expected:
+                return False
+    return True

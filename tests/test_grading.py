@@ -2,11 +2,11 @@ from collections import Counter
 
 import pytest
 
+from oracles import eigen_bracket_check
 from thinlie.cartan import build_H2_phi1, phi1_monomials
 from thinlie.errors import Mu3InPrimeField, NoRootInField
 from thinlie.ffield import field_create, in_prime_field
 from thinlie.grading import (
-    eigen_bracket_check,
     eigenbasis,
     generator_positions,
     grade_finite,

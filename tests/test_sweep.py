@@ -1,0 +1,73 @@
+"""Sweep of the toral gradings through the command line: every input inside
+the accepted range exits 0, every input just outside it exits 2, and none
+exits 3.
+
+Inside: finite at p = 2, 3, 5 for every q with dim = pq <= 125 and every mu3
+in F_{p^2} \\ F_p, and at p = 7 for a fixed sample of mu3; eps-zero at
+p = 3, 5, 7 for every ratio, and at p = 3 with q = 9; sigma-zero at p <= 7.
+Outside: mu3 in the prime field, the ratios 0 and -1, eps-zero at p = 2 and
+q = 2.
+"""
+
+import pytest
+
+from thinlie import cli
+from thinlie.ffield import field_create, in_prime_field
+
+
+def _literal(a) -> str:
+    return ",".join(str(c) for c in a.to_json())
+
+
+def _mu3_literals(p, prime_field):
+    return [_literal(a) for a in field_create(p, 2).elements() if in_prime_field(a) == prime_field]
+
+
+def _finite(p, q, mu3):
+    return ["--grading", "finite", "--p", str(p), "--q", str(q), "--mu3", mu3]
+
+
+def _eps_zero(p, q, ratio):
+    return ["--grading", "eps-zero", "--p", str(p), "--q", str(q), "--ratio", str(ratio)]
+
+
+def _sigma_zero(p, q):
+    return ["--grading", "sigma-zero", "--p", str(p), "--q", str(q)]
+
+
+ACCEPTED = (
+    [_finite(p, q, m) for p, qs in ((2, (4, 8, 16, 32)), (3, (3, 9, 27)), (5, (5, 25)))
+     for q in qs for m in _mu3_literals(p, False)]
+    + [_finite(7, 7, m) for m in _mu3_literals(7, False)[::7]]
+    + [_eps_zero(p, p, ratio) for p in (3, 5, 7) for ratio in range(1, p - 1)]
+    + [_eps_zero(3, 9, 1)]
+    + [_sigma_zero(p, q) for p, q in ((2, 4), (2, 8), (3, 3), (3, 9), (5, 5), (7, 7))]
+)
+
+REJECTED = (
+    [_finite(p, p, m) for p in (3, 5, 7) for m in _mu3_literals(p, True)]
+    + [_finite(2, 4, m) for m in _mu3_literals(2, True)]
+    + [_eps_zero(p, p, ratio) for p in (3, 5, 7) for ratio in (0, -1)]
+    + [_eps_zero(2, 4, 1)]
+    + [_finite(2, 2, "0,1"), _sigma_zero(2, 2),
+       ["--grading", "mixed", "--p", "2", "--n1", "1", "--n2", "1"]]
+)
+
+
+def _id(args):
+    return "-".join(a.lstrip("-") for a in args[1:])
+
+
+@pytest.mark.parametrize("args", ACCEPTED, ids=_id)
+def test_accepted_input_passes(args, capsys):
+    code = cli.main(["verify"] + args)
+    out, err = capsys.readouterr()
+    assert code == 0, (out[-500:], err[-500:])
+
+
+@pytest.mark.parametrize("args", REJECTED, ids=_id)
+def test_input_outside_the_range_is_rejected(args, capsys):
+    code = cli.main(["verify"] + args)
+    err = capsys.readouterr().err
+    assert code == 2, err[-500:]
+    assert "internal error" not in err
