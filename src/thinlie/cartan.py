@@ -50,11 +50,24 @@ def _binom_unit(a: int, b: int, p: int) -> int:
     return _binom0(a, b, p)
 
 
+def _pascal(top: int, p: int) -> Callable[[int, int], int]:
+    """C(a, b) mod p for a <= top from one Pascal triangle; zero unless 0 <= b <= a."""
+    rows = [[1]]
+    for _ in range(top):
+        rows.append([1, *((x + y) % p for x, y in zip(rows[-1], rows[-1][1:])), 1])
+    return lambda a, b: rows[a][b] if 0 <= b <= a else 0
+
+
+def _n_value(binom: Callable[[int, int], int], i: int, j: int, k: int, l: int, p: int) -> int:
+    # N(i,j,k,l) mod p from a binomial that is zero for a negative upper index
+    t1 = binom(i + k - 1, i) * binom(j + l - 1, j - 1)
+    t2 = binom(i + k - 1, i - 1) * binom(j + l - 1, j)
+    return (t1 - t2) % p
+
+
 def coeff_N(i: int, j: int, k: int, l: int, p: int) -> int:
     """Poisson structure coefficient N(i,j,k,l) mod p."""
-    t1 = _binom0(i + k - 1, i, p) * _binom0(j + l - 1, j - 1, p)
-    t2 = _binom0(i + k - 1, i - 1, p) * _binom0(j + l - 1, j, p)
-    return (t1 - t2) % p
+    return _n_value(lambda a, b: _binom0(a, b, p), i, j, k, l, p)
 
 
 def coeff_Nprime(i: int, j: int, k: int, l: int, p: int) -> int:
@@ -81,10 +94,11 @@ def build_W1n(p: int, n: int, field: FieldSpec | None = None) -> StructureTable:
         raise FieldSizeMismatch(f"field has characteristic {field.p}, expected {p}")
     top = p ** n - 2
     labels = [f"E_{i}" for i in range(-1, top + 1)]
+    binom = _pascal(2 * top + 1, p)
     entries = []
     for i in range(-1, top + 1):
         for j in range(i + 1, top + 1):
-            c = (binom_mod_p(i + j + 1, j, p) - binom_mod_p(i + j + 1, i, p)) % p
+            c = (binom(i + j + 1, j) - binom(i + j + 1, i)) % p
             if i + j > top:
                 if c:
                     raise NotASubalgebra(f"nonzero coefficient escaping the basis at ({i},{j})")
@@ -189,9 +203,10 @@ def build_H2_second_derived(
     field = field or field_create(p)
     tau1, tau2 = params.tau
     basis = [m for m in monomials(tau1, tau2) if m != (0, 0) and m != (tau1, tau2)]
+    binom = _pascal(2 * max(tau1, tau2), p)
 
     def term_fn(i, j, k, l):
-        c = coeff_N(i, j, k, l, p)
+        c = _n_value(binom, i, j, k, l, p)
         ti, tj = i + k - 1, j + l - 1
         if (ti, tj) == (0, 0):
             return []  # constants are killed in the quotient mod F.1
@@ -216,9 +231,10 @@ def build_H2_phi_tau_derived(
     field = field or field_create(p)
     tau1, tau2 = params.tau
     basis = [m for m in monomials(tau1, tau2) if m != (0, 0)]
+    binom = _pascal(2 * max(tau1, tau2), p)
 
     def term_fn(i, j, k, l):
-        c = coeff_N(i, j, k, l, p)
+        c = _n_value(binom, i, j, k, l, p)
         ti, tj = i + k - 1, j + l - 1
         if ti < 0 or tj < 0:
             if c:
@@ -255,19 +271,20 @@ def build_H2_phi1(
         raise ValueError("eps must live in the table's field")
     tau1, tau2 = params.tau
     basis = monomials(tau1, tau2)
+    binom = _pascal(2 * max(tau1, tau2), p)
 
     def term_fn(i, j, k, l):
         if j == 0 and l == 0:
             return []  # pure-x monomials commute
         if i == 0 and k == 0:
-            c = (binom_mod_p(j + l - 1, l, p) - binom_mod_p(j + l - 1, j, p)) % p
+            c = (binom(j + l - 1, l) - binom(j + l - 1, j)) % p
             tj = j + l - 1
             if tj > tau2:
                 if c:
                     raise NotASubalgebra(f"nonzero product escaping Phi(1) basis at ({i},{j},{k},{l})")
                 return []
             return [((tau1, tj), eps * field.element(c))]
-        c = coeff_N(i, j, k, l, p)
+        c = _n_value(binom, i, j, k, l, p)
         ti, tj = i + k - 1, j + l - 1
         if ti > tau1 or tj > tau2:
             if c:

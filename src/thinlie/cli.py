@@ -3,10 +3,11 @@
 Commands: construct, grade, verify, suite.  Outputs are the JSON schemas of
 the underlying objects; verify runs the drivers of thinlie.verify and exits
 0 only when every verdict passes and the diamond pattern matches the
-prediction for the selected grading.  --n1, --n2 and --field-k must be
-positive.  Exit codes: 0 full pass, 1 verification failure, 2
-configuration error, 3 internal error (an unexpected exception, reported as
-`internal error: <Type>: <message>` after its traceback on stderr).
+prediction for the selected grading; grade --grading finite exits 1 on a
+failed eigen-table certificate.  --n1, --n2 and --field-k must be positive.
+Exit codes: 0 full pass, 1 verification failure, 2 configuration error, 3
+internal error (an unexpected exception, reported as `internal error:
+<Type>: <message>` after its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import traceback
 
@@ -51,14 +53,18 @@ def _make_field(args, default_k: int = 1) -> FieldSpec:
 
 
 def _write_out(args, payload: dict) -> None:
+    """Print payload, or write it to --out: by os.replace of a temporary file
+    when PATH is absent or a regular file, else through PATH (a symlink, a device)."""
     text = json.dumps(payload, indent=2)
-    if getattr(args, "out", None):
-        tmp = args.out + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, args.out)
-    else:
+    path = getattr(args, "out", None)
+    if not path:
         print(text)
+        return
+    replace = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
+    with open(path + ".tmp" if replace else path, "w") as fh:
+        fh.write(text + "\n")
+    if replace:
+        os.replace(path + ".tmp", path)
 
 
 def _construct_table(args) -> StructureTable:
@@ -115,7 +121,11 @@ def cmd_grade(args) -> int:
             raise ThinlieError("grading=finite requires n1 = 1")
         params = _toral_params(args)
         table = build_H2_phi1(args.p, 1, args.n2, params.field, 1)
-        dm = grade_finite(eigenbasis(table, params))
+        basis = eigenbasis(table, params)
+        if not (basis.partial or basis.certificate):
+            print(f"eigen table certificate: {basis.certificate}")
+            return 1
+        dm = grade_finite(basis)
     _write_out(args, dm.to_json())
     print(f"modulus: {dm.modulus}")
     return 0

@@ -10,16 +10,16 @@ coordinates an Element stores, so its cost follows the supports of the
 vectors rather than the dimension; dense rows are converted once, where
 they enter (rref, Subspace.from_rows, change_basis), and Subspace.rows is a
 dense view computed only when it is read.
-validate_table checks the Jacobi identity with one scan per basis pair over
-sparse ad rows, so its cost follows the nonzero bracket compositions rather
-than the number of basis triples.
+validate_table and check_structure_map share one Leibniz-rule kernel, a
+pass per basis vector over sparse ad rows, whose cost follows the nonzero
+bracket compositions rather than the number of basis triples.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from .ffield import FieldElement, FieldSpec
@@ -396,16 +396,109 @@ class ValidationReport:
         return self.ok
 
 
-def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationReport:
-    """Check the i < j encoding and the Jacobi identity on all basis triples.
+def _leibniz_failures(
+    t: StructureTable, scans: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """For each (g, lo) in scans, g and the pairs lo < j < k, in
+    lexicographic order, on which ad b_g breaks the Leibniz rule: where
 
-    The Jacobi scan reads only well-formed entries (keys 0 <= i < j < dim,
-    targets in range).  It runs once per basis pair i < j and finds at once
-    every k > j with
-        J(i, j, k) = sum_m c_ij^m [b_m, b_k] - [b_i, [b_j, b_k]] + [b_j, [b_i, b_k]]
-    nonzero, so its cost follows the nonzero bracket compositions rather
-    than the number of triples.  Violations come in lexicographic order, at
-    most max_violations of them.
+        [b_g, [b_j, b_k]] - [[b_g, b_j], b_k] - [b_j, [b_g, b_k]] != 0.
+
+    This is the Jacobi sum of b_g, b_j, b_k, so lo = g gives the Jacobi
+    violations (g, j, k).  Only well-formed entries are read (keys 0 <= i <
+    j < dim, targets in range).  Each sum is enumerated from its sparse
+    side, so the cost follows the nonzero compositions: the first through
+    the pairs (j, k) whose bracket has target m, for each m in ad b_g; the
+    other two through ad b_m, cut to the range by bisection.
+    """
+    dim = t.dim
+    field = t.field
+    # A scalar is its discrete log (2n for zero, n = |F| - 1), the field's own
+    # id of it, so a product of two is pexp[a + b]: the int whose base-2^s
+    # digits are the product's polynomial coordinates.  A sum of such ints
+    # is reduced mod p digit by digit only when tested for zero.
+    n = field.size - 1
+    minus_one = (-field.one).log
+    neg = [(a + minus_one) % n for a in range(n)] + [2 * n] * (n + 1)
+
+    # keys[a], rows[a]: the b with [b_a, b_b] stored, ascending, and its terms
+    # as (target, log); by_target[m]: ((j * dim + k) * dim, log), ascending,
+    # for the pairs j < k with a term at m.  Pairs in sorted order append
+    # every list in ascending order.
+    keys: list[list[int]] = [[] for _ in range(dim)]
+    rows: list[list[list[tuple[int, int]]]] = [[] for _ in range(dim)]
+    by_target: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    for (i, j), terms in sorted(t.brackets.items()):
+        row = [(k, c.log) for k, c in terms if 0 <= k < dim]
+        if 0 <= i < j < dim and row:
+            keys[i].append(j)
+            rows[i].append(row)
+            keys[j].append(i)
+            rows[j].append([(k, neg[c]) for k, c in row])
+            base = (i * dim + j) * dim
+            for k, c in row:
+                by_target[k].append((base, c))
+
+    # Each of the three sums puts at most longest^2 products into one
+    # (j, k, target) cell (a hand-built bracket may repeat a target), and each
+    # coordinate of a product is at most p - 1, so no digit ever carries.
+    p = field.p
+    longest = max(map(len, t.brackets.values()), default=0)
+    s = (3 * longest * longest * (p - 1)).bit_length()
+    mask = (1 << s) - 1
+    pexp = [0] * (4 * n + 1)
+    for c in field.elements():
+        if c:
+            pexp[c.log] = pexp[c.log + n] = sum(x << (s * e) for e, x in enumerate(c.coords))
+
+    def nonzero(v: int) -> bool:
+        while v:
+            if (v & mask) % p:
+                return True
+            v >>= s
+        return False
+
+    for g, lo in scans:
+        acc: dict[int, int] = {}
+        get = acc.get
+        gkeys, grows = keys[g], rows[g]
+        above = (lo + 1) * dim * dim  # the least base with j > lo
+        # [b_g, [b_j, b_k]] = sum_m c_jk^m [b_g, b_m]
+        for m, terms in zip(gkeys, grows):
+            pairs = by_target[m][bisect.bisect_left(by_target[m], (above,)):]
+            if pairs:
+                for target, e in terms:
+                    pe = pexp[e:]
+                    for base, c in pairs:
+                        key = base + target
+                        acc[key] = get(key, 0) + pe[c]
+        for x in range(bisect.bisect_right(gkeys, lo), len(gkeys)):
+            a, terms = gkeys[x], grows[x]
+            for m, c in terms:
+                mkeys, mrows = keys[m], rows[m]
+                # -[[b_g, b_j], b_k] = -sum_m c_gj^m [b_m, b_k] for a = j < k
+                pc = pexp[neg[c]:]
+                for y in range(bisect.bisect_right(mkeys, a), len(mkeys)):
+                    base = (a * dim + mkeys[y]) * dim
+                    for target, d in mrows[y]:
+                        key = base + target
+                        acc[key] = get(key, 0) + pc[d]
+                # -[b_j, [b_g, b_k]] = sum_m c_gk^m [b_m, b_j] for lo < j < k = a
+                pc = pexp[c:]
+                for y in range(bisect.bisect_right(mkeys, lo), bisect.bisect_left(mkeys, a)):
+                    base = (mkeys[y] * dim + a) * dim
+                    for target, d in mrows[y]:
+                        key = base + target
+                        acc[key] = get(key, 0) + pc[d]
+        bad = sorted({key // dim for key, v in acc.items() if nonzero(v)})
+        yield g, [divmod(jk, dim) for jk in bad]
+
+
+def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationReport:
+    """Check the i < j encoding and the Jacobi identity on all basis triples:
+    one pass of _leibniz_failures per basis vector b_i, over the pairs
+    i < j < k.  Violations come in lexicographic order, at most
+    max_violations of them.
     """
     messages: list[str] = []
     encoding_ok = True
@@ -422,80 +515,13 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
                 encoding_ok = False
                 messages.append(f"stored zero coefficient in ({i}, {j})")
 
-    # Scalars become ids of the table's distinct coefficients, closed under
-    # negation, and the product of two ids is an int whose base-2^s digits
-    # are the product's polynomial coordinates.  A sum of such ints is
-    # reduced mod p digit by digit only when tested for zero.
-    ids: dict[FieldElement, int] = {}
-    values: list[FieldElement] = []
-
-    def intern(c: FieldElement) -> int:
-        n = ids.get(c)
-        if n is None:
-            n = ids[c] = len(values)
-            values.append(c)
-        return n
-
-    # ad[a][b]: the terms of [b_a, b_b] as (target, coefficient id)
-    ad: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(dim)]
-    for (i, j), terms in t.brackets.items():
-        terms = [(k, c) for k, c in terms if 0 <= k < dim]
-        if 0 <= i < j < dim and terms:
-            ad[i][j] = [(k, intern(c)) for k, c in terms]
-            ad[j][i] = [(k, intern(-c)) for k, c in terms]
-    neg = [ids[-c] for c in values]
-
-    # Each of the three sums puts at most longest^2 products into one
-    # (k, target) cell (a hand-built bracket may repeat a target), and each
-    # coordinate of a product is at most p - 1, so no digit ever carries.
-    p = t.field.p
-    longest = max((len(terms) for row in ad for terms in row.values()), default=0)
-    s = (3 * longest * longest * (p - 1)).bit_length()
-    mask = (1 << s) - 1
-
-    def pack(c: FieldElement) -> int:
-        return sum(x << (s * e) for e, x in enumerate(c.coords))
-
-    prod = [[pack(a * b) for b in values] for a in values]
-
-    def nonzero(v: int) -> bool:
-        while v:
-            if (v & mask) % p:
-                return True
-            v >>= s
-        return False
-
     violations: list[tuple[int, int, int]] = []
-    for i in range(dim):
-        adi = ad[i]
-        for j in range(i + 1, dim):
-            adj = ad[j]
-            acc: dict[int, int] = {}
-            get = acc.get
-            # sum_m c_ij^m [b_m, b_k]
-            for m, c in adi.get(j, ()):
-                pc = prod[c]
-                for k, terms in ad[m].items():
-                    if k > j:
-                        base = k * dim
-                        for n, d in terms:
-                            key = base + n
-                            acc[key] = get(key, 0) + pc[d]
-            # -[b_i, [b_j, b_k]], then +[b_j, [b_i, b_k]]
-            for outer, inner, negate in ((adj, adi, True), (adi, adj, False)):
-                for k, terms in outer.items():
-                    if k > j:
-                        base = k * dim
-                        for m, c in terms:
-                            pc = prod[neg[c] if negate else c]
-                            for n, d in inner.get(m, ()):
-                                key = base + n
-                                acc[key] = get(key, 0) + pc[d]
-            for k in sorted({key // dim for key, v in acc.items() if nonzero(v)}):
-                violations.append((i, j, k))
-                if len(violations) >= max_violations:
-                    messages.append("Jacobi scan aborted at violation cap")
-                    return ValidationReport(False, encoding_ok, False, violations, messages)
+    for i, pairs in _leibniz_failures(t, ((i, i) for i in range(dim))):
+        for j, k in pairs:
+            violations.append((i, j, k))
+            if len(violations) >= max_violations:
+                messages.append("Jacobi scan aborted at violation cap")
+                return ValidationReport(False, encoding_ok, False, violations, messages)
     jacobi_ok = not violations
     return ValidationReport(encoding_ok and jacobi_ok, encoding_ok, jacobi_ok, violations, messages)
 
@@ -694,53 +720,6 @@ class MapCheck:
         return "pass" if self.check is None else f"{self.check} fails: {self.detail}"
 
 
-def _ad_rows(t: StructureTable) -> list[dict[int, tuple[tuple[int, FieldElement], ...]]]:
-    """rows[a][b]: the stored terms of [b_a, b_b], for both orders of a pair."""
-    rows: list[dict[int, tuple[tuple[int, FieldElement], ...]]] = [{} for _ in range(t.dim)]
-    for (i, j), terms in t.brackets.items():
-        rows[i][j] = terms
-        rows[j][i] = tuple((k, -c) for k, c in terms)
-    return rows
-
-
-def _derivation_failure(rows, g: int) -> tuple[int, int] | None:
-    """The first pair a < b with [g,[a,b]] != [[g,a],b] + [a,[g,b]], if any.
-
-    One pass per a collects, for every b > a at once, the nonzero terms of
-    the three products, keyed by b * dim + target."""
-    dim = len(rows)
-    adg = rows[g]
-    empty = ()
-    for a, row_a in enumerate(rows):
-        acc: dict[int, FieldElement] = {}
-        get = acc.get
-        for b, terms in row_a.items():  # [g, [a, b]]
-            if b > a:
-                for m, c in terms:
-                    for k, d in adg.get(m, empty):
-                        key = b * dim + k
-                        s = get(key)
-                        acc[key] = c * d if s is None else s + c * d
-        for m, c in adg.get(a, empty):  # -[[g, a], b]
-            for b, terms in rows[m].items():
-                if b > a:
-                    for k, d in terms:
-                        key = b * dim + k
-                        s = get(key)
-                        acc[key] = -(c * d) if s is None else s - c * d
-        for b, terms in adg.items():  # -[a, [g, b]]
-            if b > a:
-                for m, c in terms:
-                    for k, d in row_a.get(m, empty):
-                        key = b * dim + k
-                        s = get(key)
-                        acc[key] = -(c * d) if s is None else s - c * d
-        bad = [key for key, v in acc.items() if v]
-        if bad:
-            return a, min(bad) // dim
-    return None
-
-
 def check_structure_map(
     src: StructureTable,
     dst: StructureTable,
@@ -784,11 +763,9 @@ def check_structure_map(
                 return MapCheck("intertwining", f"[{labels[g]}, {labels[b]}]")
     if len(genset) == src.dim:
         return MapCheck()
-    rows = _ad_rows(src)
-    for g in gens:
-        pair = _derivation_failure(rows, g)
-        if pair is not None:
-            a, b = pair
+    for g, pairs in _leibniz_failures(src, ((g, -1) for g in gens)):
+        if pairs:
+            a, b = pairs[0]
             return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
     closure = _RightNormedSpan(src)
     for g in gens:

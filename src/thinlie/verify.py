@@ -14,7 +14,6 @@ from .cartan import build_H2_phi1, phi1_monomials
 from .errors import ThinlieError
 from .ffield import FieldElement, FieldSpec, field_create
 from .grading import (
-    EigenBasis,
     ToralParams,
     eigenbasis,
     generator_positions,
@@ -39,18 +38,19 @@ from .thinloop import INFINITY, DiamondRecord, ThinReport, thin_report
 
 @dataclass
 class VerifyRun:
-    """A thin report together with its deviations from the predicted pattern."""
+    """A thin report together with its deviations from the predicted pattern;
+    no report when a failed eigen-table certificate stopped the run."""
 
-    report: ThinReport
+    report: ThinReport | None
     mismatches: list[str]
     params: ToralParams | None = None
 
     @property
     def ok(self) -> bool:
-        return self.report.ok and not self.mismatches
+        return self.report is not None and self.report.ok and not self.mismatches
 
     def to_json(self) -> dict:
-        out = self.report.to_json()
+        out = {} if self.report is None else self.report.to_json()
         out["pattern_mismatches"] = self.mismatches
         out["verdict"] = "PASS" if self.ok else "FAIL"
         return out
@@ -153,13 +153,6 @@ def _derived_in_char_two(g: Grading, drop: int) -> Grading:
     )
 
 
-def _certificate_mismatches(basis: EigenBasis) -> list[str]:
-    """The failed check of the eigen-table certificate, as a mismatch."""
-    if basis.certificate:
-        return []
-    return [f"eigen table certificate: {basis.certificate}"]
-
-
 def _progression(params: ToralParams) -> Callable[[DiamondRecord], FieldElement]:
     """mu_t = -1 + (t-2) sigma/rho at the t-th diamond."""
     fieldspec = params.field
@@ -217,10 +210,11 @@ def run_finite(
         params = toral_params(field, sigma, eps=1, rho=rho)
     table = build_H2_phi1(p, 1, n2, params.field, 1)
     basis = eigenbasis(table, params)
-    mismatches = _certificate_mismatches(basis)
+    if not basis.certificate:  # nothing computed from an unproved table is evidence
+        return VerifyRun(None, [f"eigen table certificate: {basis.certificate}"], params)
     grading = Grading(
         basis.eigen_table, grade_finite(basis), q, *generator_positions(basis),
-        _progression(params), mismatches, coincidence=True, certificate=True, params=params,
+        _progression(params), coincidence=True, certificate=True, params=params,
     )
     return _verify(_derived_in_char_two(grading, basis.position(2 - q, 0)), depth)
 
@@ -267,7 +261,8 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
         mismatches.append("center of the eps = 0 extension is not the constant line")
     params = ToralParams(fieldspec.element(ratio), fieldspec.one, fieldspec.zero)
     basis = eigenbasis(hhat, params)
-    mismatches += _certificate_mismatches(basis)
+    if not basis.certificate:
+        return VerifyRun(None, mismatches + [f"eigen table certificate: {basis.certificate}"], params)
     et = basis.eigen_table
     central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
     if basis.vectors[central] != constant:

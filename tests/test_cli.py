@@ -23,6 +23,25 @@ def test_construct_w_writes_table(tmp_path, capsys):
     assert len(data["labels"]) == 9
 
 
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run_cli(["construct", "--algebra", "W", "--p", "3", "--n", "1", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert len(json.loads(target.read_text())["labels"]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_out_replaces_a_regular_file(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    out.write_text("old\n")
+    assert run_cli(["construct", "--algebra", "W", "--p", "3", "--n", "1", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["labels"]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
+
+
 def test_construct_rejects_nonprime(capsys):
     assert run_cli(["construct", "--algebra", "W", "--p", "4", "--n", "1"]) == 2
     assert "prime" in capsys.readouterr().err

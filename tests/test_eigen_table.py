@@ -4,7 +4,9 @@ The closed table is checked byte for byte against the change of basis it
 replaced, and against the pair-by-pair formula oracle.  The certificate
 (check_structure_map from a generating set) must fail on a changed
 coefficient away from the generators, on a generating set that does not
-generate, on swapped images and on images of too low rank.
+generate, on swapped images and on images of too low rank.  A failed
+certificate is a verdict: verify and grade exit 1 and name the failed
+check, also when a moved target puts a bracket in the wrong degree.
 """
 
 import json
@@ -173,13 +175,11 @@ def test_certificate_fails_on_zero_images():
     assert "0 of 9" in cert.detail
 
 
-@pytest.mark.parametrize("args", [
-    ["--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"],
-    ["--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"],
-], ids=["finite", "eps-zero"])
-def test_failing_certificate_is_a_verdict(args, tmp_path, monkeypatch, capsys):
-    # double the coefficient of the last stored bracket away from X and Y
-    from thinlie import cli, grading
+def _mutate(how):
+    """closed_eigen_table with the last stored bracket away from X and Y
+    changed: its coefficient doubled, or its target moved one position on,
+    which also puts it in the wrong degree."""
+    from thinlie import grading
 
     closed = grading.closed_eigen_table
 
@@ -188,9 +188,22 @@ def test_failing_certificate_is_a_verdict(args, tmp_path, monkeypatch, capsys):
         gens = set(generator_positions(basis))
         key = [k for k in et.brackets if not gens & set(k)][-1]
         (target, c), = et.brackets[key]
-        return _with_entry(et, key, [(target, c + c)])
+        term = (target, c + c) if how == "doubled" else ((target + 1) % et.dim, c)
+        return _with_entry(et, key, [term])
 
-    monkeypatch.setattr(grading, "closed_eigen_table", changed)
+    return changed
+
+
+CERTIFIED_RUNS = pytest.mark.parametrize("args", [
+    ["--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"],
+    ["--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"],
+], ids=["finite", "eps-zero"])
+
+
+def _assert_certificate_verdict(args, how, tmp_path, monkeypatch, capsys):
+    from thinlie import cli, grading
+
+    monkeypatch.setattr(grading, "closed_eigen_table", _mutate(how))
     out = tmp_path / "run.json"
     assert cli.main(["verify", "--out", str(out)] + args) == 1
     assert "verdict: FAIL" in capsys.readouterr().out
@@ -198,3 +211,27 @@ def test_failing_certificate_is_a_verdict(args, tmp_path, monkeypatch, capsys):
     assert data["verdict"] == "FAIL"
     mismatch = next(m for m in data["pattern_mismatches"] if m.startswith("eigen table certificate"))
     assert "derivation fails: ad e[" in mismatch and " on [e[" in mismatch
+
+
+@CERTIFIED_RUNS
+def test_failing_certificate_is_a_verdict(args, tmp_path, monkeypatch, capsys):
+    _assert_certificate_verdict(args, "doubled", tmp_path, monkeypatch, capsys)
+
+
+@CERTIFIED_RUNS
+def test_misgraded_eigen_table_is_a_verdict(args, tmp_path, monkeypatch, capsys):
+    # the moved target leaves the degree rule no grading of the table
+    _assert_certificate_verdict(args, "moved", tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("how", ["doubled", "moved"])
+def test_grade_exits_one_on_a_failing_certificate(how, tmp_path, monkeypatch, capsys):
+    from thinlie import cli, grading
+
+    monkeypatch.setattr(grading, "closed_eigen_table", _mutate(how))
+    out = tmp_path / "dm.json"
+    args = ["grade", "--grading", "finite", "--p", "3", "--n2", "1", "--mu3", "0,1", "--out", str(out)]
+    assert cli.main(args) == 1
+    printed = capsys.readouterr().out
+    assert "eigen table certificate: derivation fails: ad e[" in printed
+    assert not out.exists()
