@@ -2,17 +2,28 @@
 
 Bases are divided-power monomials x^(i) y^(j) ordered row-major in (i, j),
 or graded vectors E_i / e_alpha / u_alpha.  Structure constants come from
-binomial coefficients mod p (Lucas) and the two coefficient functions N and
-N'; products whose target monomial falls outside the truncation bound always
+binomial coefficients mod p and the two coefficient functions N and N';
+products whose target monomial falls outside the truncation bound always
 carry a vanishing coefficient, which the constructors check rather than
 assume, raising NotASubalgebra when one does not.
+
+The Hamiltonian builders share one driver.  N factors by variable,
+N = X1[i][k] Y1[j][l] - X0[i][k] Y0[j][l] with X1[i][k] = C(i+k-1, i),
+X0[i][k] = C(i+k-1, i-1), Y1[j][l] = C(j+l-1, j-1), Y0[j][l] = C(j+l-1, j),
+all read once from a Pascal triangle mod p.  The driver walks the blocks of
+fixed x-exponents (i, k) and skips a block whose two x factors vanish: N is
+then exactly zero on every (j, l) of it, so no product there can escape and
+the escape check, made on every nonzero product of the other blocks, loses
+nothing.  Inside a block it visits only the l on which a y factor is
+nonzero.  Phi(1)'s pure-y block i = k = 0 is the one exception: it takes N'
+(both x factors 1) scaled by eps.  Every builder writes the packed bracket
+dict of StructureTable directly, keys ascending and no zero coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import FieldSizeMismatch, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
 from .ffield import FieldElement, FieldSpec, field_create
@@ -50,24 +61,27 @@ def _binom_unit(a: int, b: int, p: int) -> int:
     return _binom0(a, b, p)
 
 
-def _pascal(top: int, p: int) -> Callable[[int, int], int]:
-    """C(a, b) mod p for a <= top from one Pascal triangle; zero unless 0 <= b <= a."""
+def _pascal(top: int, p: int) -> list[list[int]]:
+    """Rows 0..top of Pascal's triangle mod p: C(a, b) mod p is rows[a][b]."""
     rows = [[1]]
     for _ in range(top):
         rows.append([1, *((x + y) % p for x, y in zip(rows[-1], rows[-1][1:])), 1])
-    return lambda a, b: rows[a][b] if 0 <= b <= a else 0
+    return rows
 
 
-def _n_value(binom: Callable[[int, int], int], i: int, j: int, k: int, l: int, p: int) -> int:
-    # N(i,j,k,l) mod p from a binomial that is zero for a negative upper index
-    t1 = binom(i + k - 1, i) * binom(j + l - 1, j - 1)
-    t2 = binom(i + k - 1, i - 1) * binom(j + l - 1, j)
-    return (t1 - t2) % p
+def _factor(rows: list[list[int]], tau: int, shift: int) -> list[list[int]]:
+    # F[u][v] = C(u + v - 1, u - shift) mod p for 0 <= u, v <= tau, zero off the triangle
+    return [
+        [rows[u + v - 1][u - shift] if 0 <= u - shift <= u + v - 1 else 0 for v in range(tau + 1)]
+        for u in range(tau + 1)
+    ]
 
 
 def coeff_N(i: int, j: int, k: int, l: int, p: int) -> int:
     """Poisson structure coefficient N(i,j,k,l) mod p."""
-    return _n_value(lambda a, b: _binom0(a, b, p), i, j, k, l, p)
+    t1 = _binom0(i + k - 1, i, p) * _binom0(j + l - 1, j - 1, p)
+    t2 = _binom0(i + k - 1, i - 1, p) * _binom0(j + l - 1, j, p)
+    return (t1 - t2) % p
 
 
 def coeff_Nprime(i: int, j: int, k: int, l: int, p: int) -> int:
@@ -94,18 +108,19 @@ def build_W1n(p: int, n: int, field: FieldSpec | None = None) -> StructureTable:
         raise FieldSizeMismatch(f"field has characteristic {field.p}, expected {p}")
     top = p ** n - 2
     labels = [f"E_{i}" for i in range(-1, top + 1)]
-    binom = _pascal(2 * top + 1, p)
-    entries = []
+    rows = _pascal(2 * top + 1, p)
+    coeffs = [field.element(c) for c in range(p)]
+    brackets = {}
     for i in range(-1, top + 1):
         for j in range(i + 1, top + 1):
-            c = (binom(i + j + 1, j) - binom(i + j + 1, i)) % p
+            row = rows[i + j + 1]
+            c = (row[j] - (row[i] if i >= 0 else 0)) % p
             if i + j > top:
                 if c:
                     raise NotASubalgebra(f"nonzero coefficient escaping the basis at ({i},{j})")
-                continue
-            if c:
-                entries.append((i + 1, j + 1, [(i + j + 1, field.element(c))]))
-    return StructureTable.from_entries(field, labels, entries)
+            elif c:
+                brackets[(i + 1, j + 1)] = ((i + j + 1, coeffs[c]),)
+    return StructureTable(field, labels, brackets)
 
 
 def zassenhaus_group_basis(
@@ -121,14 +136,14 @@ def zassenhaus_group_basis(
     alphas = list(field.elements())
     labels = [f"e_{a}" for a in alphas]
     index = {a: m for m, a in enumerate(alphas)}
-    entries = []
+    brackets = {}
     for a in range(len(alphas)):
         for b in range(a + 1, len(alphas)):
             alpha, beta = alphas[a], alphas[b]
             c = beta - alpha
             if c:
-                entries.append((a, b, [(index[alpha + beta], c)]))
-    table = StructureTable.from_entries(field, labels, entries)
+                brackets[(a, b)] = ((index[alpha + beta], c),)
+    table = StructureTable(field, labels, brackets)
 
     dim = p ** n
     transition = []
@@ -169,30 +184,60 @@ class CartanParams:
         return (self.p ** self.n1 - 1, self.p ** self.n2 - 1)
 
 
-def _monomial_table(
+_DROP = -1  # position of a target read as zero
+
+
+def _poisson_table(
     params: CartanParams,
     field: FieldSpec,
     basis: list[tuple[int, int]],
-    term_fn: Callable[[int, int, int, int], list[tuple[tuple[int, int], FieldElement]]],
+    remap: dict[tuple[int, int], tuple[int, int] | None],
+    pure_y: FieldElement | None = None,
 ) -> StructureTable:
+    """The brackets N(i,j,k,l) x^(i+k-1) y^(j+l-1) of the monomials in basis.
+
+    remap sends a target monomial outside basis to one in it, or to None to
+    drop the product; a nonzero product whose target is in neither raises
+    NotASubalgebra.  Given pure_y, the block i = k = 0 takes both x factors
+    1 (N') and is scaled by pure_y.
+    """
+    p = params.p
+    tau1, tau2 = params.tau
+    rows = _pascal(2 * max(tau1, tau2), p)
+    x1, x0 = _factor(rows, tau1, 0), _factor(rows, tau1, 1)
+    y1, y0 = _factor(rows, tau2, 1), _factor(rows, tau2, 0)
+    ysupport = [
+        [(l, y1[j][l], y0[j][l]) for l in range(tau2 + 1) if y1[j][l] or y0[j][l]]
+        for j in range(tau2 + 1)
+    ]
+    above = [[t for t in ysupport[j] if t[0] > j] for j in range(tau2 + 1)]
     index = {m: pos for pos, m in enumerate(basis)}
-    labels = [monomial_label(i, j) for i, j in basis]
-    entries = []
-    for a in range(len(basis)):
-        i, j = basis[a]
-        for b in range(a + 1, len(basis)):
-            k, l = basis[b]
-            terms = []
-            for target, c in term_fn(i, j, k, l):
-                if not c:
+    targets = {**index, **{m: _DROP if r is None else index[r] for m, r in remap.items()}}
+    position = [[index.get((k, l)) for l in range(tau2 + 1)] for k in range(tau1 + 1)]
+    # shifted by one, so that a target exponent -1 reads grid[0] rather than wrapping
+    grid = [[targets.get((ti, tj)) for tj in range(-1, 2 * tau2)] for ti in range(-1, 2 * tau1)]
+    plain = [field.element(c) for c in range(p)]
+    scaled = [pure_y * c for c in plain] if pure_y is not None else None
+    brackets = {}
+    for a, (i, j) in enumerate(basis):
+        for k in range(i, tau1 + 1):
+            f1, f0, coeffs = x1[i][k], x0[i][k], plain
+            if i == k == 0 and scaled is not None:
+                f1, f0, coeffs = 1, 1, scaled
+            if not (f1 or f0):
+                continue  # N vanishes on the whole block, so nothing escapes from it
+            bpos, trow = position[k], grid[i + k]
+            for l, g1, g0 in ysupport[j] if k > i else above[j]:
+                c = (f1 * g1 - f0 * g0) % p
+                b = bpos[l]
+                if not c or b is None:
                     continue
-                pos = index.get(target)
-                if pos is None:
-                    raise NotASubalgebra(f"coefficient escaping the basis: {target}")
-                terms.append((pos, c))
-            if terms:
-                entries.append((a, b, terms))
-    return StructureTable.from_entries(field, labels, entries)
+                t = trow[j + l]
+                if t is None:
+                    raise NotASubalgebra(f"nonzero product escaping the basis at ({i},{j},{k},{l})")
+                if t != _DROP and coeffs[c]:
+                    brackets[(a, b)] = ((t, coeffs[c]),)
+    return StructureTable(field, [monomial_label(i, j) for i, j in basis], brackets)
 
 
 def build_H2_second_derived(
@@ -200,23 +245,10 @@ def build_H2_second_derived(
 ) -> StructureTable:
     """H(2;n)^(2): monomials strictly between 1 and the top corner."""
     params = CartanParams(p, n1, n2)
-    field = field or field_create(p)
     tau1, tau2 = params.tau
     basis = [m for m in monomials(tau1, tau2) if m != (0, 0) and m != (tau1, tau2)]
-    binom = _pascal(2 * max(tau1, tau2), p)
-
-    def term_fn(i, j, k, l):
-        c = _n_value(binom, i, j, k, l, p)
-        ti, tj = i + k - 1, j + l - 1
-        if (ti, tj) == (0, 0):
-            return []  # constants are killed in the quotient mod F.1
-        if ti < 0 or tj < 0 or ti > tau1 or tj > tau2 or (ti, tj) == (tau1, tau2):
-            if c:
-                raise NotASubalgebra(f"nonzero product escaping H(2;n)^(2) at ({i},{j},{k},{l})")
-            return []
-        return [((ti, tj), field.element(c))]
-
-    return _monomial_table(params, field, basis, term_fn)
+    # constants are killed in the quotient mod F.1
+    return _poisson_table(params, field or field_create(p), basis, {(0, 0): None})
 
 
 def build_H2_phi_tau_derived(
@@ -228,27 +260,9 @@ def build_H2_phi_tau_derived(
     when the plain target is the constant, which is then dropped.
     """
     params = CartanParams(p, n1, n2)
-    field = field or field_create(p)
     tau1, tau2 = params.tau
     basis = [m for m in monomials(tau1, tau2) if m != (0, 0)]
-    binom = _pascal(2 * max(tau1, tau2), p)
-
-    def term_fn(i, j, k, l):
-        c = _n_value(binom, i, j, k, l, p)
-        ti, tj = i + k - 1, j + l - 1
-        if ti < 0 or tj < 0:
-            if c:
-                raise NotASubalgebra(f"nonzero product escaping Phi(tau) basis at ({i},{j},{k},{l})")
-            return []
-        if (ti, tj) == (0, 0):
-            return [((tau1, tau2), field.element(c))]
-        if ti > tau1 or tj > tau2:
-            if c:
-                raise NotASubalgebra(f"nonzero product escaping Phi(tau) basis at ({i},{j},{k},{l})")
-            return []
-        return [((ti, tj), field.element(c))]
-
-    return _monomial_table(params, field, basis, term_fn)
+    return _poisson_table(params, field or field_create(p), basis, {(0, 0): (tau1, tau2)})
 
 
 def build_H2_phi1(
@@ -271,28 +285,9 @@ def build_H2_phi1(
         raise ValueError("eps must live in the table's field")
     tau1, tau2 = params.tau
     basis = monomials(tau1, tau2)
-    binom = _pascal(2 * max(tau1, tau2), p)
-
-    def term_fn(i, j, k, l):
-        if j == 0 and l == 0:
-            return []  # pure-x monomials commute
-        if i == 0 and k == 0:
-            c = (binom(j + l - 1, l) - binom(j + l - 1, j)) % p
-            tj = j + l - 1
-            if tj > tau2:
-                if c:
-                    raise NotASubalgebra(f"nonzero product escaping Phi(1) basis at ({i},{j},{k},{l})")
-                return []
-            return [((tau1, tj), eps * field.element(c))]
-        c = _n_value(binom, i, j, k, l, p)
-        ti, tj = i + k - 1, j + l - 1
-        if ti > tau1 or tj > tau2:
-            if c:
-                raise NotASubalgebra(f"nonzero product escaping Phi(1) basis at ({i},{j},{k},{l})")
-            return []
-        return [((ti, tj), field.element(c))]
-
-    return _monomial_table(params, field, basis, term_fn)
+    # a pure-y product lands on xbar = x^(tau1) times its y target
+    remap = {(-1, tj): (tau1, tj) for tj in range(tau2 + 1)}
+    return _poisson_table(params, field, basis, remap, pure_y=eps)
 
 
 def phi1_monomials(p: int, n1: int, n2: int) -> list[tuple[int, int]]:
@@ -332,12 +327,12 @@ def build_albert_frank(spec: AlbertFrankSpec) -> StructureTable:
     field = spec.group[0].spec
     index = {a: m for m, a in enumerate(spec.group)}
     labels = [f"u_{a}" for a in spec.group]
-    entries = []
+    brackets = {}
     theta = spec.theta
     for m in range(len(spec.group)):
         for n in range(m + 1, len(spec.group)):
             a, b = spec.group[m], spec.group[n]
             c = b - a + a * theta[b] - b * theta[a]
             if c:
-                entries.append((m, n, [(index[a + b], c)]))
-    return StructureTable.from_entries(field, labels, entries)
+                brackets[(m, n)] = ((index[a + b], c),)
+    return StructureTable(field, labels, brackets)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they verify: binomials come from a
 Pascal triangle, Poisson coefficients from explicit divided-power calculus
-on untruncated monomial dictionaries, congruences from linear scans, reduced
-echelon forms from a dense Gauss-Jordan pass over whole rows, Jacobi
+on untruncated monomial dictionaries, Cartan structure tables pair by pair
+from those coefficients and Lucas binomials, congruences from linear scans,
+reduced echelon forms from a dense Gauss-Jordan pass over whole rows, Jacobi
 violations from a visit to every basis triple, covering from every
 projective line of a two-dimensional component, and eigen-table products
 from the closed formula checked pair by pair.
@@ -66,6 +67,56 @@ def poisson_coefficient(i: int, j: int, k: int, l: int, p: int) -> int:
         return 0
     prod = dp_poisson({(i, j): 1}, {(k, l): 1}, p)
     return prod.get((i + k - 1, j + l - 1), 0)
+
+
+def oracle_cartan_table(kind: str, p: int, shape: tuple[int, ...], field=None, eps=1):
+    """One of cartan's four binomial builders, pair by pair from the definitions.
+
+    kind is "W" (shape (n,)), "Hsecond", "Hphitau" or "Hphi1" (shape (n1, n2)).
+    Each coefficient is poisson_coefficient, or a Lucas binomial difference
+    for [E_i, E_j] and for Phi(1)'s pure-y products (N', scaled by eps); a
+    nonzero product whose target is not a basis vector fails an assertion.
+    """
+    from thinlie.cartan import binom_mod_p
+    from thinlie.ffield import field_create
+    from thinlie.liealg import StructureTable
+
+    field = field or field_create(p)
+    if kind == "W":
+        top = p ** shape[0] - 2
+        basis = list(range(-1, top + 1))
+        labels = [f"E_{i}" for i in basis]
+        index = {i: i + 1 for i in basis}
+
+        def product(i, j):
+            return i + j, binom_mod_p(i + j + 1, j, p) - binom_mod_p(i + j + 1, i, p)
+    else:
+        tau1, tau2 = p ** shape[0] - 1, p ** shape[1] - 1
+        excluded = {"Hsecond": [(0, 0), (tau1, tau2)], "Hphitau": [(0, 0)], "Hphi1": []}[kind]
+        basis = [(i, j) for i in range(tau1 + 1) for j in range(tau2 + 1) if (i, j) not in excluded]
+        labels = [f"x{i}y{j}" for i, j in basis]
+        index = {m: pos for pos, m in enumerate(basis)}
+
+        def product(m, n):
+            (i, j), (k, l) = m, n
+            if kind == "Hphi1" and i == k == 0:
+                return (tau1, j + l - 1), eps * (binom_mod_p(j + l - 1, l, p) - binom_mod_p(j + l - 1, j, p))
+            target, c = (i + k - 1, j + l - 1), poisson_coefficient(i, j, k, l, p)
+            if target == (0, 0) and kind == "Hsecond":
+                return None, 0  # the constants, killed mod F.1
+            if target == (0, 0) and kind == "Hphitau":
+                return (tau1, tau2), c
+            return target, c
+
+    brackets = {}
+    for a, m in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            target, c = product(m, basis[b])
+            c = field.element(c)
+            if c:
+                assert target in index, f"nonzero product escaping the basis at {m}, {basis[b]}"
+                brackets[(a, b)] = ((index[target], c),)
+    return StructureTable(field, labels, brackets)
 
 
 def scan_congruences(r: int, s: int, m1: int, m2: int) -> int:

@@ -1,7 +1,10 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thinlie import cartan
 from thinlie.cartan import (
     AlbertFrankSpec,
     binom_mod_p,
@@ -16,11 +19,11 @@ from thinlie.cartan import (
     phi1_monomials,
     zassenhaus_group_basis,
 )
-from thinlie.errors import NotAdditivelyClosed, ThetaNotAdditive
-from thinlie.ffield import field_create, frobenius
+from thinlie.errors import NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
+from thinlie.ffield import field_create, frobenius, in_prime_field
 from thinlie.liealg import DegreeMap, bracket, change_basis, validate_grading, validate_table
 
-from oracles import pascal_binom, poisson_coefficient
+from oracles import oracle_cartan_table, pascal_binom, poisson_coefficient
 
 
 def test_binom_examples():
@@ -210,3 +213,80 @@ def test_random_small_tables_pass_jacobi():
     p, n1, n2 = params[rng.randrange(3)]
     for builder in (build_H2_second_derived, build_H2_phi_tau_derived, build_H2_phi1):
         assert validate_table(builder(p, n1, n2)).ok
+
+
+BUILDERS = {
+    "W": build_W1n,
+    "Hsecond": build_H2_second_derived,
+    "Hphitau": build_H2_phi_tau_derived,
+    "Hphi1": build_H2_phi1,
+}
+# every shape of dimension at most 125 over p = 2, 3, 5, 7
+SHAPES = {
+    "W": [(p, (n,)) for p in (2, 3, 5, 7) for n in range(1, 7) if p ** n <= 125],
+    "H": [(p, (n1, n2)) for p in (2, 3, 5, 7) for n1 in range(1, 6) for n2 in range(1, 6)
+          if p ** (n1 + n2) <= 125],
+}
+
+
+@st.composite
+def builder_cases(draw):
+    """A builder and shape; for Phi(1) also eps: 0, 1, a nonzero prime-field
+    scalar, or an element of F_{p^2} outside F_p in a table over F_{p^2}."""
+    kind = draw(st.sampled_from(sorted(BUILDERS)))
+    p, shape = draw(st.sampled_from(SHAPES["W" if kind == "W" else "H"]))
+    field, eps = field_create(p), 1
+    if kind == "Hphi1":
+        which = draw(st.sampled_from(["zero", "one", "scalar", "extension"]))
+        if which == "extension":
+            field = field_create(p, 2)
+            eps = draw(st.sampled_from([a for a in field.elements() if not in_prime_field(a)]))
+        elif which == "scalar":
+            eps = draw(st.integers(1, p - 1))
+        else:
+            eps = 0 if which == "zero" else 1
+    return kind, p, shape, field, eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(builder_cases())
+def test_builders_match_the_per_pair_oracle(case):
+    kind, p, shape, field, eps = case
+    builder = BUILDERS[kind]
+    extra = (eps,) if kind == "Hphi1" else ()
+    t = builder(p, *shape, field, *extra)
+    want = oracle_cartan_table(kind, p, shape, field, eps)
+    assert json.dumps(t.to_json()) == json.dumps(want.to_json())
+    assert list(t.brackets) == list(want.brackets)
+    if kind == "Hphi1" and not eps:
+        assert validate_table(t).encoding_ok
+
+
+def _bumped_pascal(entry):
+    """cartan._pascal with one entry of the triangle raised by one."""
+    pascal = cartan._pascal
+
+    def bumped(top, p):
+        rows = pascal(top, p)
+        a, b = entry
+        rows[a][b] = (rows[a][b] + 1) % p
+        return rows
+    return bumped
+
+
+@pytest.mark.parametrize("builder,args,entry,product", [
+    (build_W1n, (5, 1), (6, 3), r"\(2,3\)"),  # [E_2, E_3] = (C(6,3) - C(6,2)) E_5, past E_3
+    # {y^(2), x y^(2)} reads Y1[2][2] = C(3,1): target y^(3), past y^(2)
+    (build_H2_second_derived, (3, 1, 1), (3, 1), r"\(0,2,1,2\)"),
+    (build_H2_phi_tau_derived, (3, 1, 1), (3, 1), r"\(0,2,1,2\)"),
+    (build_H2_phi1, (3, 1, 1), (3, 1), r"\(0,2,1,2\)"),
+    # the pure-y product {y^(7), y^(8)} = C(14,6) - C(14,7) lands past y^(8);
+    # at eps = 0 too, since the check reads the binomials, not the scaled product
+    (build_H2_phi1, (3, 1, 2), (14, 6), r"\(0,7,0,8\)"),
+    (build_H2_phi1, (3, 1, 2, None, 0), (14, 6), r"\(0,7,0,8\)"),
+])
+def test_escaping_product_is_caught(monkeypatch, builder, args, entry, product):
+    # a binomial made nonzero on one product that leaves the basis
+    monkeypatch.setattr(cartan, "_pascal", _bumped_pascal(entry))
+    with pytest.raises(NotASubalgebra, match=product):
+        builder(*args)

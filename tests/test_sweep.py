@@ -1,12 +1,14 @@
-"""Sweep of the toral gradings through the command line: every input inside
-the accepted range exits 0, every input just outside it exits 2, and none
+"""Sweep of the gradings through the command line: every input inside the
+accepted range exits 0, every input just outside it exits 2, and none
 exits 3.
 
 Inside: finite at p = 2, 3, 5 for every q with dim = pq <= 125 and every mu3
 in F_{p^2} \\ F_p, and at p = 7 for a fixed sample of mu3; eps-zero at
-p = 3, 5, 7 for every ratio, and at p = 3 with q = 9; sigma-zero at p <= 7.
+p = 3, 5, 7 for every ratio, and at p = 3 with q = 9; sigma-zero at p <= 7;
+mixed for every (p, n1, n2) with dim = p^(n1+n2) <= 125, except n2 = 1 at
+p = 2.
 Outside: mu3 in the prime field, the ratios 0 and -1, eps-zero at p = 2 and
-q = 2.
+q = 2, mixed with n1 = 0 or n2 = 0, and mixed at p = 2 with n2 = 1.
 """
 
 import pytest
@@ -35,6 +37,10 @@ def _sigma_zero(p, q):
     return ["--grading", "sigma-zero", "--p", str(p), "--q", str(q)]
 
 
+def _mixed(p, n1, n2):
+    return ["--grading", "mixed", "--p", str(p), "--n1", str(n1), "--n2", str(n2)]
+
+
 ACCEPTED = (
     [_finite(p, q, m) for p, qs in ((2, (4, 8, 16, 32)), (3, (3, 9, 27)), (5, (5, 25)))
      for q in qs for m in _mu3_literals(p, False)]
@@ -42,6 +48,8 @@ ACCEPTED = (
     + [_eps_zero(p, p, ratio) for p in (3, 5, 7) for ratio in range(1, p - 1)]
     + [_eps_zero(3, 9, 1)]
     + [_sigma_zero(p, q) for p, q in ((2, 4), (2, 8), (3, 3), (3, 9), (5, 5), (7, 7))]
+    + [_mixed(p, n1, n2) for p in (2, 3, 5, 7) for n1 in range(1, 5) for n2 in range(1, 6)
+       if p ** (n1 + n2) <= 125 and (p, n2) != (2, 1)]
 )
 
 REJECTED = (
@@ -49,8 +57,8 @@ REJECTED = (
     + [_finite(2, 4, m) for m in _mu3_literals(2, True)]
     + [_eps_zero(p, p, ratio) for p in (3, 5, 7) for ratio in (0, -1)]
     + [_eps_zero(2, 4, 1)]
-    + [_finite(2, 2, "0,1"), _sigma_zero(2, 2),
-       ["--grading", "mixed", "--p", "2", "--n1", "1", "--n2", "1"]]
+    + [_finite(2, 2, "0,1"), _sigma_zero(2, 2), _mixed(2, 1, 1)]
+    + [_mixed(3, 0, 1), _mixed(3, 1, 0), _mixed(2, 2, 1), _mixed(2, 3, 1)]
 )
 
 
