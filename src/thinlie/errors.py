@@ -53,15 +53,25 @@ class DenominatorZero(ThinlieError):
     pass
 
 
-class NoAnnihilator(ThinlieError):
+class StructuralFailure(ThinlieError):
+    """A relation of the thin report that breaks at a degree (the slot of a
+    diamond, or the degree of a component): a verification failure, not a
+    configuration error."""
+
+    def __init__(self, message: str, degree: int):
+        super().__init__(message)
+        self.degree = degree
+
+
+class NoAnnihilator(StructuralFailure):
     pass
 
 
-class MalformedDiamond(ThinlieError):
+class MalformedDiamond(StructuralFailure):
     pass
 
 
-class ConsecutiveDiamonds(ThinlieError):
+class ConsecutiveDiamonds(StructuralFailure):
     pass
 
 

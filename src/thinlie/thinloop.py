@@ -6,6 +6,13 @@ all computed inside S.  This module expands those components to a depth
 bound, checks the covering property, locates and classifies diamonds
 (genuine, fake of type 0 or 1), runs the two centralizer chains, and
 computes the parameter k = dim(L / L'') - 1 from graded pieces.
+
+Periodicity: with N the grading modulus, M_{d+1} depends on M_d alone, so
+once M_{s+N} = M_s for some s, every M_{d+N} = M_d with d >= s.  The
+expansion records the first such s as its period start; after it the
+components are the earlier Subspace objects and the covering verdict is
+read back one period rather than recomputed.  With no repeat within the
+depth every degree is computed.
 """
 
 from __future__ import annotations
@@ -57,13 +64,16 @@ def _type_json(t):
 
 @dataclass
 class LoopExpansion:
-    """Per-degree subspaces M_d of the base algebra, 1-indexed by degree."""
+    """Per-degree subspaces M_d of the base algebra, 1-indexed by degree;
+    period_start is the first s with M_{s+N} = M_s, None without a repeat
+    within the depth."""
 
     base: StructureTable
     degmap: DegreeMap
     depth: int
     components: list[Subspace]
     coincidence: bool
+    period_start: int | None = None
 
     def component(self, d: int) -> Subspace:
         return self.components[d - 1]
@@ -76,8 +86,10 @@ class LoopExpansion:
 def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpansion:
     """Iterated bracketing of the degree-1 component up to depth >= N+1.
 
-    Also records whether M_{N+1} = M_1, the criterion under which the
-    generated loop algebra exhausts all of (+) S_k (x) t^k.
+    Each new M_d with d > N is compared with M_{d-N}; from the first equal
+    pair (the period start s = d - N) on, components are reused, not
+    bracketed.  Also records whether M_{N+1} = M_1 (s = 1), the criterion
+    under which the generated loop algebra exhausts all of (+) S_k (x) t^k.
     """
     if not validate_grading(base, degmap):
         raise ValueError("degree map is not compatible with the table")
@@ -90,7 +102,11 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
     m1 = Subspace.from_elements(base, map(base.basis_element, sorted(classes.get(1 % n, ()))))
     components = [m1]
     gens = m1.basis_elements()
+    start = None
     for d in range(2, depth + 1):
+        if start is not None:
+            components.append(components[d - n - 1])
+            continue
         prev = components[-1].basis_elements()
         nxt = Subspace.from_elements(base, [bracket(u, x) for u in prev for x in gens])
         allowed = classes.get(d % n, set())
@@ -98,8 +114,9 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
             if not set(e.coords) <= allowed:
                 raise AssertionError(f"component at degree {d} is not homogeneous")
         components.append(nxt)
-    coincidence = components[n] == components[0]
-    return LoopExpansion(base, degmap, depth, components, coincidence)
+        if d > n and nxt == components[d - n - 1]:
+            start = d - n
+    return LoopExpansion(base, degmap, depth, components, start == 1, start)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +179,16 @@ def choose_generators(
     base = expansion.base
     m1 = expansion.component(1)
     if m1.dim != 2:
-        raise NoAnnihilator(f"degree-1 component has dimension {m1.dim}, not 2")
+        raise NoAnnihilator(f"degree-1 component has dimension {m1.dim}, not 2", 1)
     if (X is None) != (Y is None):
         raise ValueError("supply both generators or neither")
     if Y is None:
         if expansion.component(2).dim != 1:
-            raise NoAnnihilator("degree-2 component is not one-dimensional")
+            raise NoAnnihilator("degree-2 component is not one-dimensional", 2)
         cent = centralizer_in(base, m1, expansion.component(2))
         if cent.dim != 1:
             raise NoAnnihilator(
-                f"centralizer of M_2 in M_1 has dimension {cent.dim}; cannot single out Y"
+                f"centralizer of M_2 in M_1 has dimension {cent.dim}; cannot single out Y", 2
             )
         Y = cent.basis_elements()[0]
         X = next(
@@ -194,13 +211,13 @@ def choose_generators(
                 slot = d + 1
                 break
         if slot is None:
-            raise NoAnnihilator("no second diamond within the expansion depth")
+            raise NoAnnihilator("no second diamond within the expansion depth", expansion.depth)
     else:
         slot = q
 
     vspace = expansion.component(slot - 1)
     if vspace.dim != 1:
-        raise MalformedDiamond(f"component before the second diamond has dim {vspace.dim}")
+        raise MalformedDiamond(f"component before the second diamond has dim {vspace.dim}", slot)
     v = vspace.basis_elements()[0]
 
     def second_brackets(x: Element):
@@ -209,20 +226,20 @@ def choose_generators(
 
     vxx, vxy, vyx, vyy = second_brackets(X)
     if vyy:
-        raise MalformedDiamond("[V,Y,Y] != 0 at the second diamond")
+        raise MalformedDiamond("[V,Y,Y] != 0 at the second diamond", slot)
     alpha = base.field.zero
     if vxx:
         denom = vxy + vyx
         if not denom:
-            raise MalformedDiamond("cannot normalize X: [V,X,Y] + [V,Y,X] = 0")
+            raise MalformedDiamond("cannot normalize X: [V,X,Y] + [V,Y,X] = 0", slot)
         lam = _coeff_of(vxx, denom)
         if lam is None:
-            raise MalformedDiamond("[V,X,X] is not proportional to [V,X,Y] + [V,Y,X]")
+            raise MalformedDiamond("[V,X,X] is not proportional to [V,X,Y] + [V,Y,X]", slot)
         alpha = -lam
         X = X + Y.scale(alpha)
         vxx, vxy, vyx, vyy = second_brackets(X)
         if vxx:
-            raise MalformedDiamond("normalization failed to kill [V,X,X]")
+            raise MalformedDiamond("normalization failed to kill [V,X,X]", slot)
 
     c_xy = c_yx = None
     w = vxy if vxy else vyx
@@ -305,26 +322,33 @@ def _plane_covers(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> b
     return bool(det_b) and not find_roots(target.table.field, [det_a, m, det_b])
 
 
+def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
+    comp = expansion.component(d)
+    if comp.dim == 0:
+        return False
+    if expansion.component(d + 1).dim == 0:
+        # the expansion dies: some nonzero u has [u, L_1] = 0, so the
+        # loop algebra is finite-dimensional and certainly not thin
+        return True
+    if comp.dim == 1:
+        return not _covers(expansion, comp.basis_elements()[0], X, Y, d)
+    return comp.dim > 2 or not _plane_covers(expansion, X, Y, d)
+
+
 def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> CoveringReport:
     """Covering property at every degree: [u, M_1] = M_{d+1} for 0 != u in M_d.
 
     One-dimensional components need only their basis vector; two-dimensional
     ones are decided exactly by rank (see _plane_covers); larger ones fail.
+    The verdict at d depends on M_d, M_{d+1}, X and Y alone, so from s + N
+    on (s the period start) it is the verdict at d - N, read back.
     """
-    failures = []
+    n, s = expansion.degmap.modulus, expansion.period_start
+    repeat = expansion.depth if s is None else s + n
     upto = expansion.depth - 1
+    failures = []
     for d in range(1, upto + 1):
-        comp = expansion.component(d)
-        if comp.dim == 0:
-            continue
-        if expansion.component(d + 1).dim == 0:
-            # the expansion dies: some nonzero u has [u, L_1] = 0, so the
-            # loop algebra is finite-dimensional and certainly not thin
-            failures.append(d)
-        elif comp.dim == 1:
-            if not _covers(expansion, comp.basis_elements()[0], X, Y, d):
-                failures.append(d)
-        elif comp.dim > 2 or not _plane_covers(expansion, X, Y, d):
+        if (d - n in failures) if d >= repeat else _fails_covering(expansion, X, Y, d):
             failures.append(d)
     return CoveringReport(not failures, failures, upto)
 
@@ -355,36 +379,37 @@ def classify_type(
     Y: Element,
     slot: Subspace,
     following: Subspace,
+    degree: int,
 ) -> tuple[str, FieldElement | _Infinity | None] | None:
     """Classify the component after V: genuine diamond with its type, a fake
     of type 0 or 1, or None when no diamond relation holds.
 
     Genuine slots must satisfy [V,X,X] = 0 = [V,Y,Y]; the type is
     mu = c1/(c1+c2) from [V,X,Y] = c1 w, [V,Y,X] = c2 w, or infinity when
-    c1 + c2 = 0.
+    c1 + c2 = 0.  degree, the slot's degree, goes into the errors raised.
     """
     vx, vy = bracket(V, X), bracket(V, Y)
     if slot.dim == 2:
         if following.dim >= 2:
-            raise ConsecutiveDiamonds("two consecutive two-dimensional components")
+            raise ConsecutiveDiamonds("two consecutive two-dimensional components", degree)
         if bracket(vx, X):
-            raise MalformedDiamond("[V,X,X] != 0 at a two-dimensional slot")
+            raise MalformedDiamond("[V,X,X] != 0 at a two-dimensional slot", degree)
         if bracket(vy, Y):
-            raise MalformedDiamond("[V,Y,Y] != 0 at a two-dimensional slot")
+            raise MalformedDiamond("[V,Y,Y] != 0 at a two-dimensional slot", degree)
         vxy, vyx = bracket(vx, Y), bracket(vy, X)
         w = vxy if vxy else vyx
         if not w:
-            raise MalformedDiamond("both cross brackets vanish at a genuine slot")
+            raise MalformedDiamond("both cross brackets vanish at a genuine slot", degree)
         c1 = _coeff_of(vxy, w)
         c2 = _coeff_of(vyx, w)
         if c1 is None or c2 is None:
-            raise MalformedDiamond("cross brackets are not proportional")
+            raise MalformedDiamond("cross brackets are not proportional", degree)
         s = c1 + c2
         if not s:
             return ("genuine", INFINITY)
         mu = c1 / s
         if not mu or mu == mu.spec.one:
-            raise MalformedDiamond(f"genuine diamond computed type {mu}")
+            raise MalformedDiamond(f"genuine diamond computed type {mu}", degree)
         return ("genuine", mu)
     if slot.dim == 1:
         if not vx:
@@ -420,7 +445,7 @@ def detect_diamonds(
             anomalies.append(f"component before slot {d} has dim {vspace.dim}")
         else:
             got = classify_type(
-                vspace.basis_elements()[0], X, Y, slot, expansion.component(d + 1)
+                vspace.basis_elements()[0], X, Y, slot, expansion.component(d + 1), d
             )
             if got is None:
                 nondiamond.append(d)
@@ -487,53 +512,45 @@ def centralizer_chain(expansion: LoopExpansion, X: Element, Y: Element, q: int) 
     return ChainReport(first, (2, q - 2), second, (q + 1, 2 * q - 3), "; ".join(notes) or None)
 
 
-def parameter_k(expansion: LoopExpansion, window: int | None = None) -> int:
+def parameter_k(expansion: LoopExpansion) -> int:
     """k = dim(L / L'') - 1 from graded pieces of the truncated loop algebra.
 
-    The second derived subalgebra must reach full components (and the
-    components themselves stay nonzero) on the last `window` degrees,
-    default one grading period; otherwise NotStabilized.
+    L is generated by L_1, so L' = (+)_{d>=2} M_d: each M_d = [M_{d-1}, M_1]
+    lies in L', and [M_a, M_b] lies in M_{a+b}.  So L''_d is the sum of
+    [M_a, M_b] over a + b = d with a, b >= 2.  L'' is an ideal of L, so
+    L''_{d-1} = M_{d-1} gives L''_d >= [M_{d-1}, M_1] = M_d; only the other
+    degrees are bracketed.  The second derived subalgebra must reach full
+    components (and the components stay nonzero) on the last grading
+    period; otherwise NotStabilized.
     """
     depth = expansion.depth
-    window = window or expansion.degmap.modulus
+    n = expansion.degmap.modulus
     base = expansion.base
-    m = [None] + expansion.components  # 1-indexed
-    zero = Subspace.zero(base)
-
-    def graded_bracket(left: list[Subspace], right: list[Subspace]) -> list[Subspace]:
-        # out[d] = sum over a+b=d of [left_a, right_b]; each out[d] is capped
-        # by the enclosing component M_d, so stop accumulating at full rank.
-        lbasis = [None] + [s.basis_elements() for s in left[1:]]
-        rbasis = [None] + [s.basis_elements() for s in right[1:]]
-        out = [zero] * (depth + 1)
-        for d in range(2, depth + 1):
-            cap = m[d].dim
-            acc = Echelon(base.field, base.dim)
-            for a in range(1, d):
-                b = d - a
-                if not lbasis[a] or not rbasis[b]:
-                    continue
-                for u in lbasis[a]:
-                    for v in rbasis[b]:
-                        w = bracket(u, v)
-                        if w:
-                            acc.add(w.coords)
-                    if acc.rank >= cap:
-                        break
+    dims = [0] + expansion.dims  # 1-indexed
+    basis = [None] + [c.basis_elements() for c in expansion.components]
+    lpp = [0] * (depth + 1)  # dim L''_d
+    for d in range(4, depth + 1):
+        if lpp[d - 1] == dims[d - 1]:
+            lpp[d] = dims[d]
+            continue
+        # L''_d is capped by M_d, so stop accumulating at full rank
+        cap = dims[d]
+        acc = Echelon(base.field, base.dim)
+        for a in range(2, d // 2 + 1):  # [M_b, M_a] = [M_a, M_b]
+            for u in basis[a]:
+                for v in basis[d - a]:
+                    w = bracket(u, v)
+                    if w:
+                        acc.add(w.coords)
                 if acc.rank >= cap:
                     break
-            out[d] = Subspace(base, acc)
-        return out
-
-    lp = graded_bracket(m, m)
-    lpp = graded_bracket(lp, lp)
-    codims = [0] * (depth + 1)
-    for d in range(1, depth + 1):
-        codims[d] = m[d].dim - lpp[d].dim
-    tail = range(depth - window + 1, depth + 1)
-    if any(codims[d] != 0 or m[d].dim == 0 for d in tail):
+            if acc.rank >= cap:
+                break
+        lpp[d] = acc.rank
+    codims = [dims[d] - lpp[d] for d in range(depth + 1)]
+    if any(codims[d] != 0 or dims[d] == 0 for d in range(depth - n + 1, depth + 1)):
         raise NotStabilized(
-            f"second derived subalgebra has not stabilized in the last {window} degrees"
+            f"second derived subalgebra has not stabilized in the last {n} degrees"
         )
     return sum(codims) - 1
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 from .cartan import build_H2_phi1, phi1_monomials
-from .errors import ThinlieError
+from .errors import StructuralFailure, ThinlieError
 from .ffield import FieldElement, FieldSpec, field_create
 from .grading import (
     ToralParams,
@@ -39,7 +39,8 @@ from .thinloop import INFINITY, DiamondRecord, ThinReport, thin_report
 @dataclass
 class VerifyRun:
     """A thin report together with its deviations from the predicted pattern;
-    no report when a failed eigen-table certificate stopped the run."""
+    no report when a failed eigen-table certificate or a structural failure
+    inside the thin report stopped the run."""
 
     report: ThinReport | None
     mismatches: list[str]
@@ -106,10 +107,13 @@ def _expected(mu) -> tuple[str, object]:
 
 def _verify(g: Grading, depth: int | None) -> VerifyRun:
     table = g.table
-    rep = thin_report(
-        table, g.degmap, g.q, depth, X=table.basis_element(g.x_pos), Y=table.basis_element(g.y_pos)
-    )
     mismatches = g.mismatches
+    x, y = table.basis_element(g.x_pos), table.basis_element(g.y_pos)
+    try:
+        rep = thin_report(table, g.degmap, g.q, depth, X=x, Y=y)
+    except StructuralFailure as exc:
+        mismatches.append(f"{type(exc).__name__} at degree {exc.degree}: {exc}")
+        return VerifyRun(None, mismatches, g.params)
     if not rep.covering.ok:
         mismatches.append(f"covering fails at {rep.covering.failures}")
     if rep.anomalies:

@@ -6,8 +6,10 @@ on untruncated monomial dictionaries, Cartan structure tables pair by pair
 from those coefficients and Lucas binomials, congruences from linear scans,
 reduced echelon forms from a dense Gauss-Jordan pass over whole rows, Jacobi
 violations from a visit to every basis triple, covering from every
-projective line of a two-dimensional component, and eigen-table products
-from the closed formula checked pair by pair.
+projective line of a two-dimensional component, eigen-table products
+from the closed formula checked pair by pair, and thin reports from the
+full-depth loop expansion, covering scan and parameter k, which bracket
+every degree and never reuse a grading period.
 """
 
 from math import comb
@@ -288,3 +290,123 @@ def eigen_bracket_check(basis) -> bool:
             if list(t.basis_bracket(a, b)) != expected:
                 return False
     return True
+
+
+def oracle_loop_expand(base, degmap, depth):
+    """M_1 = S_1 and M_{d+1} = [M_d, M_1] bracketed at every degree up to
+    depth, with no period detection (period_start stays None)."""
+    from thinlie.liealg import Subspace, bracket, validate_grading
+    from thinlie.thinloop import LoopExpansion
+
+    if not validate_grading(base, degmap):
+        raise ValueError("degree map is not compatible with the table")
+    n = degmap.modulus
+    if depth < n + 1:
+        raise ValueError(f"expansion depth {depth} is below N+1 = {n + 1} for grading modulus N = {n}")
+    classes = {}
+    for i, d in enumerate(degmap.degrees):
+        classes.setdefault(d, set()).add(i)
+    m1 = Subspace.from_elements(base, map(base.basis_element, sorted(classes.get(1 % n, ()))))
+    components = [m1]
+    gens = m1.basis_elements()
+    for d in range(2, depth + 1):
+        prev = components[-1].basis_elements()
+        nxt = Subspace.from_elements(base, [bracket(u, x) for u in prev for x in gens])
+        allowed = classes.get(d % n, set())
+        for e in nxt.basis_elements():
+            if not set(e.coords) <= allowed:
+                raise AssertionError(f"component at degree {d} is not homogeneous")
+        components.append(nxt)
+    coincidence = components[n] == components[0]
+    return LoopExpansion(base, degmap, depth, components, coincidence)
+
+
+def oracle_check_covering(expansion, X, Y):
+    """The covering verdict decided afresh at every degree below the depth."""
+    from thinlie.thinloop import CoveringReport, _covers, _plane_covers
+
+    failures = []
+    upto = expansion.depth - 1
+    for d in range(1, upto + 1):
+        comp = expansion.component(d)
+        if comp.dim == 0:
+            continue
+        if expansion.component(d + 1).dim == 0:
+            failures.append(d)
+        elif comp.dim == 1:
+            if not _covers(expansion, comp.basis_elements()[0], X, Y, d):
+                failures.append(d)
+        elif comp.dim > 2 or not _plane_covers(expansion, X, Y, d):
+            failures.append(d)
+    return CoveringReport(not failures, failures, upto)
+
+
+def oracle_parameter_k(expansion):
+    """k = dim(L / L'') - 1 with L' and then L'' each bracketed as a graded
+    sum over every pair a + b = d at every degree; NotStabilized unless
+    L''_d = M_d != 0 on the last grading period."""
+    from thinlie.errors import NotStabilized
+    from thinlie.liealg import Echelon, Subspace, bracket
+
+    depth = expansion.depth
+    window = expansion.degmap.modulus
+    base = expansion.base
+    m = [None] + expansion.components
+    zero = Subspace.zero(base)
+
+    def graded_bracket(left, right):
+        lbasis = [None] + [s.basis_elements() for s in left[1:]]
+        rbasis = [None] + [s.basis_elements() for s in right[1:]]
+        out = [zero] * (depth + 1)
+        for d in range(2, depth + 1):
+            cap = m[d].dim
+            acc = Echelon(base.field, base.dim)
+            for a in range(1, d):
+                b = d - a
+                if not lbasis[a] or not rbasis[b]:
+                    continue
+                for u in lbasis[a]:
+                    for v in rbasis[b]:
+                        w = bracket(u, v)
+                        if w:
+                            acc.add(w.coords)
+                    if acc.rank >= cap:
+                        break
+                if acc.rank >= cap:
+                    break
+            out[d] = Subspace(base, acc)
+        return out
+
+    lp = graded_bracket(m, m)
+    lpp = graded_bracket(lp, lp)
+    codims = [0] * (depth + 1)
+    for d in range(1, depth + 1):
+        codims[d] = m[d].dim - lpp[d].dim
+    tail = range(depth - window + 1, depth + 1)
+    if any(codims[d] != 0 or m[d].dim == 0 for d in tail):
+        raise NotStabilized(
+            f"second derived subalgebra has not stabilized in the last {window} degrees"
+        )
+    return sum(codims) - 1
+
+
+def oracle_thin_report(base, degmap, q, depth, X, Y):
+    """thin_report assembled from the three full-depth oracles above and the
+    library's generator choice, diamond scan and centralizer chains."""
+    from thinlie.errors import NotStabilized
+    from thinlie.thinloop import ThinReport, centralizer_chain, choose_generators, detect_diamonds
+
+    expansion = oracle_loop_expand(base, degmap, depth)
+    gens = choose_generators(expansion, q=q, X=X, Y=Y)
+    covering = oracle_check_covering(expansion, gens.X, gens.Y)
+    diamonds, nondiamond, anomalies = detect_diamonds(expansion, gens.X, gens.Y, q)
+    chains = centralizer_chain(expansion, gens.X, gens.Y, q)
+    k = k_note = None
+    try:
+        k = oracle_parameter_k(expansion)
+    except NotStabilized as exc:
+        k_note = str(exc)
+    return ThinReport(
+        q, depth, expansion.dims, expansion.coincidence, gens, covering, diamonds,
+        nondiamond, anomalies, chains, k, k_note, expansion,
+    )

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from thinlie import cli, verify
-from thinlie.liealg import StructureTable
+from thinlie import cli, thinloop, verify
+from thinlie.liealg import StructureTable, Subspace
 
 
 def run_cli(args):
@@ -256,3 +256,49 @@ def test_eps_zero_char_two_rejected_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(verify, "build_H2_phi1", no_build)
     assert run_cli(["verify", "--grading", "eps-zero", "--p", "2", "--q", "4", "--ratio", "1"]) == 2
     assert "the only nonzero ratio sigma/rho in F_2 is 1 = -1" in capsys.readouterr().err
+
+
+def _verify_json(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    code = run_cli(["verify", "--grading", "mixed", "--p", "3", "--n1", "1", "--n2", "1",
+                    "--out", str(out)])
+    printed = capsys.readouterr()
+    assert "internal error" not in printed.err and "error:" not in printed.err
+    return code, json.loads(out.read_text()), printed.out
+
+
+def test_consecutive_diamonds_in_report_is_a_verdict(tmp_path, monkeypatch, capsys):
+    # classify every slot as if the component after it were two-dimensional too
+    real = thinloop.classify_type
+    monkeypatch.setattr(thinloop, "classify_type",
+                        lambda V, X, Y, slot, following, degree: real(V, X, Y, slot, slot, degree))
+    code, data, out = _verify_json(tmp_path, capsys)
+    want = "ConsecutiveDiamonds at degree 3: two consecutive two-dimensional components"
+    assert code == 1 and data["verdict"] == "FAIL" and data["pattern_mismatches"] == [want]
+    assert want in out
+
+
+def test_malformed_diamond_in_report_is_a_verdict(tmp_path, monkeypatch, capsys):
+    # look for the second diamond one degree late, after the plane M_3
+    real = thinloop.choose_generators
+    monkeypatch.setattr(thinloop, "choose_generators",
+                        lambda expansion, q=None, X=None, Y=None: real(expansion, q + 1, X, Y))
+    code, data, out = _verify_json(tmp_path, capsys)
+    want = "MalformedDiamond at degree 4: component before the second diamond has dim 2"
+    assert code == 1 and data["verdict"] == "FAIL" and data["pattern_mismatches"] == [want]
+
+
+def test_no_annihilator_in_report_is_a_verdict(tmp_path, monkeypatch, capsys):
+    # cut the degree-1 component down to the line of its first basis vector
+    real = thinloop.loop_expand
+
+    def cut(base, degmap, depth):
+        expansion = real(base, degmap, depth)
+        line = Subspace.from_elements(base, expansion.components[0].basis_elements()[:1])
+        expansion.components[0] = line
+        return expansion
+
+    monkeypatch.setattr(thinloop, "loop_expand", cut)
+    code, data, out = _verify_json(tmp_path, capsys)
+    want = "NoAnnihilator at degree 1: degree-1 component has dimension 1, not 2"
+    assert code == 1 and data["verdict"] == "FAIL" and data["pattern_mismatches"] == [want]

@@ -41,6 +41,12 @@ def _mixed(p, n1, n2):
     return ["--grading", "mixed", "--p", str(p), "--n1", str(n1), "--n2", str(n2)]
 
 
+# (p, n1, n2) of every accepted mixed input: dim p^(n1+n2) <= 125, no n2 = 1 at p = 2
+MIXED_INPUTS = [
+    (p, n1, n2) for p in (2, 3, 5, 7) for n1 in range(1, 5) for n2 in range(1, 6)
+    if p ** (n1 + n2) <= 125 and (p, n2) != (2, 1)
+]
+
 ACCEPTED = (
     [_finite(p, q, m) for p, qs in ((2, (4, 8, 16, 32)), (3, (3, 9, 27)), (5, (5, 25)))
      for q in qs for m in _mu3_literals(p, False)]
@@ -48,8 +54,7 @@ ACCEPTED = (
     + [_eps_zero(p, p, ratio) for p in (3, 5, 7) for ratio in range(1, p - 1)]
     + [_eps_zero(3, 9, 1)]
     + [_sigma_zero(p, q) for p, q in ((2, 4), (2, 8), (3, 3), (3, 9), (5, 5), (7, 7))]
-    + [_mixed(p, n1, n2) for p in (2, 3, 5, 7) for n1 in range(1, 5) for n2 in range(1, 6)
-       if p ** (n1 + n2) <= 125 and (p, n2) != (2, 1)]
+    + [_mixed(*args) for args in MIXED_INPUTS]
 )
 
 REJECTED = (

@@ -113,8 +113,9 @@ def test_choose_generators_normalizes_skewed_x():
 def test_choose_generators_q3_has_no_annihilator():
     basis, et, dm, x, y, params = finite_setup(3, 2)
     expansion = loop_expand(et, dm, 13)
-    with pytest.raises(NoAnnihilator):
+    with pytest.raises(NoAnnihilator) as exc:
         choose_generators(expansion)
+    assert exc.value.degree == 2
     gens = choose_generators(expansion, q=3, X=x, Y=y)
     assert gens.vxx_zero and gens.vyy_zero
 
@@ -143,16 +144,18 @@ def test_classify_consecutive_diamonds_error():
     expansion = loop_expand(table, dm, 8)
     v = expansion.component(2).basis_elements()[0]
     two_dim = expansion.component(3)
-    with pytest.raises(ConsecutiveDiamonds):
-        classify_type(v, x, y, two_dim, two_dim)
+    with pytest.raises(ConsecutiveDiamonds) as exc:
+        classify_type(v, x, y, two_dim, two_dim, 3)
+    assert exc.value.degree == 3
 
 
 def test_classify_malformed_diamond_error():
     w = __import__("thinlie.cartan", fromlist=["build_W1n"]).build_W1n(5, 1)
     v, x, y = w.basis_element(0), w.basis_element(2), w.basis_element(1)
     slot = Subspace.from_elements(w, [bracket(v, x), bracket(v, y)])
-    with pytest.raises(MalformedDiamond):
-        classify_type(v, x, y, slot, Subspace.zero(w))
+    with pytest.raises(MalformedDiamond) as exc:
+        classify_type(v, x, y, slot, Subspace.zero(w), 4)
+    assert exc.value.degree == 4
 
 
 def test_detect_diamonds_progression_and_degrees():
