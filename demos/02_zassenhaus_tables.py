@@ -18,7 +18,7 @@ from thinlie import (
 W = build_W1n(3, 2)
 print(f"W(1;2) over F_3: dimension {W.dim}")
 report = validate_table(W)
-print(f"full Jacobi scan over {W.dim}^3 basis triples: {'PASS' if report.ok else 'FAIL'}")
+print(f"Jacobi identity, proved from a generating set: {'PASS' if report.ok else 'FAIL'}")
 
 e_m1, e_0, e_1 = (W.basis_element(i) for i in range(3))
 print(f"[E_-1, E_1] = {bracket(e_m1, e_1)}")
