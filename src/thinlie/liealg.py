@@ -12,17 +12,22 @@ they enter (rref, Subspace.from_rows, change_basis), and Subspace.rows is a
 dense view computed only when it is read.
 validate_table and check_structure_map share one Leibniz-rule kernel, a
 pass per basis vector over sparse ad rows, whose cost follows the nonzero
-bracket compositions rather than the number of basis triples.  Both prove
-the Jacobi identity from a generating set: when ad g is a derivation for
-each generator g, every ad is.  validate_table runs the per-vector scan of
-every basis triple only when a generator's pass fails, when the encoding is
-broken, or when a generating set would cost more passes than the scan.
+bracket compositions rather than the number of basis triples; its index of
+the table is built once per call.  Both prove the Jacobi identity from a
+generating set: when ad g is a derivation for each generator g, every ad
+is.  A pass for g reads the compositions through the ad row of g, so
+validate_table takes one sweeping generator, the widest ad row, and then
+the narrowest ones, which make the cheapest passes.  It runs the
+per-vector scan of every basis triple only when a generator's pass fails,
+when the encoding is broken, or when the generating set takes more than
+dim/3 generators, whose passes would cost more than the scan.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAnIdeal, NotASubalgebra, TableMismatch
@@ -400,8 +405,68 @@ class ValidationReport:
         return self.ok
 
 
+class _LeibnizIndex:
+    """What _leibniz_failures reads of a table, built once per table.
+
+    keys[a], rows[a]: the b with [b_a, b_b] stored, ascending, and its terms
+    as (target, log); by_target[m]: ((j * dim + k) * dim, log), ascending,
+    for the pairs j < k with a term at m.  Only well-formed entries are read
+    (keys 0 <= i < j < dim, targets in range).  len(keys[a]) is the size of
+    the ad row of b_a, and an empty by_target[m] marks a basis vector that
+    is no bracket target.
+    """
+
+    __slots__ = ("dim", "keys", "rows", "by_target", "neg", "pexp", "p", "s")
+
+    def __init__(self, t: StructureTable):
+        dim = self.dim = t.dim
+        field = t.field
+        # A scalar is its discrete log (2n for zero, n = |F| - 1), the field's
+        # own id of it, so a product of two is pexp[a + b]: the int whose
+        # base-2^s digits are the product's polynomial coordinates.  A sum of
+        # such ints is reduced mod p digit by digit only when tested for zero.
+        n = field.size - 1
+        minus_one = (-field.one).log
+        neg = self.neg = [(a + minus_one) % n for a in range(n)] + [2 * n] * (n + 1)
+
+        # Pairs in sorted order append every list in ascending order.  A
+        # builder table repeats few distinct rows (about 2300 of 34 k at
+        # Phi(1) (5,1,3)), so each row and its negation are kept once and
+        # shared: a new pair of them per stored pair would make the set-up
+        # mostly allocation and cyclic garbage collection.
+        keys = self.keys = [[] for _ in range(dim)]
+        rows = self.rows = [[] for _ in range(dim)]
+        by_target = self.by_target = [[] for _ in range(dim)]
+        shared: dict[tuple, tuple[tuple, tuple]] = {}
+        for (i, j), terms in sorted(t.brackets.items()):
+            row = tuple([(k, c.log) for k, c in terms if 0 <= k < dim])
+            pair = shared.get(row)
+            if pair is None:
+                pair = shared[row] = row, tuple([(k, neg[c]) for k, c in row])
+            row, negated = pair
+            if 0 <= i < j < dim and row:
+                keys[i].append(j)
+                rows[i].append(row)
+                keys[j].append(i)
+                rows[j].append(negated)
+                base = (i * dim + j) * dim
+                for k, c in row:
+                    by_target[k].append((base, c))
+
+        # Each of the three sums puts at most longest^2 products into one
+        # (j, k, target) cell (a hand-built bracket may repeat a target), and
+        # each coordinate of a product is at most p - 1, so no digit carries.
+        p = self.p = field.p
+        longest = max(map(len, t.brackets.values()), default=0)
+        s = self.s = (3 * longest * longest * (p - 1)).bit_length()
+        pexp = self.pexp = [0] * (4 * n + 1)
+        for c in field.elements():
+            if c:
+                pexp[c.log] = pexp[c.log + n] = sum(x << (s * e) for e, x in enumerate(c.coords))
+
+
 def _leibniz_failures(
-    t: StructureTable, scans: Iterable[tuple[int, int]]
+    index: _LeibnizIndex, scans: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """For each (g, lo) in scans, g and the pairs lo < j < k, in
     lexicographic order, on which ad b_g breaks the Leibniz rule: where
@@ -409,51 +474,14 @@ def _leibniz_failures(
         [b_g, [b_j, b_k]] - [[b_g, b_j], b_k] - [b_j, [b_g, b_k]] != 0.
 
     This is the Jacobi sum of b_g, b_j, b_k, so lo = g gives the Jacobi
-    violations (g, j, k).  Only well-formed entries are read (keys 0 <= i <
-    j < dim, targets in range).  Each sum is enumerated from its sparse
-    side, so the cost follows the nonzero compositions: the first through
-    the pairs (j, k) whose bracket has target m, for each m in ad b_g; the
-    other two through ad b_m, cut to the range by bisection.
+    violations (g, j, k).  Each sum is enumerated from its sparse side, so
+    the cost follows the nonzero compositions: the first through the pairs
+    (j, k) whose bracket has target m, for each m in ad b_g; the other two
+    through ad b_m, cut to the range by bisection.
     """
-    dim = t.dim
-    field = t.field
-    # A scalar is its discrete log (2n for zero, n = |F| - 1), the field's own
-    # id of it, so a product of two is pexp[a + b]: the int whose base-2^s
-    # digits are the product's polynomial coordinates.  A sum of such ints
-    # is reduced mod p digit by digit only when tested for zero.
-    n = field.size - 1
-    minus_one = (-field.one).log
-    neg = [(a + minus_one) % n for a in range(n)] + [2 * n] * (n + 1)
-
-    # keys[a], rows[a]: the b with [b_a, b_b] stored, ascending, and its terms
-    # as (target, log); by_target[m]: ((j * dim + k) * dim, log), ascending,
-    # for the pairs j < k with a term at m.  Pairs in sorted order append
-    # every list in ascending order.
-    keys: list[list[int]] = [[] for _ in range(dim)]
-    rows: list[list[list[tuple[int, int]]]] = [[] for _ in range(dim)]
-    by_target: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-    for (i, j), terms in sorted(t.brackets.items()):
-        row = [(k, c.log) for k, c in terms if 0 <= k < dim]
-        if 0 <= i < j < dim and row:
-            keys[i].append(j)
-            rows[i].append(row)
-            keys[j].append(i)
-            rows[j].append([(k, neg[c]) for k, c in row])
-            base = (i * dim + j) * dim
-            for k, c in row:
-                by_target[k].append((base, c))
-
-    # Each of the three sums puts at most longest^2 products into one
-    # (j, k, target) cell (a hand-built bracket may repeat a target), and each
-    # coordinate of a product is at most p - 1, so no digit ever carries.
-    p = field.p
-    longest = max(map(len, t.brackets.values()), default=0)
-    s = (3 * longest * longest * (p - 1)).bit_length()
+    dim, keys, rows, by_target = index.dim, index.keys, index.rows, index.by_target
+    neg, pexp, p, s = index.neg, index.pexp, index.p, index.s
     mask = (1 << s) - 1
-    pexp = [0] * (4 * n + 1)
-    for c in field.elements():
-        if c:
-            pexp[c.log] = pexp[c.log + n] = sum(x << (s * e) for e, x in enumerate(c.coords))
 
     def nonzero(v: int) -> bool:
         while v:
@@ -498,32 +526,36 @@ def _leibniz_failures(
         yield g, [divmod(jk, dim) for jk in bad]
 
 
-def _jacobi_certified(t: StructureTable) -> bool:
+def _jacobi_certified(t: StructureTable, index: _LeibnizIndex) -> bool:
     """True when ad g is a derivation for each g of a generating set (the
     proof is in validate_table).
 
-    The candidates go in descending ad-row size, the number of stored pairs
-    a basis vector is in, ties by position: the widest ad rows generate the
-    most, so a few of them do.  A pass of _leibniz_failures over all pairs
-    visits each basis triple that contains g, and the scan visits each
-    triple once, so dim/3 such passes do about the work of the scan.  A
-    generating set spans L modulo [L, L], which lies in the span of the
-    basis vectors that are the target of some bracket; so when more than
-    dim/3 basis vectors are no target, the scan is cheaper, and it is run
-    without building the generating set (the extension alone would cost
-    |generators| brackets per dimension, on an abelian table for nothing).
+    A pass of _leibniz_failures for g reads the compositions through the ad
+    row of b_g, so its cost follows the size of that row, the number of
+    stored pairs b_g is in.  The candidates are the widest ad row first,
+    which sweeps most of the table into the span of right-normed brackets
+    (as d sweeps W(1;n): [d, x^(m) d] = x^(m-1) d), and then every other
+    basis vector in ascending ad-row size, ties by position: a few narrow
+    generators then span the rest at the cost of narrow passes.  A pass over
+    all pairs visits each basis triple that contains g, and the scan visits
+    each triple once, so dim/3 such passes do about the work of the scan.
+    Hence the guard: once the extension has taken more than dim/3
+    generators it stops, and the scan runs instead.  The same bound is
+    checked before the extension on its lower bound: a generating set spans
+    L modulo [L, L], which lies in the span of the basis vectors that are
+    the target of some bracket, so when more than dim/3 basis vectors are no
+    target the scan runs without building the generating set.
     """
     dim = t.dim
-    size = [0] * dim
-    targets: set[int] = set()
-    for (i, j), terms in t.brackets.items():
-        size[i] += 1
-        size[j] += 1
-        targets.update(k for k, _ in terms)
-    if 3 * (dim - len(targets)) > dim:
+    if 3 * sum(not pairs for pairs in index.by_target) > dim:
         return False
-    gens = extend_to_generators(t, (), sorted(range(dim), key=lambda i: -size[i]))
-    return not any(pairs for _, pairs in _leibniz_failures(t, ((g, -1) for g in gens)))
+    size = [len(k) for k in index.keys]
+    widest = max(range(dim), key=size.__getitem__, default=-1)
+    order = sorted(range(dim), key=lambda i: (i != widest, size[i]))
+    gens = list(islice(_greedy_generators(t, (), order), dim // 3 + 1))
+    if 3 * len(gens) > dim:
+        return False
+    return not any(pairs for _, pairs in _leibniz_failures(index, ((g, -1) for g in gens)))
 
 
 def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationReport:
@@ -537,15 +569,18 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
     derivations is a derivation, so S is a subalgebra; none of this uses
     the Jacobi identity, so it holds in any alternating algebra.  S then
     holds every right-normed bracket [g1, [g2, ..., gk]] of generators, and
-    extend_to_generators picks the generators so that these span the
-    table.  So every ad is a derivation, which for an alternating bracket
-    is the Jacobi identity.
+    _greedy_generators picks the generators so that these span the table.
+    So every ad is a derivation, which for an alternating bracket is the
+    Jacobi identity.
 
-    Otherwise, or when a generator's pass fails, the identity is checked
+    Otherwise, when a generator's pass fails, or when a generating set
+    would take more than dim/3 generators, the identity is checked
     on every basis triple: one pass per basis vector b_i, over the pairs
     i < j < k.  Violations come in lexicographic order, at most
-    max_violations of them.
+    max_violations of them; max_violations must be at least 1.
     """
+    if max_violations < 1:
+        raise ValueError(f"max_violations must be at least 1, got {max_violations}")
     messages: list[str] = []
     encoding_ok = True
     dim = t.dim
@@ -561,10 +596,11 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
                 encoding_ok = False
                 messages.append(f"stored zero coefficient in ({i}, {j})")
 
-    if encoding_ok and _jacobi_certified(t):
+    index = _LeibnizIndex(t)
+    if encoding_ok and _jacobi_certified(t, index):
         return ValidationReport(True, True, True, [], [])
     violations: list[tuple[int, int, int]] = []
-    for i, pairs in _leibniz_failures(t, ((i, i) for i in range(dim))):
+    for i, pairs in _leibniz_failures(index, ((i, i) for i in range(dim))):
         for j, k in pairs:
             violations.append((i, j, k))
             if len(violations) >= max_violations:
@@ -620,24 +656,32 @@ class _RightNormedSpan:
             candidates = [bracket(h, u) for u in new for h in self.gens]
 
 
-def extend_to_generators(
-    t: StructureTable, start: Sequence[int], candidates: Iterable[int] | None = None
-) -> list[int]:
-    """start, then each of candidates (default every basis position, lowest
-    first) outside the span of the right-normed brackets of the positions
-    chosen so far, until that span is all of t: for a Lie algebra, a
-    generating set of t.  candidates must run over every basis position."""
+def _greedy_generators(
+    t: StructureTable, start: Iterable[int], candidates: Iterable[int]
+) -> Iterator[int]:
+    """start, then each of candidates outside the span of the right-normed
+    brackets of the positions yielded so far, until that span is all of t.
+    candidates must run over every basis position, or the span may fall
+    short of t.  Each position is yielded before it is adjoined, so a
+    caller that stops taking them pays for no further extension."""
     closure = _RightNormedSpan(t)
-    gens = list(start)
-    for i in gens:
+    for i in start:
+        yield i
         closure.adjoin(i)
-    for i in range(t.dim) if candidates is None else candidates:
+    one = t.field.one
+    for i in candidates:
         if closure.span.rank == t.dim:
-            break
-        if closure.span.reduce({i: t.field.one}):
-            gens.append(i)
+            return
+        if closure.span.reduce({i: one}):
+            yield i
             closure.adjoin(i)
-    return gens
+
+
+def extend_to_generators(t: StructureTable, start: Sequence[int]) -> list[int]:
+    """start, then each basis position, lowest first, outside the span of
+    the right-normed brackets of the positions chosen so far, until that
+    span is all of t: for a Lie algebra, a generating set of t."""
+    return list(_greedy_generators(t, start, range(t.dim)))
 
 
 def derived_subalgebra(t: StructureTable, s: Subspace) -> Subspace:
@@ -814,7 +858,7 @@ def check_structure_map(
                 return MapCheck("intertwining", f"[{labels[g]}, {labels[b]}]")
     if len(genset) == src.dim:
         return MapCheck()
-    for g, pairs in _leibniz_failures(src, ((g, -1) for g in gens)):
+    for g, pairs in _leibniz_failures(_LeibnizIndex(src), ((g, -1) for g in gens)):
         if pairs:
             a, b = pairs[0]
             return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")

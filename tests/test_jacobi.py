@@ -1,13 +1,13 @@
 """validate_table against the triple-by-triple oracle.  A Lie table is
 decided by the generator certificate, one Leibniz pass over all pairs per
-generator, and any other table by the Leibniz-rule kernel, one pass per
-basis vector.  Checked on random alternating tables over F_2, F_3, F_5, F_4
-and F_9, on real tables with one coefficient perturbed, on real tables
-rewritten in a random basis (brackets of many terms), on tables built with
-StructureTable itself, whose brackets may repeat a target, and on every
-builder shape of dimension at most 125; and the derivation step of
-check_structure_map, which must name the first pair on which each generator
-meets a Jacobi violation."""
+generator, unless it would take more than dim/3 generators, and any other
+table by the Leibniz-rule kernel, one pass per basis vector.  Checked on
+random alternating tables over F_2, F_3, F_5, F_4 and F_9, on real tables
+with one coefficient perturbed, on real tables rewritten in a random basis
+(brackets of many terms), on tables built with StructureTable itself, whose
+brackets may repeat a target, and on every builder shape of dimension at
+most 125; and the derivation step of check_structure_map, which must name
+the first pair on which each generator meets a Jacobi violation."""
 
 import random
 
@@ -30,7 +30,6 @@ from thinlie.liealg import (
     ValidationReport,
     change_basis,
     check_structure_map,
-    extend_to_generators,
     rref,
     subalgebra_generated,
     validate_table,
@@ -185,16 +184,21 @@ def test_malformed_table_reports_without_raising():
 # ---------------------------------------------------------------------------
 
 def _ad_row_order(table):
-    """Basis positions by descending ad-row size, ties by position."""
+    """The widest ad row first, then every other basis position in
+    ascending ad-row size; ties by position."""
     size = [0] * table.dim
     for i, j in table.brackets:
         size[i] += 1
         size[j] += 1
-    return sorted(range(table.dim), key=lambda i: -size[i])
+    widest = max(range(table.dim), key=lambda i: size[i])
+    return [widest] + sorted((i for i in range(table.dim) if i != widest), key=lambda i: size[i])
 
 
 def _certificate_generators(table):
-    return extend_to_generators(table, (), _ad_row_order(table))
+    """The certificate's generators, or None when it would take more than
+    dim/3 of them: then the guard stops the extension and the scan runs."""
+    gens = list(liealg._greedy_generators(table, (), _ad_row_order(table)))
+    return None if 3 * len(gens) > table.dim else gens
 
 
 @pytest.fixture
@@ -203,12 +207,12 @@ def passes(monkeypatch):
     ran = []
     kernel = liealg._leibniz_failures
 
-    def recording(t, scans):
+    def recording(index, scans):
         def record():
             for scan in scans:
                 ran.append(scan)
                 yield scan
-        return kernel(t, record())
+        return kernel(index, record())
 
     monkeypatch.setattr(liealg, "_leibniz_failures", recording)
     return ran
@@ -217,7 +221,7 @@ def passes(monkeypatch):
 def _scan_report(table, cap=10):
     """validate_table with the certificate switched off: the triple scan."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(liealg, "_jacobi_certified", lambda t: False)
+        mp.setattr(liealg, "_jacobi_certified", lambda t, index: False)
         return validate_table(table, cap)
 
 
@@ -225,8 +229,13 @@ def _scan_report(table, cap=10):
 def test_lie_table_is_decided_by_generator_passes(table, passes):
     assert validate_table(table) == ValidationReport(True, True, True, [], [])
     gens = _certificate_generators(table)
+    if gens is None:
+        # Albert-Frank over F_9 takes five generators of nine in the
+        # certificate's order, so the guard sends it to the scan
+        assert table is REAL[2]
+        assert passes == [(i, i) for i in range(table.dim)]
+        return
     assert passes == [(g, -1) for g in gens]
-    assert len(gens) < table.dim
     assert subalgebra_generated(table, [table.basis_element(g) for g in gens]).dim == table.dim
 
 
@@ -243,35 +252,55 @@ def test_perturbed_table_reaches_the_full_scan(table, passes):
         aborted = [ABORTED] if len(full) >= cap else []
         assert validate_table(bad, cap) == ValidationReport(False, True, False, want, aborted)
         cut = next(n for n, (_, lo) in enumerate(passes) if lo != -1)
-        assert cut and all(lo == -1 for _, lo in passes[:cut])
+        gens = _certificate_generators(bad)
+        # the generator passes up to the first that fails, none when the
+        # guard stops the extension
+        assert bool(cut) == (gens is not None)
+        assert passes[:cut] == [(g, -1) for g in (gens or [])[:cut]]
         scanned = passes[cut:]
         assert scanned == [(i, i) for i in range(len(scanned))]
         if cap == 10 ** 6:
             assert len(scanned) == bad.dim
 
 
-# the certificate's generators are [3, 2, 1] and [1, 2], and the pass of only
-# the first, respectively the last, of them fails
-ONE_FAILING_PASS = {
-    "first": (6, {(1, 3): [(4, 1)], (2, 3): [(5, 1)], (2, 5): [(0, 1)], (3, 4): [(2, 2)]}),
-    "last": (5, {(0, 1): [(4, 1)], (1, 2): [(3, 1)], (1, 3): [(0, 2)], (2, 3): [(1, 2)]}),
-}
+# W(1;2) at p = 3 with one added to the coefficient of the target in the
+# bracket at the key: the certificate's generators are [0, 7] (E_-1 and
+# E_6) in both, and the pass of only the first, respectively the last, of
+# them fails
+ONE_FAILING_PASS = {"first": ((0, 1), 1), "last": ((7, 8), 0)}
 
 
 @pytest.mark.parametrize("which", sorted(ONE_FAILING_PASS))
 def test_every_generator_pass_counts(which, passes):
-    dim, brackets = ONE_FAILING_PASS[which]
-    f3 = field_create(3)
-    table = StructureTable.from_entries(
-        f3, [f"b{i}" for i in range(dim)],
-        [(i, j, [(k, f3.element(c)) for k, c in terms]) for (i, j), terms in brackets.items()])
+    key, target = ONE_FAILING_PASS[which]
+    table = _with_coefficient(REAL[0], key, target, REAL[0].field.one)
     gens = _certificate_generators(table)
-    failing = [g for g, pairs in liealg._leibniz_failures(table, ((g, -1) for g in gens)) if pairs]
+    assert gens is not None and len(gens) > 1
+    index = liealg._LeibnizIndex(table)
+    failing = [g for g, pairs in liealg._leibniz_failures(index, ((g, -1) for g in gens)) if pairs]
     assert failing == [gens[0] if which == "first" else gens[-1]]
     passes.clear()
     for cap in (1, 10, 10 ** 6):
         check_against_oracle(table, cap)
     assert (gens[0], -1) in passes
+
+
+def test_index_is_built_once_per_validation(monkeypatch):
+    # the certificate and the scan it falls back to read the same index
+    built = []
+
+    class Counting(liealg._LeibnizIndex):
+        __slots__ = ()
+
+        def __init__(self, t):
+            built.append(t)
+            super().__init__(t)
+
+    monkeypatch.setattr(liealg, "_LeibnizIndex", Counting)
+    table = REAL[0]
+    bad = _with_coefficient(table, (0, 1), 1, table.field.one)
+    assert validate_table(table).ok and not validate_table(bad).ok
+    assert built == [table, bad]
 
 
 def test_encoding_failure_skips_the_certificate(passes):
@@ -294,7 +323,7 @@ def test_abelian_table_goes_straight_to_the_scan(passes, monkeypatch):
     def extension(*args):
         raise AssertionError("the generating set is not needed")
 
-    monkeypatch.setattr(liealg, "extend_to_generators", extension)
+    monkeypatch.setattr(liealg, "_RightNormedSpan", extension)
     assert validate_table(table) == ValidationReport(True, True, True, [], [])
     assert passes == [(i, i) for i in range(30)]
 
@@ -326,7 +355,7 @@ def test_rewritten_tables_match_oracle(case):
     table, rng = case
     for cap in (1, 10, 10 ** 6):
         check_against_oracle(table, cap)
-    gens = _certificate_generators(table)
+    gens = _certificate_generators(table) or []
     others = [i for i in range(table.dim) if i not in gens]
     if len(others) < 2:
         return
@@ -362,11 +391,52 @@ SWEEP = _builder_sweep()
 def test_certificate_agrees_with_the_scan(builder, args, passes):
     table = builder(*args)
     gens = _certificate_generators(table)
-    assert subalgebra_generated(table, [table.basis_element(g) for g in gens]).dim == table.dim
+    if gens is not None:
+        assert subalgebra_generated(table, [table.basis_element(g) for g in gens]).dim == table.dim
     scan = _scan_report(table)
     passes.clear()
     assert validate_table(table) == scan
     # the certificate decides unless more than a third of the basis is no
-    # bracket target, as in W(1;1) at p = 2
+    # bracket target, as in W(1;1) at p = 2, or the guard stops the extension
     untargeted = table.dim - len({k for terms in table.brackets.values() for k, _ in terms})
-    assert scan.ok and (3 * untargeted > table.dim) == any(lo != -1 for _, lo in passes)
+    scanned = 3 * untargeted > table.dim or gens is None
+    assert scan.ok and scanned == any(lo != -1 for _, lo in passes)
+
+
+@pytest.mark.parametrize("builder, args", [c[1:] for c in SWEEP], ids=[c[0] for c in SWEEP])
+def test_mutation_at_non_generators_is_found(builder, args):
+    # a cheaper generating set must hide no violation: one coefficient
+    # changed in the bracket of two basis vectors that are not generators
+    table = builder(*args)
+    gens = _certificate_generators(table) or []
+    others = [i for i in range(table.dim) if i not in gens]
+    key = next((k for k in sorted(table.brackets) if k[0] in others and k[1] in others),
+               (others[0], others[1]))
+    target = table.brackets[key][0][0] if key in table.brackets else 0
+    bad = _with_coefficient(table, key, target, table.field.one)
+    for cap in (1, 10 ** 6):
+        check_against_oracle(bad, cap)
+
+
+def test_guard_stops_the_extension(passes):
+    # H(2;(1,1))^(2) at p = 7: in the certificate's order 44 of the 47 basis
+    # vectors are generators, so the guard stops at the 16th and the scan runs
+    table = build_H2_second_derived(7, 1, 1)
+    untargeted = table.dim - len({k for terms in table.brackets.values() for k, _ in terms})
+    assert 3 * untargeted <= table.dim
+    assert len(list(liealg._greedy_generators(table, (), _ad_row_order(table)))) == 44
+    report = validate_table(table)
+    assert report == ValidationReport(True, True, True, oracle_jacobi_violations(table, 10), [])
+    assert passes == [(i, i) for i in range(table.dim)]
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_violation_cap_below_one_is_rejected(cap):
+    # one perturbed coefficient of W(1;1) at p = 3 has a violation, which a
+    # cap of 0 would have to leave out
+    table = build_W1n(3, 1)
+    key = sorted(table.brackets)[0]
+    bad = _with_coefficient(table, key, table.brackets[key][0][0], table.field.one)
+    assert oracle_jacobi_violations(bad, 1)
+    with pytest.raises(ValueError, match="max_violations"):
+        validate_table(bad, cap)
