@@ -21,6 +21,12 @@ asked for, its FieldSpec builds from the polynomial kernels _mul, _add and _neg:
 After that every operator is a few integer lookups returning a shared
 element: no arithmetic allocates.  Mixing elements of two fields raises
 ValueError.
+
+One kernel outside this module reads the tables directly: liealg.bracket
+does its products and sums on logs through _arith, the tuple
+(exp, zech, q-1, log(-1)) read in one lookup, and coerces each coefficient
+as the operators do.  liealg's Leibniz index reads only each element's log
+and coordinates and builds its own product table from them.
 """
 
 from __future__ import annotations
@@ -122,6 +128,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "k", "modulus", "_hash", "_elements", "_exp", "_zech", "_units", "_zero_log", "_neg_one",
+        "_arith",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
@@ -130,6 +137,7 @@ class FieldSpec:
         self.modulus = modulus
         self._hash = hash((p, k, modulus))
         self._elements: list[FieldElement] | None = None
+        self._arith: tuple[list[FieldElement], list[int], int, int] | None = None
 
     @property
     def size(self) -> int:
@@ -199,6 +207,7 @@ class FieldSpec:
         self._units = n
         self._zero_log = 2 * n
         self._neg_one = logs[index[self._neg(one)]]
+        self._arith = (self._exp, self._zech, n, self._neg_one)
         self._elements = elements
         return elements
 
@@ -238,15 +247,6 @@ class FieldSpec:
     def elements(self) -> Iterator[FieldElement]:
         """All field elements in canonical order (base-p digits, ascending)."""
         return iter(self._elements or self._build())
-
-    def element_by_index(self, m: int) -> FieldElement:
-        return (self._elements or self._build())[m % self.size]
-
-    def index_of(self, a: FieldElement) -> int:
-        m = 0
-        for c in reversed(a.coords):
-            m = m * self.p + c
-        return m
 
     # -- coordinate kernels (table construction) -------------------------------
 

@@ -99,9 +99,6 @@ class StructureTable:
         terms = self.brackets.get((j, i), ())
         return tuple((k, -c) for k, c in terms)
 
-    def zero_element(self) -> "Element":
-        return Element(self, {})
-
     def basis_element(self, i: int) -> "Element":
         return Element(self, {i: self.field.one})
 
@@ -193,24 +190,70 @@ class Element:
 
 
 def bracket(u: Element, v: Element) -> Element:
-    """Bilinear, alternating extension of the stored basis brackets."""
-    if u.table is not v.table:
-        raise TableMismatch("elements live on different structure tables")
+    """Bilinear, alternating extension of the stored basis brackets.
+
+    All scalar work is integer arithmetic on the field's discrete logs
+    (FieldSpec._arith), with n = |F| - 1 units and zero at log 2n: a product
+    is exp[log a + log b], a sum g^a + g^b is g^(a + zech[b - a]), and
+    [b_i, b_j] for i > j is the stored (j, i) bracket times -1, that is
+    + log(-1) on the scalar.  Each coefficient of u and v is first coerced
+    into the table's field as the FieldElement operators coerce an operand,
+    so an element of another field raises ValueError.  Zero coefficients
+    of u and v, stored zero coefficients and diagonal pairs contribute
+    nothing.  The result holds the field's shared elements, keyed in order
+    of first nonzero contribution: a target whose sum cancels is deleted,
+    so one that reappears moves to the end.
+    """
     table = u.table
+    if v.table is not table:
+        raise TableMismatch("elements live on different structure tables")
+    field = table.field
+    if field._arith is None:
+        field._build()
+    exp, zech, n, neg_one = field._arith
+    zero = n + n
+    vs = []
+    for j, b in v.coords.items():
+        if b.__class__ is not FieldElement or b.spec is not field:
+            b = field.element(b)
+        if b.log != zero:
+            vs.append((j, b.log))
+    brackets = table.brackets
     out: dict[int, FieldElement] = {}
-    for i, ci in u.coords.items():
-        for j, cj in v.coords.items():
-            terms = table.basis_bracket(i, j)
-            if not terms:
+    get = out.get
+    for i, a in u.coords.items():
+        if a.__class__ is not FieldElement or a.spec is not field:
+            a = field.element(a)
+        a = a.log
+        if a == zero:
+            continue
+        for j, b in vs:
+            if i < j:
+                terms = brackets.get((i, j))
+                if not terms:
+                    continue
+                c = (a + b) % n
+            elif i > j:
+                terms = brackets.get((j, i))
+                if not terms:
+                    continue
+                c = (a + b + neg_one) % n
+            else:
                 continue
-            c = ci * cj
             for k, ck in terms:
-                s = out.get(k)
-                s = c * ck if s is None else s + c * ck
-                if s:
-                    out[k] = s
+                e = c + ck.log
+                if e >= zero:  # a stored zero coefficient
+                    continue
+                s = get(k)
+                if s is None:
+                    out[k] = exp[e]
                 else:
-                    out.pop(k, None)
+                    x = s.log
+                    e = x + zech[e - x]
+                    if e < zero:
+                        out[k] = exp[e]
+                    else:  # cancelled: a later term re-adds k at the end
+                        del out[k]
     return Element(table, out)
 
 
@@ -373,9 +416,6 @@ class Subspace:
 
     def contains(self, elem: Element) -> bool:
         return not self.echelon.reduce(elem.coords)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(e) for e in other.basis_elements())
 
     def basis_elements(self) -> list[Element]:
         rows = self.echelon.rows

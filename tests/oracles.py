@@ -4,7 +4,8 @@ These deliberately avoid the code paths they verify: binomials come from a
 Pascal triangle, Poisson coefficients from explicit divided-power calculus
 on untruncated monomial dictionaries, Cartan structure tables pair by pair
 from those coefficients and Lucas binomials, congruences from linear scans,
-reduced echelon forms from a dense Gauss-Jordan pass over whole rows, Jacobi
+reduced echelon forms from a dense Gauss-Jordan pass over whole rows,
+brackets of elements through the FieldElement operators, Jacobi
 violations from a visit to every basis triple, covering from every
 projective line of a two-dimensional component, eigen-table products
 from the closed formula checked pair by pair, and thin reports from the
@@ -16,6 +17,12 @@ from math import comb
 
 Mono = tuple[int, int]
 Poly = dict[Mono, int]
+
+
+def element_by_index(field, m: int):
+    """The element at position m of field.elements(), the one whose
+    coordinates are the base-p digits of m."""
+    return list(field.elements())[m]
 
 
 def pascal_binom(a: int, b: int, p: int) -> int:
@@ -231,6 +238,32 @@ def oracle_jacobi_violations(table, cap):
                     if len(violations) >= cap:
                         return violations
     return violations
+
+
+def oracle_bracket(u, v):
+    """Bilinear, alternating extension of the stored basis brackets, through
+    the FieldElement operators and StructureTable.basis_bracket."""
+    from thinlie.errors import TableMismatch
+    from thinlie.liealg import Element
+
+    if u.table is not v.table:
+        raise TableMismatch("elements live on different structure tables")
+    table = u.table
+    out = {}
+    for i, ci in u.coords.items():
+        for j, cj in v.coords.items():
+            terms = table.basis_bracket(i, j)
+            if not terms:
+                continue
+            c = ci * cj
+            for k, ck in terms:
+                s = out.get(k)
+                s = c * ck if s is None else s + c * ck
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+    return Element(table, out)
 
 
 def oracle_covering_failures(expansion, X, Y):

@@ -94,8 +94,9 @@ def test_w1n_jacobi():
 def test_group_basis_brackets():
     f3 = field_create(3)
     group, transition = zassenhaus_group_basis(3, 1, f3)
-    e1 = group.basis_element(f3.index_of(f3.element(1)))
-    e2 = group.basis_element(f3.index_of(f3.element(2)))
+    # e_a sits at the canonical index of a, its coordinate over F_3
+    e1 = group.basis_element(f3.element(1).coords[0])
+    e2 = group.basis_element(f3.element(2).coords[0])
     e0 = group.basis_element(0)
     assert bracket(e1, e2) == e0  # (2 - 1) e_{1+2} = e_0
     assert not bracket(e1, e1)

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_covering_failures
+from oracles import element_by_index, oracle_covering_failures
 from thinlie.cartan import build_H2_phi1
 from thinlie.ffield import field_create
 from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_finite
@@ -97,7 +97,7 @@ def plane_slots(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
 
     def scalar(lo=0):
-        return field.element_by_index(rng.randrange(lo, field.size))
+        return element_by_index(field, rng.randrange(lo, field.size))
 
     if draw(st.booleans()):
         target = [{W0: field.one, W1: scalar()}]

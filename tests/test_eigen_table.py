@@ -169,7 +169,7 @@ def test_certificate_fails_on_zero_images():
     # the zero map intertwines every bracket; only the rank shows it
     basis = _finite_basis(field_create(3, 2).generator())
     gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
-    zero = basis.table.zero_element()
+    zero = basis.table.element({})
     cert = check_structure_map(basis.eigen_table, basis.table, [zero] * 9, gens)
     assert cert.check == "rank"
     assert "0 of 9" in cert.detail

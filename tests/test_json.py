@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import element_by_index
 from thinlie.ffield import FieldSpec, field_create
 from thinlie.liealg import DegreeMap, StructureTable
 
@@ -19,7 +20,7 @@ def text(obj) -> str:
 
 
 def scalars(field):
-    return st.integers(0, field.size - 1).map(field.element_by_index)
+    return st.integers(0, field.size - 1).map(lambda m: element_by_index(field, m))
 
 
 @st.composite

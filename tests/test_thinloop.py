@@ -194,7 +194,7 @@ def test_infinite_type_consistency():
             v = expansion.component(rec.degree - 1).basis_elements()[0]
             c1 = bracket(bracket(v, rep.generators.X), rep.generators.Y)
             c2 = bracket(bracket(v, rep.generators.Y), rep.generators.X)
-            assert c1 and c1 + c2 == table.zero_element()
+            assert c1 and c1 + c2 == table.element({})
 
 
 def test_centralizer_chain_verdicts():
