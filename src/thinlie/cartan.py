@@ -125,10 +125,11 @@ def build_W1n(p: int, n: int, field: FieldSpec | None = None) -> StructureTable:
 
 def zassenhaus_group_basis(
     p: int, n: int, field: FieldSpec
-) -> tuple[StructureTable, list[list[FieldElement]]]:
+) -> tuple[StructureTable, list[dict[int, FieldElement]]]:
     """W(1;n) on the basis e_alpha indexed by F_{p^n}, plus the transition.
 
-    The transition rows express e_alpha in E_i coordinates:
+    transition[m] holds the nonzero E-coordinates of the m-th e_alpha, as
+    {position of E_i: coefficient} with E_i at position i + 1:
     e_alpha = E_{p^n-2} + sum_{i=-1}^{p^n-2} alpha^(i+1) E_i, with 0^0 = 1.
     """
     if field.p != p or field.k != n:
@@ -148,13 +149,12 @@ def zassenhaus_group_basis(
     dim = p ** n
     transition = []
     for alpha in alphas:
-        row = [field.zero] * dim
         power = field.one  # alpha^(i+1) starting at i = -1, with 0^0 = 1
+        coords = {}
         for pos in range(dim):
-            row[pos] = power
+            coords[pos] = power + field.one if pos == dim - 1 else power
             power = power * alpha
-        row[dim - 1] = row[dim - 1] + field.one
-        transition.append(row)
+        transition.append({pos: c for pos, c in coords.items() if c})
     return table, transition
 
 

@@ -4,10 +4,12 @@ Commands: construct, grade, verify, suite.  Outputs are the JSON schemas of
 the underlying objects; verify runs the drivers of thinlie.verify and exits
 0 only when every verdict passes and the diamond pattern matches the
 prediction for the selected grading; grade --grading finite exits 1 on a
-failed eigen-table certificate.  --n1, --n2 and --field-k must be positive.
-Exit codes: 0 full pass, 1 verification failure, 2 configuration error, 3
-internal error (an unexpected exception, reported as `internal error:
-<Type>: <message>` after its traceback on stderr).
+failed eigen-table certificate, and grade prints no degree map that fails
+validate_grading (exit 2, as verify through loop_expand).  --n1, --n2 and
+--field-k must be positive.  Exit codes: 0 full pass, 1 verification
+failure, 2 configuration error, 3 internal error (an unexpected exception,
+reported as `internal error: <Type>: <message>` after its traceback on
+stderr).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .cartan import (
 from .errors import ThinlieError
 from .ffield import FieldElement, FieldSpec, field_create, frobenius
 from .grading import ToralParams, eigenbasis, grade_finite, grade_mixed, params_from_mu3, toral_params
-from .liealg import StructureTable, validate_table
-# re-exported with VerifyRun; cmd_verify calls the drivers through these names
-from .verify import VerifyRun, run_eps_zero, run_finite, run_mixed, run_sigma_zero  # noqa: F401
+from .liealg import StructureTable, validate_grading, validate_table
+# cmd_verify and perfbench call the run_* functions through these names
+from .verify import run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,10 @@ def cmd_grade(args) -> int:
         if not (basis.partial or basis.certificate):
             print(f"eigen table certificate: {basis.certificate}")
             return 1
+        table = basis.eigen_table
         dm = grade_finite(basis)
+    if not validate_grading(table, dm):
+        raise ValueError("degree map is not compatible with the table")
     _write_out(args, dm.to_json())
     print(f"modulus: {dm.modulus}")
     return 0

@@ -16,6 +16,8 @@ the two residues r mod (q-1) and s mod p into a degree modulo (q-1)p.  The
 resulting loop algebra has diamond types in arithmetic progression with
 step sigma/rho, so prescribing the third type mu3 outside the prime field
 pins (sigma, rho) down exactly; params_from_mu3 inverts that prescription.
+No function here checks a degree map against its table: loop_expand does,
+once per expansion (liealg.validate_grading).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .liealg import (
     check_structure_map,
     extend_to_generators,
     subalgebra_table,
-    validate_grading,
 )
 
 
@@ -61,11 +62,7 @@ def grade_mixed(table: StructureTable, q: int, r: int) -> DegreeMap:
     if list(table.labels) != [monomial_label(i, j) for i, j in mons]:
         raise ValueError("table is not a Phi(1) monomial table for these parameters")
     n = (q - 1) * r
-    degrees = tuple(((1 - q) * i - j + q) % n for i, j in mons)
-    dm = DegreeMap(n, degrees)
-    if not validate_grading(table, dm):
-        raise AssertionError("mixed degree map fails bracket compatibility")
-    return dm
+    return DegreeMap(n, tuple(((1 - q) * i - j + q) % n for i, j in mons))
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +173,6 @@ class EigenBasis:
     @property
     def labels(self) -> list[str]:
         return [f"e[{r},{a}]" for r, _, a in self.entries]
-
-    @property
-    def rows(self) -> list[list[FieldElement]]:
-        """The eigenvectors as dense coordinate rows in the monomial basis."""
-        return [list(v.dense()) for v in self.vectors]
 
     def position(self, r: int, s: int) -> int:
         for m, (rr, ss, _) in enumerate(self.entries):
@@ -295,7 +287,7 @@ def closed_eigen_table(basis: EigenBasis) -> StructureTable:
     return StructureTable(fieldspec, basis.labels, brackets)
 
 
-def grade_finite(basis: EigenBasis, q: int | None = None, p: int | None = None) -> DegreeMap:
+def grade_finite(basis: EigenBasis) -> DegreeMap:
     """Degrees modulo (q-1)p from r mod (q-1) and s mod p, normalized so the
     distinguished generators X = e[1, rho+sigma] and Y = e[2-q, 2rho+sigma]
     sit in degree one."""
@@ -303,8 +295,7 @@ def grade_finite(basis: EigenBasis, q: int | None = None, p: int | None = None) 
         raise ValueError("grade_finite requires a full eigenbasis")
     if basis.params.n1 != 1:
         raise ValueError("the toral degree rule is implemented for n1 = 1 only")
-    p = p or basis.params.p
-    q = q or basis.q
+    p, q = basis.params.p, basis.q
     n = (q - 1) * p
     raw = [combine_residues(r % (q - 1), s, q) for r, s, _ in basis.entries]
     x_pos = basis.position(1, 1)
@@ -314,8 +305,6 @@ def grade_finite(basis: EigenBasis, q: int | None = None, p: int | None = None) 
     y_pos = basis.position(2 - q, 1)
     if degrees[y_pos] != 1:
         raise AssertionError("Y does not land in degree one")
-    if not validate_grading(basis.eigen_table, dm):
-        raise AssertionError("toral degree map fails bracket compatibility")
     return dm
 
 
@@ -336,8 +325,6 @@ def sigma_zero_subalgebra(basis: EigenBasis) -> tuple[StructureTable, DegreeMap,
     sub = subalgebra_table(basis.table, basis.vectors, basis.labels)
     degrees = tuple((r % (q - 1)) for r, _, _ in basis.entries)
     dm = DegreeMap(q - 1, degrees)
-    if not validate_grading(sub, dm):
-        raise AssertionError("sigma = 0 slice grading fails bracket compatibility")
     x_pos = basis.position(1, 0)
     y_pos = basis.position(2 - q, 0)
     return sub, dm, x_pos, y_pos

@@ -7,9 +7,7 @@ through one incremental echelon kernel, Echelon, whose reduced form is
 canonical over an exact field, so subspace equality is matrix equality.
 Echelon takes and returns sparse {column: coefficient} dicts, the same
 coordinates an Element stores, so its cost follows the supports of the
-vectors rather than the dimension; dense rows are converted once, where
-they enter (rref, Subspace.from_rows, change_basis), and Subspace.rows is a
-dense view computed only when it is read.
+vectors rather than the dimension; there is no dense-row form.
 validate_table and check_structure_map share one Leibniz-rule kernel, a
 pass per basis vector over sparse ad rows, whose cost follows the nonzero
 bracket compositions rather than the number of basis triples; its index of
@@ -32,8 +30,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from .ffield import FieldElement, FieldSpec
-
-Row = tuple[FieldElement, ...]
 
 
 class StructureTable:
@@ -175,10 +171,6 @@ class Element:
     def __rmul__(self, c: FieldElement) -> "Element":
         return self.scale(c)
 
-    def dense(self) -> Row:
-        zero = self.table.field.zero
-        return tuple(self.coords.get(i, zero) for i in range(self.table.dim))
-
     def __repr__(self) -> str:
         if not self.coords:
             return "0"
@@ -264,11 +256,6 @@ def bracket(u: Element, v: Element) -> Element:
 Vec = dict[int, FieldElement]
 
 
-def _sparse(row: Sequence[FieldElement]) -> Vec:
-    """The nonzero entries of a dense row."""
-    return {i: c for i, c in enumerate(row) if c}
-
-
 def _combine(pairs: Iterable[tuple[FieldElement, Vec]]) -> Vec:
     """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs."""
     out: Vec = {}
@@ -351,39 +338,21 @@ class Echelon:
         self.rows[pc] = new
         return True
 
-    def dense_rows(self) -> list[Row]:
-        """The rows as dense tuples of length ncols, in pivot order."""
-        zero, rows = self.field.zero, self.rows
-        return [tuple(rows[pc].get(i, zero) for i in range(self.ncols)) for pc in self.pivots]
-
-
-def rref(field: FieldSpec, rows: Iterable[Sequence[FieldElement]]) -> list[list[FieldElement]]:
-    """Reduced row echelon form with unit pivots of dense rows; zero rows dropped."""
-    rows = list(rows)
-    ech = Echelon(field, len(rows[0]) if rows else 0, map(_sparse, rows))
-    return [list(r) for r in ech.dense_rows()]
-
 
 class Subspace:
     """A subspace of a table's underlying vector space.
 
     echelon holds it in reduced echelon form and must not change after
     construction.  Its sparse rows are canonical, so two subspaces are equal
-    (and hash alike) exactly when their rows are.  rows, the same rows as
-    dense tuples in pivot order, is computed only when it is read.
+    (and hash alike) exactly when their rows are.
     """
 
-    __slots__ = ("table", "echelon", "pivots", "_dense")
+    __slots__ = ("table", "echelon", "pivots")
 
     def __init__(self, table: StructureTable, echelon: Echelon):
         self.table = table
         self.echelon = echelon
         self.pivots = tuple(echelon.pivots)
-        self._dense: tuple[Row, ...] | None = None
-
-    @classmethod
-    def from_rows(cls, table: StructureTable, rows: Iterable[Sequence[FieldElement]]) -> "Subspace":
-        return cls(table, Echelon(table.field, table.dim, map(_sparse, rows)))
 
     @classmethod
     def from_elements(cls, table: StructureTable, elements: Iterable[Element]) -> "Subspace":
@@ -396,12 +365,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        if self._dense is None:
-            self._dense = tuple(self.echelon.dense_rows())
-        return self._dense
 
     def __eq__(self, other) -> bool:
         return (
@@ -778,22 +741,33 @@ def _nullspace(field: FieldSpec, constraints: list[Vec], m: int) -> list[Vec]:
 
 
 def quotient_by_ideal(t: StructureTable, ideal: Subspace) -> StructureTable:
-    """Structure table on the coordinate complement of a bracket-stable ideal."""
+    """Structure table on the coordinate complement of a bracket-stable ideal.
+
+    The product of two kept basis vectors is their stored bracket reduced
+    modulo the ideal; keep ascends, so each pair is read at its (i < j) key.
+    """
+    ideal_basis = ideal.basis_elements()
     for i in range(t.dim):
         bi = t.basis_element(i)
-        for w in ideal.basis_elements():
+        for w in ideal_basis:
             if not ideal.contains(bracket(bi, w)):
                 raise NotAnIdeal("subspace is not bracket-stable under the full algebra")
     pivset = set(ideal.pivots)
     keep = [i for i in range(t.dim) if i not in pivset]
     pos = {c: n for n, c in enumerate(keep)}
     labels = [t.labels[c] for c in keep]
+    brackets = t.brackets
     entries = []
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
-            w = bracket(t.basis_element(keep[a]), t.basis_element(keep[b]))
+            stored = brackets.get((keep[a], keep[b]))
+            if not stored:
+                continue
+            w: Vec = {}
+            for k, c in stored:  # a hand-built bracket may repeat a target
+                w[k] = w[k] + c if k in w else c
             # the residual lives on the non-pivot columns, that is on keep
-            terms = [(pos[c], x) for c, x in ideal.echelon.reduce(w.coords).items()]
+            terms = [(pos[c], x) for c, x in ideal.echelon.reduce(w).items()]
             if terms:
                 entries.append((a, b, terms))
     return StructureTable.from_entries(t.field, labels, entries)
@@ -913,7 +887,7 @@ def check_structure_map(
 
 
 # ---------------------------------------------------------------------------
-# base change and subalgebra tables
+# subalgebra tables
 # ---------------------------------------------------------------------------
 
 def _augmented_echelon(field: FieldSpec, rows: Sequence[Vec], n: int) -> Echelon | None:
@@ -922,31 +896,6 @@ def _augmented_echelon(field: FieldSpec, rows: Sequence[Vec], n: int) -> Echelon
     one = field.one
     aug = Echelon(field, n + len(rows), ({**r, n + i: one} for i, r in enumerate(rows)))
     return None if any(pc >= n for pc in aug.pivots) else aug
-
-
-def change_basis(t: StructureTable, rows: Sequence[Sequence[FieldElement]], labels: Sequence[str]) -> StructureTable:
-    """Rewrite the table in a new basis given by full-rank coordinate rows.
-
-    Each bracket of two new basis vectors is pushed through the sparse rows
-    of the inverse matrix, the right half of the echelon form of [A | I].
-    """
-    n = t.dim
-    if len(rows) != n:
-        raise ValueError("change of basis requires a square matrix")
-    sparse = [_sparse(r) for r in rows]
-    aug = _augmented_echelon(t.field, sparse, n)
-    if aug is None:
-        raise ValueError("matrix is singular")
-    inv = [{c - n: x for c, x in aug.rows[pc].items() if c >= n} for pc in aug.pivots]
-    elems = [Element(t, v) for v in sparse]
-    entries = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = bracket(elems[a], elems[b])
-            terms = _combine((c, inv[k]) for k, c in w.coords.items())
-            if terms:
-                entries.append((a, b, terms.items()))
-    return StructureTable.from_entries(t.field, labels, entries)
 
 
 def subalgebra_table(

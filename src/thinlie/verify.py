@@ -6,7 +6,6 @@ type; so characteristic two, where -1 = 1, needs no case of its own.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
@@ -76,14 +75,11 @@ class Grading:
     params: ToralParams | None = None
 
 
-def _resolve_depth(depth: int | None) -> int | None:
-    """The given depth, else THINLOOP_DEPTH, else None (thin_report's
-    default); a depth below one is a configuration error, never replaced."""
-    if depth is None and os.environ.get("THINLOOP_DEPTH"):
-        depth = int(os.environ["THINLOOP_DEPTH"])
+def _check_depth(depth: int | None) -> None:
+    """Reject a depth below one; None is thin_report's default, never a
+    replacement for a bad value."""
     if depth is not None and depth < 1:
         raise ThinlieError(f"expansion depth must be positive, got {depth}")
-    return depth
 
 
 def _check_q(q: int) -> None:
@@ -174,7 +170,7 @@ def run_mixed(p: int, n1: int, n2: int, depth: int | None = None) -> VerifyRun:
     """
     q, r = p ** n2, p ** n1
     _check_q(q)
-    depth = _resolve_depth(depth)
+    _check_depth(depth)
     modulus = (q - 1) * r
     fieldspec = field_create(p)
     table = build_H2_phi1(p, n1, n2, fieldspec, 1)
@@ -205,7 +201,7 @@ def run_finite(
     """
     q = p ** n2
     _check_q(q)
-    depth = _resolve_depth(depth)
+    _check_depth(depth)
     if mu3 is not None:
         params = params_from_mu3(mu3)
     else:
@@ -229,7 +225,7 @@ def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
     (fake in characteristic two, where -1 = 1)."""
     q = p ** n2
     _check_q(q)
-    depth = _resolve_depth(depth)
+    _check_depth(depth)
     fieldspec = field_create(p)
     params = toral_params(fieldspec, 0, eps=1)  # rho = 1
     table = build_H2_phi1(p, 1, n2, fieldspec, 1)
@@ -255,7 +251,7 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
         raise ThinlieError("the ratio sigma/rho must be a nonzero element other than -1")
     q = p ** n2
     _check_q(q)
-    depth = _resolve_depth(depth)
+    _check_depth(depth)
     fieldspec = field_create(p)
     hhat = build_H2_phi1(p, 1, n2, fieldspec, 0)
     mismatches = []

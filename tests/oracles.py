@@ -5,7 +5,8 @@ Pascal triangle, Poisson coefficients from explicit divided-power calculus
 on untruncated monomial dictionaries, Cartan structure tables pair by pair
 from those coefficients and Lucas binomials, congruences from linear scans,
 reduced echelon forms from a dense Gauss-Jordan pass over whole rows,
-brackets of elements through the FieldElement operators, Jacobi
+changes of basis from those forms and dense inverse matrices, brackets of
+elements through the FieldElement operators, Jacobi
 violations from a visit to every basis triple, covering from every
 projective line of a two-dimensional component, eigen-table products
 from the closed formula checked pair by pair, and thin reports from the
@@ -23,6 +24,11 @@ def element_by_index(field, m: int):
     """The element at position m of field.elements(), the one whose
     coordinates are the base-p digits of m."""
     return list(field.elements())[m]
+
+
+def dense_row(field, ncols, coords):
+    """The dense row of length ncols of sparse {column: coefficient} coords."""
+    return [coords.get(i, field.zero) for i in range(ncols)]
 
 
 def pascal_binom(a: int, b: int, p: int) -> int:
@@ -193,6 +199,33 @@ def oracle_rref(field, rows):
         pivots.append(pc)
     order = sorted(range(len(out)), key=lambda r: pivots[r])
     return [out[r] for r in order]
+
+
+def change_basis(table, rows, labels):
+    """table rewritten in the basis whose E-coordinates are the dense rows:
+    each bracket of two new basis vectors by oracle_bracket, then written in
+    the new basis through the inverse matrix, the right half of
+    oracle_rref([rows | I]).  ValueError when the rows are not a basis."""
+    from thinlie.liealg import StructureTable
+
+    field, n = table.field, table.dim
+    if len(rows) != n:
+        raise ValueError("change of basis requires a square matrix")
+    unit = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+    aug = oracle_rref(field, [list(r) + e for r, e in zip(rows, unit)])
+    if [row[:n] for row in aug] != unit:
+        raise ValueError("matrix is singular")
+    inv = [row[n:] for row in aug]
+    new = [table.element(dict(enumerate(r))) for r in rows]
+    entries = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = oracle_bracket(new[a], new[b])
+            coords = [field.zero] * n
+            for k, c in w.coords.items():
+                coords = [x + c * y for x, y in zip(coords, inv[k])]
+            entries.append((a, b, [(m, c) for m, c in enumerate(coords) if c]))
+    return StructureTable.from_entries(field, labels, entries)
 
 
 def oracle_jacobi_violations(table, cap):

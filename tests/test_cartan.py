@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thinlie import cartan
+from thinlie import cartan, suite
 from thinlie.cartan import (
     AlbertFrankSpec,
     binom_mod_p,
@@ -19,11 +19,11 @@ from thinlie.cartan import (
     phi1_monomials,
     zassenhaus_group_basis,
 )
-from thinlie.errors import NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
+from thinlie.errors import CriterionFailed, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
 from thinlie.ffield import field_create, frobenius, in_prime_field
-from thinlie.liealg import DegreeMap, bracket, change_basis, validate_grading, validate_table
+from thinlie.liealg import DegreeMap, bracket, check_structure_map, validate_grading, validate_table
 
-from oracles import oracle_cartan_table, pascal_binom, poisson_coefficient
+from oracles import change_basis, dense_row, oracle_cartan_table, pascal_binom, poisson_coefficient
 
 
 def test_binom_examples():
@@ -101,7 +101,40 @@ def test_group_basis_brackets():
     assert bracket(e1, e2) == e0  # (2 - 1) e_{1+2} = e_0
     assert not bracket(e1, e1)
     w = build_W1n(3, 1, f3)
-    assert change_basis(w, transition, group.labels).brackets == group.brackets
+    rows = [dense_row(f3, w.dim, coords) for coords in transition]
+    assert change_basis(w, rows, group.labels).brackets == group.brackets
+
+
+@pytest.mark.parametrize("case,check", [
+    ((3, 1), "intertwining"), ((3, 2), "intertwining"), ((5, 1), "intertwining"), ((2, 2), "rank"),
+])
+def test_row_03_fails_on_a_one_coefficient_mutation(case, check, monkeypatch):
+    # e_0 = E_-1 + E_{p^n-2} loses its E_{p^n-2} coefficient in one case of the row
+    real = suite.zassenhaus_group_basis
+
+    def mutated(p, n, field):
+        group, transition = real(p, n, field)
+        if (p, n) == case:
+            del transition[0][p ** n - 1]
+        return group, transition
+
+    monkeypatch.setattr(suite, "zassenhaus_group_basis", mutated)
+    with pytest.raises(CriterionFailed, match=f"{check} fails"):
+        suite.criterion_03_basis_transition()
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (2, 2)])
+def test_every_one_coefficient_mutation_of_the_transition_fails(p, n):
+    field = field_create(p, n)
+    group, transition = zassenhaus_group_basis(p, n, field)
+    w = build_W1n(p, n, field)
+    assert check_structure_map(group, w, [w.element(c) for c in transition])
+    for m in range(len(transition)):
+        for k in range(w.dim):
+            for d in filter(None, field.elements()):
+                images = [w.element(c) for c in transition]
+                images[m] = w.element({**transition[m], k: transition[m].get(k, field.zero) + d})
+                assert not check_structure_map(group, w, images), (m, k, d)
 
 
 @pytest.mark.parametrize("p,n1,n2,expected", [(3, 1, 1, 7), (5, 1, 1, 23), (3, 1, 2, 25)])

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from thinlie import cli, thinloop, verify
-from thinlie.liealg import StructureTable, Subspace
+from thinlie import cli, grading, liealg, thinloop, verify
+from thinlie.cartan import phi1_monomials
+from thinlie.liealg import DegreeMap, StructureTable, Subspace
 
 
 def run_cli(args):
@@ -119,7 +120,7 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 
     def fake_run(p, n1, n2, depth=None):
         real = original(p, n1, n2, depth)
-        return cli.VerifyRun(real.report, ["injected mismatch"])
+        return verify.VerifyRun(real.report, ["injected mismatch"])
 
     monkeypatch.setattr(cli, "run_mixed", fake_run)
     code = run_cli(["verify", "--grading", "mixed", "--p", "3", "--n1", "1", "--n2", "1",
@@ -138,26 +139,12 @@ def test_suite_single_row(capsys):
     assert "01-dimension-formulas: PASS" in capsys.readouterr().out
 
 
-def test_depth_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("THINLOOP_DEPTH", "14")
-    out = tmp_path / "rep.json"
-    assert run_cli(["verify", "--grading", "mixed", "--p", "3", "--n1", "1", "--n2", "1",
-                    "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["depth"] == 14
-
-
 @pytest.mark.parametrize("args", [
     ["--grading", "mixed", "--p", "3", "--depth", "0"],
     ["--grading", "sigma-zero", "--p", "3", "--q", "3", "--depth", "-4"],
 ])
 def test_verify_rejects_nonpositive_depth(args, capsys):
     assert run_cli(["verify", *args]) == 2
-    assert "depth must be positive" in capsys.readouterr().err
-
-
-def test_depth_env_rejects_zero(monkeypatch, capsys):
-    monkeypatch.setenv("THINLOOP_DEPTH", "0")
-    assert run_cli(["verify", "--grading", "mixed", "--p", "3"]) == 2
     assert "depth must be positive" in capsys.readouterr().err
 
 
@@ -302,3 +289,45 @@ def test_no_annihilator_in_report_is_a_verdict(tmp_path, monkeypatch, capsys):
     code, data, out = _verify_json(tmp_path, capsys)
     want = "NoAnnihilator at degree 1: degree-1 component has dimension 1, not 2"
     assert code == 1 and data["verdict"] == "FAIL" and data["pattern_mismatches"] == [want]
+
+
+@pytest.mark.parametrize("args", [
+    ["--grading", "mixed", "--p", "3"],
+    ["--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"],
+    ["--grading", "sigma-zero", "--p", "3", "--q", "3"],
+    ["--grading", "eps-zero", "--p", "3", "--q", "3", "--ratio", "1"],
+], ids=["mixed", "finite", "sigma-zero", "eps-zero"])
+def test_validate_grading_runs_once_per_verify(args, monkeypatch, capsys):
+    # count the calls through every thinlie module that bound the function
+    real, calls = liealg.validate_grading, []
+
+    def counted(table, degmap):
+        calls.append(degmap)
+        return real(table, degmap)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "thinlie"]:
+        if getattr(module, "validate_grading", None) is real:
+            monkeypatch.setattr(module, "validate_grading", counted)
+    assert run_cli(["verify", *args]) == 0
+    assert len(calls) == 1
+
+
+def test_corrupted_mixed_degree_map_fails_grade_and_verify(tmp_path, monkeypatch, capsys):
+    real = grading.grade_mixed
+    x = phi1_monomials(3, 1, 1).index((1, 0))
+
+    def corrupted(table, q, r):
+        dm = real(table, q, r)
+        degrees = list(dm.degrees)
+        degrees[x] += 1
+        return DegreeMap(dm.modulus, tuple(degrees))
+
+    monkeypatch.setattr(cli, "grade_mixed", corrupted)
+    monkeypatch.setattr(verify, "grade_mixed", corrupted)
+    out = tmp_path / "dm.json"
+    assert run_cli(["grade", "--grading", "mixed", "--p", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "degree map is not compatible with the table" in capsys.readouterr().err
+    assert run_cli(["verify", "--grading", "mixed", "--p", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "degree map is not compatible with the table" in capsys.readouterr().err

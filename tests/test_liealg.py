@@ -1,15 +1,17 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import element_by_index, oracle_bracket
+from oracles import dense_row, element_by_index, oracle_bracket, oracle_rref
 from thinlie.cartan import build_H2_phi1, build_W1n, phi1_monomials
 from thinlie.errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from thinlie.ffield import field_create
 from thinlie.grading import eigenbasis, grade_mixed, params_from_mu3, toral_params
 from thinlie.liealg import (
     DegreeMap,
+    Echelon,
     Element,
     StructureTable,
     Subspace,
@@ -18,7 +20,6 @@ from thinlie.liealg import (
     centralizer_in,
     derived_subalgebra,
     quotient_by_ideal,
-    rref,
     subalgebra_generated,
     subalgebra_table,
     check_structure_map,
@@ -228,6 +229,31 @@ def test_quotient_by_zero_ideal_is_copy():
     assert q.dim == t.dim and q.brackets == t.brackets
 
 
+def test_quotient_by_ideal_matches_bracket_oracle():
+    # each product of kept basis vectors, by oracle_bracket, reduced modulo the ideal
+    hhat = build_H2_phi1(3, 1, 1, F3, 0)
+    one, two = F3.one, F3.element(2)
+    # a repeated target, a stored zero and a pair that vanishes modulo the ideal
+    hand = StructureTable(F3, ["a0", "a1", "a2", "a3"], {
+        (0, 1): ((2, one), (3, one), (2, one)), (0, 2): ((3, F3.zero),), (1, 2): ((3, two),),
+    })
+    cases = [
+        (hhat, center(hhat, hhat.full_subspace())),
+        (hand, Subspace.from_elements(hand, [hand.basis_element(3)])),
+        (w11(), Subspace.zero(w11())),
+    ]
+    for t, ideal in cases:
+        keep = [i for i in range(t.dim) if i not in ideal.pivots]
+        entries = []
+        for a in range(len(keep)):
+            for b in range(a + 1, len(keep)):
+                w = oracle_bracket(t.basis_element(keep[a]), t.basis_element(keep[b]))
+                residual = ideal.echelon.reduce(w.coords)
+                entries.append((a, b, [(keep.index(c), x) for c, x in residual.items()]))
+        want = StructureTable.from_entries(t.field, [t.labels[i] for i in keep], entries)
+        assert json.dumps(quotient_by_ideal(t, ideal).to_json()) == json.dumps(want.to_json())
+
+
 def test_quotient_rejects_non_ideal():
     t = w11()
     line = Subspace.from_elements(t, [t.basis_element(2)])
@@ -273,8 +299,8 @@ def test_graded_centralizers_are_graded():
     mons = phi1_monomials(3, 1, 1)
     target = Subspace.from_elements(table, [table.basis_element(mons.index((1, 0)))])
     cent = centralizer_in(table, full, target)
-    for row in cent.rows:
-        degrees = {dm.degrees[i] for i, c in enumerate(row) if c}
+    for e in cent.basis_elements():
+        degrees = {dm.degrees[i] for i in e.coords}
         assert len(degrees) == 1
 
 
@@ -297,11 +323,14 @@ def test_rref_is_canonical():
         t.element({i: F3.element(rng.randrange(3)) for i in range(9)})
         for _ in range(5)
     ]
-    rows = [v.dense() for v in vecs]
+    rows = [v.coords for v in vecs]
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    scaled = [tuple(F3.element(2) * c for c in row) for row in rows]
-    assert rref(F3, rows) == rref(F3, shuffled) == rref(F3, scaled)
+    scaled = [{i: F3.element(2) * c for i, c in row.items()} for row in rows]
+    want = oracle_rref(F3, [dense_row(F3, 9, row) for row in rows])
+    for family in (rows, shuffled, scaled):
+        ech = Echelon(F3, 9, family)
+        assert [dense_row(F3, 9, ech.rows[pc]) for pc in ech.pivots] == want
 
 
 def test_table_json_roundtrip():
