@@ -11,7 +11,11 @@ Poisson coefficient N(i,j,k,l) is twisted:
   * H(2;n;Phi(1))       all monomials, pure-y products pick up an extra
                         xbar (scaled by the deformation parameter eps),
                         dimension p^|n|.
+
+The demo exits 1 if any check fails.
 """
+
+import sys
 
 from thinlie import (
     bracket,
@@ -27,6 +31,16 @@ from thinlie import (
 )
 from thinlie.cartan import phi1_monomials
 
+failed = []
+
+
+def check(name, ok):
+    """ok, recording name as failed when it is not."""
+    if not ok:
+        failed.append(name)
+    return ok
+
+
 for p, n1, n2 in [(3, 1, 1), (5, 1, 1), (3, 1, 2)]:
     d = p ** (n1 + n2)
     dims = (
@@ -34,6 +48,7 @@ for p, n1, n2 in [(3, 1, 1), (5, 1, 1), (3, 1, 2)]:
         build_H2_phi_tau_derived(p, n1, n2).dim,
         build_H2_phi1(p, n1, n2).dim,
     )
+    check(f"dimensions at p={p}, n=({n1},{n2})", dims == (d - 2, d - 1, d))
     print(f"p={p}, n=({n1},{n2}):  H^(2) {dims[0]} = {d}-2,"
           f"  Phi(tau)^(1) {dims[1]} = {d}-1,  Phi(1) {dims[2]} = {d}")
 
@@ -49,14 +64,21 @@ print("  {1, ybar} =", bracket(one, ybar), "  (constants act nontrivially here)"
 print("\nSetting eps = 0 degenerates Phi(1) to a central extension:")
 Hhat = build_H2_phi1(3, 1, 1, F3, 0)
 z = center(Hhat, Hhat.full_subspace())
+check("eps = 0 center", z.dim == 1 and z.contains(Hhat.basis_element(idx[(0, 0)])))
 print("  center:", z.basis_elements(), "(one-dimensional, the constant)")
 F9 = field_create(3, 2)
 simple = build_H2_phi1(3, 1, 1, F9, 1)
-print("  eps = 1 has trivial center:", center(simple, simple.full_subspace()).dim == 0)
+trivial = check("eps = 1 center", center(simple, simple.full_subspace()).dim == 0)
+print("  eps = 1 has trivial center:", trivial)
 
 print("\nAlbert-Frank presentation: [u_a, u_b] = (b - a + a T(b) - b T(a)) u_{a+b}")
 group = tuple(F9.elements())
 theta = {a: frobenius(a) - a for a in group}
 af = build_albert_frank(AlbertFrankSpec(group, theta))
+jacobi = check("Albert-Frank Jacobi", validate_table(af).ok)
 print(f"  twisted by T = Frobenius - id over F_9: dim {af.dim},"
-      f" Jacobi {'PASS' if validate_table(af).ok else 'FAIL'}")
+      f" Jacobi {'PASS' if jacobi else 'FAIL'}")
+
+if failed:
+    print(f"\nfailed: {', '.join(failed)}")
+    sys.exit(1)

@@ -9,15 +9,23 @@ Two limits of the finite-type construction land back in the prime field:
     algebra of the center quotient is thin, and the progression
     mu_t = -1 + (t-2) sigma/rho now walks through the prime field, turning
     into a fake diamond whenever it hits 0 or 1.
+
+The demo exits 1 if any run fails.
 """
 
+import sys
+
 from thinlie.verify import run_eps_zero, run_sigma_zero
+
+failed = []
 
 print("sigma = 0 (all diamonds of type -1):")
 for p in (3, 5):
     run = run_sigma_zero(p, 1)
     rep = run.report
     types = [str(d.type) for d in rep.diamonds[1:5]]
+    if not run.ok:
+        failed.append(f"sigma = 0 at p={p}")
     print(f"  p={p}: subalgebra dim {p}, covering {rep.covering.verdict()},"
           f" types {types}, ok {run.ok}")
 
@@ -25,6 +33,8 @@ print("\neps = 0 (prime-field progressions with fakes at 0 and 1):")
 for p, ratio in [(3, 1), (5, 1), (5, 2), (5, 3)]:
     run = run_eps_zero(p, 1, ratio)
     rep = run.report
+    if not run.ok:
+        failed.append(f"eps = 0 at p={p}, ratio {ratio}")
     pattern = [
         f"{d.degree}:{d.kind if d.kind != 'genuine' else d.type}"
         for d in rep.diamonds[1:8]
@@ -33,3 +43,7 @@ for p, ratio in [(3, 1), (5, 1), (5, 2), (5, 3)]:
 
 print("\nThe excluded ratio -1 would make X the central element e[1,0];")
 print("the ratio 0 (rho = 0) kills the covering property instead of grading thinly.")
+
+if failed:
+    print(f"\nfailed: {', '.join(failed)}")
+    sys.exit(1)

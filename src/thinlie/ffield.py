@@ -22,11 +22,12 @@ After that every operator is a few integer lookups returning a shared
 element: no arithmetic allocates.  Mixing elements of two fields raises
 ValueError.
 
-One kernel outside this module reads the tables directly: liealg.bracket
-does its products and sums on logs through _arith, the tuple
-(exp, zech, q-1, log(-1)) read in one lookup, and coerces each coefficient
-as the operators do.  liealg's Leibniz index reads only each element's log
-and coordinates and builds its own product table from them.
+Two kernels outside this module read the tables directly: liealg.bracket
+and the row updates of liealg.Echelon do their products and sums on logs
+through _arith, the tuple (exp, zech, q-1, log(-1)) read in one lookup,
+and coerce each coefficient as the operators do.  liealg's Leibniz index
+reads only each element's log and coordinates and builds its own product
+table from them.
 """
 
 from __future__ import annotations

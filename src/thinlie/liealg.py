@@ -6,8 +6,8 @@ characteristic two (the tables are alternating).  All subspace work goes
 through one incremental echelon kernel, Echelon, whose reduced form is
 canonical over an exact field, so subspace equality is matrix equality.
 Echelon takes and returns sparse {column: coefficient} dicts, the same
-coordinates an Element stores, so its cost follows the supports of the
-vectors rather than the dimension; there is no dense-row form.
+coordinates an Element stores, and eliminates on discrete logs as bracket
+does; its cost follows the supports of the vectors, not the dimension.
 validate_table and check_structure_map share one Leibniz-rule kernel, a
 pass per basis vector over sparse ad rows, whose cost follows the nonzero
 bracket compositions rather than the number of basis triples; its index of
@@ -270,6 +270,27 @@ def _combine(pairs: Iterable[tuple[FieldElement, Vec]]) -> Vec:
     return out
 
 
+def _subtract(target: Vec, c: int, source: Vec, arith: tuple) -> None:
+    """target -= g^c * source in place, on logs as in bracket (arith is
+    FieldSpec._arith); a cancelled entry is deleted, a new one goes last."""
+    exp, zech, n, neg_one = arith
+    zero = n + n
+    c = (c + neg_one) % n
+    get = target.get
+    for i, x in source.items():
+        e = c + x.log
+        s = get(i)
+        if s is None:
+            target[i] = exp[e]
+        else:
+            a = s.log
+            e = a + zech[e - a]
+            if e < zero:
+                target[i] = exp[e]
+            else:
+                del target[i]
+
+
 class Echelon:
     """Reduced row echelon form with unit pivots, grown one vector at a time.
 
@@ -277,16 +298,17 @@ class Echelon:
     zero coefficient.  rows maps each pivot column to its row, which holds
     one there and is zero at every other pivot; pivots lists the pivot
     columns in increasing order.  Row operations touch only the nonzero
-    entries of the row subtracted, so the cost follows the supports, not
-    ncols.  The form is canonical: the same span gives the same rows
-    whatever vectors built it.
+    entries of the row subtracted, so the cost follows the supports; there
+    is no column count.  Every row update is _subtract, integer work on the
+    field's discrete logs; coefficients are coerced as in bracket, so one of
+    another field raises ValueError.  The form is canonical: the same span
+    gives the same rows whatever vectors built it.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    __slots__ = ("field", "rows", "pivots")
 
-    def __init__(self, field: FieldSpec, ncols: int, vectors: Iterable[Vec] = ()):
+    def __init__(self, field: FieldSpec, vectors: Iterable[Vec] = ()):
         self.field = field
-        self.ncols = ncols
         self.rows: dict[int, Vec] = {}
         self.pivots: list[int] = []
         for vec in vectors:
@@ -303,17 +325,18 @@ class Echelon:
         other pivot entries of vec as they were: each row is subtracted at
         most once, scaled by the entry of vec itself.
         """
-        rows = self.rows
-        out = {i: c for i, c in vec.items() if c}
+        field, rows = self.field, self.rows
+        if field._arith is None:
+            field._build()
+        zero = 2 * field._arith[2]
+        out: Vec = {}
+        for i, c in vec.items():
+            if c.__class__ is not FieldElement or c.spec is not field:
+                c = field.element(c)
+            if c.log != zero:
+                out[i] = c
         for pc in [i for i in out if i in rows]:
-            c = out[pc]
-            for idx, x in rows[pc].items():
-                s = out.get(idx)
-                s = -(c * x) if s is None else s - c * x
-                if s:
-                    out[idx] = s
-                else:
-                    del out[idx]
+            _subtract(out, out[pc].log, rows[pc], field._arith)
         return out
 
     def add(self, vec: Vec) -> bool:
@@ -321,19 +344,14 @@ class Echelon:
         residual = self.reduce(vec)
         if not residual:
             return False
+        exp, _, n, _ = arith = self.field._arith
         pc = min(residual)
-        inv = residual[pc].inverse()
-        new = {i: inv * c for i, c in residual.items()}
+        inv = n - residual[pc].log
+        new = {i: exp[inv + c.log] for i, c in residual.items()}
         for row in self.rows.values():
             c = row.get(pc)
-            if c:
-                for idx, x in new.items():
-                    s = row.get(idx)
-                    s = -(c * x) if s is None else s - c * x
-                    if s:
-                        row[idx] = s
-                    else:
-                        del row[idx]
+            if c is not None:  # rows store no zeros
+                _subtract(row, c.log, new, arith)
         bisect.insort(self.pivots, pc)
         self.rows[pc] = new
         return True
@@ -347,20 +365,17 @@ class Subspace:
     (and hash alike) exactly when their rows are.
     """
 
-    __slots__ = ("table", "echelon", "pivots")
+    __slots__ = ("table", "echelon", "pivots", "_basis")
 
     def __init__(self, table: StructureTable, echelon: Echelon):
         self.table = table
         self.echelon = echelon
         self.pivots = tuple(echelon.pivots)
+        self._basis: list[Element] | None = None
 
     @classmethod
     def from_elements(cls, table: StructureTable, elements: Iterable[Element]) -> "Subspace":
-        return cls(table, Echelon(table.field, table.dim, (e.coords for e in elements)))
-
-    @classmethod
-    def zero(cls, table: StructureTable) -> "Subspace":
-        return cls(table, Echelon(table.field, table.dim))
+        return cls(table, Echelon(table.field, (e.coords for e in elements)))
 
     @property
     def dim(self) -> int:
@@ -381,12 +396,11 @@ class Subspace:
         return not self.echelon.reduce(elem.coords)
 
     def basis_elements(self) -> list[Element]:
-        rows = self.echelon.rows
-        return [Element(self.table, dict(sorted(rows[pc].items()))) for pc in self.pivots]
-
-    def add(self, other: "Subspace") -> "Subspace":
-        vectors = list(self.echelon.rows.values()) + list(other.echelon.rows.values())
-        return Subspace(self.table, Echelon(self.table.field, self.table.dim, vectors))
+        """The rows as Elements, built once: no caller may change their coords."""
+        if self._basis is None:
+            rows = self.echelon.rows
+            self._basis = [Element(self.table, dict(sorted(rows[pc].items()))) for pc in self.pivots]
+        return list(self._basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.table.dim})"
@@ -621,7 +635,7 @@ def subalgebra_generated(t: StructureTable, gens: Sequence[Element]) -> Subspace
     """Smallest bracket-closed subspace containing the generators."""
     if not gens:
         raise ValueError("generator list must be nonempty")
-    span = Echelon(t.field, t.dim)
+    span = Echelon(t.field)
     basis = [g for g in gens if span.add(g.coords)]
     frontier = basis
     while frontier:
@@ -644,7 +658,7 @@ class _RightNormedSpan:
 
     def __init__(self, t: StructureTable):
         self.t = t
-        self.span = Echelon(t.field, t.dim)
+        self.span = Echelon(t.field)
         self.found: list[Element] = []  # a basis of span
         self.gens: list[Element] = []
 
@@ -728,7 +742,7 @@ def center(t: StructureTable, s: Subspace) -> Subspace:
 
 def _nullspace(field: FieldSpec, constraints: list[Vec], m: int) -> list[Vec]:
     """Basis of {x in F^m : A x = 0} for sparse constraint rows A."""
-    ech = Echelon(field, m, constraints)
+    ech = Echelon(field, constraints)
     out = []
     for f in range(m):
         if f not in ech.rows:
@@ -786,9 +800,6 @@ class DegreeMap:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(d % self.modulus for d in self.degrees))
-
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
 
     def restrict(self, keep: Sequence[int]) -> "DegreeMap":
         return DegreeMap(self.modulus, tuple(self.degrees[i] for i in keep))
@@ -858,7 +869,7 @@ def check_structure_map(
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
     labels = src.labels
-    rank = Echelon(dst.field, dst.dim, (e.coords for e in images)).rank
+    rank = Echelon(dst.field, (e.coords for e in images)).rank
     if rank != src.dim:
         return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
     gens = range(src.dim) if gens is None else gens
@@ -894,7 +905,7 @@ def _augmented_echelon(field: FieldSpec, rows: Sequence[Vec], n: int) -> Echelon
     """Reduced echelon form of [rows | I] for sparse rows over n columns, or
     None when the rows are dependent: then some pivot falls at or past n."""
     one = field.one
-    aug = Echelon(field, n + len(rows), ({**r, n + i: one} for i, r in enumerate(rows)))
+    aug = Echelon(field, ({**r, n + i: one} for i, r in enumerate(rows)))
     return None if any(pc >= n for pc in aug.pivots) else aug
 
 

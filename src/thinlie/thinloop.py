@@ -535,7 +535,7 @@ def parameter_k(expansion: LoopExpansion) -> int:
             continue
         # L''_d is capped by M_d, so stop accumulating at full rank
         cap = dims[d]
-        acc = Echelon(base.field, base.dim)
+        acc = Echelon(base.field)
         for a in range(2, d // 2 + 1):  # [M_b, M_a] = [M_a, M_b]
             for u in basis[a]:
                 for v in basis[d - a]:

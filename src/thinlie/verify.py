@@ -24,9 +24,10 @@ from .grading import (
 )
 from .liealg import (
     DegreeMap,
+    Element,
     StructureTable,
     Subspace,
-    center,
+    centralizer_in,
     derived_subalgebra,
     quotient_by_ideal,
     subalgebra_generated,
@@ -160,6 +161,13 @@ def _progression(params: ToralParams) -> Callable[[DiamondRecord], FieldElement]
     return lambda rec: -fieldspec.one + fieldspec.element(rec.ordinal - 2) * step
 
 
+def _center(t: StructureTable, gens: list[Element]) -> Subspace:
+    """Z(t) = C_{C_t(G)}(t) for any family G, with no Jacobi identity: for
+    small G and C_t(G), far fewer brackets than center on all of t."""
+    full = t.full_subspace()
+    return centralizer_in(t, centralizer_in(t, full, Subspace.from_elements(t, gens)), full)
+
+
 def run_mixed(p: int, n1: int, n2: int, depth: int | None = None) -> VerifyRun:
     """Loop algebra of H(2;n;Phi(1)) under the monomial-degree grading.
 
@@ -254,13 +262,13 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
     _check_depth(depth)
     fieldspec = field_create(p)
     hhat = build_H2_phi1(p, 1, n2, fieldspec, 0)
+    params = ToralParams(fieldspec.element(ratio), fieldspec.one, fieldspec.zero)
+    basis = eigenbasis(hhat, params)
     mismatches = []
-    cent = center(hhat, hhat.full_subspace())
+    cent = _center(hhat, [basis.vectors[i] for i in generator_positions(basis)])
     constant = hhat.basis_element(phi1_monomials(p, 1, n2).index((0, 0)))
     if cent.dim != 1 or not cent.contains(constant):
         mismatches.append("center of the eps = 0 extension is not the constant line")
-    params = ToralParams(fieldspec.element(ratio), fieldspec.one, fieldspec.zero)
-    basis = eigenbasis(hhat, params)
     if not basis.certificate:
         return VerifyRun(None, mismatches + [f"eigen table certificate: {basis.certificate}"], params)
     et = basis.eigen_table

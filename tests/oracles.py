@@ -4,16 +4,18 @@ These deliberately avoid the code paths they verify: binomials come from a
 Pascal triangle, Poisson coefficients from explicit divided-power calculus
 on untruncated monomial dictionaries, Cartan structure tables pair by pair
 from those coefficients and Lucas binomials, congruences from linear scans,
-reduced echelon forms from a dense Gauss-Jordan pass over whole rows,
-changes of basis from those forms and dense inverse matrices, brackets of
-elements through the FieldElement operators, Jacobi
-violations from a visit to every basis triple, covering from every
-projective line of a two-dimensional component, eigen-table products
-from the closed formula checked pair by pair, and thin reports from the
-full-depth loop expansion, covering scan and parameter k, which bracket
-every degree and never reuse a grading period.
+reduced echelon forms from a dense Gauss-Jordan pass over whole rows and
+sparse ones through the FieldElement operators, changes of basis from those
+forms and dense inverse matrices, brackets of elements through the
+FieldElement operators, Jacobi violations from a visit to every basis
+triple, covering from every projective line of a two-dimensional
+component, eigen-table products from the closed formula checked pair by
+pair, and thin reports from the full-depth loop expansion, covering scan
+and parameter k, which bracket every degree and never reuse a grading
+period.
 """
 
+import bisect
 from math import comb
 
 Mono = tuple[int, int]
@@ -199,6 +201,52 @@ def oracle_rref(field, rows):
         pivots.append(pc)
     order = sorted(range(len(out)), key=lambda r: pivots[r])
     return [out[r] for r in order]
+
+
+class OracleEchelon:
+    """Sparse reduced echelon form with unit pivots by the FieldElement
+    operators, one call per product, sum and zero test: the same rows,
+    pivots, residuals and key order that liealg.Echelon gets on logs."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+        self.pivots = []
+
+    def reduce(self, vec):
+        rows = self.rows
+        out = {i: c for i, c in vec.items() if c}
+        for pc in [i for i in out if i in rows]:
+            c = out[pc]
+            for idx, x in rows[pc].items():
+                s = out.get(idx)
+                s = -(c * x) if s is None else s - c * x
+                if s:
+                    out[idx] = s
+                else:
+                    del out[idx]
+        return out
+
+    def add(self, vec):
+        residual = self.reduce(vec)
+        if not residual:
+            return False
+        pc = min(residual)
+        inv = residual[pc].inverse()
+        new = {i: inv * c for i, c in residual.items()}
+        for row in self.rows.values():
+            c = row.get(pc)
+            if c:
+                for idx, x in new.items():
+                    s = row.get(idx)
+                    s = -(c * x) if s is None else s - c * x
+                    if s:
+                        row[idx] = s
+                    else:
+                        del row[idx]
+        bisect.insort(self.pivots, pc)
+        self.rows[pc] = new
+        return True
 
 
 def change_basis(table, rows, labels):
@@ -418,7 +466,7 @@ def oracle_parameter_k(expansion):
     window = expansion.degmap.modulus
     base = expansion.base
     m = [None] + expansion.components
-    zero = Subspace.zero(base)
+    zero = Subspace.from_elements(base, [])
 
     def graded_bracket(left, right):
         lbasis = [None] + [s.basis_elements() for s in left[1:]]
@@ -426,7 +474,7 @@ def oracle_parameter_k(expansion):
         out = [zero] * (depth + 1)
         for d in range(2, depth + 1):
             cap = m[d].dim
-            acc = Echelon(base.field, base.dim)
+            acc = Echelon(base.field)
             for a in range(1, d):
                 b = d - a
                 if not lbasis[a] or not rbasis[b]:

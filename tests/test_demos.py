@@ -31,3 +31,42 @@ def test_zassenhaus_demo_fails_on_a_failed_check_under_python_O():
     )
     assert proc.returncode == 1, proc.stderr
     assert "FAIL (rank fails: forced)" in proc.stdout
+
+
+def _forced_mismatch(name):
+    """Code that makes thinlie.verify.<name> append a mismatch to every run."""
+    return (
+        "import thinlie.verify as v\n"
+        f"real = v.{name}\n"
+        "def forced(*a, **k):\n"
+        "    run = real(*a, **k)\n"
+        "    run.mismatches.append('forced')\n"
+        "    return run\n"
+        f"v.{name} = forced\n"
+    )
+
+
+FORCED = {
+    "03_hamiltonian_families": (
+        "import thinlie\n"
+        "from thinlie.liealg import ValidationReport\n"
+        "thinlie.validate_table = lambda *a, **k: ValidationReport(False, True, False, [], [])\n",
+        "Jacobi FAIL",
+    ),
+    "04_mixed_grading": (_forced_mismatch("run_mixed"), "MISMATCH: forced"),
+    "05_prescribed_diamond_types": (_forced_mismatch("run_finite"), "-> FAIL"),
+    "06_degenerations": (_forced_mismatch("run_eps_zero"), "ok=False"),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(FORCED))
+def test_demo_fails_on_a_failed_check_under_python_O(stem):
+    # each demo must exit 1 on a failed check, not only print it
+    patch, shown = FORCED[stem]
+    script = patch + f"import runpy\nrunpy.run_path({str(ROOT / 'demos' / (stem + '.py'))!r}, run_name='__main__')\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert shown in proc.stdout and "failed: " in proc.stdout

@@ -1,17 +1,19 @@
 """The echelon kernel against the dense Gauss-Jordan oracle, on random
 dense matrices over F_3, F_4 and F_9 and on random sparse vectors over F_2,
-F_3 and F_9; subalgebra tables against the dense change-of-basis oracle,
-which is itself checked against its inverse."""
+F_3 and F_9, and against the sparse operator-based oracle, row by row and
+key by key, over F_2 to F_49; subalgebra tables against the dense
+change-of-basis oracle, which is itself checked against its inverse."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import change_basis, dense_row, element_by_index, oracle_rref
+from oracles import OracleEchelon, change_basis, dense_row, element_by_index, oracle_rref
 from thinlie.cartan import build_H2_second_derived, build_W1n
 from thinlie.ffield import field_create
 from thinlie.liealg import Echelon, StructureTable, Subspace, subalgebra_table
 
 F2, F3, F4, F9 = field_create(2), field_create(3), field_create(2, 2), field_create(3, 2)
+F5, F25, F49 = field_create(5), field_create(5, 2), field_create(7, 2)
 SPARSE_FIELDS = pytest.mark.parametrize("field", [F2, F3, F9], ids=["F2", "F3", "F9"])
 FIELDS = pytest.mark.parametrize("field", [F3, F4, F9], ids=["F3", "F4", "F9"])
 TABLES = pytest.mark.parametrize(
@@ -66,7 +68,7 @@ def element(table, row):
 def test_rref_matches_oracle(field, data):
     ncols = data.draw(st.integers(1, 7))
     rows = data.draw(matrices(field, ncols))
-    ech = Echelon(field, ncols, ({i: c for i, c in enumerate(r) if c} for r in rows))
+    ech = Echelon(field, ({i: c for i, c in enumerate(r) if c} for r in rows))
     assert [dense_row(field, ncols, ech.rows[pc]) for pc in ech.pivots] == oracle_rref(field, rows)
 
 
@@ -157,7 +159,7 @@ def sparse_family(draw, field, ncols, max_vectors=10):
 def test_sparse_echelon_matches_oracle(field, data):
     ncols = data.draw(st.integers(1, 40))
     vectors = data.draw(sparse_family(field, ncols))
-    ech = Echelon(field, ncols, vectors)
+    ech = Echelon(field, vectors)
     want = oracle_rref(field, [dense_row(field, ncols, v) for v in vectors])
     assert [dense_row(field, ncols, ech.rows[pc]) for pc in ech.pivots] == want
     assert ech.pivots == [next(i for i, c in enumerate(row) if c) for row in want]
@@ -178,7 +180,7 @@ def test_sparse_subspace_equality_and_hash_follow_dense_rows(field, data):
         right = [{i: c * x for i, x in v.items()} for v, c in zip(order, scales)]
     else:
         right = data.draw(sparse_family(field, ncols))
-    a = Subspace(table, Echelon(field, ncols, left))
+    a = Subspace(table, Echelon(field, left))
     b = Subspace.from_elements(table, [table.element(v) for v in right])
     want = oracle_rref(field, [dense_row(field, ncols, v) for v in left])
     same = want == oracle_rref(field, [dense_row(field, ncols, v) for v in right])
@@ -205,3 +207,54 @@ def test_sparse_contains_agrees_with_oracle_rank(field, data):
         inside = len(oracle_rref(field, rows + [dense_row(field, ncols, v)])) == rank
         assert span.contains(table.element(v)) == inside
         assert (not span.echelon.reduce(v)) == inside
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F3, F4, F5, F9, F25, F49], ids=["F2", "F3", "F4", "F5", "F9", "F25", "F49"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_log_echelon_matches_operator_oracle(field, data):
+    # rows, pivots, add's verdicts and residuals, in values and key order;
+    # the wide vectors may hold zero coefficients and come in any key order
+    ncols = data.draw(st.integers(1, 30))
+    wide = st.dictionaries(st.integers(0, ncols - 1), scalars(field), max_size=ncols)
+    vectors = data.draw(sparse_family(field, ncols)) + data.draw(st.lists(wide, max_size=3))
+    vectors = data.draw(st.permutations(vectors))
+    probes = data.draw(sparse_family(field, ncols, max_vectors=4)) + data.draw(st.lists(wide, max_size=3))
+    ech, oracle = Echelon(field), OracleEchelon(field)
+    for v in vectors:
+        assert ech.add(v) == oracle.add(v)
+    assert [(pc, list(row.items())) for pc, row in ech.rows.items()] == [
+        (pc, list(row.items())) for pc, row in oracle.rows.items()
+    ]
+    assert ech.pivots == oracle.pivots
+    for v in probes + vectors[:2]:
+        assert list(ech.reduce(v).items()) == list(oracle.reduce(v).items())
+
+
+@pytest.mark.parametrize("foreign", [(3, 2, 1), (3, 2, 3), (5, 1, 1)])
+def test_echelon_rejects_coefficients_of_another_field(foreign):
+    # over F_3, a coefficient of F_9 or F_5 raises whether it meets a pivot or not
+    c = element_by_index(field_create(*foreign[:2]), foreign[2])
+    with pytest.raises(ValueError):
+        Echelon(F3, [{0: c}])
+    ech = Echelon(F3, [{0: F3.one}])
+    for vec in ({0: c}, {1: c}, {0: F3.one, 2: c}):
+        with pytest.raises(ValueError):
+            ech.reduce(vec)
+        with pytest.raises(ValueError):
+            ech.add(vec)
+    assert ech.pivots == [0] and ech.rows == {0: {0: F3.one}}
+
+
+def test_basis_elements_are_built_once_and_returned_as_fresh_lists():
+    table = build_W1n(3, 2)
+    span = Subspace.from_elements(table, [table.element({0: F3.one, 4: F3.element(2)}), table.basis_element(3)])
+    first = span.basis_elements()
+    assert span.basis_elements() == first
+    first.append(table.basis_element(5))
+    first.reverse()
+    again = span.basis_elements()
+    assert again == span.basis_elements() and len(again) == 2
+    assert [e.coords for e in again] == [{0: F3.one, 4: F3.element(2)}, {3: F3.one}]

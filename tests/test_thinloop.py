@@ -154,7 +154,7 @@ def test_classify_malformed_diamond_error():
     v, x, y = w.basis_element(0), w.basis_element(2), w.basis_element(1)
     slot = Subspace.from_elements(w, [bracket(v, x), bracket(v, y)])
     with pytest.raises(MalformedDiamond) as exc:
-        classify_type(v, x, y, slot, Subspace.zero(w), 4)
+        classify_type(v, x, y, slot, Subspace.from_elements(w, []), 4)
     assert exc.value.degree == 4
 
 
