@@ -18,18 +18,45 @@ validate_table takes one sweeping generator, the widest ad row, and then
 the narrowest ones, which make the cheapest passes.  It runs the
 per-vector scan of every basis triple only when a generator's pass fails,
 when the encoding is broken, or when the generating set takes more than
-dim/3 generators, whose passes would cost more than the scan.
+dim/3 generators, whose passes would cost more than the scan.  The
+generating set grows in the span of right-normed brackets, which brackets
+a vector with a generator only where the table stores a pair between
+them, so its cost follows the stored pairs met.  validate_table and
+StructureTable.to_json run with cyclic garbage collection paused
+(_gc_paused): everything they build is acyclic.
 """
 
 from __future__ import annotations
 
 import bisect
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from .ffield import FieldElement, FieldSpec
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """No cyclic garbage collection inside the block; on leaving it, also by
+    an exception, the collector is on again only if it was on at entry.
+
+    For bulk builds that allocate many objects that stay alive and form no
+    reference cycle: there the collections the allocations trigger, of the
+    older generations too, rescan live objects and free nothing, while
+    reference counting frees what does die; so pausing the collector
+    changes no output and no memory use.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class StructureTable:
@@ -105,14 +132,15 @@ class StructureTable:
         return Subspace.from_elements(self, map(self.basis_element, range(self.dim)))
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "labels": list(self.labels),
-            "brackets": [
-                [i, j, [[k, c.to_json()] for k, c in terms]]
-                for (i, j), terms in sorted(self.brackets.items())
-            ],
-        }
+        with _gc_paused():
+            return {
+                "field": self.field.to_json(),
+                "labels": list(self.labels),
+                "brackets": [
+                    [i, j, [[k, c.to_json()] for k, c in terms]]
+                    for (i, j), terms in sorted(self.brackets.items())
+                ],
+            }
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureTable":
@@ -613,16 +641,17 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
                 encoding_ok = False
                 messages.append(f"stored zero coefficient in ({i}, {j})")
 
-    index = _LeibnizIndex(t)
-    if encoding_ok and _jacobi_certified(t, index):
-        return ValidationReport(True, True, True, [], [])
-    violations: list[tuple[int, int, int]] = []
-    for i, pairs in _leibniz_failures(index, ((i, i) for i in range(dim))):
-        for j, k in pairs:
-            violations.append((i, j, k))
-            if len(violations) >= max_violations:
-                messages.append("Jacobi scan aborted at violation cap")
-                return ValidationReport(False, encoding_ok, False, violations, messages)
+    with _gc_paused():
+        index = _LeibnizIndex(t)
+        if encoding_ok and _jacobi_certified(t, index):
+            return ValidationReport(True, True, True, [], [])
+        violations: list[tuple[int, int, int]] = []
+        for i, pairs in _leibniz_failures(index, ((i, i) for i in range(dim))):
+            for j, k in pairs:
+                violations.append((i, j, k))
+                if len(violations) >= max_violations:
+                    messages.append("Jacobi scan aborted at violation cap")
+                    return ValidationReport(False, encoding_ok, False, violations, messages)
     jacobi_ok = not violations
     return ValidationReport(encoding_ok and jacobi_ok, encoding_ok, jacobi_ok, violations, messages)
 
@@ -654,23 +683,36 @@ class _RightNormedSpan:
     """The span of the right-normed brackets [g1, [g2, ..., gk]] of a growing
     list of basis positions gens: the smallest subspace that contains them
     and is closed under ad g for each.  In a Lie algebra this is the
-    subalgebra they generate, at |gens| brackets per dimension."""
+    subalgebra they generate.
+
+    A found vector u is bracketed with a generator g only when the table
+    stores a bracket of b_g with some basis vector in the support of u;
+    every other [g, u] is zero (g with itself among them, as no diagonal
+    key is stored), and a zero adds nothing to the span.  So the vectors go
+    into span in the same order as if every bracket were taken, and the
+    cost follows the stored pairs met rather than |gens| brackets per
+    dimension."""
 
     def __init__(self, t: StructureTable):
         self.t = t
         self.span = Echelon(t.field)
         self.found: list[Element] = []  # a basis of span
-        self.gens: list[Element] = []
+        self.gens: list[tuple[int, Element]] = []
 
     def adjoin(self, i: int) -> None:
+        brackets = self.t.brackets
+
+        def meets(h: int, u: Element) -> bool:
+            return any((h, m) in brackets if h < m else (m, h) in brackets for m in u.coords)
+
         g = self.t.basis_element(i)
-        self.gens.append(g)
+        self.gens.append((i, g))
         # the span so far is closed under the earlier generators, not yet under ad g
-        candidates = [bracket(g, u) for u in self.found] + [g]
+        candidates = [bracket(g, u) for u in self.found if meets(i, u)] + [g]
         while candidates:
             new = [w for w in candidates if w and self.span.add(w.coords)]
             self.found += new
-            candidates = [bracket(h, u) for u in new for h in self.gens]
+            candidates = [bracket(h, u) for u in new for j, h in self.gens if meets(j, u)]
 
 
 def _greedy_generators(

@@ -608,12 +608,24 @@ def thin_report(
     Y: Element | None = None,
 ) -> ThinReport:
     """Expand, choose generators, and aggregate every thinness verdict; the
-    depth defaults to three grading periods, and a depth below one or below
-    the grading modulus plus one raises ValueError."""
+    depth defaults to three grading periods, and a depth below one, below
+    the grading modulus plus one or below 2q - 2 raises ValueError.
+
+    2q - 2 is the least depth that computes the last degree of the second
+    centralizer chain and classifies the slot in degree q; below it the
+    report would pass checks that never ran.  It binds only where N < 2q - 3,
+    as for sigma-zero (N = q - 1); loop_expand rejects a depth of at most N
+    first.
+    """
     if depth is None:
         depth = 3 * degmap.modulus
     if depth < 1:
         raise ValueError(f"expansion depth must be positive, got {depth}")
+    if degmap.modulus < depth < 2 * q - 2:
+        raise ValueError(
+            f"expansion depth {depth} is below 2q-2 = {2 * q - 2}: "
+            f"the diamond and centralizer-chain checks would not all run"
+        )
     expansion = loop_expand(base, degmap, depth)
     gens = choose_generators(expansion, q=q, X=X, Y=Y)
     covering = check_covering(expansion, gens.X, gens.Y)

@@ -10,8 +10,9 @@ forms and dense inverse matrices, brackets of elements through the
 FieldElement operators, Jacobi violations from a visit to every basis
 triple, covering from every projective line of a two-dimensional
 component, eigen-table products from the closed formula checked pair by
-pair, and thin reports from the full-depth loop expansion, covering scan
-and parameter k, which bracket every degree and never reuse a grading
+pair, right-normed spans from every bracket of a found vector with a
+generator, and thin reports from the full-depth loop expansion, covering
+scan and parameter k, which bracket every degree and never reuse a grading
 period.
 """
 
@@ -345,6 +346,41 @@ def oracle_bracket(u, v):
                 else:
                     out.pop(k, None)
     return Element(table, out)
+
+
+def oracle_right_normed_span(table, gens):
+    """The span of the right-normed brackets of the basis positions gens,
+    adjoined in order: each new generator is bracketed with every vector
+    found so far, then every new vector with every generator, until no
+    bracket leaves the span; every bracket is taken, through oracle_bracket,
+    and eliminated by OracleEchelon.  Returns the echelon and the vectors
+    found, in the order they entered it."""
+    span = OracleEchelon(table.field)
+    found, adjoined = [], []
+    for i in gens:
+        g = table.basis_element(i)
+        adjoined.append(g)
+        candidates = [oracle_bracket(g, u) for u in found] + [g]
+        while candidates:
+            new = [w for w in candidates if w and span.add(w.coords)]
+            found += new
+            candidates = [oracle_bracket(h, u) for u in new for h in adjoined]
+    return span, found
+
+
+def oracle_extend_to_generators(table, start):
+    """start, then each basis position, lowest first, outside the
+    oracle_right_normed_span of the positions chosen so far, until that span
+    is all of table; the span is rebuilt from scratch after every choice."""
+    gens = list(start)
+    span, _ = oracle_right_normed_span(table, gens)
+    for i in range(table.dim):
+        if len(span.pivots) == table.dim:
+            break
+        if span.reduce({i: table.field.one}):
+            gens.append(i)
+            span, _ = oracle_right_normed_span(table, gens)
+    return gens
 
 
 def oracle_covering_failures(expansion, X, Y):

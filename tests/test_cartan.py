@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -324,3 +325,21 @@ def test_escaping_product_is_caught(monkeypatch, builder, args, entry, product):
     monkeypatch.setattr(cartan, "_pascal", _bumped_pascal(entry))
     with pytest.raises(NotASubalgebra, match=product):
         builder(*args)
+
+
+@pytest.mark.parametrize("builder, args, entry", [
+    (build_W1n, (5, 1), (6, 3)),
+    (build_H2_phi1, (3, 1, 1), (3, 1)),
+])
+def test_escaping_build_restores_the_collector(monkeypatch, builder, args, entry):
+    # the build raises inside the loop that runs with the collector paused
+    monkeypatch.setattr(cartan, "_pascal", _bumped_pascal(entry))
+    was = gc.isenabled()
+    try:
+        for on in (True, False):
+            (gc.enable if on else gc.disable)()
+            with pytest.raises(NotASubalgebra):
+                builder(*args)
+            assert gc.isenabled() == on
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -209,6 +209,19 @@ def test_depth_below_modulus_plus_one_rejected(capsys):
     assert "expansion depth 1 is below N+1 = 7" in capsys.readouterr().err
 
 
+def test_depth_below_two_q_minus_two_rejected(tmp_path, capsys):
+    # sigma-zero at q = 25 has modulus N = 24: depth 25 passes the N+1 rule
+    # but stops before the second diamond and both centralizer chains
+    args = ["verify", "--grading", "sigma-zero", "--p", "5", "--q", "25"]
+    assert run_cli([*args, "--depth", "25"]) == 2
+    assert "expansion depth 25 is below 2q-2 = 48" in capsys.readouterr().err
+    out = tmp_path / "run.json"
+    assert run_cli([*args, "--depth", "48", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["verdict"] == "PASS"
+    assert [d["degree"] for d in data["diamonds"]] == [1, 25]
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken_run(p, n1, n2, depth=None):
         raise AssertionError("component at degree 4 is not homogeneous")
