@@ -6,10 +6,11 @@ the underlying objects; verify runs the drivers of thinlie.verify and exits
 prediction for the selected grading; grade --grading finite exits 1 on a
 failed eigen-table certificate, and grade prints no degree map that fails
 validate_grading (exit 2, as verify through loop_expand).  --n1, --n2 and
---field-k must be positive.  Exit codes: 0 full pass, 1 verification
-failure, 2 configuration error, 3 internal error (an unexpected exception,
-reported as `internal error: <Type>: <message>` after its traceback on
-stderr).
+--field-k must be positive; a flag the selected algebra or grading never
+reads, and sigma = 0 for a finite grading, are rejected.  Exit codes: 0
+full pass, 1 verification failure, 2 configuration error, 3 internal error
+(an unexpected exception, reported as `internal error: <Type>: <message>`
+after its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ from .ffield import FieldElement, FieldSpec, field_create, frobenius
 from .grading import ToralParams, eigenbasis, grade_finite, grade_mixed, params_from_mu3, toral_params
 from .liealg import StructureTable, validate_grading, validate_table
 # cmd_verify and perfbench call the run_* functions through these names
-from .verify import run_eps_zero, run_finite, run_mixed, run_sigma_zero
+from .verify import SIGMA_ZERO, run_eps_zero, run_finite, run_mixed, run_sigma_zero
+
+# the optional flags each algebra or grading reads: any other one given is rejected
+_FIELD = {"field_k", "field_modulus"}
+_READS = {
+    "W": _FIELD, "Hphi1": {"eps", *_FIELD}, "AF": _FIELD,
+    "finite": {"q", "mu3", "sigma", "rho", *_FIELD}, "sigma-zero": {"q"}, "eps-zero": {"q", "ratio"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +80,8 @@ def _write_out(args, payload: dict) -> None:
 def _construct_table(args) -> StructureTable:
     name = args.algebra
     if name == "W":
+        if args.field_modulus and args.field_k is None:
+            raise ThinlieError("--field-modulus is not read for W without --field-k")
         return build_W1n(args.p, args.n, None if args.field_k is None else _make_field(args))
     if name == "Hsecond":
         return build_H2_second_derived(args.p, args.n1, args.n2)
@@ -105,6 +115,8 @@ def _toral_params(args) -> ToralParams:
     """sigma, rho from --mu3 (over F_{p^2} unless --field-k says otherwise)
     or from --sigma and an optional --rho."""
     if args.mu3:
+        if args.sigma or args.rho:
+            raise ThinlieError(f"--{'sigma' if args.sigma else 'rho'} is not read beside --mu3")
         return params_from_mu3(_parse_scalar(_make_field(args, default_k=2), args.mu3))
     if not args.sigma:
         raise ThinlieError("grading=finite needs --mu3 or --sigma")
@@ -119,12 +131,12 @@ def cmd_grade(args) -> int:
         table = build_H2_phi1(args.p, args.n1, args.n2, field_create(args.p), 1)
         dm = grade_mixed(table, args.p ** args.n2, args.p ** args.n1)
     else:
-        if args.n1 != 1:
-            raise ThinlieError("grading=finite requires n1 = 1")
         params = _toral_params(args)
+        if not params.sigma:
+            raise ThinlieError(SIGMA_ZERO)
         table = build_H2_phi1(args.p, 1, args.n2, params.field, 1)
         basis = eigenbasis(table, params)
-        if not (basis.partial or basis.certificate):
+        if not basis.certificate:
             print(f"eigen table certificate: {basis.certificate}")
             return 1
         table = basis.eigen_table
@@ -268,6 +280,12 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ThinlieError(f"--{flag.replace('_', '-')} must be positive, got {value}")
+        path = getattr(args, "algebra", None) or getattr(args, "grading", None)
+        for flag in ("q", "mu3", "sigma", "rho", "ratio", "eps", "field_k", "field_modulus"):
+            if path and getattr(args, flag, None) is not None and flag not in _READS.get(path, ()):
+                raise ThinlieError(f"--{flag.replace('_', '-')} is not read for {path}")
+        if path in ("finite", "sigma-zero", "eps-zero") and args.n1 != 1:
+            raise ThinlieError(f"--n1 {args.n1} is not read for {path}, which takes n1 = 1")
         return args.func(args)
     except ThinlieError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,6 +40,7 @@ from .liealg import (
     Element,
     MapCheck,
     StructureTable,
+    _gc_paused,
     bracket,
     check_structure_map,
     extend_to_generators,
@@ -267,23 +268,24 @@ def closed_eigen_table(basis: EigenBasis) -> StructureTable:
     position = {(r, alpha): m for m, (r, _, alpha) in enumerate(entries)}
     binoms: dict[tuple[int, int], tuple[FieldElement, FieldElement]] = {}
     brackets = {}
-    for a, (ra, _, alpha) in enumerate(entries):
-        for b in range(a + 1, len(entries)):
-            rb, _, beta = entries[b]
-            rc = ra + rb
-            if rc > 1:
-                continue
-            if rc < 2 - q:
-                break
-            pair = binoms.get((ra, rb))
-            if pair is None:
-                pair = binoms[(ra, rb)] = (
-                    fieldspec.element(binom_mod_p(1 - rc, 1 - rb, p)),
-                    fieldspec.element(binom_mod_p(1 - rc, 1 - ra, p)),
-                )
-            coeff = beta * pair[0] - alpha * pair[1]
-            if coeff:
-                brackets[(a, b)] = ((position[(rc, alpha + beta)], coeff),)
+    with _gc_paused():
+        for a, (ra, _, alpha) in enumerate(entries):
+            for b in range(a + 1, len(entries)):
+                rb, _, beta = entries[b]
+                rc = ra + rb
+                if rc > 1:
+                    continue
+                if rc < 2 - q:
+                    break
+                pair = binoms.get((ra, rb))
+                if pair is None:
+                    pair = binoms[(ra, rb)] = (
+                        fieldspec.element(binom_mod_p(1 - rc, 1 - rb, p)),
+                        fieldspec.element(binom_mod_p(1 - rc, 1 - ra, p)),
+                    )
+                coeff = beta * pair[0] - alpha * pair[1]
+                if coeff:
+                    brackets[(a, b)] = ((position[(rc, alpha + beta)], coeff),)
     return StructureTable(fieldspec, basis.labels, brackets)
 
 

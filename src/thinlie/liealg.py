@@ -19,9 +19,12 @@ the narrowest ones, which make the cheapest passes.  It runs the
 per-vector scan of every basis triple only when a generator's pass fails,
 when the encoding is broken, or when the generating set takes more than
 dim/3 generators, whose passes would cost more than the scan.  The
-generating set grows in the span of right-normed brackets, which brackets
-a vector with a generator only where the table stores a pair between
-them, so its cost follows the stored pairs met.  validate_table and
+generating set grows in the span of right-normed brackets: on a one-term
+table (one nonzero term per stored pair, as in every builder and eigen
+table) the set of basis positions reached from the generators by table
+lookups (_ReachedSpan), on any other a span that brackets a vector with a
+generator only where the table stores a pair between them.
+validate_table, check_structure_map's Leibniz passes and
 StructureTable.to_json run with cyclic garbage collection paused
 (_gc_paused): everything they build is acyclic.
 """
@@ -571,9 +574,9 @@ def _leibniz_failures(
         yield g, [divmod(jk, dim) for jk in bad]
 
 
-def _jacobi_certified(t: StructureTable, index: _LeibnizIndex) -> bool:
+def _jacobi_certified(t: StructureTable, index: _LeibnizIndex, one_term: bool) -> bool:
     """True when ad g is a derivation for each g of a generating set (the
-    proof is in validate_table).
+    proof is in validate_table); one_term is _one_term(t).
 
     A pass of _leibniz_failures for g reads the compositions through the ad
     row of b_g, so its cost follows the size of that row, the number of
@@ -597,7 +600,7 @@ def _jacobi_certified(t: StructureTable, index: _LeibnizIndex) -> bool:
     size = [len(k) for k in index.keys]
     widest = max(range(dim), key=size.__getitem__, default=-1)
     order = sorted(range(dim), key=lambda i: (i != widest, size[i]))
-    gens = list(islice(_greedy_generators(t, (), order), dim // 3 + 1))
+    gens = list(islice(_greedy_generators(t, (), order, one_term), dim // 3 + 1))
     if 3 * len(gens) > dim:
         return False
     return not any(pairs for _, pairs in _leibniz_failures(index, ((g, -1) for g in gens)))
@@ -627,9 +630,10 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
     if max_violations < 1:
         raise ValueError(f"max_violations must be at least 1, got {max_violations}")
     messages: list[str] = []
-    encoding_ok = True
+    encoding_ok = one_term = True
     dim = t.dim
     for (i, j), terms in t.brackets.items():
+        one_term &= len(terms) == 1
         if not (0 <= i < j < dim):
             encoding_ok = False
             messages.append(f"bad key ({i}, {j})")
@@ -643,7 +647,7 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
 
     with _gc_paused():
         index = _LeibnizIndex(t)
-        if encoding_ok and _jacobi_certified(t, index):
+        if encoding_ok and _jacobi_certified(t, index, one_term):
             return ValidationReport(True, True, True, [], [])
         violations: list[tuple[int, int, int]] = []
         for i, pairs in _leibniz_failures(index, ((i, i) for i in range(dim))):
@@ -714,24 +718,79 @@ class _RightNormedSpan:
             self.found += new
             candidates = [bracket(h, u) for u in new for j, h in self.gens if meets(j, u)]
 
+    @property
+    def rank(self) -> int:
+        return self.span.rank
+
+    def __contains__(self, i: int) -> bool:
+        return not self.span.reduce({i: self.t.field.one})
+
+
+def _one_term(t: StructureTable) -> bool:
+    """Whether each stored key is 0 <= i < j < dim with one term (k, c), 0 <= k
+    < dim and c != 0, as in builder and eigen tables (validate_table finds
+    the same in its encoding loop)."""
+    dim, zero = t.dim, 2 * (t.field.size - 1)
+    for (i, j), terms in t.brackets.items():
+        if len(terms) != 1 or not 0 <= i < j < dim:
+            return False
+        ((k, c),) = terms
+        if not 0 <= k < dim or c.log == zero:
+            return False
+    return True
+
+
+class _ReachedSpan:
+    """_RightNormedSpan on a one-term table: the span of b_m for m in reached,
+    grown by one dict lookup per step, with no Element, bracket or Echelon.
+    There ad b_g maps each b_m to a multiple of one b_k.  Let R be the least
+    set of positions holding the generators and, for each generator g and m
+    in R with [b_g, b_m] = c b_k, holding k.  The span of R holds the
+    generators and is closed under each ad b_g, so it holds the right-normed
+    span; and b_k = c^-1 [b_g, b_m] with c != 0, so the right-normed span
+    holds each b_m, m in R, by induction.  The spans are equal, and b_i lies
+    in it exactly when i is in R."""
+
+    def __init__(self, t: StructureTable):
+        self.brackets, self.gens, self.reached = t.brackets, [], set()
+
+    @property
+    def rank(self) -> int:
+        return len(self.reached)
+
+    def __contains__(self, i: int) -> bool:
+        return i in self.reached
+
+    def adjoin(self, g: int) -> None:
+        get, reached, gens = self.brackets.get, self.reached, self.gens
+        gens.append(g)
+        # reached is closed under the earlier generators, not yet under ad g
+        new = [terms[0][0] for m in reached if (terms := get((g, m) if g < m else (m, g)))]
+        new.append(g)
+        while new:
+            m = new.pop()
+            if m not in reached:
+                reached.add(m)
+                new += [terms[0][0] for h in gens if (terms := get((h, m) if h < m else (m, h)))]
+
 
 def _greedy_generators(
-    t: StructureTable, start: Iterable[int], candidates: Iterable[int]
+    t: StructureTable, start: Iterable[int], candidates: Iterable[int], one_term: bool
 ) -> Iterator[int]:
     """start, then each of candidates outside the span of the right-normed
     brackets of the positions yielded so far, until that span is all of t.
     candidates must run over every basis position, or the span may fall
     short of t.  Each position is yielded before it is adjoined, so a
-    caller that stops taking them pays for no further extension."""
-    closure = _RightNormedSpan(t)
+    caller that stops taking them pays for no further extension.  one_term
+    is _one_term(t), which picks _ReachedSpan over _RightNormedSpan."""
+    closure = _ReachedSpan(t) if one_term else _RightNormedSpan(t)
     for i in start:
         yield i
         closure.adjoin(i)
-    one = t.field.one
     for i in candidates:
-        if closure.span.rank == t.dim:
+        if closure.rank == t.dim:
             return
-        if closure.span.reduce({i: one}):
+        if i not in closure:
             yield i
             closure.adjoin(i)
 
@@ -739,8 +798,9 @@ def _greedy_generators(
 def extend_to_generators(t: StructureTable, start: Sequence[int]) -> list[int]:
     """start, then each basis position, lowest first, outside the span of
     the right-normed brackets of the positions chosen so far, until that
-    span is all of t: for a Lie algebra, a generating set of t."""
-    return list(_greedy_generators(t, start, range(t.dim)))
+    span is all of t: for a Lie algebra, a generating set of t.  The span
+    is _ReachedSpan's on a one-term t, else _RightNormedSpan's."""
+    return list(_greedy_generators(t, start, range(t.dim), _one_term(t)))
 
 
 def derived_subalgebra(t: StructureTable, s: Subspace) -> Subspace:
@@ -904,7 +964,8 @@ def check_structure_map(
     contain gens, hence the right-normed brackets, hence all of src: src is
     a Lie algebra and phi a homomorphism.  When gens is every basis vector
     the intertwining covers every pair, which alone is the proof, and the
-    last two checks are skipped.
+    last two checks are skipped.  Generation is read off _ReachedSpan when
+    src is one-term (an eigen table), else off _RightNormedSpan.
     """
     if len(images) != src.dim:
         raise ValueError("need one image per src basis vector")
@@ -925,14 +986,15 @@ def check_structure_map(
                 return MapCheck("intertwining", f"[{labels[g]}, {labels[b]}]")
     if len(genset) == src.dim:
         return MapCheck()
-    for g, pairs in _leibniz_failures(_LeibnizIndex(src), ((g, -1) for g in gens)):
-        if pairs:
-            a, b = pairs[0]
-            return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
-    closure = _RightNormedSpan(src)
+    with _gc_paused():
+        for g, pairs in _leibniz_failures(_LeibnizIndex(src), ((g, -1) for g in gens)):
+            if pairs:
+                a, b = pairs[0]
+                return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
+    closure = (_ReachedSpan if _one_term(src) else _RightNormedSpan)(src)
     for g in gens:
         closure.adjoin(g)
-    dim = closure.span.rank
+    dim = closure.rank
     if dim != src.dim:
         names = ", ".join(labels[g] for g in gens)
         return MapCheck("generation", f"{names} generate {dim} of {src.dim} dimensions")

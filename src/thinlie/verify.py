@@ -36,6 +36,9 @@ from .liealg import (
 from .thinloop import INFINITY, DiamondRecord, ThinReport, thin_report
 
 
+SIGMA_ZERO = "sigma = 0 gives a partial eigenbasis and no eigen table: see verify --grading sigma-zero"
+
+
 @dataclass
 class VerifyRun:
     """A thin report together with its deviations from the predicted pattern;
@@ -216,6 +219,8 @@ def run_finite(
         if sigma is None or field is None:
             raise ThinlieError("run_finite needs either mu3 or (field, sigma[, rho])")
         params = toral_params(field, sigma, eps=1, rho=rho)
+    if not params.sigma:
+        raise ThinlieError(SIGMA_ZERO)
     table = build_H2_phi1(p, 1, n2, params.field, 1)
     basis = eigenbasis(table, params)
     if not basis.certificate:  # nothing computed from an unproved table is evidence

@@ -8,6 +8,8 @@ import pytest
 
 from thinlie import cli, grading, liealg, thinloop, verify
 from thinlie.cartan import phi1_monomials
+from thinlie.errors import ThinlieError
+from thinlie.ffield import field_create
 from thinlie.liealg import DegreeMap, StructureTable, Subspace
 
 
@@ -193,6 +195,50 @@ def test_nonpositive_exponent_names_the_flag(command, flag, capsys):
 def test_nonpositive_field_degree_rejected(command, capsys):
     assert run_cli(command) == 2
     assert "--field-k must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--grading", "finite", "--p", "3", "--q", "3"],
+    ["grade", "--grading", "finite", "--p", "3"],
+], ids=["verify", "grade"])
+def test_sigma_zero_finite_grading_is_a_configuration_error(command, monkeypatch, capsys):
+    # sigma = 0 leaves the eigenbasis partial: there is no eigen table to
+    # certify or grade, which verify once reported as a failed certificate
+    def no_build(*a, **k):
+        raise AssertionError("build_H2_phi1 called for sigma = 0")
+
+    monkeypatch.setattr(verify, "build_H2_phi1", no_build)
+    monkeypatch.setattr(cli, "build_H2_phi1", no_build)
+    assert run_cli([*command, "--sigma", "0", "--field-k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert verify.SIGMA_ZERO in err and "--grading sigma-zero" in err
+    assert "internal error" not in err
+
+
+def test_run_finite_rejects_sigma_zero():
+    with pytest.raises(ThinlieError, match="--grading sigma-zero"):
+        verify.run_finite(3, 1, sigma=0, field=field_create(3, 2))
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"], "--n1", "2"),
+    (["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"], "--rho", "1"),
+    (["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"], "--sigma", "1"),
+    (["grade", "--grading", "finite", "--p", "3", "--mu3", "0,1"], "--rho", "1"),
+    (["construct", "--algebra", "Hsecond", "--p", "3"], "--field-k", "2"),
+    (["construct", "--algebra", "Hphitau", "--p", "3"], "--eps", "2"),
+    (["construct", "--algebra", "W", "--p", "3"], "--field-modulus", "1,1"),
+    (["verify", "--grading", "mixed", "--p", "3"], "--q", "3"),
+    (["verify", "--grading", "sigma-zero", "--p", "3", "--q", "3"], "--ratio", "1"),
+    (["verify", "--grading", "eps-zero", "--p", "3", "--q", "3", "--ratio", "1"], "--n1", "2"),
+    (["grade", "--grading", "mixed", "--p", "3"], "--mu3", "0,1"),
+])
+def test_unread_flag_is_rejected_and_named(command, flag, value, capsys):
+    # each command passes without the flag, which its path never reads
+    assert run_cli([*command, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} " in err and "is not read" in err
+    assert run_cli(command) == 0
 
 
 def test_grade_finite_mu3_defaults_to_quadratic_field(tmp_path):

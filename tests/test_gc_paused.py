@@ -1,13 +1,15 @@
 """The bulk builds run with cyclic garbage collection paused and leave the
 collector as they found it: on when it was on, off when the caller had
 switched it off, also when the build raises (for a builder that raises,
-see test_cartan)."""
+see test_cartan).  The bulk builds are the builders' bracket loops,
+validate_table, StructureTable.to_json, closed_eigen_table and the Leibniz
+index and passes of check_structure_map."""
 
 import gc
 
 import pytest
 
-from thinlie import liealg
+from thinlie import grading, liealg
 from thinlie.cartan import (
     AlbertFrankSpec,
     build_albert_frank,
@@ -18,7 +20,8 @@ from thinlie.cartan import (
     zassenhaus_group_basis,
 )
 from thinlie.ffield import field_create, frobenius
-from thinlie.liealg import StructureTable, validate_table
+from thinlie.grading import closed_eigen_table, eigenbasis, generator_positions, params_from_mu3
+from thinlie.liealg import StructureTable, check_structure_map, extend_to_generators, validate_table
 
 F9 = field_create(3, 2)
 
@@ -88,4 +91,73 @@ def test_raising_validation_and_json_restore_the_collector(collector, monkeypatc
     table = StructureTable(F9, ["a", "b", "c"], {(0, 1): ((2, 1),)})
     with pytest.raises(AttributeError):
         table.to_json()
+    assert gc.isenabled() == collector
+
+
+def _eigenbasis():
+    """The finite eigenbasis at p = 3 over F_9, whose certificate takes the
+    two generators X and Y, so its Leibniz passes run."""
+    params = params_from_mu3(F9.generator())
+    return eigenbasis(build_H2_phi1(3, 1, 1, F9, 1), params)
+
+
+def _certify(basis):
+    gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
+    assert len(gens) < basis.eigen_table.dim
+    return check_structure_map(basis.eigen_table, basis.table, basis.vectors, gens)
+
+
+def test_certificate_builds_run_with_the_collector_paused(collector, monkeypatch):
+    basis = _eigenbasis()
+    seen = {"closed table": [], "index": [], "passes": []}
+    binom, kernel = grading.binom_mod_p, liealg._leibniz_failures
+
+    def recording_binom(*args):
+        seen["closed table"].append(gc.isenabled())
+        return binom(*args)
+
+    class Recording(liealg._LeibnizIndex):
+        __slots__ = ()
+
+        def __init__(self, t):
+            seen["index"].append(gc.isenabled())
+            super().__init__(t)
+
+    def recording_passes(index, scans):
+        for out in kernel(index, scans):
+            seen["passes"].append(gc.isenabled())
+            yield out
+
+    monkeypatch.setattr(grading, "binom_mod_p", recording_binom)
+    monkeypatch.setattr(liealg, "_LeibnizIndex", Recording)
+    monkeypatch.setattr(liealg, "_leibniz_failures", recording_passes)
+    table = closed_eigen_table(basis)
+    assert gc.isenabled() == collector
+    assert table.to_json() == basis.eigen_table.to_json()
+    assert _certify(basis)
+    assert gc.isenabled() == collector
+    assert seen["closed table"] and seen["index"] == [False] and seen["passes"] == [False, False]
+    assert not any(seen["closed table"])
+
+
+def test_raising_certificate_builds_restore_the_collector(collector, monkeypatch):
+    basis = _eigenbasis()
+
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(grading, "binom_mod_p", broken)
+        with pytest.raises(RuntimeError, match="broken"):
+            closed_eigen_table(basis)
+    assert gc.isenabled() == collector
+    with monkeypatch.context() as mp:
+        mp.setattr(liealg, "_LeibnizIndex", broken)
+        with pytest.raises(RuntimeError, match="broken"):
+            _certify(basis)
+    assert gc.isenabled() == collector
+    with monkeypatch.context() as mp:
+        mp.setattr(liealg, "_leibniz_failures", broken)
+        with pytest.raises(RuntimeError, match="broken"):
+            _certify(basis)
     assert gc.isenabled() == collector

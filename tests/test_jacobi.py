@@ -195,7 +195,7 @@ def _ad_row_order(table):
 def _certificate_generators(table):
     """The certificate's generators, or None when it would take more than
     dim/3 of them: then the guard stops the extension and the scan runs."""
-    gens = list(liealg._greedy_generators(table, (), _ad_row_order(table)))
+    gens = list(liealg._greedy_generators(table, (), _ad_row_order(table), liealg._one_term(table)))
     return None if 3 * len(gens) > table.dim else gens
 
 
@@ -219,7 +219,7 @@ def passes(monkeypatch):
 def _scan_report(table, cap=10):
     """validate_table with the certificate switched off: the triple scan."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(liealg, "_jacobi_certified", lambda t, index: False)
+        mp.setattr(liealg, "_jacobi_certified", lambda t, index, one_term: False)
         return validate_table(table, cap)
 
 
@@ -322,6 +322,7 @@ def test_abelian_table_goes_straight_to_the_scan(passes, monkeypatch):
         raise AssertionError("the generating set is not needed")
 
     monkeypatch.setattr(liealg, "_RightNormedSpan", extension)
+    monkeypatch.setattr(liealg, "_ReachedSpan", extension)
     assert validate_table(table) == ValidationReport(True, True, True, [], [])
     assert passes == [(i, i) for i in range(30)]
 
@@ -422,7 +423,7 @@ def test_guard_stops_the_extension(passes):
     table = build_H2_second_derived(7, 1, 1)
     untargeted = table.dim - len({k for terms in table.brackets.values() for k, _ in terms})
     assert 3 * untargeted <= table.dim
-    assert len(list(liealg._greedy_generators(table, (), _ad_row_order(table)))) == 44
+    assert len(list(liealg._greedy_generators(table, (), _ad_row_order(table), liealg._one_term(table)))) == 44
     report = validate_table(table)
     assert report == ValidationReport(True, True, True, oracle_jacobi_violations(table, 10), [])
     assert passes == [(i, i) for i in range(table.dim)]

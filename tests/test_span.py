@@ -6,10 +6,21 @@ and the same generating sets from extend_to_generators.  Checked on random
 alternating tables over F_2, F_3 and F_9 of dimension 3 to 30 with one-term
 and multi-term brackets, on builder tables (Lie), on builder tables with
 one coefficient changed (not Lie) and on builder tables rewritten in a
-random basis (Lie, multi-term)."""
+random basis (Lie, multi-term).
+
+_ReachedSpan, the span of a one-term table as the set of basis positions
+reached from the generators, against the same oracle: its positions are the
+oracle's pivots, on random one-term tables, builder tables and the eigen
+table of every case of the toral benchmark.  extend_to_generators and the
+generation check of check_structure_map give what the oracle and the
+bracket span give; a table with a stored zero, a diagonal key or a target
+out of range is not one-term and takes the bracket span."""
+
+import functools
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -28,8 +39,10 @@ from thinlie.cartan import (
     build_H2_second_derived,
     build_W1n,
 )
-from thinlie.ffield import field_create, frobenius
-from thinlie.liealg import StructureTable, extend_to_generators
+from thinlie.errors import DenominatorZero
+from thinlie.ffield import field_create, frobenius, in_prime_field
+from thinlie.grading import ToralParams, eigenbasis, generator_positions, params_from_mu3
+from thinlie.liealg import StructureTable, check_structure_map, extend_to_generators
 
 F2, F3, F9 = field_create(2), field_create(3), field_create(3, 2)
 
@@ -48,13 +61,13 @@ SMALL = [t for t in BUILT if t.dim <= 9 and t.field is not F2]
 
 
 @st.composite
-def random_tables(draw):
+def random_tables(draw, most=st.sampled_from([1, 3])):
     """Each pair i < j gets a bracket with probability density, of one
-    target or of one to three distinct ones, with nonzero coefficients."""
+    target or of one to most distinct ones, with nonzero coefficients."""
     field = draw(st.sampled_from([F2, F3, F9]))
     dim = draw(st.integers(3, 30))
     density = draw(st.sampled_from([0.05, 0.2, 0.6]))
-    most = draw(st.sampled_from([1, 3]))
+    most = draw(most)
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     entries = [
         (i, j, [(k, element_by_index(field, rng.randrange(1, field.size)))
@@ -135,3 +148,167 @@ def test_span_brackets_only_stored_pairs(monkeypatch):
     for g, u in taken:
         (i,) = g.coords
         assert any((min(i, m), max(i, m)) in table.brackets for m in u.coords)
+
+
+@functools.cache
+def toral_bases():
+    """The eigenbasis of every case of the toral benchmark that has an eigen
+    table: the finite runs at (p, q, |F|) = (3, 3, 9), (5, 5, 25), (3, 9, 9)
+    and (7, 7, 49) for every mu3 outside the prime field, and eps-zero at
+    p = 5 for ratios 1, 2 and 3."""
+    bases = []
+    for p, n2, k in ((3, 1, 2), (5, 1, 2), (3, 2, 2), (7, 1, 2)):
+        for mu3 in field_create(p, k).elements():
+            if in_prime_field(mu3):
+                continue
+            try:
+                params = params_from_mu3(mu3)
+            except DenominatorZero:
+                continue
+            bases.append(eigenbasis(build_H2_phi1(p, 1, n2, params.field, 1), params))
+    f5 = field_create(5)
+    for ratio in (1, 2, 3):
+        params = ToralParams(f5.element(ratio), f5.one, f5.zero)
+        bases.append(eigenbasis(build_H2_phi1(5, 1, 1, f5, 0), params))
+    return bases
+
+
+def test_toral_bases_cover_the_benchmark():
+    assert len(toral_bases()) == 6 + 20 + 6 + 42 + 3
+    assert all(basis.certificate for basis in toral_bases())
+
+
+@st.composite
+def reached_spans(draw):
+    table = draw(st.one_of(
+        random_tables(most=st.just(1)),
+        st.sampled_from(BUILT),
+        st.sampled_from(range(len(toral_bases()))).map(lambda m: toral_bases()[m].eigen_table),
+    ))
+    gens = draw(st.lists(st.integers(0, table.dim - 1), min_size=1, max_size=5))
+    return table, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(reached_spans())
+def test_reached_span_matches_oracle(case):
+    table, gens = case
+    assert liealg._one_term(table)
+    closure = liealg._ReachedSpan(table)
+    for g in gens:
+        closure.adjoin(g)
+    want, _ = oracle_right_normed_span(table, gens)
+    assert sorted(closure.reached) == want.pivots and closure.rank == len(want.pivots)
+    assert [i in closure for i in range(table.dim)] == [i in want.pivots for i in range(table.dim)]
+    assert extend_to_generators(table, gens) == oracle_extend_to_generators(table, gens)
+
+
+def _bracket_span_only(monkeypatch):
+    """Make every table take _RightNormedSpan, as before _ReachedSpan."""
+    monkeypatch.setattr(liealg, "_one_term", lambda t: False)
+
+
+@pytest.mark.parametrize("m", range(len(BUILT)))
+def test_extension_on_builder_tables(m, monkeypatch):
+    table = BUILT[m]
+    assert liealg._one_term(table)
+    starts = [[], [0], [table.dim - 1, 0]]
+    got = [extend_to_generators(table, start) for start in starts]
+    assert got == [oracle_extend_to_generators(table, start) for start in starts]
+    _bracket_span_only(monkeypatch)
+    assert got == [extend_to_generators(table, start) for start in starts]
+
+
+def test_extension_and_generation_on_eigen_tables(monkeypatch):
+    # every generating set the certificate uses, and the verdict of
+    # check_structure_map with each of its generators dropped in turn
+    cases = []
+    for basis in toral_bases():
+        et = basis.eigen_table
+        assert liealg._one_term(et)
+        gens = extend_to_generators(et, generator_positions(basis))
+        assert gens == oracle_extend_to_generators(et, generator_positions(basis))
+        for drop in range(len(gens)):
+            fewer = gens[:drop] + gens[drop + 1:]
+            verdict = check_structure_map(et, basis.table, basis.vectors, fewer)
+            rank = len(oracle_right_normed_span(et, fewer)[0].pivots)
+            if rank == et.dim:
+                assert verdict
+            else:
+                assert verdict.check == "generation"
+                assert verdict.detail.endswith(f" generate {rank} of {et.dim} dimensions")
+            cases.append((basis, fewer, gens, verdict))
+    assert sum(not verdict for *_, verdict in cases) > len(cases) // 2
+    _bracket_span_only(monkeypatch)
+    for basis, fewer, gens, verdict in cases:
+        assert extend_to_generators(basis.eigen_table, generator_positions(basis)) == gens
+        assert check_structure_map(basis.eigen_table, basis.table, basis.vectors, fewer) == verdict
+
+
+def _malformed(table, how):
+    """table with one stored entry made malformed: a zero coefficient, a
+    target out of range, or an added diagonal key."""
+    brackets = dict(table.brackets)
+    key = sorted(brackets)[len(brackets) // 2]
+    ((target, c),) = brackets[key]
+    if how == "zero":
+        brackets[key] = ((target, table.field.zero),)
+    elif how == "out-of-range":
+        brackets[key] = ((table.dim, c),)
+    else:
+        brackets[(key[0], key[0])] = ((target, c),)
+    return StructureTable(table.field, table.labels, brackets)
+
+
+@pytest.mark.parametrize("how", ["zero", "out-of-range", "diagonal"])
+@pytest.mark.parametrize("m", range(len(BUILT)))
+def test_malformed_tables_take_the_bracket_span(m, how, monkeypatch):
+    table = _malformed(BUILT[m], how)
+    assert not liealg._one_term(table)
+
+    def unused(t):
+        raise AssertionError("a table that is not one-term reached _ReachedSpan")
+
+    monkeypatch.setattr(liealg, "_ReachedSpan", unused)
+    for start in ([], [0], [table.dim - 1]):
+        assert extend_to_generators(table, start) == oracle_extend_to_generators(table, start)
+
+
+def test_validate_table_decides_one_term_in_its_encoding_loop(monkeypatch):
+    seen = []
+    real = liealg._jacobi_certified
+
+    def recording(t, index, one_term):
+        seen.append(one_term)
+        return real(t, index, one_term)
+
+    monkeypatch.setattr(liealg, "_jacobi_certified", recording)
+    rewritten = change_basis(BUILT[3], [[F3.one if i <= j else F3.zero for j in range(27)] for i in range(27)],
+                             [f"v{i}" for i in range(27)])
+    tables = BUILT + [rewritten]
+    for table in tables:
+        assert liealg.validate_table(table).ok
+    assert seen == [liealg._one_term(t) for t in tables] and seen[-1] is False and all(seen[:-1])
+
+
+def test_generation_on_a_multi_term_table_takes_the_bracket_span(monkeypatch):
+    # W(1;2) over F_9 in a triangular basis: its brackets have many terms
+    table = BUILT[6]
+    one, zero = F9.one, F9.zero
+    rows = [[one if i <= j else zero for j in range(table.dim)] for i in range(table.dim)]
+    rewritten = change_basis(table, rows, [f"v{i}" for i in range(table.dim)])
+    assert not liealg._one_term(rewritten)
+
+    def unused(t):
+        raise AssertionError("a multi-term table reached _ReachedSpan")
+
+    monkeypatch.setattr(liealg, "_ReachedSpan", unused)
+    gens = extend_to_generators(rewritten, [])
+    assert gens == oracle_extend_to_generators(rewritten, [])
+    images = [rewritten.basis_element(i) for i in range(rewritten.dim)]
+    assert check_structure_map(rewritten, rewritten, images, gens)
+    fewer = gens[1:]
+    rank = len(oracle_right_normed_span(rewritten, fewer)[0].pivots)
+    assert rank < rewritten.dim
+    verdict = check_structure_map(rewritten, rewritten, images, fewer)
+    assert str(verdict).endswith(f" generate {rank} of {rewritten.dim} dimensions")
