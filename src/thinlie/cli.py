@@ -7,9 +7,10 @@ prediction for the selected grading; grade --grading finite exits 1 on a
 failed eigen-table certificate, and grade prints no degree map that fails
 validate_grading (exit 2, as verify through loop_expand).  --n1, --n2 and
 --field-k must be positive; a flag the selected algebra or grading never
-reads, and sigma = 0 for a finite grading, are rejected.  Exit codes: 0
-full pass, 1 verification failure, 2 configuration error, 3 internal error
-(an unexpected exception, reported as `internal error: <Type>: <message>`
+reads, even one with a default (--n, --n1, --n2, --theta), and sigma = 0
+for a finite grading, are rejected.  Exit codes: 0 full pass, 1
+verification failure, 2 configuration error, 3 internal error (an
+unexpected exception, reported as `internal error: <Type>: <message>`
 after its traceback on stderr).
 """
 
@@ -37,12 +38,24 @@ from .liealg import StructureTable, validate_grading, validate_table
 # cmd_verify and perfbench call the run_* functions through these names
 from .verify import SIGMA_ZERO, run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
-# the optional flags each algebra or grading reads: any other one given is rejected
+# the optional flags each command reads on each algebra or grading: any
+# other one given is rejected; the toral gradings take --n1 only as 1
 _FIELD = {"field_k", "field_modulus"}
+_N12 = {"n1", "n2"}
 _READS = {
-    "W": _FIELD, "Hphi1": {"eps", *_FIELD}, "AF": _FIELD,
-    "finite": {"q", "mu3", "sigma", "rho", *_FIELD}, "sigma-zero": {"q"}, "eps-zero": {"q", "ratio"},
+    "construct": {
+        "W": {"n", *_FIELD}, "Hsecond": _N12, "Hphitau": _N12,
+        "Hphi1": {"eps", *_N12, *_FIELD}, "AF": {"theta", *_FIELD},
+    },
+    "grade": {"mixed": _N12, "finite": {"mu3", "sigma", "rho", *_N12, *_FIELD}},
+    "verify": {
+        "mixed": _N12, "finite": {"n1", "q", "mu3", "sigma", "rho", *_FIELD},
+        "sigma-zero": {"n1", "q"}, "eps-zero": {"n1", "q", "ratio"},
+    },
 }
+# parsed as None so that a given flag can be told from its default, which
+# is applied only after the unread-flag check
+_DEFAULTS = {"n": 1, "n1": 1, "n2": 1, "theta": "zero"}
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +240,21 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build a structure table and validate it")
     c.add_argument("--algebra", required=True, choices=["W", "Hsecond", "Hphitau", "Hphi1", "AF"])
     c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, default=1, help="height for W")
-    c.add_argument("--n1", type=int, default=1)
-    c.add_argument("--n2", type=int, default=1)
+    c.add_argument("--n", type=int, help="height for W (default 1)")
+    c.add_argument("--n1", type=int, help="default 1")
+    c.add_argument("--n2", type=int, help="default 1")
     c.add_argument("--eps", help="field element literal a0,a1,...")
     c.add_argument("--field-k", type=int, dest="field_k")
     c.add_argument("--field-modulus", dest="field_modulus")
-    c.add_argument("--theta", default="zero", choices=["zero", "frobenius-id"])
+    c.add_argument("--theta", choices=["zero", "frobenius-id"], help="for AF (default zero)")
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
     g = sub.add_parser("grade", help="emit a degree map for a grading")
     g.add_argument("--grading", required=True, choices=["mixed", "finite"])
     g.add_argument("--p", type=int, required=True)
-    g.add_argument("--n1", type=int, default=1)
-    g.add_argument("--n2", type=int, default=1)
+    g.add_argument("--n1", type=int, help="default 1")
+    g.add_argument("--n2", type=int, help="default 1")
     g.add_argument("--mu3")
     g.add_argument("--sigma")
     g.add_argument("--rho")
@@ -253,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a thin report and check the predicted pattern")
     v.add_argument("--grading", required=True, choices=["mixed", "finite", "sigma-zero", "eps-zero"])
     v.add_argument("--p", type=int, required=True)
-    v.add_argument("--n1", type=int, default=1)
-    v.add_argument("--n2", type=int, default=1)
+    v.add_argument("--n1", type=int, help="default 1, for mixed")
+    v.add_argument("--n2", type=int, help="default 1, for mixed")
     v.add_argument("--q", type=int, help="p^n2, for the toral gradings")
     v.add_argument("--mu3", help="third-diamond type literal a0,a1,...")
     v.add_argument("--sigma")
@@ -281,11 +294,15 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and value < 1:
                 raise ThinlieError(f"--{flag.replace('_', '-')} must be positive, got {value}")
         path = getattr(args, "algebra", None) or getattr(args, "grading", None)
-        for flag in ("q", "mu3", "sigma", "rho", "ratio", "eps", "field_k", "field_modulus"):
-            if path and getattr(args, flag, None) is not None and flag not in _READS.get(path, ()):
+        reads = _READS.get(args.command, {}).get(path, ())
+        for flag in (*_DEFAULTS, "q", "mu3", "sigma", "rho", "ratio", "eps", "field_k", "field_modulus"):
+            if path and getattr(args, flag, None) is not None and flag not in reads:
                 raise ThinlieError(f"--{flag.replace('_', '-')} is not read for {path}")
-        if path in ("finite", "sigma-zero", "eps-zero") and args.n1 != 1:
+        if path in ("finite", "sigma-zero", "eps-zero") and args.n1 not in (None, 1):
             raise ThinlieError(f"--n1 {args.n1} is not read for {path}, which takes n1 = 1")
+        for flag, value in _DEFAULTS.items():
+            if getattr(args, flag, value) is None:
+                setattr(args, flag, value)
         return args.func(args)
     except ThinlieError as exc:
         print(f"error: {exc}", file=sys.stderr)

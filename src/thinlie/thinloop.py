@@ -10,9 +10,15 @@ computes the parameter k = dim(L / L'') - 1 from graded pieces.
 Periodicity: with N the grading modulus, M_{d+1} depends on M_d alone, so
 once M_{s+N} = M_s for some s, every M_{d+N} = M_d with d >= s.  The
 expansion records the first such s as its period start; after it the
-components are the earlier Subspace objects and the covering verdict is
-read back one period rather than recomputed.  With no repeat within the
-depth every degree is computed.
+components are the earlier Subspace objects.  Every verdict at degree d
+reads M_{d-1}, M_d, M_{d+1}, X and Y alone, so one period is computed for
+the expansion, covering and the diamond slots, and the rest is read back
+from d - N.  With no repeat within the depth every degree is computed.
+
+The expansion also settles most of covering: when X and Y span M_1, a
+one-dimensional M_d = <u> covers by construction, since M_{d+1} is built
+as [u, M_1].  The centralizer chains are decided by two brackets per basis
+vector of M_d rather than by a nullspace.
 """
 
 from __future__ import annotations
@@ -123,6 +129,24 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
 # generators
 # ---------------------------------------------------------------------------
 
+def _spans_m1(expansion: LoopExpansion, X: Element, Y: Element) -> bool:
+    """Whether span(X, Y) is the degree-1 component M_1."""
+    return Subspace.from_elements(expansion.base, [X, Y]) == expansion.component(1)
+
+
+def _centralizer_is_y(component: Subspace, X: Element, Y: Element) -> bool:
+    """C_{M_1}(M_d) = <Y> for component M_d, given span(X, Y) = M_1 of dim 2.
+
+    C is {aX + bY : a[X, M_d] + b[Y, M_d] = 0}.  If [Y, M_d] = 0 it is
+    {aX + bY : a[X, M_d] = 0}, which is <Y> when [X, M_d] != 0 and all of
+    M_1 otherwise; if [Y, M_d] != 0, Y is not in C.  So C = <Y> exactly when
+    [b, Y] = 0 for every basis vector b of M_d and [b, X] != 0 for some b:
+    at most two brackets per basis vector, no nullspace.
+    """
+    basis = component.basis_elements()
+    return not any(bracket(b, Y) for b in basis) and any(bracket(b, X) for b in basis)
+
+
 def _coeff_of(u: Element, w: Element) -> FieldElement | None:
     """The scalar c with u = c*w, if it exists (w nonzero)."""
     fieldspec = u.table.field
@@ -173,8 +197,8 @@ def choose_generators(
 
     Explicit X, Y bypass the centralizer characterization, which fails for
     q = 3 where the annihilator is trivial; the normalization still runs.
-    The slot of the second diamond is q when given, otherwise the first
-    degree whose two-step centralizer differs from <Y>.
+    The slot of the second diamond is q when given, otherwise one past the
+    first degree d >= 2 with C_{M_1}(M_d) != <Y> (see _centralizer_is_y).
     """
     base = expansion.base
     m1 = expansion.component(1)
@@ -201,13 +225,12 @@ def choose_generators(
         if Subspace.from_elements(base, [X, Y]).dim != 2:
             raise ValueError("explicit generators are dependent")
 
-    span_y = Subspace.from_elements(base, [Y])
     if q is None:
         # the first component whose two-step centralizer leaves <Y> is the
-        # one immediately before the second diamond
+        # one immediately before the second diamond; X, Y span M_1 here
         slot = None
         for d in range(2, expansion.depth):
-            if centralizer_in(base, m1, expansion.component(d)) != span_y:
+            if not _centralizer_is_y(expansion.component(d), X, Y):
                 slot = d + 1
                 break
         if slot is None:
@@ -322,7 +345,7 @@ def _plane_covers(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> b
     return bool(det_b) and not find_roots(target.table.field, [det_a, m, det_b])
 
 
-def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
+def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int, spans: bool) -> bool:
     comp = expansion.component(d)
     if comp.dim == 0:
         return False
@@ -331,7 +354,7 @@ def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int) ->
         # loop algebra is finite-dimensional and certainly not thin
         return True
     if comp.dim == 1:
-        return not _covers(expansion, comp.basis_elements()[0], X, Y, d)
+        return not spans and not _covers(expansion, comp.basis_elements()[0], X, Y, d)
     return comp.dim > 2 or not _plane_covers(expansion, X, Y, d)
 
 
@@ -340,15 +363,20 @@ def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> Covering
 
     One-dimensional components need only their basis vector; two-dimensional
     ones are decided exactly by rank (see _plane_covers); larger ones fail.
-    The verdict at d depends on M_d, M_{d+1}, X and Y alone, so from s + N
-    on (s the period start) it is the verdict at d - N, read back.
+    When span(X, Y) = M_1 (one Subspace comparison, made once), a
+    one-dimensional M_d = <u> with M_{d+1} != 0 covers by construction:
+    loop_expand builds M_{d+1} = [u, M_1] = span([u, X], [u, Y]), so nothing
+    is bracketed; only when X and Y do not span M_1 (X = Y, say) is u
+    bracketed.  The verdict at d depends on M_d, M_{d+1}, X and Y alone, so
+    from s + N on (s the period start) it is the verdict at d - N, read back.
     """
     n, s = expansion.degmap.modulus, expansion.period_start
     repeat = expansion.depth if s is None else s + n
     upto = expansion.depth - 1
+    spans = _spans_m1(expansion, X, Y)
     failures = []
     for d in range(1, upto + 1):
-        if (d - n in failures) if d >= repeat else _fails_covering(expansion, X, Y, d):
+        if (d - n in failures) if d >= repeat else _fails_covering(expansion, X, Y, d, spans):
             failures.append(d)
     return CoveringReport(not failures, failures, upto)
 
@@ -432,26 +460,42 @@ def detect_diamonds(
     Returns (records, slots with no diamond, anomalies).  A two-dimensional
     component outside the expected slots is an anomaly, as is a missing
     one-dimensional component before a slot.
+
+    The verdict at slot d (a record's kind and type, no diamond, or the
+    dimension of a malformed M_{d-1}) reads M_{d-1}, M_d, M_{d+1}, X and Y
+    alone.  From d = s + N + 1 on (s the period start), M_{d-1}, M_d and
+    M_{d+1} are M_{d-1-N}, M_{d-N} and M_{d+1-N}, so the verdict is the one at
+    d - N, read back.  That slot was classified when N = 0 mod (q-1): then
+    d - N = 1 mod (q-1) and d - N >= s + 1 >= 2, so d - N >= q.  A slot
+    whose classification raised has already stopped the scan.
     """
     records = [DiamondRecord(1, 1, "genuine", None)]
     nondiamond: list[int] = []
     anomalies: list[str] = []
+    n, s = expansion.degmap.modulus, expansion.period_start
+    repeat = expansion.depth + 1 if s is None or n % (q - 1) else s + n + 1
+    verdicts: dict[int, object] = {}  # slot -> (kind, type), None, or dim of M_{d-1}
     d = q
     ordinal = 2
     while d + 1 <= expansion.depth:
-        vspace = expansion.component(d - 1)
-        slot = expansion.component(d)
-        if vspace.dim != 1:
-            anomalies.append(f"component before slot {d} has dim {vspace.dim}")
+        if d >= repeat:
+            got = verdicts[d - n]
         else:
-            got = classify_type(
-                vspace.basis_elements()[0], X, Y, slot, expansion.component(d + 1), d
-            )
-            if got is None:
-                nondiamond.append(d)
+            vspace = expansion.component(d - 1)
+            if vspace.dim != 1:
+                got = vspace.dim
             else:
-                kind, mu = got
-                records.append(DiamondRecord(d, ordinal, kind, mu))
+                got = classify_type(
+                    vspace.basis_elements()[0], X, Y, expansion.component(d), expansion.component(d + 1), d
+                )
+        verdicts[d] = got
+        if got is None:
+            nondiamond.append(d)
+        elif isinstance(got, int):
+            anomalies.append(f"component before slot {d} has dim {got}")
+        else:
+            kind, mu = got
+            records.append(DiamondRecord(d, ordinal, kind, mu))
         d += q - 1
         ordinal += 1
     for d in range(2, expansion.depth + 1):
@@ -486,24 +530,25 @@ class ChainReport:
 def centralizer_chain(expansion: LoopExpansion, X: Element, Y: Element, q: int) -> ChainReport:
     """C_{L_1}(L_d) = <Y> for d = 2..q-2 and again for d = q+1..2q-3.
 
-    Empty ranges pass vacuously.  The proviso records when the parameters
-    fall outside the hypotheses under which the chains are guaranteed
-    (q > 3 for the first, p > 3 and q != 5 for the second).
+    Each degree is decided by _centralizer_is_y, at most two brackets per
+    basis vector of M_d, which needs span(X, Y) = M_1 of dimension 2;
+    otherwise ValueError.  Empty ranges pass vacuously.  The proviso
+    records when the parameters fall outside the hypotheses under which the
+    chains are guaranteed (q > 3 for the first, p > 3 and q != 5 for the
+    second).
     """
-    base = expansion.base
-    m1 = expansion.component(1)
-    span_y = Subspace.from_elements(base, [Y])
+    if expansion.component(1).dim != 2 or not _spans_m1(expansion, X, Y):
+        raise ValueError("the centralizer chains need X and Y spanning a two-dimensional M_1")
 
     def run(lo: int, hi: int) -> bool:
         return all(
-            centralizer_in(base, m1, expansion.component(d)) == span_y
-            for d in range(lo, hi + 1)
-            if d <= expansion.depth
+            _centralizer_is_y(expansion.component(d), X, Y)
+            for d in range(lo, min(hi, expansion.depth) + 1)
         )
 
     first = run(2, q - 2)
     second = run(q + 1, 2 * q - 3)
-    p = base.field.p
+    p = expansion.base.field.p
     notes = []
     if q <= 3 or p == 2:
         notes.append("first chain only guaranteed for q > 3 and odd p")

@@ -11,9 +11,10 @@ FieldElement operators, Jacobi violations from a visit to every basis
 triple, covering from every projective line of a two-dimensional
 component, eigen-table products from the closed formula checked pair by
 pair, right-normed spans from every bracket of a found vector with a
-generator, and thin reports from the full-depth loop expansion, covering
-scan and parameter k, which bracket every degree and never reuse a grading
-period.
+generator, centralizer chains from the nullspace centralizer_in finds at
+each degree, diamond slots each classified afresh, and thin reports from
+those and the full-depth loop expansion, covering scan and parameter k,
+which bracket every degree and never reuse a grading period.
 """
 
 import bisect
@@ -540,17 +541,80 @@ def oracle_parameter_k(expansion):
     return sum(codims) - 1
 
 
+def oracle_centralizer_chain(expansion, X, Y, q):
+    """The two centralizer chains, each degree by comparing the whole
+    centralizer_in(base, M_1, M_d) with <Y>; the proviso as in the library."""
+    from thinlie.liealg import Subspace, centralizer_in
+    from thinlie.thinloop import ChainReport
+
+    base = expansion.base
+    m1 = expansion.component(1)
+    span_y = Subspace.from_elements(base, [Y])
+
+    def run(lo, hi):
+        return all(
+            centralizer_in(base, m1, expansion.component(d)) == span_y
+            for d in range(lo, hi + 1)
+            if d <= expansion.depth
+        )
+
+    first = run(2, q - 2)
+    second = run(q + 1, 2 * q - 3)
+    p = base.field.p
+    notes = []
+    if q <= 3 or p == 2:
+        notes.append("first chain only guaranteed for q > 3 and odd p")
+    if p <= 3 or q == 5:
+        notes.append("second chain only guaranteed for p > 3 and q != 5")
+    return ChainReport(first, (2, q - 2), second, (q + 1, 2 * q - 3), "; ".join(notes) or None)
+
+
+def oracle_detect_diamonds(expansion, X, Y, q):
+    """Every slot d = 1 mod (q-1) from q on classified afresh by the
+    library's classify_type, with no verdict read back from d - N."""
+    from thinlie.thinloop import DiamondRecord, classify_type
+
+    records = [DiamondRecord(1, 1, "genuine", None)]
+    nondiamond = []
+    anomalies = []
+    d = q
+    ordinal = 2
+    while d + 1 <= expansion.depth:
+        vspace = expansion.component(d - 1)
+        slot = expansion.component(d)
+        if vspace.dim != 1:
+            anomalies.append(f"component before slot {d} has dim {vspace.dim}")
+        else:
+            got = classify_type(
+                vspace.basis_elements()[0], X, Y, slot, expansion.component(d + 1), d
+            )
+            if got is None:
+                nondiamond.append(d)
+            else:
+                kind, mu = got
+                records.append(DiamondRecord(d, ordinal, kind, mu))
+        d += q - 1
+        ordinal += 1
+    for d in range(2, expansion.depth + 1):
+        dim = expansion.component(d).dim
+        if dim > 2:
+            anomalies.append(f"component at degree {d} has dim {dim}")
+        elif dim == 2 and (d - 1) % (q - 1) != 0:
+            anomalies.append(f"unexpected two-dimensional component at degree {d}")
+    return records, nondiamond, anomalies
+
+
 def oracle_thin_report(base, degmap, q, depth, X, Y):
-    """thin_report assembled from the three full-depth oracles above and the
-    library's generator choice, diamond scan and centralizer chains."""
+    """thin_report assembled from the full-depth oracles above and the
+    library's generator choice."""
     from thinlie.errors import NotStabilized
-    from thinlie.thinloop import ThinReport, centralizer_chain, choose_generators, detect_diamonds
+    from thinlie.thinloop import ThinReport, choose_generators
 
     expansion = oracle_loop_expand(base, degmap, depth)
     gens = choose_generators(expansion, q=q, X=X, Y=Y)
     covering = oracle_check_covering(expansion, gens.X, gens.Y)
-    diamonds, nondiamond, anomalies = detect_diamonds(expansion, gens.X, gens.Y, q)
-    chains = centralizer_chain(expansion, gens.X, gens.Y, q)
+    diamonds, nondiamond, anomalies = oracle_detect_diamonds(expansion, gens.X, gens.Y, q)
+    chains = oracle_centralizer_chain(expansion, gens.X, gens.Y, q)
     k = k_note = None
     try:
         k = oracle_parameter_k(expansion)

@@ -241,6 +241,66 @@ def test_unread_flag_is_rejected_and_named(command, flag, value, capsys):
     assert run_cli(command) == 0
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    (["construct", "--algebra", "Hsecond", "--p", "3"], "--n", "2"),
+    (["construct", "--algebra", "Hphitau", "--p", "3"], "--n", "2"),
+    (["construct", "--algebra", "Hphi1", "--p", "3"], "--n", "2"),
+    (["construct", "--algebra", "AF", "--p", "3"], "--n", "4"),
+    (["construct", "--algebra", "W", "--p", "3"], "--n1", "1"),
+    (["construct", "--algebra", "AF", "--p", "3"], "--n1", "3"),
+    (["construct", "--algebra", "W", "--p", "3"], "--n2", "1"),
+    (["construct", "--algebra", "AF", "--p", "3"], "--n2", "2"),
+    (["construct", "--algebra", "W", "--p", "3"], "--theta", "zero"),
+    (["construct", "--algebra", "Hsecond", "--p", "3"], "--theta", "frobenius-id"),
+    (["construct", "--algebra", "Hphitau", "--p", "3"], "--theta", "zero"),
+    (["construct", "--algebra", "Hphi1", "--p", "3"], "--theta", "frobenius-id"),
+    (["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"], "--n2", "1"),
+    (["verify", "--grading", "sigma-zero", "--p", "3", "--q", "3"], "--n2", "5"),
+    (["verify", "--grading", "eps-zero", "--p", "3", "--q", "3", "--ratio", "1"], "--n2", "1"),
+    (["verify", "--grading", "sigma-zero", "--p", "3", "--q", "3"], "--n1", "2"),
+    (["grade", "--grading", "finite", "--p", "3", "--mu3", "0,1"], "--n1", "2"),
+])
+def test_unread_flag_with_a_default_is_rejected_and_named(command, flag, value, capsys):
+    # --n, --n1, --n2 and --theta are parsed as None, so a given flag is
+    # told from its default even at the default's value
+    assert run_cli([*command, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} " in err and "is not read" in err
+    assert run_cli(command) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--algebra", "W", "--p", "3", "--n", "1"],
+    ["construct", "--algebra", "Hsecond", "--p", "3", "--n1", "1", "--n2", "1"],
+    ["construct", "--algebra", "Hphitau", "--p", "3", "--n1", "1", "--n2", "1"],
+    ["construct", "--algebra", "Hphi1", "--p", "3", "--n1", "1", "--n2", "1"],
+    ["construct", "--algebra", "AF", "--p", "3", "--theta", "zero"],
+    ["construct", "--algebra", "AF", "--p", "3", "--theta", "frobenius-id"],
+    ["grade", "--grading", "mixed", "--p", "3", "--n1", "1", "--n2", "1"],
+    ["grade", "--grading", "finite", "--p", "3", "--n1", "1", "--n2", "1", "--mu3", "0,1"],
+    ["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1", "--n1", "1"],
+    ["verify", "--grading", "sigma-zero", "--p", "3", "--q", "3", "--n1", "1"],
+    ["verify", "--grading", "eps-zero", "--p", "3", "--q", "3", "--ratio", "1", "--n1", "1"],
+])
+def test_flag_with_a_default_is_taken_where_it_is_read(command, capsys):
+    assert run_cli(command) == 0
+
+
+def test_defaults_apply_after_the_unread_flag_check(tmp_path, capsys):
+    # without the flags W(1;1), H(2;(1,1);Phi(1)) and the zero theta are built
+    for command, dim in [
+        (["construct", "--algebra", "W", "--p", "3"], 3),
+        (["construct", "--algebra", "Hphi1", "--p", "3"], 9),
+    ]:
+        assert run_cli(command) == 0
+        assert f"dimension: {dim}" in capsys.readouterr().out
+    zero, frob = tmp_path / "zero.json", tmp_path / "frob.json"
+    assert run_cli(["construct", "--algebra", "AF", "--p", "3", "--out", str(zero)]) == 0
+    assert run_cli(["construct", "--algebra", "AF", "--p", "3", "--theta", "zero",
+                    "--out", str(frob)]) == 0
+    assert zero.read_text() == frob.read_text()
+
+
 def test_grade_finite_mu3_defaults_to_quadratic_field(tmp_path):
     out = tmp_path / "dm.json"
     assert run_cli(["grade", "--grading", "finite", "--p", "3", "--n2", "1",

@@ -1,6 +1,6 @@
-"""Periodic reuse in loop_expand and check_covering, and the ideal rule of
-parameter_k, against the full-depth oracles, which bracket and decide every
-degree afresh.
+"""Periodic reuse in loop_expand, check_covering and detect_diamonds, the
+two-bracket centralizer chains and the ideal rule of parameter_k, against
+the full-depth oracles, which bracket and decide every degree afresh.
 
 Whole thin reports must serialise byte for byte alike on every accepted
 mixed input of the sweep and on a sample of toral runs, each at depths
