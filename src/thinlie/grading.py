@@ -44,7 +44,6 @@ from .liealg import (
     bracket,
     check_structure_map,
     extend_to_generators,
-    subalgebra_table,
 )
 
 
@@ -158,8 +157,9 @@ class EigenBasis:
     eigenvalue.  eigen_table is the closed Albert-Zassenhaus table on these
     labels and certificate the outcome of check_structure_map for the basis
     map e[r, alpha] -> vectors[m] into the monomial table.  For sigma = 0
-    only the single admissible alpha per slice exists and neither is formed
-    (partial = True).
+    only the single admissible alpha per slice exists (partial = True): the
+    vectors span the q-dimensional Zassenhaus subalgebra, and eigen_table
+    is its table.
     """
 
     table: StructureTable
@@ -196,11 +196,12 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
 
     Each vector is checked against the eigen-equation {e_0, v} = alpha*v.
     With sigma = 0 the basis is partial: one eigenvector per slice, jointly
-    spanning the Zassenhaus subalgebra of the sigma = 0 degeneration.
-    Otherwise eigen_table is built from the closed product formula
-    (closed_eigen_table), and certificate proves the basis map an
-    isomorphism onto the monomial table: check_structure_map from X, Y and,
-    where these do not generate, the basis vectors extend_to_generators adds.
+    spanning the Zassenhaus subalgebra of the sigma = 0 degeneration.  For
+    every sigma eigen_table is built from the closed product formula
+    (closed_eigen_table), and certificate proves the basis map an injective
+    homomorphism into the monomial table (onto it when the basis is full):
+    check_structure_map from X, Y and, where these do not generate, the
+    basis vectors extend_to_generators adds.
     """
     fieldspec = table.field
     p, n1 = params.p, params.n1
@@ -245,12 +246,10 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
             entries.append((r, s, alpha))
             vectors.append(v)
 
-    partial = not bool(params.sigma)
-    basis = EigenBasis(table, params, q, entries, vectors, partial)
-    if not partial:
-        et = basis.eigen_table = closed_eigen_table(basis)
-        gens = extend_to_generators(et, generator_positions(basis))
-        basis.certificate = check_structure_map(et, table, vectors, gens)
+    basis = EigenBasis(table, params, q, entries, vectors, partial=not params.sigma)
+    et = basis.eigen_table = closed_eigen_table(basis)
+    gens = extend_to_generators(et, generator_positions(basis))
+    basis.certificate = check_structure_map(et, table, vectors, gens)
     return basis
 
 
@@ -292,8 +291,9 @@ def closed_eigen_table(basis: EigenBasis) -> StructureTable:
 def grade_finite(basis: EigenBasis) -> DegreeMap:
     """Degrees modulo (q-1)p from r mod (q-1) and s mod p, normalized so the
     distinguished generators X = e[1, rho+sigma] and Y = e[2-q, 2rho+sigma]
-    sit in degree one."""
-    if basis.partial or basis.eigen_table is None:
+    sit in degree one.  sigma = 0 leaves one eigenvalue per slice, so no
+    residue s to combine: no finite grading."""
+    if basis.partial:
         raise ValueError("grade_finite requires a full eigenbasis")
     if basis.params.n1 != 1:
         raise ValueError("the toral degree rule is implemented for n1 = 1 only")
@@ -311,22 +311,21 @@ def grade_finite(basis: EigenBasis) -> DegreeMap:
 
 
 def generator_positions(basis: EigenBasis) -> tuple[int, int]:
-    """Positions of X = e[1, rho+sigma] and Y = e[2-q, 2rho+sigma]."""
-    return basis.position(1, 1), basis.position(2 - basis.q, 1)
+    """Positions of X = e[1, rho+sigma] and Y = e[2-q, 2rho+sigma]: at s = 1,
+    or at s = 0, the only eigenvector of its slice, when sigma = 0."""
+    s = 0 if basis.partial else 1
+    return basis.position(1, s), basis.position(2 - basis.q, s)
 
 
 def sigma_zero_subalgebra(basis: EigenBasis) -> tuple[StructureTable, DegreeMap, int, int]:
     """The q-dimensional Zassenhaus subalgebra of the sigma = 0 degeneration.
 
-    Returns its structure table on the partial eigenbasis, the grading over
-    Z/(q-1)Z by the slice label, and the positions of X and Y.
+    Returns eigen_table, its closed table on the partial eigenbasis (a
+    subalgebra when basis.certificate passes), the grading over Z/(q-1)Z by
+    the slice label, and the positions of X and Y.
     """
     if not basis.partial:
         raise ValueError("sigma_zero_subalgebra expects a sigma = 0 eigenbasis")
     q = basis.q
-    sub = subalgebra_table(basis.table, basis.vectors, basis.labels)
-    degrees = tuple((r % (q - 1)) for r, _, _ in basis.entries)
-    dm = DegreeMap(q - 1, degrees)
-    x_pos = basis.position(1, 0)
-    y_pos = basis.position(2 - q, 0)
-    return sub, dm, x_pos, y_pos
+    dm = DegreeMap(q - 1, tuple(r % (q - 1) for r, _, _ in basis.entries))
+    return (basis.eigen_table, dm, *generator_positions(basis))

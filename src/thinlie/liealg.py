@@ -664,25 +664,6 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
 # subalgebras, ideals, centralizers
 # ---------------------------------------------------------------------------
 
-def subalgebra_generated(t: StructureTable, gens: Sequence[Element]) -> Subspace:
-    """Smallest bracket-closed subspace containing the generators."""
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    span = Echelon(t.field)
-    basis = [g for g in gens if span.add(g.coords)]
-    frontier = basis
-    while frontier:
-        new: list[Element] = []
-        for u in frontier:
-            for v in basis:
-                w = bracket(u, v)
-                if w and span.add(w.coords):
-                    new.append(w)
-        basis = basis + new
-        frontier = new
-    return Subspace(t, span)
-
-
 class _RightNormedSpan:
     """The span of the right-normed brackets [g1, [g2, ..., gk]] of a growing
     list of basis positions gens: the smallest subspace that contains them

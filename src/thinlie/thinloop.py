@@ -188,17 +188,15 @@ class GeneratorData:
 
 def choose_generators(
     expansion: LoopExpansion,
-    q: int | None = None,
+    q: int,
     X: Element | None = None,
     Y: Element | None = None,
 ) -> GeneratorData:
     """Pick Y spanning the annihilator of M_2 in M_1 and correct X so that
-    [V,X,X] = 0 at the second diamond.
+    [V,X,X] = 0 at the second diamond, in degree q.
 
     Explicit X, Y bypass the centralizer characterization, which fails for
     q = 3 where the annihilator is trivial; the normalization still runs.
-    The slot of the second diamond is q when given, otherwise one past the
-    first degree d >= 2 with C_{M_1}(M_d) != <Y> (see _centralizer_is_y).
     """
     base = expansion.base
     m1 = expansion.component(1)
@@ -225,22 +223,9 @@ def choose_generators(
         if Subspace.from_elements(base, [X, Y]).dim != 2:
             raise ValueError("explicit generators are dependent")
 
-    if q is None:
-        # the first component whose two-step centralizer leaves <Y> is the
-        # one immediately before the second diamond; X, Y span M_1 here
-        slot = None
-        for d in range(2, expansion.depth):
-            if not _centralizer_is_y(expansion.component(d), X, Y):
-                slot = d + 1
-                break
-        if slot is None:
-            raise NoAnnihilator("no second diamond within the expansion depth", expansion.depth)
-    else:
-        slot = q
-
-    vspace = expansion.component(slot - 1)
+    vspace = expansion.component(q - 1)
     if vspace.dim != 1:
-        raise MalformedDiamond(f"component before the second diamond has dim {vspace.dim}", slot)
+        raise MalformedDiamond(f"component before the second diamond has dim {vspace.dim}", q)
     v = vspace.basis_elements()[0]
 
     def second_brackets(x: Element):
@@ -249,27 +234,27 @@ def choose_generators(
 
     vxx, vxy, vyx, vyy = second_brackets(X)
     if vyy:
-        raise MalformedDiamond("[V,Y,Y] != 0 at the second diamond", slot)
+        raise MalformedDiamond("[V,Y,Y] != 0 at the second diamond", q)
     alpha = base.field.zero
     if vxx:
         denom = vxy + vyx
         if not denom:
-            raise MalformedDiamond("cannot normalize X: [V,X,Y] + [V,Y,X] = 0", slot)
+            raise MalformedDiamond("cannot normalize X: [V,X,Y] + [V,Y,X] = 0", q)
         lam = _coeff_of(vxx, denom)
         if lam is None:
-            raise MalformedDiamond("[V,X,X] is not proportional to [V,X,Y] + [V,Y,X]", slot)
+            raise MalformedDiamond("[V,X,X] is not proportional to [V,X,Y] + [V,Y,X]", q)
         alpha = -lam
         X = X + Y.scale(alpha)
         vxx, vxy, vyx, vyy = second_brackets(X)
         if vxx:
-            raise MalformedDiamond("normalization failed to kill [V,X,X]", slot)
+            raise MalformedDiamond("normalization failed to kill [V,X,X]", q)
 
     c_xy = c_yx = None
     w = vxy if vxy else vyx
     if w:
         c_xy = _coeff_of(vxy, w)
         c_yx = _coeff_of(vyx, w)
-    return GeneratorData(X, Y, alpha, slot, not vxx, not vyy, c_xy, c_yx)
+    return GeneratorData(X, Y, alpha, q, not vxx, not vyy, c_xy, c_yx)
 
 
 # ---------------------------------------------------------------------------

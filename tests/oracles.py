@@ -11,7 +11,8 @@ FieldElement operators, Jacobi violations from a visit to every basis
 triple, covering from every projective line of a two-dimensional
 component, eigen-table products from the closed formula checked pair by
 pair, right-normed spans from every bracket of a found vector with a
-generator, centralizer chains from the nullspace centralizer_in finds at
+generator, generated subalgebras from every bracket of two found vectors,
+centralizer chains from the nullspace centralizer_in finds at
 each degree, diamond slots each classified afresh, and thin reports from
 those and the full-depth loop expansion, covering scan and parameter k,
 which bracket every degree and never reuse a grading period.
@@ -369,6 +370,26 @@ def oracle_right_normed_span(table, gens):
     return span, found
 
 
+def subalgebra_generated(table, gens):
+    """Smallest bracket-closed subspace containing the elements gens: each
+    new vector is bracketed, through oracle_bracket, with every vector found
+    so far and eliminated by OracleEchelon, until no bracket leaves the span.
+    Returns a liealg.Subspace."""
+    from thinlie.liealg import Subspace
+
+    if not gens:
+        raise ValueError("generator list must be nonempty")
+    span = OracleEchelon(table.field)
+    found = [g for g in gens if span.add(g.coords)]
+    frontier = found
+    while frontier:
+        new = [w for u in frontier for v in found
+               if (w := oracle_bracket(u, v)) and span.add(w.coords)]
+        found = found + new
+        frontier = new
+    return Subspace.from_elements(table, found)
+
+
 def oracle_extend_to_generators(table, start):
     """start, then each basis position, lowest first, outside the
     oracle_right_normed_span of the positions chosen so far, until that span
@@ -419,8 +440,6 @@ def eigen_bracket_check(basis) -> bool:
 
     read as zero when 2-j-l leaves [2-q, 1]; binomials from a Pascal
     triangle, targets found by eigenvalue and slice."""
-    if basis.eigen_table is None:
-        raise ValueError("bracket check requires a full eigenbasis")
     t = basis.eigen_table
     p = basis.params.p
     q = basis.q

@@ -202,8 +202,8 @@ def test_nonpositive_field_degree_rejected(command, capsys):
     ["grade", "--grading", "finite", "--p", "3"],
 ], ids=["verify", "grade"])
 def test_sigma_zero_finite_grading_is_a_configuration_error(command, monkeypatch, capsys):
-    # sigma = 0 leaves the eigenbasis partial: there is no eigen table to
-    # certify or grade, which verify once reported as a failed certificate
+    # sigma = 0 leaves one eigenvalue per slice and so no finite grading:
+    # rejected before any table is built, not reported as a failed run
     def no_build(*a, **k):
         raise AssertionError("build_H2_phi1 called for sigma = 0")
 

@@ -1,7 +1,8 @@
 """The closed Albert-Zassenhaus eigen table and its generator certificate.
 
 The closed table is checked byte for byte against the change of basis it
-replaced, and against the pair-by-pair formula oracle.  The certificate
+replaced, and against the pair-by-pair formula oracle; at sigma = 0 against
+the subalgebra table of the partial eigenbasis.  The certificate
 (check_structure_map from a generating set) must fail on a changed
 coefficient away from the generators, on a generating set that does not
 generate, on swapped images and on images of too low rank.  A failed
@@ -10,20 +11,32 @@ check, also when a moved target puts a bracket in the wrong degree.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import change_basis, dense_row, eigen_bracket_check
+from oracles import change_basis, dense_row, eigen_bracket_check, subalgebra_generated
+from test_sweep import SIGMA_ZERO_INPUTS
 from thinlie.cartan import build_H2_phi1
 from thinlie.errors import DenominatorZero
 from thinlie.ffield import field_create, in_prime_field
-from thinlie.grading import ToralParams, eigenbasis, generator_positions, params_from_mu3
+from thinlie.grading import (
+    ToralParams,
+    eigenbasis,
+    generator_positions,
+    params_from_mu3,
+    toral_params,
+)
 from thinlie.liealg import (
     StructureTable,
     check_structure_map,
     extend_to_generators,
-    subalgebra_generated,
+    subalgebra_table,
 )
 
 F3 = field_create(3)
@@ -58,6 +71,12 @@ def _rho_zero_basis():
     return eigenbasis(build_H2_phi1(3, 1, 1, F3, 0), ToralParams(F3.one, F3.zero, F3.zero))
 
 
+def _sigma_zero_basis(p, q):
+    fieldspec = field_create(p)
+    table = build_H2_phi1(p, 1, round(math.log(q, p)), fieldspec, 1)
+    return eigenbasis(table, toral_params(fieldspec, 0, eps=1))
+
+
 def _assert_matches_oracles(basis):
     et = basis.eigen_table
     t = basis.table
@@ -89,6 +108,20 @@ def test_closed_table_equals_change_basis_eps_zero_every_ratio(p):
 
 def test_closed_table_equals_change_basis_rho_zero():
     _assert_matches_oracles(_rho_zero_basis())
+
+
+@pytest.mark.parametrize("p, q", SIGMA_ZERO_INPUTS)
+def test_sigma_zero_closed_table_is_the_subalgebra_x_and_y_generate(p, q):
+    basis = _sigma_zero_basis(p, q)
+    et = basis.eigen_table
+    sub = subalgebra_table(basis.table, basis.vectors, basis.labels)
+    assert json.dumps(et.to_json()) == json.dumps(sub.to_json())
+    assert eigen_bracket_check(basis)
+    xy = list(generator_positions(basis))
+    assert extend_to_generators(et, xy) == xy
+    assert basis.certificate, basis.certificate
+    x, y = (basis.vectors[i] for i in xy)
+    assert subalgebra_generated(basis.table, [x, y]).dim == q
 
 
 @pytest.mark.parametrize("make, generated", [
@@ -198,7 +231,8 @@ def _mutate(how):
 CERTIFIED_RUNS = pytest.mark.parametrize("args", [
     ["--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"],
     ["--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"],
-], ids=["finite", "eps-zero"])
+    ["--grading", "sigma-zero", "--p", "5", "--q", "5"],
+], ids=["finite", "eps-zero", "sigma-zero"])
 
 
 def _assert_certificate_verdict(args, how, tmp_path, monkeypatch, capsys):
@@ -236,3 +270,27 @@ def test_grade_exits_one_on_a_failing_certificate(how, tmp_path, monkeypatch, ca
     printed = capsys.readouterr().out
     assert "eigen table certificate: derivation fails: ad e[" in printed
     assert not out.exists()
+
+
+def test_sigma_zero_verify_exits_one_on_a_changed_coefficient_under_python_O():
+    # python -O strips assert statements; the failed certificate must still fail the run
+    script = (
+        "import sys\n"
+        "from thinlie import cli, grading\n"
+        "from thinlie.liealg import StructureTable\n"
+        "closed = grading.closed_eigen_table\n"
+        "def changed(basis):\n"
+        "    et = closed(basis)\n"
+        "    gens = set(grading.generator_positions(basis))\n"
+        "    key = [k for k in et.brackets if not gens & set(k)][-1]\n"
+        "    (target, c), = et.brackets[key]\n"
+        "    return StructureTable(et.field, et.labels, {**et.brackets, key: ((target, c + c),)})\n"
+        "grading.closed_eigen_table = changed\n"
+        "sys.exit(cli.main(['verify', '--grading', 'sigma-zero', '--p', '5', '--q', '5']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "eigen table certificate: derivation fails: ad e[" in proc.stdout

@@ -202,7 +202,10 @@ def test_sigma_zero_subalgebra():
     table = build_H2_phi1(5, 1, 1, field_create(5), 1)
     basis = eigenbasis(table, toral_params(field_create(5), 0, eps=1))
     assert basis.partial
+    assert basis.certificate, basis.certificate
     sub, dm, x_pos, y_pos = sigma_zero_subalgebra(basis)
+    assert sub is basis.eigen_table
+    assert (x_pos, y_pos) == generator_positions(basis)
     assert sub.dim == 5
     assert dm.modulus == 4
     assert dm.degrees[x_pos] == 1 and dm.degrees[y_pos] == 1

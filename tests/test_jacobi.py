@@ -14,7 +14,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import change_basis, element_by_index, oracle_jacobi_violations, oracle_rref
+from oracles import (
+    change_basis,
+    element_by_index,
+    oracle_jacobi_violations,
+    oracle_rref,
+    subalgebra_generated,
+)
 from thinlie import liealg
 from thinlie.cartan import (
     AlbertFrankSpec,
@@ -29,7 +35,6 @@ from thinlie.liealg import (
     StructureTable,
     ValidationReport,
     check_structure_map,
-    subalgebra_generated,
     validate_table,
 )
 

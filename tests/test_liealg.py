@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_row, element_by_index, oracle_bracket, oracle_rref
+from oracles import dense_row, element_by_index, oracle_bracket, oracle_rref, subalgebra_generated
 from thinlie.cartan import build_H2_phi1, build_W1n, phi1_monomials
 from thinlie.errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from thinlie.ffield import field_create
@@ -20,7 +20,6 @@ from thinlie.liealg import (
     centralizer_in,
     derived_subalgebra,
     quotient_by_ideal,
-    subalgebra_generated,
     subalgebra_table,
     check_structure_map,
     validate_grading,

@@ -47,13 +47,16 @@ MIXED_INPUTS = [
     if p ** (n1 + n2) <= 125 and (p, n2) != (2, 1)
 ]
 
+# (p, q) of every accepted sigma-zero input
+SIGMA_ZERO_INPUTS = [(2, 4), (2, 8), (3, 3), (3, 9), (5, 5), (7, 7)]
+
 ACCEPTED = (
     [_finite(p, q, m) for p, qs in ((2, (4, 8, 16, 32)), (3, (3, 9, 27)), (5, (5, 25)))
      for q in qs for m in _mu3_literals(p, False)]
     + [_finite(7, 7, m) for m in _mu3_literals(7, False)[::7]]
     + [_eps_zero(p, p, ratio) for p in (3, 5, 7) for ratio in range(1, p - 1)]
     + [_eps_zero(3, 9, 1)]
-    + [_sigma_zero(p, q) for p, q in ((2, 4), (2, 8), (3, 3), (3, 9), (5, 5), (7, 7))]
+    + [_sigma_zero(p, q) for p, q in SIGMA_ZERO_INPUTS]
     + [_mixed(*args) for args in MIXED_INPUTS]
 )
 

@@ -95,12 +95,6 @@ def test_choose_generators_automatic_matches_theorem():
     assert gens.c_yx == et.field.element(-2) * gens.c_xy
 
 
-def test_choose_generators_slot_detection_without_q():
-    basis, et, dm, x, y, params = finite_setup(5, 2)
-    expansion = loop_expand(et, dm, 30)
-    assert choose_generators(expansion).slot == 5
-
-
 def test_choose_generators_normalizes_skewed_x():
     basis, et, dm, x, y, params = finite_setup(5, 2)
     expansion = loop_expand(et, dm, 30)
@@ -114,7 +108,7 @@ def test_choose_generators_q3_has_no_annihilator():
     basis, et, dm, x, y, params = finite_setup(3, 2)
     expansion = loop_expand(et, dm, 13)
     with pytest.raises(NoAnnihilator) as exc:
-        choose_generators(expansion)
+        choose_generators(expansion, q=3)
     assert exc.value.degree == 2
     gens = choose_generators(expansion, q=3, X=x, Y=y)
     assert gens.vxx_zero and gens.vyy_zero

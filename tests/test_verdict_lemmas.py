@@ -4,9 +4,10 @@ Chains: with span(X, Y) = M_1 of dimension 2, C_{M_1}(M_d) = <Y> exactly
 when [M_d, Y] = 0 and [M_d, X] != 0.  The two-bracket predicate is checked
 against the nullspace centralizer_in finds, at every degree from 2 to 3N on
 every accepted mixed input of the sweep and on the toral sample of
-test_periodic, and the second-diamond slot choose_generators finds with it
-against the slot of the old centralizer_in scan: q for odd p, q + 1 for
-p = 2.
+test_periodic.  A scan for the second-diamond slot, one past the first
+degree where the predicate fails, lands where the centralizer_in scan does:
+at q for odd p but at q + 1 for p = 2, which is why choose_generators takes
+q and does not scan.
 
 Covering: when X and Y span M_1, a one-dimensional M_d covers by
 construction; with X replaced by X + cY (c != 0) the verdict must still
@@ -84,11 +85,13 @@ def test_two_bracket_chain_predicate_where_m1_centralizes(name):
 @pytest.mark.parametrize("args", MIXED_INPUTS, ids=lambda a: "mixed-%d-%d-%d" % a)
 def test_second_diamond_slot_without_q_matches_centralizer_scan(args):
     g, expansion, x, y = _setup("mixed-%d-%d-%d" % args)
-    old = next(d + 1 for d in range(2, expansion.depth) if not _old_predicate(expansion, y, d))
-    assert choose_generators(expansion, X=x, Y=y).slot == old
+    degrees = range(2, expansion.depth)
+    old = next(d + 1 for d in degrees if not _old_predicate(expansion, y, d))
+    scan = next(d + 1 for d in degrees if not _centralizer_is_y(expansion.component(d), x, y))
     # in characteristic two C_{M_1}(M_{q-1}) is still <Y> (the first chain
-    # is guaranteed only for odd p), so the scan stops one degree late
-    assert old == (g.q + 1 if args[0] == 2 else g.q)
+    # is guaranteed only for odd p), so a scan stops one degree late
+    assert scan == old == (g.q + 1 if args[0] == 2 else g.q)
+    assert choose_generators(expansion, g.q, X=x, Y=y).slot == g.q
 
 
 @pytest.mark.parametrize("name", sorted(GRADINGS))
