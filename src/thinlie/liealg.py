@@ -461,10 +461,11 @@ class _LeibnizIndex:
     for the pairs j < k with a term at m.  Only well-formed entries are read
     (keys 0 <= i < j < dim, targets in range).  len(keys[a]) is the size of
     the ad row of b_a, and an empty by_target[m] marks a basis vector that
-    is no bracket target.
+    is no bracket target.  one_term is _one_term(t), read off the index
+    with no second pass over the stored pairs.
     """
 
-    __slots__ = ("dim", "keys", "rows", "by_target", "neg", "pexp", "p", "s")
+    __slots__ = ("dim", "keys", "rows", "by_target", "neg", "pexp", "p", "s", "one_term")
 
     def __init__(self, t: StructureTable):
         dim = self.dim = t.dim
@@ -500,12 +501,19 @@ class _LeibnizIndex:
                 base = (i * dim + j) * dim
                 for k, c in row:
                     by_target[k].append((base, c))
+        longest = max(map(len, t.brackets.values()), default=0)
+        # One-term: no pair stores two terms, every pair was indexed (its key
+        # and its target in range), and no indexed row has a zero coefficient.
+        self.one_term = (
+            longest <= 1
+            and sum(map(len, keys)) == 2 * len(t.brackets)
+            and all(row[0][1] < n for row in shared)
+        )
 
         # Each of the three sums puts at most longest^2 products into one
         # (j, k, target) cell (a hand-built bracket may repeat a target), and
         # each coordinate of a product is at most p - 1, so no digit carries.
         p = self.p = field.p
-        longest = max(map(len, t.brackets.values()), default=0)
         s = self.s = (3 * longest * longest * (p - 1)).bit_length()
         pexp = self.pexp = [0] * (4 * n + 1)
         for c in field.elements():
@@ -574,9 +582,9 @@ def _leibniz_failures(
         yield g, [divmod(jk, dim) for jk in bad]
 
 
-def _jacobi_certified(t: StructureTable, index: _LeibnizIndex, one_term: bool) -> bool:
+def _jacobi_certified(t: StructureTable, index: _LeibnizIndex) -> bool:
     """True when ad g is a derivation for each g of a generating set (the
-    proof is in validate_table); one_term is _one_term(t).
+    proof is in validate_table).
 
     A pass of _leibniz_failures for g reads the compositions through the ad
     row of b_g, so its cost follows the size of that row, the number of
@@ -600,7 +608,7 @@ def _jacobi_certified(t: StructureTable, index: _LeibnizIndex, one_term: bool) -
     size = [len(k) for k in index.keys]
     widest = max(range(dim), key=size.__getitem__, default=-1)
     order = sorted(range(dim), key=lambda i: (i != widest, size[i]))
-    gens = list(islice(_greedy_generators(t, (), order, one_term), dim // 3 + 1))
+    gens = list(islice(_greedy_generators(t, (), order, index.one_term), dim // 3 + 1))
     if 3 * len(gens) > dim:
         return False
     return not any(pairs for _, pairs in _leibniz_failures(index, ((g, -1) for g in gens)))
@@ -630,10 +638,9 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
     if max_violations < 1:
         raise ValueError(f"max_violations must be at least 1, got {max_violations}")
     messages: list[str] = []
-    encoding_ok = one_term = True
+    encoding_ok = True
     dim = t.dim
     for (i, j), terms in t.brackets.items():
-        one_term &= len(terms) == 1
         if not (0 <= i < j < dim):
             encoding_ok = False
             messages.append(f"bad key ({i}, {j})")
@@ -647,7 +654,7 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
 
     with _gc_paused():
         index = _LeibnizIndex(t)
-        if encoding_ok and _jacobi_certified(t, index, one_term):
+        if encoding_ok and _jacobi_certified(t, index):
             return ValidationReport(True, True, True, [], [])
         violations: list[tuple[int, int, int]] = []
         for i, pairs in _leibniz_failures(index, ((i, i) for i in range(dim))):
@@ -709,8 +716,8 @@ class _RightNormedSpan:
 
 def _one_term(t: StructureTable) -> bool:
     """Whether each stored key is 0 <= i < j < dim with one term (k, c), 0 <= k
-    < dim and c != 0, as in builder and eigen tables (validate_table finds
-    the same in its encoding loop)."""
+    < dim and c != 0, as in builder and eigen tables (_LeibnizIndex records
+    the same as one_term)."""
     dim, zero = t.dim, 2 * (t.field.size - 1)
     for (i, j), terms in t.brackets.items():
         if len(terms) != 1 or not 0 <= i < j < dim:
@@ -782,20 +789,6 @@ def extend_to_generators(t: StructureTable, start: Sequence[int]) -> list[int]:
     span is all of t: for a Lie algebra, a generating set of t.  The span
     is _ReachedSpan's on a one-term t, else _RightNormedSpan's."""
     return list(_greedy_generators(t, start, range(t.dim), _one_term(t)))
-
-
-def derived_subalgebra(t: StructureTable, s: Subspace) -> Subspace:
-    """Span of all brackets of basis pairs of s; s must be a subalgebra."""
-    basis = s.basis_elements()
-    products = []
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            w = bracket(basis[a], basis[b])
-            if w:
-                if not s.contains(w):
-                    raise NotASubalgebra("subspace is not closed under the bracket")
-                products.append(w)
-    return Subspace.from_elements(t, products)
 
 
 def centralizer_in(t: StructureTable, ambient: Subspace, target: Subspace) -> Subspace:
@@ -968,11 +961,12 @@ def check_structure_map(
     if len(genset) == src.dim:
         return MapCheck()
     with _gc_paused():
-        for g, pairs in _leibniz_failures(_LeibnizIndex(src), ((g, -1) for g in gens)):
+        index = _LeibnizIndex(src)
+        for g, pairs in _leibniz_failures(index, ((g, -1) for g in gens)):
             if pairs:
                 a, b = pairs[0]
                 return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
-    closure = (_ReachedSpan if _one_term(src) else _RightNormedSpan)(src)
+    closure = (_ReachedSpan if index.one_term else _RightNormedSpan)(src)
     for g in gens:
         closure.adjoin(g)
     dim = closure.rank
@@ -986,43 +980,18 @@ def check_structure_map(
 # subalgebra tables
 # ---------------------------------------------------------------------------
 
-def _augmented_echelon(field: FieldSpec, rows: Sequence[Vec], n: int) -> Echelon | None:
-    """Reduced echelon form of [rows | I] for sparse rows over n columns, or
-    None when the rows are dependent: then some pivot falls at or past n."""
-    one = field.one
-    aug = Echelon(field, ({**r, n + i: one} for i, r in enumerate(rows)))
-    return None if any(pc >= n for pc in aug.pivots) else aug
-
-
-def subalgebra_table(
-    t: StructureTable,
-    elements: Sequence[Element],
-    labels: Sequence[str] | None = None,
-) -> StructureTable:
-    """Structure table on a given independent, bracket-closed family."""
-    m, n = len(elements), t.dim
-    # reducing (v | 0) against [elements | I] leaves (0 | -x) when v = sum x_r elements[r]
-    aug = _augmented_echelon(t.field, [e.coords for e in elements], n)
-    if aug is None:
-        raise ValueError("elements are linearly dependent")
-    if labels is None:
-        labels = []
-        for e in elements:
-            if len(e.coords) == 1:
-                (idx, c), = e.coords.items()
-                labels.append(t.labels[idx] if c == t.field.one else f"{c}*{t.labels[idx]}")
-            else:
-                labels.append(f"v{len(labels)}")
+def subalgebra_table(t: StructureTable, keep: Sequence[int]) -> StructureTable:
+    """The coordinate subalgebra spanned by the basis vectors at the distinct
+    positions keep: the stored brackets of kept pairs, renumbered in the
+    order of keep, under the same labels.  NotASubalgebra when a nonzero
+    term of such a bracket falls outside keep."""
+    pos = {i: a for a, i in enumerate(keep)}
+    if len(pos) != len(keep):
+        raise ValueError("basis positions repeat")
     entries = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = bracket(elements[a], elements[b])
-            if not w:
-                continue
-            vec = aug.reduce(w.coords)
-            if any(k < n for k in vec):
-                raise NotASubalgebra("family is not closed under the bracket")
-            terms = [(k - n, -c) for k, c in vec.items()]
-            if terms:
-                entries.append((a, b, terms))
-    return StructureTable.from_entries(t.field, labels, entries)
+    for (i, j), terms in t.brackets.items():
+        if i in pos and j in pos:
+            if any(c and k not in pos for k, c in terms):
+                raise NotASubalgebra("basis positions are not closed under the bracket")
+            entries.append((pos[i], pos[j], [(pos[k], c) for k, c in terms if c]))
+    return StructureTable.from_entries(t.field, [t.labels[i] for i in keep], entries)

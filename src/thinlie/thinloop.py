@@ -547,36 +547,49 @@ def parameter_k(expansion: LoopExpansion) -> int:
 
     L is generated by L_1, so L' = (+)_{d>=2} M_d: each M_d = [M_{d-1}, M_1]
     lies in L', and [M_a, M_b] lies in M_{a+b}.  So L''_d is the sum of
-    [M_a, M_b] over a + b = d with a, b >= 2.  L'' is an ideal of L, so
-    L''_{d-1} = M_{d-1} gives L''_d >= [M_{d-1}, M_1] = M_d; only the other
-    degrees are bracketed.  The second derived subalgebra must reach full
-    components (and the components stay nonzero) on the last grading
-    period; otherwise NotStabilized.
+    [M_a, M_b] over a + b = d with a, b >= 2, and it is read off the ideal
+    recursion
+
+        L''_d = [L''_{d-1}, M_1] + [M_{d-2}, M_2]   (d >= 4; L''_d = 0 below 4).
+
+    Proof, in two steps.  First, let I be the ideal of L generated by the
+    [M_c, M_2], c >= 2; I lies in the ideal L''.  For u in M_a, w in M_{b-1}
+    and x in M_1, Jacobi gives [u, [w, x]] = [[u, w], x] - [[u, x], w].
+    Induct on b >= 2, the case b = 2 being the definition of I: for b > 2,
+    [u, w] and [[u, x], w] lie in I, so [M_a, M_b] = [M_a, [M_{b-1}, M_1]]
+    does, for every a, b >= 2; hence L'' = I.  Second, L is generated by
+    L_1, so the ideal generated by S = (+)_c [M_c, M_2] is S plus its
+    iterated brackets with M_1: I_d = S_d + [I_{d-1}, M_1], the recursion.
+    It reads no degree above d, so it holds in the truncation too.  Once
+    L''_{d-1} = M_{d-1}, L''_d contains [M_{d-1}, M_1] = M_d and is full
+    with no bracket, and so is every later degree.  The second derived
+    subalgebra must reach full components (and the components stay
+    nonzero) on the last grading period; otherwise NotStabilized.
     """
     depth = expansion.depth
     n = expansion.degmap.modulus
     base = expansion.base
     dims = [0] + expansion.dims  # 1-indexed
-    basis = [None] + [c.basis_elements() for c in expansion.components]
+    m1, m2 = (expansion.component(d).basis_elements() for d in (1, 2))
     lpp = [0] * (depth + 1)  # dim L''_d
+    prev: list[Element] = []  # a basis of L''_{d-1}
     for d in range(4, depth + 1):
         if lpp[d - 1] == dims[d - 1]:
-            lpp[d] = dims[d]
-            continue
+            lpp[d:] = dims[d:]
+            break
         # L''_d is capped by M_d, so stop accumulating at full rank
         cap = dims[d]
         acc = Echelon(base.field)
-        for a in range(2, d // 2 + 1):  # [M_b, M_a] = [M_a, M_b]
-            for u in basis[a]:
-                for v in basis[d - a]:
+        for left, right in ((prev, m1), (expansion.component(d - 2).basis_elements(), m2)):
+            for u in left:
+                if acc.rank >= cap:
+                    break
+                for v in right:
                     w = bracket(u, v)
                     if w:
                         acc.add(w.coords)
-                if acc.rank >= cap:
-                    break
-            if acc.rank >= cap:
-                break
         lpp[d] = acc.rank
+        prev = [Element(base, row) for row in acc.rows.values()]
     codims = [dims[d] - lpp[d] for d in range(depth + 1)]
     if any(codims[d] != 0 or dims[d] == 0 for d in range(depth - n + 1, depth + 1)):
         raise NotStabilized(

@@ -24,12 +24,12 @@ from .grading import (
 )
 from .liealg import (
     DegreeMap,
+    Echelon,
     Element,
     StructureTable,
     Subspace,
     _ReachedSpan,
     centralizer_in,
-    derived_subalgebra,
     quotient_by_ideal,
     subalgebra_table,
 )
@@ -146,16 +146,17 @@ def _verify(g: Grading, depth: int | None) -> VerifyRun:
 def _derived_in_char_two(g: Grading, drop: int) -> Grading:
     """In characteristic two, restrict table, degree map and X/Y positions to
     the derived subalgebra, which must be spanned by every basis vector but
-    the one at drop; in odd characteristic change nothing."""
+    the one at drop; in odd characteristic change nothing.  The brackets of
+    basis pairs span L', so L' is the span of the stored rows."""
     t = g.table
     if t.field.p != 2:
         return g
     keep = [i for i in range(t.dim) if i != drop]
-    kept = [t.basis_element(i) for i in keep]
-    if derived_subalgebra(t, t.full_subspace()) != Subspace.from_elements(t, kept):
+    derived = Subspace(t, Echelon(t.field, map(dict, t.brackets.values())))
+    if derived != Subspace.from_elements(t, map(t.basis_element, keep)):
         raise ThinlieError("characteristic-two derived subalgebra has unexpected shape")
     return replace(
-        g, table=subalgebra_table(t, kept), degmap=g.degmap.restrict(keep),
+        g, table=subalgebra_table(t, keep), degmap=g.degmap.restrict(keep),
         x_pos=keep.index(g.x_pos), y_pos=keep.index(g.y_pos),
     )
 

@@ -12,10 +12,12 @@ triple, covering from every projective line of a two-dimensional
 component, eigen-table products from the closed formula checked pair by
 pair, right-normed spans from every bracket of a found vector with a
 generator, generated subalgebras from every bracket of two found vectors,
-centralizer chains from the nullspace centralizer_in finds at
-each degree, diamond slots each classified afresh, and thin reports from
-those and the full-depth loop expansion, covering scan and parameter k,
-which bracket every degree and never reuse a grading period.
+derived subalgebras and subalgebra tables of element families from every
+bracket of two of their vectors, centralizer chains from the nullspace
+centralizer_in finds at each degree, diamond slots each classified
+afresh, and thin reports from those and the full-depth loop expansion,
+covering scan and parameter k, which bracket every degree and never reuse
+a grading period.
 """
 
 import bisect
@@ -390,6 +392,62 @@ def subalgebra_generated(table, gens):
     return Subspace.from_elements(table, found)
 
 
+def derived_subalgebra(table, s):
+    """Span of all brackets of basis pairs of the subspace s, each through
+    oracle_bracket; NotASubalgebra when one leaves s.  Returns a
+    liealg.Subspace."""
+    from thinlie.errors import NotASubalgebra
+    from thinlie.liealg import Subspace
+
+    basis = s.basis_elements()
+    products = []
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            w = oracle_bracket(basis[a], basis[b])
+            if w:
+                if not s.contains(w):
+                    raise NotASubalgebra("subspace is not closed under the bracket")
+                products.append(w)
+    return Subspace.from_elements(table, products)
+
+
+def oracle_subalgebra_table(table, elements, labels=None):
+    """Structure table on an independent, bracket-closed family of elements:
+    each bracket of two of them through oracle_bracket, written in the
+    family by reducing (w | 0) against the OracleEchelon of [elements | I],
+    which leaves (0 | -x) when w = sum x_r elements[r].  ValueError when the
+    family is dependent, NotASubalgebra when a bracket leaves its span.  The
+    default label of a basis vector with coefficient one is its own."""
+    from thinlie.errors import NotASubalgebra
+    from thinlie.liealg import StructureTable
+
+    field, m, n = table.field, len(elements), table.dim
+    aug = OracleEchelon(field)
+    for r, e in enumerate(elements):
+        aug.add({**e.coords, n + r: field.one})
+    if any(pc >= n for pc in aug.pivots):
+        raise ValueError("elements are linearly dependent")
+    if labels is None:
+        labels = []
+        for e in elements:
+            if len(e.coords) == 1:
+                (idx, c), = e.coords.items()
+                labels.append(table.labels[idx] if c == field.one else f"{c}*{table.labels[idx]}")
+            else:
+                labels.append(f"v{len(labels)}")
+    entries = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            w = oracle_bracket(elements[a], elements[b])
+            if not w:
+                continue
+            vec = aug.reduce(w.coords)
+            if any(k < n for k in vec):
+                raise NotASubalgebra("family is not closed under the bracket")
+            entries.append((a, b, [(k - n, -c) for k, c in vec.items()]))
+    return StructureTable.from_entries(field, labels, entries)
+
+
 def oracle_extend_to_generators(table, start):
     """start, then each basis position, lowest first, outside the
     oracle_right_normed_span of the positions chosen so far, until that span
@@ -511,15 +569,12 @@ def oracle_check_covering(expansion, X, Y):
     return CoveringReport(not failures, failures, upto)
 
 
-def oracle_parameter_k(expansion):
-    """k = dim(L / L'') - 1 with L' and then L'' each bracketed as a graded
-    sum over every pair a + b = d at every degree; NotStabilized unless
-    L''_d = M_d != 0 on the last grading period."""
-    from thinlie.errors import NotStabilized
+def oracle_second_derived_dims(expansion):
+    """dim L''_d for d = 0 .. depth (0 at d = 0), with L' and then L'' each
+    bracketed as a graded sum over every pair a + b = d at every degree."""
     from thinlie.liealg import Echelon, Subspace, bracket
 
     depth = expansion.depth
-    window = expansion.degmap.modulus
     base = expansion.base
     m = [None] + expansion.components
     zero = Subspace.from_elements(base, [])
@@ -548,12 +603,21 @@ def oracle_parameter_k(expansion):
         return out
 
     lp = graded_bracket(m, m)
-    lpp = graded_bracket(lp, lp)
-    codims = [0] * (depth + 1)
-    for d in range(1, depth + 1):
-        codims[d] = m[d].dim - lpp[d].dim
+    return [0] + [s.dim for s in graded_bracket(lp, lp)[1:]]
+
+
+def oracle_parameter_k(expansion):
+    """k = dim(L / L'') - 1 from oracle_second_derived_dims; NotStabilized
+    unless L''_d = M_d != 0 on the last grading period."""
+    from thinlie.errors import NotStabilized
+
+    depth = expansion.depth
+    window = expansion.degmap.modulus
+    dims = [0] + expansion.dims
+    lpp = oracle_second_derived_dims(expansion)
+    codims = [dims[d] - lpp[d] for d in range(depth + 1)]
     tail = range(depth - window + 1, depth + 1)
-    if any(codims[d] != 0 or m[d].dim == 0 for d in tail):
+    if any(codims[d] != 0 or dims[d] == 0 for d in tail):
         raise NotStabilized(
             f"second derived subalgebra has not stabilized in the last {window} degrees"
         )

@@ -24,7 +24,14 @@ from thinlie.errors import CriterionFailed, NotAdditivelyClosed, NotASubalgebra,
 from thinlie.ffield import field_create, frobenius, in_prime_field
 from thinlie.liealg import DegreeMap, bracket, check_structure_map, validate_grading, validate_table
 
-from oracles import change_basis, dense_row, oracle_cartan_table, pascal_binom, poisson_coefficient
+from oracles import (
+    change_basis,
+    dense_row,
+    derived_subalgebra,
+    oracle_cartan_table,
+    pascal_binom,
+    poisson_coefficient,
+)
 
 
 def test_binom_examples():
@@ -83,8 +90,6 @@ def test_w1n_small_brackets():
 def test_w1n_char_two_not_simple():
     t = build_W1n(2, 2)
     assert t.dim == 4
-    from thinlie.liealg import derived_subalgebra
-
     assert derived_subalgebra(t, t.full_subspace()).dim == 3
 
 

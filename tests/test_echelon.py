@@ -1,16 +1,24 @@
 """The echelon kernel against the dense Gauss-Jordan oracle, on random
 dense matrices over F_3, F_4 and F_9 and on random sparse vectors over F_2,
 F_3 and F_9, and against the sparse operator-based oracle, row by row and
-key by key, over F_2 to F_49; subalgebra tables against the dense
-change-of-basis oracle, which is itself checked against its inverse."""
+key by key, over F_2 to F_49; the subalgebra-table oracle on element
+families against the dense change-of-basis oracle, which is itself
+checked against its inverse."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import OracleEchelon, change_basis, dense_row, element_by_index, oracle_rref
+from oracles import (
+    OracleEchelon,
+    change_basis,
+    dense_row,
+    element_by_index,
+    oracle_rref,
+    oracle_subalgebra_table,
+)
 from thinlie.cartan import build_H2_second_derived, build_W1n
 from thinlie.ffield import field_create
-from thinlie.liealg import Echelon, StructureTable, Subspace, subalgebra_table
+from thinlie.liealg import Echelon, StructureTable, Subspace
 
 F2, F3, F4, F9 = field_create(2), field_create(3), field_create(2, 2), field_create(3, 2)
 F5, F25, F49 = field_create(5), field_create(5, 2), field_create(7, 2)
@@ -110,7 +118,7 @@ def test_change_basis_then_inverse_is_identity(table, data):
 def test_subalgebra_table_on_invertible_rows_is_change_basis(table, data):
     rows = data.draw(invertible(table.field, table.dim))
     labels = [f"v{i}" for i in range(table.dim)]
-    sub = subalgebra_table(table, [element(table, r) for r in rows], labels)
+    sub = oracle_subalgebra_table(table, [element(table, r) for r in rows], labels)
     assert sub.brackets == change_basis(table, rows, labels).brackets
 
 
@@ -126,7 +134,7 @@ def test_singular_matrix_raises(table, data):
     with pytest.raises(ValueError):
         change_basis(table, rows, table.labels)
     with pytest.raises(ValueError):
-        subalgebra_table(table, [element(table, r) for r in rows])
+        oracle_subalgebra_table(table, [element(table, r) for r in rows])
 
 
 def nonzeros(field):

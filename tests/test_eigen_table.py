@@ -20,7 +20,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import change_basis, dense_row, eigen_bracket_check, subalgebra_generated
+from oracles import (
+    change_basis,
+    dense_row,
+    eigen_bracket_check,
+    oracle_subalgebra_table,
+    subalgebra_generated,
+)
 from test_sweep import SIGMA_ZERO_INPUTS
 from thinlie.cartan import build_H2_phi1
 from thinlie.errors import DenominatorZero
@@ -36,7 +42,6 @@ from thinlie.liealg import (
     StructureTable,
     check_structure_map,
     extend_to_generators,
-    subalgebra_table,
 )
 
 F3 = field_create(3)
@@ -114,7 +119,7 @@ def test_closed_table_equals_change_basis_rho_zero():
 def test_sigma_zero_closed_table_is_the_subalgebra_x_and_y_generate(p, q):
     basis = _sigma_zero_basis(p, q)
     et = basis.eigen_table
-    sub = subalgebra_table(basis.table, basis.vectors, basis.labels)
+    sub = oracle_subalgebra_table(basis.table, basis.vectors, basis.labels)
     assert json.dumps(et.to_json()) == json.dumps(sub.to_json())
     assert eigen_bracket_check(basis)
     xy = list(generator_positions(basis))

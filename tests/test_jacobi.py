@@ -224,7 +224,7 @@ def passes(monkeypatch):
 def _scan_report(table, cap=10):
     """validate_table with the certificate switched off: the triple scan."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(liealg, "_jacobi_certified", lambda t, index, one_term: False)
+        mp.setattr(liealg, "_jacobi_certified", lambda t, index: False)
         return validate_table(table, cap)
 
 

@@ -4,7 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_row, element_by_index, oracle_bracket, oracle_rref, subalgebra_generated
+from oracles import (
+    dense_row,
+    derived_subalgebra,
+    element_by_index,
+    oracle_bracket,
+    oracle_right_normed_span,
+    oracle_rref,
+    oracle_subalgebra_table,
+    subalgebra_generated,
+)
+from test_span import BUILT
 from thinlie.cartan import build_H2_phi1, build_W1n, phi1_monomials
 from thinlie.errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from thinlie.ffield import field_create
@@ -18,7 +28,6 @@ from thinlie.liealg import (
     bracket,
     center,
     centralizer_in,
-    derived_subalgebra,
     quotient_by_ideal,
     subalgebra_table,
     check_structure_map,
@@ -311,7 +320,40 @@ def test_check_structure_map_identity_and_zero():
 def test_subalgebra_table_requires_closure():
     t = w11()
     with pytest.raises(NotASubalgebra):
-        subalgebra_table(t, [t.basis_element(0), t.basis_element(2)])
+        subalgebra_table(t, [0, 2])
+
+
+def test_subalgebra_table_rejects_repeated_positions():
+    with pytest.raises(ValueError, match="repeat"):
+        subalgebra_table(w11(), [0, 1, 0])
+
+
+@st.composite
+def coordinate_sets(draw):
+    """A builder table and basis positions in random order: half of the time
+    the positions reached from a few generators, a closed set, otherwise
+    any distinct positions, which are seldom closed."""
+    table = draw(st.sampled_from(BUILT))
+    positions = st.integers(0, table.dim - 1)
+    if draw(st.booleans()):
+        gens = draw(st.lists(positions, min_size=1, max_size=3))
+        keep = oracle_right_normed_span(table, gens)[0].pivots
+    else:
+        keep = draw(st.lists(positions, min_size=1, max_size=table.dim, unique=True))
+    return table, draw(st.permutations(keep))
+
+
+@settings(max_examples=120, deadline=None)
+@given(coordinate_sets())
+def test_subalgebra_table_matches_oracle_on_coordinate_sets(case):
+    table, keep = case
+    try:
+        want = oracle_subalgebra_table(table, [table.basis_element(i) for i in keep])
+    except NotASubalgebra:
+        with pytest.raises(NotASubalgebra):
+            subalgebra_table(table, keep)
+        return
+    assert json.dumps(subalgebra_table(table, keep).to_json()) == json.dumps(want.to_json())
 
 
 def test_rref_is_canonical():

@@ -1,6 +1,7 @@
 """Periodic reuse in loop_expand, check_covering and detect_diamonds, the
-two-bracket centralizer chains and the ideal rule of parameter_k, against
-the full-depth oracles, which bracket and decide every degree afresh.
+two-bracket centralizer chains and the ideal recursion of parameter_k,
+against the full-depth oracles, which bracket and decide every degree
+afresh.
 
 Whole thin reports must serialise byte for byte alike on every accepted
 mixed input of the sweep and on a sample of toral runs, each at depths
@@ -10,7 +11,10 @@ is zero in degree 4 and full from degree 5 on; an abelian table, s = 2;
 and nilpotent tables whose expansion dies after the first period) the
 three layers are compared one by one, and a mutant that takes
 the period start to be 1 without comparing components must be told apart
-from the oracle wherever s > 1.
+from the oracle wherever s > 1.  On the same mixed inputs and hand-built
+tables, parameter_k's brackets are counted degree by degree against the
+ideal recursion: at most dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 up to
+the first full degree, none after it.
 """
 
 import inspect
@@ -23,6 +27,7 @@ from oracles import (
     oracle_check_covering,
     oracle_loop_expand,
     oracle_parameter_k,
+    oracle_second_derived_dims,
     oracle_thin_report,
 )
 from test_sweep import MIXED_INPUTS
@@ -175,6 +180,56 @@ def test_hand_built_layers_match_full_depth_oracle(name):
         assert got.components == want.components, depth
         assert got.period_start == _first_repeat(want.components, n)
         assert _layers(got, check_covering, parameter_k, x, y) == want_layers, depth
+
+
+def _brackets_per_degree(expansion, monkeypatch):
+    """The thinloop.bracket calls of parameter_k, one count per Echelon it
+    opens: one per degree it brackets."""
+    counts = []
+    real_bracket, real_echelon = thinloop.bracket, thinloop.Echelon
+
+    def counting(u, v):
+        counts[-1] += 1
+        return real_bracket(u, v)
+
+    def opening(field):
+        counts.append(0)
+        return real_echelon(field)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(thinloop, "bracket", counting)
+        mp.setattr(thinloop, "Echelon", opening)
+        try:
+            parameter_k(expansion)
+        except NotStabilized:
+            pass
+    return counts
+
+
+def _assert_ideal_recursion_cost(t, degmap, monkeypatch):
+    # before the first full degree f, degree d takes at most
+    # dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 brackets; from f + 1 on, none
+    for depth in _depths(degmap.modulus):
+        expansion = loop_expand(t, degmap, depth)
+        dims = [0] + expansion.dims
+        lpp = oracle_second_derived_dims(expansion)
+        first_full = next((d for d in range(3, depth + 1) if lpp[d] == dims[d]), depth)
+        counts = _brackets_per_degree(expansion, monkeypatch)
+        assert len(counts) == max(first_full - 3, 0), depth
+        for d, calls in enumerate(counts, start=4):
+            assert calls <= lpp[d - 1] * dims[1] + dims[d - 2] * dims[2], (depth, d)
+
+
+@pytest.mark.parametrize("args", MIXED_INPUTS, ids=lambda a: "mixed-%d-%d-%d" % a)
+def test_parameter_k_brackets_by_the_ideal_recursion_on_mixed_inputs(args, monkeypatch):
+    g = _grading("run_mixed", *args)
+    _assert_ideal_recursion_cost(g.table, g.degmap, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_parameter_k_brackets_by_the_ideal_recursion_on_hand_built_tables(name, monkeypatch):
+    t, degmap, _, _ = HAND_BUILT[name]()
+    _assert_ideal_recursion_cost(t, degmap, monkeypatch)
 
 
 def test_abelian_period_starts_at_two():

@@ -14,7 +14,8 @@ oracle's pivots, on random one-term tables, builder tables and the eigen
 table of every case of the toral benchmark.  extend_to_generators and the
 generation check of check_structure_map give what the oracle and the
 bracket span give; a table with a stored zero, a diagonal key or a target
-out of range is not one-term and takes the bracket span."""
+out of range is not one-term and takes the bracket span.  On every table
+here _LeibnizIndex finds the same one-term flag as _one_term."""
 
 import functools
 
@@ -127,6 +128,7 @@ def test_span_matches_oracle(case):
     assert closure.span.rows == want.rows
     assert closure.found == found
     assert extend_to_generators(table, gens) == oracle_extend_to_generators(table, gens)
+    assert liealg._LeibnizIndex(table).one_term == liealg._one_term(table)
 
 
 def test_span_brackets_only_stored_pairs(monkeypatch):
@@ -193,7 +195,7 @@ def reached_spans(draw):
 @given(reached_spans())
 def test_reached_span_matches_oracle(case):
     table, gens = case
-    assert liealg._one_term(table)
+    assert liealg._one_term(table) and liealg._LeibnizIndex(table).one_term
     closure = liealg._ReachedSpan(table)
     for g in gens:
         closure.adjoin(g)
@@ -207,11 +209,18 @@ def _bracket_span_only(monkeypatch):
     """Make every table take _RightNormedSpan, as before _ReachedSpan."""
     monkeypatch.setattr(liealg, "_one_term", lambda t: False)
 
+    class NotOneTerm(liealg._LeibnizIndex):
+        def __init__(self, t):
+            super().__init__(t)
+            self.one_term = False
+
+    monkeypatch.setattr(liealg, "_LeibnizIndex", NotOneTerm)
+
 
 @pytest.mark.parametrize("m", range(len(BUILT)))
 def test_extension_on_builder_tables(m, monkeypatch):
     table = BUILT[m]
-    assert liealg._one_term(table)
+    assert liealg._one_term(table) and liealg._LeibnizIndex(table).one_term
     starts = [[], [0], [table.dim - 1, 0]]
     got = [extend_to_generators(table, start) for start in starts]
     assert got == [oracle_extend_to_generators(table, start) for start in starts]
@@ -225,7 +234,7 @@ def test_extension_and_generation_on_eigen_tables(monkeypatch):
     cases = []
     for basis in toral_bases():
         et = basis.eigen_table
-        assert liealg._one_term(et)
+        assert liealg._one_term(et) and liealg._LeibnizIndex(et).one_term
         gens = extend_to_generators(et, generator_positions(basis))
         assert gens == oracle_extend_to_generators(et, generator_positions(basis))
         for drop in range(len(gens)):
@@ -264,7 +273,7 @@ def _malformed(table, how):
 @pytest.mark.parametrize("m", range(len(BUILT)))
 def test_malformed_tables_take_the_bracket_span(m, how, monkeypatch):
     table = _malformed(BUILT[m], how)
-    assert not liealg._one_term(table)
+    assert not liealg._one_term(table) and not liealg._LeibnizIndex(table).one_term
 
     def unused(t):
         raise AssertionError("a table that is not one-term reached _ReachedSpan")
@@ -274,13 +283,13 @@ def test_malformed_tables_take_the_bracket_span(m, how, monkeypatch):
         assert extend_to_generators(table, start) == oracle_extend_to_generators(table, start)
 
 
-def test_validate_table_decides_one_term_in_its_encoding_loop(monkeypatch):
+def test_validate_table_reads_one_term_off_the_leibniz_index(monkeypatch):
     seen = []
     real = liealg._jacobi_certified
 
-    def recording(t, index, one_term):
-        seen.append(one_term)
-        return real(t, index, one_term)
+    def recording(t, index):
+        seen.append(index.one_term)
+        return real(t, index)
 
     monkeypatch.setattr(liealg, "_jacobi_certified", recording)
     rewritten = change_basis(BUILT[3], [[F3.one if i <= j else F3.zero for j in range(27)] for i in range(27)],
@@ -297,7 +306,7 @@ def test_generation_on_a_multi_term_table_takes_the_bracket_span(monkeypatch):
     one, zero = F9.one, F9.zero
     rows = [[one if i <= j else zero for j in range(table.dim)] for i in range(table.dim)]
     rewritten = change_basis(table, rows, [f"v{i}" for i in range(table.dim)])
-    assert not liealg._one_term(rewritten)
+    assert not liealg._one_term(rewritten) and not liealg._LeibnizIndex(rewritten).one_term
 
     def unused(t):
         raise AssertionError("a multi-term table reached _ReachedSpan")
