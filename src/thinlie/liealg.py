@@ -17,13 +17,13 @@ is.  A pass for g reads the compositions through the ad row of g, so
 validate_table takes one sweeping generator, the widest ad row, and then
 the narrowest ones, which make the cheapest passes.  It runs the
 per-vector scan of every basis triple only when a generator's pass fails,
-when the encoding is broken, or when the generating set takes more than
-dim/3 generators, whose passes would cost more than the scan.  The
-generating set grows in the span of right-normed brackets: on a one-term
-table (one nonzero term per stored pair, as in every builder and eigen
-table) the set of basis positions reached from the generators by table
-lookups (_ReachedSpan), on any other a span that brackets a vector with a
-generator only where the table stores a pair between them.
+when the table is not one-term, or when the generating set takes more than
+dim/3 generators, whose passes would cost more than the scan.  Generating
+sets are read off one-term tables only (one nonzero term per stored pair,
+as in every builder and eigen table): there the span of right-normed
+brackets is the set of basis positions reached from the generators by
+table lookups (_ReachedSpan).  Where a generating set is passed or asked
+for, any other table raises ValueError.
 validate_table, check_structure_map's Leibniz passes and
 StructureTable.to_json run with cyclic garbage collection paused
 (_gc_paused): everything they build is acyclic.
@@ -583,8 +583,8 @@ def _leibniz_failures(
 
 
 def _jacobi_certified(t: StructureTable, index: _LeibnizIndex) -> bool:
-    """True when ad g is a derivation for each g of a generating set (the
-    proof is in validate_table).
+    """True when ad g is a derivation for each g of a generating set of the
+    one-term table t (the proof is in validate_table).
 
     A pass of _leibniz_failures for g reads the compositions through the ad
     row of b_g, so its cost follows the size of that row, the number of
@@ -608,7 +608,7 @@ def _jacobi_certified(t: StructureTable, index: _LeibnizIndex) -> bool:
     size = [len(k) for k in index.keys]
     widest = max(range(dim), key=size.__getitem__, default=-1)
     order = sorted(range(dim), key=lambda i: (i != widest, size[i]))
-    gens = list(islice(_greedy_generators(t, (), order, index.one_term), dim // 3 + 1))
+    gens = list(islice(_greedy_generators(t, (), order), dim // 3 + 1))
     if 3 * len(gens) > dim:
         return False
     return not any(pairs for _, pairs in _leibniz_failures(index, ((g, -1) for g in gens)))
@@ -617,23 +617,24 @@ def _jacobi_certified(t: StructureTable, index: _LeibnizIndex) -> bool:
 def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationReport:
     """Check the i < j encoding and the Jacobi identity.
 
-    Once the encoding holds, the identity is proved from a generating set
-    (_jacobi_certified): one pass of _leibniz_failures over all pairs for
-    each generator g, checking that ad g is a derivation.  This suffices.
-    S = {x : ad x is a derivation} is a subspace, since ad is linear.  If
-    ad x is a derivation then ad [x, y] = [ad x, ad y], and a commutator of
-    derivations is a derivation, so S is a subalgebra; none of this uses
-    the Jacobi identity, so it holds in any alternating algebra.  S then
-    holds every right-normed bracket [g1, [g2, ..., gk]] of generators, and
-    _greedy_generators picks the generators so that these span the table.
-    So every ad is a derivation, which for an alternating bracket is the
-    Jacobi identity.
+    On a one-term table, whose encoding holds, the identity is proved from
+    a generating set (_jacobi_certified): one pass of _leibniz_failures over
+    all pairs for each generator g, checking that ad g is a derivation.
+    This suffices.  S = {x : ad x is a derivation} is a subspace, since ad
+    is linear.  If ad x is a derivation then ad [x, y] = [ad x, ad y], and
+    a commutator of derivations is a derivation, so S is a subalgebra; none
+    of this uses the Jacobi identity, so it holds in any alternating
+    algebra.  S then holds every right-normed bracket [g1, [g2, ..., gk]]
+    of generators, and _greedy_generators picks the generators so that
+    these span the table.  So every ad is a derivation, which for an
+    alternating bracket is the Jacobi identity.
 
-    Otherwise, when a generator's pass fails, or when a generating set
-    would take more than dim/3 generators, the identity is checked
-    on every basis triple: one pass per basis vector b_i, over the pairs
-    i < j < k.  Violations come in lexicographic order, at most
-    max_violations of them; max_violations must be at least 1.
+    Otherwise, when the table is not one-term, when a generator's pass
+    fails, or when a generating set would take more than dim/3 generators,
+    the identity is checked on every basis triple: one pass per basis
+    vector b_i, over the pairs i < j < k.  Violations come in
+    lexicographic order, at most max_violations of them; max_violations
+    must be at least 1.
     """
     if max_violations < 1:
         raise ValueError(f"max_violations must be at least 1, got {max_violations}")
@@ -654,7 +655,7 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
 
     with _gc_paused():
         index = _LeibnizIndex(t)
-        if encoding_ok and _jacobi_certified(t, index):
+        if index.one_term and _jacobi_certified(t, index):
             return ValidationReport(True, True, True, [], [])
         violations: list[tuple[int, int, int]] = []
         for i, pairs in _leibniz_failures(index, ((i, i) for i in range(dim))):
@@ -671,49 +672,6 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
 # subalgebras, ideals, centralizers
 # ---------------------------------------------------------------------------
 
-class _RightNormedSpan:
-    """The span of the right-normed brackets [g1, [g2, ..., gk]] of a growing
-    list of basis positions gens: the smallest subspace that contains them
-    and is closed under ad g for each.  In a Lie algebra this is the
-    subalgebra they generate.
-
-    A found vector u is bracketed with a generator g only when the table
-    stores a bracket of b_g with some basis vector in the support of u;
-    every other [g, u] is zero (g with itself among them, as no diagonal
-    key is stored), and a zero adds nothing to the span.  So the vectors go
-    into span in the same order as if every bracket were taken, and the
-    cost follows the stored pairs met rather than |gens| brackets per
-    dimension."""
-
-    def __init__(self, t: StructureTable):
-        self.t = t
-        self.span = Echelon(t.field)
-        self.found: list[Element] = []  # a basis of span
-        self.gens: list[tuple[int, Element]] = []
-
-    def adjoin(self, i: int) -> None:
-        brackets = self.t.brackets
-
-        def meets(h: int, u: Element) -> bool:
-            return any((h, m) in brackets if h < m else (m, h) in brackets for m in u.coords)
-
-        g = self.t.basis_element(i)
-        self.gens.append((i, g))
-        # the span so far is closed under the earlier generators, not yet under ad g
-        candidates = [bracket(g, u) for u in self.found if meets(i, u)] + [g]
-        while candidates:
-            new = [w for w in candidates if w and self.span.add(w.coords)]
-            self.found += new
-            candidates = [bracket(h, u) for u in new for j, h in self.gens if meets(j, u)]
-
-    @property
-    def rank(self) -> int:
-        return self.span.rank
-
-    def __contains__(self, i: int) -> bool:
-        return not self.span.reduce({i: self.t.field.one})
-
-
 def _one_term(t: StructureTable) -> bool:
     """Whether each stored key is 0 <= i < j < dim with one term (k, c), 0 <= k
     < dim and c != 0, as in builder and eigen tables (_LeibnizIndex records
@@ -729,9 +687,11 @@ def _one_term(t: StructureTable) -> bool:
 
 
 class _ReachedSpan:
-    """_RightNormedSpan on a one-term table: the span of b_m for m in reached,
-    grown by one dict lookup per step, with no Element, bracket or Echelon.
-    There ad b_g maps each b_m to a multiple of one b_k.  Let R be the least
+    """The span of the right-normed brackets [g1, [g2, ..., gk]] of a growing
+    list of basis positions gens on a one-term table (in a Lie algebra, the
+    subalgebra they generate): the span of b_m for m in reached, grown by
+    one dict lookup per step, with no Element, bracket or Echelon.  There
+    ad b_g maps each b_m to a multiple of one b_k.  Let R be the least
     set of positions holding the generators and, for each generator g and m
     in R with [b_g, b_m] = c b_k, holding k.  The span of R holds the
     generators and is closed under each ad b_g, so it holds the right-normed
@@ -762,16 +722,13 @@ class _ReachedSpan:
                 new += [terms[0][0] for h in gens if (terms := get((h, m) if h < m else (m, h)))]
 
 
-def _greedy_generators(
-    t: StructureTable, start: Iterable[int], candidates: Iterable[int], one_term: bool
-) -> Iterator[int]:
-    """start, then each of candidates outside the span of the right-normed
-    brackets of the positions yielded so far, until that span is all of t.
+def _greedy_generators(t: StructureTable, start: Iterable[int], candidates: Iterable[int]) -> Iterator[int]:
+    """start, then each of candidates outside the _ReachedSpan of the
+    positions yielded so far, until that span is all of the one-term table t.
     candidates must run over every basis position, or the span may fall
     short of t.  Each position is yielded before it is adjoined, so a
-    caller that stops taking them pays for no further extension.  one_term
-    is _one_term(t), which picks _ReachedSpan over _RightNormedSpan."""
-    closure = _ReachedSpan(t) if one_term else _RightNormedSpan(t)
+    caller that stops taking them pays for no further extension."""
+    closure = _ReachedSpan(t)
     for i in start:
         yield i
         closure.adjoin(i)
@@ -786,9 +743,11 @@ def _greedy_generators(
 def extend_to_generators(t: StructureTable, start: Sequence[int]) -> list[int]:
     """start, then each basis position, lowest first, outside the span of
     the right-normed brackets of the positions chosen so far, until that
-    span is all of t: for a Lie algebra, a generating set of t.  The span
-    is _ReachedSpan's on a one-term t, else _RightNormedSpan's."""
-    return list(_greedy_generators(t, start, range(t.dim), _one_term(t)))
+    span is all of t: for a Lie algebra, a generating set of t.  ValueError
+    when t is not one-term."""
+    if not _one_term(t):
+        raise ValueError("generating sets are read off one-term tables only")
+    return list(_greedy_generators(t, start, range(t.dim)))
 
 
 def centralizer_in(t: StructureTable, ambient: Subspace, target: Subspace) -> Subspace:
@@ -830,37 +789,28 @@ def _nullspace(field: FieldSpec, constraints: list[Vec], m: int) -> list[Vec]:
     return out
 
 
-def quotient_by_ideal(t: StructureTable, ideal: Subspace) -> StructureTable:
-    """Structure table on the coordinate complement of a bracket-stable ideal.
+def quotient_by_ideal(t: StructureTable, drop: Iterable[int]) -> StructureTable:
+    """Structure table of t modulo the span of the basis vectors at the
+    positions drop, on the other basis vectors in ascending order.
 
-    The product of two kept basis vectors is their stored bracket reduced
-    modulo the ideal; keep ascends, so each pair is read at its (i < j) key.
+    One pass over the stored pairs: NotAnIdeal when a pair touches drop and
+    a nonzero term, repeated targets summed, lands outside it; every other
+    pair is renumbered without its terms on drop.
     """
-    ideal_basis = ideal.basis_elements()
-    for i in range(t.dim):
-        bi = t.basis_element(i)
-        for w in ideal_basis:
-            if not ideal.contains(bracket(bi, w)):
-                raise NotAnIdeal("subspace is not bracket-stable under the full algebra")
-    pivset = set(ideal.pivots)
-    keep = [i for i in range(t.dim) if i not in pivset]
-    pos = {c: n for n, c in enumerate(keep)}
-    labels = [t.labels[c] for c in keep]
-    brackets = t.brackets
+    drop = set(drop)
+    keep = [i for i in range(t.dim) if i not in drop]
+    pos = {i: a for a, i in enumerate(keep)}
     entries = []
-    for a in range(len(keep)):
-        for b in range(a + 1, len(keep)):
-            stored = brackets.get((keep[a], keep[b]))
-            if not stored:
-                continue
-            w: Vec = {}
-            for k, c in stored:  # a hand-built bracket may repeat a target
-                w[k] = w[k] + c if k in w else c
-            # the residual lives on the non-pivot columns, that is on keep
-            terms = [(pos[c], x) for c, x in ideal.echelon.reduce(w).items()]
-            if terms:
-                entries.append((a, b, terms))
-    return StructureTable.from_entries(t.field, labels, entries)
+    for (i, j), terms in t.brackets.items():
+        if i in drop or j in drop:
+            combined: dict[int, FieldElement] = {}
+            for k, c in terms:  # a hand-built bracket may repeat a target
+                combined[k] = combined[k] + c if k in combined else c
+            if any(c and k not in drop for k, c in combined.items()):
+                raise NotAnIdeal("basis positions are not bracket-stable under the full algebra")
+        else:
+            entries.append((pos[i], pos[j], [(pos[k], c) for k, c in terms if k not in drop]))
+    return StructureTable.from_entries(t.field, [t.labels[i] for i in keep], entries)
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +888,9 @@ def check_structure_map(
     contain gens, hence the right-normed brackets, hence all of src: src is
     a Lie algebra and phi a homomorphism.  When gens is every basis vector
     the intertwining covers every pair, which alone is the proof, and the
-    last two checks are skipped.  Generation is read off _ReachedSpan when
-    src is one-term (an eigen table), else off _RightNormedSpan.
+    last two checks are skipped.  Otherwise src must be one-term (as an
+    eigen table is), else ValueError, and generation is read off
+    _ReachedSpan.
     """
     if len(images) != src.dim:
         raise ValueError("need one image per src basis vector")
@@ -962,11 +913,13 @@ def check_structure_map(
         return MapCheck()
     with _gc_paused():
         index = _LeibnizIndex(src)
+        if not index.one_term:
+            raise ValueError("a generating set certifies one-term tables only")
         for g, pairs in _leibniz_failures(index, ((g, -1) for g in gens)):
             if pairs:
                 a, b = pairs[0]
                 return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
-    closure = (_ReachedSpan if index.one_term else _RightNormedSpan)(src)
+    closure = _ReachedSpan(src)
     for g in gens:
         closure.adjoin(g)
     dim = closure.rank

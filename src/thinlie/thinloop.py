@@ -15,10 +15,11 @@ reads M_{d-1}, M_d, M_{d+1}, X and Y alone, so one period is computed for
 the expansion, covering and the diamond slots, and the rest is read back
 from d - N.  With no repeat within the depth every degree is computed.
 
-The expansion also settles most of covering: when X and Y span M_1, a
-one-dimensional M_d = <u> covers by construction, since M_{d+1} is built
-as [u, M_1].  The centralizer chains are decided by two brackets per basis
-vector of M_d rather than by a nullspace.
+The generators X and Y are given, and must span a two-dimensional M_1.
+The expansion then settles most of covering: a one-dimensional M_d = <u>
+covers by construction, since M_{d+1} is built as [u, M_1].  The
+centralizer chains are decided by two brackets per basis vector of M_d
+rather than by a nullspace.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .liealg import (
     StructureTable,
     Subspace,
     bracket,
-    centralizer_in,
     validate_grading,
 )
 
@@ -96,16 +96,17 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
     pair (the period start s = d - N) on, components are reused, not
     bracketed.  Also records whether M_{N+1} = M_1 (s = 1), the criterion
     under which the generated loop algebra exhausts all of (+) S_k (x) t^k.
+    Each M_d lies in the class d mod N, by induction from the class-1 basis
+    of M_1: validate_grading proves every stored bracket of class d with
+    class 1 lands in class d+1.
     """
     if not validate_grading(base, degmap):
         raise ValueError("degree map is not compatible with the table")
     n = degmap.modulus
     if depth < n + 1:
         raise ValueError(f"expansion depth {depth} is below N+1 = {n + 1} for grading modulus N = {n}")
-    classes: dict[int, set[int]] = {}
-    for i, d in enumerate(degmap.degrees):
-        classes.setdefault(d, set()).add(i)
-    m1 = Subspace.from_elements(base, map(base.basis_element, sorted(classes.get(1 % n, ()))))
+    ones = [i for i, d in enumerate(degmap.degrees) if d == 1 % n]
+    m1 = Subspace.from_elements(base, map(base.basis_element, ones))
     components = [m1]
     gens = m1.basis_elements()
     start = None
@@ -115,10 +116,6 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
             continue
         prev = components[-1].basis_elements()
         nxt = Subspace.from_elements(base, [bracket(u, x) for u in prev for x in gens])
-        allowed = classes.get(d % n, set())
-        for e in nxt.basis_elements():
-            if not set(e.coords) <= allowed:
-                raise AssertionError(f"component at degree {d} is not homogeneous")
         components.append(nxt)
         if d > n and nxt == components[d - n - 1]:
             start = d - n
@@ -129,9 +126,12 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
 # generators
 # ---------------------------------------------------------------------------
 
-def _spans_m1(expansion: LoopExpansion, X: Element, Y: Element) -> bool:
-    """Whether span(X, Y) is the degree-1 component M_1."""
-    return Subspace.from_elements(expansion.base, [X, Y]) == expansion.component(1)
+def _require_plane(expansion: LoopExpansion, X: Element, Y: Element, what: str) -> None:
+    """ValueError unless span(X, Y) is the degree-1 component M_1 and has
+    dimension two; what names the check that needs it."""
+    m1 = expansion.component(1)
+    if m1.dim != 2 or Subspace.from_elements(expansion.base, [X, Y]) != m1:
+        raise ValueError(f"{what} need X and Y spanning a two-dimensional M_1")
 
 
 def _centralizer_is_y(component: Subspace, X: Element, Y: Element) -> bool:
@@ -186,42 +186,19 @@ class GeneratorData:
         }
 
 
-def choose_generators(
-    expansion: LoopExpansion,
-    q: int,
-    X: Element | None = None,
-    Y: Element | None = None,
-) -> GeneratorData:
-    """Pick Y spanning the annihilator of M_2 in M_1 and correct X so that
-    [V,X,X] = 0 at the second diamond, in degree q.
-
-    Explicit X, Y bypass the centralizer characterization, which fails for
-    q = 3 where the annihilator is trivial; the normalization still runs.
+def choose_generators(expansion: LoopExpansion, q: int, X: Element, Y: Element) -> GeneratorData:
+    """Correct the generator X so that [V,X,X] = 0 at the second diamond, in
+    degree q.  X and Y, read off the grading by the caller, must be
+    independent elements of M_1, else ValueError.
     """
     base = expansion.base
     m1 = expansion.component(1)
     if m1.dim != 2:
         raise NoAnnihilator(f"degree-1 component has dimension {m1.dim}, not 2", 1)
-    if (X is None) != (Y is None):
-        raise ValueError("supply both generators or neither")
-    if Y is None:
-        if expansion.component(2).dim != 1:
-            raise NoAnnihilator("degree-2 component is not one-dimensional", 2)
-        cent = centralizer_in(base, m1, expansion.component(2))
-        if cent.dim != 1:
-            raise NoAnnihilator(
-                f"centralizer of M_2 in M_1 has dimension {cent.dim}; cannot single out Y", 2
-            )
-        Y = cent.basis_elements()[0]
-        X = next(
-            e for e in m1.basis_elements()
-            if Subspace.from_elements(base, [Y, e]).dim == 2
-        )
-    else:
-        if not (m1.contains(X) and m1.contains(Y)):
-            raise ValueError("explicit generators must lie in the degree-1 component")
-        if Subspace.from_elements(base, [X, Y]).dim != 2:
-            raise ValueError("explicit generators are dependent")
+    if not (m1.contains(X) and m1.contains(Y)):
+        raise ValueError("explicit generators must lie in the degree-1 component")
+    if Subspace.from_elements(base, [X, Y]).dim != 2:
+        raise ValueError("explicit generators are dependent")
 
     vspace = expansion.component(q - 1)
     if vspace.dim != 1:
@@ -269,12 +246,6 @@ class CoveringReport:
 
     def verdict(self) -> str:
         return "PASS" if self.ok else "FAIL@" + ",".join(map(str, self.failures))
-
-
-def _covers(expansion: LoopExpansion, u: Element, X: Element, Y: Element, d: int) -> bool:
-    target = expansion.component(d + 1)
-    got = Subspace.from_elements(expansion.base, [bracket(u, X), bracket(u, Y)])
-    return got == target
 
 
 def covering_criterion_at(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
@@ -330,7 +301,7 @@ def _plane_covers(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> b
     return bool(det_b) and not find_roots(target.table.field, [det_a, m, det_b])
 
 
-def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int, spans: bool) -> bool:
+def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
     comp = expansion.component(d)
     if comp.dim == 0:
         return False
@@ -339,29 +310,28 @@ def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int, sp
         # loop algebra is finite-dimensional and certainly not thin
         return True
     if comp.dim == 1:
-        return not spans and not _covers(expansion, comp.basis_elements()[0], X, Y, d)
+        return False  # M_{d+1} is [u, M_1] by construction
     return comp.dim > 2 or not _plane_covers(expansion, X, Y, d)
 
 
 def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> CoveringReport:
     """Covering property at every degree: [u, M_1] = M_{d+1} for 0 != u in M_d.
 
-    One-dimensional components need only their basis vector; two-dimensional
-    ones are decided exactly by rank (see _plane_covers); larger ones fail.
-    When span(X, Y) = M_1 (one Subspace comparison, made once), a
+    X and Y must span a two-dimensional M_1, else ValueError.  Then a
     one-dimensional M_d = <u> with M_{d+1} != 0 covers by construction:
     loop_expand builds M_{d+1} = [u, M_1] = span([u, X], [u, Y]), so nothing
-    is bracketed; only when X and Y do not span M_1 (X = Y, say) is u
-    bracketed.  The verdict at d depends on M_d, M_{d+1}, X and Y alone, so
-    from s + N on (s the period start) it is the verdict at d - N, read back.
+    is bracketed.  Two-dimensional components are decided exactly by rank
+    (see _plane_covers); larger ones fail.  The verdict at d depends on M_d,
+    M_{d+1}, X and Y alone, so from s + N on (s the period start) it is the
+    verdict at d - N, read back.
     """
+    _require_plane(expansion, X, Y, "covering checks")
     n, s = expansion.degmap.modulus, expansion.period_start
     repeat = expansion.depth if s is None else s + n
     upto = expansion.depth - 1
-    spans = _spans_m1(expansion, X, Y)
     failures = []
     for d in range(1, upto + 1):
-        if (d - n in failures) if d >= repeat else _fails_covering(expansion, X, Y, d, spans):
+        if (d - n in failures) if d >= repeat else _fails_covering(expansion, X, Y, d):
             failures.append(d)
     return CoveringReport(not failures, failures, upto)
 
@@ -522,8 +492,7 @@ def centralizer_chain(expansion: LoopExpansion, X: Element, Y: Element, q: int) 
     chains are guaranteed (q > 3 for the first, p > 3 and q != 5 for the
     second).
     """
-    if expansion.component(1).dim != 2 or not _spans_m1(expansion, X, Y):
-        raise ValueError("the centralizer chains need X and Y spanning a two-dimensional M_1")
+    _require_plane(expansion, X, Y, "the centralizer chains")
 
     def run(lo: int, hi: int) -> bool:
         return all(
@@ -647,12 +616,14 @@ def thin_report(
     degmap: DegreeMap,
     q: int,
     depth: int | None = None,
-    X: Element | None = None,
-    Y: Element | None = None,
+    *,
+    X: Element,
+    Y: Element,
 ) -> ThinReport:
-    """Expand, choose generators, and aggregate every thinness verdict; the
-    depth defaults to three grading periods, and a depth below one, below
-    the grading modulus plus one or below 2q - 2 raises ValueError.
+    """Expand, normalize the generators X and Y, and aggregate every
+    thinness verdict; the depth defaults to three grading periods, and a
+    depth below one, below the grading modulus plus one or below 2q - 2
+    raises ValueError.
 
     2q - 2 is the least depth that computes the last degree of the second
     centralizer chain and classifies the slot in degree q; below it the

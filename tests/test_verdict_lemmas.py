@@ -9,10 +9,10 @@ degree where the predicate fails, lands where the centralizer_in scan does:
 at q for odd p but at q + 1 for p = 2, which is why choose_generators takes
 q and does not scan.
 
-Covering: when X and Y span M_1, a one-dimensional M_d covers by
+Covering: X and Y must span M_1, so a one-dimensional M_d covers by
 construction; with X replaced by X + cY (c != 0) the verdict must still
 match the oracle that brackets every component.  X = Y spans no plane, so
-the chains reject it.
+the chains reject it, as check_covering does (test_periodic).
 """
 
 import pytest
