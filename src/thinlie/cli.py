@@ -5,7 +5,8 @@ the underlying objects; verify runs the drivers of thinlie.verify and exits
 0 only when every verdict passes and the diamond pattern matches the
 prediction for the selected grading; grade --grading finite exits 1 on a
 failed eigen-table certificate, and grade prints no degree map that fails
-validate_grading (exit 2, as verify through loop_expand).  --n1, --n2 and
+validate_grading (exit 2, as verify through loop_expand, which also
+rejects a table that is not one-term).  --n1, --n2 and
 --field-k must be positive; a flag the selected algebra or grading never
 reads, even one with a default (--n, --n1, --n2, --theta), and sigma = 0
 for a finite grading, are rejected.  Exit codes: 0 full pass, 1

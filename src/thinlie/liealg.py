@@ -795,22 +795,31 @@ def quotient_by_ideal(t: StructureTable, drop: Iterable[int]) -> StructureTable:
 
     One pass over the stored pairs: NotAnIdeal when a pair touches drop and
     a nonzero term, repeated targets summed, lands outside it; every other
-    pair is renumbered without its terms on drop.
+    pair is renumbered without its terms on drop, straight into the new
+    brackets when each such pair is i < j with one term (the renumbering is
+    increasing), else through from_entries.  With cyclic garbage collection
+    paused (_gc_paused).
     """
     drop = set(drop)
     keep = [i for i in range(t.dim) if i not in drop]
     pos = {i: a for a, i in enumerate(keep)}
-    entries = []
-    for (i, j), terms in t.brackets.items():
-        if i in drop or j in drop:
-            combined: dict[int, FieldElement] = {}
-            for k, c in terms:  # a hand-built bracket may repeat a target
-                combined[k] = combined[k] + c if k in combined else c
-            if any(c and k not in drop for k, c in combined.items()):
-                raise NotAnIdeal("basis positions are not bracket-stable under the full algebra")
-        else:
-            entries.append((pos[i], pos[j], [(pos[k], c) for k, c in terms if k not in drop]))
-    return StructureTable.from_entries(t.field, [t.labels[i] for i in keep], entries)
+    kept = []
+    with _gc_paused():
+        for (i, j), terms in t.brackets.items():
+            if i in drop or j in drop:
+                combined: dict[int, FieldElement] = {}
+                for k, c in terms:  # a hand-built bracket may repeat a target
+                    combined[k] = combined[k] + c if k in combined else c
+                if any(c and k not in drop for k, c in combined.items()):
+                    raise NotAnIdeal("basis positions are not bracket-stable under the full algebra")
+            else:
+                kept.append((i, j, terms))
+        labels = [t.labels[i] for i in keep]
+        if all(len(terms) == 1 and i < j for i, j, terms in kept):
+            return StructureTable(t.field, labels, {
+                (pos[i], pos[j]): ((pos[k], c),) for i, j, ((k, c),) in kept if c and k not in drop})
+        entries = [(pos[i], pos[j], [(pos[k], c) for k, c in terms if k not in drop]) for i, j, terms in kept]
+        return StructureTable.from_entries(t.field, labels, entries)
 
 
 # ---------------------------------------------------------------------------

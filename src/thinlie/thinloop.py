@@ -7,41 +7,37 @@ bound, checks the covering property, locates and classifies diamonds
 (genuine, fake of type 0 or 1), runs the two centralizer chains, and
 computes the parameter k = dim(L / L'') - 1 from graded pieces.
 
+Coordinate spans.  Let the table be one-term (each stored pair is
+[b_i, b_j] = c b_k, c != 0) and M_1 the span of the basis vectors at a set
+P_1 of positions, as M_1 = S_1 always is.  Then every M_d is the span of
+the b_k, k in P_d, where P_{d+1} holds the targets of the stored pairs
+(i, x), i in P_d, x in P_1.  Proof: M_{d+1} = [M_d, M_1] is spanned by the
+[b_i, b_x], each zero or a nonzero multiple of one b_k; induct on d.  The
+same argument makes each L''_d a coordinate span.  So the report runs on
+sorted tuples of positions and table lookups, with no elimination; a pair
+read that is not one term raises ValueError.  Every table a verify run
+reaches is one-term.
+
 Periodicity: with N the grading modulus, M_{d+1} depends on M_d alone, so
 once M_{s+N} = M_s for some s, every M_{d+N} = M_d with d >= s.  The
-expansion records the first such s as its period start; after it the
-components are the earlier Subspace objects.  Every verdict at degree d
-reads M_{d-1}, M_d, M_{d+1}, X and Y alone, so one period is computed for
-the expansion, covering and the diamond slots, and the rest is read back
-from d - N.  With no repeat within the depth every degree is computed.
+expansion records the first such s as its period start.  Every verdict at
+degree d reads M_{d-1}, M_d, M_{d+1}, X and Y alone, so one period is
+computed for the expansion, covering and the diamond slots, and the rest
+is read back from d - N.  With no repeat within the depth every degree is
+computed.
 
 The generators X and Y are given, and must span a two-dimensional M_1.
-The expansion then settles most of covering: a one-dimensional M_d = <u>
-covers by construction, since M_{d+1} is built as [u, M_1].  The
-centralizer chains are decided by two brackets per basis vector of M_d
-rather than by a nullspace.
+A one-dimensional M_d = <u> then covers by construction, since M_{d+1} is
+built as [u, M_1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    ConsecutiveDiamonds,
-    MalformedDiamond,
-    NoAnnihilator,
-    NotStabilized,
-)
+from .errors import ConsecutiveDiamonds, MalformedDiamond, NoAnnihilator, NotStabilized
 from .ffield import FieldElement, find_roots
-from .liealg import (
-    DegreeMap,
-    Echelon,
-    Element,
-    StructureTable,
-    Subspace,
-    bracket,
-    validate_grading,
-)
+from .liealg import DegreeMap, Element, StructureTable, Subspace, bracket, validate_grading
 
 class _Infinity:
     """Type marker for diamonds whose relation reads -[V,X,Y] = [V,Y,X]."""
@@ -61,61 +57,76 @@ INFINITY = _Infinity()
 
 
 def _type_json(t):
-    if t is None:
+    return None if t is None else "inf" if t is INFINITY else t.to_json()
+
+
+def _term(get, i: int, j: int) -> tuple[int, FieldElement] | None:
+    """(k, c) with [b_i, b_j] = c b_k, None when it is zero; get is the
+    table's brackets.get.  ValueError on a stored pair not of one term."""
+    terms = get((i, j) if i < j else (j, i))
+    if not terms:
         return None
-    if t is INFINITY:
-        return "inf"
-    return t.to_json()
+    if len(terms) != 1 or not terms[0][1]:
+        raise ValueError(f"the thin report reads one-term tables only: the pair ({i}, {j}) stores {terms!r}")
+    k, c = terms[0]
+    return (k, c) if i < j else (k, -c)
+
+
+def _targets(get, left, right) -> set[int]:
+    """The positions k with [b_i, b_j] = c b_k != 0 for some i in left and
+    j in right: the coordinate span [span left, span right]."""
+    return {term[0] for i in left for j in right if (term := _term(get, i, j))}
 
 
 @dataclass
 class LoopExpansion:
-    """Per-degree subspaces M_d of the base algebra, 1-indexed by degree;
-    period_start is the first s with M_{s+N} = M_s, None without a repeat
-    within the depth."""
+    """The components M_d of the base algebra, each the sorted tuple of the
+    basis positions that span it, 1-indexed by degree; period_start is the
+    first s with M_{s+N} = M_s, None without a repeat within the depth."""
 
     base: StructureTable
     degmap: DegreeMap
     depth: int
-    components: list[Subspace]
+    components: list[tuple[int, ...]]
     coincidence: bool
     period_start: int | None = None
 
     def component(self, d: int) -> Subspace:
-        return self.components[d - 1]
+        """M_d as a Subspace, built on each call."""
+        base = self.base
+        return Subspace.from_elements(base, map(base.basis_element, self.components[d - 1]))
 
     @property
     def dims(self) -> list[int]:
-        return [s.dim for s in self.components]
+        return [len(c) for c in self.components]
 
 
 def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpansion:
-    """Iterated bracketing of the degree-1 component up to depth >= N+1.
+    """Iterated bracketing of the degree-1 component up to depth >= N+1, on
+    positions: M_1 holds the class-1 positions, M_{d+1} the targets of the
+    dim M_d dim M_1 lookups of M_d with M_1 (module docstring).
 
     Each new M_d with d > N is compared with M_{d-N}; from the first equal
     pair (the period start s = d - N) on, components are reused, not
-    bracketed.  Also records whether M_{N+1} = M_1 (s = 1), the criterion
+    looked up.  Also records whether M_{N+1} = M_1 (s = 1), the criterion
     under which the generated loop algebra exhausts all of (+) S_k (x) t^k.
-    Each M_d lies in the class d mod N, by induction from the class-1 basis
-    of M_1: validate_grading proves every stored bracket of class d with
-    class 1 lands in class d+1.
+    Each M_d lies in the class d mod N: validate_grading proves every stored
+    bracket of class d with class 1 lands in class d+1.
     """
     if not validate_grading(base, degmap):
         raise ValueError("degree map is not compatible with the table")
     n = degmap.modulus
     if depth < n + 1:
         raise ValueError(f"expansion depth {depth} is below N+1 = {n + 1} for grading modulus N = {n}")
-    ones = [i for i, d in enumerate(degmap.degrees) if d == 1 % n]
-    m1 = Subspace.from_elements(base, map(base.basis_element, ones))
+    m1 = tuple(i for i, d in enumerate(degmap.degrees) if d == 1 % n)
     components = [m1]
-    gens = m1.basis_elements()
+    get = base.brackets.get
     start = None
     for d in range(2, depth + 1):
         if start is not None:
             components.append(components[d - n - 1])
             continue
-        prev = components[-1].basis_elements()
-        nxt = Subspace.from_elements(base, [bracket(u, x) for u in prev for x in gens])
+        nxt = tuple(sorted(_targets(get, components[-1], m1)))
         components.append(nxt)
         if d > n and nxt == components[d - n - 1]:
             start = d - n
@@ -126,37 +137,48 @@ def loop_expand(base: StructureTable, degmap: DegreeMap, depth: int) -> LoopExpa
 # generators
 # ---------------------------------------------------------------------------
 
+def _plane_error(m1: tuple[int, ...], X: Element, Y: Element) -> str | None:
+    """Why X and Y do not span the plane M_1 at the two positions m1, None
+    when they do."""
+    if any(c and k not in m1 for Z in (X, Y) for k, c in Z.coords.items()):
+        return "explicit generators must lie in the degree-1 component"
+    x0, x1, y0, y1 = (Z.coords.get(k, Z.table.field.zero) for Z in (X, Y) for k in m1)
+    return None if x0 * y1 - x1 * y0 else "explicit generators are dependent"
+
+
 def _require_plane(expansion: LoopExpansion, X: Element, Y: Element, what: str) -> None:
     """ValueError unless span(X, Y) is the degree-1 component M_1 and has
     dimension two; what names the check that needs it."""
-    m1 = expansion.component(1)
-    if m1.dim != 2 or Subspace.from_elements(expansion.base, [X, Y]) != m1:
+    m1 = expansion.components[0]
+    if len(m1) != 2 or _plane_error(m1, X, Y):
         raise ValueError(f"{what} need X and Y spanning a two-dimensional M_1")
 
 
-def _centralizer_is_y(component: Subspace, X: Element, Y: Element) -> bool:
-    """C_{M_1}(M_d) = <Y> for component M_d, given span(X, Y) = M_1 of dim 2.
-
-    C is {aX + bY : a[X, M_d] + b[Y, M_d] = 0}.  If [Y, M_d] = 0 it is
-    {aX + bY : a[X, M_d] = 0}, which is <Y> when [X, M_d] != 0 and all of
-    M_1 otherwise; if [Y, M_d] != 0, Y is not in C.  So C = <Y> exactly when
-    [b, Y] = 0 for every basis vector b of M_d and [b, X] != 0 for some b:
-    at most two brackets per basis vector, no nullspace.
+def _centralizer_is_y(base: StructureTable, component: tuple[int, ...], m1: tuple[int, ...], Y: Element) -> bool:
+    """C_{M_1}(M_d) = <Y>, M_d and M_1 the spans of the positions component
+    and m1, Y != 0 in M_1.  For b in M_d, [b, s b_{m1[0]} + t b_{m1[1]}] sums
+    (s c0 + t c1) b_k over the targets k of its two lookups, so C is cut out
+    by the forms (c0, c1).  C = <Y> iff some form exists (C != M_1) and each
+    vanishes at Y ([b, Y] = 0).  For Y a multiple of b_y: no pair (b, y) is
+    stored, and some pair of M_d with M_1 is.
     """
-    basis = component.basis_elements()
-    return not any(bracket(b, Y) for b in basis) and any(bracket(b, X) for b in basis)
+    get, zero = base.brackets.get, base.field.zero
+    y0, y1 = (Y.coords.get(k, zero) for k in m1)
+    forms = []
+    for b in component:
+        row: dict[int, list[FieldElement]] = {}
+        for a, g in enumerate(m1):
+            term = _term(get, b, g)
+            if term:
+                row.setdefault(term[0], [zero, zero])[a] = term[1]
+        forms += row.values()
+    return bool(forms) and not any(c0 * y0 + c1 * y1 for c0, c1 in forms)
 
 
 def _coeff_of(u: Element, w: Element) -> FieldElement | None:
     """The scalar c with u = c*w, if it exists (w nonzero)."""
-    fieldspec = u.table.field
-    if not u:
-        return fieldspec.zero
     m = next(iter(w.coords))
-    c = u.coords.get(m)
-    if c is None:
-        return None
-    c = c / w.coords[m]
+    c = u.coords.get(m, u.table.field.zero) / w.coords[m]
     return c if u == w.scale(c) else None
 
 
@@ -188,28 +210,26 @@ class GeneratorData:
 
 def choose_generators(expansion: LoopExpansion, q: int, X: Element, Y: Element) -> GeneratorData:
     """Correct the generator X so that [V,X,X] = 0 at the second diamond, in
-    degree q.  X and Y, read off the grading by the caller, must be
-    independent elements of M_1, else ValueError.
+    degree q, V the basis vector spanning M_{q-1}.  X and Y, read off the
+    grading by the caller, must be independent elements of M_1, else
+    ValueError.  With [V,Y,Y] = 0 the shear X + alpha Y keeps [V,X,Y] and
+    [V,Y,X] and adds alpha ([V,X,Y] + [V,Y,X]) to [V,X,X], so the brackets
+    are taken once, with the given X, and both relations hold on return.
     """
     base = expansion.base
-    m1 = expansion.component(1)
-    if m1.dim != 2:
-        raise NoAnnihilator(f"degree-1 component has dimension {m1.dim}, not 2", 1)
-    if not (m1.contains(X) and m1.contains(Y)):
-        raise ValueError("explicit generators must lie in the degree-1 component")
-    if Subspace.from_elements(base, [X, Y]).dim != 2:
-        raise ValueError("explicit generators are dependent")
+    m1 = expansion.components[0]
+    if len(m1) != 2:
+        raise NoAnnihilator(f"degree-1 component has dimension {len(m1)}, not 2", 1)
+    error = _plane_error(m1, X, Y)
+    if error:
+        raise ValueError(error)
 
-    vspace = expansion.component(q - 1)
-    if vspace.dim != 1:
-        raise MalformedDiamond(f"component before the second diamond has dim {vspace.dim}", q)
-    v = vspace.basis_elements()[0]
-
-    def second_brackets(x: Element):
-        vx, vy = bracket(v, x), bracket(v, Y)
-        return bracket(vx, x), bracket(vx, Y), bracket(vy, x), bracket(vy, Y)
-
-    vxx, vxy, vyx, vyy = second_brackets(X)
+    vspace = expansion.components[q - 2]
+    if len(vspace) != 1:
+        raise MalformedDiamond(f"component before the second diamond has dim {len(vspace)}", q)
+    v = base.basis_element(vspace[0])
+    vx, vy = bracket(v, X), bracket(v, Y)
+    vxx, vxy, vyx, vyy = bracket(vx, X), bracket(vx, Y), bracket(vy, X), bracket(vy, Y)
     if vyy:
         raise MalformedDiamond("[V,Y,Y] != 0 at the second diamond", q)
     alpha = base.field.zero
@@ -222,16 +242,13 @@ def choose_generators(expansion: LoopExpansion, q: int, X: Element, Y: Element) 
             raise MalformedDiamond("[V,X,X] is not proportional to [V,X,Y] + [V,Y,X]", q)
         alpha = -lam
         X = X + Y.scale(alpha)
-        vxx, vxy, vyx, vyy = second_brackets(X)
-        if vxx:
-            raise MalformedDiamond("normalization failed to kill [V,X,X]", q)
 
     c_xy = c_yx = None
     w = vxy if vxy else vyx
     if w:
         c_xy = _coeff_of(vxy, w)
         c_yx = _coeff_of(vyx, w)
-    return GeneratorData(X, Y, alpha, q, not vxx, not vyy, c_xy, c_yx)
+    return GeneratorData(X, Y, alpha, q, True, True, c_xy, c_yx)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +268,10 @@ class CoveringReport:
 def covering_criterion_at(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
     """Sufficient test at a 2-dimensional slot: [V,X,X] = [V,Y,Y] = 0 and
     both cross brackets nonzero, V spanning the component before the slot."""
-    vspace = expansion.component(d - 1)
-    if vspace.dim != 1:
+    vspace = expansion.components[d - 2]
+    if len(vspace) != 1:
         return False
-    v = vspace.basis_elements()[0]
+    v = expansion.base.basis_element(vspace[0])
     vx, vy = bracket(v, X), bracket(v, Y)
     return (
         not bracket(vx, X)
@@ -264,54 +281,48 @@ def covering_criterion_at(expansion: LoopExpansion, X: Element, Y: Element, d: i
     )
 
 
-def _coords_in(space: Subspace, e: Element) -> list[FieldElement] | None:
-    """Coordinates of e in the echelon rows of space, None if e is not in it."""
-    if not space.contains(e):
-        return None
-    zero = space.table.field.zero
-    return [e.coords.get(pc, zero) for pc in space.pivots]
+def _plane_covers(expansion: LoopExpansion, d: int) -> bool:
+    """Covering at a two-dimensional M_d = <b_0, b_1>, decided exactly.
 
-
-def _det2(a: list[FieldElement], b: list[FieldElement]) -> FieldElement:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _plane_covers(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
-    """Covering at a two-dimensional M_d, decided exactly by rank.
-
-    With b0, b1 the basis of M_d, u = s b0 + t b1 covers iff [u,X] and
-    [u,Y] span M_{d+1}.  All four [b_i,X], [b_i,Y] must lie in M_{d+1}.
-    If it is a line through w, with [b_i,X] = a_i w and [b_i,Y] = beta_i w,
-    every u covers iff det[[a0,a1],[beta0,beta1]] != 0.  If it is a plane,
-    with A the coordinate columns ([b0,X], [b0,Y]) and B those of b1,
-    every u covers iff the binary form det(sA + tB) has no projective zero.
+    span(X, Y) = M_1 = <g_0, g_1>, so u covers iff [u, g_0], [u, g_1] span
+    M_{d+1}.  The columns of A (of B) are the coordinates in M_{d+1} of
+    [b_0, g_j] ([b_1, g_j]), each zero or one looked-up coefficient.  On a
+    line M_{d+1}, u = s b_0 + t b_1 covers iff s A + t B != 0, for every u iff
+    det[[A], [B]] != 0; on a plane, iff det(sA + tB) = s^2 det A + st m +
+    t^2 det B has no projective zero.  A larger M_{d+1} is never covered.
     """
-    target = expansion.component(d + 1)
-    if target.dim > 2:
+    comps = expansion.components
+    target = comps[d]
+    if len(target) > 2:
         return False
-    b0, b1 = expansion.component(d).basis_elements()
-    x0, y0, x1, y1 = cols = [_coords_in(target, bracket(b, Z)) for b in (b0, b1) for Z in (X, Y)]
-    if any(c is None for c in cols):
-        return False
-    if target.dim == 1:
-        return bool(x0[0] * y1[0] - x1[0] * y0[0])
-    # det(sA + tB) = s^2 det A + st m + t^2 det B
-    det_a, det_b = _det2(x0, y0), _det2(x1, y1)
-    m = _det2([u + v for u, v in zip(x0, x1)], [u + v for u, v in zip(y0, y1)]) - det_a - det_b
-    return bool(det_b) and not find_roots(target.table.field, [det_a, m, det_b])
+    field = expansion.base.field
+    get = expansion.base.brackets.get
+    row = {k: r for r, k in enumerate(target)}
+    A, B = mats = [[[field.zero] * 2 for _ in target] for _ in range(2)]
+    for i, u in enumerate(comps[d - 1]):
+        for j, g in enumerate(comps[0]):
+            term = _term(get, u, g)
+            if term:
+                mats[i][row[term[0]]][j] = term[1]
+    if len(target) == 1:
+        return bool(A[0][0] * B[0][1] - A[0][1] * B[0][0])
+    det_a = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    det_b = B[0][0] * B[1][1] - B[0][1] * B[1][0]
+    m = A[0][0] * B[1][1] + B[0][0] * A[1][1] - A[0][1] * B[1][0] - B[0][1] * A[1][0]
+    return bool(det_b) and not find_roots(field, [det_a, m, det_b])
 
 
-def _fails_covering(expansion: LoopExpansion, X: Element, Y: Element, d: int) -> bool:
-    comp = expansion.component(d)
-    if comp.dim == 0:
+def _fails_covering(expansion: LoopExpansion, d: int) -> bool:
+    comp = expansion.components[d - 1]
+    if not comp:
         return False
-    if expansion.component(d + 1).dim == 0:
+    if not expansion.components[d]:
         # the expansion dies: some nonzero u has [u, L_1] = 0, so the
         # loop algebra is finite-dimensional and certainly not thin
         return True
-    if comp.dim == 1:
+    if len(comp) == 1:
         return False  # M_{d+1} is [u, M_1] by construction
-    return comp.dim > 2 or not _plane_covers(expansion, X, Y, d)
+    return len(comp) > 2 or not _plane_covers(expansion, d)
 
 
 def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> CoveringReport:
@@ -320,10 +331,10 @@ def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> Covering
     X and Y must span a two-dimensional M_1, else ValueError.  Then a
     one-dimensional M_d = <u> with M_{d+1} != 0 covers by construction:
     loop_expand builds M_{d+1} = [u, M_1] = span([u, X], [u, Y]), so nothing
-    is bracketed.  Two-dimensional components are decided exactly by rank
-    (see _plane_covers); larger ones fail.  The verdict at d depends on M_d,
-    M_{d+1}, X and Y alone, so from s + N on (s the period start) it is the
-    verdict at d - N, read back.
+    is looked up.  Two-dimensional components are decided exactly by
+    determinants (see _plane_covers); larger ones fail.  The verdict at d
+    depends on M_d, M_{d+1} and span(X, Y) alone, so from s + N on (s the
+    period start) it is the verdict at d - N, read back.
     """
     _require_plane(expansion, X, Y, "covering checks")
     n, s = expansion.degmap.modulus, expansion.period_start
@@ -331,7 +342,7 @@ def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> Covering
     upto = expansion.depth - 1
     failures = []
     for d in range(1, upto + 1):
-        if (d - n in failures) if d >= repeat else _fails_covering(expansion, X, Y, d):
+        if (d - n in failures) if d >= repeat else _fails_covering(expansion, d):
             failures.append(d)
     return CoveringReport(not failures, failures, upto)
 
@@ -360,33 +371,32 @@ def classify_type(
     V: Element,
     X: Element,
     Y: Element,
-    slot: Subspace,
-    following: Subspace,
+    slot: tuple[int, ...],
+    following: tuple[int, ...],
     degree: int,
 ) -> tuple[str, FieldElement | _Infinity | None] | None:
     """Classify the component after V: genuine diamond with its type, a fake
     of type 0 or 1, or None when no diamond relation holds.
 
-    Genuine slots must satisfy [V,X,X] = 0 = [V,Y,Y]; the type is
-    mu = c1/(c1+c2) from [V,X,Y] = c1 w, [V,Y,X] = c2 w, or infinity when
-    c1 + c2 = 0.  degree, the slot's degree, goes into the errors raised.
+    V spans M_{d-1}; slot and following are the positions of M_d and
+    M_{d+1}, d = degree, which goes into the errors raised.  Genuine slots
+    must satisfy [V,X,X] = 0 = [V,Y,Y]; the type is mu = c1/(c1+c2) from
+    [V,X,Y] = c1 b_w, [V,Y,X] = c2 b_w, M_{d+1} = <b_w>, or infinity when
+    c1 + c2 = 0.
     """
     vx, vy = bracket(V, X), bracket(V, Y)
-    if slot.dim == 2:
-        if following.dim >= 2:
+    if len(slot) == 2:
+        if len(following) >= 2:
             raise ConsecutiveDiamonds("two consecutive two-dimensional components", degree)
         if bracket(vx, X):
             raise MalformedDiamond("[V,X,X] != 0 at a two-dimensional slot", degree)
         if bracket(vy, Y):
             raise MalformedDiamond("[V,Y,Y] != 0 at a two-dimensional slot", degree)
         vxy, vyx = bracket(vx, Y), bracket(vy, X)
-        w = vxy if vxy else vyx
-        if not w:
+        if not (vxy or vyx):
             raise MalformedDiamond("both cross brackets vanish at a genuine slot", degree)
-        c1 = _coeff_of(vxy, w)
-        c2 = _coeff_of(vyx, w)
-        if c1 is None or c2 is None:
-            raise MalformedDiamond("cross brackets are not proportional", degree)
+        zero = V.table.field.zero
+        c1, c2 = vxy.coords.get(following[0], zero), vyx.coords.get(following[0], zero)
         s = c1 + c2
         if not s:
             return ("genuine", INFINITY)
@@ -394,11 +404,10 @@ def classify_type(
         if not mu or mu == mu.spec.one:
             raise MalformedDiamond(f"genuine diamond computed type {mu}", degree)
         return ("genuine", mu)
-    if slot.dim == 1:
+    if len(slot) == 1:
         if not vx:
             return ("fake0", None)
-        w0 = slot.basis_elements()[0]
-        if not bracket(w0, X):
+        if not bracket(V.table.basis_element(slot[0]), X):
             return ("fake1", None)
         return None
     return None
@@ -427,6 +436,7 @@ def detect_diamonds(
     records = [DiamondRecord(1, 1, "genuine", None)]
     nondiamond: list[int] = []
     anomalies: list[str] = []
+    comps = expansion.components
     n, s = expansion.degmap.modulus, expansion.period_start
     repeat = expansion.depth + 1 if s is None or n % (q - 1) else s + n + 1
     verdicts: dict[int, object] = {}  # slot -> (kind, type), None, or dim of M_{d-1}
@@ -436,13 +446,11 @@ def detect_diamonds(
         if d >= repeat:
             got = verdicts[d - n]
         else:
-            vspace = expansion.component(d - 1)
-            if vspace.dim != 1:
-                got = vspace.dim
+            vspace = comps[d - 2]
+            if len(vspace) != 1:
+                got = len(vspace)
             else:
-                got = classify_type(
-                    vspace.basis_elements()[0], X, Y, expansion.component(d), expansion.component(d + 1), d
-                )
+                got = classify_type(expansion.base.basis_element(vspace[0]), X, Y, comps[d - 1], comps[d], d)
         verdicts[d] = got
         if got is None:
             nondiamond.append(d)
@@ -454,7 +462,7 @@ def detect_diamonds(
         d += q - 1
         ordinal += 1
     for d in range(2, expansion.depth + 1):
-        dim = expansion.component(d).dim
+        dim = len(comps[d - 1])
         if dim > 2:
             anomalies.append(f"component at degree {d} has dim {dim}")
         elif dim == 2 and (d - 1) % (q - 1) != 0:
@@ -485,7 +493,7 @@ class ChainReport:
 def centralizer_chain(expansion: LoopExpansion, X: Element, Y: Element, q: int) -> ChainReport:
     """C_{L_1}(L_d) = <Y> for d = 2..q-2 and again for d = q+1..2q-3.
 
-    Each degree is decided by _centralizer_is_y, at most two brackets per
+    Each degree is decided by _centralizer_is_y, at most two lookups per
     basis vector of M_d, which needs span(X, Y) = M_1 of dimension 2;
     otherwise ValueError.  Empty ranges pass vacuously.  The proviso
     records when the parameters fall outside the hypotheses under which the
@@ -493,16 +501,17 @@ def centralizer_chain(expansion: LoopExpansion, X: Element, Y: Element, q: int) 
     second).
     """
     _require_plane(expansion, X, Y, "the centralizer chains")
+    base, comps = expansion.base, expansion.components
 
     def run(lo: int, hi: int) -> bool:
         return all(
-            _centralizer_is_y(expansion.component(d), X, Y)
+            _centralizer_is_y(base, comps[d - 1], comps[0], Y)
             for d in range(lo, min(hi, expansion.depth) + 1)
         )
 
     first = run(2, q - 2)
     second = run(q + 1, 2 * q - 3)
-    p = expansion.base.field.p
+    p = base.field.p
     notes = []
     if q <= 3 or p == 2:
         notes.append("first chain only guaranteed for q > 3 and odd p")
@@ -531,34 +540,25 @@ def parameter_k(expansion: LoopExpansion) -> int:
     iterated brackets with M_1: I_d = S_d + [I_{d-1}, M_1], the recursion.
     It reads no degree above d, so it holds in the truncation too.  Once
     L''_{d-1} = M_{d-1}, L''_d contains [M_{d-1}, M_1] = M_d and is full
-    with no bracket, and so is every later degree.  The second derived
+    with no lookup, and so is every later degree.  The second derived
     subalgebra must reach full components (and the components stay
-    nonzero) on the last grading period; otherwise NotStabilized.
+    nonzero) on the last grading period; otherwise NotStabilized.  Each
+    L''_d is read off as the set of its positions (module docstring).
     """
     depth = expansion.depth
     n = expansion.degmap.modulus
-    base = expansion.base
+    comps = expansion.components
+    get = expansion.base.brackets.get
     dims = [0] + expansion.dims  # 1-indexed
-    m1, m2 = (expansion.component(d).basis_elements() for d in (1, 2))
+    m1, m2 = comps[0], comps[1]
     lpp = [0] * (depth + 1)  # dim L''_d
-    prev: list[Element] = []  # a basis of L''_{d-1}
+    prev: set[int] = set()  # the positions of L''_{d-1}
     for d in range(4, depth + 1):
         if lpp[d - 1] == dims[d - 1]:
             lpp[d:] = dims[d:]
             break
-        # L''_d is capped by M_d, so stop accumulating at full rank
-        cap = dims[d]
-        acc = Echelon(base.field)
-        for left, right in ((prev, m1), (expansion.component(d - 2).basis_elements(), m2)):
-            for u in left:
-                if acc.rank >= cap:
-                    break
-                for v in right:
-                    w = bracket(u, v)
-                    if w:
-                        acc.add(w.coords)
-        lpp[d] = acc.rank
-        prev = [Element(base, row) for row in acc.rows.values()]
+        prev = _targets(get, prev, m1) | _targets(get, comps[d - 3], m2)
+        lpp[d] = len(prev)
     codims = [dims[d] - lpp[d] for d in range(depth + 1)]
     if any(codims[d] != 0 or dims[d] == 0 for d in range(depth - n + 1, depth + 1)):
         raise NotStabilized(
@@ -623,7 +623,7 @@ def thin_report(
     """Expand, normalize the generators X and Y, and aggregate every
     thinness verdict; the depth defaults to three grading periods, and a
     depth below one, below the grading modulus plus one or below 2q - 2
-    raises ValueError.
+    raises ValueError, as does a table pair read that is not one-term.
 
     2q - 2 is the least depth that computes the last degree of the second
     centralizer chain and classifies the slot in degree q; below it the
@@ -652,17 +652,6 @@ def thin_report(
     except NotStabilized as exc:
         k_note = str(exc)
     return ThinReport(
-        q,
-        expansion.depth,
-        expansion.dims,
-        expansion.coincidence,
-        gens,
-        covering,
-        diamonds,
-        nondiamond,
-        anomalies,
-        chains,
-        k,
-        k_note,
-        expansion,
+        q, expansion.depth, expansion.dims, expansion.coincidence, gens, covering,
+        diamonds, nondiamond, anomalies, chains, k, k_note, expansion,
     )

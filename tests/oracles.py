@@ -18,7 +18,9 @@ bracket of two of their vectors, centralizer chains from the nullspace
 centralizer_in finds at each degree, diamond slots each classified
 afresh, and thin reports from those and the full-depth loop expansion,
 covering scan and parameter k, which bracket every degree and never reuse
-a grading period.
+a grading period.  The thin-report oracles keep every component as a
+liealg.Subspace eliminated from brackets, where thinloop works on basis
+positions and table lookups; they share only its report records.
 """
 
 import bisect
@@ -548,11 +550,29 @@ def eigen_bracket_check(basis) -> bool:
     return True
 
 
+class OracleExpansion:
+    """The components M_d of a loop expansion as liealg.Subspace objects,
+    1-indexed by degree, with the fields of thinloop.LoopExpansion that the
+    oracles and the report read."""
+
+    def __init__(self, base, degmap, depth, components, coincidence):
+        self.base, self.degmap, self.depth = base, degmap, depth
+        self.components, self.coincidence = components, coincidence
+
+    def component(self, d):
+        return self.components[d - 1]
+
+    @property
+    def dims(self):
+        return [s.dim for s in self.components]
+
+
 def oracle_loop_expand(base, degmap, depth):
     """M_1 = S_1 and M_{d+1} = [M_d, M_1] bracketed at every degree up to
-    depth, with no period detection (period_start stays None)."""
+    depth, each a Subspace eliminated from every bracket of a basis vector
+    of M_d with one of M_1, with no period detection and any number of
+    terms per stored pair."""
     from thinlie.liealg import Subspace, bracket, validate_grading
-    from thinlie.thinloop import LoopExpansion
 
     if not validate_grading(base, degmap):
         raise ValueError("degree map is not compatible with the table")
@@ -574,7 +594,48 @@ def oracle_loop_expand(base, degmap, depth):
                 raise AssertionError(f"component at degree {d} is not homogeneous")
         components.append(nxt)
     coincidence = components[n] == components[0]
-    return LoopExpansion(base, degmap, depth, components, coincidence)
+    return OracleExpansion(base, degmap, depth, components, coincidence)
+
+
+def _coords_in(space, e):
+    """Coordinates of e in the echelon rows of space, None if e is not in it."""
+    if not space.contains(e):
+        return None
+    zero = space.table.field.zero
+    return [e.coords.get(pc, zero) for pc in space.pivots]
+
+
+def _det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def oracle_plane_covers(expansion, X, Y, d):
+    """Covering at a two-dimensional M_d, decided exactly by rank on
+    Subspace components.
+
+    With b0, b1 the basis of M_d, u = s b0 + t b1 covers iff [u,X] and
+    [u,Y] span M_{d+1}.  All four [b_i,X], [b_i,Y] must lie in M_{d+1}.
+    If it is a line through w, with [b_i,X] = a_i w and [b_i,Y] = beta_i w,
+    every u covers iff det[[a0,a1],[beta0,beta1]] != 0.  If it is a plane,
+    with A the coordinate columns ([b0,X], [b0,Y]) and B those of b1,
+    every u covers iff the binary form det(sA + tB) has no projective zero.
+    """
+    from thinlie.ffield import find_roots
+    from thinlie.liealg import bracket
+
+    target = expansion.component(d + 1)
+    if target.dim > 2:
+        return False
+    b0, b1 = expansion.component(d).basis_elements()
+    x0, y0, x1, y1 = cols = [_coords_in(target, bracket(b, Z)) for b in (b0, b1) for Z in (X, Y)]
+    if any(c is None for c in cols):
+        return False
+    if target.dim == 1:
+        return bool(x0[0] * y1[0] - x1[0] * y0[0])
+    # det(sA + tB) = s^2 det A + st m + t^2 det B
+    det_a, det_b = _det2(x0, y0), _det2(x1, y1)
+    m = _det2([u + v for u, v in zip(x0, x1)], [u + v for u, v in zip(y0, y1)]) - det_a - det_b
+    return bool(det_b) and not find_roots(target.table.field, [det_a, m, det_b])
 
 
 def oracle_check_covering(expansion, X, Y):
@@ -582,7 +643,7 @@ def oracle_check_covering(expansion, X, Y):
     for any X and Y: a one-dimensional M_d = <u> by the Subspace that
     [u, X] and [u, Y] span."""
     from thinlie.liealg import Subspace, bracket
-    from thinlie.thinloop import CoveringReport, _plane_covers
+    from thinlie.thinloop import CoveringReport
 
     def covers(u, d):
         got = Subspace.from_elements(expansion.base, [bracket(u, X), bracket(u, Y)])
@@ -599,7 +660,7 @@ def oracle_check_covering(expansion, X, Y):
         elif comp.dim == 1:
             if not covers(comp.basis_elements()[0], d):
                 failures.append(d)
-        elif comp.dim > 2 or not _plane_covers(expansion, X, Y, d):
+        elif comp.dim > 2 or not oracle_plane_covers(expansion, X, Y, d):
             failures.append(d)
     return CoveringReport(not failures, failures, upto)
 
@@ -611,7 +672,7 @@ def oracle_second_derived_dims(expansion):
 
     depth = expansion.depth
     base = expansion.base
-    m = [None] + expansion.components
+    m = [None] + [expansion.component(d) for d in range(1, depth + 1)]
     zero = Subspace.from_elements(base, [])
 
     def graded_bracket(left, right):
@@ -687,10 +748,113 @@ def oracle_centralizer_chain(expansion, X, Y, q):
     return ChainReport(first, (2, q - 2), second, (q + 1, 2 * q - 3), "; ".join(notes) or None)
 
 
+def _oracle_coeff_of(u, w):
+    """The scalar c with u = c*w, if it exists (w nonzero)."""
+    if not u:
+        return u.table.field.zero
+    m = next(iter(w.coords))
+    c = u.coords.get(m)
+    if c is None:
+        return None
+    c = c / w.coords[m]
+    return c if u == w.scale(c) else None
+
+
+def oracle_classify_type(V, X, Y, slot, following, degree):
+    """classify_type on Subspace components for any table: the cross
+    brackets are compared by proportionality, not read at a position."""
+    from thinlie.errors import ConsecutiveDiamonds, MalformedDiamond
+    from thinlie.liealg import bracket
+    from thinlie.thinloop import INFINITY
+
+    vx, vy = bracket(V, X), bracket(V, Y)
+    if slot.dim == 2:
+        if following.dim >= 2:
+            raise ConsecutiveDiamonds("two consecutive two-dimensional components", degree)
+        if bracket(vx, X):
+            raise MalformedDiamond("[V,X,X] != 0 at a two-dimensional slot", degree)
+        if bracket(vy, Y):
+            raise MalformedDiamond("[V,Y,Y] != 0 at a two-dimensional slot", degree)
+        vxy, vyx = bracket(vx, Y), bracket(vy, X)
+        w = vxy if vxy else vyx
+        if not w:
+            raise MalformedDiamond("both cross brackets vanish at a genuine slot", degree)
+        c1 = _oracle_coeff_of(vxy, w)
+        c2 = _oracle_coeff_of(vyx, w)
+        if c1 is None or c2 is None:
+            raise MalformedDiamond("cross brackets are not proportional", degree)
+        s = c1 + c2
+        if not s:
+            return ("genuine", INFINITY)
+        mu = c1 / s
+        if not mu or mu == mu.spec.one:
+            raise MalformedDiamond(f"genuine diamond computed type {mu}", degree)
+        return ("genuine", mu)
+    if slot.dim == 1:
+        if not vx:
+            return ("fake0", None)
+        w0 = slot.basis_elements()[0]
+        if not bracket(w0, X):
+            return ("fake1", None)
+        return None
+    return None
+
+
+def oracle_choose_generators(expansion, q, X, Y):
+    """choose_generators on Subspace components: membership and
+    independence by elimination, and after the shear X + alpha Y every
+    second bracket taken again and [V,X,X] = 0 checked."""
+    from thinlie.errors import MalformedDiamond, NoAnnihilator
+    from thinlie.liealg import Subspace, bracket
+    from thinlie.thinloop import GeneratorData
+
+    base = expansion.base
+    m1 = expansion.component(1)
+    if m1.dim != 2:
+        raise NoAnnihilator(f"degree-1 component has dimension {m1.dim}, not 2", 1)
+    if not (m1.contains(X) and m1.contains(Y)):
+        raise ValueError("explicit generators must lie in the degree-1 component")
+    if Subspace.from_elements(base, [X, Y]).dim != 2:
+        raise ValueError("explicit generators are dependent")
+
+    vspace = expansion.component(q - 1)
+    if vspace.dim != 1:
+        raise MalformedDiamond(f"component before the second diamond has dim {vspace.dim}", q)
+    v = vspace.basis_elements()[0]
+
+    def second_brackets(x):
+        vx, vy = bracket(v, x), bracket(v, Y)
+        return bracket(vx, x), bracket(vx, Y), bracket(vy, x), bracket(vy, Y)
+
+    vxx, vxy, vyx, vyy = second_brackets(X)
+    if vyy:
+        raise MalformedDiamond("[V,Y,Y] != 0 at the second diamond", q)
+    alpha = base.field.zero
+    if vxx:
+        denom = vxy + vyx
+        if not denom:
+            raise MalformedDiamond("cannot normalize X: [V,X,Y] + [V,Y,X] = 0", q)
+        lam = _oracle_coeff_of(vxx, denom)
+        if lam is None:
+            raise MalformedDiamond("[V,X,X] is not proportional to [V,X,Y] + [V,Y,X]", q)
+        alpha = -lam
+        X = X + Y.scale(alpha)
+        vxx, vxy, vyx, vyy = second_brackets(X)
+        if vxx:
+            raise MalformedDiamond("normalization failed to kill [V,X,X]", q)
+
+    c_xy = c_yx = None
+    w = vxy if vxy else vyx
+    if w:
+        c_xy = _oracle_coeff_of(vxy, w)
+        c_yx = _oracle_coeff_of(vyx, w)
+    return GeneratorData(X, Y, alpha, q, not vxx, not vyy, c_xy, c_yx)
+
+
 def oracle_detect_diamonds(expansion, X, Y, q):
-    """Every slot d = 1 mod (q-1) from q on classified afresh by the
-    library's classify_type, with no verdict read back from d - N."""
-    from thinlie.thinloop import DiamondRecord, classify_type
+    """Every slot d = 1 mod (q-1) from q on classified afresh by
+    oracle_classify_type, with no verdict read back from d - N."""
+    from thinlie.thinloop import DiamondRecord
 
     records = [DiamondRecord(1, 1, "genuine", None)]
     nondiamond = []
@@ -703,7 +867,7 @@ def oracle_detect_diamonds(expansion, X, Y, q):
         if vspace.dim != 1:
             anomalies.append(f"component before slot {d} has dim {vspace.dim}")
         else:
-            got = classify_type(
+            got = oracle_classify_type(
                 vspace.basis_elements()[0], X, Y, slot, expansion.component(d + 1), d
             )
             if got is None:
@@ -723,13 +887,13 @@ def oracle_detect_diamonds(expansion, X, Y, q):
 
 
 def oracle_thin_report(base, degmap, q, depth, X, Y):
-    """thin_report assembled from the full-depth oracles above and the
-    library's generator choice."""
+    """thin_report assembled from the full-depth Subspace oracles above,
+    none of which calls a function of thinloop: only its report records."""
     from thinlie.errors import NotStabilized
-    from thinlie.thinloop import ThinReport, choose_generators
+    from thinlie.thinloop import ThinReport
 
     expansion = oracle_loop_expand(base, degmap, depth)
-    gens = choose_generators(expansion, q=q, X=X, Y=Y)
+    gens = oracle_choose_generators(expansion, q=q, X=X, Y=Y)
     covering = oracle_check_covering(expansion, gens.X, gens.Y)
     diamonds, nondiamond, anomalies = oracle_detect_diamonds(expansion, gens.X, gens.Y, q)
     chains = oracle_centralizer_chain(expansion, gens.X, gens.Y, q)

@@ -10,7 +10,7 @@ from thinlie import cli, grading, liealg, thinloop, verify
 from thinlie.cartan import phi1_monomials
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
-from thinlie.liealg import DegreeMap, StructureTable, Subspace
+from thinlie.liealg import DegreeMap, StructureTable
 
 
 def run_cli(args):
@@ -400,8 +400,7 @@ def test_no_annihilator_in_report_is_a_verdict(tmp_path, monkeypatch, capsys):
 
     def cut(base, degmap, depth):
         expansion = real(base, degmap, depth)
-        line = Subspace.from_elements(base, expansion.components[0].basis_elements()[:1])
-        expansion.components[0] = line
+        expansion.components[0] = expansion.components[0][:1]
         return expansion
 
     monkeypatch.setattr(thinloop, "loop_expand", cut)

@@ -1,14 +1,17 @@
-"""check_covering's exact rank test against the projective-line enumeration
-it replaced, on the expansions of verify runs and on random
-two-dimensional components over F_3, F_4 and F_9 followed by a line or a
-plane, with brackets that sometimes leave M_{d+1}."""
+"""check_covering's exact determinant test against the projective-line
+enumeration it replaced, on the expansions of verify runs and on random
+one-term tables whose two-dimensional M_2 is followed by a line or a
+plane, under random rescalings and shears of the generators; and the
+Subspace rank test of the oracles against the same enumeration on random
+multi-term planes over F_3, F_4 and F_9, with brackets that sometimes
+leave M_{d+1}."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import element_by_index, oracle_covering_failures
+from oracles import OracleExpansion, element_by_index, oracle_check_covering, oracle_covering_failures
 from thinlie.cartan import build_H2_phi1
 from thinlie.ffield import field_create
 from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_finite
@@ -128,11 +131,55 @@ def plane_slots(draw):
         Subspace.from_elements(table, [table.element(w) for w in target]),
     ]
     degmap = DegreeMap(4, (1, 1, 2, 2, 3, 3, 3))
-    return LoopExpansion(table, degmap, 3, components, False)
+    return OracleExpansion(table, degmap, 3, components, False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(plane_slots())
 def test_rank_covering_matches_enumeration_on_random_planes(expansion):
     x, y = expansion.base.basis_element(X), expansion.base.basis_element(Y)
+    assert oracle_check_covering(expansion, x, y).failures == oracle_covering_failures(expansion, x, y)
+
+
+@st.composite
+def one_term_plane_slots(draw):
+    """M_1 = <x, y> and M_2 = <b0, b1> in a one-term table: each of [b_i, x],
+    [b_i, y] is zero or a random nonzero multiple of w0 or w1, so M_3 is
+    the span of the targets, a line or a plane (or zero).  Covering planes
+    occur: [b0, x] = c1 w0, [b0, y] = c2 w1, [b1, x] = c3 w1, [b1, y] = c4 w0
+    covers iff c3 c4 / (c1 c2) is not a square.  The seven basis vectors
+    sit at randomly permuted positions, so a stored pair is (b_i, x) or
+    (x, b_i) and its coefficient changes sign; the generators are x and y
+    rescaled and x sheared by a random multiple of y."""
+    field = draw(st.sampled_from([F3, F4, F9, field_create(5)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def scalar(lo=0):
+        return element_by_index(field, rng.randrange(lo, field.size))
+
+    at = rng.sample(range(7), 7)  # role (X, Y, B0, ..., Z) -> position
+    entries = []
+    for b in (B0, B1):
+        for g in (X, Y):
+            if rng.random() < 0.85:
+                entries.append((at[b], at[g], [(at[rng.choice((W0, W1))], scalar(1))]))
+    labels = [None] * 7
+    for role, name in enumerate(["x", "y", "b0", "b1", "w0", "w1", "z"]):
+        labels[at[role]] = name
+    table = StructureTable.from_entries(field, labels, entries)
+    m3 = tuple(sorted({terms[0][0] for terms in table.brackets.values()}))
+    components = [tuple(sorted((at[X], at[Y]))), tuple(sorted((at[B0], at[B1]))), m3]
+    x, y = table.basis_element(at[X]), table.basis_element(at[Y])
+    y = y.scale(scalar(1))
+    x = x.scale(scalar(1)) + y.scale(scalar())
+    degrees = [0] * 7
+    for role, d in zip((X, Y, B0, B1, W0, W1), (1, 1, 2, 2, 3, 3)):
+        degrees[at[role]] = d
+    return LoopExpansion(table, DegreeMap(4, tuple(degrees)), 3, components, False), x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_plane_slots())
+def test_determinant_covering_matches_enumeration_on_one_term_planes(drawn):
+    expansion, x, y = drawn
     assert check_covering(expansion, x, y).failures == oracle_covering_failures(expansion, x, y)

@@ -1,12 +1,13 @@
 """Periodic reuse in loop_expand, check_covering and detect_diamonds, the
-two-bracket centralizer chains and the ideal recursion of parameter_k,
-against the full-depth oracles, which bracket and decide every degree
-afresh.
+centralizer chains and the ideal recursion of parameter_k, against the
+full-depth oracles, which bracket and decide every degree afresh on
+Subspace components.
 
 Whole thin reports must serialise byte for byte alike on every accepted
 mixed input of the sweep and on a sample of toral runs, each at depths
-N+1, 2N+2, 2N+3, 3N and 3N+5; a depth below 2q - 2 (sigma-zero at N+1)
-must be rejected instead.  On hand-built tables (sl_2, whose L''
+N+1, 2N+2, 2N+3, 3N and 3N+5, and the position components must span the
+oracle's Subspaces; a depth below 2q - 2 (sigma-zero at N+1) must be
+rejected instead.  On hand-built tables (sl_2, whose L''
 is zero in degree 4 and full from degree 5 on; an abelian table, s = 2;
 and nilpotent tables whose expansion dies after the first period) the
 three layers are compared one by one, and a mutant that takes
@@ -15,9 +16,9 @@ from the oracle wherever s > 1.  Where X and Y do not span a
 two-dimensional M_1 (X = Y on mixed inputs, or the dies-late tables whose
 chain wraps into degree 1), check_covering raises ValueError instead of a
 verdict.  On the same mixed inputs and hand-built
-tables, parameter_k's brackets are counted degree by degree against the
-ideal recursion: at most dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 up to
-the first full degree, none after it.
+tables, parameter_k's table lookups are counted degree by degree against
+the ideal recursion: at most dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 up
+to the first full degree, none after it.
 """
 
 import inspect
@@ -64,6 +65,11 @@ def _first_repeat(components, n):
                  if components[s + n - 1] == components[s - 1]), None)
 
 
+def _subspaces(expansion):
+    """The position components of a loop expansion as Subspaces."""
+    return [expansion.component(d) for d in range(1, expansion.depth + 1)]
+
+
 def _assert_reports_agree(g):
     t = g.table
     x, y = t.basis_element(g.x_pos), t.basis_element(g.y_pos)
@@ -76,7 +82,7 @@ def _assert_reports_agree(g):
         rep = thin_report(t, g.degmap, g.q, depth, X=x, Y=y)
         want = oracle_thin_report(t, g.degmap, g.q, depth, X=x, Y=y)
         assert json.dumps(rep.to_json()) == json.dumps(want.to_json()), depth
-        assert rep.expansion.components == want.expansion.components, depth
+        assert _subspaces(rep.expansion) == want.expansion.components, depth
         assert rep.expansion.period_start == _first_repeat(want.expansion.components, g.degmap.modulus)
 
 
@@ -195,44 +201,41 @@ def test_hand_built_layers_match_full_depth_oracle(name):
     for depth in _depths(n) + [5 * n]:
         want, want_layers = _oracle_layers(t, degmap, x, y, depth)
         got = loop_expand(t, degmap, depth)
-        assert got.components == want.components, depth
+        assert _subspaces(got) == want.components, depth
         assert got.period_start == _first_repeat(want.components, n)
         assert _layers(got, check_covering, parameter_k, x, y) == want_layers, depth
 
 
-def _brackets_per_degree(expansion, monkeypatch):
-    """The thinloop.bracket calls of parameter_k, one count per Echelon it
-    opens: one per degree it brackets."""
-    counts = []
-    real_bracket, real_echelon = thinloop.bracket, thinloop.Echelon
+def _lookups_per_degree(expansion, monkeypatch):
+    """The table lookups of parameter_k, one count per degree: each degree
+    takes the targets of L''_{d-1} with M_1 and of M_{d-2} with M_2, two
+    thinloop._targets calls, one lookup per pair of positions."""
+    calls = []
+    real = thinloop._targets
 
-    def counting(u, v):
-        counts[-1] += 1
-        return real_bracket(u, v)
-
-    def opening(field):
-        counts.append(0)
-        return real_echelon(field)
+    def counting(get, left, right):
+        calls.append(len(left) * len(right))
+        return real(get, left, right)
 
     with monkeypatch.context() as mp:
-        mp.setattr(thinloop, "bracket", counting)
-        mp.setattr(thinloop, "Echelon", opening)
+        mp.setattr(thinloop, "_targets", counting)
         try:
             parameter_k(expansion)
         except NotStabilized:
             pass
-    return counts
+    assert len(calls) % 2 == 0
+    return [a + b for a, b in zip(calls[::2], calls[1::2])]
 
 
 def _assert_ideal_recursion_cost(t, degmap, monkeypatch):
     # before the first full degree f, degree d takes at most
-    # dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 brackets; from f + 1 on, none
+    # dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 lookups; from f + 1 on, none
     for depth in _depths(degmap.modulus):
         expansion = loop_expand(t, degmap, depth)
         dims = [0] + expansion.dims
         lpp = oracle_second_derived_dims(expansion)
         first_full = next((d for d in range(3, depth + 1) if lpp[d] == dims[d]), depth)
-        counts = _brackets_per_degree(expansion, monkeypatch)
+        counts = _lookups_per_degree(expansion, monkeypatch)
         assert len(counts) == max(first_full - 3, 0), depth
         for d, calls in enumerate(counts, start=4):
             assert calls <= lpp[d - 1] * dims[1] + dims[d - 2] * dims[2], (depth, d)

@@ -138,7 +138,8 @@ def test_classify_consecutive_diamonds_error():
     table, dm, x, y = mixed_setup()
     expansion = loop_expand(table, dm, 8)
     v = expansion.component(2).basis_elements()[0]
-    two_dim = expansion.component(3)
+    two_dim = expansion.components[2]
+    assert len(two_dim) == 2
     with pytest.raises(ConsecutiveDiamonds) as exc:
         classify_type(v, x, y, two_dim, two_dim, 3)
     assert exc.value.degree == 3
@@ -147,9 +148,10 @@ def test_classify_consecutive_diamonds_error():
 def test_classify_malformed_diamond_error():
     w = __import__("thinlie.cartan", fromlist=["build_W1n"]).build_W1n(5, 1)
     v, x, y = w.basis_element(0), w.basis_element(2), w.basis_element(1)
-    slot = Subspace.from_elements(w, [bracket(v, x), bracket(v, y)])
+    slot = tuple(sorted(set(bracket(v, x).coords) | set(bracket(v, y).coords)))
+    assert len(slot) == 2
     with pytest.raises(MalformedDiamond) as exc:
-        classify_type(v, x, y, slot, Subspace.from_elements(w, []), 4)
+        classify_type(v, x, y, slot, (), 4)
     assert exc.value.degree == 4
 
 

@@ -1,7 +1,8 @@
 """The two lemmas under thinloop's verdict layers, degree by degree.
 
 Chains: with span(X, Y) = M_1 of dimension 2, C_{M_1}(M_d) = <Y> exactly
-when [M_d, Y] = 0 and [M_d, X] != 0.  The two-bracket predicate is checked
+when [M_d, Y] = 0 and [M_d, M_1] != 0, which _centralizer_is_y reads off
+the lookups of M_d's positions with M_1's.  That predicate is checked
 against the nullspace centralizer_in finds, at every degree from 2 to 3N on
 every accepted mixed input of the sweep and on the toral sample of
 test_periodic.  A scan for the second-diamond slot, one past the first
@@ -52,7 +53,7 @@ def _predicate_outcomes(name):
     _, expansion, x, y = _setup(name)
     outcomes = []
     for d in range(2, expansion.depth + 1):
-        got = _centralizer_is_y(expansion.component(d), x, y)
+        got = _centralizer_is_y(expansion.base, expansion.components[d - 1], expansion.components[0], y)
         assert got == _old_predicate(expansion, y, d), (name, d)
         outcomes.append(got)
     return sum(outcomes), len(outcomes) - sum(outcomes)
@@ -78,7 +79,7 @@ def test_two_bracket_chain_predicate_where_m1_centralizes(name):
     t, degmap, x, y = HAND_BUILT[name]()
     expansion = loop_expand(t, degmap, 3 * degmap.modulus)
     for d in range(2, expansion.depth + 1):
-        got = _centralizer_is_y(expansion.component(d), x, y)
+        got = _centralizer_is_y(expansion.base, expansion.components[d - 1], expansion.components[0], y)
         assert got == _old_predicate(expansion, y, d), d
 
 
@@ -87,7 +88,8 @@ def test_second_diamond_slot_without_q_matches_centralizer_scan(args):
     g, expansion, x, y = _setup("mixed-%d-%d-%d" % args)
     degrees = range(2, expansion.depth)
     old = next(d + 1 for d in degrees if not _old_predicate(expansion, y, d))
-    scan = next(d + 1 for d in degrees if not _centralizer_is_y(expansion.component(d), x, y))
+    base, comps = expansion.base, expansion.components
+    scan = next(d + 1 for d in degrees if not _centralizer_is_y(base, comps[d - 1], comps[0], y))
     # in characteristic two C_{M_1}(M_{q-1}) is still <Y> (the first chain
     # is guaranteed only for odd p), so a scan stops one degree late
     assert scan == old == (g.q + 1 if args[0] == 2 else g.q)
