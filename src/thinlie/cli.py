@@ -34,10 +34,10 @@ from .cartan import (
 )
 from .errors import ThinlieError
 from .ffield import FieldElement, FieldSpec, field_create, frobenius
-from .grading import ToralParams, eigenbasis, grade_finite, grade_mixed, params_from_mu3, toral_params
+from .grading import ToralParams, params_from_mu3, toral_params
 from .liealg import StructureTable, validate_grading, validate_table
-# cmd_verify and perfbench call the run_* functions through these names
-from .verify import SIGMA_ZERO, run_eps_zero, run_finite, run_mixed, run_sigma_zero
+# cmd_grade, cmd_verify and perfbench call the drivers through these names
+from .verify import Unproved, mixed_grading, run_eps_zero, run_finite, run_mixed, run_sigma_zero, toral_grading
 
 # the optional flags each command reads on each algebra or grading: any
 # other one given is rejected; the toral gradings take --n1 only as 1
@@ -141,24 +141,18 @@ def _toral_params(args) -> ToralParams:
 
 
 def cmd_grade(args) -> int:
-    if args.grading == "mixed":
-        table = build_H2_phi1(args.p, args.n1, args.n2, field_create(args.p), 1)
-        dm = grade_mixed(table, args.p ** args.n2, args.p ** args.n1)
-    else:
-        params = _toral_params(args)
-        if not params.sigma:
-            raise ThinlieError(SIGMA_ZERO)
-        table = build_H2_phi1(args.p, 1, args.n2, params.field, 1)
-        basis = eigenbasis(table, params)
-        if not basis.certificate:
-            print(f"eigen table certificate: {basis.certificate}")
-            return 1
-        table = basis.eigen_table
-        dm = grade_finite(basis)
-    if not validate_grading(table, dm):
+    try:
+        if args.grading == "mixed":
+            g = mixed_grading(args.p, args.n1, args.n2)
+        else:
+            g = toral_grading(args.p, args.n2, _toral_params(args))
+    except Unproved as exc:
+        print(exc.args[-1])
+        return 1
+    if not validate_grading(g.table, g.degmap):
         raise ValueError("degree map is not compatible with the table")
-    _write_out(args, dm.to_json())
-    print(f"modulus: {dm.modulus}")
+    _write_out(args, g.degmap.to_json())
+    print(f"modulus: {g.degmap.modulus}")
     return 0
 
 
@@ -168,10 +162,7 @@ def cmd_verify(args) -> int:
     else:
         n2 = _log_base(args.q, args.p)
         if args.grading == "finite":
-            params = _toral_params(args)
-            run = run_finite(
-                args.p, n2, sigma=params.sigma, rho=params.rho, field=params.field, depth=args.depth
-            )
+            run = run_finite(args.p, n2, params=_toral_params(args), depth=args.depth)
         elif args.grading == "sigma-zero":
             run = run_sigma_zero(args.p, n2, args.depth)
         else:

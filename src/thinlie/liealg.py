@@ -288,16 +288,13 @@ Vec = dict[int, FieldElement]
 
 
 def _combine(pairs: Iterable[tuple[FieldElement, Vec]]) -> Vec:
-    """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs."""
+    """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs, v_k with
+    no zero entry: each adds as _subtract of -c_k, none for a zero c_k."""
     out: Vec = {}
     for c, v in pairs:
-        for i, x in v.items():
-            s = out.get(i)
-            s = c * x if s is None else s + c * x
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+        if c:
+            arith = c.spec._arith
+            _subtract(out, c.log + arith[3], v, arith)
     return out
 
 
@@ -699,8 +696,10 @@ class _ReachedSpan:
     holds each b_m, m in R, by induction.  The spans are equal, and b_i lies
     in it exactly when i is in R."""
 
-    def __init__(self, t: StructureTable):
+    def __init__(self, t: StructureTable, gens: Iterable[int] = ()):
         self.brackets, self.gens, self.reached = t.brackets, [], set()
+        for g in gens:
+            self.adjoin(g)
 
     @property
     def rank(self) -> int:
@@ -906,7 +905,8 @@ def check_structure_map(
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
     labels = src.labels
-    rank = Echelon(dst.field, (e.coords for e in images)).rank
+    vecs = [Echelon(dst.field).reduce(e.coords) for e in images]  # coerced as in bracket, no zeros
+    rank = Echelon(dst.field, vecs).rank
     if rank != src.dim:
         return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
     gens = range(src.dim) if gens is None else gens
@@ -915,7 +915,7 @@ def check_structure_map(
         for b in range(src.dim):
             if b in genset and b <= g:
                 continue  # [g, g] = 0, and [b, g] comes with b
-            lhs = _combine((c, images[k].coords) for k, c in src.basis_bracket(g, b))
+            lhs = _combine((c, vecs[k]) for k, c in src.basis_bracket(g, b))
             if lhs != bracket(images[g], images[b]).coords:
                 return MapCheck("intertwining", f"[{labels[g]}, {labels[b]}]")
     if len(genset) == src.dim:
@@ -928,10 +928,7 @@ def check_structure_map(
             if pairs:
                 a, b = pairs[0]
                 return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
-    closure = _ReachedSpan(src)
-    for g in gens:
-        closure.adjoin(g)
-    dim = closure.rank
+    dim = _ReachedSpan(src, gens).rank
     if dim != src.dim:
         names = ", ".join(labels[g] for g in gens)
         return MapCheck("generation", f"{names} generate {dim} of {src.dim} dimensions")

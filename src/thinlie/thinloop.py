@@ -154,25 +154,37 @@ def _require_plane(expansion: LoopExpansion, X: Element, Y: Element, what: str) 
         raise ValueError(f"{what} need X and Y spanning a two-dimensional M_1")
 
 
-def _centralizer_is_y(base: StructureTable, component: tuple[int, ...], m1: tuple[int, ...], Y: Element) -> bool:
-    """C_{M_1}(M_d) = <Y>, M_d and M_1 the spans of the positions component
-    and m1, Y != 0 in M_1.  For b in M_d, [b, s b_{m1[0]} + t b_{m1[1]}] sums
-    (s c0 + t c1) b_k over the targets k of its two lookups, so C is cut out
-    by the forms (c0, c1).  C = <Y> iff some form exists (C != M_1) and each
-    vanishes at Y ([b, Y] = 0).  For Y a multiple of b_y: no pair (b, y) is
-    stored, and some pair of M_d with M_1 is.
-    """
+def _forms(base: StructureTable, component: tuple[int, ...], m1: tuple[int, ...]) -> list[dict]:
+    """For each b in component, each target k of [b, b_{m1[a]}] = c_a b_k
+    mapped to its form [c0, c1]: [b, s b_{m1[0]} + t b_{m1[1]}] is the sum
+    of the (s c0 + t c1) b_k, for M_d and M_1 the spans of the positions."""
     get, zero = base.brackets.get, base.field.zero
-    y0, y1 = (Y.coords.get(k, zero) for k in m1)
-    forms = []
+    rows = []
     for b in component:
         row: dict[int, list[FieldElement]] = {}
         for a, g in enumerate(m1):
             term = _term(get, b, g)
             if term:
                 row.setdefault(term[0], [zero, zero])[a] = term[1]
-        forms += row.values()
+        rows.append(row)
+    return rows
+
+
+def _centralizer_is_y(base: StructureTable, component: tuple[int, ...], m1: tuple[int, ...], Y: Element) -> bool:
+    """C_{M_1}(M_d) = <Y>, Y != 0 in M_1.  The forms of _forms cut C out, so
+    C = <Y> iff some form exists (C != M_1) and each vanishes at Y
+    ([b, Y] = 0).  For Y a multiple of b_y: no pair (b, y) is stored, and
+    some pair of M_d with M_1 is."""
+    y0, y1 = (Y.coords.get(k, base.field.zero) for k in m1)
+    forms = [f for row in _forms(base, component, m1) for f in row.values()]
     return bool(forms) and not any(c0 * y0 + c1 * y1 for c0, c1 in forms)
+
+
+def _second_brackets(V: Element, X: Element, Y: Element) -> tuple[Element, Element, Element, Element]:
+    """[V,X,X], [V,X,Y], [V,Y,X] and [V,Y,Y]: the brackets that decide a
+    two-dimensional slot after V."""
+    vx, vy = bracket(V, X), bracket(V, Y)
+    return bracket(vx, X), bracket(vx, Y), bracket(vy, X), bracket(vy, Y)
 
 
 def _coeff_of(u: Element, w: Element) -> FieldElement | None:
@@ -190,8 +202,6 @@ class GeneratorData:
     Y: Element
     alpha: FieldElement
     slot: int
-    vxx_zero: bool
-    vyy_zero: bool
     c_xy: FieldElement | None
     c_yx: FieldElement | None
 
@@ -201,8 +211,8 @@ class GeneratorData:
             "Y": self.Y.to_json(),
             "alpha": self.alpha.to_json(),
             "second_diamond": self.slot,
-            "VXX_zero": self.vxx_zero,
-            "VYY_zero": self.vyy_zero,
+            "VXX_zero": True,  # choose_generators returns only when both hold
+            "VYY_zero": True,
             "cXY": None if self.c_xy is None else self.c_xy.to_json(),
             "cYX": None if self.c_yx is None else self.c_yx.to_json(),
         }
@@ -227,9 +237,7 @@ def choose_generators(expansion: LoopExpansion, q: int, X: Element, Y: Element) 
     vspace = expansion.components[q - 2]
     if len(vspace) != 1:
         raise MalformedDiamond(f"component before the second diamond has dim {len(vspace)}", q)
-    v = base.basis_element(vspace[0])
-    vx, vy = bracket(v, X), bracket(v, Y)
-    vxx, vxy, vyx, vyy = bracket(vx, X), bracket(vx, Y), bracket(vy, X), bracket(vy, Y)
+    vxx, vxy, vyx, vyy = _second_brackets(base.basis_element(vspace[0]), X, Y)
     if vyy:
         raise MalformedDiamond("[V,Y,Y] != 0 at the second diamond", q)
     alpha = base.field.zero
@@ -248,7 +256,7 @@ def choose_generators(expansion: LoopExpansion, q: int, X: Element, Y: Element) 
     if w:
         c_xy = _coeff_of(vxy, w)
         c_yx = _coeff_of(vyx, w)
-    return GeneratorData(X, Y, alpha, q, True, True, c_xy, c_yx)
+    return GeneratorData(X, Y, alpha, q, c_xy, c_yx)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +279,16 @@ def covering_criterion_at(expansion: LoopExpansion, X: Element, Y: Element, d: i
     vspace = expansion.components[d - 2]
     if len(vspace) != 1:
         return False
-    v = expansion.base.basis_element(vspace[0])
-    vx, vy = bracket(v, X), bracket(v, Y)
-    return (
-        not bracket(vx, X)
-        and not bracket(vy, Y)
-        and bool(bracket(vx, Y))
-        and bool(bracket(vy, X))
-    )
+    vxx, vxy, vyx, vyy = _second_brackets(expansion.base.basis_element(vspace[0]), X, Y)
+    return not vxx and not vyy and bool(vxy) and bool(vyx)
 
 
 def _plane_covers(expansion: LoopExpansion, d: int) -> bool:
     """Covering at a two-dimensional M_d = <b_0, b_1>, decided exactly.
 
     span(X, Y) = M_1 = <g_0, g_1>, so u covers iff [u, g_0], [u, g_1] span
-    M_{d+1}.  The columns of A (of B) are the coordinates in M_{d+1} of
-    [b_0, g_j] ([b_1, g_j]), each zero or one looked-up coefficient.  On a
+    M_{d+1}.  The rows of A (of B) are the forms of b_0 (of b_1) at the
+    positions of M_{d+1} (_forms): column j holds [b_0, g_j] ([b_1, g_j]).  On a
     line M_{d+1}, u = s b_0 + t b_1 covers iff s A + t B != 0, for every u iff
     det[[A], [B]] != 0; on a plane, iff det(sA + tB) = s^2 det A + st m +
     t^2 det B has no projective zero.  A larger M_{d+1} is never covered.
@@ -296,14 +298,8 @@ def _plane_covers(expansion: LoopExpansion, d: int) -> bool:
     if len(target) > 2:
         return False
     field = expansion.base.field
-    get = expansion.base.brackets.get
-    row = {k: r for r, k in enumerate(target)}
-    A, B = mats = [[[field.zero] * 2 for _ in target] for _ in range(2)]
-    for i, u in enumerate(comps[d - 1]):
-        for j, g in enumerate(comps[0]):
-            term = _term(get, u, g)
-            if term:
-                mats[i][row[term[0]]][j] = term[1]
+    zeros = [field.zero] * 2
+    A, B = ([row.get(k, zeros) for k in target] for row in _forms(expansion.base, comps[d - 1], comps[0]))
     if len(target) == 1:
         return bool(A[0][0] * B[0][1] - A[0][1] * B[0][0])
     det_a = A[0][0] * A[1][1] - A[0][1] * A[1][0]
@@ -384,15 +380,14 @@ def classify_type(
     [V,X,Y] = c1 b_w, [V,Y,X] = c2 b_w, M_{d+1} = <b_w>, or infinity when
     c1 + c2 = 0.
     """
-    vx, vy = bracket(V, X), bracket(V, Y)
     if len(slot) == 2:
         if len(following) >= 2:
             raise ConsecutiveDiamonds("two consecutive two-dimensional components", degree)
-        if bracket(vx, X):
+        vxx, vxy, vyx, vyy = _second_brackets(V, X, Y)
+        if vxx:
             raise MalformedDiamond("[V,X,X] != 0 at a two-dimensional slot", degree)
-        if bracket(vy, Y):
+        if vyy:
             raise MalformedDiamond("[V,Y,Y] != 0 at a two-dimensional slot", degree)
-        vxy, vyx = bracket(vx, Y), bracket(vy, X)
         if not (vxy or vyx):
             raise MalformedDiamond("both cross brackets vanish at a genuine slot", degree)
         zero = V.table.field.zero
@@ -405,7 +400,7 @@ def classify_type(
             raise MalformedDiamond(f"genuine diamond computed type {mu}", degree)
         return ("genuine", mu)
     if len(slot) == 1:
-        if not vx:
+        if not bracket(V, X):
             return ("fake0", None)
         if not bracket(V.table.basis_element(slot[0]), X):
             return ("fake1", None)
@@ -544,6 +539,8 @@ def parameter_k(expansion: LoopExpansion) -> int:
     subalgebra must reach full components (and the components stay
     nonzero) on the last grading period; otherwise NotStabilized.  Each
     L''_d is read off as the set of its positions (module docstring).
+    The proof needs the Jacobi identity, unchecked here: k means something
+    only on a table proved Lie, by construct or the eigen-table certificate.
     """
     depth = expansion.depth
     n = expansion.degmap.modulus
@@ -629,7 +626,8 @@ def thin_report(
     centralizer chain and classifies the slot in degree q; below it the
     report would pass checks that never ran.  It binds only where N < 2q - 3,
     as for sigma-zero (N = q - 1); loop_expand rejects a depth of at most N
-    first.
+    first.  k comes from the ideal recursion of parameter_k, which holds only
+    in a Lie algebra: on a table not proved to satisfy Jacobi, k means nothing.
     """
     if depth is None:
         depth = 3 * degmap.modulus

@@ -1,7 +1,9 @@
-"""Verification drivers: each run_* builds a Grading record and one driver
+"""Verification drivers: each run_* builds a Grading record and _verify
 checks its thin report against the predicted diamond types.  A predicted
 type 0 means a fake0, 1 a fake1, anything else a genuine diamond of that
 type; so characteristic two, where -1 = 1, needs no case of its own.
+`thinlie grade` writes the degree map of the Grading of mixed_grading or
+toral_grading, taken before any restriction in characteristic two.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Callable
 
 from .cartan import build_H2_phi1, phi1_monomials
 from .errors import StructuralFailure, ThinlieError
-from .ffield import FieldElement, FieldSpec, field_create
+from .ffield import FieldElement, field_create
 from .grading import (
     ToralParams,
     eigenbasis,
@@ -41,6 +43,10 @@ SIGMA_ZERO = (
 )
 
 
+class Unproved(Exception):
+    """A failed eigen-table certificate; args: the mismatches, its verdict last."""
+
+
 @dataclass
 class VerifyRun:
     """A thin report together with its deviations from the predicted pattern;
@@ -49,7 +55,6 @@ class VerifyRun:
 
     report: ThinReport | None
     mismatches: list[str]
-    params: ToralParams | None = None
 
     @property
     def ok(self) -> bool:
@@ -66,8 +71,9 @@ class VerifyRun:
 class Grading:
     """What one verification run expands and predicts: predicted(rec) is the
     type (field element or INFINITY) at a slot after the first; coincidence
-    requires M_{N+1} = M_1; certificate adds the second-diamond relations,
-    the first centralizer chain and k = q (for q > 3)."""
+    requires M_{N+1} = M_1; certificate adds the second-diamond relation
+    [V,Y,X] = -2[V,X,Y], the first centralizer chain and k = q (for q > 3);
+    drop is the basis vector outside L' where characteristic two restricts."""
 
     table: StructureTable
     degmap: DegreeMap
@@ -78,23 +84,19 @@ class Grading:
     mismatches: list[str] = dc_field(default_factory=list)
     coincidence: bool = False
     certificate: bool = False
-    params: ToralParams | None = None
+    drop: int | None = None
 
 
-def _check_depth(depth: int | None) -> None:
-    """Reject a depth below one; None is thin_report's default, never a
-    replacement for a bad value."""
-    if depth is not None and depth < 1:
-        raise ThinlieError(f"expansion depth must be positive, got {depth}")
-
-
-def _check_q(q: int) -> None:
-    """Reject q = 2 before any work: its second diamond would sit in degree 2."""
+def _precheck(q: int, depth: int | None) -> None:
+    """Reject before any work q = 2, whose second diamond would sit in degree
+    2, and a depth below one (None is thin_report's default depth)."""
     if q == 2:
         raise ThinlieError(
             "q = 2 is outside the class: a second diamond in degree 2 needs dim L_2 = 2, "
             "but L_2 = [L_1, L_1] is at most 1-dimensional"
         )
+    if depth is not None and depth < 1:
+        raise ThinlieError(f"expansion depth must be positive, got {depth}")
 
 
 def _expected(mu) -> tuple[str, object]:
@@ -107,7 +109,13 @@ def _expected(mu) -> tuple[str, object]:
     return "genuine", mu
 
 
-def _verify(g: Grading, depth: int | None) -> VerifyRun:
+def _verify(depth: int | None, grading: Callable[[], Grading]) -> VerifyRun:
+    """Build the Grading and check its thin report against the prediction;
+    a failed eigen-table certificate stops the run with no report."""
+    try:
+        g = grading()
+    except Unproved as exc:
+        return VerifyRun(None, list(exc.args))
     table = g.table
     mismatches = g.mismatches
     x, y = table.basis_element(g.x_pos), table.basis_element(g.y_pos)
@@ -115,7 +123,7 @@ def _verify(g: Grading, depth: int | None) -> VerifyRun:
         rep = thin_report(table, g.degmap, g.q, depth, X=x, Y=y)
     except StructuralFailure as exc:
         mismatches.append(f"{type(exc).__name__} at degree {exc.degree}: {exc}")
-        return VerifyRun(None, mismatches, g.params)
+        return VerifyRun(None, mismatches)
     if not rep.covering.ok:
         mismatches.append(f"covering fails at {rep.covering.failures}")
     if rep.anomalies:
@@ -131,34 +139,37 @@ def _verify(g: Grading, depth: int | None) -> VerifyRun:
             mismatches.append(f"slot {rec.degree}: expected {want}, got {rec.kind}/{rec.type}")
     if g.certificate:
         gens = rep.generators
-        if not (gens.vxx_zero and gens.vyy_zero):
-            mismatches.append("second-diamond relations [V,X,X] = 0 = [V,Y,Y] fail")
         if gens.c_xy is None or gens.c_yx != table.field.element(-2) * gens.c_xy:
             mismatches.append("second-diamond relation [V,Y,X] = -2[V,X,Y] fails")
         if not rep.chains.first_ok:
             mismatches.append("first centralizer chain is not <Y>")
         if g.q > 3 and rep.k != g.q:
             mismatches.append(f"parameter k = {rep.k}, expected {g.q}")
-    return VerifyRun(rep, mismatches, g.params)
+    return VerifyRun(rep, mismatches)
 
 
-def _derived_in_char_two(g: Grading, drop: int) -> Grading:
-    """In characteristic two, restrict table, degree map and X/Y positions to
-    the derived subalgebra, which must be spanned by every basis vector but
-    the one at drop; in odd characteristic change nothing.  The table must
-    be one-term, as build_H2_phi1 and closed_eigen_table make it: the
-    brackets of basis pairs span L', and each is a nonzero multiple of one
-    basis vector, so L' is the coordinate span of the stored targets."""
-    t = g.table
-    if t.field.p != 2:
-        return g
-    keep = [i for i in range(t.dim) if i != drop]
-    if {k for ((k, _),) in t.brackets.values()} != set(keep):
-        raise ThinlieError("characteristic-two derived subalgebra has unexpected shape")
+def _reindexed(g: Grading, drop: int, table: StructureTable) -> Grading:
+    """g moved onto table, whose basis is that of g.table without the
+    position drop: the degrees restricted, X and Y renumbered."""
+    keep = [i for i in range(g.table.dim) if i != drop]
     return replace(
-        g, table=subalgebra_table(t, keep), degmap=g.degmap.restrict(keep),
-        x_pos=keep.index(g.x_pos), y_pos=keep.index(g.y_pos),
+        g, table=table, degmap=g.degmap.restrict(keep),
+        x_pos=keep.index(g.x_pos), y_pos=keep.index(g.y_pos), drop=None,
     )
+
+
+def _derived_in_char_two(g: Grading) -> Grading:
+    """In characteristic two, g on L', which must be spanned by every basis
+    vector but g.drop; else, or with no drop, g.  On a one-term table, as
+    build_H2_phi1 and closed_eigen_table make, L' is the coordinate span of
+    the stored targets: each basis bracket is a multiple of one of them."""
+    t = g.table
+    if t.field.p != 2 or g.drop is None:
+        return g
+    targets = {k for ((k, _),) in t.brackets.values()}
+    if targets != set(range(t.dim)) - {g.drop}:
+        raise ThinlieError("characteristic-two derived subalgebra has unexpected shape")
+    return _reindexed(g, g.drop, subalgebra_table(t, sorted(targets)))
 
 
 def _progression(params: ToralParams) -> Callable[[DiamondRecord], FieldElement]:
@@ -175,65 +186,88 @@ def _center(t: StructureTable, gens: list[Element]) -> Subspace:
     return centralizer_in(t, centralizer_in(t, full, Subspace.from_elements(t, gens)), full)
 
 
-def run_mixed(p: int, n1: int, n2: int, depth: int | None = None) -> VerifyRun:
-    """Loop algebra of H(2;n;Phi(1)) under the monomial-degree grading.
-
-    Predicted pattern: diamonds in every degree congruent to 1 mod (q-1);
-    type -1 exactly in degrees congruent to q mod (q-1)r (fake in
-    characteristic two, inside the derived subalgebra), type infinity
-    elsewhere.
-    """
+def mixed_grading(p: int, n1: int, n2: int) -> Grading:
+    """H(2;(n1,n2);Phi(1)) over F_p under the monomial-degree grading, with
+    diamonds predicted in the degrees 1 mod (q-1): of type -1 exactly in the
+    degrees q mod (q-1)r, else of type infinity.  In characteristic two L'
+    lacks only the last monomial, x^(r-1) y^(q-1)."""
     q, r = p ** n2, p ** n1
-    _check_q(q)
-    _check_depth(depth)
     modulus = (q - 1) * r
     fieldspec = field_create(p)
     table = build_H2_phi1(p, n1, n2, fieldspec, 1)
     index = {m: i for i, m in enumerate(phi1_monomials(p, n1, n2))}
     minus_one = -fieldspec.one
-    grading = Grading(
+    return Grading(
         table, grade_mixed(table, q, r), q, index[(1, 0)], index[(0, q - 1)],
         lambda rec: minus_one if rec.degree % modulus == q % modulus else INFINITY,
-        coincidence=True,
+        coincidence=True, drop=index[(r - 1, q - 1)],
     )
-    return _verify(_derived_in_char_two(grading, index[(r - 1, q - 1)]), depth)
+
+
+def toral_grading(p: int, n2: int, params: ToralParams | None = None, eps: int = 1) -> Grading:
+    """H(2;(1,n2);Phi(1)) with this eps over the field of params, graded by
+    the eigenbasis of the toral element once the certificate proves its
+    eigen table (else Unproved), types along the progression.  eps = 1 and
+    sigma != 0 give the finite grading; no params, the sigma = 0 case over
+    F_p, a Zassenhaus subalgebra X and Y must generate; eps = 0, the quotient
+    by the center, first checked to be <b_0>, b_0 = x^(0)y^(0)."""
+    if params is None:
+        params = toral_params(field_create(p), 0, eps=1)  # rho = 1
+    elif not params.sigma:
+        raise ThinlieError(SIGMA_ZERO)
+    q = p ** n2
+    table = build_H2_phi1(p, 1, n2, params.field, eps)
+    basis = eigenbasis(table, params)
+    gens = generator_positions(basis)
+    constant = table.basis_element(0)
+    mismatches = []
+    if not eps:
+        cent = _center(table, [basis.vectors[i] for i in gens])
+        if cent.dim != 1 or not cent.contains(constant):
+            mismatches.append("center of the eps = 0 extension is not the constant line")
+    if not basis.certificate:
+        raise Unproved(*mismatches, f"eigen table certificate: {basis.certificate}")
+    et = basis.eigen_table
+    if basis.partial:
+        rank = _ReachedSpan(et, gens).rank  # the closed table is one-term
+        if rank != q:
+            mismatches.append(f"generated subalgebra has dim {rank}, expected {q}")
+        return Grading(et, sigma_zero_subalgebra(basis)[1], q, *gens, _progression(params), mismatches)
+    g = Grading(et, grade_finite(basis), q, *gens, _progression(params), mismatches)
+    if eps:
+        return replace(g, coincidence=True, certificate=True, drop=basis.position(2 - q, 0))
+    central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
+    if basis.vectors[central] != constant:
+        mismatches.append("e[1,0] is not the constant monomial")
+    return _reindexed(g, central, quotient_by_ideal(et, [central]))
+
+
+def run_mixed(p: int, n1: int, n2: int, depth: int | None = None) -> VerifyRun:
+    """Loop algebra of mixed_grading, in characteristic two (where type -1
+    is a fake) inside the derived subalgebra."""
+    _precheck(p ** n2, depth)
+    return _verify(depth, lambda: _derived_in_char_two(mixed_grading(p, n1, n2)))
 
 
 def run_finite(
     p: int,
     n2: int,
     mu3: FieldElement | None = None,
-    sigma: FieldElement | None = None,
-    rho: FieldElement | None = None,
-    field: FieldSpec | None = None,
+    params: ToralParams | None = None,
     depth: int | None = None,
 ) -> VerifyRun:
-    """Loop algebra of H(2;(1,n);Phi(1)) under the toral-eigenvector grading.
+    """Loop algebra of H(2;(1,n);Phi(1)) under the toral grading of mu3 or params.
 
     Predicted pattern: the t-th diamond in degree (t-1)(q-1)+1 of type
     mu_t = -1 + (t-2) sigma/rho, an arithmetic progression outside the prime
     field; in characteristic two the run moves into the derived subalgebra.
     """
-    q = p ** n2
-    _check_q(q)
-    _check_depth(depth)
+    _precheck(p ** n2, depth)
     if mu3 is not None:
         params = params_from_mu3(mu3)
-    else:
-        if sigma is None or field is None:
-            raise ThinlieError("run_finite needs either mu3 or (field, sigma[, rho])")
-        params = toral_params(field, sigma, eps=1, rho=rho)
-    if not params.sigma:
-        raise ThinlieError(SIGMA_ZERO)
-    table = build_H2_phi1(p, 1, n2, params.field, 1)
-    basis = eigenbasis(table, params)
-    if not basis.certificate:  # nothing computed from an unproved table is evidence
-        return VerifyRun(None, [f"eigen table certificate: {basis.certificate}"], params)
-    grading = Grading(
-        basis.eigen_table, grade_finite(basis), q, *generator_positions(basis),
-        _progression(params), coincidence=True, certificate=True, params=params,
-    )
-    return _verify(_derived_in_char_two(grading, basis.position(2 - q, 0)), depth)
+    elif params is None:
+        raise ThinlieError("run_finite needs mu3 or params")
+    return _verify(depth, lambda: _derived_in_char_two(toral_grading(p, n2, params)))
 
 
 def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
@@ -242,25 +276,8 @@ def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
     (fake in characteristic two, where -1 = 1).  The eigen-table certificate
     proves the closed table a subalgebra; when its generators are X and Y
     alone, they generate all q dimensions."""
-    q = p ** n2
-    _check_q(q)
-    _check_depth(depth)
-    fieldspec = field_create(p)
-    params = toral_params(fieldspec, 0, eps=1)  # rho = 1
-    table = build_H2_phi1(p, 1, n2, fieldspec, 1)
-    basis = eigenbasis(table, params)
-    if not basis.certificate:
-        return VerifyRun(None, [f"eigen table certificate: {basis.certificate}"], params)
-    sub, dm, x_pos, y_pos = sigma_zero_subalgebra(basis)
-    mismatches = []
-    generated = _ReachedSpan(sub)  # the closed table is one-term
-    for g in (x_pos, y_pos):
-        generated.adjoin(g)
-    if generated.rank != q:
-        mismatches.append(f"generated subalgebra has dim {generated.rank}, expected {q}")
-    minus_one = -fieldspec.one
-    grading = Grading(sub, dm, q, x_pos, y_pos, lambda rec: minus_one, mismatches, params=params)
-    return _verify(grading, depth)
+    _precheck(p ** n2, depth)
+    return _verify(depth, lambda: toral_grading(p, n2))
 
 
 def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> VerifyRun:
@@ -272,29 +289,6 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
     ratio %= p
     if ratio == 0 or ratio == p - 1:
         raise ThinlieError("the ratio sigma/rho must be a nonzero element other than -1")
-    q = p ** n2
-    _check_q(q)
-    _check_depth(depth)
-    fieldspec = field_create(p)
-    hhat = build_H2_phi1(p, 1, n2, fieldspec, 0)
-    params = ToralParams(fieldspec.element(ratio), fieldspec.one, fieldspec.zero)
-    basis = eigenbasis(hhat, params)
-    mismatches = []
-    cent = _center(hhat, [basis.vectors[i] for i in generator_positions(basis)])
-    constant = hhat.basis_element(phi1_monomials(p, 1, n2).index((0, 0)))
-    if cent.dim != 1 or not cent.contains(constant):
-        mismatches.append("center of the eps = 0 extension is not the constant line")
-    if not basis.certificate:
-        return VerifyRun(None, mismatches + [f"eigen table certificate: {basis.certificate}"], params)
-    et = basis.eigen_table
-    central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
-    if basis.vectors[central] != constant:
-        mismatches.append("e[1,0] is not the constant monomial")
-    quotient = quotient_by_ideal(et, [central])
-    keep = [i for i in range(et.dim) if i != central]
-    x_pos, y_pos = (keep.index(i) for i in generator_positions(basis))
-    grading = Grading(
-        quotient, grade_finite(basis).restrict(keep), q, x_pos, y_pos,
-        _progression(params), mismatches, params=params,
-    )
-    return _verify(grading, depth)
+    _precheck(p ** n2, depth)
+    params = toral_params(field_create(p), ratio, eps=0, rho=1)
+    return _verify(depth, lambda: toral_grading(p, n2, params, eps=0))

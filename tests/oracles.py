@@ -848,7 +848,7 @@ def oracle_choose_generators(expansion, q, X, Y):
     if w:
         c_xy = _oracle_coeff_of(vxy, w)
         c_yx = _oracle_coeff_of(vyx, w)
-    return GeneratorData(X, Y, alpha, q, not vxx, not vyy, c_xy, c_yx)
+    return GeneratorData(X, Y, alpha, q, c_xy, c_yx)
 
 
 def oracle_detect_diamonds(expansion, X, Y, q):

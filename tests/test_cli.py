@@ -10,6 +10,7 @@ from thinlie import cli, grading, liealg, thinloop, verify
 from thinlie.cartan import phi1_monomials
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
+from thinlie.grading import toral_params
 from thinlie.liealg import DegreeMap, StructureTable
 
 
@@ -217,7 +218,7 @@ def test_sigma_zero_finite_grading_is_a_configuration_error(command, monkeypatch
 
 def test_run_finite_rejects_sigma_zero():
     with pytest.raises(ThinlieError, match="--grading sigma-zero"):
-        verify.run_finite(3, 1, sigma=0, field=field_create(3, 2))
+        verify.run_finite(3, 1, params=toral_params(field_create(3, 2), 0))
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -440,7 +441,7 @@ def test_corrupted_mixed_degree_map_fails_grade_and_verify(tmp_path, monkeypatch
         degrees[x] += 1
         return DegreeMap(dm.modulus, tuple(degrees))
 
-    monkeypatch.setattr(cli, "grade_mixed", corrupted)
+    # grade and verify read one mixed_grading, so one patch fails both
     monkeypatch.setattr(verify, "grade_mixed", corrupted)
     out = tmp_path / "dm.json"
     assert run_cli(["grade", "--grading", "mixed", "--p", "3", "--out", str(out)]) == 2
@@ -449,3 +450,29 @@ def test_corrupted_mixed_degree_map_fails_grade_and_verify(tmp_path, monkeypatch
     assert run_cli(["verify", "--grading", "mixed", "--p", "3", "--out", str(out)]) == 2
     assert not out.exists()
     assert "degree map is not compatible with the table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,mixed,finite", [
+    ("3", ["--n1", "1", "--n2", "1"], None),
+    ("2", ["--n1", "1", "--n2", "2"], None),
+    ("3", None, (["--n2", "1"], ["--q", "3"])),
+    ("2", None, (["--n2", "2"], ["--q", "4"])),
+], ids=["mixed-3-1-1", "mixed-2-1-2", "finite-3-3", "finite-2-4"])
+def test_grade_writes_the_degree_map_verify_expands(p, mixed, finite, tmp_path, monkeypatch):
+    # the driver's Grading, recorded where the characteristic-two restriction
+    # reads it: grade must write its degree map, before any restriction
+    seen = []
+    real = verify._derived_in_char_two
+    monkeypatch.setattr(verify, "_derived_in_char_two", lambda g: seen.append(g) or real(g))
+    if mixed:
+        grade_args = verify_args = ["--grading", "mixed", "--p", p, *mixed]
+    else:
+        grade_args = ["--grading", "finite", "--p", p, *finite[0], "--mu3", "0,1"]
+        verify_args = ["--grading", "finite", "--p", p, *finite[1], "--mu3", "0,1"]
+    out = tmp_path / "dm.json"
+    assert run_cli(["grade", *grade_args, "--out", str(out)]) == 0
+    assert run_cli(["verify", *verify_args]) == 0
+    (g,) = seen
+    assert DegreeMap.from_json(json.loads(out.read_text())) == g.degmap
+    # the map grades the whole table; characteristic two then expands L'
+    assert len(g.degmap.degrees) == g.table.dim == real(g).table.dim + (p == "2")

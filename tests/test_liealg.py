@@ -22,6 +22,7 @@ from thinlie.ffield import field_create
 from thinlie.grading import eigenbasis, grade_mixed, params_from_mu3, toral_params
 from thinlie.liealg import (
     DegreeMap,
+    _combine,
     Echelon,
     Element,
     StructureTable,
@@ -419,3 +420,43 @@ def test_table_json_roundtrip():
 def test_degree_map_json_roundtrip():
     dm = DegreeMap(6, (1, 2, 3, 4, 5, 0, 1, 2, 3))
     assert DegreeMap.from_json(dm.to_json()) == dm
+
+
+@pytest.mark.parametrize("field", BRACKET_FIELDS, ids=lambda f: f"F{f.size}")
+def test_combine_is_the_operator_sum(field):
+    # the sparse sum on discrete logs against FieldElement operators, with
+    # zero scalars and cancellations: equal dicts, key order included
+    rng = random.Random(field.size)
+
+    def operator_sum(pairs):
+        out = {}
+        for c, v in pairs:
+            for i, x in v.items():
+                s = out.get(i)
+                s = c * x if s is None else s + c * x
+                if s:
+                    out[i] = s
+                else:
+                    out.pop(i, None)
+        return out
+
+    for _ in range(200):
+        pairs = []
+        for _ in range(rng.randint(0, 5)):
+            c = element_by_index(field, rng.randrange(field.size))  # index 0 is zero
+            v = {i: element_by_index(field, rng.randrange(1, field.size))
+                 for i in rng.sample(range(6), rng.randint(0, 6))}
+            pairs.append((c, v))
+            if v and rng.random() < 0.3:
+                pairs.append((-c, dict(v)))  # cancels the pair before it
+        got = _combine(pairs)
+        want = operator_sum(pairs)
+        assert got == want and list(got) == list(want)
+
+
+def test_structure_map_reads_image_coefficients_as_bracket_does():
+    # an int coefficient or a stored zero in an image is coerced or skipped
+    t = w11()
+    zero = t.field.zero
+    assert check_structure_map(t, t, [Element(t, {i: 1, (i + 1) % 3: zero}) for i in range(3)])
+    assert check_structure_map(t, t, [Element(t, {i: 2}) for i in range(3)]).check == "intertwining"

@@ -48,7 +48,7 @@ F3, F4, F9, F25 = field_create(3), field_create(2, 2), field_create(3, 2), field
 def _grading(run, *args):
     """The Grading record a verify driver builds, without checking it."""
     real = verify._verify
-    verify._verify = lambda g, depth: g
+    verify._verify = lambda depth, grading: grading()
     try:
         return getattr(verify, run)(*args)
     finally:

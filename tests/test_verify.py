@@ -1,12 +1,16 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from thinlie.cartan import build_H2_phi1
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
 from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_mixed
-from thinlie.liealg import StructureTable, Subspace, center, centralizer_in
+from thinlie import grading, verify
+from thinlie.liealg import MapCheck, StructureTable, Subspace, center, centralizer_in
 from thinlie.thinloop import INFINITY
-from thinlie.verify import Grading, _center, _derived_in_char_two, run_finite, run_sigma_zero
+from thinlie.verify import Grading, _center, _derived_in_char_two, run_eps_zero, run_finite, run_sigma_zero
 
 
 def test_sigma_zero_char_two_q8_all_fake1():
@@ -27,11 +31,11 @@ def test_finite_char_two_follows_the_progression(k):
 
 def test_char_two_restriction_checks_the_derived_subalgebra():
     table = build_H2_phi1(2, 1, 2, field_create(2), 1)
-    grading = Grading(table, grade_mixed(table, 4, 2), 4, 1, 2, lambda rec: INFINITY)
-    restricted = _derived_in_char_two(grading, table.dim - 1)
+    grading = Grading(table, grade_mixed(table, 4, 2), 4, 1, 2, lambda rec: INFINITY, drop=table.dim - 1)
+    restricted = _derived_in_char_two(grading)
     assert restricted.table.dim == table.dim - 1 and (restricted.x_pos, restricted.y_pos) == (1, 2)
     with pytest.raises(ThinlieError, match="derived subalgebra"):
-        _derived_in_char_two(grading, 0)
+        _derived_in_char_two(replace(grading, drop=0))
 
 
 @pytest.mark.parametrize("p, n2", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
@@ -54,3 +58,21 @@ def test_center_needs_the_second_centralizer_step():
     first = centralizer_in(t, full, Subspace.from_elements(t, g))
     assert first == Subspace.from_elements(t, [t.basis_element(i) for i in (0, 2, 3)])
     assert _center(t, g) == center(t, full) == Subspace.from_elements(t, [t.basis_element(i) for i in (2, 3)])
+
+
+def test_front_half_mismatches_come_before_the_certificate(monkeypatch):
+    # no shipped table fails these checks, so stand-ins fail them: the
+    # center check runs first and its mismatch precedes a failed certificate
+    monkeypatch.setattr(verify, "_center", lambda t, gens: t.full_subspace())
+    run = run_eps_zero(5, 1, 1)
+    assert not run.ok and run.mismatches == ["center of the eps = 0 extension is not the constant line"]
+    monkeypatch.setattr(grading, "check_structure_map", lambda *a: MapCheck("rank", "forced"))
+    run = run_eps_zero(5, 1, 1)
+    assert run.report is None and run.mismatches == [
+        "center of the eps = 0 extension is not the constant line",
+        "eigen table certificate: rank fails: forced",
+    ]
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_ReachedSpan", lambda t, gens: SimpleNamespace(rank=len(gens)))
+    run = run_sigma_zero(5, 1)
+    assert not run.ok and run.mismatches == ["generated subalgebra has dim 2, expected 5"]
