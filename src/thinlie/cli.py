@@ -37,7 +37,7 @@ from .ffield import FieldElement, FieldSpec, field_create, frobenius
 from .grading import ToralParams, params_from_mu3, toral_params
 from .liealg import StructureTable, validate_grading, validate_table
 # cmd_grade, cmd_verify and perfbench call the drivers through these names
-from .verify import Unproved, mixed_grading, run_eps_zero, run_finite, run_mixed, run_sigma_zero, toral_grading
+from .verify import Unproved, finite_grading, mixed_grading, run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
 # the optional flags each command reads on each algebra or grading: any
 # other one given is rejected; the toral gradings take --n1 only as 1
@@ -145,7 +145,7 @@ def cmd_grade(args) -> int:
         if args.grading == "mixed":
             g = mixed_grading(args.p, args.n1, args.n2)
         else:
-            g = toral_grading(args.p, args.n2, _toral_params(args))
+            g = finite_grading(args.p, args.n2, _toral_params(args))
     except Unproved as exc:
         print(exc.args[-1])
         return 1
@@ -170,13 +170,10 @@ def cmd_verify(args) -> int:
                 raise ThinlieError("--ratio is required for eps-zero runs")
             run = run_eps_zero(args.p, n2, args.ratio, args.depth)
     _write_out(args, run.to_json())
-    if run.ok:
-        print("verdict: PASS")
-        return 0
-    print("verdict: FAIL")
+    print(f"verdict: {'PASS' if run.ok else 'FAIL'}")
     for m in run.mismatches:
         print("  " + m)
-    return 1
+    return 0 if run.ok else 1
 
 
 def _log_base(q: int | None, p: int) -> int:

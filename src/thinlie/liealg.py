@@ -905,7 +905,8 @@ def check_structure_map(
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
     labels = src.labels
-    vecs = [Echelon(dst.field).reduce(e.coords) for e in images]  # coerced as in bracket, no zeros
+    coerce = Echelon(dst.field).reduce  # with no rows: coerced as in bracket, no zeros
+    vecs = [coerce(e.coords) for e in images]
     rank = Echelon(dst.field, vecs).rank
     if rank != src.dim:
         return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")

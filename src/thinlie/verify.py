@@ -3,7 +3,7 @@ checks its thin report against the predicted diamond types.  A predicted
 type 0 means a fake0, 1 a fake1, anything else a genuine diamond of that
 type; so characteristic two, where -1 = 1, needs no case of its own.
 `thinlie grade` writes the degree map of the Grading of mixed_grading or
-toral_grading, taken before any restriction in characteristic two.
+finite_grading, taken before any restriction in characteristic two.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .cartan import build_H2_phi1, phi1_monomials
 from .errors import StructuralFailure, ThinlieError
 from .ffield import FieldElement, field_create
 from .grading import (
+    EigenBasis,
     ToralParams,
     eigenbasis,
     generator_positions,
@@ -116,11 +117,10 @@ def _verify(depth: int | None, grading: Callable[[], Grading]) -> VerifyRun:
         g = grading()
     except Unproved as exc:
         return VerifyRun(None, list(exc.args))
-    table = g.table
     mismatches = g.mismatches
-    x, y = table.basis_element(g.x_pos), table.basis_element(g.y_pos)
+    x, y = g.table.basis_element(g.x_pos), g.table.basis_element(g.y_pos)
     try:
-        rep = thin_report(table, g.degmap, g.q, depth, X=x, Y=y)
+        rep = thin_report(g.table, g.degmap, g.q, depth, X=x, Y=y)
     except StructuralFailure as exc:
         mismatches.append(f"{type(exc).__name__} at degree {exc.degree}: {exc}")
         return VerifyRun(None, mismatches)
@@ -139,7 +139,7 @@ def _verify(depth: int | None, grading: Callable[[], Grading]) -> VerifyRun:
             mismatches.append(f"slot {rec.degree}: expected {want}, got {rec.kind}/{rec.type}")
     if g.certificate:
         gens = rep.generators
-        if gens.c_xy is None or gens.c_yx != table.field.element(-2) * gens.c_xy:
+        if gens.c_xy is None or gens.c_yx != g.table.field.element(-2) * gens.c_xy:
             mismatches.append("second-diamond relation [V,Y,X] = -2[V,X,Y] fails")
         if not rep.chains.first_ok:
             mismatches.append("first centralizer chain is not <Y>")
@@ -160,23 +160,16 @@ def _reindexed(g: Grading, drop: int, table: StructureTable) -> Grading:
 
 def _derived_in_char_two(g: Grading) -> Grading:
     """In characteristic two, g on L', which must be spanned by every basis
-    vector but g.drop; else, or with no drop, g.  On a one-term table, as
-    build_H2_phi1 and closed_eigen_table make, L' is the coordinate span of
-    the stored targets: each basis bracket is a multiple of one of them."""
+    vector but g.drop; else g.  On a one-term table, as build_H2_phi1 and
+    closed_eigen_table make, L' is the coordinate span of the stored
+    targets: each basis bracket is a multiple of one of them."""
     t = g.table
-    if t.field.p != 2 or g.drop is None:
+    if t.field.p != 2:
         return g
     targets = {k for ((k, _),) in t.brackets.values()}
     if targets != set(range(t.dim)) - {g.drop}:
         raise ThinlieError("characteristic-two derived subalgebra has unexpected shape")
     return _reindexed(g, g.drop, subalgebra_table(t, sorted(targets)))
-
-
-def _progression(params: ToralParams) -> Callable[[DiamondRecord], FieldElement]:
-    """mu_t = -1 + (t-2) sigma/rho at the t-th diamond."""
-    fieldspec = params.field
-    step = params.sigma / params.rho
-    return lambda rec: -fieldspec.one + fieldspec.element(rec.ordinal - 2) * step
 
 
 def _center(t: StructureTable, gens: list[Element]) -> Subspace:
@@ -204,42 +197,36 @@ def mixed_grading(p: int, n1: int, n2: int) -> Grading:
     )
 
 
-def toral_grading(p: int, n2: int, params: ToralParams | None = None, eps: int = 1) -> Grading:
-    """H(2;(1,n2);Phi(1)) with this eps over the field of params, graded by
-    the eigenbasis of the toral element once the certificate proves its
-    eigen table (else Unproved), types along the progression.  eps = 1 and
-    sigma != 0 give the finite grading; no params, the sigma = 0 case over
-    F_p, a Zassenhaus subalgebra X and Y must generate; eps = 0, the quotient
-    by the center, first checked to be <b_0>, b_0 = x^(0)y^(0)."""
-    if params is None:
-        params = toral_params(field_create(p), 0, eps=1)  # rho = 1
-    elif not params.sigma:
-        raise ThinlieError(SIGMA_ZERO)
-    q = p ** n2
-    table = build_H2_phi1(p, 1, n2, params.field, eps)
+def toral_grading(p: int, n2: int, params: ToralParams) -> tuple[Grading, EigenBasis]:
+    """H(2;(1,n2);Phi(1)) with params.eps, graded by the eigenbasis of the
+    toral element once the certificate proves its eigen table (else
+    Unproved): the finite grading, or for sigma = 0 the slice grading of a
+    Zassenhaus subalgebra; types mu_t = -1 + (t-2) sigma/rho.  For eps = 0
+    it first checks that the center is <b_0>, b_0 = x^(0)y^(0)."""
+    table = build_H2_phi1(p, 1, n2, params.field, params.eps)
     basis = eigenbasis(table, params)
     gens = generator_positions(basis)
-    constant = table.basis_element(0)
     mismatches = []
-    if not eps:
+    if not params.eps:
         cent = _center(table, [basis.vectors[i] for i in gens])
-        if cent.dim != 1 or not cent.contains(constant):
+        if cent.dim != 1 or not cent.contains(table.basis_element(0)):
             mismatches.append("center of the eps = 0 extension is not the constant line")
     if not basis.certificate:
         raise Unproved(*mismatches, f"eigen table certificate: {basis.certificate}")
-    et = basis.eigen_table
-    if basis.partial:
-        rank = _ReachedSpan(et, gens).rank  # the closed table is one-term
-        if rank != q:
-            mismatches.append(f"generated subalgebra has dim {rank}, expected {q}")
-        return Grading(et, sigma_zero_subalgebra(basis)[1], q, *gens, _progression(params), mismatches)
-    g = Grading(et, grade_finite(basis), q, *gens, _progression(params), mismatches)
-    if eps:
-        return replace(g, coincidence=True, certificate=True, drop=basis.position(2 - q, 0))
-    central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
-    if basis.vectors[central] != constant:
-        mismatches.append("e[1,0] is not the constant monomial")
-    return _reindexed(g, central, quotient_by_ideal(et, [central]))
+    degmap = grade_finite(basis) if params.sigma else sigma_zero_subalgebra(basis)[1]
+    fieldspec, step = params.field, params.sigma / params.rho
+    predicted = lambda rec: -fieldspec.one + fieldspec.element(rec.ordinal - 2) * step
+    return Grading(basis.eigen_table, degmap, basis.q, *gens, predicted, mismatches), basis
+
+
+def finite_grading(p: int, n2: int, params: ToralParams) -> Grading:
+    """toral_grading for eps = 1 and sigma != 0, where the loop algebra
+    exhausts the components and the certificate checks apply.  In
+    characteristic two L' lacks only e[2-q, 0]."""
+    if not params.sigma:
+        raise ThinlieError(SIGMA_ZERO)
+    g, basis = toral_grading(p, n2, params)
+    return replace(g, coincidence=True, certificate=True, drop=basis.position(2 - g.q, 0))
 
 
 def run_mixed(p: int, n1: int, n2: int, depth: int | None = None) -> VerifyRun:
@@ -267,7 +254,7 @@ def run_finite(
         params = params_from_mu3(mu3)
     elif params is None:
         raise ThinlieError("run_finite needs mu3 or params")
-    return _verify(depth, lambda: _derived_in_char_two(toral_grading(p, n2, params)))
+    return _verify(depth, lambda: _derived_in_char_two(finite_grading(p, n2, params)))
 
 
 def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
@@ -277,7 +264,14 @@ def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
     proves the closed table a subalgebra; when its generators are X and Y
     alone, they generate all q dimensions."""
     _precheck(p ** n2, depth)
-    return _verify(depth, lambda: toral_grading(p, n2))
+
+    def grading() -> Grading:
+        g = toral_grading(p, n2, toral_params(field_create(p), 0))[0]  # rho = 1
+        rank = _ReachedSpan(g.table, [g.x_pos, g.y_pos]).rank  # the closed table is one-term
+        if rank != g.q:
+            g.mismatches.append(f"generated subalgebra has dim {rank}, expected {g.q}")
+        return g
+    return _verify(depth, grading)
 
 
 def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> VerifyRun:
@@ -291,4 +285,11 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
         raise ThinlieError("the ratio sigma/rho must be a nonzero element other than -1")
     _precheck(p ** n2, depth)
     params = toral_params(field_create(p), ratio, eps=0, rho=1)
-    return _verify(depth, lambda: toral_grading(p, n2, params, eps=0))
+
+    def grading() -> Grading:
+        g, basis = toral_grading(p, n2, params)
+        central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
+        if basis.vectors[central] != basis.table.basis_element(0):
+            g.mismatches.append("e[1,0] is not the constant monomial")
+        return _reindexed(g, central, quotient_by_ideal(g.table, [central]))
+    return _verify(depth, grading)

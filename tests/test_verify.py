@@ -6,11 +6,11 @@ import pytest
 from thinlie.cartan import build_H2_phi1
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
-from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_mixed
+from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_mixed, params_from_mu3, toral_params
 from thinlie import grading, verify
 from thinlie.liealg import MapCheck, StructureTable, Subspace, center, centralizer_in
 from thinlie.thinloop import INFINITY
-from thinlie.verify import Grading, _center, _derived_in_char_two, run_eps_zero, run_finite, run_sigma_zero
+from thinlie.verify import Grading, _center, _derived_in_char_two, run_eps_zero, run_finite, run_sigma_zero, toral_grading
 
 
 def test_sigma_zero_char_two_q8_all_fake1():
@@ -76,3 +76,17 @@ def test_front_half_mismatches_come_before_the_certificate(monkeypatch):
     monkeypatch.setattr(verify, "_ReachedSpan", lambda t, gens: SimpleNamespace(rank=len(gens)))
     run = run_sigma_zero(5, 1)
     assert not run.ok and run.mismatches == ["generated subalgebra has dim 2, expected 5"]
+
+
+@pytest.mark.parametrize("p, params", [
+    (5, toral_params(field_create(5), 1, eps=0, rho=1)),
+    (5, toral_params(field_create(5), 0)),
+    (3, params_from_mu3(field_create(3, 2).generator())),
+])
+def test_toral_grading_builds_the_table_of_params_eps(p, params):
+    # eps is read from params alone: eps = 0 gives the central extension
+    g, basis = toral_grading(p, 1, params)
+    want = build_H2_phi1(p, 1, 1, params.field, params.eps)
+    assert basis.table.to_json() == want.to_json()
+    assert center(basis.table, basis.table.full_subspace()).dim == (0 if params.eps else 1)
+    assert g.table is basis.eigen_table and g.degmap.modulus == (p - 1) * (p if params.sigma else 1)
