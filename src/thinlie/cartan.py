@@ -19,6 +19,21 @@ nonzero.  Phi(1)'s pure-y block i = k = 0 is the one exception: it takes N'
 (both x factors 1) scaled by eps.  Every builder writes the packed bracket
 dict of StructureTable directly, keys ascending and no zero coefficient.
 
+Phi1Brackets is H(2;n;Phi(1))'s bracket dict read by rule: a product is
+worked out when it is read, with each binomial by Lucas' theorem, so a
+caller that reads a few products of a large table, as a mixed verify run
+does, pays for those alone.  No nonzero product leaves the box 0 <= (i, j)
+<= tau.  By Kummer's theorem, C(m+n, m) is prime to p iff adding m and n
+in base p carries nowhere.  The four factors are C(i+(k-1), i),
+C((i-1)+k, i-1), C((j-1)+l, j-1) and C(j+(l-1), j).  A target exponent
+i+k-1 > tau1 = p^n1 - 1 makes each x sum reach p^n1 from two summands
+below it, which carries out of the top digit, so both x factors vanish;
+likewise in y.  A target exponent -1 needs i = k = 0, the pure-y block
+that the Phi(1) twist remaps onto xbar = x^(tau1), or j = l = 0, where
+both y factors have upper index -1 and vanish.  The rule still checks
+every product it reads, as the build_* constructors check every product
+they store.
+
 The loops that fill a bracket dict run with cyclic garbage collection
 paused (liealg._gc_paused).  Each stored pair allocates a key and a term
 tuple that stay alive, so the collections those allocations trigger would
@@ -30,11 +45,12 @@ cycle.  Output and memory use are the same with the collector on.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import FieldSizeMismatch, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
 from .ffield import FieldElement, FieldSpec, field_create
-from .liealg import StructureTable, _gc_paused
+from .liealg import DegreeMap, StructureTable, _gc_paused
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -287,11 +303,7 @@ def build_H2_phi1(
     eps = 0 yields the central extension of H(2;(1,n))^(1) used by the
     prime-field degeneration.
     """
-    params = CartanParams(p, n1, n2)
-    field = field or field_create(p)
-    eps = field.element(eps) if not isinstance(eps, FieldElement) else eps
-    if eps.spec != field:
-        raise ValueError("eps must live in the table's field")
+    params, field, eps = _phi1_args(p, n1, n2, field, eps)
     tau1, tau2 = params.tau
     basis = monomials(tau1, tau2)
     # a pure-y product lands on xbar = x^(tau1) times its y target
@@ -299,10 +311,146 @@ def build_H2_phi1(
     return _poisson_table(params, field, basis, remap, pure_y=eps)
 
 
+def _phi1_args(
+    p: int, n1: int, n2: int, field: FieldSpec | None, eps: FieldElement | int
+) -> tuple[CartanParams, FieldSpec, FieldElement]:
+    params = CartanParams(p, n1, n2)
+    field = field or field_create(p)
+    eps = field.element(eps) if not isinstance(eps, FieldElement) else eps
+    if eps.spec != field:
+        raise ValueError("eps must live in the table's field")
+    return params, field, eps
+
+
 def phi1_monomials(p: int, n1: int, n2: int) -> list[tuple[int, int]]:
     """Basis order of build_H2_phi1, shared with the grading module."""
     params = CartanParams(p, n1, n2)
     return monomials(*params.tau)
+
+
+_UNREAD = object()  # a product get has not yet worked out
+
+
+class Phi1Brackets(Mapping):
+    """The bracket dict of build_H2_phi1(p, n1, n2, field, eps), read by rule.
+
+    get((a, b)) works out the product of the monomials at positions a < b,
+    row-major as in build_H2_phi1 (x^(i)y^(j) at i p^n2 + j), the way
+    _poisson_table does, and memoizes it; a nonzero product whose target
+    leaves the box raises NotASubalgebra when it is read.  A read of the
+    whole table (iteration, len, keys, values, items) builds
+    build_H2_phi1's dict once and serves every such read from it, in its
+    key order.  No Pascal triangle or factor table is built for get.
+    """
+
+    def __init__(self, p: int, n1: int, n2: int, field: FieldSpec, eps: FieldElement):
+        self.params, self.field, self.eps = CartanParams(p, n1, n2), field, eps
+        self._tau1, tau2 = self.params.tau
+        self._q = tau2 + 1
+        self._plain = [field.element(c) for c in range(p)]
+        self._scaled = [eps * c for c in self._plain]
+        self._memo: dict = {}
+        self._full: dict | None = None
+
+    def get(self, key, default=None):
+        terms = self._memo.get(key, _UNREAD)
+        if terms is _UNREAD:
+            terms = self._memo[key] = self._product(key)
+        return default if terms is None else terms
+
+    def _product(self, key) -> tuple[tuple[int, FieldElement]] | None:
+        a, b = key
+        p, tau1, q = self.params.p, self._tau1, self._q
+        if not 0 <= a < b < (tau1 + 1) * q:
+            return None
+        (i, j), (k, l) = divmod(a, q), divmod(b, q)
+        if i == k == 0:
+            f1 = f0 = 1  # the pure-y block takes N', scaled by eps
+            coeffs = self._scaled
+        else:  # i + k - 1 >= 0 here, and C(m, -1) = 0
+            f1, f0 = binom_mod_p(i + k - 1, i, p), binom_mod_p(i + k - 1, i - 1, p)
+            if not (f1 or f0):
+                return None
+            coeffs = self._plain
+        ti, tj = i + k - 1, j + l - 1
+        if tj < 0:
+            return None  # j = l = 0: both y factors have upper index -1
+        g1 = binom_mod_p(tj, j - 1, p) if f1 else 0
+        g0 = binom_mod_p(tj, j, p) if f0 else 0
+        c = (f1 * g1 - f0 * g0) % p
+        if not c:
+            return None
+        if ti == -1:
+            ti = tau1  # a pure-y product lands on xbar = x^(tau1) times its y target
+        if ti > tau1 or tj >= q:
+            raise NotASubalgebra(f"nonzero product escaping the basis at ({i},{j},{k},{l})")
+        return ((ti * q + tj, coeffs[c]),) if coeffs[c] else None
+
+    def _table(self) -> dict:
+        if self._full is None:
+            p, n1, n2 = self.params.p, self.params.n1, self.params.n2
+            self._full = build_H2_phi1(p, n1, n2, self.field, self.eps).brackets
+        return self._full
+
+    def __getitem__(self, key):
+        terms = self.get(key)
+        if terms is None:
+            raise KeyError(key)
+        return terms
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._table())
+
+    def keys(self):
+        return self._table().keys()
+
+    def values(self):
+        return self._table().values()
+
+    def items(self):
+        return self._table().items()
+
+    def proves_grading(self, d: DegreeMap) -> bool:
+        """True when d is affine on the monomials in the way that makes
+        every product land in its predicted class; False says nothing.
+
+        Lemma: let d(i, j) = d0 + alpha i + beta j mod N with
+        alpha + beta + d0 = 0 mod N.  Then d(i+k-1, j+l-1) =
+        d(i, j) + d(k, l) - (d0 + alpha + beta) = d(i, j) + d(k, l), so
+        every product x^(i)y^(j) . x^(k)y^(l) -> x^(i+k-1)y^(j+l-1) inside
+        the box is graded, and no product leaves it (module docstring).
+        The remap of a pure-y target (-1, tj) onto (tau1, tj) keeps the
+        class iff alpha (tau1 + 1) = 0 mod N.  So reading d0, alpha and beta
+        off the monomials 1, x and y, an O(dim) pass that d is that affine
+        map, plus the two congruences, proves the grading of every product.
+        """
+        tau1, q, n, deg = self._tau1, self._q, d.modulus, d.degrees
+        if len(deg) != (tau1 + 1) * q:
+            return False
+        d0 = deg[0]
+        alpha, beta = deg[q] - d0, deg[1] - d0
+        if (alpha + beta + d0) % n or alpha * (tau1 + 1) % n:
+            return False
+        return all(
+            deg[i * q:(i + 1) * q] == tuple((d0 + alpha * i + beta * j) % n for j in range(q))
+            for i in range(tau1 + 1)
+        )
+
+
+def phi1_rule_table(
+    p: int,
+    n1: int,
+    n2: int,
+    field: FieldSpec | None = None,
+    eps: FieldElement | int = 1,
+) -> StructureTable:
+    """build_H2_phi1's table, with Phi1Brackets for its bracket dict."""
+    params, field, eps = _phi1_args(p, n1, n2, field, eps)
+    labels = [monomial_label(i, j) for i, j in monomials(*params.tau)]
+    return StructureTable(field, labels, Phi1Brackets(p, n1, n2, field, eps))
 
 
 # ---------------------------------------------------------------------------

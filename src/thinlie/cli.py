@@ -33,7 +33,7 @@ from .cartan import (
     AlbertFrankSpec,
 )
 from .errors import ThinlieError
-from .ffield import FieldElement, FieldSpec, field_create, frobenius
+from .ffield import FieldElement, FieldSpec, field_create, frobenius, require_prime
 from .grading import ToralParams, params_from_mu3, toral_params
 from .liealg import StructureTable, validate_grading, validate_table
 # cmd_grade, cmd_verify and perfbench call the drivers through these names
@@ -160,6 +160,7 @@ def cmd_verify(args) -> int:
     if args.grading == "mixed":
         run = run_mixed(args.p, args.n1, args.n2, args.depth)
     else:
+        require_prime(args.p)  # before _log_base, whose loop never ends at p = 1
         n2 = _log_base(args.q, args.p)
         if args.grading == "finite":
             run = run_finite(args.p, n2, params=_toral_params(args), depth=args.depth)

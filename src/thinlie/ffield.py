@@ -392,6 +392,12 @@ class FieldElement:
 _FIELDS: dict[tuple[int, int, tuple[int, ...] | None], FieldSpec] = {}
 
 
+def require_prime(p: int) -> None:
+    """NonPrimeCharacteristic unless p is prime."""
+    if not _is_prime(p):
+        raise NonPrimeCharacteristic(f"characteristic must be prime, got {p}")
+
+
 def field_create(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> FieldSpec:
     """Create F_{p^k}; for k > 1 a monic irreducible modulus is checked or found.
 
@@ -400,8 +406,7 @@ def field_create(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fi
     chosen, so a given (p, k) always yields the same field presentation.
     Every call for the same field returns the same FieldSpec object.
     """
-    if not _is_prime(p):
-        raise NonPrimeCharacteristic(f"characteristic must be prime, got {p}")
+    require_prime(p)
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     if p ** k > SEARCH_BOUND:

@@ -63,7 +63,10 @@ def _gc_paused() -> Iterator[None]:
 
 
 class StructureTable:
-    """A Lie algebra given by labeled basis and sparse bracket coefficients."""
+    """A Lie algebra given by labeled basis and sparse bracket coefficients.
+
+    brackets is a dict, or a read-only mapping that reads as one
+    (cartan.Phi1Brackets works each product out when it is read)."""
 
     __slots__ = ("field", "labels", "brackets")
 
@@ -847,9 +850,16 @@ class DegreeMap:
 
 
 def validate_grading(t: StructureTable, d: DegreeMap) -> bool:
-    """True iff every stored bracket lands in the predicted degree class."""
+    """True iff every stored bracket lands in the predicted degree class.
+
+    A bracket mapping with a proves_grading method (cartan.Phi1Brackets)
+    is asked first, and a proof there reads no product; when it proves
+    nothing, every stored bracket is checked."""
     if len(d.degrees) != t.dim:
         raise ValueError("degree map does not match table dimension")
+    proves = getattr(t.brackets, "proves_grading", None)
+    if proves is not None and proves(d):
+        return True
     n = d.modulus
     for (i, j), terms in t.brackets.items():
         want = (d.degrees[i] + d.degrees[j]) % n

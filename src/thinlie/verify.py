@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
-from .cartan import build_H2_phi1, phi1_monomials
+from .cartan import build_H2_phi1, phi1_rule_table
 from .errors import StructuralFailure, ThinlieError
 from .ffield import FieldElement, field_create
 from .grading import (
@@ -180,20 +180,21 @@ def _center(t: StructureTable, gens: list[Element]) -> Subspace:
 
 
 def mixed_grading(p: int, n1: int, n2: int) -> Grading:
-    """H(2;(n1,n2);Phi(1)) over F_p under the monomial-degree grading, with
+    """H(2;(n1,n2);Phi(1)) over F_p, its products read by rule
+    (cartan.Phi1Brackets), under the monomial-degree grading, with
     diamonds predicted in the degrees 1 mod (q-1): of type -1 exactly in the
     degrees q mod (q-1)r, else of type infinity.  In characteristic two L'
     lacks only the last monomial, x^(r-1) y^(q-1)."""
     q, r = p ** n2, p ** n1
     modulus = (q - 1) * r
     fieldspec = field_create(p)
-    table = build_H2_phi1(p, n1, n2, fieldspec, 1)
-    index = {m: i for i, m in enumerate(phi1_monomials(p, n1, n2))}
+    table = phi1_rule_table(p, n1, n2, fieldspec, 1)
     minus_one = -fieldspec.one
+    # x^(i)y^(j) sits at i q + j: X = x at q, Y = y^(q-1) at q - 1, the drop last
     return Grading(
-        table, grade_mixed(table, q, r), q, index[(1, 0)], index[(0, q - 1)],
+        table, grade_mixed(table, q, r), q, q, q - 1,
         lambda rec: minus_one if rec.degree % modulus == q % modulus else INFINITY,
-        coincidence=True, drop=index[(r - 1, q - 1)],
+        coincidence=True, drop=r * q - 1,
     )
 
 

@@ -51,6 +51,23 @@ def test_construct_rejects_nonprime(capsys):
     assert "prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+@pytest.mark.parametrize("args", [
+    ["--grading", "finite", "--q", "5", "--mu3", "0,1"],
+    ["--grading", "sigma-zero", "--q", "5"],
+    ["--grading", "eps-zero", "--q", "5", "--ratio", "1"],
+], ids=["finite", "sigma-zero", "eps-zero"])
+def test_toral_verify_rejects_a_nonprime_characteristic(args, p):
+    # before reading q as a power of p: at p = 1 that loop never ends, at p = 0 it divides by zero
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thinlie.cli", "verify", *args, "--p", p],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"characteristic must be prime, got {p}" in proc.stderr
+
+
 def test_construct_rejects_nonpositive_height(capsys):
     assert run_cli(["construct", "--algebra", "W", "--p", "3", "--n", "0"]) == 2
     assert "height" in capsys.readouterr().err
