@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import FieldSizeMismatch, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
 from .ffield import FieldElement, FieldSpec, field_create
@@ -85,10 +86,19 @@ def _binom_unit(a: int, b: int, p: int) -> int:
 
 
 def _pascal(top: int, p: int) -> list[list[int]]:
-    """Rows 0..top of Pascal's triangle mod p: C(a, b) mod p is rows[a][b]."""
+    """Rows 0..top of Pascal's triangle mod p: C(a, b) mod p is rows[a][b].
+    From row p on, by Lucas, row a is row a % p zero-padded to p entries,
+    times each entry of row a // p in turn, cut to its a + 1 entries."""
     rows = [[1]]
-    for _ in range(top):
+    for _ in range(min(top, p - 1)):
         rows.append([1, *((x + y) % p for x, y in zip(rows[-1], rows[-1][1:])), 1])
+    blocks = [[None] * p for _ in rows]  # [low][c]: c times padded row low, made when first read
+    for a in range(p, top + 1):
+        high, low = divmod(a, p)
+        for c in rows[high]:
+            if blocks[low][c] is None:
+                blocks[low][c] = [c * x % p for x in rows[low]] + [0] * (p - 1 - low)
+        rows.append([*chain.from_iterable(blocks[low][c] for c in rows[high][:-1]), *rows[low]])
     return rows
 
 

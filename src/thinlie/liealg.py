@@ -8,22 +8,12 @@ canonical over an exact field, so subspace equality is matrix equality.
 Echelon takes and returns sparse {column: coefficient} dicts, the same
 coordinates an Element stores, and eliminates on discrete logs as bracket
 does; its cost follows the supports of the vectors, not the dimension.
-validate_table and check_structure_map share one Leibniz-rule kernel, a
-pass per basis vector over sparse ad rows, whose cost follows the nonzero
-bracket compositions rather than the number of basis triples; its index of
-the table is built once per call.  Both prove the Jacobi identity from a
-generating set: when ad g is a derivation for each generator g, every ad
-is.  A pass for g reads the compositions through the ad row of g, so
-validate_table takes one sweeping generator, the widest ad row, and then
-the narrowest ones, which make the cheapest passes.  It runs the
-per-vector scan of every basis triple only when a generator's pass fails,
-when the table is not one-term, or when the generating set takes more than
-dim/3 generators, whose passes would cost more than the scan.  Generating
-sets are read off one-term tables only (one nonzero term per stored pair,
-as in every builder and eigen table): there the span of right-normed
-brackets is the set of basis positions reached from the generators by
-table lookups (_ReachedSpan).  Where a generating set is passed or asked
-for, any other table raises ValueError.
+validate_table and check_structure_map prove the Jacobi identity with one
+Leibniz-rule kernel, whose cost follows the nonzero bracket compositions,
+not the number of basis triples; it reads flat per-vector lists that one
+pass over the stored pairs builds while it checks the encoding.  Both work
+from a generating set, read off one-term tables only (_ReachedSpan); where
+one is passed or asked for, any other table raises ValueError.
 validate_table, check_structure_map's Leibniz passes and
 StructureTable.to_json run with cyclic garbage collection paused
 (_gc_paused): everything they build is acyclic.
@@ -31,8 +21,8 @@ StructureTable.to_json run with cyclic garbage collection paused
 
 from __future__ import annotations
 
-import bisect
 import gc
+from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -383,7 +373,7 @@ class Echelon:
             c = row.get(pc)
             if c is not None:  # rows store no zeros
                 _subtract(row, c.log, new, arith)
-        bisect.insort(self.pivots, pc)
+        insort(self.pivots, pc)
         self.rows[pc] = new
         return True
 
@@ -454,18 +444,23 @@ class ValidationReport:
 
 
 class _LeibnizIndex:
-    """What _leibniz_failures reads of a table, built once per table.
+    """What validate_table and _leibniz_failures read of a table, built in
+    one pass over its stored pairs.
 
-    keys[a], rows[a]: the b with [b_a, b_b] stored, ascending, and its terms
-    as (target, log); by_target[m]: ((j * dim + k) * dim, log), ascending,
-    for the pairs j < k with a term at m.  Only well-formed entries are read
-    (keys 0 <= i < j < dim, targets in range).  len(keys[a]) is the size of
-    the ad row of b_a, and an empty by_target[m] marks a basis vector that
-    is no bracket target.  one_term is _one_term(t), read off the index
-    with no second pass over the stored pairs.
+    keys[a], tgts[a], logs[a]: one entry per term of each stored pair that
+    holds b_a, ascending in the other vector b: b, the target and the log
+    of the coefficient in [b_a, b_b].  by_target[m]: ((j * dim + k) * dim,
+    log), ascending, one per term at m of a pair j < k; an empty one marks
+    a basis vector that is no bracket target.  Only well-formed terms are
+    indexed (0 <= i < j < dim, target in range, coefficient nonzero);
+    messages names the faults in the dict's order, encoding_ok is whether
+    there is none, one_term is _one_term(t), and on a one-term table
+    len(keys[a]) is the size of the ad row of b_a.  Appends in ascending
+    key order keep the lists sorted; other orders are sorted after the pass.
     """
 
-    __slots__ = ("dim", "keys", "rows", "by_target", "neg", "pexp", "p", "s", "one_term")
+    __slots__ = ("dim", "keys", "tgts", "logs", "by_target", "neg", "pexp", "p", "s",
+                 "one_term", "encoding_ok", "messages")
 
     def __init__(self, t: StructureTable):
         dim = self.dim = t.dim
@@ -475,40 +470,52 @@ class _LeibnizIndex:
         # base-2^s digits are the product's polynomial coordinates.  A sum of
         # such ints is reduced mod p digit by digit only when tested for zero.
         n = field.size - 1
+        zero = 2 * n
         minus_one = (-field.one).log
-        neg = self.neg = [(a + minus_one) % n for a in range(n)] + [2 * n] * (n + 1)
+        neg = self.neg = [(a + minus_one) % n for a in range(n)] + [zero] * (n + 1)
 
-        # Pairs in sorted order append every list in ascending order.  A
-        # builder table repeats few distinct rows (about 2300 of 34 k at
-        # Phi(1) (5,1,3)), so each row and its negation are kept once and
-        # shared: a new pair of them per stored pair would make the set-up
-        # mostly allocation and cyclic garbage collection.
         keys = self.keys = [[] for _ in range(dim)]
-        rows = self.rows = [[] for _ in range(dim)]
+        tgts = self.tgts = [[] for _ in range(dim)]
+        logs = self.logs = [[] for _ in range(dim)]
         by_target = self.by_target = [[] for _ in range(dim)]
-        shared: dict[tuple, tuple[tuple, tuple]] = {}
-        for (i, j), terms in sorted(t.brackets.items()):
-            row = tuple([(k, c.log) for k, c in terms if 0 <= k < dim])
-            pair = shared.get(row)
-            if pair is None:
-                pair = shared[row] = row, tuple([(k, neg[c]) for k, c in row])
-            row, negated = pair
-            if 0 <= i < j < dim and row:
-                keys[i].append(j)
-                rows[i].append(row)
-                keys[j].append(i)
-                rows[j].append(negated)
+        messages = self.messages = []
+        one_term = ascending = True
+        longest, last = 1, -1
+        for (i, j), terms in t.brackets.items():
+            if len(terms) != 1:
+                one_term = False
+                longest = max(longest, len(terms))
+            good = 0 <= i < j < dim
+            if good:
                 base = (i * dim + j) * dim
-                for k, c in row:
-                    by_target[k].append((base, c))
-        longest = max(map(len, t.brackets.values()), default=0)
-        # One-term: no pair stores two terms, every pair was indexed (its key
-        # and its target in range), and no indexed row has a zero coefficient.
-        self.one_term = (
-            longest <= 1
-            and sum(map(len, keys)) == 2 * len(t.brackets)
-            and all(row[0][1] < n for row in shared)
-        )
+                ascending = ascending and base > last
+                last = base
+            else:
+                messages.append(f"bad key ({i}, {j})")
+            for k, c in terms:
+                e = c.log
+                if 0 <= k < dim and e != zero:
+                    if good:
+                        keys[i].append(j)
+                        tgts[i].append(k)
+                        logs[i].append(e)
+                        keys[j].append(i)
+                        tgts[j].append(k)
+                        logs[j].append(neg[e])
+                        by_target[k].append((base, e))
+                    continue
+                if not 0 <= k < dim:
+                    messages.append(f"target {k} out of range in ({i}, {j})")
+                if e == zero:
+                    messages.append(f"stored zero coefficient in ({i}, {j})")
+        if not ascending:
+            for a, row in enumerate(keys):
+                if row:
+                    keys[a], tgts[a], logs[a] = map(list, zip(*sorted(zip(row, tgts[a], logs[a]))))
+            for pairs in by_target:
+                pairs.sort()
+        self.encoding_ok = not messages
+        self.one_term = one_term and not messages
 
         # Each of the three sums puts at most longest^2 products into one
         # (j, k, target) cell (a hand-built bracket may repeat a target), and
@@ -535,7 +542,7 @@ def _leibniz_failures(
     (j, k) whose bracket has target m, for each m in ad b_g; the other two
     through ad b_m, cut to the range by bisection.
     """
-    dim, keys, rows, by_target = index.dim, index.keys, index.rows, index.by_target
+    dim, keys, tgts, logs, by_target = index.dim, index.keys, index.tgts, index.logs, index.by_target
     neg, pexp, p, s = index.neg, index.pexp, index.p, index.s
     mask = (1 << s) - 1
 
@@ -549,35 +556,33 @@ def _leibniz_failures(
     for g, lo in scans:
         acc: dict[int, int] = {}
         get = acc.get
-        gkeys, grows = keys[g], rows[g]
-        above = (lo + 1) * dim * dim  # the least base with j > lo
+        gkeys, gtgts, glogs = keys[g], tgts[g], logs[g]
         # [b_g, [b_j, b_k]] = sum_m c_jk^m [b_g, b_m]
-        for m, terms in zip(gkeys, grows):
-            pairs = by_target[m][bisect.bisect_left(by_target[m], (above,)):]
-            if pairs:
-                for target, e in terms:
-                    pe = pexp[e:]
-                    for base, c in pairs:
-                        key = base + target
-                        acc[key] = get(key, 0) + pe[c]
-        for x in range(bisect.bisect_right(gkeys, lo), len(gkeys)):
-            a, terms = gkeys[x], grows[x]
-            for m, c in terms:
-                mkeys, mrows = keys[m], rows[m]
-                # -[[b_g, b_j], b_k] = -sum_m c_gj^m [b_m, b_k] for a = j < k
-                pc = pexp[neg[c]:]
-                for y in range(bisect.bisect_right(mkeys, a), len(mkeys)):
-                    base = (a * dim + mkeys[y]) * dim
-                    for target, d in mrows[y]:
-                        key = base + target
-                        acc[key] = get(key, 0) + pc[d]
-                # -[b_j, [b_g, b_k]] = sum_m c_gk^m [b_m, b_j] for lo < j < k = a
-                pc = pexp[c:]
-                for y in range(bisect.bisect_right(mkeys, lo), bisect.bisect_left(mkeys, a)):
-                    base = (mkeys[y] * dim + a) * dim
-                    for target, d in mrows[y]:
-                        key = base + target
-                        acc[key] = get(key, 0) + pc[d]
+        for m, target, e in zip(gkeys, gtgts, glogs):
+            pairs = by_target[m]
+            if lo >= 0:  # from the least base with j > lo
+                pairs = pairs[bisect_left(pairs, ((lo + 1) * dim * dim,)):]
+            pe = pexp[e:]
+            for base, c in pairs:
+                key = base + target
+                acc[key] = get(key, 0) + pe[c]
+        x = bisect_right(gkeys, lo)
+        for a, m, c in zip(gkeys[x:], gtgts[x:], glogs[x:]):
+            mkeys, mtgts, mlogs = keys[m], tgts[m], logs[m]
+            below = bisect_left(mkeys, a)
+            y = bisect_right(mkeys, a, below)
+            # -[[b_g, b_j], b_k] = -sum_m c_gj^m [b_m, b_k] for a = j < k
+            pc = pexp[neg[c]:]
+            top = a * dim
+            for b, target, d in zip(mkeys[y:], mtgts[y:], mlogs[y:]):
+                key = (top + b) * dim + target
+                acc[key] = get(key, 0) + pc[d]
+            # -[b_j, [b_g, b_k]] = sum_m c_gk^m [b_m, b_j] for lo < j < k = a
+            pc = pexp[c:]
+            y = bisect_right(mkeys, lo, 0, below)
+            for b, target, d in zip(mkeys[y:below], mtgts[y:below], mlogs[y:below]):
+                key = (b * dim + a) * dim + target
+                acc[key] = get(key, 0) + pc[d]
         bad = sorted({key // dim for key, v in acc.items() if nonzero(v)})
         yield g, [divmod(jk, dim) for jk in bad]
 
@@ -638,34 +643,19 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
     """
     if max_violations < 1:
         raise ValueError(f"max_violations must be at least 1, got {max_violations}")
-    messages: list[str] = []
-    encoding_ok = True
-    dim = t.dim
-    for (i, j), terms in t.brackets.items():
-        if not (0 <= i < j < dim):
-            encoding_ok = False
-            messages.append(f"bad key ({i}, {j})")
-        for k, c in terms:
-            if not (0 <= k < dim):
-                encoding_ok = False
-                messages.append(f"target {k} out of range in ({i}, {j})")
-            if not c:
-                encoding_ok = False
-                messages.append(f"stored zero coefficient in ({i}, {j})")
-
     with _gc_paused():
         index = _LeibnizIndex(t)
         if index.one_term and _jacobi_certified(t, index):
             return ValidationReport(True, True, True, [], [])
         violations: list[tuple[int, int, int]] = []
-        for i, pairs in _leibniz_failures(index, ((i, i) for i in range(dim))):
+        for i, pairs in _leibniz_failures(index, ((i, i) for i in range(t.dim))):
             for j, k in pairs:
                 violations.append((i, j, k))
                 if len(violations) >= max_violations:
-                    messages.append("Jacobi scan aborted at violation cap")
-                    return ValidationReport(False, encoding_ok, False, violations, messages)
-    jacobi_ok = not violations
-    return ValidationReport(encoding_ok and jacobi_ok, encoding_ok, jacobi_ok, violations, messages)
+                    index.messages.append("Jacobi scan aborted at violation cap")
+                    return ValidationReport(False, index.encoding_ok, False, violations, index.messages)
+    ok = index.encoding_ok and not violations
+    return ValidationReport(ok, index.encoding_ok, not violations, violations, index.messages)
 
 
 # ---------------------------------------------------------------------------

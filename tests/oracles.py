@@ -18,9 +18,12 @@ bracket of two of their vectors, centralizer chains from the nullspace
 centralizer_in finds at each degree, diamond slots each classified
 afresh, and thin reports from those and the full-depth loop expansion,
 covering scan and parameter k, which bracket every degree and never reuse
-a grading period.  The thin-report oracles keep every component as a
-liealg.Subspace eliminated from brackets, where thinloop works on basis
-positions and table lookups; they share only its report records.
+a grading period, and Leibniz-rule failures and validation reports from
+the rows-based index, kernel and separate encoding loop that liealg used
+before its flat one-pass index.  The thin-report oracles keep every
+component as a liealg.Subspace eliminated from brackets, where thinloop
+works on basis positions and table lookups; they share only its report
+records.
 """
 
 import bisect
@@ -906,3 +909,128 @@ def oracle_thin_report(base, degmap, q, depth, X, Y):
         q, depth, expansion.dims, expansion.coincidence, gens, covering, diamonds,
         nondiamond, anomalies, chains, k, k_note, expansion,
     )
+
+
+class OracleLeibnizIndex:
+    """The rows-based Leibniz index liealg used before its flat one: the
+    stored pairs read in sorted order, each (target, log) row and its
+    negation kept once in a sharing dict.
+
+    keys[a], rows[a]: the b with [b_a, b_b] stored, ascending, and its terms
+    as (target, log); by_target[m]: ((j * dim + k) * dim, log), ascending,
+    for the pairs j < k with a term at m.  Only well-formed entries are read
+    (keys 0 <= i < j < dim, targets in range); zero coefficients are indexed
+    and add nothing.  one_term is liealg._one_term(t).
+    """
+
+    def __init__(self, t):
+        dim = self.dim = t.dim
+        field = t.field
+        n = field.size - 1
+        minus_one = (-field.one).log
+        neg = self.neg = [(a + minus_one) % n for a in range(n)] + [2 * n] * (n + 1)
+        keys = self.keys = [[] for _ in range(dim)]
+        rows = self.rows = [[] for _ in range(dim)]
+        by_target = self.by_target = [[] for _ in range(dim)]
+        shared = {}
+        for (i, j), terms in sorted(t.brackets.items()):
+            row = tuple([(k, c.log) for k, c in terms if 0 <= k < dim])
+            pair = shared.get(row)
+            if pair is None:
+                pair = shared[row] = row, tuple([(k, neg[c]) for k, c in row])
+            row, negated = pair
+            if 0 <= i < j < dim and row:
+                keys[i].append(j)
+                rows[i].append(row)
+                keys[j].append(i)
+                rows[j].append(negated)
+                base = (i * dim + j) * dim
+                for k, c in row:
+                    by_target[k].append((base, c))
+        longest = max(map(len, t.brackets.values()), default=0)
+        self.one_term = (
+            longest <= 1
+            and sum(map(len, keys)) == 2 * len(t.brackets)
+            and all(row[0][1] < n for row in shared)
+        )
+        p = self.p = field.p
+        s = self.s = (3 * longest * longest * (p - 1)).bit_length()
+        pexp = self.pexp = [0] * (4 * n + 1)
+        for c in field.elements():
+            if c:
+                pexp[c.log] = pexp[c.log + n] = sum(x << (s * e) for e, x in enumerate(c.coords))
+
+
+def oracle_leibniz_failures(index, scans):
+    """The kernel over OracleLeibnizIndex rows, as liealg._leibniz_failures
+    reports it: for each (g, lo), g and the pairs lo < j < k, ascending, on
+    which ad b_g breaks the Leibniz rule."""
+    dim, keys, rows, by_target = index.dim, index.keys, index.rows, index.by_target
+    neg, pexp, p, s = index.neg, index.pexp, index.p, index.s
+    mask = (1 << s) - 1
+
+    def nonzero(v):
+        while v:
+            if (v & mask) % p:
+                return True
+            v >>= s
+        return False
+
+    out = []
+    for g, lo in scans:
+        acc = {}
+        gkeys, grows = keys[g], rows[g]
+        above = (lo + 1) * dim * dim
+        for m, terms in zip(gkeys, grows):
+            pairs = by_target[m][bisect.bisect_left(by_target[m], (above,)):]
+            for target, e in terms:
+                for base, c in pairs:
+                    acc[base + target] = acc.get(base + target, 0) + pexp[e + c]
+        for x in range(bisect.bisect_right(gkeys, lo), len(gkeys)):
+            a, terms = gkeys[x], grows[x]
+            for m, c in terms:
+                mkeys, mrows = keys[m], rows[m]
+                for y in range(bisect.bisect_right(mkeys, a), len(mkeys)):
+                    base = (a * dim + mkeys[y]) * dim
+                    for target, d in mrows[y]:
+                        acc[base + target] = acc.get(base + target, 0) + pexp[neg[c] + d]
+                for y in range(bisect.bisect_right(mkeys, lo), bisect.bisect_left(mkeys, a)):
+                    base = (mkeys[y] * dim + a) * dim
+                    for target, d in mrows[y]:
+                        acc[base + target] = acc.get(base + target, 0) + pexp[c + d]
+        bad = sorted({key // dim for key, v in acc.items() if nonzero(v)})
+        out.append((g, [divmod(jk, dim) for jk in bad]))
+    return out
+
+
+def oracle_validate_table(t, max_violations=10):
+    """validate_table from the separate encoding loop it used before the
+    flat index and the scan of every basis triple through the oracle
+    kernel, one pass per basis vector.  The certificate only shortens a run
+    whose scan finds nothing, so the report is the same."""
+    from thinlie.liealg import ValidationReport
+
+    messages = []
+    encoding_ok = True
+    dim = t.dim
+    for (i, j), terms in t.brackets.items():
+        if not (0 <= i < j < dim):
+            encoding_ok = False
+            messages.append(f"bad key ({i}, {j})")
+        for k, c in terms:
+            if not (0 <= k < dim):
+                encoding_ok = False
+                messages.append(f"target {k} out of range in ({i}, {j})")
+            if not c:
+                encoding_ok = False
+                messages.append(f"stored zero coefficient in ({i}, {j})")
+    violations = []
+    index = OracleLeibnizIndex(t)
+    for i, pairs in oracle_leibniz_failures(index, [(i, i) for i in range(dim)]):
+        for j, k in pairs:
+            violations.append((i, j, k))
+            if len(violations) >= max_violations:
+                messages.append("Jacobi scan aborted at violation cap")
+                return ValidationReport(False, encoding_ok, False, violations, messages)
+    jacobi_ok = not violations
+    return ValidationReport(encoding_ok and jacobi_ok, encoding_ok, jacobi_ok, violations, messages)

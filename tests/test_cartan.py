@@ -50,6 +50,18 @@ def test_binom_against_pascal(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lucas_pascal_is_the_additive_triangle(p):
+    # every top up to 2p^3 + 1, so rows a of one to four base-p digits,
+    # against the triangle built by addition alone
+    top = 2 * p ** 3 + 1
+    rows = [[1]]
+    for _ in range(top):
+        rows.append([1] + [(x + y) % p for x, y in zip(rows[-1], rows[-1][1:])] + [1])
+    for t in range(top + 1):
+        assert cartan._pascal(t, p) == rows[:t + 1], t
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_coeff_N_x2_y(p):
     # {x^(2), y} = -x: the derivation oracle gives the same value
     assert coeff_N(2, 0, 0, 1, p) == (-1) % p == poisson_coefficient(2, 0, 0, 1, p)

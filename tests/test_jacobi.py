@@ -171,16 +171,15 @@ def test_derivation_check_names_the_first_failing_pair(table):
 
 
 def test_malformed_table_reports_without_raising():
+    # the messages follow the dict's order, also stored last key first
     f3 = field_create(3)
     one, zero = f3.one, f3.zero
-    table = StructureTable(f3, ["a", "b", "c"], {(1, 0): ((2, one),), (0, 1): ((7, one),), (0, 2): ((1, zero),)})
-    report = validate_table(table)
-    assert (report.ok, report.encoding_ok, report.jacobi_ok, report.violations) == (False, False, True, [])
-    assert report.messages == [
-        "bad key (1, 0)",
-        "target 7 out of range in (0, 1)",
-        "stored zero coefficient in (0, 2)",
-    ]
+    brackets = [((1, 0), ((2, one),)), ((0, 1), ((7, one),)), ((0, 2), ((1, zero),))]
+    messages = ["bad key (1, 0)", "target 7 out of range in (0, 1)", "stored zero coefficient in (0, 2)"]
+    for step in (1, -1):
+        report = validate_table(StructureTable(f3, ["a", "b", "c"], dict(brackets[::step])))
+        assert (report.ok, report.encoding_ok, report.jacobi_ok, report.violations) == (False, False, True, [])
+        assert report.messages == messages[::step]
 
 
 # ---------------------------------------------------------------------------
