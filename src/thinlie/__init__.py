@@ -36,10 +36,8 @@ from .liealg import (
     Element,
     MapCheck,
     StructureTable,
-    Subspace,
     bracket,
     center,
-    centralizer_in,
     check_structure_map,
     extend_to_generators,
     quotient_by_ideal,

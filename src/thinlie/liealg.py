@@ -2,12 +2,13 @@
 
 A StructureTable stores sparse bracket coefficients for ordered basis pairs
 (i < j); antisymmetry is implicit and diagonal brackets are zero even in
-characteristic two (the tables are alternating).  All subspace work goes
-through one incremental echelon kernel, Echelon, whose reduced form is
-canonical over an exact field, so subspace equality is matrix equality.
-Echelon takes and returns sparse {column: coefficient} dicts, the same
-coordinates an Element stores, and eliminates on discrete logs as bracket
-does; its cost follows the supports of the vectors, not the dimension.
+characteristic two (the tables are alternating).  One incremental
+echelon kernel, Echelon, takes and returns sparse {column: coefficient}
+dicts, the same coordinates an Element stores, and eliminates on discrete
+logs as bracket does; its cost follows the supports of the vectors, not
+the dimension.  check_structure_map reads it for the rank of the images
+and to coerce them.  The center is read off the stored pairs, with no
+elimination (center).
 validate_table and check_structure_map prove the Jacobi identity with one
 Leibniz-rule kernel, whose cost follows the nonzero bracket compositions,
 not the number of basis triples; it reads flat per-vector lists that one
@@ -123,9 +124,6 @@ class StructureTable:
 
     def element(self, coeffs: dict[int, FieldElement]) -> "Element":
         return Element(self, {k: c for k, c in coeffs.items() if c})
-
-    def full_subspace(self) -> "Subspace":
-        return Subspace.from_elements(self, map(self.basis_element, range(self.dim)))
 
     def to_json(self) -> dict:
         with _gc_paused():
@@ -378,55 +376,6 @@ class Echelon:
         return True
 
 
-class Subspace:
-    """A subspace of a table's underlying vector space.
-
-    echelon holds it in reduced echelon form and must not change after
-    construction.  Its sparse rows are canonical, so two subspaces are equal
-    (and hash alike) exactly when their rows are.
-    """
-
-    __slots__ = ("table", "echelon", "pivots", "_basis")
-
-    def __init__(self, table: StructureTable, echelon: Echelon):
-        self.table = table
-        self.echelon = echelon
-        self.pivots = tuple(echelon.pivots)
-        self._basis: list[Element] | None = None
-
-    @classmethod
-    def from_elements(cls, table: StructureTable, elements: Iterable[Element]) -> "Subspace":
-        return cls(table, Echelon(table.field, (e.coords for e in elements)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.table is other.table
-            and self.echelon.rows == other.echelon.rows
-        )
-
-    def __hash__(self) -> int:
-        rows = self.echelon.rows
-        return hash((id(self.table), tuple(frozenset(rows[pc].items()) for pc in self.pivots)))
-
-    def contains(self, elem: Element) -> bool:
-        return not self.echelon.reduce(elem.coords)
-
-    def basis_elements(self) -> list[Element]:
-        """The rows as Elements, built once: no caller may change their coords."""
-        if self._basis is None:
-            rows = self.echelon.rows
-            self._basis = [Element(self.table, dict(sorted(rows[pc].items()))) for pc in self.pivots]
-        return list(self._basis)
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim} of {self.table.dim})"
-
-
 # ---------------------------------------------------------------------------
 # table validation
 # ---------------------------------------------------------------------------
@@ -659,7 +608,7 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
 
 
 # ---------------------------------------------------------------------------
-# subalgebras, ideals, centralizers
+# generating sets, the center, coordinate quotients
 # ---------------------------------------------------------------------------
 
 def _one_term(t: StructureTable) -> bool:
@@ -742,43 +691,33 @@ def extend_to_generators(t: StructureTable, start: Sequence[int]) -> list[int]:
     return list(_greedy_generators(t, start, range(t.dim)))
 
 
-def centralizer_in(t: StructureTable, ambient: Subspace, target: Subspace) -> Subspace:
-    """{a in ambient : [a, b] = 0 for every b in target}."""
-    m = ambient.dim
-    if m == 0 or target.dim == 0:
-        return ambient
-    arows = ambient.basis_elements()
-    constraints: list[Vec] = []
-    for b in target.basis_elements():
-        # one constraint per coordinate k of the images [a_i, b]
-        by_coord: dict[int, Vec] = {}
-        for i, a in enumerate(arows):
-            for k, c in bracket(a, b).coords.items():
-                by_coord.setdefault(k, {})[i] = c
-        constraints.extend(by_coord.values())
-    kernel = [
-        Element(t, _combine((c, arows[i].coords) for i, c in combo.items()))
-        for combo in _nullspace(t.field, constraints, m)
-    ]
-    return Subspace.from_elements(t, kernel)
+def center(t: StructureTable) -> tuple[int, ...]:
+    """The center of t: the sorted positions of the basis vectors that are
+    in no stored pair, which span it.
 
-
-def center(t: StructureTable, s: Subspace) -> Subspace:
-    return centralizer_in(t, s, s)
-
-
-def _nullspace(field: FieldSpec, constraints: list[Vec], m: int) -> list[Vec]:
-    """Basis of {x in F^m : A x = 0} for sparse constraint rows A."""
-    ech = Echelon(field, constraints)
-    out = []
-    for f in range(m):
-        if f not in ech.rows:
-            vec = {f: field.one}
-            for pc, row in ech.rows.items():
-                if f in row:
-                    vec[pc] = -row[f]
-            out.append(vec)
-    return out
+    Exact on a one-term table (_one_term) where each ad b_j is
+    support-injective: distinct i with [b_i, b_j] != 0 have distinct
+    targets.  For z = sum c_i b_i, [z, b_j] = sum c_i [b_i, b_j] then has
+    one distinct target per such i, so it vanishes only when each such c_i
+    does: z is central iff c_i = 0 for every i in a stored pair.  No Jacobi
+    identity is used.  The one pass over the stored pairs that collects the
+    positions checks both conditions; ValueError when either fails.
+    """
+    dim, zero = t.dim, 2 * (t.field.size - 1)
+    paired = bytearray(dim)
+    hit: set[int] = set()  # j * dim + k: some [b_i, b_j] is a multiple of b_k
+    for (i, j), terms in t.brackets.items():
+        ((k, c),) = terms if len(terms) == 1 else ((-1, None),)
+        if not (0 <= i < j < dim and 0 <= k < dim and c.log != zero):
+            raise ValueError(f"the center is read off one-term tables only: the pair ({i}, {j}) stores {terms!r}")
+        ik, jk = i * dim + k, j * dim + k
+        if ik in hit or jk in hit:
+            b = t.labels[i if ik in hit else j]
+            raise ValueError(f"the center is read off support-injective tables only: ad {b} sends two basis vectors to {t.labels[k]}")
+        hit.add(ik)
+        hit.add(jk)
+        paired[i] = paired[j] = 1
+    return tuple(m for m in range(dim) if not paired[m])
 
 
 def quotient_by_ideal(t: StructureTable, drop: Iterable[int]) -> StructureTable:

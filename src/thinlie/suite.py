@@ -211,7 +211,7 @@ def criterion_10_property_suites() -> None:
         x, y = rep.generators.X, rep.generators.Y
         enum_failures = set(check_covering(expansion, x, y).failures)
         for d in range(2, expansion.depth):
-            if expansion.component(d).dim == 2:
+            if expansion.dims[d - 1] == 2:
                 by_enum = d not in enum_failures
                 by_crit = covering_criterion_at(expansion, x, y, d)
                 _require(by_enum == by_crit, f"covering oracles disagree at degree {d}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import ConsecutiveDiamonds, MalformedDiamond, NoAnnihilator, NotStabilized
 from .ffield import FieldElement, find_roots
-from .liealg import DegreeMap, Element, StructureTable, Subspace, bracket, validate_grading
+from .liealg import DegreeMap, Element, StructureTable, bracket, validate_grading
 
 class _Infinity:
     """Type marker for diamonds whose relation reads -[V,X,Y] = [V,Y,X]."""
@@ -80,9 +80,10 @@ def _targets(get, left, right) -> set[int]:
 
 @dataclass
 class LoopExpansion:
-    """The components M_d of the base algebra, each the sorted tuple of the
-    basis positions that span it, 1-indexed by degree; period_start is the
-    first s with M_{s+N} = M_s, None without a repeat within the depth."""
+    """The components M_d of the base algebra: components[d - 1] is the
+    sorted tuple of the basis positions that span M_d, and dims[d - 1] its
+    dimension; period_start is the first s with M_{s+N} = M_s, None without
+    a repeat within the depth."""
 
     base: StructureTable
     degmap: DegreeMap
@@ -90,11 +91,6 @@ class LoopExpansion:
     components: list[tuple[int, ...]]
     coincidence: bool
     period_start: int | None = None
-
-    def component(self, d: int) -> Subspace:
-        """M_d as a Subspace, built on each call."""
-        base = self.base
-        return Subspace.from_elements(base, map(base.basis_element, self.components[d - 1]))
 
     @property
     def dims(self) -> list[int]:

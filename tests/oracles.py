@@ -14,16 +14,22 @@ pair, right-normed spans from every bracket of a found vector with a
 generator, generated subalgebras from every bracket of two found vectors,
 quotients by an ideal from every bracket of two kept basis vectors,
 derived subalgebras and subalgebra tables of element families from every
-bracket of two of their vectors, centralizer chains from the nullspace
-centralizer_in finds at each degree, diamond slots each classified
-afresh, and thin reports from those and the full-depth loop expansion,
-covering scan and parameter k, which bracket every degree and never reuse
+bracket of two of their vectors, centers and centralizer chains from the
+nullspace centralizer_in finds, diamond slots each classified afresh,
+and thin reports from those and the full-depth loop expansion, covering
+scan and parameter k, which bracket every degree and never reuse
 a grading period, and Leibniz-rule failures and validation reports from
 the rows-based index, kernel and separate encoding loop that liealg used
 before its flat one-pass index.  The thin-report oracles keep every
-component as a liealg.Subspace eliminated from brackets, where thinloop
+component as a Subspace eliminated from brackets, where thinloop
 works on basis positions and table lookups; they share only its report
 records.
+
+Subspace, centralizer_in and oracle_center are this module's own: the
+subspaces and nullspace centralizers liealg had before it read the center
+off the stored pairs (liealg.center).  A Subspace keeps liealg.Echelon's
+canonical reduced rows, so two are equal exactly when their rows are;
+oracle_component gives a loop expansion's M_d as one.
 """
 
 import bisect
@@ -260,6 +266,124 @@ class OracleEchelon:
         return True
 
 
+# ---------------------------------------------------------------------------
+# subspaces and nullspace centralizers, as liealg had them before it read the
+# center off the stored pairs
+# ---------------------------------------------------------------------------
+
+class Subspace:
+    """A subspace of a table's underlying vector space.
+
+    echelon holds it in reduced echelon form and must not change after
+    construction.  Its sparse rows are canonical, so two subspaces are equal
+    (and hash alike) exactly when their rows are.
+    """
+
+    __slots__ = ("table", "echelon", "pivots", "_basis")
+
+    def __init__(self, table, echelon):
+        self.table = table
+        self.echelon = echelon
+        self.pivots = tuple(echelon.pivots)
+        self._basis = None
+
+    @classmethod
+    def from_elements(cls, table, elements):
+        from thinlie.liealg import Echelon
+
+        return cls(table, Echelon(table.field, (e.coords for e in elements)))
+
+    @property
+    def dim(self):
+        return len(self.pivots)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Subspace)
+            and self.table is other.table
+            and self.echelon.rows == other.echelon.rows
+        )
+
+    def __hash__(self):
+        rows = self.echelon.rows
+        return hash((id(self.table), tuple(frozenset(rows[pc].items()) for pc in self.pivots)))
+
+    def contains(self, elem):
+        return not self.echelon.reduce(elem.coords)
+
+    def basis_elements(self):
+        """The rows as Elements, built once: no caller may change their coords."""
+        from thinlie.liealg import Element
+
+        if self._basis is None:
+            rows = self.echelon.rows
+            self._basis = [Element(self.table, dict(sorted(rows[pc].items()))) for pc in self.pivots]
+        return list(self._basis)
+
+    def __repr__(self):
+        return f"Subspace(dim={self.dim} of {self.table.dim})"
+
+
+def coordinate_span(table, positions):
+    """The Subspace spanned by the basis vectors at positions."""
+    return Subspace.from_elements(table, map(table.basis_element, positions))
+
+
+def full_subspace(table):
+    """The whole underlying space of table as a Subspace."""
+    return coordinate_span(table, range(table.dim))
+
+
+def oracle_component(expansion, d):
+    """M_d of a loop expansion as a Subspace: an OracleExpansion's own, or
+    the coordinate span of a thinloop.LoopExpansion's positions."""
+    comp = expansion.components[d - 1]
+    return comp if isinstance(comp, Subspace) else coordinate_span(expansion.base, comp)
+
+
+def centralizer_in(t, ambient, target):
+    """{a in ambient : [a, b] = 0 for every b in target}."""
+    from thinlie.liealg import Element, _combine, bracket
+
+    m = ambient.dim
+    if m == 0 or target.dim == 0:
+        return ambient
+    arows = ambient.basis_elements()
+    constraints = []
+    for b in target.basis_elements():
+        # one constraint per coordinate k of the images [a_i, b]
+        by_coord = {}
+        for i, a in enumerate(arows):
+            for k, c in bracket(a, b).coords.items():
+                by_coord.setdefault(k, {})[i] = c
+        constraints.extend(by_coord.values())
+    kernel = [
+        Element(t, _combine((c, arows[i].coords) for i, c in combo.items()))
+        for combo in _nullspace(t.field, constraints, m)
+    ]
+    return Subspace.from_elements(t, kernel)
+
+
+def oracle_center(t, s):
+    return centralizer_in(t, s, s)
+
+
+def _nullspace(field, constraints, m):
+    """Basis of {x in F^m : A x = 0} for sparse constraint rows A."""
+    from thinlie.liealg import Echelon
+
+    ech = Echelon(field, constraints)
+    out = []
+    for f in range(m):
+        if f not in ech.rows:
+            vec = {f: field.one}
+            for pc, row in ech.rows.items():
+                if f in row:
+                    vec[pc] = -row[f]
+            out.append(vec)
+    return out
+
+
 def change_basis(table, rows, labels):
     """table rewritten in the basis whose E-coordinates are the dense rows:
     each bracket of two new basis vectors by oracle_bracket, then written in
@@ -382,9 +506,7 @@ def subalgebra_generated(table, gens):
     """Smallest bracket-closed subspace containing the elements gens: each
     new vector is bracketed, through oracle_bracket, with every vector found
     so far and eliminated by OracleEchelon, until no bracket leaves the span.
-    Returns a liealg.Subspace."""
-    from thinlie.liealg import Subspace
-
+    Returns a Subspace."""
     if not gens:
         raise ValueError("generator list must be nonempty")
     span = OracleEchelon(table.field)
@@ -401,10 +523,8 @@ def subalgebra_generated(table, gens):
 def derived_subalgebra(table, s):
     """Span of all brackets of basis pairs of the subspace s, each through
     oracle_bracket; NotASubalgebra when one leaves s.  Returns a
-    liealg.Subspace."""
+    Subspace."""
     from thinlie.errors import NotASubalgebra
-    from thinlie.liealg import Subspace
-
     basis = s.basis_elements()
     products = []
     for a in range(len(basis)):
@@ -500,18 +620,18 @@ def oracle_covering_failures(expansion, X, Y):
     """Degrees d where some nonzero u in M_d has span([u,X], [u,Y]) !=
     M_{d+1}: a two-dimensional M_d is checked on each of its |F| + 1
     projective lines, each by a Subspace built from the two brackets."""
-    from thinlie.liealg import Subspace, bracket
+    from thinlie.liealg import bracket
 
     def covers(u, d):
         got = Subspace.from_elements(expansion.base, [bracket(u, X), bracket(u, Y)])
-        return got == expansion.component(d + 1)
+        return got == oracle_component(expansion, d + 1)
 
     failures = []
     for d in range(1, expansion.depth):
-        comp = expansion.component(d)
+        comp = oracle_component(expansion, d)
         if comp.dim == 0:
             continue
-        if expansion.component(d + 1).dim == 0 or comp.dim > 2:
+        if oracle_component(expansion, d + 1).dim == 0 or comp.dim > 2:
             failures.append(d)
             continue
         if comp.dim == 1:
@@ -554,16 +674,13 @@ def eigen_bracket_check(basis) -> bool:
 
 
 class OracleExpansion:
-    """The components M_d of a loop expansion as liealg.Subspace objects,
+    """The components M_d of a loop expansion as Subspace objects,
     1-indexed by degree, with the fields of thinloop.LoopExpansion that the
     oracles and the report read."""
 
     def __init__(self, base, degmap, depth, components, coincidence):
         self.base, self.degmap, self.depth = base, degmap, depth
         self.components, self.coincidence = components, coincidence
-
-    def component(self, d):
-        return self.components[d - 1]
 
     @property
     def dims(self):
@@ -575,7 +692,7 @@ def oracle_loop_expand(base, degmap, depth):
     depth, each a Subspace eliminated from every bracket of a basis vector
     of M_d with one of M_1, with no period detection and any number of
     terms per stored pair."""
-    from thinlie.liealg import Subspace, bracket, validate_grading
+    from thinlie.liealg import bracket, validate_grading
 
     if not validate_grading(base, degmap):
         raise ValueError("degree map is not compatible with the table")
@@ -585,7 +702,7 @@ def oracle_loop_expand(base, degmap, depth):
     classes = {}
     for i, d in enumerate(degmap.degrees):
         classes.setdefault(d, set()).add(i)
-    m1 = Subspace.from_elements(base, map(base.basis_element, sorted(classes.get(1 % n, ()))))
+    m1 = coordinate_span(base, sorted(classes.get(1 % n, ())))
     components = [m1]
     gens = m1.basis_elements()
     for d in range(2, depth + 1):
@@ -626,10 +743,10 @@ def oracle_plane_covers(expansion, X, Y, d):
     from thinlie.ffield import find_roots
     from thinlie.liealg import bracket
 
-    target = expansion.component(d + 1)
+    target = oracle_component(expansion, d + 1)
     if target.dim > 2:
         return False
-    b0, b1 = expansion.component(d).basis_elements()
+    b0, b1 = oracle_component(expansion, d).basis_elements()
     x0, y0, x1, y1 = cols = [_coords_in(target, bracket(b, Z)) for b in (b0, b1) for Z in (X, Y)]
     if any(c is None for c in cols):
         return False
@@ -645,20 +762,20 @@ def oracle_check_covering(expansion, X, Y):
     """The covering verdict decided afresh at every degree below the depth,
     for any X and Y: a one-dimensional M_d = <u> by the Subspace that
     [u, X] and [u, Y] span."""
-    from thinlie.liealg import Subspace, bracket
+    from thinlie.liealg import bracket
     from thinlie.thinloop import CoveringReport
 
     def covers(u, d):
         got = Subspace.from_elements(expansion.base, [bracket(u, X), bracket(u, Y)])
-        return got == expansion.component(d + 1)
+        return got == oracle_component(expansion, d + 1)
 
     failures = []
     upto = expansion.depth - 1
     for d in range(1, upto + 1):
-        comp = expansion.component(d)
+        comp = oracle_component(expansion, d)
         if comp.dim == 0:
             continue
-        if expansion.component(d + 1).dim == 0:
+        if oracle_component(expansion, d + 1).dim == 0:
             failures.append(d)
         elif comp.dim == 1:
             if not covers(comp.basis_elements()[0], d):
@@ -671,11 +788,11 @@ def oracle_check_covering(expansion, X, Y):
 def oracle_second_derived_dims(expansion):
     """dim L''_d for d = 0 .. depth (0 at d = 0), with L' and then L'' each
     bracketed as a graded sum over every pair a + b = d at every degree."""
-    from thinlie.liealg import Echelon, Subspace, bracket
+    from thinlie.liealg import Echelon, bracket
 
     depth = expansion.depth
     base = expansion.base
-    m = [None] + [expansion.component(d) for d in range(1, depth + 1)]
+    m = [None] + [oracle_component(expansion, d) for d in range(1, depth + 1)]
     zero = Subspace.from_elements(base, [])
 
     def graded_bracket(left, right):
@@ -726,16 +843,15 @@ def oracle_parameter_k(expansion):
 def oracle_centralizer_chain(expansion, X, Y, q):
     """The two centralizer chains, each degree by comparing the whole
     centralizer_in(base, M_1, M_d) with <Y>; the proviso as in the library."""
-    from thinlie.liealg import Subspace, centralizer_in
     from thinlie.thinloop import ChainReport
 
     base = expansion.base
-    m1 = expansion.component(1)
+    m1 = oracle_component(expansion, 1)
     span_y = Subspace.from_elements(base, [Y])
 
     def run(lo, hi):
         return all(
-            centralizer_in(base, m1, expansion.component(d)) == span_y
+            centralizer_in(base, m1, oracle_component(expansion, d)) == span_y
             for d in range(lo, hi + 1)
             if d <= expansion.depth
         )
@@ -808,11 +924,11 @@ def oracle_choose_generators(expansion, q, X, Y):
     independence by elimination, and after the shear X + alpha Y every
     second bracket taken again and [V,X,X] = 0 checked."""
     from thinlie.errors import MalformedDiamond, NoAnnihilator
-    from thinlie.liealg import Subspace, bracket
+    from thinlie.liealg import bracket
     from thinlie.thinloop import GeneratorData
 
     base = expansion.base
-    m1 = expansion.component(1)
+    m1 = oracle_component(expansion, 1)
     if m1.dim != 2:
         raise NoAnnihilator(f"degree-1 component has dimension {m1.dim}, not 2", 1)
     if not (m1.contains(X) and m1.contains(Y)):
@@ -820,7 +936,7 @@ def oracle_choose_generators(expansion, q, X, Y):
     if Subspace.from_elements(base, [X, Y]).dim != 2:
         raise ValueError("explicit generators are dependent")
 
-    vspace = expansion.component(q - 1)
+    vspace = oracle_component(expansion, q - 1)
     if vspace.dim != 1:
         raise MalformedDiamond(f"component before the second diamond has dim {vspace.dim}", q)
     v = vspace.basis_elements()[0]
@@ -865,13 +981,13 @@ def oracle_detect_diamonds(expansion, X, Y, q):
     d = q
     ordinal = 2
     while d + 1 <= expansion.depth:
-        vspace = expansion.component(d - 1)
-        slot = expansion.component(d)
+        vspace = oracle_component(expansion, d - 1)
+        slot = oracle_component(expansion, d)
         if vspace.dim != 1:
             anomalies.append(f"component before slot {d} has dim {vspace.dim}")
         else:
             got = oracle_classify_type(
-                vspace.basis_elements()[0], X, Y, slot, expansion.component(d + 1), d
+                vspace.basis_elements()[0], X, Y, slot, oracle_component(expansion, d + 1), d
             )
             if got is None:
                 nondiamond.append(d)
@@ -881,7 +997,7 @@ def oracle_detect_diamonds(expansion, X, Y, q):
         d += q - 1
         ordinal += 1
     for d in range(2, expansion.depth + 1):
-        dim = expansion.component(d).dim
+        dim = oracle_component(expansion, d).dim
         if dim > 2:
             anomalies.append(f"component at degree {d} has dim {dim}")
         elif dim == 2 and (d - 1) % (q - 1) != 0:

@@ -11,11 +11,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import OracleExpansion, element_by_index, oracle_check_covering, oracle_covering_failures
+from oracles import (
+    OracleExpansion,
+    Subspace,
+    coordinate_span,
+    element_by_index,
+    oracle_check_covering,
+    oracle_covering_failures,
+)
 from thinlie.cartan import build_H2_phi1
 from thinlie.ffield import field_create
 from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_finite
-from thinlie.liealg import DegreeMap, StructureTable, Subspace
+from thinlie.liealg import DegreeMap, StructureTable
 from thinlie.thinloop import LoopExpansion, check_covering, loop_expand
 from thinlie.verify import run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
@@ -126,8 +133,8 @@ def plane_slots(draw):
         entries.append((b, g, list(terms.items())))
     table = StructureTable.from_entries(field, ["x", "y", "b0", "b1", "w0", "w1", "z"], entries)
     components = [
-        Subspace.from_elements(table, [table.basis_element(X), table.basis_element(Y)]),
-        Subspace.from_elements(table, [table.basis_element(B0), table.basis_element(B1)]),
+        coordinate_span(table, [X, Y]),
+        coordinate_span(table, [B0, B1]),
         Subspace.from_elements(table, [table.element(w) for w in target]),
     ]
     degmap = DegreeMap(4, (1, 1, 2, 2, 3, 3, 3))

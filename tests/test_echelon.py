@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     OracleEchelon,
+    Subspace,
     change_basis,
     dense_row,
     element_by_index,
@@ -18,7 +19,7 @@ from oracles import (
 )
 from thinlie.cartan import build_H2_second_derived, build_W1n
 from thinlie.ffield import field_create
-from thinlie.liealg import Echelon, StructureTable, Subspace
+from thinlie.liealg import Echelon, StructureTable
 
 F2, F3, F4, F9 = field_create(2), field_create(3), field_create(2, 2), field_create(3, 2)
 F5, F25, F49 = field_create(5), field_create(5, 2), field_create(7, 2)

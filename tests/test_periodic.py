@@ -28,7 +28,9 @@ from functools import lru_cache
 import pytest
 
 from oracles import (
+    Subspace,
     oracle_check_covering,
+    oracle_component,
     oracle_loop_expand,
     oracle_parameter_k,
     oracle_second_derived_dims,
@@ -38,7 +40,7 @@ from test_sweep import MIXED_INPUTS
 from thinlie import thinloop, verify
 from thinlie.errors import NotStabilized
 from thinlie.ffield import field_create
-from thinlie.liealg import DegreeMap, StructureTable, Subspace, validate_table
+from thinlie.liealg import DegreeMap, StructureTable, validate_table
 from thinlie.thinloop import check_covering, loop_expand, parameter_k, thin_report
 
 F3, F4, F9, F25 = field_create(3), field_create(2, 2), field_create(3, 2), field_create(5, 2)
@@ -67,7 +69,7 @@ def _first_repeat(components, n):
 
 def _subspaces(expansion):
     """The position components of a loop expansion as Subspaces."""
-    return [expansion.component(d) for d in range(1, expansion.depth + 1)]
+    return [oracle_component(expansion, d) for d in range(1, expansion.depth + 1)]
 
 
 def _assert_reports_agree(g):
@@ -183,7 +185,7 @@ def _oracle_covering(expansion, x, y):
     """oracle_check_covering where check_covering takes x and y, spanning a
     two-dimensional M_1 (not on the dies-late tables whose chain wraps into
     degree 1), and otherwise the ValueError check_covering raises."""
-    m1 = expansion.component(1)
+    m1 = oracle_component(expansion, 1)
     if m1.dim != 2 or Subspace.from_elements(expansion.base, [x, y]) != m1:
         raise ValueError("x and y do not span a two-dimensional M_1")
     return oracle_check_covering(expansion, x, y)

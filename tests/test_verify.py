@@ -3,14 +3,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import centralizer_in, coordinate_span, full_subspace, oracle_center
 from thinlie.cartan import build_H2_phi1
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
-from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_mixed, params_from_mu3, toral_params
+from thinlie.grading import grade_mixed, params_from_mu3, toral_params
 from thinlie import grading, verify
-from thinlie.liealg import MapCheck, StructureTable, Subspace, center, centralizer_in
+from thinlie.liealg import MapCheck, StructureTable, center
 from thinlie.thinloop import INFINITY
-from thinlie.verify import Grading, _center, _derived_in_char_two, run_eps_zero, run_finite, run_sigma_zero, toral_grading
+from thinlie.verify import Grading, _derived_in_char_two, run_eps_zero, run_finite, run_sigma_zero, toral_grading
 
 
 def test_sigma_zero_char_two_q8_all_fake1():
@@ -38,32 +39,65 @@ def test_char_two_restriction_checks_the_derived_subalgebra():
         _derived_in_char_two(replace(grading, drop=0))
 
 
+def _without_pairs_of(t, m):
+    """t with every stored pair that holds position m removed: b_m central."""
+    return StructureTable(t.field, t.labels, {key: terms for key, terms in t.brackets.items() if m not in key})
+
+
 @pytest.mark.parametrize("p, n2", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
 def test_eps_zero_center_in_two_steps_is_the_center(p, n2):
-    # every ratio run_eps_zero allows: nonzero and other than -1
+    # the lookup center against the nullspace oracle on the eps = 0 and
+    # eps = 1 tables of the eps-zero sweep, and on the eps = 0 table with
+    # every stored pair of the corner monomial removed
     field = field_create(p)
     hhat = build_H2_phi1(p, 1, n2, field, 0)
-    want = center(hhat, hhat.full_subspace())
-    for ratio in range(1, p - 1):
-        basis = eigenbasis(hhat, ToralParams(field.element(ratio), field.one, field.zero))
-        assert _center(hhat, [basis.vectors[i] for i in generator_positions(basis)]) == want
+    corner = hhat.dim - 1
+    cases = [(hhat, (0,)), (build_H2_phi1(p, 1, n2, field, 1), ()), (_without_pairs_of(hhat, corner), (0, corner))]
+    for t, want in cases:
+        assert center(t) == want
+        assert oracle_center(t, full_subspace(t)) == coordinate_span(t, want)
 
 
 def test_center_needs_the_second_centralizer_step():
     # [a0, a1] = a2: C(a0) = <a0, a2, a3> is larger than Z = <a2, a3>
     f3 = field_create(3)
     t = StructureTable(f3, ["a0", "a1", "a2", "a3"], {(0, 1): ((2, f3.one),)})
-    full = t.full_subspace()
-    g = [t.basis_element(0)]
-    first = centralizer_in(t, full, Subspace.from_elements(t, g))
-    assert first == Subspace.from_elements(t, [t.basis_element(i) for i in (0, 2, 3)])
-    assert _center(t, g) == center(t, full) == Subspace.from_elements(t, [t.basis_element(i) for i in (2, 3)])
+    full = full_subspace(t)
+    first = centralizer_in(t, full, coordinate_span(t, [0]))
+    assert first == coordinate_span(t, [0, 2, 3])
+    assert centralizer_in(t, first, full) == oracle_center(t, full) == coordinate_span(t, [2, 3])
+    assert center(t) == (2, 3)
+
+
+def test_center_reads_only_one_term_support_injective_tables():
+    # ad a2 sends a0 and a1 to a3, so a0 - a1 is central, and ad a0 sends a1
+    # and a2 to a3: no set of basis positions spans either center; and a
+    # pair of two terms is not read
+    f3 = field_create(3)
+    one = f3.one
+    labels = ["a0", "a1", "a2", "a3"]
+    for pairs in [((0, 2), (1, 2)), ((0, 1), (0, 2))]:
+        merged = StructureTable(f3, labels, {key: ((3, one),) for key in pairs})
+        assert oracle_center(merged, full_subspace(merged)).dim == 2
+        with pytest.raises(ValueError, match="support-injective"):
+            center(merged)
+    with pytest.raises(ValueError, match="one-term"):
+        center(StructureTable(f3, labels, {(0, 1): ((2, one), (3, one))}))
 
 
 def test_front_half_mismatches_come_before_the_certificate(monkeypatch):
-    # no shipped table fails these checks, so stand-ins fail them: the
-    # center check runs first and its mismatch precedes a failed certificate
-    monkeypatch.setattr(verify, "_center", lambda t, gens: t.full_subspace())
+    # the center check runs first and its mismatch precedes a failed
+    # certificate: on the eps = 0 table with one more central monomial (the
+    # eigenbasis, which rejects any table with pairs removed, reads the
+    # whole one), and, since no shipped table fails the later checks,
+    # through stand-ins
+    hhat = build_H2_phi1(5, 1, 1, field_create(5), 0)
+    monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: _without_pairs_of(hhat, hhat.dim - 1))
+    monkeypatch.setattr(verify, "eigenbasis", lambda t, params: grading.eigenbasis(hhat, params))
+    run = run_eps_zero(5, 1, 1)
+    assert not run.ok and run.mismatches == ["center of the eps = 0 extension is not the constant line"]
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "center", lambda t: (0, 1))
     run = run_eps_zero(5, 1, 1)
     assert not run.ok and run.mismatches == ["center of the eps = 0 extension is not the constant line"]
     monkeypatch.setattr(grading, "check_structure_map", lambda *a: MapCheck("rank", "forced"))
@@ -88,5 +122,6 @@ def test_toral_grading_builds_the_table_of_params_eps(p, params):
     g, basis = toral_grading(p, 1, params)
     want = build_H2_phi1(p, 1, 1, params.field, params.eps)
     assert basis.table.to_json() == want.to_json()
-    assert center(basis.table, basis.table.full_subspace()).dim == (0 if params.eps else 1)
+    assert oracle_center(basis.table, full_subspace(basis.table)).dim == (0 if params.eps else 1)
+    assert center(basis.table) == (() if params.eps else (0,))
     assert g.table is basis.eigen_table and g.degmap.modulus == (p - 1) * (p if params.sigma else 1)
