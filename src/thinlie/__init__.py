@@ -39,7 +39,6 @@ from .liealg import (
     bracket,
     center,
     check_structure_map,
-    extend_to_generators,
     quotient_by_ideal,
     subalgebra_table,
     validate_grading,
@@ -61,7 +60,6 @@ from .cartan import (
 from .grading import (
     EigenBasis,
     ToralParams,
-    closed_eigen_table,
     eigenbasis,
     grade_finite,
     grade_mixed,

@@ -45,13 +45,12 @@ cycle.  Output and memory use are the same with the collector on.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import FieldSizeMismatch, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
 from .ffield import FieldElement, FieldSpec, field_create
-from .liealg import DegreeMap, StructureTable, _gc_paused
+from .liealg import DegreeMap, RuleBrackets, StructureTable, _gc_paused
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -338,35 +337,24 @@ def phi1_monomials(p: int, n1: int, n2: int) -> list[tuple[int, int]]:
     return monomials(*params.tau)
 
 
-_UNREAD = object()  # a product get has not yet worked out
-
-
-class Phi1Brackets(Mapping):
+class Phi1Brackets(RuleBrackets):
     """The bracket dict of build_H2_phi1(p, n1, n2, field, eps), read by rule.
 
     get((a, b)) works out the product of the monomials at positions a < b,
     row-major as in build_H2_phi1 (x^(i)y^(j) at i p^n2 + j), the way
     _poisson_table does, and memoizes it; a nonzero product whose target
     leaves the box raises NotASubalgebra when it is read.  A read of the
-    whole table (iteration, len, keys, values, items) builds
-    build_H2_phi1's dict once and serves every such read from it, in its
-    key order.  No Pascal triangle or factor table is built for get.
+    whole table is build_H2_phi1's dict.  No Pascal triangle or factor
+    table is built for get.
     """
 
     def __init__(self, p: int, n1: int, n2: int, field: FieldSpec, eps: FieldElement):
+        super().__init__()
         self.params, self.field, self.eps = CartanParams(p, n1, n2), field, eps
         self._tau1, tau2 = self.params.tau
         self._q = tau2 + 1
         self._plain = [field.element(c) for c in range(p)]
         self._scaled = [eps * c for c in self._plain]
-        self._memo: dict = {}
-        self._full: dict | None = None
-
-    def get(self, key, default=None):
-        terms = self._memo.get(key, _UNREAD)
-        if terms is _UNREAD:
-            terms = self._memo[key] = self._product(key)
-        return default if terms is None else terms
 
     def _product(self, key) -> tuple[tuple[int, FieldElement]] | None:
         a, b = key
@@ -396,32 +384,9 @@ class Phi1Brackets(Mapping):
             raise NotASubalgebra(f"nonzero product escaping the basis at ({i},{j},{k},{l})")
         return ((ti * q + tj, coeffs[c]),) if coeffs[c] else None
 
-    def _table(self) -> dict:
-        if self._full is None:
-            p, n1, n2 = self.params.p, self.params.n1, self.params.n2
-            self._full = build_H2_phi1(p, n1, n2, self.field, self.eps).brackets
-        return self._full
-
-    def __getitem__(self, key):
-        terms = self.get(key)
-        if terms is None:
-            raise KeyError(key)
-        return terms
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self) -> int:
-        return len(self._table())
-
-    def keys(self):
-        return self._table().keys()
-
-    def values(self):
-        return self._table().values()
-
-    def items(self):
-        return self._table().items()
+    def _build(self) -> dict:
+        p, n1, n2 = self.params.p, self.params.n1, self.params.n2
+        return build_H2_phi1(p, n1, n2, self.field, self.eps).brackets
 
     def proves_grading(self, d: DegreeMap) -> bool:
         """True when d is affine on the monomials in the way that makes

@@ -9,23 +9,25 @@ algebra is an Albert-Zassenhaus algebra with one-term products
 
     {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
 
-so its table is written down from this formula (closed_eigen_table), not
-conjugated, and a generator certificate (liealg.check_structure_map) proves
-the basis map an isomorphism onto the monomial table.  grade_finite combines
+so its table is read off this formula by rule (AZBrackets), not
+conjugated or stored, and certify_eigenbasis proves the basis map an
+isomorphism onto the monomial table.  grade_finite combines
 the two residues r mod (q-1) and s mod p into a degree modulo (q-1)p.  The
 resulting loop algebra has diamond types in arithmetic progression with
 step sigma/rho, so prescribing the third type mu3 outside the prime field
 pins (sigma, rho) down exactly; params_from_mu3 inverts that prescription.
 No function here checks a degree map against its table: loop_expand does,
-once per expansion (liealg.validate_grading).
+once per expansion (liealg.validate_grading, from AZBrackets.proves_grading).
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
+from functools import cache
 
 from .cartan import binom_mod_p, monomial_label, monomials
-from .errors import DenominatorZero, Mu3InPrimeField, NoRootInField
+from .errors import DenominatorZero, Mu3InPrimeField, NoRootInField, NotAnIdeal
 from .ffield import (
     FieldElement,
     FieldSpec,
@@ -39,11 +41,13 @@ from .liealg import (
     DegreeMap,
     Element,
     MapCheck,
+    RuleBrackets,
     StructureTable,
     _gc_paused,
+    _greedy_generators,
+    _intertwining,
     bracket,
     check_structure_map,
-    extend_to_generators,
 )
 
 
@@ -152,14 +156,15 @@ def toral_element(table: StructureTable, params: ToralParams) -> Element:
 class EigenBasis:
     """Eigenvectors of ad e_0 with their (r, s, alpha) indexing.
 
-    entries[m] = (r, s, alpha) for basis position m of eigen_table, where
-    r = 1 - j is the integer slice label and alpha = r*rho + s*sigma the
-    eigenvalue.  eigen_table is the closed Albert-Zassenhaus table on these
-    labels and certificate the outcome of check_structure_map for the basis
-    map e[r, alpha] -> vectors[m] into the monomial table.  For sigma = 0
-    only the single admissible alpha per slice exists (partial = True): the
-    vectors span the q-dimensional Zassenhaus subalgebra, and eigen_table
-    is its table.
+    entries[m] = (r, s, alpha) for basis position m = j w + s of
+    eigen_table, w per slice, where r = 1 - j is the integer slice label and
+    alpha = r*rho + s*sigma the eigenvalue (s read as the s-th element of
+    F_{p^n1}).  eigen_table is the closed Albert-Zassenhaus table on these
+    labels, read by rule, and certificate the outcome of certify_eigenbasis
+    for the basis map e[r, alpha] -> vectors[m] into the monomial table.
+    For sigma = 0 only the single admissible alpha per slice exists (partial
+    = True): the vectors span the q-dimensional Zassenhaus subalgebra, and
+    eigen_table is its table.  A failed eigen-equation leaves no eigen_table.
     """
 
     table: StructureTable
@@ -194,14 +199,13 @@ def _subfield_multipliers(field: FieldSpec, n1: int) -> list[FieldElement]:
 def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     """Diagonalize ad e_0 on the Phi(1) monomial table.
 
-    Each vector is checked against the eigen-equation {e_0, v} = alpha*v.
+    Each vector is checked against the eigen-equation {e_0, v} = alpha*v;
+    the first that fails ends the basis, with that failure as certificate.
     With sigma = 0 the basis is partial: one eigenvector per slice, jointly
     spanning the Zassenhaus subalgebra of the sigma = 0 degeneration.  For
-    every sigma eigen_table is built from the closed product formula
-    (closed_eigen_table), and certificate proves the basis map an injective
-    homomorphism into the monomial table (onto it when the basis is full):
-    check_structure_map from X, Y and, where these do not generate, the
-    basis vectors extend_to_generators adds.
+    every sigma eigen_table reads the closed product formula (AZBrackets),
+    and certificate proves the basis map an injective homomorphism into the
+    monomial table (onto it when the basis is full): certify_eigenbasis.
     """
     fieldspec = table.field
     p, n1 = params.p, params.n1
@@ -222,6 +226,7 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
 
     entries: list[tuple[int, int, FieldElement]] = []
     vectors: list[Element] = []
+    basis = EigenBasis(table, params, q, entries, vectors, partial=not params.sigma)
     for j in range(q):
         r = 1 - j
         rj = fieldspec.element(r)
@@ -242,50 +247,176 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
                     coords.pop(pos, None)
             v = table.element(coords)
             if bracket(e0, v) != v.scale(alpha):
-                raise AssertionError(f"eigen-equation fails at (r={r}, s={s})")
+                basis.certificate = MapCheck("eigen-equation", f"at (r={r}, s={s})")
+                return basis
             entries.append((r, s, alpha))
             vectors.append(v)
 
-    basis = EigenBasis(table, params, q, entries, vectors, partial=not params.sigma)
-    et = basis.eigen_table = closed_eigen_table(basis)
-    gens = extend_to_generators(et, generator_positions(basis))
-    basis.certificate = check_structure_map(et, table, vectors, gens)
+    basis.eigen_table = StructureTable(fieldspec, basis.labels, AZBrackets(basis))
+    basis.certificate = certify_eigenbasis(basis)
     return basis
 
 
-def closed_eigen_table(basis: EigenBasis) -> StructureTable:
-    """The table on basis.entries from the closed Albert-Zassenhaus product
+class AZBrackets(RuleBrackets):
+    """The closed Albert-Zassenhaus table on an eigenbasis, read by rule.
+    With B1 = C(j+l-1, l), B2 = C(j+l-1, j) from one table that
+    certify_eigenbasis reads too (_slice_pair), positions (j, s) < (l, t),
+    m = j w + s, have product (beta B1 - alpha B2) e[2-j-l, alpha+beta],
+    zero unless 0 <= j + l - 1 < q.  For n1 = 1, alpha = (1-j) rho + s sigma,
+    s in F_p: (rho u + sigma v) at (j + l - 1, s + t mod p), u = (1-l) B1 -
+    (1-j) B2, v = t B1 - s B2 mod p."""
 
-        {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
+    def __init__(self, basis: EigenBasis):
+        super().__init__()
+        params = basis.params
+        self._p, self._q, self._entries = params.p, basis.q, basis.entries
+        self._dim, self._drop, self._width = len(basis.entries), None, len(basis.entries) // basis.q
+        self._pairs: dict = {}
+        self._rhos = [params.rho * c for c in range(params.p)]
+        self._sigmas = [params.sigma * c for c in range(params.p)]
+        self._position = None if params.n1 == 1 else {(r, a): m for m, (r, _, a) in enumerate(basis.entries)}
 
-    read as zero when 2-j-l leaves [2-q, 1].  In slice labels r = 1-j,
-    r' = 1-l the target slice is r + r', and entries run down the slices,
-    so once r + r' drops below 2-q it stays there for the rest of the row.
-    """
-    fieldspec = basis.table.field
-    p, q, entries = basis.params.p, basis.q, basis.entries
-    position = {(r, alpha): m for m, (r, _, alpha) in enumerate(entries)}
-    binoms: dict[tuple[int, int], tuple[FieldElement, FieldElement]] = {}
-    brackets = {}
-    with _gc_paused():
-        for a, (ra, _, alpha) in enumerate(entries):
-            for b in range(a + 1, len(entries)):
-                rb, _, beta = entries[b]
-                rc = ra + rb
-                if rc > 1:
-                    continue
-                if rc < 2 - q:
-                    break
-                pair = binoms.get((ra, rb))
-                if pair is None:
-                    pair = binoms[(ra, rb)] = (
-                        fieldspec.element(binom_mod_p(1 - rc, 1 - rb, p)),
-                        fieldspec.element(binom_mod_p(1 - rc, 1 - ra, p)),
-                    )
-                coeff = beta * pair[0] - alpha * pair[1]
-                if coeff:
-                    brackets[(a, b)] = ((position[(rc, alpha + beta)], coeff),)
-    return StructureTable(fieldspec, basis.labels, brackets)
+    def _slice_pair(self, ja: int, jb: int) -> tuple[int, int, int]:
+        """(jc, B1, B2) = (ja + jb - 1, C(jc, jb), C(jc, ja)) mod p, memoized;
+        B1 = B2 = 0 when jc leaves [0, q-1], where products read as zero."""
+        if (ja, jb) not in self._pairs:
+            jc, p = ja + jb - 1, self._p
+            inside = 0 <= jc < self._q
+            self._pairs[ja, jb] = (jc, binom_mod_p(jc, jb, p), binom_mod_p(jc, ja, p)) if inside else (jc, 0, 0)
+        return self._pairs[ja, jb]
+
+    def _product(self, key) -> tuple[tuple[int, FieldElement]] | None:
+        a, b = key
+        if not 0 <= a < b < self._dim:
+            return None
+        drop, w, p = self._drop, self._width, self._p
+        if drop is not None:
+            a, b = a + (a >= drop), b + (b >= drop)
+        (ja, sa), (jb, sb) = divmod(a, w), divmod(b, w)
+        jc, b1, b2 = self._slice_pair(ja, jb)
+        if not (b1 or b2):
+            return None
+        if self._position is None:
+            c = self._rhos[((1 - jb) * b1 - (1 - ja) * b2) % p] + self._sigmas[(sb * b1 - sa * b2) % p]
+            target = jc * w + (sa + sb) % p
+        else:
+            alpha, beta = self._entries[a][2], self._entries[b][2]
+            c = beta * b1 - alpha * b2
+            target = self._position.get((1 - jc, alpha + beta))
+        if not c or target == drop:
+            return None
+        return ((target - (drop is not None and target > drop), c),)
+
+    def _build(self) -> dict:
+        n, product = self._dim, self._product
+        with _gc_paused():
+            return {(a, b): terms for a in range(n) for b in range(a + 1, n) if (terms := product((a, b)))}
+
+    def proves_grading(self, d: DegreeMap) -> bool:
+        """True when d is raw(r, s) = combine_residues(r mod (q-1), s, q) mod
+        d.modulus, a divisor of (q-1)p (grade_finite, sigma_zero_subalgebra);
+        False says nothing.  raw is additive, and for n1 = 1 the rule takes
+        (r, s), (r', s') to (r + r', s + s' mod p), in a quotient too."""
+        n, q = d.modulus, self._q
+        if self._position is not None or (q - 1) * self._p % n:
+            return False
+        return d.degrees == tuple(
+            combine_residues(r % (q - 1), s, q) % n for m, (r, s, _) in enumerate(self._entries) if m != self._drop
+        )
+
+
+def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
+    """Certify phi: e[r, alpha] -> vectors[m] an injective homomorphism of
+    the rule table into the monomial table, from gens: X, Y and each
+    position outside the _ReachedSpan of those before it, so gens generate.
+
+    - rank: slice j's vectors are the columns (alpha^i)_{i < p^n1} at
+      x^(i) y^(j), plus pi j at the last i, a multiple of the all-ones row
+      i = 0: Vandermonde after one row operation.  Slices have disjoint
+      supports, so the rank is the number of distinct (r, alpha);
+    - intertwining: phi[g, b] = [phi g, phi b] for g in gens, b in the basis;
+    - derivation: ad g is a derivation for g in gens (_derivation).
+
+    The elements with either property are closed under each ad g (the
+    monomial table is Lie) and hold gens, hence everything.  For n1 > 1,
+    check_structure_map reads every pair."""
+    et, vectors = basis.eigen_table, basis.vectors
+    if basis.params.n1 != 1:
+        return check_structure_map(et, basis.table, vectors)
+    rank = len({(r, alpha) for r, _, alpha in basis.entries})
+    if rank != et.dim:
+        return MapCheck("rank", f"the images span {rank} of {et.dim} dimensions")
+    with _gc_paused():  # the checks build nothing cyclic
+        gens = list(_greedy_generators(et, generator_positions(basis), range(et.dim)))
+        check = _intertwining(et, vectors, [v.coords for v in vectors], gens)
+        return _derivation(basis, gens) if check else check
+
+
+def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
+    """ad g is a derivation of the rule table for g in gens (n1 = 1), on a
+    grid.  For g = e(jg, sg) and slices j1 <= j2, the defect [g, [x, y]] -
+    [[g, x], y] - [x, [g, y]] at x = e(j1, s1), y = e(j2, s2) sums products
+    of two rule coefficients rho u + sigma v, u fixed by the slices and v
+    affine in (s1, s2), on one target (terms put apart fail): rho^2 A + rho
+    sigma B + sigma^2 C, A, B, C mod p of degree at most 2 in each of s1,
+    s2.  Zero on S x S, |S| = 3, it is zero on F_p x F_p (Alon,
+    "Combinatorial Nullstellensatz", Combin. Probab. Comput. 8 (1999),
+    Lemma 2.1); S = {0, 1, 2}, all of F_p for p <= 3.  As the rule reads the
+    binomial table the grid reads, every product is the affine form of its
+    slice pair, which on (j, j) needs B1 = B2 (checked first): the grid
+    covers every pair.  A, B, C enter the field only when not all zero."""
+    rule, labels, rho, sigma = basis.eigen_table.brackets, basis.labels, basis.params.rho, basis.params.sigma
+    p, q, w = rule._p, rule._q, rule._width
+    for j in range(q):
+        if rule._slice_pair(j, j)[1] != rule._slice_pair(j, j)[2]:
+            return MapCheck("derivation", f"slice pair ({j}, {j}) is not alternating")
+
+    @cache
+    def form(jx: int, jy: int) -> tuple[int, int, int, int]:
+        # (target slice, u, B1, B2): [e(jx, s), e(jy, t)] = (rho u + sigma (t B1 - s B2)) e(target, s + t)
+        if jx <= jy:
+            jc, b1, b2 = rule._slice_pair(jx, jy)
+        else:
+            jc, b2, b1 = rule._slice_pair(jy, jx)
+        return jc, (1 - jy) * b1 - (1 - jx) * b2, b1, b2
+
+    grid = range(min(w, 3))
+    for g in gens:
+        jg, sg = divmod(g, w)
+        for j1 in range(q):
+            for j2 in range(j1, q):
+                if j1 + j2 + jg > q + 1:
+                    break  # the defect's slice is past q - 1: every term is zero
+                t12, u12, b12, c12 = form(j1, j2)  # [x, y]
+                tg1, ug1, bg1, cg1 = form(jg, j1)  # [g, x]
+                tg2, ug2, bg2, cg2 = form(jg, j2)  # [g, y]
+                t1, u1, b1, c1 = form(jg, t12)  # [g, [x, y]]
+                t2, u2, b2, c2 = form(tg1, j2)  # [[g, x], y]
+                t3, u3, b3, c3 = form(j1, tg2)  # [x, [g, y]]
+                a, apart = u12 * u1 - ug1 * u2 - ug2 * u3, t1 != t2 or t2 != t3
+                for s1 in grid:
+                    for s2 in grid:
+                        v12, vg1, vg2 = s2 * b12 - s1 * c12, s1 * bg1 - sg * cg1, s2 * bg2 - sg * cg2
+                        v1, v2, v3 = (s1 + s2) * b1 - sg * c1, s2 * b2 - (sg + s1) * c2, (sg + s2) * b3 - s1 * c3
+                        b = u12 * v1 + v12 * u1 - ug1 * v2 - vg1 * u2 - ug2 * v3 - vg2 * u3
+                        c = v12 * v1 - vg1 * v2 - vg2 * v3
+                        if apart or (a % p or b % p or c % p) and rho * (rho * a + sigma * b) + sigma * sigma * c:
+                            x, y = labels[j1 * w + s1], labels[j2 * w + s2]
+                            return MapCheck("derivation", f"ad {labels[g]} on [{x}, {y}]")
+    return MapCheck()
+
+
+def eigen_quotient(basis: EigenBasis, drop: int) -> StructureTable:
+    """eigen_table modulo the line of b_drop, a view over the rule on the
+    other positions, ascending, that reads a term on drop as zero; the line
+    is an ideal when the dim products of b_drop lie in it, else NotAnIdeal."""
+    et = basis.eigen_table
+    if any(terms[0][0] != drop for m in range(et.dim) if (terms := et.basis_bracket(drop, m))):
+        raise NotAnIdeal("basis positions are not bracket-stable under the full algebra")
+    view = copy(et.brackets)
+    RuleBrackets.__init__(view)  # none of the parent's products or whole table
+    view._drop, view._dim = drop, et.dim - 1
+    return StructureTable(et.field, [label for m, label in enumerate(et.labels) if m != drop], view)
 
 
 def grade_finite(basis: EigenBasis) -> DegreeMap:
@@ -320,7 +451,7 @@ def generator_positions(basis: EigenBasis) -> tuple[int, int]:
 def sigma_zero_subalgebra(basis: EigenBasis) -> tuple[StructureTable, DegreeMap, int, int]:
     """The q-dimensional Zassenhaus subalgebra of the sigma = 0 degeneration.
 
-    Returns eigen_table, its closed table on the partial eigenbasis (a
+    Returns eigen_table, the closed table on the partial eigenbasis (a
     subalgebra when basis.certificate passes), the grading over Z/(q-1)Z by
     the slice label, and the positions of X and Y.
     """

@@ -2,28 +2,30 @@
 
 A StructureTable stores sparse bracket coefficients for ordered basis pairs
 (i < j); antisymmetry is implicit and diagonal brackets are zero even in
-characteristic two (the tables are alternating).  One incremental
-echelon kernel, Echelon, takes and returns sparse {column: coefficient}
-dicts, the same coordinates an Element stores, and eliminates on discrete
-logs as bracket does; its cost follows the supports of the vectors, not
-the dimension.  check_structure_map reads it for the rank of the images
-and to coerce them.  The center is read off the stored pairs, with no
-elimination (center).
-validate_table and check_structure_map prove the Jacobi identity with one
-Leibniz-rule kernel, whose cost follows the nonzero bracket compositions,
-not the number of basis triples; it reads flat per-vector lists that one
-pass over the stored pairs builds while it checks the encoding.  Both work
-from a generating set, read off one-term tables only (_ReachedSpan); where
-one is passed or asked for, any other table raises ValueError.
-validate_table, check_structure_map's Leibniz passes and
-StructureTable.to_json run with cyclic garbage collection paused
-(_gc_paused): everything they build is acyclic.
+characteristic two (the tables are alternating); brackets may be a
+RuleBrackets, which works each product out when it is read.  One
+incremental echelon kernel, Echelon, takes and returns sparse {column:
+coefficient} dicts, the same coordinates an Element stores, and
+eliminates on discrete logs as bracket does; its cost follows the
+supports of the vectors, not the dimension.  check_structure_map reads it
+for the rank of the images and proves a map on every pair; the eigen
+tables are certified from generators with no elimination
+(grading.certify_eigenbasis).  The center is read off the stored pairs,
+with no elimination (center).
+validate_table proves the Jacobi identity with one Leibniz-rule kernel,
+whose cost follows the nonzero bracket compositions, not the number of
+basis triples; it reads flat per-vector lists that one pass over the
+stored pairs builds while it checks the encoding, and works from a
+generating set, read off one-term tables only (_ReachedSpan).
+validate_table and StructureTable.to_json run with cyclic garbage
+collection paused (_gc_paused): everything they build is acyclic.
 """
 
 from __future__ import annotations
 
 import gc
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -53,11 +55,53 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+_UNREAD = object()  # a product RuleBrackets.get has not yet worked out
+
+
+class RuleBrackets(Mapping):
+    """A bracket dict read by rule: get((a, b)) works out the product at
+    positions a < b with _product (None for zero) and memoizes it; a read of
+    the whole table builds the dict once with _build and serves it."""
+
+    def __init__(self):
+        self._memo: dict = {}
+        self._full: dict | None = None
+
+    def get(self, key, default=None):
+        terms = self._memo.get(key, _UNREAD)
+        if terms is _UNREAD:
+            terms = self._memo[key] = self._product(key)
+        return default if terms is None else terms
+
+    def _table(self) -> dict:
+        if self._full is None:
+            self._full = self._build()
+        return self._full
+
+    def __getitem__(self, key):
+        terms = self.get(key)
+        if terms is None:
+            raise KeyError(key)
+        return terms
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._table())
+
+    def values(self):
+        return self._table().values()
+
+    def items(self):
+        return self._table().items()
+
+
 class StructureTable:
     """A Lie algebra given by labeled basis and sparse bracket coefficients.
 
-    brackets is a dict, or a read-only mapping that reads as one
-    (cartan.Phi1Brackets works each product out when it is read)."""
+    brackets is a dict, or a RuleBrackets that reads as one
+    (cartan.Phi1Brackets, grading.AZBrackets)."""
 
     __slots__ = ("field", "labels", "brackets")
 
@@ -681,16 +725,6 @@ def _greedy_generators(t: StructureTable, start: Iterable[int], candidates: Iter
             closure.adjoin(i)
 
 
-def extend_to_generators(t: StructureTable, start: Sequence[int]) -> list[int]:
-    """start, then each basis position, lowest first, outside the span of
-    the right-normed brackets of the positions chosen so far, until that
-    span is all of t: for a Lie algebra, a generating set of t.  ValueError
-    when t is not one-term."""
-    if not _one_term(t):
-        raise ValueError("generating sets are read off one-term tables only")
-    return list(_greedy_generators(t, start, range(t.dim)))
-
-
 def center(t: StructureTable) -> tuple[int, ...]:
     """The center of t: the sorted positions of the basis vectors that are
     in no stored pair, which span it.
@@ -813,43 +847,25 @@ class MapCheck:
         return "pass" if self.check is None else f"{self.check} fails: {self.detail}"
 
 
-def check_structure_map(
-    src: StructureTable,
-    dst: StructureTable,
-    images: Sequence[Element],
-    gens: Sequence[int] | None = None,
-) -> MapCheck:
-    """Certify that the basis map phi: b_i -> images[i] is an injective
-    homomorphism, from a generating set gens of src (basis positions,
-    default every one).  The checks, in order:
-
-    - rank: the images are linearly independent;
-    - intertwining: phi[g, b] = [phi g, phi b] for g in gens, b in the basis;
-    - derivation: ad g is a derivation of src for every g in gens;
-    - generation: the right-normed brackets [g1, [g2, ..., gk]] of gens
-      span src (in a Lie algebra: gens generate src).
-
-    If ad g is a derivation, ad [g, u] = [ad g, ad u]; so the elements whose
-    ad is a derivation of src contain [g, u] with u, and, when dst is a Lie
-    algebra, so do the elements on which phi intertwines the brackets.  Both
-    contain gens, hence the right-normed brackets, hence all of src: src is
-    a Lie algebra and phi a homomorphism.  When gens is every basis vector
-    the intertwining covers every pair, which alone is the proof, and the
-    last two checks are skipped.  Otherwise src must be one-term (as an
-    eigen table is), else ValueError, and generation is read off
-    _ReachedSpan.
-    """
+def check_structure_map(src: StructureTable, dst: StructureTable, images: Sequence[Element]) -> MapCheck:
+    """Certify the basis map phi: b_i -> images[i] an injective homomorphism:
+    the images are independent (rank, by Echelon) and phi[a, b] = [phi a,
+    phi b] on every pair.  grading.certify_eigenbasis reads fewer pairs."""
     if len(images) != src.dim:
         raise ValueError("need one image per src basis vector")
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
-    labels = src.labels
     coerce = Echelon(dst.field).reduce  # with no rows: coerced as in bracket, no zeros
     vecs = [coerce(e.coords) for e in images]
     rank = Echelon(dst.field, vecs).rank
     if rank != src.dim:
         return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
-    gens = range(src.dim) if gens is None else gens
+    return _intertwining(src, images, vecs, range(src.dim))
+
+
+def _intertwining(src: StructureTable, images: Sequence[Element], vecs: list[Vec], gens: Sequence[int]) -> MapCheck:
+    """phi[g, b] = [phi g, phi b] for phi: b_i -> images[i], g in gens, b in
+    the basis; vecs[i] is images[i] as field elements with no zero."""
     genset = set(gens)
     for g in gens:
         for b in range(src.dim):
@@ -857,21 +873,7 @@ def check_structure_map(
                 continue  # [g, g] = 0, and [b, g] comes with b
             lhs = _combine((c, vecs[k]) for k, c in src.basis_bracket(g, b))
             if lhs != bracket(images[g], images[b]).coords:
-                return MapCheck("intertwining", f"[{labels[g]}, {labels[b]}]")
-    if len(genset) == src.dim:
-        return MapCheck()
-    with _gc_paused():
-        index = _LeibnizIndex(src)
-        if not index.one_term:
-            raise ValueError("a generating set certifies one-term tables only")
-        for g, pairs in _leibniz_failures(index, ((g, -1) for g in gens)):
-            if pairs:
-                a, b = pairs[0]
-                return MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
-    dim = _ReachedSpan(src, gens).rank
-    if dim != src.dim:
-        names = ", ".join(labels[g] for g in gens)
-        return MapCheck("generation", f"{names} generate {dim} of {src.dim} dimensions")
+                return MapCheck("intertwining", f"[{src.labels[g]}, {src.labels[b]}]")
     return MapCheck()
 
 

@@ -17,6 +17,7 @@ from .ffield import FieldElement, field_create
 from .grading import (
     EigenBasis,
     ToralParams,
+    eigen_quotient,
     eigenbasis,
     generator_positions,
     grade_finite,
@@ -30,7 +31,6 @@ from .liealg import (
     StructureTable,
     _ReachedSpan,
     center,
-    quotient_by_ideal,
     subalgebra_table,
 )
 from .thinloop import INFINITY, DiamondRecord, ThinReport, thin_report
@@ -159,8 +159,8 @@ def _reindexed(g: Grading, drop: int, table: StructureTable) -> Grading:
 def _derived_in_char_two(g: Grading) -> Grading:
     """In characteristic two, g on L', which must be spanned by every basis
     vector but g.drop; else g.  On a one-term table, as build_H2_phi1 and
-    closed_eigen_table make, L' is the coordinate span of the stored
-    targets: each basis bracket is a multiple of one of them."""
+    the eigen tables are, L' is the coordinate span of the stored targets:
+    each basis bracket is a multiple of one of them."""
     t = g.table
     if t.field.p != 2:
         return g
@@ -192,17 +192,18 @@ def mixed_grading(p: int, n1: int, n2: int) -> Grading:
 def toral_grading(p: int, n2: int, params: ToralParams) -> tuple[Grading, EigenBasis]:
     """H(2;(1,n2);Phi(1)) with params.eps, graded by the eigenbasis of the
     toral element once the certificate proves its eigen table (else
-    Unproved): the finite grading, or for sigma = 0 the slice grading of a
-    Zassenhaus subalgebra; types mu_t = -1 + (t-2) sigma/rho.  For eps = 0
-    it first checks that the center is <b_0>, b_0 = x^(0)y^(0)."""
+    Unproved, also for a failed eigen-equation): the finite grading, or for
+    sigma = 0 the slice grading of a Zassenhaus subalgebra; types mu_t =
+    -1 + (t-2) sigma/rho.  For eps = 0 it first checks that the center is
+    <b_0>, b_0 = x^(0)y^(0), before the eigenbasis reads the table."""
     table = build_H2_phi1(p, 1, n2, params.field, params.eps)
-    basis = eigenbasis(table, params)
-    gens = generator_positions(basis)
     mismatches = []
     if not params.eps and center(table) != (0,):
         mismatches.append("center of the eps = 0 extension is not the constant line")
+    basis = eigenbasis(table, params)
     if not basis.certificate:
         raise Unproved(*mismatches, f"eigen table certificate: {basis.certificate}")
+    gens = generator_positions(basis)
     degmap = grade_finite(basis) if params.sigma else sigma_zero_subalgebra(basis)[1]
     fieldspec, step = params.field, params.sigma / params.rho
     predicted = lambda rec: -fieldspec.one + fieldspec.element(rec.ordinal - 2) * step
@@ -281,5 +282,5 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
         central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
         if basis.vectors[central] != basis.table.basis_element(0):
             g.mismatches.append("e[1,0] is not the constant monomial")
-        return _reindexed(g, central, quotient_by_ideal(g.table, [central]))
+        return _reindexed(g, central, eigen_quotient(basis, central))
     return _verify(depth, grading)

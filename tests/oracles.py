@@ -30,6 +30,13 @@ subspaces and nullspace centralizers liealg had before it read the center
 off the stored pairs (liealg.center).  A Subspace keeps liealg.Echelon's
 canonical reduced rows, so two are equal exactly when their rows are;
 oracle_component gives a loop expansion's M_d as one.
+
+closed_eigen_table, extend_to_generators and oracle_check_structure_map
+are the materialized Albert-Zassenhaus table, its generating set and the
+generator certificate on it (a flat Leibniz index and a derivation pass
+over all pairs per generator) that the library used before it read the
+eigen table by rule (grading.AZBrackets) and certified it on a grid
+(grading.certify_eigenbasis).
 """
 
 import bisect
@@ -1150,3 +1157,100 @@ def oracle_validate_table(t, max_violations=10):
                 return ValidationReport(False, encoding_ok, False, violations, messages)
     jacobi_ok = not violations
     return ValidationReport(encoding_ok and jacobi_ok, encoding_ok, jacobi_ok, violations, messages)
+
+
+def closed_eigen_table(basis):
+    """The table on basis.entries from the closed Albert-Zassenhaus product
+
+        {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
+
+    read as zero when 2-j-l leaves [2-q, 1].  In slice labels r = 1-j,
+    r' = 1-l the target slice is r + r', and entries run down the slices,
+    so once r + r' drops below 2-q it stays there for the rest of the row.
+    """
+    from thinlie.cartan import binom_mod_p
+    from thinlie.liealg import StructureTable, _gc_paused
+
+    fieldspec = basis.table.field
+    p, q, entries = basis.params.p, basis.q, basis.entries
+    position = {(r, alpha): m for m, (r, _, alpha) in enumerate(entries)}
+    binoms = {}
+    brackets = {}
+    with _gc_paused():
+        for a, (ra, _, alpha) in enumerate(entries):
+            for b in range(a + 1, len(entries)):
+                rb, _, beta = entries[b]
+                rc = ra + rb
+                if rc > 1:
+                    continue
+                if rc < 2 - q:
+                    break
+                pair = binoms.get((ra, rb))
+                if pair is None:
+                    pair = binoms[(ra, rb)] = (
+                        fieldspec.element(binom_mod_p(1 - rc, 1 - rb, p)),
+                        fieldspec.element(binom_mod_p(1 - rc, 1 - ra, p)),
+                    )
+                coeff = beta * pair[0] - alpha * pair[1]
+                if coeff:
+                    brackets[(a, b)] = ((position[(rc, alpha + beta)], coeff),)
+    return StructureTable(fieldspec, basis.labels, brackets)
+
+
+def extend_to_generators(t, start):
+    """start, then each basis position, lowest first, outside the span of
+    the right-normed brackets of the positions chosen so far, until that
+    span is all of t (liealg._greedy_generators): for a Lie algebra, a
+    generating set of t.  ValueError when t is not one-term."""
+    from thinlie import liealg
+
+    if not liealg._one_term(t):
+        raise ValueError("generating sets are read off one-term tables only")
+    return list(liealg._greedy_generators(t, start, range(t.dim)))
+
+
+def oracle_check_structure_map(src, dst, images, gens=None):
+    """Certify that the basis map phi: b_i -> images[i] is an injective
+    homomorphism, from a generating set gens of src (basis positions,
+    default every one).  The checks, in order:
+
+    - rank: the images are linearly independent (liealg.Echelon);
+    - intertwining: phi[g, b] = [phi g, phi b] for g in gens, b in the basis;
+    - derivation: ad g is a derivation of src for every g in gens, one
+      pass of liealg._leibniz_failures over all pairs each;
+    - generation: the right-normed brackets [g1, [g2, ..., gk]] of gens
+      span src (liealg._ReachedSpan).
+
+    When gens is every basis vector the intertwining covers every pair,
+    which alone is the proof, and the last two checks are skipped.
+    Otherwise src must be one-term, else ValueError.
+    """
+    from thinlie import liealg
+
+    if len(images) != src.dim:
+        raise ValueError("need one image per src basis vector")
+    if src.field != dst.field:
+        raise ValueError("structure maps require a common ground field")
+    labels = src.labels
+    coerce = liealg.Echelon(dst.field).reduce
+    vecs = [coerce(e.coords) for e in images]
+    rank = liealg.Echelon(dst.field, vecs).rank
+    if rank != src.dim:
+        return liealg.MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
+    gens = range(src.dim) if gens is None else gens
+    check = liealg._intertwining(src, images, vecs, gens)
+    if not check or len(set(gens)) == src.dim:
+        return check
+    with liealg._gc_paused():
+        index = liealg._LeibnizIndex(src)
+        if not index.one_term:
+            raise ValueError("a generating set certifies one-term tables only")
+        for g, pairs in liealg._leibniz_failures(index, ((g, -1) for g in gens)):
+            if pairs:
+                a, b = pairs[0]
+                return liealg.MapCheck("derivation", f"ad {labels[g]} on [{labels[a]}, {labels[b]}]")
+    dim = liealg._ReachedSpan(src, gens).rank
+    if dim != src.dim:
+        names = ", ".join(labels[g] for g in gens)
+        return liealg.MapCheck("generation", f"{names} generate {dim} of {src.dim} dimensions")
+    return liealg.MapCheck()

@@ -1,0 +1,183 @@
+"""grading.AZBrackets, the closed Albert-Zassenhaus table read by rule,
+against the materialized oracle closed_eigen_table, entry by entry and in
+key order; its eps = 0 quotient view against liealg.quotient_by_ideal of
+the oracle; and the grid certificate, certify_eigenbasis, against the
+all-pairs generator certificate (oracle_check_structure_map on the
+materialized table), on every finite, sigma-zero and eps-zero input of
+test_sweep, on n1 = 2 over F_16, and on hypothesis-drawn changes of one
+entry of the rule's binomial table.  A changed binomial of one slice pair
+fails the derivation, a changed product of a generator off the grid the
+intertwining, and each makes verify exit 1.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import closed_eigen_table, extend_to_generators, oracle_check_structure_map
+from test_sweep import ACCEPTED
+from thinlie import cli
+from thinlie.cartan import build_H2_phi1
+from thinlie.errors import NoRootInField
+from thinlie.ffield import field_create
+from thinlie.grading import (
+    AZBrackets,
+    certify_eigenbasis,
+    eigen_quotient,
+    eigenbasis,
+    generator_positions,
+    params_from_mu3,
+    toral_params,
+)
+from thinlie.liealg import StructureTable, quotient_by_ideal
+
+
+def _params(args):
+    """(p, n2, params) of a finite, sigma-zero or eps-zero verify input."""
+    kind, p, q = args[1], int(args[3]), int(args[5])
+    n2 = round(math.log(q, p))
+    if kind == "finite":
+        return p, n2, params_from_mu3(field_create(p, 2).element([int(c) for c in args[7].split(",")]))
+    if kind == "sigma-zero":
+        return p, n2, toral_params(field_create(p), 0)
+    return p, n2, toral_params(field_create(p), int(args[7]), eps=0, rho=1)
+
+
+TORAL = [args for args in ACCEPTED if args[1] != "mixed"]
+
+
+def _id(args):
+    return "-".join(a.lstrip("-") for a in args[1:])
+
+
+def _basis(p, n2, params):
+    return eigenbasis(build_H2_phi1(p, 1, n2, params.field, params.eps), params)
+
+
+def _f16_basis():
+    # n1 = 2 over F_16, as in test_grading.test_general_n1_eigen_equation
+    f16 = field_create(2, 4)
+    for sigma in list(f16.elements())[1:]:
+        try:
+            params = toral_params(f16, sigma, eps=1, n1=2)
+        except NoRootInField:
+            continue
+        return eigenbasis(build_H2_phi1(2, 2, 1, f16, 1), params)
+
+
+def _assert_same_table(rule, want):
+    for a in range(-1, rule.dim + 1):
+        for b in range(-1, rule.dim + 1):
+            assert rule.brackets.get((a, b)) == want.brackets.get((a, b)), (a, b)
+    assert list(rule.brackets.items()) == list(want.brackets.items())
+    assert len(rule.brackets) == len(want.brackets) and rule.labels == want.labels
+
+
+def _assert_rule_is_the_closed_table(basis):
+    assert isinstance(basis.eigen_table.brackets, AZBrackets)
+    want = closed_eigen_table(basis)
+    _assert_same_table(basis.eigen_table, want)
+    # a fresh rule, read whole before any get
+    fresh = StructureTable(want.field, want.labels, AZBrackets(basis))
+    assert list(fresh.brackets) == list(want.brackets)
+    return want
+
+
+@pytest.mark.parametrize("args", TORAL, ids=_id)
+def test_rule_is_the_closed_table(args):
+    basis = _basis(*_params(args))
+    want = _assert_rule_is_the_closed_table(basis)
+    if args[1] == "eps-zero":
+        central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
+        _assert_same_table(eigen_quotient(basis, central), quotient_by_ideal(want, [central]))
+
+
+def test_rule_is_the_closed_table_for_n1_two():
+    basis = _f16_basis()
+    assert len(basis.vectors) == 8 and basis.certificate, basis.certificate
+    _assert_rule_is_the_closed_table(basis)
+
+
+@pytest.mark.parametrize("args", TORAL, ids=_id)
+def test_grid_certificate_agrees_with_the_all_pairs_one(args):
+    basis = _basis(*_params(args))
+    closed = closed_eigen_table(basis)
+    gens = extend_to_generators(closed, generator_positions(basis))
+    assert certify_eigenbasis(basis)
+    assert oracle_check_structure_map(closed, basis.table, basis.vectors, gens)
+
+
+# finite at p = 3, 5 and 7, sigma-zero and eps-zero
+MUTATED = [args for args in TORAL if args[1] != "finite" or args[3] in ("3", "5", "7")][::3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MUTATED), st.data())
+def test_grid_certificate_agrees_on_a_changed_binomial(args, data):
+    # both certificates fail exactly when the change changes the table:
+    # the basis map is injective, so the monomial table allows one table
+    p, n2, params = _params(args)
+    basis = _basis(p, n2, params)
+    q = basis.q
+    ja = data.draw(st.integers(0, q - 1))
+    jb = data.draw(st.integers(max(ja, 1 - ja), q - 1))  # target slice ja + jb - 1 in [0, q - 1]
+    if ja + jb - 1 >= q:
+        return
+    b1, b2 = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    rule = AZBrackets(basis)
+    rule._pairs[(ja, jb)] = (ja + jb - 1, b1, b2)
+    changed = dataclasses.replace(basis, eigen_table=StructureTable(basis.table.field, basis.labels, rule))
+    table = StructureTable(basis.table.field, basis.labels, dict(rule.items()))
+    gens = extend_to_generators(table, generator_positions(basis))
+    grid = bool(certify_eigenbasis(changed))
+    assert grid == bool(oracle_check_structure_map(table, basis.table, basis.vectors, gens))
+    assert grid == (table.brackets == closed_eigen_table(basis).brackets)
+
+
+F49 = ["--grading", "finite", "--p", "7", "--q", "7", "--mu3", "0,1"]
+
+
+def _verdict(capsys):
+    assert cli.main(["verify"] + F49) == 1
+    out = capsys.readouterr().out
+    assert "verdict: FAIL" in out
+    return next(line for line in out.splitlines() if "eigen table certificate" in line)
+
+
+def test_a_changed_binomial_factor_fails_the_derivation(monkeypatch, capsys):
+    # B1 + 1 on the last slice pair off the slices of X and Y that has products
+    real = AZBrackets._slice_pair
+
+    def changed(rule, ja, jb):
+        pair = real(rule, ja, jb)
+        return (pair[0], (pair[1] + 1) % rule._p, pair[2]) if (ja, jb) == (2, 5) else pair
+
+    basis = _basis(*_params(F49))
+    assert real(basis.eigen_table.brackets, 2, 5) == (6, 6, 1)
+    monkeypatch.setattr(AZBrackets, "_slice_pair", changed)
+    cert = certify_eigenbasis(dataclasses.replace(basis, eigen_table=StructureTable(
+        basis.table.field, basis.labels, AZBrackets(basis))))
+    assert cert.check == "derivation", cert
+    assert "derivation fails: ad e[" in _verdict(capsys)
+
+
+def test_a_changed_generator_product_off_the_grid_fails_the_intertwining(monkeypatch, capsys):
+    # [X, e(2, 5)]: index s = 5 lies off the grid {0, 1, 2}
+    basis = _basis(*_params(F49))
+    x = generator_positions(basis)[0]
+    b = 2 * 7 + 5
+    assert basis.entries[b][:2] == (-1, 5) and basis.eigen_table.brackets.get((x, b))
+    real = AZBrackets._product
+
+    def changed(rule, key):
+        terms = real(rule, key)
+        return ((terms[0][0], terms[0][1] + terms[0][1]),) if key == (x, b) else terms
+
+    monkeypatch.setattr(AZBrackets, "_product", changed)
+    cert = certify_eigenbasis(dataclasses.replace(basis, eigen_table=StructureTable(
+        basis.table.field, basis.labels, AZBrackets(basis))))
+    assert cert.check == "intertwining", cert
+    assert f"intertwining fails: [{basis.labels[x]}, {basis.labels[b]}]" in _verdict(capsys)
+

@@ -1,14 +1,18 @@
-"""The closed Albert-Zassenhaus eigen table and its generator certificate.
+"""The closed Albert-Zassenhaus eigen table, read by rule, and its
+certificates.
 
-The closed table is checked byte for byte against the change of basis it
+The rule table is checked byte for byte against the change of basis it
 replaced, and against the pair-by-pair formula oracle; at sigma = 0 against
-the subalgebra table of the partial eigenbasis.  The certificate
-(check_structure_map from a generating set) must fail on a changed
-coefficient away from the generators (and refuse, with ValueError, a change
-that puts a second term on a pair), on a generating set that does not
-generate, on swapped images and on images of too low rank.  A failed
-certificate is a verdict: verify and grade exit 1 and name the failed
-check, also when a moved target puts a bracket in the wrong degree.
+the subalgebra table of the partial eigenbasis.  The generator certificate
+the library used before the grid (oracle_check_structure_map, on the
+materialized table) must fail on a changed coefficient away from the
+generators (and refuse, with ValueError, a change that puts a second term
+on a pair), on a generating set that does not generate, on swapped images
+and on images of too low rank.  A failed certificate is a verdict: verify
+and grade exit 1 and name the failed check, when a binomial of one slice
+pair of the rule is doubled and when a moved target puts its products in
+the wrong degree.  The rule against its oracles, and the grid certificate
+against the all-pairs one, are in test_az_rule.
 """
 
 import json
@@ -25,6 +29,8 @@ from oracles import (
     change_basis,
     dense_row,
     eigen_bracket_check,
+    extend_to_generators,
+    oracle_check_structure_map,
     oracle_subalgebra_table,
     subalgebra_generated,
 )
@@ -39,11 +45,7 @@ from thinlie.grading import (
     params_from_mu3,
     toral_params,
 )
-from thinlie.liealg import (
-    StructureTable,
-    check_structure_map,
-    extend_to_generators,
-)
+from thinlie.liealg import StructureTable
 
 F3 = field_create(3)
 
@@ -182,9 +184,9 @@ def test_certificate_fails_on_a_changed_coefficient_off_the_generators(f25_basis
     if len(changed.brackets.get((a, b), ())) > 1:
         # a second term: no longer one-term, so no generating set certifies it
         with pytest.raises(ValueError, match="one-term"):
-            check_structure_map(changed, basis.table, basis.vectors, gens)
+            oracle_check_structure_map(changed, basis.table, basis.vectors, gens)
         return
-    cert = check_structure_map(changed, basis.table, basis.vectors, gens)
+    cert = oracle_check_structure_map(changed, basis.table, basis.vectors, gens)
     assert not cert
     assert cert.check in ("derivation", "generation")
 
@@ -193,7 +195,7 @@ def test_certificate_reports_non_generation_for_x_and_y_alone():
     # eps = 0, p = 5, ratio 1: X and Y generate 24 of the 25 dimensions
     basis = _eps_zero_basis(5, 1)
     x_pos, y_pos = generator_positions(basis)
-    cert = check_structure_map(basis.eigen_table, basis.table, basis.vectors, [x_pos, y_pos])
+    cert = oracle_check_structure_map(basis.eigen_table, basis.table, basis.vectors, [x_pos, y_pos])
     assert cert.check == "generation"
     assert "24 of 25" in cert.detail
     assert basis.certificate  # the greedy extension does generate
@@ -206,7 +208,7 @@ def test_certificate_fails_on_every_swap_of_two_images():
         for j in range(i + 1, len(basis.vectors)):
             images = list(basis.vectors)
             images[i], images[j] = images[j], images[i]
-            cert = check_structure_map(basis.eigen_table, basis.table, images, gens)
+            cert = oracle_check_structure_map(basis.eigen_table, basis.table, images, gens)
             assert cert.check == "intertwining", (i, j)
 
 
@@ -215,26 +217,33 @@ def test_certificate_fails_on_zero_images():
     basis = _finite_basis(field_create(3, 2).generator())
     gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
     zero = basis.table.element({})
-    cert = check_structure_map(basis.eigen_table, basis.table, [zero] * 9, gens)
+    cert = oracle_check_structure_map(basis.eigen_table, basis.table, [zero] * 9, gens)
     assert cert.check == "rank"
     assert "0 of 9" in cert.detail
 
 
 def _mutate(how):
-    """closed_eigen_table with the last stored bracket away from X and Y
-    changed: its coefficient doubled, or its target moved one position on,
-    which also puts it in the wrong degree."""
+    """AZBrackets._slice_pair changed on the last slice pair (ja, jb) with
+    0 < ja <= jb < q - 1, off the slices of X and Y, that has a nonzero
+    product (u != 0, or more than one eigenvalue per slice): both binomials
+    doubled, or the target moved one slice on, which also puts its
+    products in the wrong degree."""
     from thinlie import grading
 
-    closed = grading.closed_eigen_table
+    real = grading.AZBrackets._slice_pair
 
-    def changed(basis):
-        et = closed(basis)
-        gens = set(generator_positions(basis))
-        key = [k for k in et.brackets if not gens & set(k)][-1]
-        (target, c), = et.brackets[key]
-        term = (target, c + c) if how == "doubled" else ((target + 1) % et.dim, c)
-        return _with_entry(et, key, [term])
+    def has_products(rule, a, b):
+        _, b1, b2 = real(rule, a, b)
+        return (b1 or b2) and (((1 - b) * b1 - (1 - a) * b2) % rule._p or rule._width > 1)
+
+    def changed(rule, ja, jb):
+        q, pair = rule._q, real(rule, ja, jb)
+        chosen = [(a, b) for a in range(1, q - 1) for b in range(a, q - 1)
+                  if has_products(rule, a, b) and (how == "doubled" or real(rule, a, b)[0] + 1 < q)][-1]
+        if (ja, jb) != chosen:
+            return pair
+        jc, b1, b2 = pair
+        return (jc, 2 * b1 % rule._p, 2 * b2 % rule._p) if how == "doubled" else (jc + 1, b1, b2)
 
     return changed
 
@@ -249,7 +258,7 @@ CERTIFIED_RUNS = pytest.mark.parametrize("args", [
 def _assert_certificate_verdict(args, how, tmp_path, monkeypatch, capsys):
     from thinlie import cli, grading
 
-    monkeypatch.setattr(grading, "closed_eigen_table", _mutate(how))
+    monkeypatch.setattr(grading.AZBrackets, "_slice_pair", _mutate(how))
     out = tmp_path / "run.json"
     assert cli.main(["verify", "--out", str(out)] + args) == 1
     assert "verdict: FAIL" in capsys.readouterr().out
@@ -274,7 +283,7 @@ def test_misgraded_eigen_table_is_a_verdict(args, tmp_path, monkeypatch, capsys)
 def test_grade_exits_one_on_a_failing_certificate(how, tmp_path, monkeypatch, capsys):
     from thinlie import cli, grading
 
-    monkeypatch.setattr(grading, "closed_eigen_table", _mutate(how))
+    monkeypatch.setattr(grading.AZBrackets, "_slice_pair", _mutate(how))
     out = tmp_path / "dm.json"
     args = ["grade", "--grading", "finite", "--p", "3", "--n2", "1", "--mu3", "0,1", "--out", str(out)]
     assert cli.main(args) == 1
@@ -288,15 +297,11 @@ def test_sigma_zero_verify_exits_one_on_a_changed_coefficient_under_python_O():
     script = (
         "import sys\n"
         "from thinlie import cli, grading\n"
-        "from thinlie.liealg import StructureTable\n"
-        "closed = grading.closed_eigen_table\n"
-        "def changed(basis):\n"
-        "    et = closed(basis)\n"
-        "    gens = set(grading.generator_positions(basis))\n"
-        "    key = [k for k in et.brackets if not gens & set(k)][-1]\n"
-        "    (target, c), = et.brackets[key]\n"
-        "    return StructureTable(et.field, et.labels, {**et.brackets, key: ((target, c + c),)})\n"
-        "grading.closed_eigen_table = changed\n"
+        "real = grading.AZBrackets._slice_pair\n"
+        "def changed(rule, ja, jb):\n"
+        "    pair = real(rule, ja, jb)\n"
+        "    return (pair[0], 2 * pair[1] % 5, 2 * pair[2] % 5) if (ja, jb) == (2, 3) else pair\n"
+        "grading.AZBrackets._slice_pair = changed\n"
         "sys.exit(cli.main(['verify', '--grading', 'sigma-zero', '--p', '5', '--q', '5']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -2,13 +2,15 @@
 collector as they found it: on when it was on, off when the caller had
 switched it off, also when the build raises (for a builder that raises,
 see test_cartan).  The bulk builds are the builders' bracket loops,
-validate_table, StructureTable.to_json, closed_eigen_table and the Leibniz
-index and passes of check_structure_map."""
+validate_table, StructureTable.to_json, the whole-table read of the eigen
+table's rule (grading.AZBrackets), and the Leibniz index and passes of the
+generator certificate kept as a test oracle (oracle_check_structure_map)."""
 
 import gc
 
 import pytest
 
+from oracles import closed_eigen_table, extend_to_generators, oracle_check_structure_map
 from thinlie import grading, liealg
 from thinlie.cartan import (
     AlbertFrankSpec,
@@ -20,8 +22,8 @@ from thinlie.cartan import (
     zassenhaus_group_basis,
 )
 from thinlie.ffield import field_create, frobenius
-from thinlie.grading import closed_eigen_table, eigenbasis, generator_positions, params_from_mu3
-from thinlie.liealg import StructureTable, check_structure_map, extend_to_generators, validate_table
+from thinlie.grading import eigenbasis, generator_positions, params_from_mu3
+from thinlie.liealg import StructureTable, validate_table
 
 F9 = field_create(3, 2)
 
@@ -104,16 +106,16 @@ def _eigenbasis():
 def _certify(basis):
     gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
     assert len(gens) < basis.eigen_table.dim
-    return check_structure_map(basis.eigen_table, basis.table, basis.vectors, gens)
+    return oracle_check_structure_map(basis.eigen_table, basis.table, basis.vectors, gens)
 
 
 def test_certificate_builds_run_with_the_collector_paused(collector, monkeypatch):
     basis = _eigenbasis()
-    seen = {"closed table": [], "index": [], "passes": []}
+    seen = {"rule table": [], "index": [], "passes": []}
     binom, kernel = grading.binom_mod_p, liealg._leibniz_failures
 
     def recording_binom(*args):
-        seen["closed table"].append(gc.isenabled())
+        seen["rule table"].append(gc.isenabled())
         return binom(*args)
 
     class Recording(liealg._LeibnizIndex):
@@ -131,13 +133,13 @@ def test_certificate_builds_run_with_the_collector_paused(collector, monkeypatch
     monkeypatch.setattr(grading, "binom_mod_p", recording_binom)
     monkeypatch.setattr(liealg, "_LeibnizIndex", Recording)
     monkeypatch.setattr(liealg, "_leibniz_failures", recording_passes)
-    table = closed_eigen_table(basis)
+    table = dict(grading.AZBrackets(basis).items())  # a fresh rule: every binomial read afresh
     assert gc.isenabled() == collector
-    assert table.to_json() == basis.eigen_table.to_json()
+    assert table == closed_eigen_table(basis).brackets
     assert _certify(basis)
     assert gc.isenabled() == collector
-    assert seen["closed table"] and seen["index"] == [False] and seen["passes"] == [False, False]
-    assert not any(seen["closed table"])
+    assert seen["rule table"] and seen["index"] == [False] and seen["passes"] == [False, False]
+    assert not any(seen["rule table"])
 
 
 def test_raising_certificate_builds_restore_the_collector(collector, monkeypatch):
@@ -149,7 +151,7 @@ def test_raising_certificate_builds_restore_the_collector(collector, monkeypatch
     with monkeypatch.context() as mp:
         mp.setattr(grading, "binom_mod_p", broken)
         with pytest.raises(RuntimeError, match="broken"):
-            closed_eigen_table(basis)
+            grading.AZBrackets(basis).items()
     assert gc.isenabled() == collector
     with monkeypatch.context() as mp:
         mp.setattr(liealg, "_LeibnizIndex", broken)

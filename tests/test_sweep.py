@@ -9,6 +9,8 @@ mixed for every (p, n1, n2) with dim = p^(n1+n2) <= 125, except n2 = 1 at
 p = 2.
 Outside: mu3 in the prime field, the ratios 0 and -1, eps-zero at p = 2 and
 q = 2, mixed with n1 = 0 or n2 = 0, and mixed at p = 2 with n2 = 1.
+With liealg.Echelon made to raise, every input inside still passes with
+the same JSON: no verify path eliminates.
 """
 
 import pytest
@@ -87,3 +89,24 @@ def test_input_outside_the_range_is_rejected(args, capsys):
     err = capsys.readouterr().err
     assert code == 2, err[-500:]
     assert "internal error" not in err
+
+
+def test_accepted_inputs_need_no_echelon(tmp_path, monkeypatch, capsys):
+    # no elimination on a verify path: with liealg.Echelon raising, every
+    # accepted input still passes, and writes the same JSON
+    from thinlie import liealg
+
+    def unused(*args, **kwargs):
+        raise AssertionError("Echelon on a verify path")
+
+    outputs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(liealg, "Echelon", unused)
+        texts = []
+        for args in ACCEPTED:
+            out = tmp_path / "run.json"
+            assert cli.main(["verify", "--out", str(out)] + args) == 0, (args, capsys.readouterr().err[-500:])
+            texts.append(out.read_text())
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]

@@ -87,10 +87,10 @@ def test_center_reads_only_one_term_support_injective_tables():
 
 def test_front_half_mismatches_come_before_the_certificate(monkeypatch):
     # the center check runs first and its mismatch precedes a failed
-    # certificate: on the eps = 0 table with one more central monomial (the
-    # eigenbasis, which rejects any table with pairs removed, reads the
-    # whole one), and, since no shipped table fails the later checks,
-    # through stand-ins
+    # certificate: on the eps = 0 table with one more central monomial (an
+    # eigenbasis of the whole one, so that only the center fails; see
+    # test_cut_table_fails_the_center_and_the_eigen_equation), and, since
+    # no shipped table fails the later checks, through stand-ins
     hhat = build_H2_phi1(5, 1, 1, field_create(5), 0)
     monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: _without_pairs_of(hhat, hhat.dim - 1))
     monkeypatch.setattr(verify, "eigenbasis", lambda t, params: grading.eigenbasis(hhat, params))
@@ -100,7 +100,7 @@ def test_front_half_mismatches_come_before_the_certificate(monkeypatch):
     monkeypatch.setattr(verify, "center", lambda t: (0, 1))
     run = run_eps_zero(5, 1, 1)
     assert not run.ok and run.mismatches == ["center of the eps = 0 extension is not the constant line"]
-    monkeypatch.setattr(grading, "check_structure_map", lambda *a: MapCheck("rank", "forced"))
+    monkeypatch.setattr(grading, "certify_eigenbasis", lambda *a: MapCheck("rank", "forced"))
     run = run_eps_zero(5, 1, 1)
     assert run.report is None and run.mismatches == [
         "center of the eps = 0 extension is not the constant line",
@@ -125,3 +125,23 @@ def test_toral_grading_builds_the_table_of_params_eps(p, params):
     assert oracle_center(basis.table, full_subspace(basis.table)).dim == (0 if params.eps else 1)
     assert center(basis.table) == (() if params.eps else (0,))
     assert g.table is basis.eigen_table and g.degmap.modulus == (p - 1) * (p if params.sigma else 1)
+
+
+@pytest.mark.parametrize("m", [1, 5, 24])
+def test_cut_table_fails_the_center_and_the_eigen_equation(m, monkeypatch, capsys):
+    # the eps = 0 table with every stored pair of one monomial removed: the
+    # center check, made before the eigenbasis reads the table, reports it,
+    # and the failed eigen-equation is a verdict that names (r, s), not an
+    # internal error
+    from thinlie import cli
+
+    hhat = build_H2_phi1(5, 1, 1, field_create(5), 0)
+    monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: _without_pairs_of(hhat, m))
+    run = run_eps_zero(5, 1, 1)
+    assert run.report is None and not run.ok
+    assert run.mismatches[0] == "center of the eps = 0 extension is not the constant line"
+    assert run.mismatches[1].startswith("eigen table certificate: eigen-equation fails: at (r=")
+    assert len(run.mismatches) == 2
+    assert cli.main(["verify", "--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "verdict: FAIL" in out and "internal error" not in err
