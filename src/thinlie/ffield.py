@@ -22,10 +22,12 @@ After that every operator is a few integer lookups returning a shared
 element: no arithmetic allocates.  Mixing elements of two fields raises
 ValueError.
 
-Two kernels outside this module read the tables directly: liealg.bracket
-and the row updates of liealg.Echelon do their products and sums on logs
-through _arith, the tuple (exp, zech, q-1, log(-1)) read in one lookup,
-and coerce each coefficient as the operators do.  liealg's Leibniz index
+Kernels outside this module read the tables directly: liealg.bracket,
+its kept ad columns (liealg._AdColumns) and the row updates of
+liealg.Echelon do their products and sums on logs through _arith, the
+tuple (exp, zech, q-1, log(-1)) read in one lookup, and coerce each
+coefficient as the operators do; grading.eigenbasis takes the powers of
+an eigenvalue from exp.  liealg's Leibniz index
 reads only each element's log and coordinates and builds its own product
 table from them.
 """
@@ -33,6 +35,7 @@ table from them.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import FieldTooLarge, NonPrimeCharacteristic, ReducibleModulus
@@ -483,6 +486,7 @@ def artin_schreier_roots(field: FieldSpec, sigma: FieldElement, eps: FieldElemen
     return find_roots(field, coeffs)
 
 
+@cache  # combine_residues calls it once per basis vector
 def _prime_power_base(q: int) -> int:
     for p in range(2, q + 1):
         if _is_prime(p) and q % p == 0:

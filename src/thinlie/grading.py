@@ -11,7 +11,11 @@ algebra is an Albert-Zassenhaus algebra with one-term products
 
 so its table is read off this formula by rule (AZBrackets), not
 conjugated or stored, and certify_eigenbasis proves the basis map an
-isomorphism onto the monomial table.  grade_finite combines
+isomorphism onto the monomial table.  Both checks on the monomial table,
+the eigen-equation and the intertwining, apply ad of one vector through
+its columns on discrete logs (liealg._AdColumns): each monomial product is
+read once per e_0 or generator, not once per pair of image terms, and the
+images are built on logs too.  grade_finite combines
 the two residues r mod (q-1) and s mod p into a degree modulo (q-1)p.  The
 resulting loop algebra has diamond types in arithmetic progression with
 step sigma/rho, so prescribing the third type mu3 outside the prime field
@@ -26,7 +30,7 @@ from copy import copy
 from dataclasses import dataclass
 from functools import cache
 
-from .cartan import binom_mod_p, monomial_label, monomials
+from .cartan import _pascal, monomial_label, monomials
 from .errors import DenominatorZero, Mu3InPrimeField, NoRootInField, NotAnIdeal
 from .ffield import (
     FieldElement,
@@ -43,10 +47,10 @@ from .liealg import (
     MapCheck,
     RuleBrackets,
     StructureTable,
+    _AdColumns,
     _gc_paused,
     _greedy_generators,
     _intertwining,
-    bracket,
     check_structure_map,
 )
 
@@ -199,8 +203,13 @@ def _subfield_multipliers(field: FieldSpec, n1: int) -> list[FieldElement]:
 def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     """Diagonalize ad e_0 on the Phi(1) monomial table.
 
-    Each vector is checked against the eigen-equation {e_0, v} = alpha*v;
-    the first that fails ends the basis, with that failure as certificate.
+    Slice j's vectors are alpha^i = exp[i log alpha mod n] at x^(i) y^(j),
+    0^0 = 1, plus pi j at i = p^n1 - 1, built on the field's discrete logs
+    with pi read once.  Each is checked against the eigen-equation {e_0, v}
+    = alpha*v through the kept columns of ad e_0 (liealg._AdColumns), which
+    give bracket(e_0, v) exactly: [e_0, v] must be log alpha + log v_k on
+    every coordinate k, the same equality as before, so the same first
+    failing (r, s) ends the basis, with that failure as certificate.
     With sigma = 0 the basis is partial: one eigenvector per slice, jointly
     spanning the Zassenhaus subalgebra of the sigma = 0 degeneration.  For
     every sigma eigen_table reads the closed product formula (AZBrackets),
@@ -217,40 +226,33 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     tau2 = q - 1
     mons = monomials(tau1, tau2)
     index = {m: i for i, m in enumerate(mons)}
-    e0 = toral_element(table, params)
-
-    if params.sigma:
-        multipliers = _subfield_multipliers(fieldspec, n1)
-    else:
-        multipliers = [fieldspec.zero]
+    ad_e0 = _AdColumns(table, toral_element(table, params).coords)
+    exp, _, n, _ = fieldspec._arith
+    sigma, rho, pi = params.sigma, params.rho, params.pi
+    multipliers = _subfield_multipliers(fieldspec, n1) if sigma else [fieldspec.zero]
 
     entries: list[tuple[int, int, FieldElement]] = []
     vectors: list[Element] = []
-    basis = EigenBasis(table, params, q, entries, vectors, partial=not params.sigma)
+    basis = EigenBasis(table, params, q, entries, vectors, partial=not sigma)
     for j in range(q):
         r = 1 - j
         rj = fieldspec.element(r)
         for s, mult in enumerate(multipliers):
-            alpha = rj * params.rho + mult * params.sigma
-            coords: dict[int, FieldElement] = {}
-            power = fieldspec.one  # alpha^i with 0^0 = 1
-            for i in range(r_card):
-                if power:
-                    coords[index[(i, j)]] = power
-                power = power * alpha
-            if params.pi and j % p:
+            alpha = rj * rho + mult * sigma
+            a = alpha.log
+            coords = {index[(i, j)]: exp[i * a % n] for i in range(r_card)} if alpha else {index[(0, j)]: exp[0]}
+            if pi and j % p:
                 pos = index[(tau1, j)]
-                c = coords.get(pos, fieldspec.zero) + params.pi * fieldspec.element(j)
+                c = coords.get(pos, fieldspec.zero) + pi * fieldspec.element(j)
                 if c:
                     coords[pos] = c
                 else:
                     coords.pop(pos, None)
-            v = table.element(coords)
-            if bracket(e0, v) != v.scale(alpha):
+            if ad_e0(coords) != ({k: exp[a + c.log] for k, c in coords.items()} if alpha else {}):
                 basis.certificate = MapCheck("eigen-equation", f"at (r={r}, s={s})")
                 return basis
             entries.append((r, s, alpha))
-            vectors.append(v)
+            vectors.append(Element(table, coords))
 
     basis.eigen_table = StructureTable(fieldspec, basis.labels, AZBrackets(basis))
     basis.certificate = certify_eigenbasis(basis)
@@ -272,17 +274,24 @@ class AZBrackets(RuleBrackets):
         self._p, self._q, self._entries = params.p, basis.q, basis.entries
         self._dim, self._drop, self._width = len(basis.entries), None, len(basis.entries) // basis.q
         self._pairs: dict = {}
+        self._rows: list[list[int]] | None = None
         self._rhos = [params.rho * c for c in range(params.p)]
         self._sigmas = [params.sigma * c for c in range(params.p)]
         self._position = None if params.n1 == 1 else {(r, a): m for m, (r, _, a) in enumerate(basis.entries)}
 
     def _slice_pair(self, ja: int, jb: int) -> tuple[int, int, int]:
-        """(jc, B1, B2) = (ja + jb - 1, C(jc, jb), C(jc, ja)) mod p, memoized;
+        """(jc, B1, B2) = (ja + jb - 1, C(jc, jb), C(jc, ja)) mod p, memoized,
+        from Pascal's triangle mod p up to row q - 1, made on first use;
         B1 = B2 = 0 when jc leaves [0, q-1], where products read as zero."""
         if (ja, jb) not in self._pairs:
-            jc, p = ja + jb - 1, self._p
-            inside = 0 <= jc < self._q
-            self._pairs[ja, jb] = (jc, binom_mod_p(jc, jb, p), binom_mod_p(jc, ja, p)) if inside else (jc, 0, 0)
+            jc = ja + jb - 1
+            if 0 <= jc < self._q:
+                if self._rows is None:
+                    self._rows = _pascal(self._q - 1, self._p)
+                row = self._rows[jc]
+                self._pairs[ja, jb] = (jc, row[jb] if 0 <= jb <= jc else 0, row[ja] if 0 <= ja <= jc else 0)
+            else:
+                self._pairs[ja, jb] = (jc, 0, 0)
         return self._pairs[ja, jb]
 
     def _product(self, key) -> tuple[tuple[int, FieldElement]] | None:
@@ -348,7 +357,7 @@ def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
         return MapCheck("rank", f"the images span {rank} of {et.dim} dimensions")
     with _gc_paused():  # the checks build nothing cyclic
         gens = list(_greedy_generators(et, generator_positions(basis), range(et.dim)))
-        check = _intertwining(et, vectors, [v.coords for v in vectors], gens)
+        check = _intertwining(et, basis.table, [v.coords for v in vectors], gens)
         return _derivation(basis, gens) if check else check
 
 
@@ -364,16 +373,26 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     Lemma 2.1); S = {0, 1, 2}, all of F_p for p <= 3.  As the rule reads the
     binomial table the grid reads, every product is the affine form of its
     slice pair, which on (j, j) needs B1 = B2 (checked first): the grid
-    covers every pair.  A, B, C enter the field only when not all zero."""
+    covers every pair.  A, B, C enter the field only when not all zero.
+
+    A width-one slice (w = 1, the partial sigma = 0 basis) holds one
+    vector, so a diagonal slice pair holds no product: the rule never reads
+    it, the alternation check is skipped, and a form on it reads as zero,
+    as [x, x] = 0 does.  The grid pair j1 = j2 is then x = y, whose defect
+    is zero in any alternating table, and is skipped too.  A slice pair
+    whose three inner forms, [x, y], [g, x] and [g, y], all have B1 = B2 =
+    0 has every term of its defect zero, and is skipped."""
     rule, labels, rho, sigma = basis.eigen_table.brackets, basis.labels, basis.params.rho, basis.params.sigma
     p, q, w = rule._p, rule._q, rule._width
-    for j in range(q):
+    for j in range(q if w > 1 else 0):
         if rule._slice_pair(j, j)[1] != rule._slice_pair(j, j)[2]:
             return MapCheck("derivation", f"slice pair ({j}, {j}) is not alternating")
 
     @cache
     def form(jx: int, jy: int) -> tuple[int, int, int, int]:
         # (target slice, u, B1, B2): [e(jx, s), e(jy, t)] = (rho u + sigma (t B1 - s B2)) e(target, s + t)
+        if jx == jy and w == 1:
+            return jx + jy - 1, 0, 0, 0
         if jx <= jy:
             jc, b1, b2 = rule._slice_pair(jx, jy)
         else:
@@ -384,12 +403,16 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     for g in gens:
         jg, sg = divmod(g, w)
         for j1 in range(q):
-            for j2 in range(j1, q):
+            if j1 + j1 + jg > q + 1:
+                break  # the defect's slice is past q - 1 for every j2 >= j1: every term is zero
+            tg1, ug1, bg1, cg1 = form(jg, j1)  # [g, x]
+            for j2 in range(j1 + (w == 1), q):
                 if j1 + j2 + jg > q + 1:
-                    break  # the defect's slice is past q - 1: every term is zero
+                    break
                 t12, u12, b12, c12 = form(j1, j2)  # [x, y]
-                tg1, ug1, bg1, cg1 = form(jg, j1)  # [g, x]
                 tg2, ug2, bg2, cg2 = form(jg, j2)  # [g, y]
+                if not (b12 or c12 or bg1 or cg1 or bg2 or cg2):
+                    continue
                 t1, u1, b1, c1 = form(jg, t12)  # [g, [x, y]]
                 t2, u2, b2, c2 = form(tg1, j2)  # [[g, x], y]
                 t3, u3, b3, c3 = form(j1, tg2)  # [x, [g, y]]

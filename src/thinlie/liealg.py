@@ -10,8 +10,9 @@ eliminates on discrete logs as bracket does; its cost follows the
 supports of the vectors, not the dimension.  check_structure_map reads it
 for the rank of the images and proves a map on every pair; the eigen
 tables are certified from generators with no elimination
-(grading.certify_eigenbasis).  The center is read off the stored pairs,
-with no elimination (center).
+(grading.certify_eigenbasis).  Both intertwine through _AdColumns, ad u
+for a fixed u with its columns [u, b_m] kept, on discrete logs.  The
+center is read off the stored pairs, with no elimination (center).
 validate_table proves the Jacobi identity with one Leibniz-rule kernel,
 whose cost follows the nonzero bracket compositions, not the number of
 basis triples; it reads flat per-vector lists that one pass over the
@@ -313,6 +314,52 @@ def bracket(u: Element, v: Element) -> Element:
                     else:  # cancelled: a later term re-adds k at the end
                         del out[k]
     return Element(table, out)
+
+
+class _AdColumns:
+    """ad u on a table for a fixed sparse u, applied to sparse vectors v.
+
+    Column m, [u, b_m], is bracket(u, b_m), worked out the first time a v
+    with a nonzero coordinate m comes in and kept as (target, log) pairs:
+    each product [b_i, b_m] is read from the table once, every stored term
+    counted.  ad(v) = sum v_m [u, b_m] is summed on discrete logs as in
+    bracket, so it equals bracket(u, v).coords on any table; v is coerced
+    as in bracket."""
+
+    __slots__ = ("table", "u", "columns")
+
+    def __init__(self, table: StructureTable, u: Vec):
+        self.table, self.u, self.columns = table, Element(table, u), {}
+
+    def __call__(self, v: Vec) -> Vec:
+        field, columns = self.table.field, self.columns
+        if field._arith is None:
+            field._build()
+        exp, zech, n, _ = field._arith
+        zero = n + n
+        out: Vec = {}
+        get = out.get
+        for m, c in v.items():
+            if c.__class__ is not FieldElement or c.spec is not field:
+                c = field.element(c)
+            c = c.log
+            if c == zero:
+                continue
+            col = columns.get(m)
+            if col is None:
+                b_m = Element(self.table, {m: field.one})
+                col = columns[m] = [(k, x.log) for k, x in bracket(self.u, b_m).coords.items()]
+            for k, x in col:
+                e = c + x
+                s = get(k)
+                if s is not None:
+                    y = s.log
+                    e = y + zech[e - y]
+                    if e >= zero:  # cancelled: a later term re-adds k at the end
+                        del out[k]
+                        continue
+                out[k] = exp[e]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -855,24 +902,30 @@ def check_structure_map(src: StructureTable, dst: StructureTable, images: Sequen
         raise ValueError("need one image per src basis vector")
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
+    if any(e.table is not dst for e in images):
+        raise TableMismatch("images live on a table other than dst")
     coerce = Echelon(dst.field).reduce  # with no rows: coerced as in bracket, no zeros
     vecs = [coerce(e.coords) for e in images]
     rank = Echelon(dst.field, vecs).rank
     if rank != src.dim:
         return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
-    return _intertwining(src, images, vecs, range(src.dim))
+    return _intertwining(src, dst, vecs, range(src.dim))
 
 
-def _intertwining(src: StructureTable, images: Sequence[Element], vecs: list[Vec], gens: Sequence[int]) -> MapCheck:
-    """phi[g, b] = [phi g, phi b] for phi: b_i -> images[i], g in gens, b in
-    the basis; vecs[i] is images[i] as field elements with no zero."""
+def _intertwining(src: StructureTable, dst: StructureTable, vecs: list[Vec], gens: Sequence[int]) -> MapCheck:
+    """phi[g, b] = [phi g, phi b] for phi: b_i -> vecs[i] in dst, g in gens,
+    b in the basis, in that order; vecs[i] holds elements of the field with
+    no zero.  The lhs combines the images along src.basis_bracket(g, b), the
+    rhs applies ad phi g (_AdColumns) to phi b: each product of dst is read
+    once per generator, not once per pair of image terms."""
     genset = set(gens)
     for g in gens:
+        ad = _AdColumns(dst, vecs[g])
         for b in range(src.dim):
             if b in genset and b <= g:
                 continue  # [g, g] = 0, and [b, g] comes with b
             lhs = _combine((c, vecs[k]) for k, c in src.basis_bracket(g, b))
-            if lhs != bracket(images[g], images[b]).coords:
+            if lhs != ad(vecs[b]):
                 return MapCheck("intertwining", f"[{src.labels[g]}, {src.labels[b]}]")
     return MapCheck()
 

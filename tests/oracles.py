@@ -36,7 +36,9 @@ are the materialized Albert-Zassenhaus table, its generating set and the
 generator certificate on it (a flat Leibniz index and a derivation pass
 over all pairs per generator) that the library used before it read the
 eigen table by rule (grading.AZBrackets) and certified it on a grid
-(grading.certify_eigenbasis).
+(grading.certify_eigenbasis).  Its intertwining, oracle_intertwining, is
+the pair-by-pair check by liealg.bracket that liealg._intertwining made
+before it read ad columns (liealg._AdColumns).
 """
 
 import bisect
@@ -1209,6 +1211,23 @@ def extend_to_generators(t, start):
     return list(liealg._greedy_generators(t, start, range(t.dim)))
 
 
+def oracle_intertwining(src, images, vecs, gens):
+    """phi[g, b] = [phi g, phi b] for g in gens, b in the basis, in that
+    order, the rhs by liealg.bracket on the image Elements: the check
+    liealg._intertwining makes through ad columns, pair by pair."""
+    from thinlie import liealg
+
+    genset = set(gens)
+    for g in gens:
+        for b in range(src.dim):
+            if b in genset and b <= g:
+                continue
+            lhs = liealg._combine((c, vecs[k]) for k, c in src.basis_bracket(g, b))
+            if lhs != liealg.bracket(images[g], images[b]).coords:
+                return liealg.MapCheck("intertwining", f"[{src.labels[g]}, {src.labels[b]}]")
+    return liealg.MapCheck()
+
+
 def oracle_check_structure_map(src, dst, images, gens=None):
     """Certify that the basis map phi: b_i -> images[i] is an injective
     homomorphism, from a generating set gens of src (basis positions,
@@ -1238,7 +1257,7 @@ def oracle_check_structure_map(src, dst, images, gens=None):
     if rank != src.dim:
         return liealg.MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
     gens = range(src.dim) if gens is None else gens
-    check = liealg._intertwining(src, images, vecs, gens)
+    check = oracle_intertwining(src, images, vecs, gens)
     if not check or len(set(gens)) == src.dim:
         return check
     with liealg._gc_paused():

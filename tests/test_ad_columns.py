@@ -1,0 +1,170 @@
+"""liealg._AdColumns, ad u for a fixed sparse u on discrete logs, and the
+two checks that read it: the intertwining of the structure-map
+certificates (liealg._intertwining) and the eigen-equation of
+grading.eigenbasis.
+
+- Property: ad(v) equals bracket(u, v).coords, on builder tables and on
+  hand-built multi-term tables over F_2, F_4 and F_9 with repeated
+  targets, stored zero coefficients and terms that cancel, one kernel
+  applied to several v so that kept columns are read again.
+- Reads: on every finite and eps-zero sweep input, certify_eigenbasis
+  reads each monomial product at most once per generator.
+- Mutations: one changed monomial coefficient that the intertwining reads
+  gives the MapCheck of the pair-by-pair check by bracket
+  (oracles.oracle_intertwining), at n1 = 1 through certify_eigenbasis and
+  at n1 = 2 over F_16 through check_structure_map, which refuses images
+  that live on another table than the one whose products it reads.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import oracle_intertwining
+from test_az_rule import TORAL, _basis, _f16_basis, _id, _params
+from thinlie.cartan import build_H2_phi1, build_W1n
+from thinlie.errors import TableMismatch
+from thinlie.ffield import field_create
+from thinlie.grading import certify_eigenbasis, generator_positions
+from thinlie.liealg import (
+    Echelon,
+    Element,
+    StructureTable,
+    _AdColumns,
+    _greedy_generators,
+    bracket,
+    check_structure_map,
+)
+
+FIELDS = [field_create(2), field_create(2, 2), field_create(3, 2)]
+
+BUILT = [
+    build_W1n(2, 3),
+    build_W1n(3, 2, FIELDS[2]),
+    build_H2_phi1(2, 1, 2, FIELDS[1]),
+    build_H2_phi1(3, 1, 1, FIELDS[2]),
+]
+
+
+@st.composite
+def _hand_built(draw):
+    # repeated targets, stored zeros and a term followed by its negative
+    field = draw(st.sampled_from(FIELDS))
+    elements = list(field.elements())
+    dim = draw(st.integers(2, 6))
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            terms = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.sampled_from(elements)), max_size=3))
+            if terms and draw(st.booleans()):
+                k, c = terms[0]
+                terms.append((k, -c))
+            if terms:
+                brackets[i, j] = tuple(terms)
+    return StructureTable(field, [f"b{i}" for i in range(dim)], brackets)
+
+
+def _vector(draw, table):
+    elements = list(table.field.elements())
+    return draw(st.dictionaries(st.integers(0, table.dim - 1), st.sampled_from(elements), max_size=table.dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(BUILT), _hand_built()), st.data())
+def test_ad_columns_is_the_bracket(table, data):
+    u = _vector(data.draw, table)
+    ad = _AdColumns(table, u)
+    for _ in range(3):
+        v = _vector(data.draw, table)
+        want = bracket(Element(table, u), Element(table, v)).coords
+        assert ad(v) == want, (u, v)
+
+
+def test_ad_columns_cancel_to_zero():
+    # [b0 + b1, b2] with [b0, b2] = -[b1, b2]: every term cancels
+    f9 = FIELDS[2]
+    c = f9.generator()
+    table = StructureTable(f9, ["a", "b", "c"], {(0, 2): ((1, c),), (1, 2): ((1, -c), (0, c), (0, -c))})
+    ad = _AdColumns(table, {0: f9.one, 1: f9.one})
+    assert ad({2: c}) == {} == bracket(Element(table, {0: f9.one, 1: f9.one}), table.basis_element(2)).coords
+
+
+class CountingDict(dict):
+    """A bracket dict that counts its reads by key."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = Counter()
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
+
+
+def _generators(basis):
+    et = basis.eigen_table
+    return list(_greedy_generators(et, generator_positions(basis), range(et.dim)))
+
+
+FINITE_AND_EPS_ZERO = [args for args in TORAL if args[1] in ("finite", "eps-zero")]
+
+
+@pytest.mark.parametrize("args", FINITE_AND_EPS_ZERO, ids=_id)
+def test_certificate_reads_each_monomial_product_once_per_generator(args):
+    basis = _basis(*_params(args))
+    table = basis.table
+    table.brackets = counting = CountingDict(table.brackets)
+    assert certify_eigenbasis(basis)
+    gens = _generators(basis)
+    assert counting.reads and max(counting.reads.values()) <= len(gens), (len(gens), counting.reads.most_common(1))
+
+
+def _changed_coefficient(table, key, data):
+    # one term of the stored pair key gets another nonzero coefficient
+    terms = table.brackets[key]
+    t = data.draw(st.integers(0, len(terms) - 1))
+    k, c = terms[t]
+    new = data.draw(st.sampled_from([a for a in table.field.elements() if a and a != c]))
+    table.brackets[key] = terms[:t] + ((k, new),) + terms[t + 1:]
+
+
+# finite at q <= 25 and eps-zero at p <= 5
+MUTATED = [args for args in FINITE_AND_EPS_ZERO if int(args[5]) <= 25 and int(args[3]) <= 5][::2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MUTATED), st.data())
+def test_a_changed_monomial_coefficient_gives_the_bracket_check(args, data):
+    basis = _basis(*_params(args))
+    table, et, vectors = basis.table, basis.eigen_table, basis.vectors
+    gens = _generators(basis)
+    g = data.draw(st.sampled_from(gens))
+    support = vectors[g].coords
+    read = sorted(key for key in table.brackets if key[0] in support or key[1] in support)  # by ad phi g
+    _changed_coefficient(table, data.draw(st.sampled_from(read)), data)
+    want = oracle_intertwining(et, vectors, [v.coords for v in vectors], gens)
+    assert want.check == "intertwining"
+    assert certify_eigenbasis(basis) == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_a_changed_monomial_coefficient_over_f16_gives_the_bracket_check(data):
+    basis = _f16_basis()
+    table, et, vectors = basis.table, basis.eigen_table, basis.vectors
+    assert certify_eigenbasis(basis)
+    _changed_coefficient(table, data.draw(st.sampled_from(sorted(table.brackets))), data)
+    vecs = [Echelon(table.field).reduce(v.coords) for v in vectors]
+    want = oracle_intertwining(et, vectors, vecs, range(et.dim))
+    assert want.check == "intertwining"
+    assert certify_eigenbasis(basis) == want
+
+
+
+def test_structure_map_images_must_live_on_dst():
+    # the intertwining reads the products of dst, so images elsewhere are refused
+    table, other = build_W1n(2, 3), build_W1n(2, 3)
+    assert check_structure_map(table, table, [table.basis_element(i) for i in range(table.dim)])
+    with pytest.raises(TableMismatch):
+        check_structure_map(table, table, [other.basis_element(i) for i in range(table.dim)])

@@ -5,7 +5,8 @@ the oracle; and the grid certificate, certify_eigenbasis, against the
 all-pairs generator certificate (oracle_check_structure_map on the
 materialized table), on every finite, sigma-zero and eps-zero input of
 test_sweep, on n1 = 2 over F_16, and on hypothesis-drawn changes of one
-entry of the rule's binomial table.  A changed binomial of one slice pair
+entry of the rule's binomial table, every such change on the width-one
+slices of sigma-zero at q <= 9.  A changed binomial of one slice pair
 fails the derivation, a changed product of a generator off the grid the
 intertwining, and each makes verify exit 1.
 """
@@ -14,7 +15,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import closed_eigen_table, extend_to_generators, oracle_check_structure_map
 from test_sweep import ACCEPTED
@@ -113,19 +114,32 @@ def test_grid_certificate_agrees_with_the_all_pairs_one(args):
 MUTATED = [args for args in TORAL if args[1] != "finite" or args[3] in ("3", "5", "7")][::3]
 
 
+@st.composite
+def _binomial_changes(draw):
+    """(args, ja, jb, b1, b2): B1, B2 of the slice pair (ja, jb) set to b1, b2."""
+    args = draw(st.sampled_from(MUTATED))
+    p, q = int(args[3]), int(args[5])
+    ja = draw(st.integers(0, q - 1))
+    jb = draw(st.integers(max(ja, 1 - ja), q - 1))  # target slice ja + jb - 1 in [0, q - 1]
+    return args, ja, jb, draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+
+
+SIGMA_ZERO_2_8 = ["--grading", "sigma-zero", "--p", "2", "--q", "8"]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(MUTATED), st.data())
-def test_grid_certificate_agrees_on_a_changed_binomial(args, data):
+@given(_binomial_changes())
+# width-one slices: a diagonal slice pair holds no product, so changing it
+# changes nothing, read directly (1, 1) or through a composition (2, 2)
+@example((SIGMA_ZERO_2_8, 1, 1, 0, 1))
+@example((SIGMA_ZERO_2_8, 2, 2, 0, 1))
+def test_grid_certificate_agrees_on_a_changed_binomial(change):
     # both certificates fail exactly when the change changes the table:
     # the basis map is injective, so the monomial table allows one table
-    p, n2, params = _params(args)
-    basis = _basis(p, n2, params)
-    q = basis.q
-    ja = data.draw(st.integers(0, q - 1))
-    jb = data.draw(st.integers(max(ja, 1 - ja), q - 1))  # target slice ja + jb - 1 in [0, q - 1]
-    if ja + jb - 1 >= q:
+    args, ja, jb, b1, b2 = change
+    basis = _basis(*_params(args))
+    if ja + jb - 1 >= basis.q:
         return
-    b1, b2 = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
     rule = AZBrackets(basis)
     rule._pairs[(ja, jb)] = (ja + jb - 1, b1, b2)
     changed = dataclasses.replace(basis, eigen_table=StructureTable(basis.table.field, basis.labels, rule))
@@ -134,6 +148,22 @@ def test_grid_certificate_agrees_on_a_changed_binomial(args, data):
     grid = bool(certify_eigenbasis(changed))
     assert grid == bool(oracle_check_structure_map(table, basis.table, basis.vectors, gens))
     assert grid == (table.brackets == closed_eigen_table(basis).brackets)
+
+
+@pytest.mark.parametrize("args", [args for args in TORAL if args[1] == "sigma-zero" and int(args[5]) <= 9], ids=_id)
+def test_grid_certificate_agrees_on_every_changed_binomial_of_width_one_slices(args):
+    # every (ja, jb) with a target slice and every (b1, b2), diagonal pairs included
+    p, n2, params = _params(args)
+    basis = _basis(p, n2, params)
+    q, field, want = basis.q, basis.table.field, closed_eigen_table(basis).brackets
+    for ja in range(q):
+        for jb in range(max(ja, 1 - ja), q - ja + 1):
+            for b1 in range(p):
+                for b2 in range(p):
+                    rule = AZBrackets(basis)
+                    rule._pairs[(ja, jb)] = (ja + jb - 1, b1, b2)
+                    changed = dataclasses.replace(basis, eigen_table=StructureTable(field, basis.labels, rule))
+                    assert bool(certify_eigenbasis(changed)) == (dict(rule.items()) == want), (ja, jb, b1, b2)
 
 
 F49 = ["--grading", "finite", "--p", "7", "--q", "7", "--mu3", "0,1"]

@@ -112,11 +112,11 @@ def _certify(basis):
 def test_certificate_builds_run_with_the_collector_paused(collector, monkeypatch):
     basis = _eigenbasis()
     seen = {"rule table": [], "index": [], "passes": []}
-    binom, kernel = grading.binom_mod_p, liealg._leibniz_failures
+    pascal, kernel = grading._pascal, liealg._leibniz_failures
 
-    def recording_binom(*args):
+    def recording_pascal(*args):
         seen["rule table"].append(gc.isenabled())
-        return binom(*args)
+        return pascal(*args)
 
     class Recording(liealg._LeibnizIndex):
         __slots__ = ()
@@ -130,10 +130,10 @@ def test_certificate_builds_run_with_the_collector_paused(collector, monkeypatch
             seen["passes"].append(gc.isenabled())
             yield out
 
-    monkeypatch.setattr(grading, "binom_mod_p", recording_binom)
+    monkeypatch.setattr(grading, "_pascal", recording_pascal)
     monkeypatch.setattr(liealg, "_LeibnizIndex", Recording)
     monkeypatch.setattr(liealg, "_leibniz_failures", recording_passes)
-    table = dict(grading.AZBrackets(basis).items())  # a fresh rule: every binomial read afresh
+    table = dict(grading.AZBrackets(basis).items())  # a fresh rule: its binomial triangle made afresh
     assert gc.isenabled() == collector
     assert table == closed_eigen_table(basis).brackets
     assert _certify(basis)
@@ -149,7 +149,7 @@ def test_raising_certificate_builds_restore_the_collector(collector, monkeypatch
         raise RuntimeError("broken")
 
     with monkeypatch.context() as mp:
-        mp.setattr(grading, "binom_mod_p", broken)
+        mp.setattr(grading, "_pascal", broken)
         with pytest.raises(RuntimeError, match="broken"):
             grading.AZBrackets(basis).items()
     assert gc.isenabled() == collector
