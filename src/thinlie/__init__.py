@@ -39,7 +39,6 @@ from .liealg import (
     bracket,
     center,
     check_structure_map,
-    quotient_by_ideal,
     subalgebra_table,
     validate_grading,
     validate_table,

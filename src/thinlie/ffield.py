@@ -477,12 +477,10 @@ def find_roots(field: FieldSpec, coeffs: Sequence[Coercible]) -> list[FieldEleme
     return roots
 
 
-def artin_schreier_roots(field: FieldSpec, sigma: FieldElement, eps: FieldElement,
-                         n1: int = 1) -> list[FieldElement]:
-    """Roots of Z^(p^n1) - sigma^(p^n1 - 1) Z - eps in the field."""
-    h = field.p ** n1
-    pi = sigma ** (h - 1)
-    coeffs: list[FieldElement] = [-eps, -pi] + [field.zero] * (h - 2) + [field.one]
+def artin_schreier_roots(field: FieldSpec, sigma: FieldElement, eps: FieldElement) -> list[FieldElement]:
+    """Roots of Z^p - sigma^(p-1) Z - eps in the field."""
+    p = field.p
+    coeffs: list[FieldElement] = [-eps, -sigma ** (p - 1)] + [field.zero] * (p - 2) + [field.one]
     return find_roots(field, coeffs)
 
 

@@ -1,11 +1,13 @@
-"""The two cyclic gradings of H(2;(n1),(n2);Phi(1)).
+"""The two cyclic gradings of H(2;(n1,n2);Phi(1)).
 
-grade_mixed assigns monomial degrees (1-q)i - j + q modulo (q-1)r, the
-grading whose loop algebra mixes diamonds of types -1 and infinity.
+grade_mixed assigns monomial degrees (1-q)i - j + q modulo (q-1)r, r = p^n1,
+the grading whose loop algebra mixes diamonds of types -1 and infinity.
 
-eigenbasis diagonalizes the toral element e_0 = y + pi*xbar*y and labels the
-eigenvectors e[r, alpha] with alpha = r*rho + s*sigma.  In that basis the
-algebra is an Albert-Zassenhaus algebra with one-term products
+The toral grading is one of the Albert-Zassenhaus algebras
+H(2;(1,n2);Phi(1)), the only shape built here.  eigenbasis diagonalizes the
+toral element e_0 = y + pi*xbar*y and labels the eigenvectors e[r, alpha]
+with alpha = r*rho + s*sigma, s in F_p.  In that basis the algebra is an
+Albert-Zassenhaus algebra with one-term products
 
     {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
 
@@ -26,7 +28,6 @@ once per expansion (liealg.validate_grading, from AZBrackets.proves_grading).
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import cache
 
@@ -51,7 +52,6 @@ from .liealg import (
     _gc_paused,
     _greedy_generators,
     _intertwining,
-    check_structure_map,
 )
 
 
@@ -79,16 +79,15 @@ def grade_mixed(table: StructureTable, q: int, r: int) -> DegreeMap:
 
 @dataclass(frozen=True)
 class ToralParams:
-    """sigma, rho, eps with rho^(p^n1) - sigma^(p^n1 - 1) rho - eps = 0."""
+    """sigma, rho, eps with rho^p - pi rho - eps = 0, pi = sigma^(p-1): the
+    toral element e_0 = y + pi*xbar*y of H(2;(1,n2);Phi(1))."""
 
     sigma: FieldElement
     rho: FieldElement
     eps: FieldElement
-    n1: int = 1
 
     def __post_init__(self):
-        lhs = self.rho ** (self.p ** self.n1) - self.pi * self.rho - self.eps
-        if lhs:
+        if self.rho ** self.p - self.pi * self.rho - self.eps:
             raise ValueError("rho does not satisfy the Artin-Schreier relation")
 
     @property
@@ -101,7 +100,7 @@ class ToralParams:
 
     @property
     def pi(self) -> FieldElement:
-        return self.sigma ** (self.p ** self.n1 - 1)
+        return self.sigma ** (self.p - 1)
 
 
 def toral_params(
@@ -109,19 +108,16 @@ def toral_params(
     sigma: FieldElement | int,
     eps: FieldElement | int = 1,
     rho: FieldElement | int | None = None,
-    n1: int = 1,
 ) -> ToralParams:
     """Build ToralParams, finding rho by exhaustive root search if omitted."""
     sigma = field.element(sigma)
     eps = field.element(eps)
     if rho is None:
-        roots = artin_schreier_roots(field, sigma, eps, n1)
+        roots = artin_schreier_roots(field, sigma, eps)
         if not roots:
-            raise NoRootInField(
-                "Z^(p^n1) - sigma^(p^n1-1) Z - eps has no root here; enlarge the field"
-            )
+            raise NoRootInField("Z^p - sigma^(p-1) Z - eps has no root here; enlarge the field")
         rho = roots[0]
-    return ToralParams(sigma, field.element(rho), eps, n1)
+    return ToralParams(sigma, field.element(rho), eps)
 
 
 def params_from_mu3(mu3: FieldElement) -> ToralParams:
@@ -143,16 +139,15 @@ def params_from_mu3(mu3: FieldElement) -> ToralParams:
 
 
 def toral_element(table: StructureTable, params: ToralParams) -> Element:
-    """e_0 = y + pi * xbar y in the monomial table."""
-    tau1 = params.p ** params.n1 - 1
-    if table.dim % (tau1 + 1):
-        raise ValueError("table dimension is incompatible with n1")
-    tau2 = table.dim // (tau1 + 1) - 1
-    mons = monomials(tau1, tau2)
-    index = {m: i for i, m in enumerate(mons)}
-    coords = {index[(0, 1)]: table.field.one}
+    """e_0 = y + pi * xbar y in the monomial table of H(2;(1,n2);Phi(1)):
+    x^(i) y^(j) at position i q + j, xbar = x^(p-1)."""
+    p = params.p
+    if table.dim % p:
+        raise ValueError("table dimension is not a multiple of p")
+    q = table.dim // p
+    coords = {1: table.field.one}
     if params.pi:
-        coords[index[(tau1, 1)]] = params.pi
+        coords[(p - 1) * q + 1] = params.pi
     return table.element(coords)
 
 
@@ -161,13 +156,13 @@ class EigenBasis:
     """Eigenvectors of ad e_0 with their (r, s, alpha) indexing.
 
     entries[m] = (r, s, alpha) for basis position m = j w + s of
-    eigen_table, w per slice, where r = 1 - j is the integer slice label and
-    alpha = r*rho + s*sigma the eigenvalue (s read as the s-th element of
-    F_{p^n1}).  eigen_table is the closed Albert-Zassenhaus table on these
-    labels, read by rule, and certificate the outcome of certify_eigenbasis
-    for the basis map e[r, alpha] -> vectors[m] into the monomial table.
-    For sigma = 0 only the single admissible alpha per slice exists (partial
-    = True): the vectors span the q-dimensional Zassenhaus subalgebra, and
+    eigen_table, w = p per slice, where r = 1 - j is the integer slice label
+    and alpha = r*rho + s*sigma the eigenvalue, s in F_p.  eigen_table is
+    the closed Albert-Zassenhaus table on these labels, read by rule, and
+    certificate the outcome of certify_eigenbasis for the basis map
+    e[r, alpha] -> vectors[m] into the monomial table.  For sigma = 0 only
+    the single admissible alpha per slice exists (partial = True, w = 1):
+    the vectors span the q-dimensional Zassenhaus subalgebra, and
     eigen_table is its table.  A failed eigen-equation leaves no eigen_table.
     """
 
@@ -185,27 +180,19 @@ class EigenBasis:
         return [f"e[{r},{a}]" for r, _, a in self.entries]
 
     def position(self, r: int, s: int) -> int:
-        for m, (rr, ss, _) in enumerate(self.entries):
-            if rr == r and ss == s:
-                return m
+        """m = (1 - r) w + s, KeyError when entries[m] is not (r, s, _)."""
+        m = (1 - r) * (1 if self.partial else self.params.p) + s
+        if 0 <= m < len(self.entries) and self.entries[m][:2] == (r, s):
+            return m
         raise KeyError((r, s))
-
-
-def _subfield_multipliers(field: FieldSpec, n1: int) -> list[FieldElement]:
-    """Elements of the subfield F_{p^n1}, in canonical order."""
-    h = field.p ** n1
-    out = [a for a in field.elements() if a ** h == a]
-    if len(out) != h:
-        raise ValueError(f"field has no subfield with {h} elements")
-    return out
 
 
 def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     """Diagonalize ad e_0 on the Phi(1) monomial table.
 
     Slice j's vectors are alpha^i = exp[i log alpha mod n] at x^(i) y^(j),
-    0^0 = 1, plus pi j at i = p^n1 - 1, built on the field's discrete logs
-    with pi read once.  Each is checked against the eigen-equation {e_0, v}
+    i < p, 0^0 = 1, plus pi j at i = p - 1, built on the field's discrete
+    logs with pi read once.  Each is checked against the eigen-equation {e_0, v}
     = alpha*v through the kept columns of ad e_0 (liealg._AdColumns), which
     give bracket(e_0, v) exactly: [e_0, v] must be log alpha + log v_k on
     every coordinate k, the same equality as before, so the same first
@@ -216,20 +203,12 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     and certificate proves the basis map an injective homomorphism into the
     monomial table (onto it when the basis is full): certify_eigenbasis.
     """
-    fieldspec = table.field
-    p, n1 = params.p, params.n1
-    r_card = p ** n1
-    tau1 = r_card - 1
-    if table.dim % r_card:
-        raise ValueError("table dimension is incompatible with n1")
-    q = table.dim // r_card
-    tau2 = q - 1
-    mons = monomials(tau1, tau2)
-    index = {m: i for i, m in enumerate(mons)}
+    fieldspec, p = table.field, params.p
     ad_e0 = _AdColumns(table, toral_element(table, params).coords)
+    q = table.dim // p  # x^(i) y^(j) at i q + j
     exp, _, n, _ = fieldspec._arith
     sigma, rho, pi = params.sigma, params.rho, params.pi
-    multipliers = _subfield_multipliers(fieldspec, n1) if sigma else [fieldspec.zero]
+    multipliers = [fieldspec.element(s) for s in range(p)] if sigma else [fieldspec.zero]
 
     entries: list[tuple[int, int, FieldElement]] = []
     vectors: list[Element] = []
@@ -240,9 +219,9 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
         for s, mult in enumerate(multipliers):
             alpha = rj * rho + mult * sigma
             a = alpha.log
-            coords = {index[(i, j)]: exp[i * a % n] for i in range(r_card)} if alpha else {index[(0, j)]: exp[0]}
+            coords = {i * q + j: exp[i * a % n] for i in range(p)} if alpha else {j: exp[0]}
             if pi and j % p:
-                pos = index[(tau1, j)]
+                pos = (p - 1) * q + j
                 c = coords.get(pos, fieldspec.zero) + pi * fieldspec.element(j)
                 if c:
                     coords[pos] = c
@@ -264,20 +243,21 @@ class AZBrackets(RuleBrackets):
     With B1 = C(j+l-1, l), B2 = C(j+l-1, j) from one table that
     certify_eigenbasis reads too (_slice_pair), positions (j, s) < (l, t),
     m = j w + s, have product (beta B1 - alpha B2) e[2-j-l, alpha+beta],
-    zero unless 0 <= j + l - 1 < q.  For n1 = 1, alpha = (1-j) rho + s sigma,
-    s in F_p: (rho u + sigma v) at (j + l - 1, s + t mod p), u = (1-l) B1 -
-    (1-j) B2, v = t B1 - s B2 mod p."""
+    zero unless 0 <= j + l - 1 < q.  With alpha = (1-j) rho + s sigma, s in
+    F_p, that is (rho u + sigma v) at (j + l - 1, s + t mod p), u = (1-l) B1
+    - (1-j) B2, v = t B1 - s B2 mod p.  With drop, the table modulo the line
+    of b_drop on the other positions, ascending (eigen_quotient)."""
 
-    def __init__(self, basis: EigenBasis):
+    def __init__(self, basis: EigenBasis, drop: int | None = None):
         super().__init__()
         params = basis.params
         self._p, self._q, self._entries = params.p, basis.q, basis.entries
-        self._dim, self._drop, self._width = len(basis.entries), None, len(basis.entries) // basis.q
+        self._dim, self._drop = len(basis.entries) - (drop is not None), drop
+        self._width = len(basis.entries) // basis.q
         self._pairs: dict = {}
         self._rows: list[list[int]] | None = None
         self._rhos = [params.rho * c for c in range(params.p)]
         self._sigmas = [params.sigma * c for c in range(params.p)]
-        self._position = None if params.n1 == 1 else {(r, a): m for m, (r, _, a) in enumerate(basis.entries)}
 
     def _slice_pair(self, ja: int, jb: int) -> tuple[int, int, int]:
         """(jc, B1, B2) = (ja + jb - 1, C(jc, jb), C(jc, ja)) mod p, memoized,
@@ -305,13 +285,8 @@ class AZBrackets(RuleBrackets):
         jc, b1, b2 = self._slice_pair(ja, jb)
         if not (b1 or b2):
             return None
-        if self._position is None:
-            c = self._rhos[((1 - jb) * b1 - (1 - ja) * b2) % p] + self._sigmas[(sb * b1 - sa * b2) % p]
-            target = jc * w + (sa + sb) % p
-        else:
-            alpha, beta = self._entries[a][2], self._entries[b][2]
-            c = beta * b1 - alpha * b2
-            target = self._position.get((1 - jc, alpha + beta))
+        c = self._rhos[((1 - jb) * b1 - (1 - ja) * b2) % p] + self._sigmas[(sb * b1 - sa * b2) % p]
+        target = jc * w + (sa + sb) % p
         if not c or target == drop:
             return None
         return ((target - (drop is not None and target > drop), c),)
@@ -324,10 +299,10 @@ class AZBrackets(RuleBrackets):
     def proves_grading(self, d: DegreeMap) -> bool:
         """True when d is raw(r, s) = combine_residues(r mod (q-1), s, q) mod
         d.modulus, a divisor of (q-1)p (grade_finite, sigma_zero_subalgebra);
-        False says nothing.  raw is additive, and for n1 = 1 the rule takes
-        (r, s), (r', s') to (r + r', s + s' mod p), in a quotient too."""
+        False says nothing.  raw is additive, and the rule takes (r, s),
+        (r', s') to (r + r', s + s' mod p), in a quotient too."""
         n, q = d.modulus, self._q
-        if self._position is not None or (q - 1) * self._p % n:
+        if (q - 1) * self._p % n:
             return False
         return d.degrees == tuple(
             combine_residues(r % (q - 1), s, q) % n for m, (r, s, _) in enumerate(self._entries) if m != self._drop
@@ -339,7 +314,7 @@ def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
     the rule table into the monomial table, from gens: X, Y and each
     position outside the _ReachedSpan of those before it, so gens generate.
 
-    - rank: slice j's vectors are the columns (alpha^i)_{i < p^n1} at
+    - rank: slice j's vectors are the columns (alpha^i)_{i < p} at
       x^(i) y^(j), plus pi j at the last i, a multiple of the all-ones row
       i = 0: Vandermonde after one row operation.  Slices have disjoint
       supports, so the rank is the number of distinct (r, alpha);
@@ -347,11 +322,8 @@ def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
     - derivation: ad g is a derivation for g in gens (_derivation).
 
     The elements with either property are closed under each ad g (the
-    monomial table is Lie) and hold gens, hence everything.  For n1 > 1,
-    check_structure_map reads every pair."""
+    monomial table is Lie) and hold gens, hence everything."""
     et, vectors = basis.eigen_table, basis.vectors
-    if basis.params.n1 != 1:
-        return check_structure_map(et, basis.table, vectors)
     rank = len({(r, alpha) for r, _, alpha in basis.entries})
     if rank != et.dim:
         return MapCheck("rank", f"the images span {rank} of {et.dim} dimensions")
@@ -362,8 +334,8 @@ def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
 
 
 def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
-    """ad g is a derivation of the rule table for g in gens (n1 = 1), on a
-    grid.  For g = e(jg, sg) and slices j1 <= j2, the defect [g, [x, y]] -
+    """ad g is a derivation of the rule table for g in gens, on a grid.
+    For g = e(jg, sg) and slices j1 <= j2, the defect [g, [x, y]] -
     [[g, x], y] - [x, [g, y]] at x = e(j1, s1), y = e(j2, s2) sums products
     of two rule coefficients rho u + sigma v, u fixed by the slices and v
     affine in (s1, s2), on one target (terms put apart fail): rho^2 A + rho
@@ -375,6 +347,12 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     slice pair, which on (j, j) needs B1 = B2 (checked first): the grid
     covers every pair.  A, B, C enter the field only when not all zero.
 
+    At w = 2 (p = 2) the only product of a diagonal slice pair (j, j) is
+    [e(j, 0), e(j, 1)], with u = (1-j)(B1 - B2) and v = B1.  When u is even
+    it reads B1 alone, so the table is the one with B2 = B1 there, which is
+    alternating: the check rejects only an odd u, and the form of (j, j)
+    takes B1 for both binomials (for p > 2 they are equal once checked).
+
     A width-one slice (w = 1, the partial sigma = 0 basis) holds one
     vector, so a diagonal slice pair holds no product: the rule never reads
     it, the alternation check is skipped, and a form on it reads as zero,
@@ -385,15 +363,17 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     rule, labels, rho, sigma = basis.eigen_table.brackets, basis.labels, basis.params.rho, basis.params.sigma
     p, q, w = rule._p, rule._q, rule._width
     for j in range(q if w > 1 else 0):
-        if rule._slice_pair(j, j)[1] != rule._slice_pair(j, j)[2]:
+        _, b1, b2 = rule._slice_pair(j, j)
+        if (b1 - b2) * (1 - j if w == 2 else 1) % p:
             return MapCheck("derivation", f"slice pair ({j}, {j}) is not alternating")
 
     @cache
     def form(jx: int, jy: int) -> tuple[int, int, int, int]:
         # (target slice, u, B1, B2): [e(jx, s), e(jy, t)] = (rho u + sigma (t B1 - s B2)) e(target, s + t)
-        if jx == jy and w == 1:
-            return jx + jy - 1, 0, 0, 0
-        if jx <= jy:
+        if jx == jy:
+            jc, b1, _ = rule._slice_pair(jx, jx)
+            return (jc, 0, b1, b1) if w > 1 else (jc, 0, 0, 0)
+        if jx < jy:
             jc, b1, b2 = rule._slice_pair(jx, jy)
         else:
             jc, b2, b1 = rule._slice_pair(jy, jx)
@@ -430,16 +410,14 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
 
 
 def eigen_quotient(basis: EigenBasis, drop: int) -> StructureTable:
-    """eigen_table modulo the line of b_drop, a view over the rule on the
-    other positions, ascending, that reads a term on drop as zero; the line
-    is an ideal when the dim products of b_drop lie in it, else NotAnIdeal."""
+    """eigen_table modulo the line of b_drop, the rule on the other
+    positions, ascending, reading a term on drop as zero; the line is an
+    ideal when the dim products of b_drop lie in it, else NotAnIdeal."""
     et = basis.eigen_table
     if any(terms[0][0] != drop for m in range(et.dim) if (terms := et.basis_bracket(drop, m))):
         raise NotAnIdeal("basis positions are not bracket-stable under the full algebra")
-    view = copy(et.brackets)
-    RuleBrackets.__init__(view)  # none of the parent's products or whole table
-    view._drop, view._dim = drop, et.dim - 1
-    return StructureTable(et.field, [label for m, label in enumerate(et.labels) if m != drop], view)
+    labels = [label for m, label in enumerate(et.labels) if m != drop]
+    return StructureTable(et.field, labels, AZBrackets(basis, drop))
 
 
 def grade_finite(basis: EigenBasis) -> DegreeMap:
@@ -449,8 +427,6 @@ def grade_finite(basis: EigenBasis) -> DegreeMap:
     residue s to combine: no finite grading."""
     if basis.partial:
         raise ValueError("grade_finite requires a full eigenbasis")
-    if basis.params.n1 != 1:
-        raise ValueError("the toral degree rule is implemented for n1 = 1 only")
     p, q = basis.params.p, basis.q
     n = (q - 1) * p
     raw = [combine_residues(r % (q - 1), s, q) for r, s, _ in basis.entries]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotAnIdeal, NotASubalgebra, TableMismatch
+from .errors import NotASubalgebra, TableMismatch
 from .ffield import FieldElement, FieldSpec
 
 
@@ -494,8 +494,10 @@ class _LeibnizIndex:
     a basis vector that is no bracket target.  Only well-formed terms are
     indexed (0 <= i < j < dim, target in range, coefficient nonzero);
     messages names the faults in the dict's order, encoding_ok is whether
-    there is none, one_term is _one_term(t), and on a one-term table
-    len(keys[a]) is the size of the ad row of b_a.  Appends in ascending
+    there is none, one_term is whether each stored key is 0 <= i < j < dim
+    with one term (k, c), 0 <= k < dim and c != 0, as in builder and eigen
+    tables, and on a one-term table len(keys[a]) is the size of the ad row
+    of b_a.  Appends in ascending
     key order keep the lists sorted; other orders are sorted after the pass.
     """
 
@@ -699,22 +701,8 @@ def validate_table(t: StructureTable, max_violations: int = 10) -> ValidationRep
 
 
 # ---------------------------------------------------------------------------
-# generating sets, the center, coordinate quotients
+# generating sets, the center
 # ---------------------------------------------------------------------------
-
-def _one_term(t: StructureTable) -> bool:
-    """Whether each stored key is 0 <= i < j < dim with one term (k, c), 0 <= k
-    < dim and c != 0, as in builder and eigen tables (_LeibnizIndex records
-    the same as one_term)."""
-    dim, zero = t.dim, 2 * (t.field.size - 1)
-    for (i, j), terms in t.brackets.items():
-        if len(terms) != 1 or not 0 <= i < j < dim:
-            return False
-        ((k, c),) = terms
-        if not 0 <= k < dim or c.log == zero:
-            return False
-    return True
-
 
 class _ReachedSpan:
     """The span of the right-normed brackets [g1, [g2, ..., gk]] of a growing
@@ -776,7 +764,7 @@ def center(t: StructureTable) -> tuple[int, ...]:
     """The center of t: the sorted positions of the basis vectors that are
     in no stored pair, which span it.
 
-    Exact on a one-term table (_one_term) where each ad b_j is
+    Exact on a one-term table (_LeibnizIndex.one_term) where each ad b_j is
     support-injective: distinct i with [b_i, b_j] != 0 have distinct
     targets.  For z = sum c_i b_i, [z, b_j] = sum c_i [b_i, b_j] then has
     one distinct target per such i, so it vanishes only when each such c_i
@@ -799,39 +787,6 @@ def center(t: StructureTable) -> tuple[int, ...]:
         hit.add(jk)
         paired[i] = paired[j] = 1
     return tuple(m for m in range(dim) if not paired[m])
-
-
-def quotient_by_ideal(t: StructureTable, drop: Iterable[int]) -> StructureTable:
-    """Structure table of t modulo the span of the basis vectors at the
-    positions drop, on the other basis vectors in ascending order.
-
-    One pass over the stored pairs: NotAnIdeal when a pair touches drop and
-    a nonzero term, repeated targets summed, lands outside it; every other
-    pair is renumbered without its terms on drop, straight into the new
-    brackets when each such pair is i < j with one term (the renumbering is
-    increasing), else through from_entries.  With cyclic garbage collection
-    paused (_gc_paused).
-    """
-    drop = set(drop)
-    keep = [i for i in range(t.dim) if i not in drop]
-    pos = {i: a for a, i in enumerate(keep)}
-    kept = []
-    with _gc_paused():
-        for (i, j), terms in t.brackets.items():
-            if i in drop or j in drop:
-                combined: dict[int, FieldElement] = {}
-                for k, c in terms:  # a hand-built bracket may repeat a target
-                    combined[k] = combined[k] + c if k in combined else c
-                if any(c and k not in drop for k, c in combined.items()):
-                    raise NotAnIdeal("basis positions are not bracket-stable under the full algebra")
-            else:
-                kept.append((i, j, terms))
-        labels = [t.labels[i] for i in keep]
-        if all(len(terms) == 1 and i < j for i, j, terms in kept):
-            return StructureTable(t.field, labels, {
-                (pos[i], pos[j]): ((pos[k], c),) for i, j, ((k, c),) in kept if c and k not in drop})
-        entries = [(pos[i], pos[j], [(pos[k], c) for k, c in terms if k not in drop]) for i, j, terms in kept]
-        return StructureTable.from_entries(t.field, labels, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ component as a Subspace eliminated from brackets, where thinloop
 works on basis positions and table lookups; they share only its report
 records.
 
+is_one_term is the one-term flag liealg read off a table by a pass of its
+own before _LeibnizIndex recorded it in its one pass.
+
 Subspace, centralizer_in and oracle_center are this module's own: the
 subspaces and nullspace centralizers liealg had before it read the center
 off the stored pairs (liealg.center).  A Subspace keeps liealg.Echelon's
@@ -1045,7 +1048,7 @@ class OracleLeibnizIndex:
     as (target, log); by_target[m]: ((j * dim + k) * dim, log), ascending,
     for the pairs j < k with a term at m.  Only well-formed entries are read
     (keys 0 <= i < j < dim, targets in range); zero coefficients are indexed
-    and add nothing.  one_term is liealg._one_term(t).
+    and add nothing.  one_term is is_one_term(t).
     """
 
     def __init__(self, t):
@@ -1199,6 +1202,20 @@ def closed_eigen_table(basis):
     return StructureTable(fieldspec, basis.labels, brackets)
 
 
+def is_one_term(t):
+    """Whether each stored key is 0 <= i < j < dim with one term (k, c), 0 <= k
+    < dim and c != 0, as in builder and eigen tables: the flag
+    liealg._LeibnizIndex records as one_term, by a loop of its own."""
+    dim, zero = t.dim, 2 * (t.field.size - 1)
+    for (i, j), terms in t.brackets.items():
+        if len(terms) != 1 or not 0 <= i < j < dim:
+            return False
+        ((k, c),) = terms
+        if not 0 <= k < dim or c.log == zero:
+            return False
+    return True
+
+
 def extend_to_generators(t, start):
     """start, then each basis position, lowest first, outside the span of
     the right-normed brackets of the positions chosen so far, until that
@@ -1206,7 +1223,7 @@ def extend_to_generators(t, start):
     generating set of t.  ValueError when t is not one-term."""
     from thinlie import liealg
 
-    if not liealg._one_term(t):
+    if not is_one_term(t):
         raise ValueError("generating sets are read off one-term tables only")
     return list(liealg._greedy_generators(t, start, range(t.dim)))
 

@@ -9,10 +9,12 @@ grading.eigenbasis.
   applied to several v so that kept columns are read again.
 - Reads: on every finite and eps-zero sweep input, certify_eigenbasis
   reads each monomial product at most once per generator.
-- Mutations: one changed monomial coefficient that the intertwining reads
-  gives the MapCheck of the pair-by-pair check by bracket
-  (oracles.oracle_intertwining), at n1 = 1 through certify_eigenbasis and
-  at n1 = 2 over F_16 through check_structure_map, which refuses images
+- Mutations: one changed coefficient of the target table that the
+  intertwining reads gives the MapCheck of the pair-by-pair check by
+  bracket (oracles.oracle_intertwining): a monomial coefficient through
+  certify_eigenbasis, and a coefficient of W(1;2) over F_9 through
+  check_structure_map on the map of suite row 03, from the group basis
+  (cartan.zassenhaus_group_basis).  check_structure_map refuses images
   that live on another table than the one whose products it reads.
 """
 
@@ -22,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_intertwining
-from test_az_rule import TORAL, _basis, _f16_basis, _id, _params
-from thinlie.cartan import build_H2_phi1, build_W1n
+from test_az_rule import TORAL, _basis, _id, _params
+from thinlie.cartan import build_H2_phi1, build_W1n, zassenhaus_group_basis
 from thinlie.errors import TableMismatch
 from thinlie.ffield import field_create
 from thinlie.grading import certify_eigenbasis, generator_positions
@@ -150,16 +152,18 @@ def test_a_changed_monomial_coefficient_gives_the_bracket_check(args, data):
 
 @settings(max_examples=15, deadline=None)
 @given(st.data())
-def test_a_changed_monomial_coefficient_over_f16_gives_the_bracket_check(data):
-    basis = _f16_basis()
-    table, et, vectors = basis.table, basis.eigen_table, basis.vectors
-    assert certify_eigenbasis(basis)
-    _changed_coefficient(table, data.draw(st.sampled_from(sorted(table.brackets))), data)
-    vecs = [Echelon(table.field).reduce(v.coords) for v in vectors]
-    want = oracle_intertwining(et, vectors, vecs, range(et.dim))
+def test_a_changed_w_coefficient_under_the_group_basis_map_gives_the_bracket_check(data):
+    # suite row 03: e_alpha -> its E-coordinates, group basis onto W(1;2) over F_9
+    field = FIELDS[2]
+    group, transition = zassenhaus_group_basis(3, 2, field)
+    w = build_W1n(3, 2, field)
+    images = [w.element(coords) for coords in transition]
+    assert check_structure_map(group, w, images)
+    _changed_coefficient(w, data.draw(st.sampled_from(sorted(w.brackets))), data)
+    vecs = [Echelon(field).reduce(v.coords) for v in images]
+    want = oracle_intertwining(group, images, vecs, range(group.dim))
     assert want.check == "intertwining"
-    assert certify_eigenbasis(basis) == want
-
+    assert check_structure_map(group, w, images) == want
 
 
 def test_structure_map_images_must_live_on_dst():

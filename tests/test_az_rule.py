@@ -1,13 +1,14 @@
 """grading.AZBrackets, the closed Albert-Zassenhaus table read by rule,
 against the materialized oracle closed_eigen_table, entry by entry and in
-key order; its eps = 0 quotient view against liealg.quotient_by_ideal of
-the oracle; and the grid certificate, certify_eigenbasis, against the
-all-pairs generator certificate (oracle_check_structure_map on the
-materialized table), on every finite, sigma-zero and eps-zero input of
-test_sweep, on n1 = 2 over F_16, and on hypothesis-drawn changes of one
-entry of the rule's binomial table, every such change on the width-one
-slices of sigma-zero at q <= 9.  A changed binomial of one slice pair
-fails the derivation, a changed product of a generator off the grid the
+key order; its quotient by a basis line (grading.eigen_quotient) against
+oracle_quotient_by_ideal, NotAnIdeal included; and the grid certificate,
+certify_eigenbasis, against the all-pairs generator certificate
+(oracle_check_structure_map on the materialized table), on every finite,
+sigma-zero and eps-zero input of test_sweep, and on hypothesis-drawn
+changes of one entry of the rule's binomial table, every such change on
+the width-one slices of sigma-zero at q <= 9 and the width-two slices of
+finite p = 2 at q <= 8.  A changed binomial of one slice pair fails the
+derivation, a changed product of a generator off the grid the
 intertwining, and each makes verify exit 1.
 """
 
@@ -17,11 +18,17 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import closed_eigen_table, extend_to_generators, oracle_check_structure_map
+from oracles import (
+    closed_eigen_table,
+    coordinate_span,
+    extend_to_generators,
+    oracle_check_structure_map,
+    oracle_quotient_by_ideal,
+)
 from test_sweep import ACCEPTED
 from thinlie import cli
 from thinlie.cartan import build_H2_phi1
-from thinlie.errors import NoRootInField
+from thinlie.errors import NotAnIdeal
 from thinlie.ffield import field_create
 from thinlie.grading import (
     AZBrackets,
@@ -32,7 +39,7 @@ from thinlie.grading import (
     params_from_mu3,
     toral_params,
 )
-from thinlie.liealg import StructureTable, quotient_by_ideal
+from thinlie.liealg import StructureTable
 
 
 def _params(args):
@@ -55,17 +62,6 @@ def _id(args):
 
 def _basis(p, n2, params):
     return eigenbasis(build_H2_phi1(p, 1, n2, params.field, params.eps), params)
-
-
-def _f16_basis():
-    # n1 = 2 over F_16, as in test_grading.test_general_n1_eigen_equation
-    f16 = field_create(2, 4)
-    for sigma in list(f16.elements())[1:]:
-        try:
-            params = toral_params(f16, sigma, eps=1, n1=2)
-        except NoRootInField:
-            continue
-        return eigenbasis(build_H2_phi1(2, 2, 1, f16, 1), params)
 
 
 def _assert_same_table(rule, want):
@@ -92,13 +88,32 @@ def test_rule_is_the_closed_table(args):
     want = _assert_rule_is_the_closed_table(basis)
     if args[1] == "eps-zero":
         central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
-        _assert_same_table(eigen_quotient(basis, central), quotient_by_ideal(want, [central]))
+        quotient = oracle_quotient_by_ideal(want, coordinate_span(want, [central]))
+        _assert_same_table(eigen_quotient(basis, central), quotient)
 
 
-def test_rule_is_the_closed_table_for_n1_two():
-    basis = _f16_basis()
-    assert len(basis.vectors) == 8 and basis.certificate, basis.certificate
-    _assert_rule_is_the_closed_table(basis)
+# dim p q <= 25, finite at mu3 = (0, 1) only
+SMALL = [args for args in TORAL
+         if int(args[3]) * int(args[5]) <= 25 and (args[1] != "finite" or args[7] == "0,1")]
+
+
+@pytest.mark.parametrize("args", SMALL, ids=_id)
+def test_eigen_quotient_matches_the_oracle_on_every_basis_line(args):
+    # NotAnIdeal exactly where the oracle raises it: on every line of a
+    # simple algebra, and on every line but the center's at eps = 0
+    basis = _basis(*_params(args))
+    closed = closed_eigen_table(basis)
+    ideals = 0
+    for drop in range(closed.dim):
+        try:
+            want = oracle_quotient_by_ideal(closed, coordinate_span(closed, [drop]))
+        except NotAnIdeal:
+            with pytest.raises(NotAnIdeal):
+                eigen_quotient(basis, drop)
+            continue
+        ideals += 1
+        _assert_same_table(eigen_quotient(basis, drop), want)
+    assert ideals == (args[1] == "eps-zero")
 
 
 @pytest.mark.parametrize("args", TORAL, ids=_id)
@@ -150,9 +165,15 @@ def test_grid_certificate_agrees_on_a_changed_binomial(change):
     assert grid == (table.brackets == closed_eigen_table(basis).brackets)
 
 
-@pytest.mark.parametrize("args", [args for args in TORAL if args[1] == "sigma-zero" and int(args[5]) <= 9], ids=_id)
+NARROW = [args for args in TORAL if args[1] == "sigma-zero" and int(args[5]) <= 9
+          or args[1] == "finite" and args[3] == "2" and int(args[5]) <= 8]
+
+
+@pytest.mark.parametrize("args", NARROW, ids=_id)
 def test_grid_certificate_agrees_on_every_changed_binomial_of_width_one_slices(args):
-    # every (ja, jb) with a target slice and every (b1, b2), diagonal pairs included
+    # every (ja, jb) with a target slice and every (b1, b2), diagonal pairs
+    # included; also on the width-two slices of finite p = 2, where a
+    # diagonal pair (j, j), j odd, reads B1 alone
     p, n2, params = _params(args)
     basis = _basis(p, n2, params)
     q, field, want = basis.q, basis.table.field, closed_eigen_table(basis).brackets

@@ -162,25 +162,6 @@ def test_ad_e0_slice_spectrum(f9_basis):
         assert eigenvalues == expected
 
 
-def test_general_n1_eigen_equation():
-    # n1 = 2 over F_16: the general-pi eigenvectors satisfy the eigen-equation
-    f16 = field_create(2, 4)
-    table = build_H2_phi1(2, 2, 1, f16, 1)
-    params = None
-    for sigma in f16.elements():
-        if not sigma:
-            continue
-        try:
-            params = toral_params(f16, sigma, eps=1, n1=2)
-            break
-        except NoRootInField:
-            continue
-    assert params is not None
-    basis = eigenbasis(table, params)  # raises if any eigen-equation fails
-    assert len(basis.vectors) == 8
-    assert validate_table(basis.eigen_table).ok
-
-
 def test_params_from_mu3_roundtrip_and_errors():
     for mu3 in F9.elements():
         if in_prime_field(mu3):

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     change_basis,
     element_by_index,
+    is_one_term,
     oracle_check_structure_map,
     oracle_jacobi_violations,
     oracle_rref,
@@ -202,7 +203,7 @@ def _certificate_generators(table):
     """The certificate's generators, or None when the table is not one-term
     or the certificate would take more than dim/3 generators: then the scan
     runs, straight away or once the guard stops the extension."""
-    if not liealg._one_term(table):
+    if not is_one_term(table):
         return None
     gens = list(liealg._greedy_generators(table, (), _ad_row_order(table)))
     return None if 3 * len(gens) > table.dim else gens

@@ -12,7 +12,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import OracleLeibnizIndex, element_by_index, oracle_leibniz_failures, oracle_validate_table
+from oracles import OracleLeibnizIndex, element_by_index, is_one_term, oracle_leibniz_failures, oracle_validate_table
 from test_jacobi import REAL, alternating_tables, hand_built_tables
 from thinlie import liealg
 from thinlie.ffield import field_create
@@ -69,7 +69,7 @@ def test_flat_index_matches_the_rows_oracle(table):
     scans = [(g, lo) for g in range(dim) for lo in range(-1, dim)]
     index = liealg._LeibnizIndex(table)
     assert list(liealg._leibniz_failures(index, scans)) == oracle_leibniz_failures(OracleLeibnizIndex(table), scans)
-    assert index.one_term == liealg._one_term(table) == OracleLeibnizIndex(table).one_term
+    assert index.one_term == is_one_term(table) == OracleLeibnizIndex(table).one_term
     for cap in (1, 3, 10 ** 6):
         assert validate_table(table, cap) == oracle_validate_table(table, cap)
 
@@ -81,7 +81,7 @@ def test_empty_term_tuple_is_not_one_term():
     for brackets in ({(0, 1): ()}, {(0, 1): (), (0, 2): ((1, one), (2, one))},
                      {(0, 2): ((1, one), (1, one)), (0, 1): ()}):
         table = StructureTable(f3, ["a", "b", "c"], brackets)
-        assert not liealg._one_term(table)
+        assert not is_one_term(table)
         assert not liealg._LeibnizIndex(table).one_term
 
 

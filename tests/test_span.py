@@ -13,7 +13,7 @@ tables with a stored zero, a diagonal key or a target out of range,
 extend_to_generators and the generator certificate raise
 ValueError, and validate_table goes straight to the per-vector scan, with
 the report the triple-by-triple oracle gives.  On every table here
-_LeibnizIndex finds the same one-term flag as _one_term."""
+_LeibnizIndex finds the same one-term flag as is_one_term."""
 
 import functools
 
@@ -26,6 +26,7 @@ from oracles import (
     change_basis,
     element_by_index,
     extend_to_generators,
+    is_one_term,
     oracle_check_structure_map,
     oracle_extend_to_generators,
     oracle_jacobi_violations,
@@ -125,7 +126,7 @@ def _scan_report(table, cap):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(random_tables(), rewritten_tables()), st.sampled_from([1, 10, 10 ** 6]))
 def test_generating_sets_are_read_off_one_term_tables_only(table, cap):
-    one_term = liealg._one_term(table)
+    one_term = is_one_term(table)
     assert liealg._LeibnizIndex(table).one_term == one_term
     certified = []
     with pytest.MonkeyPatch.context() as mp:
@@ -187,7 +188,7 @@ def reached_spans(draw):
 @given(reached_spans())
 def test_reached_span_matches_oracle(case):
     table, gens = case
-    assert liealg._one_term(table) and liealg._LeibnizIndex(table).one_term
+    assert is_one_term(table) and liealg._LeibnizIndex(table).one_term
     closure = liealg._ReachedSpan(table)
     for g in gens:
         closure.adjoin(g)
@@ -200,7 +201,7 @@ def test_reached_span_matches_oracle(case):
 @pytest.mark.parametrize("m", range(len(BUILT)))
 def test_extension_on_builder_tables(m):
     table = BUILT[m]
-    assert liealg._one_term(table) and liealg._LeibnizIndex(table).one_term
+    assert is_one_term(table) and liealg._LeibnizIndex(table).one_term
     starts = [[], [0], [table.dim - 1, 0]]
     got = [extend_to_generators(table, start) for start in starts]
     assert got == [oracle_extend_to_generators(table, start) for start in starts]
@@ -212,7 +213,7 @@ def test_extension_and_generation_on_eigen_tables():
     cases = []
     for basis in toral_bases():
         et = basis.eigen_table
-        assert liealg._one_term(et) and liealg._LeibnizIndex(et).one_term
+        assert is_one_term(et) and liealg._LeibnizIndex(et).one_term
         gens = extend_to_generators(et, generator_positions(basis))
         assert gens == oracle_extend_to_generators(et, generator_positions(basis))
         for drop in range(len(gens)):
@@ -249,7 +250,7 @@ def test_malformed_tables_take_the_bracket_span(m, how, monkeypatch):
     # a malformed table is not one-term: no generating set is read off it,
     # and validate_table reports the encoding without the certificate
     table = _malformed(BUILT[m], how)
-    assert not liealg._one_term(table) and not liealg._LeibnizIndex(table).one_term
+    assert not is_one_term(table) and not liealg._LeibnizIndex(table).one_term
 
     def unused(*args):
         raise AssertionError("a table that is not one-term reached the certificate")
@@ -264,8 +265,8 @@ def test_malformed_tables_take_the_bracket_span(m, how, monkeypatch):
 
 
 def test_validate_table_reads_one_term_off_the_leibniz_index(monkeypatch):
-    # no second pass over the stored pairs: only the one-term tables reach
-    # the certificate, the rewritten one goes straight to the scan
+    # the index's one_term flag decides: only the one-term tables reach the
+    # certificate, the rewritten one goes straight to the scan
     seen = []
     real = liealg._jacobi_certified
 
@@ -273,11 +274,7 @@ def test_validate_table_reads_one_term_off_the_leibniz_index(monkeypatch):
         seen.append(t)
         return real(t, index)
 
-    def unused(t):
-        raise AssertionError("validate_table made a second one-term pass")
-
     monkeypatch.setattr(liealg, "_jacobi_certified", recording)
-    monkeypatch.setattr(liealg, "_one_term", unused)
     rewritten = change_basis(BUILT[3], [[F3.one if i <= j else F3.zero for j in range(27)] for i in range(27)],
                              [f"v{i}" for i in range(27)])
     for table in BUILT + [rewritten]:
@@ -291,7 +288,7 @@ def test_multi_term_table_is_rejected_where_generators_are_used(monkeypatch):
     one, zero = F9.one, F9.zero
     rows = [[one if i <= j else zero for j in range(table.dim)] for i in range(table.dim)]
     rewritten = change_basis(table, rows, [f"v{i}" for i in range(table.dim)])
-    assert not liealg._one_term(rewritten) and not liealg._LeibnizIndex(rewritten).one_term
+    assert not is_one_term(rewritten) and not liealg._LeibnizIndex(rewritten).one_term
     # [0, 1] generate it, and are still refused
     assert len(oracle_right_normed_span(rewritten, [0, 1])[0].pivots) == rewritten.dim
     with pytest.raises(ValueError, match="one-term"):
