@@ -191,8 +191,8 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
     """Diagonalize ad e_0 on the Phi(1) monomial table.
 
     Slice j's vectors are alpha^i = exp[i log alpha mod n] at x^(i) y^(j),
-    i < p, 0^0 = 1, plus pi j at i = p - 1, built on the field's discrete
-    logs with pi read once.  Each is checked against the eigen-equation {e_0, v}
+    i < p, 0^0 = 1, plus pi j at i = p - 1, built on the field's discrete logs
+    with pi read once.  Each is checked against the eigen-equation {e_0, v}
     = alpha*v through the kept columns of ad e_0 (liealg._AdColumns), which
     give bracket(e_0, v) exactly: [e_0, v] must be log alpha + log v_k on
     every coordinate k, the same equality as before, so the same first

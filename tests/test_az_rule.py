@@ -165,6 +165,7 @@ def test_grid_certificate_agrees_on_a_changed_binomial(change):
     assert grid == (table.brackets == closed_eigen_table(basis).brackets)
 
 
+# slices of width one (sigma-zero, q <= 9) and two (finite p = 2, q <= 8)
 NARROW = [args for args in TORAL if args[1] == "sigma-zero" and int(args[5]) <= 9
           or args[1] == "finite" and args[3] == "2" and int(args[5]) <= 8]
 
