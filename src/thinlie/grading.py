@@ -13,11 +13,12 @@ Albert-Zassenhaus algebra with one-term products
 
 so its table is read off this formula by rule (AZBrackets), not
 conjugated or stored, and certify_eigenbasis proves the basis map an
-isomorphism onto the monomial table.  Both checks on the monomial table,
-the eigen-equation and the intertwining, apply ad of one vector through
-its columns on discrete logs (liealg._AdColumns): each monomial product is
-read once per e_0 or generator, not once per pair of image terms, and the
-images are built on logs too.  grade_finite combines
+isomorphism onto the monomial table that takes e[0,0] to e_0, which
+proves every eigen-equation: no vector is checked against ad e_0.  The
+one check on the monomial table, the intertwining, applies ad of each
+generator through its columns on discrete logs (liealg._AdColumns): each
+monomial product is read once per generator, not once per pair of image
+terms, and the images are built on logs too.  grade_finite combines
 the two residues r mod (q-1) and s mod p into a degree modulo (q-1)p.  The
 resulting loop algebra has diamond types in arithmetic progression with
 step sigma/rho, so prescribing the third type mu3 outside the prime field
@@ -48,7 +49,6 @@ from .liealg import (
     MapCheck,
     RuleBrackets,
     StructureTable,
-    _AdColumns,
     _gc_paused,
     _greedy_generators,
     _intertwining,
@@ -163,7 +163,9 @@ class EigenBasis:
     e[r, alpha] -> vectors[m] into the monomial table.  For sigma = 0 only
     the single admissible alpha per slice exists (partial = True, w = 1):
     the vectors span the q-dimensional Zassenhaus subalgebra, and
-    eigen_table is its table.  A failed eigen-equation leaves no eigen_table.
+    eigen_table is its table.  The eigen-equations are part of the
+    certificate, not checked on their own, so every basis has an
+    eigen_table.
     """
 
     table: StructureTable
@@ -192,19 +194,15 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
 
     Slice j's vectors are alpha^i = exp[i log alpha mod n] at x^(i) y^(j),
     i < p, 0^0 = 1, plus pi j at i = p - 1, built on the field's discrete logs
-    with pi read once.  Each is checked against the eigen-equation {e_0, v}
-    = alpha*v through the kept columns of ad e_0 (liealg._AdColumns), which
-    give bracket(e_0, v) exactly: [e_0, v] must be log alpha + log v_k on
-    every coordinate k, the same equality as before, so the same first
-    failing (r, s) ends the basis, with that failure as certificate.
-    With sigma = 0 the basis is partial: one eigenvector per slice, jointly
+    with pi read once.  No vector is checked here: certificate proves the
+    basis map an injective homomorphism into the monomial table (onto it
+    when the basis is full) that takes e[0,0] to e_0, with e[0,0]'s row
+    diagonal, and so every eigen-equation (certify_eigenbasis).  With
+    sigma = 0 the basis is partial: one eigenvector per slice, jointly
     spanning the Zassenhaus subalgebra of the sigma = 0 degeneration.  For
-    every sigma eigen_table reads the closed product formula (AZBrackets),
-    and certificate proves the basis map an injective homomorphism into the
-    monomial table (onto it when the basis is full): certify_eigenbasis.
+    every sigma eigen_table reads the closed product formula (AZBrackets).
     """
     fieldspec, p = table.field, params.p
-    ad_e0 = _AdColumns(table, toral_element(table, params).coords)
     q = table.dim // p  # x^(i) y^(j) at i q + j
     exp, _, n, _ = fieldspec._arith
     sigma, rho, pi = params.sigma, params.rho, params.pi
@@ -212,7 +210,6 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
 
     entries: list[tuple[int, int, FieldElement]] = []
     vectors: list[Element] = []
-    basis = EigenBasis(table, params, q, entries, vectors, partial=not sigma)
     for j in range(q):
         r = 1 - j
         rj = fieldspec.element(r)
@@ -227,12 +224,10 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
                     coords[pos] = c
                 else:
                     coords.pop(pos, None)
-            if ad_e0(coords) != ({k: exp[a + c.log] for k, c in coords.items()} if alpha else {}):
-                basis.certificate = MapCheck("eigen-equation", f"at (r={r}, s={s})")
-                return basis
             entries.append((r, s, alpha))
             vectors.append(Element(table, coords))
 
+    basis = EigenBasis(table, params, q, entries, vectors, partial=not sigma)
     basis.eigen_table = StructureTable(fieldspec, basis.labels, AZBrackets(basis))
     basis.certificate = certify_eigenbasis(basis)
     return basis
@@ -312,21 +307,34 @@ class AZBrackets(RuleBrackets):
 def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
     """Certify phi: e[r, alpha] -> vectors[m] an injective homomorphism of
     the rule table into the monomial table, from gens: X, Y and each
-    position outside the _ReachedSpan of those before it, so gens generate.
+    position outside the _ReachedSpan of those before it, so gens generate,
+    and with it the eigen-equation [e_0, v] = alpha v of every vector.
 
     - rank: slice j's vectors are the columns (alpha^i)_{i < p} at
       x^(i) y^(j), plus pi j at the last i, a multiple of the all-ones row
       i = 0: Vandermonde after one row operation.  Slices have disjoint
       supports, so the rank is the number of distinct (r, alpha);
+    - eigen-equation: phi(e[0,0]) = e_0 = toral_element, coordinate for
+      coordinate, and the rule's row of e[0,0] is diagonal, [e[0,0],
+      e(l, t)] = alpha(l, t) e(l, t) (slice pair (1, l): B1 = 1, B2 = l),
+      dim reads of the rule;
     - intertwining: phi[g, b] = [phi g, phi b] for g in gens, b in the basis;
     - derivation: ad g is a derivation for g in gens (_derivation).
 
-    The elements with either property are closed under each ad g (the
-    monomial table is Lie) and hold gens, hence everything."""
+    The elements with either of the last two properties are closed under
+    each ad g (the monomial table is Lie) and hold gens, hence everything:
+    phi is a homomorphism, so [e_0, phi b] = phi [e[0,0], b] = alpha_b phi b
+    for every b."""
     et, vectors = basis.eigen_table, basis.vectors
     rank = len({(r, alpha) for r, _, alpha in basis.entries})
     if rank != et.dim:
         return MapCheck("rank", f"the images span {rank} of {et.dim} dimensions")
+    e00 = basis.position(0, 0)
+    if vectors[e00] != toral_element(basis.table, basis.params):
+        return MapCheck("eigen-equation", f"{et.labels[e00]} does not map to e_0")
+    for m, (_, _, alpha) in enumerate(basis.entries):
+        if et.basis_bracket(e00, m) != (((m, alpha),) if alpha else ()):
+            return MapCheck("eigen-equation", f"[{et.labels[e00]}, {et.labels[m]}]")
     with _gc_paused():  # the checks build nothing cyclic
         gens = list(_greedy_generators(et, generator_positions(basis), range(et.dim)))
         check = _intertwining(et, basis.table, [v.coords for v in vectors], gens)
@@ -360,7 +368,7 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     is zero in any alternating table, and is skipped too.  A slice pair
     whose three inner forms, [x, y], [g, x] and [g, y], all have B1 = B2 =
     0 has every term of its defect zero, and is skipped."""
-    rule, labels, rho, sigma = basis.eigen_table.brackets, basis.labels, basis.params.rho, basis.params.sigma
+    rule, labels, rho, sigma = basis.eigen_table.brackets, basis.eigen_table.labels, basis.params.rho, basis.params.sigma
     p, q, w = rule._p, rule._q, rule._width
     for j in range(q if w > 1 else 0):
         _, b1, b2 = rule._slice_pair(j, j)

@@ -11,8 +11,9 @@ supports of the vectors, not the dimension.  check_structure_map reads it
 for the rank of the images and proves a map on every pair; the eigen
 tables are certified from generators with no elimination
 (grading.certify_eigenbasis).  Both intertwine through _AdColumns, ad u
-for a fixed u with its columns [u, b_m] kept, on discrete logs.  The
-center is read off the stored pairs, with no elimination (center).
+for a fixed u with its columns [u, b_m] summed from the stored pairs and
+kept, on discrete logs.  The center is read off the stored pairs, with no
+elimination (center).
 validate_table proves the Jacobi identity with one Leibniz-rule kernel,
 whose cost follows the nonzero bracket compositions, not the number of
 basis triples; it reads flat per-vector lists that one pass over the
@@ -319,22 +320,61 @@ def bracket(u: Element, v: Element) -> Element:
 class _AdColumns:
     """ad u on a table for a fixed sparse u, applied to sparse vectors v.
 
-    Column m, [u, b_m], is bracket(u, b_m), worked out the first time a v
-    with a nonzero coordinate m comes in and kept as (target, log) pairs:
-    each product [b_i, b_m] is read from the table once, every stored term
-    counted.  ad(v) = sum v_m [u, b_m] is summed on discrete logs as in
-    bracket, so it equals bracket(u, v).coords on any table; v is coerced
-    as in bracket."""
+    u is coerced once, as bracket coerces it, and kept on discrete logs.
+    Column m, [u, b_m], is summed from the stored pairs of m with u's
+    support the first time a v with a nonzero coordinate m comes in, as
+    bracket(u, b_m) sums it (same order, same cancellations, so the same
+    keys in the same order), and kept as (target, log) pairs: each product
+    [b_i, b_m] is read from the table once, every stored term counted.
+    ad(v) = sum v_m [u, b_m] is summed on discrete logs as in bracket, so
+    it equals bracket(u, v).coords on any table; v is coerced as in
+    bracket."""
 
     __slots__ = ("table", "u", "columns")
 
     def __init__(self, table: StructureTable, u: Vec):
-        self.table, self.u, self.columns = table, Element(table, u), {}
+        field = table.field
+        if field._arith is None:
+            field._build()
+        _, _, n, neg_one = field._arith
+        self.table, self.u, self.columns = table, [], {}
+        for i, a in u.items():  # (i, log u_i, log -u_i), zeros left out
+            if a.__class__ is not FieldElement or a.spec is not field:
+                a = field.element(a)
+            if a.log != n + n:
+                self.u.append((i, a.log, (a.log + neg_one) % n))
+
+    def _column(self, m: int) -> list[tuple[int, int]]:
+        """[u, b_m] as (target, log) pairs, keyed as bracket keys it."""
+        brackets = self.table.brackets
+        _, zech, n, _ = self.table.field._arith
+        zero = n + n
+        out: dict[int, int] = {}
+        get = out.get
+        for i, a, neg_a in self.u:
+            if i < m:
+                terms, c = brackets.get((i, m)), a
+            elif i > m:
+                terms, c = brackets.get((m, i)), neg_a
+            else:
+                continue
+            if not terms:
+                continue
+            for k, ck in terms:
+                e = c + ck.log
+                if e >= zero:  # a stored zero coefficient
+                    continue
+                x = get(k)
+                if x is not None:
+                    e = x + zech[e - x]
+                    if e >= zero:  # cancelled: a later term re-adds k at the end
+                        del out[k]
+                        continue
+                out[k] = e if e < n else e - n
+        return list(out.items())
 
     def __call__(self, v: Vec) -> Vec:
         field, columns = self.table.field, self.columns
-        if field._arith is None:
-            field._build()
         exp, zech, n, _ = field._arith
         zero = n + n
         out: Vec = {}
@@ -347,8 +387,7 @@ class _AdColumns:
                 continue
             col = columns.get(m)
             if col is None:
-                b_m = Element(self.table, {m: field.one})
-                col = columns[m] = [(k, x.log) for k, x in bracket(self.u, b_m).coords.items()]
+                col = columns[m] = self._column(m)
             for k, x in col:
                 e = c + x
                 s = get(k)

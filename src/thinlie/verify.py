@@ -191,8 +191,8 @@ def mixed_grading(p: int, n1: int, n2: int) -> Grading:
 
 def toral_grading(p: int, n2: int, params: ToralParams) -> tuple[Grading, EigenBasis]:
     """H(2;(1,n2);Phi(1)) with params.eps, graded by the eigenbasis of the
-    toral element once the certificate proves its eigen table (else
-    Unproved, also for a failed eigen-equation): the finite grading, or for
+    toral element once the certificate proves its eigen table and with it
+    the eigen-equations (else Unproved): the finite grading, or for
     sigma = 0 the slice grading of a Zassenhaus subalgebra; types mu_t =
     -1 + (t-2) sigma/rho.  For eps = 0 it first checks that the center is
     <b_0>, b_0 = x^(0)y^(0), before the eigenbasis reads the table."""

@@ -41,7 +41,9 @@ over all pairs per generator) that the library used before it read the
 eigen table by rule (grading.AZBrackets) and certified it on a grid
 (grading.certify_eigenbasis).  Its intertwining, oracle_intertwining, is
 the pair-by-pair check by liealg.bracket that liealg._intertwining made
-before it read ad columns (liealg._AdColumns).
+before it read ad columns (liealg._AdColumns).  oracle_eigen_equation is
+the scan of [e_0, v] = alpha v, vector by vector, that grading.eigenbasis
+made before certify_eigenbasis proved it from the homomorphism.
 """
 
 import bisect
@@ -683,6 +685,22 @@ def eigen_bracket_check(basis) -> bool:
             if list(t.basis_bracket(a, b)) != expected:
                 return False
     return True
+
+
+def oracle_eigen_equation(basis):
+    """The first (r, s), in basis order, whose vector v fails the
+    eigen-equation [e_0, v] = alpha v in the monomial table, by
+    liealg.bracket and Element.scale; None when every vector holds it.  The
+    scan grading.eigenbasis made before certify_eigenbasis proved the
+    eigen-equation from the homomorphism."""
+    from thinlie.grading import toral_element
+    from thinlie.liealg import bracket
+
+    e0 = toral_element(basis.table, basis.params)
+    for (r, s, alpha), v in zip(basis.entries, basis.vectors):
+        if bracket(e0, v) != v.scale(alpha):
+            return r, s
+    return None
 
 
 class OracleExpansion:

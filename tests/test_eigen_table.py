@@ -224,7 +224,8 @@ def test_certificate_fails_on_zero_images():
 
 def _mutate(how):
     """AZBrackets._slice_pair changed on the last slice pair (ja, jb) with
-    0 < ja <= jb < q - 1, off the slices of X and Y, that has a nonzero
+    1 < ja <= jb < q - 1, off the slices of X and Y and off the row of
+    e[0,0] (slice 1, whose row the eigen-equation reads), that has a nonzero
     product (u != 0, or more than one eigenvalue per slice): both binomials
     doubled, or the target moved one slice on, which also puts its
     products in the wrong degree."""
@@ -238,7 +239,7 @@ def _mutate(how):
 
     def changed(rule, ja, jb):
         q, pair = rule._q, real(rule, ja, jb)
-        chosen = [(a, b) for a in range(1, q - 1) for b in range(a, q - 1)
+        chosen = [(a, b) for a in range(2, q - 1) for b in range(a, q - 1)
                   if has_products(rule, a, b) and (how == "doubled" or real(rule, a, b)[0] + 1 < q)][-1]
         if (ja, jb) != chosen:
             return pair
@@ -249,9 +250,9 @@ def _mutate(how):
 
 
 CERTIFIED_RUNS = pytest.mark.parametrize("args", [
-    ["--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"],
+    ["--grading", "finite", "--p", "3", "--q", "9", "--mu3", "0,1"],
     ["--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"],
-    ["--grading", "sigma-zero", "--p", "5", "--q", "5"],
+    ["--grading", "sigma-zero", "--p", "7", "--q", "7"],
 ], ids=["finite", "eps-zero", "sigma-zero"])
 
 
@@ -285,7 +286,7 @@ def test_grade_exits_one_on_a_failing_certificate(how, tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(grading.AZBrackets, "_slice_pair", _mutate(how))
     out = tmp_path / "dm.json"
-    args = ["grade", "--grading", "finite", "--p", "3", "--n2", "1", "--mu3", "0,1", "--out", str(out)]
+    args = ["grade", "--grading", "finite", "--p", "3", "--n2", "2", "--mu3", "0,1", "--out", str(out)]
     assert cli.main(args) == 1
     printed = capsys.readouterr().out
     assert "eigen table certificate: derivation fails: ad e[" in printed

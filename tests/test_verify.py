@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import centralizer_in, coordinate_span, full_subspace, oracle_center
+from oracles import centralizer_in, coordinate_span, full_subspace, oracle_center, oracle_eigen_equation
 from thinlie.cartan import build_H2_phi1
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
@@ -127,21 +127,34 @@ def test_toral_grading_builds_the_table_of_params_eps(p, params):
     assert g.table is basis.eigen_table and g.degmap.modulus == (p - 1) * (p if params.sigma else 1)
 
 
-@pytest.mark.parametrize("m", [1, 5, 24])
+# the first pair the certificate finds broken on the table cut at m
+CUT_FAILURES = {
+    1: "intertwining fails: [e[1,2], e[0,0]]",
+    5: "intertwining fails: [e[1,2], e[0,0]]",
+    24: "intertwining fails: [e[1,2], e[-3,0]]",
+}
+
+
+@pytest.mark.parametrize("m", sorted(CUT_FAILURES))
 def test_cut_table_fails_the_center_and_the_eigen_equation(m, monkeypatch, capsys):
     # the eps = 0 table with every stored pair of one monomial removed: the
-    # center check, made before the eigenbasis reads the table, reports it,
-    # and the failed eigen-equation is a verdict that names (r, s), not an
-    # internal error
+    # center check, made before the eigenbasis reads the table, reports it;
+    # the eigen-equation fails on it (oracle_eigen_equation), and the
+    # certificate, which proves that equation from the homomorphism, fails
+    # at the intertwining, a verdict that names the pair, not an internal
+    # error
     from thinlie import cli
 
     hhat = build_H2_phi1(5, 1, 1, field_create(5), 0)
-    monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: _without_pairs_of(hhat, m))
+    cut = _without_pairs_of(hhat, m)
+    assert oracle_eigen_equation(grading.eigenbasis(cut, toral_params(field_create(5), 1, eps=0, rho=1))) is not None
+    monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: cut)
     run = run_eps_zero(5, 1, 1)
     assert run.report is None and not run.ok
-    assert run.mismatches[0] == "center of the eps = 0 extension is not the constant line"
-    assert run.mismatches[1].startswith("eigen table certificate: eigen-equation fails: at (r=")
-    assert len(run.mismatches) == 2
+    assert run.mismatches == [
+        "center of the eps = 0 extension is not the constant line",
+        f"eigen table certificate: {CUT_FAILURES[m]}",
+    ]
     assert cli.main(["verify", "--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"]) == 1
     out, err = capsys.readouterr()
     assert "verdict: FAIL" in out and "internal error" not in err
