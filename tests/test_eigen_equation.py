@@ -96,8 +96,9 @@ def test_an_image_of_e00_other_than_e0_fails_the_eigen_equation(args):
     vectors = list(basis.vectors)
     vectors[e00] = vectors[e00] + vectors[e00]
     changed = dataclasses.replace(basis, vectors=vectors)
+    # 2 e_0 is still an eigenvector, but the proof needs phi(e[0,0]) = e_0
+    assert oracle_eigen_equation(changed) is None
     assert certify_eigenbasis(changed) == MapCheck("eigen-equation", f"{basis.eigen_table.labels[e00]} does not map to e_0")
-    assert oracle_eigen_equation(basis) is None
 
 
 class UnreadDict(dict):
