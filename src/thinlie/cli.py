@@ -3,16 +3,20 @@
 Commands: construct, grade, verify, suite.  Outputs are the JSON schemas of
 the underlying objects; verify runs the drivers of thinlie.verify and exits
 0 only when every verdict passes and the diamond pattern matches the
-prediction for the selected grading; grade --grading finite exits 1 on a
-failed eigen-table certificate, and grade prints no degree map that fails
-validate_grading (exit 2, as verify through loop_expand, which also
-rejects a table that is not one-term).  --n1, --n2 and
---field-k must be positive; a flag the selected algebra or grading never
-reads, even one with a default (--n, --n1, --n2, --theta), and sigma = 0
-for a finite grading, are rejected.  Exit codes: 0 full pass, 1
-verification failure, 2 configuration error, 3 internal error (an
-unexpected exception, reported as `internal error: <Type>: <message>`
-after its traceback on stderr).
+prediction for the selected grading.  A toral verdict (finite,
+sigma-zero, eps-zero) is about the loop algebra of the Albert-Zassenhaus
+rule AZ(sigma, rho), which the run proves Lie; suite row 11 proves that
+rule the table of H(2;(1,n2);Phi(1)) in its toral eigenbasis.  A mixed
+run proves its Phi(1) table Lie nowhere: construct and suite row 02 do.
+grade --grading finite exits 1 on a failed eigen-table certificate, and
+grade prints no degree map that fails validate_grading (exit 2, as verify
+through loop_expand, which also rejects a table that is not one-term).
+--n1, --n2 and --field-k must be positive; a flag the selected algebra
+or grading never reads, even one with a default (--n, --n1, --n2,
+--theta), and sigma = 0 for a finite grading, are rejected.  Exit codes:
+0 full pass, 1 verification failure, 2 configuration error, 3 internal
+error (an unexpected exception, reported as `internal error: <Type>:
+<message>` after its traceback on stderr).
 """
 
 from __future__ import annotations

@@ -26,10 +26,8 @@ Kernels outside this module read the tables directly: liealg.bracket,
 its kept ad columns (liealg._AdColumns) and the row updates of
 liealg.Echelon do their products and sums on logs through _arith, the
 tuple (exp, zech, q-1, log(-1)) read in one lookup, and coerce each
-coefficient as the operators do; grading.eigenbasis takes the powers of
-an eigenvalue from exp.  liealg's Leibniz index
-reads only each element's log and coordinates and builds its own product
-table from them.
+coefficient as the operators do.  liealg's Leibniz index reads only each
+element's log and coordinates and builds its own product table from them.
 """
 
 from __future__ import annotations

@@ -3,23 +3,22 @@
 grade_mixed assigns monomial degrees (1-q)i - j + q modulo (q-1)r, r = p^n1,
 the grading whose loop algebra mixes diamonds of types -1 and infinity.
 
-The toral grading is one of the Albert-Zassenhaus algebras
-H(2;(1,n2);Phi(1)), the only shape built here.  eigenbasis diagonalizes the
-toral element e_0 = y + pi*xbar*y and labels the eigenvectors e[r, alpha]
-with alpha = r*rho + s*sigma, s in F_p.  In that basis the algebra is an
-Albert-Zassenhaus algebra with one-term products
+The toral grading is that of H(2;(1,n2);Phi(1)), n1 = 1, the only shape
+built here.  The eigenvectors of the toral element e_0 = y + pi*xbar*y are
+labelled e[r, alpha] with alpha = r*rho + s*sigma, s in F_p, and in that
+basis the algebra is the Albert-Zassenhaus algebra AZ(sigma, rho), with
+one-term products
 
-    {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta},
+    {e_{1-j,alpha}, e_{1-l,beta}} = (beta C(j+l-1, l) - alpha C(j+l-1, j)) e_{2-j-l, alpha+beta}.
 
-so its table is read off this formula by rule (AZBrackets), not
-conjugated or stored, and certify_eigenbasis proves the basis map an
-isomorphism onto the monomial table that takes e[0,0] to e_0, which
-proves every eigen-equation: no vector is checked against ad e_0.  The
-one check on the monomial table, the intertwining, applies ad of each
-generator through its columns on discrete logs (liealg._AdColumns): each
-monomial product is read once per generator, not once per pair of image
-terms, and the images are built on logs too.  grade_finite combines
-the two residues r mod (q-1) and s mod p into a degree modulo (q-1)p.  The
+eigenbasis builds the labels from the params and q alone and reads its
+table off this formula by rule (AZBrackets), with no monomial table and
+no eigenvector; certify_eigenbasis proves that table Lie by itself, from
+a generating set whose ads are derivations, checked on a grid
+(_derivation).  That it is the table of H(2;(1,n2);Phi(1)) in the
+eigenbasis of e_0 is a second statement, proved by verify.identify, which
+also builds the eigenvectors.  grade_finite combines the two residues
+r mod (q-1) and s mod p into a degree modulo (q-1)p.  The
 resulting loop algebra has diamond types in arithmetic progression with
 step sigma/rho, so prescribing the third type mu3 outside the prime field
 pins (sigma, rho) down exactly; params_from_mu3 inverts that prescription.
@@ -34,25 +33,8 @@ from functools import cache
 
 from .cartan import _pascal, monomial_label, monomials
 from .errors import DenominatorZero, Mu3InPrimeField, NoRootInField, NotAnIdeal
-from .ffield import (
-    FieldElement,
-    FieldSpec,
-    artin_schreier_roots,
-    combine_residues,
-    frobenius,
-    in_prime_field,
-    pth_root,
-)
-from .liealg import (
-    DegreeMap,
-    Element,
-    MapCheck,
-    RuleBrackets,
-    StructureTable,
-    _gc_paused,
-    _greedy_generators,
-    _intertwining,
-)
+from .ffield import FieldElement, FieldSpec, artin_schreier_roots, combine_residues, frobenius, in_prime_field, pth_root
+from .liealg import DegreeMap, Element, MapCheck, RuleBrackets, StructureTable, _gc_paused, _greedy_generators
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +135,23 @@ def toral_element(table: StructureTable, params: ToralParams) -> Element:
 
 @dataclass
 class EigenBasis:
-    """Eigenvectors of ad e_0 with their (r, s, alpha) indexing.
+    """The Albert-Zassenhaus basis e[r, alpha] of the toral grading:
+    entries[m] = (r, s, alpha) at position m = j w + s of eigen_table, w = p
+    per slice, r = 1 - j the slice label and alpha = r*rho + s*sigma the
+    eigenvalue of ad e_0, s in F_p.  eigen_table is the closed table on
+    these labels, read by rule, and certificate proves it Lie
+    (certify_eigenbasis).  For sigma = 0 one alpha per slice (partial,
+    w = 1): eigen_table is the q-dimensional Zassenhaus algebra."""
 
-    entries[m] = (r, s, alpha) for basis position m = j w + s of
-    eigen_table, w = p per slice, where r = 1 - j is the integer slice label
-    and alpha = r*rho + s*sigma the eigenvalue, s in F_p.  eigen_table is
-    the closed Albert-Zassenhaus table on these labels, read by rule, and
-    certificate the outcome of certify_eigenbasis for the basis map
-    e[r, alpha] -> vectors[m] into the monomial table.  For sigma = 0 only
-    the single admissible alpha per slice exists (partial = True, w = 1):
-    the vectors span the q-dimensional Zassenhaus subalgebra, and
-    eigen_table is its table.  The eigen-equations are part of the
-    certificate, not checked on their own, so every basis has an
-    eigen_table.
-    """
-
-    table: StructureTable
     params: ToralParams
     q: int
     entries: list[tuple[int, int, FieldElement]]
-    vectors: list[Element]
-    partial: bool
     eigen_table: StructureTable | None = None
     certificate: MapCheck | None = None
+
+    @property
+    def partial(self) -> bool:
+        return not self.params.sigma
 
     @property
     def labels(self) -> list[str]:
@@ -189,45 +165,15 @@ class EigenBasis:
         raise KeyError((r, s))
 
 
-def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
-    """Diagonalize ad e_0 on the Phi(1) monomial table.
-
-    Slice j's vectors are alpha^i = exp[i log alpha mod n] at x^(i) y^(j),
-    i < p, 0^0 = 1, plus pi j at i = p - 1, built on the field's discrete logs
-    with pi read once.  No vector is checked here: certificate proves the
-    basis map an injective homomorphism into the monomial table (onto it
-    when the basis is full) that takes e[0,0] to e_0, with e[0,0]'s row
-    diagonal, and so every eigen-equation (certify_eigenbasis).  With
-    sigma = 0 the basis is partial: one eigenvector per slice, jointly
-    spanning the Zassenhaus subalgebra of the sigma = 0 degeneration.  For
-    every sigma eigen_table reads the closed product formula (AZBrackets).
-    """
-    fieldspec, p = table.field, params.p
-    q = table.dim // p  # x^(i) y^(j) at i q + j
-    exp, _, n, _ = fieldspec._arith
-    sigma, rho, pi = params.sigma, params.rho, params.pi
-    multipliers = [fieldspec.element(s) for s in range(p)] if sigma else [fieldspec.zero]
-
-    entries: list[tuple[int, int, FieldElement]] = []
-    vectors: list[Element] = []
-    for j in range(q):
-        r = 1 - j
-        rj = fieldspec.element(r)
-        for s, mult in enumerate(multipliers):
-            alpha = rj * rho + mult * sigma
-            a = alpha.log
-            coords = {i * q + j: exp[i * a % n] for i in range(p)} if alpha else {j: exp[0]}
-            if pi and j % p:
-                pos = (p - 1) * q + j
-                c = coords.get(pos, fieldspec.zero) + pi * fieldspec.element(j)
-                if c:
-                    coords[pos] = c
-                else:
-                    coords.pop(pos, None)
-            entries.append((r, s, alpha))
-            vectors.append(Element(table, coords))
-
-    basis = EigenBasis(table, params, q, entries, vectors, partial=not sigma)
+def eigenbasis(params: ToralParams, q: int) -> EigenBasis:
+    """The labels e[r, alpha] of q slices, p per slice, or with sigma = 0
+    one per slice (partial); eigen_table reads the closed product formula
+    (AZBrackets), and certificate proves it Lie (certify_eigenbasis)."""
+    fieldspec, rho, sigma = params.field, params.rho, params.sigma
+    width = params.p if sigma else 1
+    entries = [(1 - j, s, fieldspec.element(1 - j) * rho + fieldspec.element(s) * sigma)
+               for j in range(q) for s in range(width)]
+    basis = EigenBasis(params, q, entries)
     basis.eigen_table = StructureTable(fieldspec, basis.labels, AZBrackets(basis))
     basis.certificate = certify_eigenbasis(basis)
     return basis
@@ -236,7 +182,7 @@ def eigenbasis(table: StructureTable, params: ToralParams) -> EigenBasis:
 class AZBrackets(RuleBrackets):
     """The closed Albert-Zassenhaus table on an eigenbasis, read by rule.
     With B1 = C(j+l-1, l), B2 = C(j+l-1, j) from one table that
-    certify_eigenbasis reads too (_slice_pair), positions (j, s) < (l, t),
+    _derivation reads too (_slice_pair), positions (j, s) < (l, t),
     m = j w + s, have product (beta B1 - alpha B2) e[2-j-l, alpha+beta],
     zero unless 0 <= j + l - 1 < q.  With alpha = (1-j) rho + s sigma, s in
     F_p, that is (rho u + sigma v) at (j + l - 1, s + t mod p), u = (1-l) B1
@@ -305,40 +251,18 @@ class AZBrackets(RuleBrackets):
 
 
 def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
-    """Certify phi: e[r, alpha] -> vectors[m] an injective homomorphism of
-    the rule table into the monomial table, from gens: X, Y and each
-    position outside the _ReachedSpan of those before it, so gens generate,
-    and with it the eigen-equation [e_0, v] = alpha v of every vector.
+    """Prove eigen_table Lie: ad g is a derivation (_derivation) for each g
+    of a generating set (_generators), so every ad is one (the lemma in
+    liealg.validate_table), which in an alternating table is the Jacobi
+    identity."""
+    return _derivation(basis, _generators(basis))
 
-    - rank: slice j's vectors are the columns (alpha^i)_{i < p} at
-      x^(i) y^(j), plus pi j at the last i, a multiple of the all-ones row
-      i = 0: Vandermonde after one row operation.  Slices have disjoint
-      supports, so the rank is the number of distinct (r, alpha);
-    - eigen-equation: phi(e[0,0]) = e_0 = toral_element, coordinate for
-      coordinate, and the rule's row of e[0,0] is diagonal, [e[0,0],
-      e(l, t)] = alpha(l, t) e(l, t) (slice pair (1, l): B1 = 1, B2 = l),
-      dim reads of the rule;
-    - intertwining: phi[g, b] = [phi g, phi b] for g in gens, b in the basis;
-    - derivation: ad g is a derivation for g in gens (_derivation).
 
-    The elements with either of the last two properties are closed under
-    each ad g (the monomial table is Lie) and hold gens, hence everything:
-    phi is a homomorphism, so [e_0, phi b] = phi [e[0,0], b] = alpha_b phi b
-    for every b."""
-    et, vectors = basis.eigen_table, basis.vectors
-    rank = len({(r, alpha) for r, _, alpha in basis.entries})
-    if rank != et.dim:
-        return MapCheck("rank", f"the images span {rank} of {et.dim} dimensions")
-    e00 = basis.position(0, 0)
-    if vectors[e00] != toral_element(basis.table, basis.params):
-        return MapCheck("eigen-equation", f"{et.labels[e00]} does not map to e_0")
-    for m, (_, _, alpha) in enumerate(basis.entries):
-        if et.basis_bracket(e00, m) != (((m, alpha),) if alpha else ()):
-            return MapCheck("eigen-equation", f"[{et.labels[e00]}, {et.labels[m]}]")
-    with _gc_paused():  # the checks build nothing cyclic
-        gens = list(_greedy_generators(et, generator_positions(basis), range(et.dim)))
-        check = _intertwining(et, basis.table, [v.coords for v in vectors], gens)
-        return _derivation(basis, gens) if check else check
+def _generators(basis: EigenBasis) -> list[int]:
+    """X, Y, then each position outside the _ReachedSpan of those before
+    it, until they generate eigen_table (_greedy_generators)."""
+    et = basis.eigen_table
+    return list(_greedy_generators(et, generator_positions(basis), range(et.dim)))
 
 
 def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
@@ -354,6 +278,8 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     binomial table the grid reads, every product is the affine form of its
     slice pair, which on (j, j) needs B1 = B2 (checked first): the grid
     covers every pair.  A, B, C enter the field only when not all zero.
+    The row of each generator (X and Y, whose rows the thin report reads,
+    among them) is read through the table first and must be those forms.
 
     At w = 2 (p = 2) the only product of a diagonal slice pair (j, j) is
     [e(j, 0), e(j, 1)], with u = (1-j)(B1 - B2) and v = B1.  When u is even
@@ -368,7 +294,8 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     is zero in any alternating table, and is skipped too.  A slice pair
     whose three inner forms, [x, y], [g, x] and [g, y], all have B1 = B2 =
     0 has every term of its defect zero, and is skipped."""
-    rule, labels, rho, sigma = basis.eigen_table.brackets, basis.eigen_table.labels, basis.params.rho, basis.params.sigma
+    et, rho, sigma = basis.eigen_table, basis.params.rho, basis.params.sigma
+    rule, labels = et.brackets, et.labels
     p, q, w = rule._p, rule._q, rule._width
     for j in range(q if w > 1 else 0):
         _, b1, b2 = rule._slice_pair(j, j)
@@ -390,6 +317,12 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     grid = range(min(w, 3))
     for g in gens:
         jg, sg = divmod(g, w)
+        for m in range(et.dim):  # the row of g, read through the table
+            jm, sm = divmod(m, w)
+            jc, u, b1, b2 = form(jg, jm)
+            c = rho * (u % p) + sigma * ((sm * b1 - sg * b2) % p)
+            if et.basis_bracket(g, m) != (((jc * w + (sg + sm) % w, c),) if c else ()):
+                return MapCheck("rule", f"[{labels[g]}, {labels[m]}] is not the product of its slice pair")
         for j1 in range(q):
             if j1 + j1 + jg > q + 1:
                 break  # the defect's slice is past q - 1 for every j2 >= j1: every term is zero
@@ -441,11 +374,9 @@ def grade_finite(basis: EigenBasis) -> DegreeMap:
     x_pos = basis.position(1, 1)
     shift = (1 - raw[x_pos]) % n
     degrees = tuple((k + shift) % n for k in raw)
-    dm = DegreeMap(n, degrees)
-    y_pos = basis.position(2 - q, 1)
-    if degrees[y_pos] != 1:
+    if degrees[basis.position(2 - q, 1)] != 1:
         raise AssertionError("Y does not land in degree one")
-    return dm
+    return DegreeMap(n, degrees)
 
 
 def generator_positions(basis: EigenBasis) -> tuple[int, int]:
@@ -455,15 +386,10 @@ def generator_positions(basis: EigenBasis) -> tuple[int, int]:
     return basis.position(1, s), basis.position(2 - basis.q, s)
 
 
-def sigma_zero_subalgebra(basis: EigenBasis) -> tuple[StructureTable, DegreeMap, int, int]:
-    """The q-dimensional Zassenhaus subalgebra of the sigma = 0 degeneration.
-
-    Returns eigen_table, the closed table on the partial eigenbasis (a
-    subalgebra when basis.certificate passes), the grading over Z/(q-1)Z by
-    the slice label, and the positions of X and Y.
-    """
+def sigma_zero_subalgebra(basis: EigenBasis) -> DegreeMap:
+    """The grading over Z/(q-1)Z by the slice label of the q-dimensional
+    Zassenhaus algebra of the sigma = 0 degeneration, eigen_table on the
+    partial basis."""
     if not basis.partial:
         raise ValueError("sigma_zero_subalgebra expects a sigma = 0 eigenbasis")
-    q = basis.q
-    dm = DegreeMap(q - 1, tuple(r % (q - 1) for r, _, _ in basis.entries))
-    return (basis.eigen_table, dm, *generator_positions(basis))
+    return DegreeMap(basis.q - 1, tuple(r % (basis.q - 1) for r, _, _ in basis.entries))

@@ -8,9 +8,9 @@ incremental echelon kernel, Echelon, takes and returns sparse {column:
 coefficient} dicts, the same coordinates an Element stores, and
 eliminates on discrete logs as bracket does; its cost follows the
 supports of the vectors, not the dimension.  check_structure_map reads it
-for the rank of the images and proves a map on every pair; the eigen
-tables are certified from generators with no elimination
-(grading.certify_eigenbasis).  Both intertwine through _AdColumns, ad u
+for the rank of the images and proves a map on every pair; the map of an
+eigen table into the monomial table is certified from generators with no
+elimination (verify.identify).  Both intertwine through _AdColumns, ad u
 for a fixed u with its columns [u, b_m] summed from the stored pairs and
 kept, on discrete logs.  The center is read off the stored pairs, with no
 elimination (center).
@@ -891,7 +891,7 @@ class MapCheck:
 def check_structure_map(src: StructureTable, dst: StructureTable, images: Sequence[Element]) -> MapCheck:
     """Certify the basis map phi: b_i -> images[i] an injective homomorphism:
     the images are independent (rank, by Echelon) and phi[a, b] = [phi a,
-    phi b] on every pair.  grading.certify_eigenbasis reads fewer pairs."""
+    phi b] on every pair.  verify._identified reads fewer pairs."""
     if len(images) != src.dim:
         raise ValueError("need one image per src basis vector")
     if src.field != dst.field:

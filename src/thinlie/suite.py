@@ -11,23 +11,15 @@ from __future__ import annotations
 import random
 
 from .cartan import (
-    AlbertFrankSpec,
-    build_albert_frank,
-    build_H2_phi1,
-    build_H2_phi_tau_derived,
-    build_H2_second_derived,
-    build_W1n,
-    coeff_N,
-    coeff_Nprime,
-    monomials,
-    zassenhaus_group_basis,
+    AlbertFrankSpec, build_albert_frank, build_H2_phi1, build_H2_phi_tau_derived, build_H2_second_derived,
+    build_W1n, coeff_N, coeff_Nprime, monomials, zassenhaus_group_basis,
 )
 from .errors import CriterionFailed
 from .ffield import field_create, frobenius, in_prime_field
-from .grading import params_from_mu3
+from .grading import params_from_mu3, toral_params
 from .liealg import check_structure_map, subalgebra_table, validate_table
 from .thinloop import check_covering, covering_criterion_at, thin_report
-from .verify import run_eps_zero, run_finite, run_mixed, run_sigma_zero
+from .verify import identify, run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
 
 def _require(ok: bool, detail: object) -> None:
@@ -112,12 +104,15 @@ def criterion_04_mixed_grading() -> None:
         _require(run.ok, (p, n1, n2, run.mismatches))
 
 
+# (p, n2, field of mu3) of the finite runs of rows 05 and 11
+FINITE = [(3, 1, field_create(3, 2)), (5, 1, field_create(5, 2)), (3, 2, field_create(3, 2))]
+
+
 def criterion_05_finite_grading() -> None:
     """Toral-grading diamond pattern for (3,3) over F_9, (5,5) over F_25,
     (3,9) over F_9, every mu3 outside the prime field; (7,7) additionally
     passes the second centralizer chain."""
-    cases = [(3, 1, field_create(3, 2)), (5, 1, field_create(5, 2)), (3, 2, field_create(3, 2))]
-    for p, n2, fieldspec in cases:
+    for p, n2, fieldspec in FINITE:
         q = p ** n2
         for mu3 in _nonprime_elements(fieldspec):
             run = run_finite(p, n2, mu3=mu3)
@@ -244,6 +239,20 @@ def criterion_10_property_suites() -> None:
                         _require(agree, (i, j, k, l))
 
 
+def criterion_11_hamiltonian_identification() -> None:
+    """The rule tables of rows 05 and 07 are those of H(2;(1,n2);Phi(1)) in
+    the eigenbasis of its toral element (verify.identify), the monomial
+    table proved Lie: every toral case of those rows."""
+    cases = [(p, n2, params_from_mu3(mu3)) for p, n2, fieldspec in FINITE for mu3 in _nonprime_elements(fieldspec)]
+    cases.append((7, 1, params_from_mu3(field_create(7, 2).generator())))
+    for p in (3, 5):
+        cases.append((p, 1, toral_params(field_create(p), 0)))
+        cases += [(p, 1, toral_params(field_create(p), ratio, eps=0, rho=1)) for ratio in range(1, p - 1)]
+    for p, n2, params in cases:
+        mismatches = identify(p, n2, params)
+        _require(not mismatches, (p, p ** n2, str(params.sigma), str(params.eps), mismatches))
+
+
 CRITERIA = [
     ("01-dimension-formulas", criterion_01_dimension_formulas),
     ("02-jacobi-scan", criterion_02_jacobi_scan),
@@ -255,4 +264,5 @@ CRITERIA = [
     ("08-parameter-k", criterion_08_parameter_k),
     ("09-char2-isomorphism", criterion_09_char_two_isomorphism),
     ("10-property-suites", criterion_10_property_suites),
+    ("11-hamiltonian-identification", criterion_11_hamiltonian_identification),
 ]

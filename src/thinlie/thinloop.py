@@ -536,7 +536,8 @@ def parameter_k(expansion: LoopExpansion) -> int:
     nonzero) on the last grading period; otherwise NotStabilized.  Each
     L''_d is read off as the set of its positions (module docstring).
     The proof needs the Jacobi identity, unchecked here: k means something
-    only on a table proved Lie, by construct or the eigen-table certificate.
+    only on a table proved Lie, as a toral run's certificate proves its rule
+    (a mixed run's Phi(1) table only construct and suite row 02 prove).
     """
     depth = expansion.depth
     n = expansion.degmap.modulus

@@ -4,6 +4,13 @@ type 0 means a fake0, 1 a fake1, anything else a genuine diamond of that
 type; so characteristic two, where -1 = 1, needs no case of its own.
 `thinlie grade` writes the degree map of the Grading of mixed_grading or
 finite_grading, taken before any restriction in characteristic two.
+
+A toral run (finite, sigma-zero, eps-zero) is about the loop algebra of
+the Albert-Zassenhaus algebra AZ(sigma, rho), read by rule and proved Lie
+by the run, with no monomial table; identify (suite row 11) proves this
+rule the table of H(2;(1,n2);Phi(1)) in the eigenbasis of its toral
+element.  A mixed run reads the Phi(1) rule and proves it Lie nowhere:
+`thinlie construct` and suite row 02 do.
 """
 
 from __future__ import annotations
@@ -15,23 +22,12 @@ from .cartan import build_H2_phi1, phi1_rule_table
 from .errors import StructuralFailure, ThinlieError
 from .ffield import FieldElement, field_create
 from .grading import (
-    EigenBasis,
-    ToralParams,
-    eigen_quotient,
-    eigenbasis,
-    generator_positions,
-    grade_finite,
-    grade_mixed,
-    params_from_mu3,
-    sigma_zero_subalgebra,
-    toral_params,
+    EigenBasis, ToralParams, _generators, eigen_quotient, eigenbasis, generator_positions, grade_finite,
+    grade_mixed, params_from_mu3, sigma_zero_subalgebra, toral_element, toral_params,
 )
 from .liealg import (
-    DegreeMap,
-    StructureTable,
-    _ReachedSpan,
-    center,
-    subalgebra_table,
+    DegreeMap, Element, MapCheck, StructureTable, _gc_paused, _intertwining, _ReachedSpan, center,
+    subalgebra_table, validate_table,
 )
 from .thinloop import INFINITY, DiamondRecord, ThinReport, thin_report
 
@@ -43,7 +39,7 @@ SIGMA_ZERO = (
 
 
 class Unproved(Exception):
-    """A failed eigen-table certificate; args: the mismatches, its verdict last."""
+    """A failed eigen-table certificate; its one arg is the mismatch."""
 
 
 @dataclass
@@ -190,24 +186,19 @@ def mixed_grading(p: int, n1: int, n2: int) -> Grading:
 
 
 def toral_grading(p: int, n2: int, params: ToralParams) -> tuple[Grading, EigenBasis]:
-    """H(2;(1,n2);Phi(1)) with params.eps, graded by the eigenbasis of the
-    toral element once the certificate proves its eigen table and with it
-    the eigen-equations (else Unproved): the finite grading, or for
-    sigma = 0 the slice grading of a Zassenhaus subalgebra; types mu_t =
-    -1 + (t-2) sigma/rho.  For eps = 0 it first checks that the center is
-    <b_0>, b_0 = x^(0)y^(0), before the eigenbasis reads the table."""
-    table = build_H2_phi1(p, 1, n2, params.field, params.eps)
-    mismatches = []
-    if not params.eps and center(table) != (0,):
-        mismatches.append("center of the eps = 0 extension is not the constant line")
-    basis = eigenbasis(table, params)
+    """AZ(sigma, rho) on the q = p^n2 slices of eigenbasis(params, q), once
+    its certificate proves the rule table Lie (else Unproved), under the
+    finite grading, or for sigma = 0 the slice grading of the Zassenhaus
+    algebra; types mu_t = -1 + (t-2) sigma/rho.  No monomial table is
+    built: identify links the rule to H(2;(1,n2);Phi(1))."""
+    basis = eigenbasis(params, p ** n2)
     if not basis.certificate:
-        raise Unproved(*mismatches, f"eigen table certificate: {basis.certificate}")
+        raise Unproved(f"eigen table certificate: {basis.certificate}")
     gens = generator_positions(basis)
-    degmap = grade_finite(basis) if params.sigma else sigma_zero_subalgebra(basis)[1]
+    degmap = grade_finite(basis) if params.sigma else sigma_zero_subalgebra(basis)
     fieldspec, step = params.field, params.sigma / params.rho
     predicted = lambda rec: -fieldspec.one + fieldspec.element(rec.ordinal - 2) * step
-    return Grading(basis.eigen_table, degmap, basis.q, *gens, predicted, mismatches), basis
+    return Grading(basis.eigen_table, degmap, basis.q, *gens, predicted), basis
 
 
 def finite_grading(p: int, n2: int, params: ToralParams) -> Grading:
@@ -234,7 +225,7 @@ def run_finite(
     params: ToralParams | None = None,
     depth: int | None = None,
 ) -> VerifyRun:
-    """Loop algebra of H(2;(1,n);Phi(1)) under the toral grading of mu3 or params.
+    """Loop algebra of AZ(sigma, rho) under the toral grading of mu3 or params.
 
     Predicted pattern: the t-th diamond in degree (t-1)(q-1)+1 of type
     mu_t = -1 + (t-2) sigma/rho, an arithmetic progression outside the prime
@@ -249,11 +240,11 @@ def run_finite(
 
 
 def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
-    """The sigma = 0 degeneration: X and Y generate a q-dimensional
-    Zassenhaus subalgebra whose loop algebra has all diamonds of type -1
-    (fake in characteristic two, where -1 = 1).  The eigen-table certificate
-    proves the closed table a subalgebra; when its generators are X and Y
-    alone, they generate all q dimensions."""
+    """The sigma = 0 degeneration: X and Y generate the q-dimensional
+    Zassenhaus algebra, the rule on one label per slice, whose loop algebra
+    has all diamonds of type -1 (fake in characteristic two, where -1 = 1).
+    The eigen-table certificate proves the rule Lie; when its generators
+    are X and Y alone, they generate all q dimensions."""
     _precheck(p ** n2, depth)
 
     def grading() -> Grading:
@@ -266,9 +257,10 @@ def run_sigma_zero(p: int, n2: int, depth: int | None = None) -> VerifyRun:
 
 
 def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> VerifyRun:
-    """The eps = 0 deformation limit: the center quotient of the loop algebra
-    of the central extension, with prime-field progression step sigma/rho and
-    fake diamonds exactly where the progression passes through 0 or 1."""
+    """The eps = 0 deformation limit: the loop algebra of the rule modulo its
+    center e[1,0] (the central extension of H(2;(1,n2);Phi(1)), identify
+    shows), with prime-field progression step sigma/rho and fake diamonds
+    exactly where the progression passes through 0 or 1."""
     if p == 2:
         raise ThinlieError("eps-zero needs odd p: the only nonzero ratio sigma/rho in F_2 is 1 = -1")
     ratio %= p
@@ -279,8 +271,77 @@ def run_eps_zero(p: int, n2: int, ratio: int, depth: int | None = None) -> Verif
 
     def grading() -> Grading:
         g, basis = toral_grading(p, n2, params)
-        central = next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
-        if basis.vectors[central] != basis.table.basis_element(0):
-            g.mismatches.append("e[1,0] is not the constant monomial")
+        central = _central(basis)
         return _reindexed(g, central, eigen_quotient(basis, central))
     return _verify(depth, grading)
+
+
+def _central(basis: EigenBasis) -> int:
+    """The position of e[1,0], which spans the center of the rule table."""
+    return next(m for m, (r, _, alpha) in enumerate(basis.entries) if r == 1 and not alpha)
+
+
+def identify(p: int, n2: int, params: ToralParams) -> list[str]:
+    """The mismatches of the identification of the rule table of
+    eigenbasis(params, p^n2) with H(2;(1,n2);Phi(1)) at params.eps in the
+    eigenbasis of e_0, in order: for eps = 0 the center is the constant line
+    <b_0> and e[1,0] maps to b_0; phi: e[r, alpha] -> its eigenvector passes
+    _identified; last, as a failing table may cost a scan of every triple,
+    validate_table proves the monomial table Lie, which _identified needs."""
+    table = build_H2_phi1(p, 1, n2, params.field, params.eps)
+    basis = eigenbasis(params, p ** n2)
+    vectors = _eigenvectors(basis, table)
+    mismatches = []
+    if not params.eps:
+        if center(table) != (0,):
+            mismatches.append("center of the eps = 0 extension is not the constant line")
+        if vectors[_central(basis)] != table.basis_element(0):
+            mismatches.append("e[1,0] is not the constant monomial")
+    check = _identified(basis, table, vectors)
+    if not check:
+        return mismatches + [f"eigen table certificate: {check}"]
+    report = validate_table(table, 1)
+    if report.violations:
+        triple = ", ".join(table.labels[m] for m in report.violations[0])
+        mismatches.append(f"validate_table: the Jacobi identity fails on the monomial table at ({triple})")
+    elif not report:
+        mismatches.append(f"validate_table: {report.messages[0]}")
+    return mismatches
+
+
+def _eigenvectors(basis: EigenBasis, table: StructureTable) -> list[Element]:
+    """The eigenvector of each e[r, alpha] in the monomial table, x^(i) y^(j)
+    at i q + j: alpha^i at x^(i) y^(1-r), i < p, 0^0 = 1, plus pi (1-r) at
+    i = p - 1."""
+    p, q, pi = basis.params.p, basis.q, basis.params.pi
+    vectors = []
+    for r, _, alpha in basis.entries:
+        coords = {i * q + 1 - r: alpha ** i for i in range(p)}
+        coords[(p - 1) * q + 1 - r] += pi * (1 - r)
+        vectors.append(Element(table, {k: c for k, c in coords.items() if c}))
+    return vectors
+
+
+def _identified(basis: EigenBasis, table: StructureTable, vectors: list[Element]) -> MapCheck:
+    """Certify phi: e[r, alpha] -> vectors[m] an injective homomorphism into
+    the monomial table, from the generators gens of grading._generators:
+    rank (slice j's vectors are Vandermonde columns (alpha^i)_{i < p} after
+    one row operation, on disjoint supports, so the rank counts the distinct
+    (r, alpha)); eigen-equation (phi(e[0,0]) = e_0, and the rule's row of
+    e[0,0] is diagonal); intertwining (phi[g, b] = [phi g, phi b], g in
+    gens); derivation (basis.certificate).  On a Lie monomial table the
+    elements with the last two properties are closed under each ad g and
+    hold gens, hence all: [e_0, phi b] = phi [e[0,0], b] = alpha_b phi b."""
+    et = basis.eigen_table
+    rank = len({(r, alpha) for r, _, alpha in basis.entries})
+    if rank != et.dim:
+        return MapCheck("rank", f"the images span {rank} of {et.dim} dimensions")
+    e00 = basis.position(0, 0)
+    if vectors[e00] != toral_element(table, basis.params):
+        return MapCheck("eigen-equation", f"{et.labels[e00]} does not map to e_0")
+    for m, (_, _, alpha) in enumerate(basis.entries):
+        if et.basis_bracket(e00, m) != (((m, alpha),) if alpha else ()):
+            return MapCheck("eigen-equation", f"[{et.labels[e00]}, {et.labels[m]}]")
+    with _gc_paused():  # the intertwining builds nothing cyclic
+        check = _intertwining(et, table, [v.coords for v in vectors], _generators(basis))
+    return basis.certificate if check else check

@@ -43,7 +43,9 @@ eigen table by rule (grading.AZBrackets) and certified it on a grid
 the pair-by-pair check by liealg.bracket that liealg._intertwining made
 before it read ad columns (liealg._AdColumns).  oracle_eigen_equation is
 the scan of [e_0, v] = alpha v, vector by vector, that grading.eigenbasis
-made before certify_eigenbasis proved it from the homomorphism.
+made before the certificate proved it from the homomorphism (now
+verify._identified).  monomial_images gives a basis its monomial table and
+eigenvectors, as verify.identify builds them.
 """
 
 import bisect
@@ -687,17 +689,31 @@ def eigen_bracket_check(basis) -> bool:
     return True
 
 
-def oracle_eigen_equation(basis):
-    """The first (r, s), in basis order, whose vector v fails the
+def monomial_images(basis):
+    """(table, vectors): the monomial table of H(2;(1,n2);Phi(1)), q = p^n2,
+    at basis.params.eps, and the eigenvector of each basis label in it
+    (verify._eigenvectors)."""
+    from thinlie.cartan import build_H2_phi1
+    from thinlie.verify import _eigenvectors
+
+    params, n2 = basis.params, 0
+    while params.p ** n2 < basis.q:
+        n2 += 1
+    table = build_H2_phi1(params.p, 1, n2, params.field, params.eps)
+    return table, _eigenvectors(basis, table)
+
+
+def oracle_eigen_equation(basis, table, vectors):
+    """The first (r, s), in basis order, whose vector v of vectors fails the
     eigen-equation [e_0, v] = alpha v in the monomial table, by
     liealg.bracket and Element.scale; None when every vector holds it.  The
-    scan grading.eigenbasis made before certify_eigenbasis proved the
+    scan grading.eigenbasis made before the certificate proved the
     eigen-equation from the homomorphism."""
     from thinlie.grading import toral_element
     from thinlie.liealg import bracket
 
-    e0 = toral_element(basis.table, basis.params)
-    for (r, s, alpha), v in zip(basis.entries, basis.vectors):
+    e0 = toral_element(table, basis.params)
+    for (r, s, alpha), v in zip(basis.entries, vectors):
         if bracket(e0, v) != v.scale(alpha):
             return r, s
     return None
@@ -1194,7 +1210,7 @@ def closed_eigen_table(basis):
     from thinlie.cartan import binom_mod_p
     from thinlie.liealg import StructureTable, _gc_paused
 
-    fieldspec = basis.table.field
+    fieldspec = basis.params.field
     p, q, entries = basis.params.p, basis.q, basis.entries
     position = {(r, alpha): m for m, (r, _, alpha) in enumerate(entries)}
     binoms = {}

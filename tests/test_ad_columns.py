@@ -7,12 +7,13 @@ intertwining of the structure-map certificates (liealg._intertwining).
   hand-built multi-term tables over F_2, F_4 and F_9 with repeated
   targets, stored zero coefficients and terms that cancel, one kernel
   applied to several v so that kept columns are read again.
-- Reads: on every finite and eps-zero sweep input, certify_eigenbasis
-  reads each monomial product at most once per generator.
+- Reads: on every finite and eps-zero sweep input, the certificate of
+  verify.identify (verify._identified) reads each monomial product at most
+  once per generator.
 - Mutations: one changed coefficient of the target table that the
   intertwining reads gives the MapCheck of the pair-by-pair check by
   bracket (oracles.oracle_intertwining): a monomial coefficient through
-  certify_eigenbasis, and a coefficient of W(1;2) over F_9 through
+  verify.identify, and a coefficient of W(1;2) over F_9 through
   check_structure_map on the map of suite row 03, from the group basis
   (cartan.zassenhaus_group_basis).  check_structure_map refuses images
   that live on another table than the one whose products it reads.
@@ -23,21 +24,22 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_intertwining
+from oracles import monomial_images, oracle_intertwining
 from test_az_rule import TORAL, _basis, _id, _params
+from thinlie import verify
 from thinlie.cartan import build_H2_phi1, build_W1n, zassenhaus_group_basis
 from thinlie.errors import TableMismatch
 from thinlie.ffield import field_create
-from thinlie.grading import certify_eigenbasis, generator_positions
+from thinlie.grading import _generators
 from thinlie.liealg import (
     Echelon,
     Element,
     StructureTable,
     _AdColumns,
-    _greedy_generators,
     bracket,
     check_structure_map,
 )
+from thinlie.verify import _identified, identify
 
 FIELDS = [field_create(2), field_create(2, 2), field_create(3, 2)]
 
@@ -107,20 +109,15 @@ class CountingDict(dict):
         return super().get(key, default)
 
 
-def _generators(basis):
-    et = basis.eigen_table
-    return list(_greedy_generators(et, generator_positions(basis), range(et.dim)))
-
-
 FINITE_AND_EPS_ZERO = [args for args in TORAL if args[1] in ("finite", "eps-zero")]
 
 
 @pytest.mark.parametrize("args", FINITE_AND_EPS_ZERO, ids=_id)
 def test_certificate_reads_each_monomial_product_once_per_generator(args):
     basis = _basis(*_params(args))
-    table = basis.table
+    table, vectors = monomial_images(basis)
     table.brackets = counting = CountingDict(table.brackets)
-    assert certify_eigenbasis(basis)
+    assert _identified(basis, table, vectors)
     gens = _generators(basis)
     assert counting.reads and max(counting.reads.values()) <= len(gens), (len(gens), counting.reads.most_common(1))
 
@@ -141,8 +138,9 @@ MUTATED = [args for args in FINITE_AND_EPS_ZERO if int(args[5]) <= 25 and int(ar
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(MUTATED), st.data())
 def test_a_changed_monomial_coefficient_gives_the_bracket_check(args, data):
-    basis = _basis(*_params(args))
-    table, et, vectors = basis.table, basis.eigen_table, basis.vectors
+    p, n2, params = _params(args)
+    basis = _basis(p, n2, params)
+    (table, vectors), et = monomial_images(basis), basis.eigen_table
     gens = _generators(basis)
     g = data.draw(st.sampled_from(gens))
     support = vectors[g].coords
@@ -150,7 +148,9 @@ def test_a_changed_monomial_coefficient_gives_the_bracket_check(args, data):
     _changed_coefficient(table, data.draw(st.sampled_from(read)), data)
     want = oracle_intertwining(et, vectors, [v.coords for v in vectors], gens)
     assert want.check == "intertwining"
-    assert certify_eigenbasis(basis) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "build_H2_phi1", lambda *a: table)
+        assert identify(p, n2, params) == [f"eigen table certificate: {want}"]
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,14 +2,18 @@
 against the materialized oracle closed_eigen_table, entry by entry and in
 key order; its quotient by a basis line (grading.eigen_quotient) against
 oracle_quotient_by_ideal, NotAnIdeal included; and the grid certificate,
-certify_eigenbasis, against the all-pairs generator certificate
-(oracle_check_structure_map on the materialized table), on every finite,
-sigma-zero and eps-zero input of test_sweep, and on hypothesis-drawn
-changes of one entry of the rule's binomial table, every such change on
-the width-one slices of sigma-zero at q <= 9 and the width-two slices of
-finite p = 2 at q <= 8.  A changed binomial of one slice pair fails the
-derivation, a changed product of a generator off the grid the
-intertwining, and each makes verify exit 1.
+certify_eigenbasis, which proves the rule Lie by itself, against the
+all-pairs generator certificate (oracle_check_structure_map on the
+materialized table), on every finite, sigma-zero and eps-zero input of
+test_sweep.  On hypothesis-drawn changes of one entry of the rule's
+binomial table, and every such change on the width-one slices of
+sigma-zero at q <= 9 and the width-two slices of finite p = 2 at q <= 8,
+the grid passes exactly when the changed table is Lie (validate_table),
+and the map certificate of verify.identify exactly when it is unchanged:
+a change can keep the table Lie, and then only the identification tells
+it from the table of H(2;(1,n2);Phi(1)).  A changed binomial of one slice
+pair fails the derivation, a changed product of a generator off the grid
+the check of the generator rows, and each makes verify exit 1.
 """
 
 import dataclasses
@@ -22,12 +26,12 @@ from oracles import (
     closed_eigen_table,
     coordinate_span,
     extend_to_generators,
+    monomial_images,
     oracle_check_structure_map,
     oracle_quotient_by_ideal,
 )
 from test_sweep import ACCEPTED
 from thinlie import cli
-from thinlie.cartan import build_H2_phi1
 from thinlie.errors import NotAnIdeal
 from thinlie.ffield import field_create
 from thinlie.grading import (
@@ -39,7 +43,8 @@ from thinlie.grading import (
     params_from_mu3,
     toral_params,
 )
-from thinlie.liealg import StructureTable
+from thinlie.liealg import StructureTable, validate_table
+from thinlie.verify import _identified, identify
 
 
 def _params(args):
@@ -61,7 +66,7 @@ def _id(args):
 
 
 def _basis(p, n2, params):
-    return eigenbasis(build_H2_phi1(p, 1, n2, params.field, params.eps), params)
+    return eigenbasis(params, p ** n2)
 
 
 def _assert_same_table(rule, want):
@@ -122,7 +127,7 @@ def test_grid_certificate_agrees_with_the_all_pairs_one(args):
     closed = closed_eigen_table(basis)
     gens = extend_to_generators(closed, generator_positions(basis))
     assert certify_eigenbasis(basis)
-    assert oracle_check_structure_map(closed, basis.table, basis.vectors, gens)
+    assert oracle_check_structure_map(closed, *monomial_images(basis), gens)
 
 
 # finite at p = 3, 5 and 7, sigma-zero and eps-zero
@@ -149,20 +154,26 @@ SIGMA_ZERO_2_8 = ["--grading", "sigma-zero", "--p", "2", "--q", "8"]
 @example((SIGMA_ZERO_2_8, 1, 1, 0, 1))
 @example((SIGMA_ZERO_2_8, 2, 2, 0, 1))
 def test_grid_certificate_agrees_on_a_changed_binomial(change):
-    # both certificates fail exactly when the change changes the table:
-    # the basis map is injective, so the monomial table allows one table
     args, ja, jb, b1, b2 = change
     basis = _basis(*_params(args))
     if ja + jb - 1 >= basis.q:
         return
+    _assert_certificates_on_a_change(basis, ja, jb, b1, b2, monomial_images(basis))
+
+
+def _assert_certificates_on_a_change(basis, ja, jb, b1, b2, images):
+    # the grid passes exactly when the changed table is Lie; the map
+    # certificate exactly when the change changes nothing, since the basis
+    # map is injective and so the monomial table allows one table
     rule = AZBrackets(basis)
     rule._pairs[(ja, jb)] = (ja + jb - 1, b1, b2)
-    changed = dataclasses.replace(basis, eigen_table=StructureTable(basis.table.field, basis.labels, rule))
-    table = StructureTable(basis.table.field, basis.labels, dict(rule.items()))
-    gens = extend_to_generators(table, generator_positions(basis))
-    grid = bool(certify_eigenbasis(changed))
-    assert grid == bool(oracle_check_structure_map(table, basis.table, basis.vectors, gens))
-    assert grid == (table.brackets == closed_eigen_table(basis).brackets)
+    field = basis.params.field
+    changed = dataclasses.replace(basis, eigen_table=StructureTable(field, basis.labels, rule))
+    table = StructureTable(field, basis.labels, dict(rule.items()))
+    grid = certify_eigenbasis(changed)
+    assert bool(grid) == validate_table(table).ok, (ja, jb, b1, b2)
+    mapped = _identified(dataclasses.replace(changed, certificate=grid), *images)
+    assert bool(mapped) == (table.brackets == closed_eigen_table(basis).brackets), (ja, jb, b1, b2)
 
 
 # slices of width one (sigma-zero, q <= 9) and two (finite p = 2, q <= 8)
@@ -177,15 +188,12 @@ def test_grid_certificate_agrees_on_every_changed_binomial_of_width_one_slices(a
     # diagonal pair (j, j), j odd, reads B1 alone
     p, n2, params = _params(args)
     basis = _basis(p, n2, params)
-    q, field, want = basis.q, basis.table.field, closed_eigen_table(basis).brackets
-    for ja in range(q):
-        for jb in range(max(ja, 1 - ja), q - ja + 1):
+    images = monomial_images(basis)
+    for ja in range(basis.q):
+        for jb in range(max(ja, 1 - ja), basis.q - ja + 1):
             for b1 in range(p):
                 for b2 in range(p):
-                    rule = AZBrackets(basis)
-                    rule._pairs[(ja, jb)] = (ja + jb - 1, b1, b2)
-                    changed = dataclasses.replace(basis, eigen_table=StructureTable(field, basis.labels, rule))
-                    assert bool(certify_eigenbasis(changed)) == (dict(rule.items()) == want), (ja, jb, b1, b2)
+                    _assert_certificates_on_a_change(basis, ja, jb, b1, b2, images)
 
 
 F49 = ["--grading", "finite", "--p", "7", "--q", "7", "--mu3", "0,1"]
@@ -210,13 +218,13 @@ def test_a_changed_binomial_factor_fails_the_derivation(monkeypatch, capsys):
     assert real(basis.eigen_table.brackets, 2, 5) == (6, 6, 1)
     monkeypatch.setattr(AZBrackets, "_slice_pair", changed)
     cert = certify_eigenbasis(dataclasses.replace(basis, eigen_table=StructureTable(
-        basis.table.field, basis.labels, AZBrackets(basis))))
+        basis.params.field, basis.labels, AZBrackets(basis))))
     assert cert.check == "derivation", cert
     assert "derivation fails: ad e[" in _verdict(capsys)
 
 
-def test_a_changed_generator_product_off_the_grid_fails_the_intertwining(monkeypatch, capsys):
-    # [X, e(2, 5)]: index s = 5 lies off the grid {0, 1, 2}
+def test_a_changed_generator_product_off_the_grid_fails_the_generator_rows(monkeypatch, capsys):
+    # [X, e(2, 5)]: index s = 5 lies off the grid {0, 1, 2}, but in the row of X
     basis = _basis(*_params(F49))
     x = generator_positions(basis)[0]
     b = 2 * 7 + 5
@@ -229,7 +237,9 @@ def test_a_changed_generator_product_off_the_grid_fails_the_intertwining(monkeyp
 
     monkeypatch.setattr(AZBrackets, "_product", changed)
     cert = certify_eigenbasis(dataclasses.replace(basis, eigen_table=StructureTable(
-        basis.table.field, basis.labels, AZBrackets(basis))))
-    assert cert.check == "intertwining", cert
-    assert f"intertwining fails: [{basis.labels[x]}, {basis.labels[b]}]" in _verdict(capsys)
+        basis.params.field, basis.labels, AZBrackets(basis))))
+    assert cert.check == "rule", cert
+    assert f"rule fails: [{basis.labels[x]}, {basis.labels[b]}] is not the product" in _verdict(capsys)
+    p, n2, params = _params(F49)
+    assert identify(p, n2, params) == [f"eigen table certificate: intertwining fails: [{basis.labels[x]}, {basis.labels[b]}]"]
 

@@ -223,10 +223,9 @@ def test_sigma_zero_finite_grading_is_a_configuration_error(command, monkeypatch
     # sigma = 0 leaves one eigenvalue per slice and so no finite grading:
     # rejected before any table is built, not reported as a failed run
     def no_build(*a, **k):
-        raise AssertionError("build_H2_phi1 called for sigma = 0")
+        raise AssertionError("eigenbasis built for sigma = 0")
 
-    monkeypatch.setattr(verify, "build_H2_phi1", no_build)
-    monkeypatch.setattr(cli, "build_H2_phi1", no_build)
+    monkeypatch.setattr(verify, "eigenbasis", no_build)
     assert run_cli([*command, "--sigma", "0", "--field-k", "2"]) == 2
     err = capsys.readouterr().err
     assert verify.SIGMA_ZERO in err and "--grading sigma-zero" in err
@@ -363,9 +362,10 @@ def test_internal_error_exits_three(monkeypatch, capsys):
 ])
 def test_q_two_rejected_before_any_work(args, monkeypatch, capsys):
     def no_build(*a, **k):
-        raise AssertionError("build_H2_phi1 called for q = 2")
+        raise AssertionError("table built for q = 2")
 
-    monkeypatch.setattr(verify, "build_H2_phi1", no_build)
+    monkeypatch.setattr(verify, "eigenbasis", no_build)
+    monkeypatch.setattr(verify, "phi1_rule_table", no_build)
     assert run_cli(["verify", *args]) == 2
     err = capsys.readouterr().err
     assert "q = 2" in err
@@ -375,9 +375,9 @@ def test_q_two_rejected_before_any_work(args, monkeypatch, capsys):
 
 def test_eps_zero_char_two_rejected_before_any_work(monkeypatch, capsys):
     def no_build(*a, **k):
-        raise AssertionError("build_H2_phi1 called for eps-zero at p = 2")
+        raise AssertionError("eigenbasis built for eps-zero at p = 2")
 
-    monkeypatch.setattr(verify, "build_H2_phi1", no_build)
+    monkeypatch.setattr(verify, "eigenbasis", no_build)
     assert run_cli(["verify", "--grading", "eps-zero", "--p", "2", "--q", "4", "--ratio", "1"]) == 2
     assert "the only nonzero ratio sigma/rho in F_2 is 1 = -1" in capsys.readouterr().err
 

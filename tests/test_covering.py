@@ -19,7 +19,6 @@ from oracles import (
     oracle_check_covering,
     oracle_covering_failures,
 )
-from thinlie.cartan import build_H2_phi1
 from thinlie.ffield import field_create
 from thinlie.grading import ToralParams, eigenbasis, generator_positions, grade_finite
 from thinlie.liealg import DegreeMap, StructureTable
@@ -50,7 +49,7 @@ def test_rank_covering_matches_enumeration_on_verify_runs(name):
 
 def test_rank_covering_matches_enumeration_when_covering_fails():
     # eps = 0, rho = 0: the toral grading whose covering fails
-    basis = eigenbasis(build_H2_phi1(3, 1, 1, F3, 0), ToralParams(F3.one, F3.zero, F3.zero))
+    basis = eigenbasis(ToralParams(F3.one, F3.zero, F3.zero), 3)
     et = basis.eigen_table
     x_pos, y_pos = generator_positions(basis)
     expansion = loop_expand(et, grade_finite(basis), 12)

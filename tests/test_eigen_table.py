@@ -16,7 +16,6 @@ against the all-pairs one, are in test_az_rule.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -30,12 +29,12 @@ from oracles import (
     dense_row,
     eigen_bracket_check,
     extend_to_generators,
+    monomial_images,
     oracle_check_structure_map,
     oracle_subalgebra_table,
     subalgebra_generated,
 )
 from test_sweep import SIGMA_ZERO_INPUTS
-from thinlie.cartan import build_H2_phi1
 from thinlie.errors import DenominatorZero
 from thinlie.ffield import field_create, in_prime_field
 from thinlie.grading import (
@@ -64,31 +63,27 @@ def _mu3_values(fieldspec):
 
 
 def _finite_basis(mu3):
-    table = build_H2_phi1(mu3.spec.p, 1, 1, mu3.spec, 1)
-    return eigenbasis(table, params_from_mu3(mu3))
+    return eigenbasis(params_from_mu3(mu3), mu3.spec.p)
 
 
 def _eps_zero_basis(p, ratio):
     fieldspec = field_create(p)
-    table = build_H2_phi1(p, 1, 1, fieldspec, 0)
-    return eigenbasis(table, ToralParams(fieldspec.element(ratio), fieldspec.one, fieldspec.zero))
+    return eigenbasis(ToralParams(fieldspec.element(ratio), fieldspec.one, fieldspec.zero), p)
 
 
 def _rho_zero_basis():
     # the basis of tests/test_covering.py whose covering fails
-    return eigenbasis(build_H2_phi1(3, 1, 1, F3, 0), ToralParams(F3.one, F3.zero, F3.zero))
+    return eigenbasis(ToralParams(F3.one, F3.zero, F3.zero), 3)
 
 
 def _sigma_zero_basis(p, q):
-    fieldspec = field_create(p)
-    table = build_H2_phi1(p, 1, round(math.log(q, p)), fieldspec, 1)
-    return eigenbasis(table, toral_params(fieldspec, 0, eps=1))
+    return eigenbasis(toral_params(field_create(p), 0, eps=1), q)
 
 
 def _assert_matches_oracles(basis):
     et = basis.eigen_table
-    t = basis.table
-    rows = [dense_row(t.field, t.dim, v.coords) for v in basis.vectors]
+    t, vectors = monomial_images(basis)
+    rows = [dense_row(t.field, t.dim, v.coords) for v in vectors]
     conj = change_basis(t, rows, basis.labels)
     assert json.dumps(et.to_json()) == json.dumps(conj.to_json())
     assert list(et.brackets) == list(conj.brackets)
@@ -122,14 +117,15 @@ def test_closed_table_equals_change_basis_rho_zero():
 def test_sigma_zero_closed_table_is_the_subalgebra_x_and_y_generate(p, q):
     basis = _sigma_zero_basis(p, q)
     et = basis.eigen_table
-    sub = oracle_subalgebra_table(basis.table, basis.vectors, basis.labels)
+    table, vectors = monomial_images(basis)
+    sub = oracle_subalgebra_table(table, vectors, basis.labels)
     assert json.dumps(et.to_json()) == json.dumps(sub.to_json())
     assert eigen_bracket_check(basis)
     xy = list(generator_positions(basis))
     assert extend_to_generators(et, xy) == xy
     assert basis.certificate, basis.certificate
-    x, y = (basis.vectors[i] for i in xy)
-    assert subalgebra_generated(basis.table, [x, y]).dim == q
+    x, y = (vectors[i] for i in xy)
+    assert subalgebra_generated(table, [x, y]).dim == q
 
 
 @pytest.mark.parametrize("make, generated", [
@@ -166,13 +162,13 @@ def _with_entry(table, key, terms):
 def f25_basis():
     basis = _finite_basis(field_create(5, 2).generator())
     gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
-    return basis, gens
+    return basis, gens, monomial_images(basis)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_certificate_fails_on_a_changed_coefficient_off_the_generators(f25_basis, data):
-    basis, gens = f25_basis
+    basis, gens, images = f25_basis
     et = basis.eigen_table
     others = [m for m in range(et.dim) if m not in gens]
     a, b = sorted(data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True)))
@@ -184,9 +180,9 @@ def test_certificate_fails_on_a_changed_coefficient_off_the_generators(f25_basis
     if len(changed.brackets.get((a, b), ())) > 1:
         # a second term: no longer one-term, so no generating set certifies it
         with pytest.raises(ValueError, match="one-term"):
-            oracle_check_structure_map(changed, basis.table, basis.vectors, gens)
+            oracle_check_structure_map(changed, *images, gens)
         return
-    cert = oracle_check_structure_map(changed, basis.table, basis.vectors, gens)
+    cert = oracle_check_structure_map(changed, *images, gens)
     assert not cert
     assert cert.check in ("derivation", "generation")
 
@@ -195,7 +191,7 @@ def test_certificate_reports_non_generation_for_x_and_y_alone():
     # eps = 0, p = 5, ratio 1: X and Y generate 24 of the 25 dimensions
     basis = _eps_zero_basis(5, 1)
     x_pos, y_pos = generator_positions(basis)
-    cert = oracle_check_structure_map(basis.eigen_table, basis.table, basis.vectors, [x_pos, y_pos])
+    cert = oracle_check_structure_map(basis.eigen_table, *monomial_images(basis), [x_pos, y_pos])
     assert cert.check == "generation"
     assert "24 of 25" in cert.detail
     assert basis.certificate  # the greedy extension does generate
@@ -204,11 +200,12 @@ def test_certificate_reports_non_generation_for_x_and_y_alone():
 def test_certificate_fails_on_every_swap_of_two_images():
     basis = _finite_basis(field_create(3, 2).generator())
     gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
-    for i in range(len(basis.vectors)):
-        for j in range(i + 1, len(basis.vectors)):
-            images = list(basis.vectors)
+    table, vectors = monomial_images(basis)
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            images = list(vectors)
             images[i], images[j] = images[j], images[i]
-            cert = oracle_check_structure_map(basis.eigen_table, basis.table, images, gens)
+            cert = oracle_check_structure_map(basis.eigen_table, table, images, gens)
             assert cert.check == "intertwining", (i, j)
 
 
@@ -216,8 +213,8 @@ def test_certificate_fails_on_zero_images():
     # the zero map intertwines every bracket; only the rank shows it
     basis = _finite_basis(field_create(3, 2).generator())
     gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
-    zero = basis.table.element({})
-    cert = oracle_check_structure_map(basis.eigen_table, basis.table, [zero] * 9, gens)
+    table, _ = monomial_images(basis)
+    cert = oracle_check_structure_map(basis.eigen_table, table, [table.element({})] * 9, gens)
     assert cert.check == "rank"
     assert "0 of 9" in cert.detail
 

@@ -10,7 +10,7 @@ import gc
 
 import pytest
 
-from oracles import closed_eigen_table, extend_to_generators, oracle_check_structure_map
+from oracles import closed_eigen_table, extend_to_generators, monomial_images, oracle_check_structure_map
 from thinlie import grading, liealg
 from thinlie.cartan import (
     AlbertFrankSpec,
@@ -99,14 +99,13 @@ def test_raising_validation_and_json_restore_the_collector(collector, monkeypatc
 def _eigenbasis():
     """The finite eigenbasis at p = 3 over F_9, whose certificate takes the
     two generators X and Y, so its Leibniz passes run."""
-    params = params_from_mu3(F9.generator())
-    return eigenbasis(build_H2_phi1(3, 1, 1, F9, 1), params)
+    return eigenbasis(params_from_mu3(F9.generator()), 3)
 
 
 def _certify(basis):
     gens = extend_to_generators(basis.eigen_table, generator_positions(basis))
     assert len(gens) < basis.eigen_table.dim
-    return oracle_check_structure_map(basis.eigen_table, basis.table, basis.vectors, gens)
+    return oracle_check_structure_map(basis.eigen_table, *monomial_images(basis), gens)
 
 
 def test_certificate_builds_run_with_the_collector_paused(collector, monkeypatch):

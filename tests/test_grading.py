@@ -17,6 +17,7 @@ from thinlie.grading import (
     toral_params,
 )
 from thinlie.liealg import bracket, validate_grading, validate_table
+from thinlie.verify import _eigenvectors
 
 F3 = field_create(3)
 F9 = field_create(3, 2)
@@ -26,7 +27,8 @@ F9 = field_create(3, 2)
 def f9_basis():
     table = build_H2_phi1(3, 1, 1, F9, 1)
     params = params_from_mu3(F9.generator())
-    return table, params, eigenbasis(table, params)
+    basis = eigenbasis(params, 3)
+    return table, params, basis, _eigenvectors(basis, table)
 
 
 def test_grade_mixed_degrees():
@@ -57,23 +59,23 @@ def test_toral_element_forms():
 
 
 def test_eigen_equation_holds_for_all_vectors(f9_basis):
-    table, params, basis = f9_basis
+    table, params, basis, vectors = f9_basis
     e0 = toral_element(table, params)
-    for (r, s, alpha), v in zip(basis.entries, basis.vectors):
+    for (r, s, alpha), v in zip(basis.entries, vectors):
         assert bracket(e0, v) == v.scale(alpha)
 
 
 def test_eigenvalues_distinct_within_slice(f9_basis):
-    _, _, basis = f9_basis
+    basis = f9_basis[2]
     for r in (1, 0, -1):
         alphas = [a for rr, _, a in basis.entries if rr == r]
         assert len(alphas) == 3 and len({a.coords for a in alphas}) == 3
 
 
 def test_x_eigenvector_is_geometric_series(f9_basis):
-    table, params, basis = f9_basis
+    table, params, basis, vectors = f9_basis
     mons = phi1_monomials(3, 1, 1)
-    x = basis.vectors[basis.position(1, 1)]
+    x = vectors[basis.position(1, 1)]
     lam = params.rho + params.sigma
     expected = {mons.index((i, 0)): lam ** i for i in range(3)}
     assert x.coords == {k: v for k, v in expected.items() if v}
@@ -82,20 +84,20 @@ def test_x_eigenvector_is_geometric_series(f9_basis):
 def test_central_eigenvector_is_constant_monomial():
     table = build_H2_phi1(3, 1, 1, F3, 0)
     params = toral_params(F3, 1, eps=0, rho=1)
-    basis = eigenbasis(table, params)
+    basis = eigenbasis(params, 3)
     mons = phi1_monomials(3, 1, 1)
     central = next(m for m, (r, _, a) in enumerate(basis.entries) if r == 1 and not a)
-    assert basis.vectors[central] == table.basis_element(mons.index((0, 0)))
+    assert _eigenvectors(basis, table)[central] == table.basis_element(mons.index((0, 0)))
 
 
 def test_eigen_change_of_basis_invertible(f9_basis):
-    table, _, basis = f9_basis
-    rows = [dense_row(F9, table.dim, v.coords) for v in basis.vectors]
+    table, _, _, vectors = f9_basis
+    rows = [dense_row(F9, table.dim, v.coords) for v in vectors]
     assert len(oracle_rref(F9, rows)) == table.dim
 
 
 def test_eigen_bracket_check_and_formulas(f9_basis):
-    _, params, basis = f9_basis
+    _, params, basis, _ = f9_basis
     assert eigen_bracket_check(basis)
     et = basis.eigen_table
     q = basis.q
@@ -125,7 +127,7 @@ def test_eigen_bracket_check_and_formulas(f9_basis):
 
 
 def test_grade_finite_degrees(f9_basis):
-    _, _, basis = f9_basis
+    basis = f9_basis[2]
     dm = grade_finite(basis)
     assert dm.modulus == 6
     x_pos, y_pos = generator_positions(basis)
@@ -138,7 +140,7 @@ def test_grade_finite_degrees(f9_basis):
 
 def test_ad_e0_slice_spectrum(f9_basis):
     # roots of the characteristic polynomial on each slice: (1-j)rho + F_p sigma
-    table, params, basis = f9_basis
+    table, params, _, _ = f9_basis
     e0 = toral_element(table, params)
     mons = phi1_monomials(3, 1, 1)
     for j in range(3):
@@ -180,13 +182,11 @@ def test_no_root_in_field():
 
 
 def test_sigma_zero_subalgebra():
-    table = build_H2_phi1(5, 1, 1, field_create(5), 1)
-    basis = eigenbasis(table, toral_params(field_create(5), 0, eps=1))
+    basis = eigenbasis(toral_params(field_create(5), 0, eps=1), 5)
     assert basis.partial
     assert basis.certificate, basis.certificate
-    sub, dm, x_pos, y_pos = sigma_zero_subalgebra(basis)
-    assert sub is basis.eigen_table
-    assert (x_pos, y_pos) == generator_positions(basis)
+    dm = sigma_zero_subalgebra(basis)
+    sub, (x_pos, y_pos) = basis.eigen_table, generator_positions(basis)
     assert sub.dim == 5
     assert dm.modulus == 4
     assert dm.degrees[x_pos] == 1 and dm.degrees[y_pos] == 1

@@ -25,6 +25,7 @@ from thinlie.cartan import build_H2_phi1, build_W1n, phi1_monomials
 from thinlie.errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from thinlie.ffield import field_create
 from thinlie.grading import eigenbasis, grade_mixed, params_from_mu3, toral_params
+from thinlie.verify import _eigenvectors
 from thinlie.liealg import (
     DegreeMap,
     _combine,
@@ -171,17 +172,17 @@ def test_subalgebra_generated_zero():
 def test_subalgebra_generated_full_phi1():
     f9 = field_create(3, 2)
     table = build_H2_phi1(3, 1, 1, f9, 1)
-    basis = eigenbasis(table, params_from_mu3(f9.generator()))
-    x = basis.vectors[basis.position(1, 1)]
-    y = basis.vectors[basis.position(-1, 1)]
+    basis = eigenbasis(params_from_mu3(f9.generator()), 3)
+    vectors = _eigenvectors(basis, table)
+    x, y = vectors[basis.position(1, 1)], vectors[basis.position(-1, 1)]
     assert subalgebra_generated(table, [x, y]).dim == 9
 
 
 def test_subalgebra_generated_sigma_zero_zassenhaus():
     table = build_H2_phi1(3, 1, 1, F3, 1)
-    basis = eigenbasis(table, toral_params(F3, 0, eps=1))
-    x = basis.vectors[basis.position(1, 0)]
-    y = basis.vectors[basis.position(-1, 0)]
+    basis = eigenbasis(toral_params(F3, 0, eps=1), 3)
+    vectors = _eigenvectors(basis, table)
+    x, y = vectors[basis.position(1, 0)], vectors[basis.position(-1, 0)]
     span = subalgebra_generated(table, [x, y])
     assert span.dim == 3
     # idempotent: generating from a basis of the output returns the same span
@@ -261,8 +262,7 @@ def test_quotient_rejects_non_ideal():
 
 def test_centralizer_examples():
     f25 = field_create(5, 2)
-    table = build_H2_phi1(5, 1, 1, f25, 1)
-    basis = eigenbasis(table, params_from_mu3(f25.generator()))
+    basis = eigenbasis(params_from_mu3(f25.generator()), 5)
     et = basis.eigen_table
     x = et.basis_element(basis.position(1, 1))
     y = et.basis_element(basis.position(-3, 1))

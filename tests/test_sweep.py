@@ -10,8 +10,12 @@ p = 2.
 Outside: mu3 in the prime field, the ratios 0 and -1, eps-zero at p = 2 and
 q = 2, mixed with n1 = 0 or n2 = 0, and mixed at p = 2 with n2 = 1.
 With liealg.Echelon made to raise, every input inside still passes with
-the same JSON: no verify path eliminates.
+the same JSON: no verify path eliminates; and no toral input reads a
+monomial table, with cartan.build_H2_phi1, grading.toral_element,
+liealg._intertwining and liealg.center made to raise too.
 """
+
+import sys
 
 import pytest
 
@@ -91,22 +95,38 @@ def test_input_outside_the_range_is_rejected(args, capsys):
     assert "internal error" not in err
 
 
+def _raising(monkeypatch, fn):
+    """fn made to raise under every name a thinlie module binds it to."""
+    def unused(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} on a verify path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thinlie":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, unused)
+
+
 def test_accepted_inputs_need_no_echelon(tmp_path, monkeypatch, capsys):
     # no elimination on a verify path: with liealg.Echelon raising, every
-    # accepted input still passes, and writes the same JSON
-    from thinlie import liealg
+    # accepted input still passes, and writes the same JSON; and the toral
+    # runs, on the Albert-Zassenhaus rule alone, read no monomial table:
+    # no build_H2_phi1, toral_element, intertwining or center.  The mixed
+    # runs keep build_H2_phi1, which Phi1Brackets._build reaches in
+    # characteristic two when it reads the whole table for L'
+    from thinlie import cartan, grading, liealg
 
-    def unused(*args, **kwargs):
-        raise AssertionError("Echelon on a verify path")
-
+    monomial = [cartan.build_H2_phi1, grading.toral_element, liealg._intertwining, liealg.center]
     outputs = []
     for patched in (False, True):
-        if patched:
-            monkeypatch.setattr(liealg, "Echelon", unused)
         texts = []
         for args in ACCEPTED:
-            out = tmp_path / "run.json"
-            assert cli.main(["verify", "--out", str(out)] + args) == 0, (args, capsys.readouterr().err[-500:])
+            with monkeypatch.context() as m:
+                if patched:
+                    for fn in [liealg.Echelon] + (monomial if args[1] != "mixed" else []):
+                        _raising(m, fn)
+                out = tmp_path / "run.json"
+                assert cli.main(["verify", "--out", str(out)] + args) == 0, (args, capsys.readouterr().err[-500:])
             texts.append(out.read_text())
         outputs.append(texts)
     assert outputs[0] == outputs[1]

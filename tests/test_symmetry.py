@@ -1,7 +1,7 @@
 """Two symmetries of the toral gradings, checked on whole runs of the
-verify pipeline: each side is its own run, from the Phi(1) table through
-the eigenbasis, the rule table and its certificate to the thin report,
-and the two must agree for a reason outside the code.
+verify pipeline: each side is its own run, from the params through the
+eigenbasis, the rule table and its certificate to the thin report, and
+the two must agree for a reason outside the code.
 
 Frobenius: x -> x^p is a field automorphism fixing F_p, so it carries the
 run at mu3 onto the run at mu3^p, both built through params_from_mu3:

@@ -45,8 +45,7 @@ def finite_setup(p, k, n2=1, mu3=None):
     fieldspec = field_create(p, k)
     mu3 = mu3 or fieldspec.generator()
     params = params_from_mu3(mu3)
-    table = build_H2_phi1(p, 1, n2, fieldspec, 1)
-    basis = eigenbasis(table, params)
+    basis = eigenbasis(params, p ** n2)
     dm = grade_finite(basis)
     x_pos, y_pos = generator_positions(basis)
     et = basis.eigen_table
@@ -130,9 +129,8 @@ def test_covering_passes_on_theorem_gradings():
 
 def test_covering_fails_for_rho_zero():
     # eps = 0, rho = 0: {e_{1,0}, Y} = 0 = {e_{0,-sigma}, Y} kills covering
-    hhat = build_H2_phi1(3, 1, 1, F3, 0)
     params = ToralParams(F3.one, F3.zero, F3.zero)
-    basis = eigenbasis(hhat, params)
+    basis = eigenbasis(params, 3)
     dm = grade_finite(basis)
     x_pos, y_pos = generator_positions(basis)
     et = basis.eigen_table

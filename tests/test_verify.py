@@ -8,10 +8,12 @@ from thinlie.cartan import build_H2_phi1
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
 from thinlie.grading import grade_mixed, params_from_mu3, toral_params
-from thinlie import grading, verify
+from thinlie import grading, liealg, verify
 from thinlie.liealg import MapCheck, StructureTable, center
 from thinlie.thinloop import INFINITY
-from thinlie.verify import Grading, _derived_in_char_two, run_eps_zero, run_finite, run_sigma_zero, toral_grading
+from thinlie.verify import (
+    Grading, _derived_in_char_two, _eigenvectors, identify, run_eps_zero, run_finite, run_sigma_zero, toral_grading,
+)
 
 
 def test_sigma_zero_char_two_q8_all_fake1():
@@ -85,28 +87,25 @@ def test_center_reads_only_one_term_support_injective_tables():
         center(StructureTable(f3, labels, {(0, 1): ((2, one), (3, one))}))
 
 
-def test_front_half_mismatches_come_before_the_certificate(monkeypatch):
+def test_identification_mismatches_come_before_its_certificate(monkeypatch):
     # the center check runs first and its mismatch precedes a failed
-    # certificate: on the eps = 0 table with one more central monomial (an
-    # eigenbasis of the whole one, so that only the center fails; see
+    # certificate: on the eps = 0 table with one more central monomial, read
+    # by the center check alone, so that only the center fails (see
     # test_cut_table_fails_the_center_and_the_eigen_equation), and, since
     # no shipped table fails the later checks, through stand-ins
+    params = toral_params(field_create(5), 1, eps=0, rho=1)
     hhat = build_H2_phi1(5, 1, 1, field_create(5), 0)
-    monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: _without_pairs_of(hhat, hhat.dim - 1))
-    monkeypatch.setattr(verify, "eigenbasis", lambda t, params: grading.eigenbasis(hhat, params))
-    run = run_eps_zero(5, 1, 1)
-    assert not run.ok and run.mismatches == ["center of the eps = 0 extension is not the constant line"]
-    monkeypatch.undo()
+    monkeypatch.setattr(verify, "center", lambda t: liealg.center(_without_pairs_of(hhat, hhat.dim - 1)))
+    assert identify(5, 1, params) == ["center of the eps = 0 extension is not the constant line"]
     monkeypatch.setattr(verify, "center", lambda t: (0, 1))
-    run = run_eps_zero(5, 1, 1)
-    assert not run.ok and run.mismatches == ["center of the eps = 0 extension is not the constant line"]
-    monkeypatch.setattr(grading, "certify_eigenbasis", lambda *a: MapCheck("rank", "forced"))
-    run = run_eps_zero(5, 1, 1)
-    assert run.report is None and run.mismatches == [
+    assert identify(5, 1, params) == ["center of the eps = 0 extension is not the constant line"]
+    monkeypatch.setattr(verify, "_identified", lambda *a: MapCheck("rank", "forced"))
+    assert identify(5, 1, params) == [
         "center of the eps = 0 extension is not the constant line",
         "eigen table certificate: rank fails: forced",
     ]
     monkeypatch.undo()
+    assert run_eps_zero(5, 1, 1).ok
     monkeypatch.setattr(verify, "_ReachedSpan", lambda t, gens: SimpleNamespace(rank=len(gens)))
     run = run_sigma_zero(5, 1)
     assert not run.ok and run.mismatches == ["generated subalgebra has dim 2, expected 5"]
@@ -117,14 +116,26 @@ def test_front_half_mismatches_come_before_the_certificate(monkeypatch):
     (5, toral_params(field_create(5), 0)),
     (3, params_from_mu3(field_create(3, 2).generator())),
 ])
-def test_toral_grading_builds_the_table_of_params_eps(p, params):
-    # eps is read from params alone: eps = 0 gives the central extension
+def test_identify_builds_the_table_of_params_eps(p, params, monkeypatch):
+    # eps is read from params alone: eps = 0 gives the central extension;
+    # the verify path builds no monomial table, since the rule is that of
+    # AZ(sigma, rho) whatever eps is
+    built = []
+
+    def build(*args):
+        built.append(build_H2_phi1(*args))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "build_H2_phi1", build)
     g, basis = toral_grading(p, 1, params)
-    want = build_H2_phi1(p, 1, 1, params.field, params.eps)
-    assert basis.table.to_json() == want.to_json()
-    assert oracle_center(basis.table, full_subspace(basis.table)).dim == (0 if params.eps else 1)
-    assert center(basis.table) == (() if params.eps else (0,))
+    assert not built
     assert g.table is basis.eigen_table and g.degmap.modulus == (p - 1) * (p if params.sigma else 1)
+    assert identify(p, 1, params) == []
+    (table,) = built
+    want = build_H2_phi1(p, 1, 1, params.field, params.eps)
+    assert table.to_json() == want.to_json()
+    assert oracle_center(table, full_subspace(table)).dim == (0 if params.eps else 1)
+    assert center(table) == (() if params.eps else (0,))
 
 
 # the first pair the certificate finds broken on the table cut at m
@@ -138,23 +149,24 @@ CUT_FAILURES = {
 @pytest.mark.parametrize("m", sorted(CUT_FAILURES))
 def test_cut_table_fails_the_center_and_the_eigen_equation(m, monkeypatch, capsys):
     # the eps = 0 table with every stored pair of one monomial removed: the
-    # center check, made before the eigenbasis reads the table, reports it;
-    # the eigen-equation fails on it (oracle_eigen_equation), and the
-    # certificate, which proves that equation from the homomorphism, fails
-    # at the intertwining, a verdict that names the pair, not an internal
-    # error
+    # center check reports it first; the eigen-equation fails on it
+    # (oracle_eigen_equation), and the certificate, which proves that
+    # equation from the homomorphism, fails at the intertwining, a mismatch
+    # that names the pair; suite row 11 fails on it, and verify, which
+    # reads no monomial table, still passes
     from thinlie import cli
 
+    params = toral_params(field_create(5), 1, eps=0, rho=1)
     hhat = build_H2_phi1(5, 1, 1, field_create(5), 0)
     cut = _without_pairs_of(hhat, m)
-    assert oracle_eigen_equation(grading.eigenbasis(cut, toral_params(field_create(5), 1, eps=0, rho=1))) is not None
-    monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: cut)
-    run = run_eps_zero(5, 1, 1)
-    assert run.report is None and not run.ok
-    assert run.mismatches == [
+    basis = grading.eigenbasis(params, 5)
+    assert oracle_eigen_equation(basis, cut, _eigenvectors(basis, cut)) is not None
+    monkeypatch.setattr(verify, "build_H2_phi1", lambda *a: cut if a[:3] == (5, 1, 1) and not a[-1] else build_H2_phi1(*a))
+    assert identify(5, 1, params) == [
         "center of the eps = 0 extension is not the constant line",
         f"eigen table certificate: {CUT_FAILURES[m]}",
     ]
-    assert cli.main(["verify", "--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"]) == 1
+    assert cli.main(["suite", "--only", "11"]) == 1
     out, err = capsys.readouterr()
-    assert "verdict: FAIL" in out and "internal error" not in err
+    assert "11-hamiltonian-identification: FAIL" in out and "internal error" not in err
+    assert cli.main(["verify", "--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "1"]) == 0
