@@ -47,10 +47,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterator
 
 from .errors import FieldSizeMismatch, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
 from .ffield import FieldElement, FieldSpec, field_create
-from .liealg import DegreeMap, RuleBrackets, StructureTable, _gc_paused
+from .liealg import RuleBrackets, StructureTable, _gc_paused
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -344,22 +345,20 @@ class Phi1Brackets(RuleBrackets):
     row-major as in build_H2_phi1 (x^(i)y^(j) at i p^n2 + j), the way
     _poisson_table does, and memoizes it; a nonzero product whose target
     leaves the box raises NotASubalgebra when it is read.  A read of the
-    whole table is build_H2_phi1's dict.  No Pascal triangle or factor
-    table is built for get.
+    whole table (RuleBrackets._build) has build_H2_phi1's keys, in its
+    order.  No Pascal triangle or factor table is built for get.
     """
 
     def __init__(self, p: int, n1: int, n2: int, field: FieldSpec, eps: FieldElement):
-        super().__init__()
-        self.params, self.field, self.eps = CartanParams(p, n1, n2), field, eps
-        self._tau1, tau2 = self.params.tau
-        self._q = tau2 + 1
+        super().__init__(p ** (n1 + n2))
+        self._p, self._tau1, self._q = p, p ** n1 - 1, p ** n2
         self._plain = [field.element(c) for c in range(p)]
         self._scaled = [eps * c for c in self._plain]
 
     def _product(self, key) -> tuple[tuple[int, FieldElement]] | None:
         a, b = key
-        p, tau1, q = self.params.p, self._tau1, self._q
-        if not 0 <= a < b < (tau1 + 1) * q:
+        p, tau1, q = self._p, self._tau1, self._q
+        if not 0 <= a < b < self._dim:
             return None
         (i, j), (k, l) = divmod(a, q), divmod(b, q)
         if i == k == 0:
@@ -384,12 +383,17 @@ class Phi1Brackets(RuleBrackets):
             raise NotASubalgebra(f"nonzero product escaping the basis at ({i},{j},{k},{l})")
         return ((ti * q + tj, coeffs[c]),) if coeffs[c] else None
 
-    def _build(self) -> dict:
-        p, n1, n2 = self.params.p, self.params.n1, self.params.n2
-        return build_H2_phi1(p, n1, n2, self.field, self.eps).brackets
+    def _sources(self, m: int) -> Iterator[tuple[int, int]]:
+        """The pairs a < b that can land on m = ti q + tj: i + k - 1 = ti and
+        j + l - 1 = tj, and on ti = tau1 the pure-y pairs remapped there."""
+        tau1, q = self._tau1, self._q
+        ti, tj = divmod(m, q)
+        xs = [(i, ti + 1 - i) for i in range(max(0, ti + 1 - tau1), min(tau1, ti + 1) + 1)] + [(0, 0)] * (ti == tau1)
+        pairs = ((i * q + j, k * q + tj + 1 - j) for i, k in xs for j in range(max(0, tj + 2 - q), min(q, tj + 2)))
+        return (key for key in pairs if key[0] < key[1])
 
-    def proves_grading(self, d: DegreeMap) -> bool:
-        """True when d is affine on the monomials in the way that makes
+    def _proves(self, n: int, deg: tuple) -> bool:
+        """True when deg is affine on the monomials in the way that makes
         every product land in its predicted class; False says nothing.
 
         Lemma: let d(i, j) = d0 + alpha i + beta j mod N with
@@ -399,20 +403,19 @@ class Phi1Brackets(RuleBrackets):
         the box is graded, and no product leaves it (module docstring).
         The remap of a pure-y target (-1, tj) onto (tau1, tj) keeps the
         class iff alpha (tau1 + 1) = 0 mod N.  So reading d0, alpha and beta
-        off the monomials 1, x and y, an O(dim) pass that d is that affine
-        map, plus the two congruences, proves the grading of every product.
-        """
-        tau1, q, n, deg = self._tau1, self._q, d.modulus, d.degrees
-        if len(deg) != (tau1 + 1) * q:
+        off the monomials 1, x and y, an O(dim) pass that deg is that
+        affine map, plus the two congruences, proves the grading of every
+        product; a None degree, at the position a view leaves out
+        (RuleBrackets.without), is not compared."""
+        tau1, q = self._tau1, self._q
+        if len(deg) != self._dim or None in (deg[0], deg[q], deg[1]):
             return False
         d0 = deg[0]
         alpha, beta = deg[q] - d0, deg[1] - d0
         if (alpha + beta + d0) % n or alpha * (tau1 + 1) % n:
             return False
-        return all(
-            deg[i * q:(i + 1) * q] == tuple((d0 + alpha * i + beta * j) % n for j in range(q))
-            for i in range(tau1 + 1)
-        )
+        return all(d is None or d == (d0 + alpha * i + beta * j) % n
+                   for i in range(tau1 + 1) for j, d in enumerate(deg[i * q:(i + 1) * q]))
 
 
 def phi1_rule_table(

@@ -23,18 +23,20 @@ resulting loop algebra has diamond types in arithmetic progression with
 step sigma/rho, so prescribing the third type mu3 outside the prime field
 pins (sigma, rho) down exactly; params_from_mu3 inverts that prescription.
 No function here checks a degree map against its table: loop_expand does,
-once per expansion (liealg.validate_grading, from AZBrackets.proves_grading).
+once per expansion (liealg.validate_grading, from AZBrackets._proves), on
+eigen_quotient's view without the center too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Iterator
 
 from .cartan import _pascal, monomial_label, monomials
 from .errors import DenominatorZero, Mu3InPrimeField, NoRootInField, NotAnIdeal
 from .ffield import FieldElement, FieldSpec, artin_schreier_roots, combine_residues, frobenius, in_prime_field, pth_root
-from .liealg import DegreeMap, Element, MapCheck, RuleBrackets, StructureTable, _gc_paused, _greedy_generators
+from .liealg import DegreeMap, Element, MapCheck, RuleBrackets, StructureTable, _greedy_generators
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +46,9 @@ from .liealg import DegreeMap, Element, MapCheck, RuleBrackets, StructureTable, 
 def grade_mixed(table: StructureTable, q: int, r: int) -> DegreeMap:
     """Degree ((1-q)i - j + q) mod (q-1)r for the monomial x^(i)y^(j).
 
-    Works on the full Phi(1) table and, via DegreeMap.restrict, on its
-    derived subalgebra in characteristic two.
+    The map of the whole Phi(1) table; in characteristic two a run
+    restricts it (DegreeMap.restrict) to L', the rule's view without the
+    last monomial, and the rule proves the restriction a grading too.
     """
     tau1, tau2 = r - 1, q - 1
     mons = monomials(tau1, tau2)
@@ -186,14 +189,12 @@ class AZBrackets(RuleBrackets):
     m = j w + s, have product (beta B1 - alpha B2) e[2-j-l, alpha+beta],
     zero unless 0 <= j + l - 1 < q.  With alpha = (1-j) rho + s sigma, s in
     F_p, that is (rho u + sigma v) at (j + l - 1, s + t mod p), u = (1-l) B1
-    - (1-j) B2, v = t B1 - s B2 mod p.  With drop, the table modulo the line
-    of b_drop on the other positions, ascending (eigen_quotient)."""
+    - (1-j) B2, v = t B1 - s B2 mod p."""
 
-    def __init__(self, basis: EigenBasis, drop: int | None = None):
-        super().__init__()
+    def __init__(self, basis: EigenBasis):
+        super().__init__(len(basis.entries))
         params = basis.params
         self._p, self._q, self._entries = params.p, basis.q, basis.entries
-        self._dim, self._drop = len(basis.entries) - (drop is not None), drop
         self._width = len(basis.entries) // basis.q
         self._pairs: dict = {}
         self._rows: list[list[int]] | None = None
@@ -219,35 +220,33 @@ class AZBrackets(RuleBrackets):
         a, b = key
         if not 0 <= a < b < self._dim:
             return None
-        drop, w, p = self._drop, self._width, self._p
-        if drop is not None:
-            a, b = a + (a >= drop), b + (b >= drop)
+        w, p = self._width, self._p
         (ja, sa), (jb, sb) = divmod(a, w), divmod(b, w)
         jc, b1, b2 = self._slice_pair(ja, jb)
         if not (b1 or b2):
             return None
         c = self._rhos[((1 - jb) * b1 - (1 - ja) * b2) % p] + self._sigmas[(sb * b1 - sa * b2) % p]
-        target = jc * w + (sa + sb) % p
-        if not c or target == drop:
-            return None
-        return ((target - (drop is not None and target > drop), c),)
+        return ((jc * w + (sa + sb) % p, c),) if c else None
 
-    def _build(self) -> dict:
-        n, product = self._dim, self._product
-        with _gc_paused():
-            return {(a, b): terms for a in range(n) for b in range(a + 1, n) if (terms := product((a, b)))}
+    def _sources(self, m: int) -> Iterator[tuple[int, int]]:
+        """The pairs a < b whose product can land on m = jc w + sc: slices
+        ja + jb - 1 = jc, indices sa + sb = sc mod p (0 on width one)."""
+        w, top = self._width, self._q - 1
+        jc, sc = divmod(m, w)
+        pairs = ((ja * w + sa, (jc + 1 - ja) * w + (sc - sa) % w)
+                 for ja in range(max(0, jc + 1 - top), min(top, jc + 1) + 1) for sa in range(w))
+        return (key for key in pairs if key[0] < key[1])
 
-    def proves_grading(self, d: DegreeMap) -> bool:
-        """True when d is raw(r, s) = combine_residues(r mod (q-1), s, q) mod
-        d.modulus, a divisor of (q-1)p (grade_finite, sigma_zero_subalgebra);
-        False says nothing.  raw is additive, and the rule takes (r, s),
-        (r', s') to (r + r', s + s' mod p), in a quotient too."""
-        n, q = d.modulus, self._q
-        if (q - 1) * self._p % n:
+    def _proves(self, n: int, degrees: tuple) -> bool:
+        """True when degrees are raw(r, s) = combine_residues(r mod (q-1),
+        s, q) mod n, a divisor of (q-1)p (grade_finite,
+        sigma_zero_subalgebra); False says nothing.  raw is additive, and
+        the rule takes (r, s), (r', s') to (r + r', s + s' mod p)."""
+        q = self._q
+        if (q - 1) * self._p % n or len(degrees) != self._dim:
             return False
-        return d.degrees == tuple(
-            combine_residues(r % (q - 1), s, q) % n for m, (r, s, _) in enumerate(self._entries) if m != self._drop
-        )
+        return all(d is None or d == combine_residues(r % (q - 1), s, q) % n
+                   for d, (r, s, _) in zip(degrees, self._entries))
 
 
 def certify_eigenbasis(basis: EigenBasis) -> MapCheck:
@@ -352,13 +351,12 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
 
 def eigen_quotient(basis: EigenBasis, drop: int) -> StructureTable:
     """eigen_table modulo the line of b_drop, the rule on the other
-    positions, ascending, reading a term on drop as zero; the line is an
-    ideal when the dim products of b_drop lie in it, else NotAnIdeal."""
+    positions (StructureTable.without); the line is an ideal when the dim
+    products of b_drop lie in it, else NotAnIdeal."""
     et = basis.eigen_table
     if any(terms[0][0] != drop for m in range(et.dim) if (terms := et.basis_bracket(drop, m))):
         raise NotAnIdeal("basis positions are not bracket-stable under the full algebra")
-    labels = [label for m, label in enumerate(et.labels) if m != drop]
-    return StructureTable(et.field, labels, AZBrackets(basis, drop))
+    return et.without(drop)
 
 
 def grade_finite(basis: EigenBasis) -> DegreeMap:

@@ -3,7 +3,8 @@
 A StructureTable stores sparse bracket coefficients for ordered basis pairs
 (i < j); antisymmetry is implicit and diagonal brackets are zero even in
 characteristic two (the tables are alternating); brackets may be a
-RuleBrackets, which works each product out when it is read.  One
+RuleBrackets, which works each product out when it is read, leaves out a
+basis vector as a view and proves the shape of [L, L] on the rule.  One
 incremental echelon kernel, Echelon, takes and returns sparse {column:
 coefficient} dicts, the same coordinates an Element stores, and
 eliminates on discrete logs as bracket does; its cost follows the
@@ -61,11 +62,16 @@ _UNREAD = object()  # a product RuleBrackets.get has not yet worked out
 
 
 class RuleBrackets(Mapping):
-    """A bracket dict read by rule: get((a, b)) works out the product at
-    positions a < b with _product (None for zero) and memoizes it; a read of
-    the whole table builds the dict once with _build and serves it."""
+    """A bracket dict on positions 0 .. dim - 1 read by rule: get((a, b))
+    works out the product at a < b with _product (None for zero) and
+    memoizes it; a whole-table read builds the dict once, keys ascending
+    (_build).  without(drop) is the one way to leave out a basis vector.
+    A rule lists with _sources(m) the pairs whose product can land on m,
+    and _proves(n, degrees) proves a degree map modulo n a grading, or
+    says nothing; a None degree is not checked."""
 
-    def __init__(self):
+    def __init__(self, dim: int):
+        self._dim = dim
         self._memo: dict = {}
         self._full: dict | None = None
 
@@ -75,11 +81,6 @@ class RuleBrackets(Mapping):
             terms = self._memo[key] = self._product(key)
         return default if terms is None else terms
 
-    def _table(self) -> dict:
-        if self._full is None:
-            self._full = self._build()
-        return self._full
-
     def __getitem__(self, key):
         terms = self.get(key)
         if terms is None:
@@ -87,16 +88,56 @@ class RuleBrackets(Mapping):
         return terms
 
     def __iter__(self):
-        return iter(self._table())
+        return iter(self._build())
 
     def __len__(self) -> int:
-        return len(self._table())
+        return len(self._build())
 
     def values(self):
-        return self._table().values()
+        return self._build().values()
 
     def items(self):
-        return self._table().items()
+        return self._build().items()
+
+    def _build(self) -> dict:
+        if self._full is None:
+            n, product = self._dim, self._product
+            with _gc_paused():
+                self._full = {(a, b): terms for a in range(n) for b in range(a + 1, n) if (terms := product((a, b)))}
+        return self._full
+
+    def proves_grading(self, d: DegreeMap) -> bool:
+        return self._proves(d.modulus, d.degrees)
+
+    def without(self, drop: int) -> RuleBrackets:
+        return _Without(self, drop)
+
+    def derived_is_all_but(self, drop: int) -> bool:
+        """True when the one-term products span every b_m but b_drop: each
+        other m is the target of a pair of _sources(m), the first found,
+        and no pair of _sources(drop), all that can land there, hits it."""
+        def hits(m: int) -> bool:
+            return any(k == m for key in self._sources(m) for k, _ in self._product(key) or ())
+        return not hits(drop) and all(hits(m) for m in range(self._dim) if m != drop)
+
+
+class _Without(RuleBrackets):
+    """RuleBrackets.without: _rule on every position but _drop, renumbered
+    ascending, a term on _drop read as zero: L' or a quotient by a line,
+    once the caller has proved it one."""
+
+    def __init__(self, rule: RuleBrackets, drop: int):
+        super().__init__(rule._dim - 1)
+        self._rule, self._drop = rule, drop
+
+    def _product(self, key) -> tuple | None:
+        a, b = key
+        drop = self._drop
+        terms = self._rule._product((a + (a >= drop), b + (b >= drop)))
+        return (tuple((k - (k > drop), c) for k, c in terms if k != drop) or None) if terms else None
+
+    def _proves(self, n: int, degrees: tuple) -> bool:
+        return self._rule._proves(n, degrees[:self._drop] + (None,) + degrees[self._drop:])
 
 
 class StructureTable:
@@ -164,6 +205,10 @@ class StructureTable:
             return self.brackets.get((i, j), ())
         terms = self.brackets.get((j, i), ())
         return tuple((k, -c) for k, c in terms)
+
+    def without(self, drop: int) -> "StructureTable":
+        """The rule table on every basis vector but b_drop (RuleBrackets.without)."""
+        return StructureTable(self.field, self.labels[:drop] + self.labels[drop + 1:], self.brackets.without(drop))
 
     def basis_element(self, i: int) -> "Element":
         return Element(self, {i: self.field.one})
@@ -856,8 +901,8 @@ class DegreeMap:
 def validate_grading(t: StructureTable, d: DegreeMap) -> bool:
     """True iff every stored bracket lands in the predicted degree class.
 
-    A bracket mapping with a proves_grading method (cartan.Phi1Brackets)
-    is asked first, and a proof there reads no product; when it proves
+    A RuleBrackets is asked first (proves_grading), on a view without a
+    basis vector too, and a proof there reads no product; when it proves
     nothing, every stored bracket is checked."""
     if len(d.degrees) != t.dim:
         raise ValueError("degree map does not match table dimension")

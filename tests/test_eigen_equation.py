@@ -8,7 +8,9 @@ proves last (liealg.validate_table).
   passes and the scan by bracket, oracles.oracle_eigen_equation, holds.
 - On hypothesis-drawn changes of one coefficient of the monomial table on a
   pair that ad e_0 reads, whenever the scan fails, identify fails (at
-  eps = 0 a stored zero is refused with ValueError, by the center).
+  eps = 0 a stored zero is a mismatch of the center, which is read off
+  one-term tables only); at eps-zero p = 3 with the pair (1, 3) set to 0,
+  identify and suite row 11 fail on that mismatch, with no exception.
 - A change that no generator's image reads passes the map certificate and
   breaks the Jacobi identity: at finite p = 5, mu3 = (1,4), the (1, 23)
   coefficient doubled, identify and suite row 11 fail on the violation
@@ -27,7 +29,7 @@ from test_az_rule import TORAL, _basis, _id, _params
 from thinlie import cli, grading, verify
 from thinlie.cartan import build_H2_phi1
 from thinlie.ffield import field_create
-from thinlie.grading import params_from_mu3, toral_element
+from thinlie.grading import params_from_mu3, toral_element, toral_params
 from thinlie.liealg import MapCheck
 from thinlie.verify import _eigenvectors, identify, run_finite
 
@@ -59,13 +61,31 @@ def test_a_changed_coefficient_that_breaks_the_eigen_equation_fails_identify(arg
     table.brackets[key] = terms[:t] + ((k, new),) + terms[t + 1:]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "build_H2_phi1", lambda *a: table)
-        try:
-            mismatches = identify(p, n2, params)
-        except ValueError:  # at eps = 0 the center is read off one-term tables only: a stored zero is refused
-            assert not params.eps and not new
-            return
+        mismatches = identify(p, n2, params)
+    if not params.eps and not new:  # at eps = 0 the center is read off one-term tables only
+        assert mismatches[0].startswith("center of the eps = 0 extension: the center is read off one-term tables"), key
     if oracle_eigen_equation(basis, table, vectors) is not None:
         assert mismatches, key
+
+
+def test_a_stored_zero_at_eps_zero_is_a_center_mismatch(monkeypatch, capsys):
+    params = toral_params(field_create(3), 1, eps=0, rho=1)
+
+    def zeroed(*args):
+        table = build_H2_phi1(*args)
+        if args[0] == 3 and not args[4]:
+            ((k, _),) = table.brackets[1, 3]
+            table.brackets[1, 3] = ((k, table.field.zero),)
+        return table
+
+    monkeypatch.setattr(verify, "build_H2_phi1", zeroed)
+    text = "center of the eps = 0 extension: the center is read off one-term tables only: the pair (1, 3) stores"
+    mismatches = identify(3, 1, params)
+    assert mismatches[0].startswith(text) and len(mismatches) == 2
+    assert mismatches[1].startswith("eigen table certificate: ")
+    assert cli.main(["suite", "--only", "11"]) == 1
+    out, err = capsys.readouterr()
+    assert "11-hamiltonian-identification: FAIL" in out and text in out and "internal error" not in err
 
 
 def test_a_doubled_coefficient_off_the_images_fails_identify_on_the_jacobi_identity(monkeypatch, capsys):

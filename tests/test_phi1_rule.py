@@ -1,6 +1,8 @@
 """cartan.Phi1Brackets, the Phi(1) bracket dict read by rule, against the
-materialized build_H2_phi1 table, and the grading proof it offers
-liealg.validate_grading."""
+materialized build_H2_phi1 table (the whole-table read, RuleBrackets._build,
+has its keys in its order), and the grading proof it offers
+liealg.validate_grading, which a mixed run, in characteristic two too,
+reads with no whole-table read."""
 
 import json
 import math
@@ -13,7 +15,7 @@ from thinlie.cartan import build_H2_phi1, phi1_rule_table
 from thinlie.errors import NotASubalgebra
 from thinlie.ffield import field_create, in_prime_field
 from thinlie.grading import grade_mixed
-from thinlie.liealg import DegreeMap, validate_grading
+from thinlie.liealg import DegreeMap, RuleBrackets, validate_grading
 
 from test_sweep import MIXED_INPUTS
 
@@ -65,7 +67,7 @@ def test_rule_agrees_with_the_built_table_entry_by_entry(case):
 
 def test_get_reads_no_whole_table(monkeypatch):
     built = build_H2_phi1(5, 1, 2)
-    monkeypatch.setattr(cartan, "_poisson_table", _no_build)
+    monkeypatch.setattr(RuleBrackets, "_build", _no_build)
     rule = phi1_rule_table(5, 1, 2)
     # [y, x] (positions 1 and 25) and the pure-y {y, y^(2)}, remapped onto xbar
     for pair in [(1, 25), (1, 2), (0, 1)]:
@@ -106,6 +108,7 @@ def test_escaping_product_raises_when_read(monkeypatch, args, entry, pair, produ
 
 @pytest.mark.parametrize("args", [*MIXED_INPUTS, (7, 1, 3), (3, 2, 4)], ids=lambda a: "mixed-%d-%d-%d" % a)
 def test_grade_mixed_maps_are_proved_without_the_table(args, monkeypatch):
+    monkeypatch.setattr(RuleBrackets, "_build", _no_build)
     monkeypatch.setattr(cartan, "_poisson_table", _no_build)
     monkeypatch.setattr(cartan, "binom_mod_p", _no_read)
     p, n1, n2 = args
@@ -115,9 +118,11 @@ def test_grade_mixed_maps_are_proved_without_the_table(args, monkeypatch):
     assert validate_grading(table, degmap)
 
 
-def test_run_mixed_builds_no_table(monkeypatch):
+@pytest.mark.parametrize("args", [(5, 1, 2), (2, 1, 3)])
+def test_run_mixed_builds_no_table(args, monkeypatch):
+    monkeypatch.setattr(RuleBrackets, "_build", _no_build)
     monkeypatch.setattr(cartan, "_poisson_table", _no_build)
-    run = verify.run_mixed(5, 1, 2)
+    run = verify.run_mixed(*args)
     assert run.ok, run.mismatches
 
 

@@ -10,9 +10,11 @@ p = 2.
 Outside: mu3 in the prime field, the ratios 0 and -1, eps-zero at p = 2 and
 q = 2, mixed with n1 = 0 or n2 = 0, and mixed at p = 2 with n2 = 1.
 With liealg.Echelon made to raise, every input inside still passes with
-the same JSON: no verify path eliminates; and no toral input reads a
-monomial table, with cartan.build_H2_phi1, grading.toral_element,
-liealg._intertwining and liealg.center made to raise too.
+the same JSON: no verify path eliminates; and no input reads a whole rule
+table or a monomial table, with the whole-table build of a rule
+(liealg.RuleBrackets._build), cartan.build_H2_phi1, grading.toral_element,
+liealg._intertwining and liealg.center made to raise too; characteristic
+two included, where the derived subalgebra is proved on the rule.
 """
 
 import sys
@@ -109,22 +111,26 @@ def _raising(monkeypatch, fn):
 
 def test_accepted_inputs_need_no_echelon(tmp_path, monkeypatch, capsys):
     # no elimination on a verify path: with liealg.Echelon raising, every
-    # accepted input still passes, and writes the same JSON; and the toral
-    # runs, on the Albert-Zassenhaus rule alone, read no monomial table:
-    # no build_H2_phi1, toral_element, intertwining or center.  The mixed
-    # runs keep build_H2_phi1, which Phi1Brackets._build reaches in
-    # characteristic two when it reads the whole table for L'
+    # accepted input still passes, and writes the same JSON; and no run
+    # reads a whole rule table (RuleBrackets._build), in characteristic two
+    # neither, where L' is proved on the rule, or a monomial table: the
+    # toral runs are on the Albert-Zassenhaus rule alone, with no
+    # build_H2_phi1, toral_element, intertwining or center
     from thinlie import cartan, grading, liealg
 
-    monomial = [cartan.build_H2_phi1, grading.toral_element, liealg._intertwining, liealg.center]
+    def whole(*args):
+        raise AssertionError("a whole rule table on a verify path")
+
+    unused = [liealg.Echelon, cartan.build_H2_phi1, grading.toral_element, liealg._intertwining, liealg.center]
     outputs = []
     for patched in (False, True):
         texts = []
         for args in ACCEPTED:
             with monkeypatch.context() as m:
                 if patched:
-                    for fn in [liealg.Echelon] + (monomial if args[1] != "mixed" else []):
+                    for fn in unused:
                         _raising(m, fn)
+                    m.setattr(liealg.RuleBrackets, "_build", whole)
                 out = tmp_path / "run.json"
                 assert cli.main(["verify", "--out", str(out)] + args) == 0, (args, capsys.readouterr().err[-500:])
             texts.append(out.read_text())

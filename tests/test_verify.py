@@ -7,12 +7,11 @@ from oracles import centralizer_in, coordinate_span, full_subspace, oracle_cente
 from thinlie.cartan import build_H2_phi1
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
-from thinlie.grading import grade_mixed, params_from_mu3, toral_params
+from thinlie.grading import params_from_mu3, toral_params
 from thinlie import grading, liealg, verify
 from thinlie.liealg import MapCheck, StructureTable, center
-from thinlie.thinloop import INFINITY
 from thinlie.verify import (
-    Grading, _derived_in_char_two, _eigenvectors, identify, run_eps_zero, run_finite, run_sigma_zero, toral_grading,
+    _derived_in_char_two, _eigenvectors, identify, run_eps_zero, run_finite, run_sigma_zero, toral_grading,
 )
 
 
@@ -32,11 +31,17 @@ def test_finite_char_two_follows_the_progression(k):
     assert all(d.kind == "fake1" for d in run.report.diamonds if d.ordinal % 2 == 0)
 
 
-def test_char_two_restriction_checks_the_derived_subalgebra():
-    table = build_H2_phi1(2, 1, 2, field_create(2), 1)
-    grading = Grading(table, grade_mixed(table, 4, 2), 4, 1, 2, lambda rec: INFINITY, drop=table.dim - 1)
+@pytest.mark.parametrize("make", [
+    lambda: verify.mixed_grading(2, 1, 2),
+    lambda: verify.finite_grading(2, 2, params_from_mu3(field_create(2, 2).generator())),
+], ids=["mixed-2-1-2", "finite-2-4"])
+def test_char_two_restriction_checks_the_derived_subalgebra(make):
+    grading = make()
     restricted = _derived_in_char_two(grading)
-    assert restricted.table.dim == table.dim - 1 and (restricted.x_pos, restricted.y_pos) == (1, 2)
+    labels = [label for m, label in enumerate(grading.table.labels) if m != grading.drop]
+    assert list(restricted.table.labels) == labels and grading.drop != 0
+    for pos in ("x_pos", "y_pos"):  # X and Y renumbered
+        assert labels[getattr(restricted, pos)] == grading.table.labels[getattr(grading, pos)]
     with pytest.raises(ThinlieError, match="derived subalgebra"):
         _derived_in_char_two(replace(grading, drop=0))
 
