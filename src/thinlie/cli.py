@@ -82,17 +82,21 @@ def _make_field(args, default_k: int = 1) -> FieldSpec:
 
 def _write_out(args, payload: dict) -> None:
     """Print payload, or write it to --out: by os.replace of a temporary file
-    when PATH is absent or a regular file, else through PATH (a symlink, a device)."""
+    when PATH is absent or a regular file, else through PATH (a symlink, a
+    device).  A PATH that cannot be written is a configuration error."""
     text = json.dumps(payload, indent=2)
     path = getattr(args, "out", None)
     if not path:
         print(text)
         return
-    replace = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
-    with open(path + ".tmp" if replace else path, "w") as fh:
-        fh.write(text + "\n")
-    if replace:
-        os.replace(path + ".tmp", path)
+    try:
+        replace = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
+        with open(path + ".tmp" if replace else path, "w") as fh:
+            fh.write(text + "\n")
+        if replace:
+            os.replace(path + ".tmp", path)
+    except OSError as exc:
+        raise ThinlieError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
 def _construct_table(args) -> StructureTable:

@@ -22,11 +22,12 @@ After that every operator is a few integer lookups returning a shared
 element: no arithmetic allocates.  Mixing elements of two fields raises
 ValueError.
 
-Kernels outside this module read the tables directly: liealg.bracket,
-its kept ad columns (liealg._AdColumns) and the row updates of
-liealg.Echelon do their products and sums on logs through _arith, the
-tuple (exp, zech, q-1, log(-1)) read in one lookup, and coerce each
-coefficient as the operators do.  liealg's Leibniz index reads only each
+liealg reads the tables directly through _arith, the tuple (exp, zech,
+q-1, log(-1)) read in one lookup: every sparse sum on logs there is one
+kernel, liealg._accumulate, that liealg.bracket, its kept ad columns
+(liealg._AdColumns), liealg._combine and the row updates of
+liealg.Echelon share, and liealg._nonzero coerces each coefficient for
+them as the operators do.  liealg's Leibniz index reads only each
 element's log and coordinates and builds its own product table from them.
 """
 

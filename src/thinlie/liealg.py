@@ -4,17 +4,20 @@ A StructureTable stores sparse bracket coefficients for ordered basis pairs
 (i < j); antisymmetry is implicit and diagonal brackets are zero even in
 characteristic two (the tables are alternating); brackets may be a
 RuleBrackets, which works each product out when it is read, leaves out a
-basis vector as a view and proves the shape of [L, L] on the rule.  One
-incremental echelon kernel, Echelon, takes and returns sparse {column:
-coefficient} dicts, the same coordinates an Element stores, and
-eliminates on discrete logs as bracket does; its cost follows the
-supports of the vectors, not the dimension.  check_structure_map reads it
-for the rank of the images and proves a map on every pair; the map of an
-eigen table into the monomial table is certified from generators with no
-elimination (verify.identify).  Both intertwine through _AdColumns, ad u
-for a fixed u with its columns [u, b_m] summed from the stored pairs and
-kept, on discrete logs.  The center is read off the stored pairs, with no
-elimination (center).
+basis vector as a view and proves the shape of [L, L] on the rule.
+Every sparse sum of coefficients on the field's discrete logs is one
+kernel, _accumulate, reading FieldSpec._arith: bracket, the kept ad
+columns of _AdColumns (ad u for a fixed u, each column [u, b_m] summed
+once from the stored pairs), _combine and the row updates of Echelon.
+Coefficients that come in from a caller are coerced by one helper,
+_nonzero.  Echelon, the one incremental echelon kernel, takes and
+returns sparse {column: coefficient} dicts, the same coordinates an
+Element stores; its cost follows the supports of the vectors, not the
+dimension.  check_structure_map reads it for the rank of the images and
+proves a map on every pair; the map of an eigen table into the monomial
+table is certified from generators with no elimination
+(verify.identify).  Both intertwine through _AdColumns.  The center is
+read off the stored pairs, with no elimination (center).
 validate_table proves the Jacobi identity with one Leibniz-rule kernel,
 whose cost follows the nonzero bracket compositions, not the number of
 basis triples; it reads flat per-vector lists that one pass over the
@@ -294,155 +297,133 @@ class Element:
         return [[k, c.to_json()] for k, c in sorted(self.coords.items())]
 
 
+Vec = dict[int, FieldElement]
+
+
+def _nonzero(field: FieldSpec, coords: Mapping) -> list[tuple[int, FieldElement]]:
+    """The (k, c) of coords with c != 0, each c coerced into field as the
+    FieldElement operators coerce an operand, so an element of another
+    field raises ValueError; builds the field's tables on first use."""
+    if field._arith is None:
+        field._build()
+    zero, out = field._zero_log, []
+    for k, c in coords.items():
+        if c.__class__ is not FieldElement or c.spec is not field:
+            c = field.element(c)
+        if c.log != zero:
+            out.append((k, c))
+    return out
+
+
+def _accumulate(out: Vec, scaled: Iterable[tuple[int, Iterable[tuple[int, FieldElement]]]], arith: tuple) -> None:
+    """out += g^c * sum t_k b_k for each (c, terms) of scaled in turn, in
+    place on discrete logs (arith is FieldSpec._arith: exp, zech, n, log -1).
+
+    c is a log in [0, n), or 2n for zero; a zero c or t adds nothing.  A
+    product is exp[c + log t], a sum g^a + g^b is g^(a + zech[b - a]); a
+    key whose sum cancels is deleted, so one that comes back goes last.
+    out holds the field's shared elements and must not be one of the terms.
+    """
+    exp, zech, n, _ = arith
+    zero = n + n
+    get = out.get
+    for c, terms in scaled:
+        for k, t in terms:
+            e = c + t.log
+            if e >= zero:  # a zero factor
+                continue
+            s = get(k)
+            if s is not None:
+                x = s.log
+                e = x + zech[e - x]
+                if e >= zero:  # cancelled: a later term re-adds k at the end
+                    del out[k]
+                    continue
+            out[k] = exp[e]
+
+
 def bracket(u: Element, v: Element) -> Element:
     """Bilinear, alternating extension of the stored basis brackets.
 
-    All scalar work is integer arithmetic on the field's discrete logs
-    (FieldSpec._arith), with n = |F| - 1 units and zero at log 2n: a product
-    is exp[log a + log b], a sum g^a + g^b is g^(a + zech[b - a]), and
-    [b_i, b_j] for i > j is the stored (j, i) bracket times -1, that is
-    + log(-1) on the scalar.  Each coefficient of u and v is first coerced
-    into the table's field as the FieldElement operators coerce an operand,
-    so an element of another field raises ValueError.  Zero coefficients
-    of u and v, stored zero coefficients and diagonal pairs contribute
-    nothing.  The result holds the field's shared elements, keyed in order
-    of first nonzero contribution: a target whose sum cancels is deleted,
-    so one that reappears moves to the end.
+    The coefficients of u and v are coerced into the table's field
+    (_nonzero), so an element of another field raises ValueError.  Each
+    pair (i, j), u-major, adds its stored terms scaled by log u_i + log
+    v_j, plus log(-1) for i > j ([b_i, b_j] is the stored (j, i) bracket
+    times -1); one _accumulate call sums them all in that order.  Zero
+    coefficients of u and v, stored zero coefficients and
+    diagonal pairs contribute nothing.  The result holds the field's shared
+    elements, keyed in order of first nonzero contribution: a target whose
+    sum cancels is deleted, so one that reappears moves to the end.
     """
     table = u.table
     if v.table is not table:
         raise TableMismatch("elements live on different structure tables")
-    field = table.field
-    if field._arith is None:
-        field._build()
-    exp, zech, n, neg_one = field._arith
-    zero = n + n
-    vs = []
-    for j, b in v.coords.items():
-        if b.__class__ is not FieldElement or b.spec is not field:
-            b = field.element(b)
-        if b.log != zero:
-            vs.append((j, b.log))
-    brackets = table.brackets
-    out: dict[int, FieldElement] = {}
-    get = out.get
-    for i, a in u.coords.items():
-        if a.__class__ is not FieldElement or a.spec is not field:
-            a = field.element(a)
+    field, brackets = table.field, table.brackets
+    vs = _nonzero(field, v.coords)
+    _, _, n, neg_one = arith = field._arith
+    scaled = []
+    for i, a in _nonzero(field, u.coords):
         a = a.log
-        if a == zero:
-            continue
         for j, b in vs:
             if i < j:
                 terms = brackets.get((i, j))
-                if not terms:
-                    continue
-                c = (a + b) % n
+                if terms:
+                    scaled.append(((a + b.log) % n, terms))
             elif i > j:
                 terms = brackets.get((j, i))
-                if not terms:
-                    continue
-                c = (a + b + neg_one) % n
-            else:
-                continue
-            for k, ck in terms:
-                e = c + ck.log
-                if e >= zero:  # a stored zero coefficient
-                    continue
-                s = get(k)
-                if s is None:
-                    out[k] = exp[e]
-                else:
-                    x = s.log
-                    e = x + zech[e - x]
-                    if e < zero:
-                        out[k] = exp[e]
-                    else:  # cancelled: a later term re-adds k at the end
-                        del out[k]
+                if terms:
+                    scaled.append(((a + b.log + neg_one) % n, terms))
+    out: Vec = {}
+    if scaled:  # no call for a zero bracket
+        _accumulate(out, scaled, arith)
     return Element(table, out)
 
 
 class _AdColumns:
     """ad u on a table for a fixed sparse u, applied to sparse vectors v.
 
-    u is coerced once, as bracket coerces it, and kept on discrete logs.
+    u is coerced once (_nonzero) and kept as (i, log u_i, log -u_i).
     Column m, [u, b_m], is summed from the stored pairs of m with u's
-    support the first time a v with a nonzero coordinate m comes in, as
-    bracket(u, b_m) sums it (same order, same cancellations, so the same
-    keys in the same order), and kept as (target, log) pairs: each product
-    [b_i, b_m] is read from the table once, every stored term counted.
-    ad(v) = sum v_m [u, b_m] is summed on discrete logs as in bracket, so
-    it equals bracket(u, v).coords on any table; v is coerced as in
-    bracket."""
+    support the first time a v with a nonzero coordinate m comes in, by
+    _accumulate in bracket's order, so it is bracket(u, b_m) key for key,
+    and kept as (target, coefficient) pairs: each product [b_i, b_m] is
+    read from the table once, every stored term counted.  ad(v) = sum v_m
+    [u, b_m] is one _accumulate over the columns, so it equals
+    bracket(u, v).coords on any table; v is coerced as in bracket."""
 
     __slots__ = ("table", "u", "columns")
 
     def __init__(self, table: StructureTable, u: Vec):
-        field = table.field
-        if field._arith is None:
-            field._build()
-        _, _, n, neg_one = field._arith
-        self.table, self.u, self.columns = table, [], {}
-        for i, a in u.items():  # (i, log u_i, log -u_i), zeros left out
-            if a.__class__ is not FieldElement or a.spec is not field:
-                a = field.element(a)
-            if a.log != n + n:
-                self.u.append((i, a.log, (a.log + neg_one) % n))
+        u = _nonzero(table.field, u)
+        _, _, n, neg_one = table.field._arith
+        self.table, self.columns = table, {}
+        self.u = [(i, a.log, (a.log + neg_one) % n) for i, a in u]
 
-    def _column(self, m: int) -> list[tuple[int, int]]:
-        """[u, b_m] as (target, log) pairs, keyed as bracket keys it."""
-        brackets = self.table.brackets
-        _, zech, n, _ = self.table.field._arith
-        zero = n + n
-        out: dict[int, int] = {}
-        get = out.get
+    def _column(self, m: int) -> list[tuple[int, FieldElement]]:
+        """[u, b_m] as (target, coefficient) pairs, keyed as bracket keys it."""
+        brackets, scaled = self.table.brackets, []
         for i, a, neg_a in self.u:
             if i < m:
-                terms, c = brackets.get((i, m)), a
+                terms = brackets.get((i, m))
             elif i > m:
-                terms, c = brackets.get((m, i)), neg_a
+                terms, a = brackets.get((m, i)), neg_a
             else:
                 continue
-            if not terms:
-                continue
-            for k, ck in terms:
-                e = c + ck.log
-                if e >= zero:  # a stored zero coefficient
-                    continue
-                x = get(k)
-                if x is not None:
-                    e = x + zech[e - x]
-                    if e >= zero:  # cancelled: a later term re-adds k at the end
-                        del out[k]
-                        continue
-                out[k] = e if e < n else e - n
+            if terms:
+                scaled.append((a, terms))
+        out: Vec = {}
+        _accumulate(out, scaled, self.table.field._arith)
         return list(out.items())
 
     def __call__(self, v: Vec) -> Vec:
-        field, columns = self.table.field, self.columns
-        exp, zech, n, _ = field._arith
-        zero = n + n
-        out: Vec = {}
-        get = out.get
-        for m, c in v.items():
-            if c.__class__ is not FieldElement or c.spec is not field:
-                c = field.element(c)
-            c = c.log
-            if c == zero:
-                continue
+        columns, scaled = self.columns, []
+        for m, c in _nonzero(self.table.field, v):
             col = columns.get(m)
             if col is None:
                 col = columns[m] = self._column(m)
-            for k, x in col:
-                e = c + x
-                s = get(k)
-                if s is not None:
-                    y = s.log
-                    e = y + zech[e - y]
-                    if e >= zero:  # cancelled: a later term re-adds k at the end
-                        del out[k]
-                        continue
-                out[k] = exp[e]
+            scaled.append((c.log, col))
+        out: Vec = {}
+        _accumulate(out, scaled, self.table.field._arith)
         return out
 
 
@@ -450,39 +431,13 @@ class _AdColumns:
 # exact linear algebra: sparse rows, reduced echelon form
 # ---------------------------------------------------------------------------
 
-Vec = dict[int, FieldElement]
-
-
 def _combine(pairs: Iterable[tuple[FieldElement, Vec]]) -> Vec:
     """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs, v_k with
-    no zero entry: each adds as _subtract of -c_k, none for a zero c_k."""
+    no zero entry, summed by _accumulate; a zero c_k adds nothing."""
     out: Vec = {}
     for c, v in pairs:
-        if c:
-            arith = c.spec._arith
-            _subtract(out, c.log + arith[3], v, arith)
+        _accumulate(out, ((c.log, v.items()),), c.spec._arith)
     return out
-
-
-def _subtract(target: Vec, c: int, source: Vec, arith: tuple) -> None:
-    """target -= g^c * source in place, on logs as in bracket (arith is
-    FieldSpec._arith); a cancelled entry is deleted, a new one goes last."""
-    exp, zech, n, neg_one = arith
-    zero = n + n
-    c = (c + neg_one) % n
-    get = target.get
-    for i, x in source.items():
-        e = c + x.log
-        s = get(i)
-        if s is None:
-            target[i] = exp[e]
-        else:
-            a = s.log
-            e = a + zech[e - a]
-            if e < zero:
-                target[i] = exp[e]
-            else:
-                del target[i]
 
 
 class Echelon:
@@ -493,10 +448,11 @@ class Echelon:
     one there and is zero at every other pivot; pivots lists the pivot
     columns in increasing order.  Row operations touch only the nonzero
     entries of the row subtracted, so the cost follows the supports; there
-    is no column count.  Every row update is _subtract, integer work on the
-    field's discrete logs; coefficients are coerced as in bracket, so one of
-    another field raises ValueError.  The form is canonical: the same span
-    gives the same rows whatever vectors built it.
+    is no column count.  Every row update is _accumulate with the log of
+    -c, integer work on the field's discrete logs; coefficients are coerced
+    as in bracket (_nonzero), so one of another field raises ValueError.
+    The form is canonical: the same span gives the same rows whatever
+    vectors built it.
     """
 
     __slots__ = ("field", "rows", "pivots")
@@ -517,20 +473,12 @@ class Echelon:
 
         A row is zero at every other pivot, so subtracting it leaves the
         other pivot entries of vec as they were: each row is subtracted at
-        most once, scaled by the entry of vec itself.
+        most once, scaled by the entry of vec itself, and all of them in
+        one _accumulate.
         """
-        field, rows = self.field, self.rows
-        if field._arith is None:
-            field._build()
-        zero = 2 * field._arith[2]
-        out: Vec = {}
-        for i, c in vec.items():
-            if c.__class__ is not FieldElement or c.spec is not field:
-                c = field.element(c)
-            if c.log != zero:
-                out[i] = c
-        for pc in [i for i in out if i in rows]:
-            _subtract(out, out[pc].log, rows[pc], field._arith)
+        rows, out = self.rows, dict(_nonzero(self.field, vec))
+        _, _, n, neg_one = arith = self.field._arith
+        _accumulate(out, [((c.log + neg_one) % n, rows[i].items()) for i, c in out.items() if i in rows], arith)
         return out
 
     def add(self, vec: Vec) -> bool:
@@ -538,14 +486,14 @@ class Echelon:
         residual = self.reduce(vec)
         if not residual:
             return False
-        exp, _, n, _ = arith = self.field._arith
+        exp, _, n, neg_one = arith = self.field._arith
         pc = min(residual)
         inv = n - residual[pc].log
         new = {i: exp[inv + c.log] for i, c in residual.items()}
         for row in self.rows.values():
             c = row.get(pc)
             if c is not None:  # rows store no zeros
-                _subtract(row, c.log, new, arith)
+                _accumulate(row, (((c.log + neg_one) % n, new.items()),), arith)
         insort(self.pivots, pc)
         self.rows[pc] = new
         return True
@@ -943,8 +891,7 @@ def check_structure_map(src: StructureTable, dst: StructureTable, images: Sequen
         raise ValueError("structure maps require a common ground field")
     if any(e.table is not dst for e in images):
         raise TableMismatch("images live on a table other than dst")
-    coerce = Echelon(dst.field).reduce  # with no rows: coerced as in bracket, no zeros
-    vecs = [coerce(e.coords) for e in images]
+    vecs = [dict(_nonzero(dst.field, e.coords)) for e in images]
     rank = Echelon(dst.field, vecs).rank
     if rank != src.dim:
         return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")

@@ -46,6 +46,20 @@ def test_out_replaces_a_regular_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("args", [
+    ["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"],
+    ["grade", "--grading", "mixed", "--p", "3"],
+    ["construct", "--algebra", "W", "--p", "3", "--n", "1"],
+], ids=["verify", "grade", "construct"])
+def test_an_unwritable_out_is_a_configuration_error(tmp_path, capsys, args, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    assert run_cli([*args, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write --out {path}: " in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_construct_rejects_nonprime(capsys):
     assert run_cli(["construct", "--algebra", "W", "--p", "4", "--n", "1"]) == 2
     assert "prime" in capsys.readouterr().err
