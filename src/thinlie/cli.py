@@ -13,15 +13,17 @@ grade prints no degree map that fails validate_grading (exit 2, as verify
 through loop_expand, which also rejects a table that is not one-term).
 --n1, --n2 and --field-k must be positive; a flag the selected algebra
 or grading never reads, even one with a default (--n, --n1, --n2,
---theta), and sigma = 0 for a finite grading, are rejected.  Exit codes:
-0 full pass, 1 verification failure, 2 configuration error, 3 internal
-error (an unexpected exception, reported as `internal error: <Type>:
-<message>` after its traceback on stderr).
+--theta), sigma = 0 for a finite grading and an --out PATH that cannot
+be written are rejected before any work.  Exit codes: 0 full pass, 1
+verification failure, 2 configuration error, 3 internal error (an
+unexpected exception, reported as `internal error: <Type>: <message>`
+after its traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -83,7 +85,8 @@ def _make_field(args, default_k: int = 1) -> FieldSpec:
 def _write_out(args, payload: dict) -> None:
     """Print payload, or write it to --out: by os.replace of a temporary file
     when PATH is absent or a regular file, else through PATH (a symlink, a
-    device).  A PATH that cannot be written is a configuration error."""
+    device).  A PATH that cannot be written is a configuration error, found
+    before the run by _check_out or here at write time."""
     text = json.dumps(payload, indent=2)
     path = getattr(args, "out", None)
     if not path:
@@ -97,6 +100,22 @@ def _write_out(args, payload: dict) -> None:
             os.replace(path + ".tmp", path)
     except OSError as exc:
         raise ThinlieError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
+def _check_out(path: str) -> None:
+    """ThinlieError unless _write_out can write PATH, checked before the run:
+    an absent PATH or a regular file in a writable directory, or a writable
+    existing PATH that is neither (a symlink to a file, a device)."""
+    if os.path.exists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        target, mode = path, os.W_OK  # written through
+        code = errno.EISDIR if os.path.isdir(path) else None
+    else:  # a new file beside PATH, or beside the absent target of a symlink
+        target, mode = os.path.dirname(os.path.realpath(path)), os.W_OK | os.X_OK
+        code = None if os.path.isdir(target) else errno.ENOTDIR if os.path.exists(target) else errno.ENOENT
+    if code is None and not os.access(target, mode):
+        code = errno.EACCES
+    if code:
+        raise ThinlieError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _construct_table(args) -> StructureTable:
@@ -301,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value in _DEFAULTS.items():
             if getattr(args, flag, value) is None:
                 setattr(args, flag, value)
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except ThinlieError as exc:
         print(f"error: {exc}", file=sys.stderr)

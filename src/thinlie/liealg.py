@@ -8,12 +8,13 @@ basis vector as a view and proves the shape of [L, L] on the rule.
 Every sparse sum of coefficients on the field's discrete logs is one
 kernel, _accumulate, reading FieldSpec._arith: bracket, the kept ad
 columns of _AdColumns (ad u for a fixed u, each column [u, b_m] summed
-once from the stored pairs), _combine and the row updates of Echelon.
-Coefficients that come in from a caller are coerced by one helper,
-_nonzero.  Echelon, the one incremental echelon kernel, takes and
-returns sparse {column: coefficient} dicts, the same coordinates an
-Element stores; its cost follows the supports of the vectors, not the
-dimension.  check_structure_map reads it for the rank of the images and
+once from the stored pairs), _combine, the row updates of Echelon,
+Element addition and StructureTable.from_entries.  Coefficients that come
+in from a caller are coerced by one helper, _nonzero.  Echelon, the one
+incremental echelon kernel, takes and returns sparse {column:
+coefficient} dicts, the same coordinates an Element stores; its cost
+follows the supports of the vectors, not the dimension.
+check_structure_map reads it for the rank of the images and
 proves a map on every pair; the map of an eigen table into the monomial
 table is certified from generators with no elimination
 (verify.identify).  Both intertwine through _AdColumns.  The center is
@@ -168,9 +169,11 @@ class StructureTable:
         labels: Sequence[str],
         entries: Iterable[tuple[int, int, Iterable[tuple[int, FieldElement]]]],
     ) -> "StructureTable":
-        """Normalize arbitrary (i, j, terms) triples into the i < j convention."""
+        """Normalize arbitrary (i, j, terms) triples into the i < j convention:
+        the terms of each pair, coerced (_nonzero), are summed by _accumulate,
+        times -1 for i > j."""
         dim = len(labels)
-        brackets: dict[tuple[int, int], dict[int, FieldElement]] = {}
+        brackets: dict[tuple[int, int], Vec] = {}
         for i, j, terms in entries:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"basis index out of range in ({i}, {j})")
@@ -178,23 +181,11 @@ class StructureTable:
                 if any(c for _, c in terms):
                     raise ValueError(f"nonzero diagonal bracket at index {i}")
                 continue
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -1
-            acc = brackets.setdefault((i, j), {})
-            for k, c in terms:
-                if sign < 0:
-                    c = -c
-                c = acc.get(k, field.zero) + c
-                if c:
-                    acc[k] = c
-                else:
-                    acc.pop(k, None)
-        packed = {
-            key: tuple(sorted(val.items()))
-            for key, val in brackets.items()
-            if val
-        }
+            terms = _nonzero(field, terms)
+            arith = field._arith
+            key, c = ((i, j), 0) if i < j else ((j, i), arith[3])
+            _accumulate(brackets.setdefault(key, {}), ((c, terms),), arith)
+        packed = {key: tuple(sorted(val.items())) for key, val in brackets.items() if val}
         return cls(field, labels, packed)
 
     @property
@@ -263,14 +254,12 @@ class Element:
         )
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self.coords)
-        for k, c in other.coords.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        """Both coordinate dicts coerced (_nonzero), other's summed into a
+        copy of self's by _accumulate: a key that cancels and comes back
+        goes last."""
+        field = self.table.field
+        out = dict(_nonzero(field, self.coords))
+        _accumulate(out, ((0, _nonzero(field, other.coords)),), field._arith)
         return Element(self.table, out)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -300,14 +289,15 @@ class Element:
 Vec = dict[int, FieldElement]
 
 
-def _nonzero(field: FieldSpec, coords: Mapping) -> list[tuple[int, FieldElement]]:
-    """The (k, c) of coords with c != 0, each c coerced into field as the
-    FieldElement operators coerce an operand, so an element of another
-    field raises ValueError; builds the field's tables on first use."""
+def _nonzero(field: FieldSpec, coords: dict | Iterable[tuple[int, object]]) -> list[tuple[int, FieldElement]]:
+    """The (k, c) of coords, a dict or (k, c) pairs, with c != 0, each c
+    coerced into field as the FieldElement operators coerce an operand, so
+    an element of another field raises ValueError; builds the field's
+    tables on first use."""
     if field._arith is None:
         field._build()
     zero, out = field._zero_log, []
-    for k, c in coords.items():
+    for k, c in coords.items() if isinstance(coords, dict) else coords:
         if c.__class__ is not FieldElement or c.spec is not field:
             c = field.element(c)
         if c.log != zero:

@@ -19,12 +19,10 @@ read that is not one term raises ValueError.  Every table a verify run
 reaches is one-term.
 
 Periodicity: with N the grading modulus, M_{d+1} depends on M_d alone, so
-once M_{s+N} = M_s for some s, every M_{d+N} = M_d with d >= s.  The
-expansion records the first such s as its period start.  Every verdict at
-degree d reads M_{d-1}, M_d, M_{d+1}, X and Y alone, so one period is
-computed for the expansion, covering and the diamond slots, and the rest
-is read back from d - N.  With no repeat within the depth every degree is
-computed.
+once M_{s+N} = M_s for some s, every M_{d+N} = M_d with d >= s.
+loop_expand records the first such s as its period start and reuses the
+components from s on.  No check reads s: each caches its verdict, for one
+call, on the components it reads, so a repeated component is decided once.
 
 The generators X and Y are given, and must span a two-dimensional M_1.
 A one-dimensional M_d = <u> then covers by construction, since M_{d+1} is
@@ -279,24 +277,23 @@ def covering_criterion_at(expansion: LoopExpansion, X: Element, Y: Element, d: i
     return not vxx and not vyy and bool(vxy) and bool(vyx)
 
 
-def _plane_covers(expansion: LoopExpansion, d: int) -> bool:
-    """Covering at a two-dimensional M_d = <b_0, b_1>, decided exactly.
+def _plane_covers(base: StructureTable, comp: tuple[int, ...], nxt: tuple[int, ...], m1: tuple[int, ...]) -> bool:
+    """Covering at M_d = comp, of dimension two or more, before a nonempty
+    M_{d+1} = nxt, decided exactly; a larger M_d or M_{d+1} fails.
 
     span(X, Y) = M_1 = <g_0, g_1>, so u covers iff [u, g_0], [u, g_1] span
-    M_{d+1}.  The rows of A (of B) are the forms of b_0 (of b_1) at the
-    positions of M_{d+1} (_forms): column j holds [b_0, g_j] ([b_1, g_j]).  On a
-    line M_{d+1}, u = s b_0 + t b_1 covers iff s A + t B != 0, for every u iff
-    det[[A], [B]] != 0; on a plane, iff det(sA + tB) = s^2 det A + st m +
-    t^2 det B has no projective zero.  A larger M_{d+1} is never covered.
+    M_{d+1}.  For M_d = <b_0, b_1> the rows of A (of B) are the forms of b_0
+    (of b_1) at the positions of M_{d+1} (_forms): column j holds [b_0, g_j]
+    ([b_1, g_j]).  On a line M_{d+1}, u = s b_0 + t b_1 covers iff s A + t B
+    != 0, for every u iff det[[A], [B]] != 0; on a plane, iff det(sA + tB) =
+    s^2 det A + st m + t^2 det B has no projective zero.
     """
-    comps = expansion.components
-    target = comps[d]
-    if len(target) > 2:
+    if len(comp) > 2 or len(nxt) > 2:
         return False
-    field = expansion.base.field
+    field = base.field
     zeros = [field.zero] * 2
-    A, B = ([row.get(k, zeros) for k in target] for row in _forms(expansion.base, comps[d - 1], comps[0]))
-    if len(target) == 1:
+    A, B = ([row.get(k, zeros) for k in nxt] for row in _forms(base, comp, m1))
+    if len(nxt) == 1:
         return bool(A[0][0] * B[0][1] - A[0][1] * B[0][0])
     det_a = A[0][0] * A[1][1] - A[0][1] * A[1][0]
     det_b = B[0][0] * B[1][1] - B[0][1] * B[1][0]
@@ -304,38 +301,36 @@ def _plane_covers(expansion: LoopExpansion, d: int) -> bool:
     return bool(det_b) and not find_roots(field, [det_a, m, det_b])
 
 
-def _fails_covering(expansion: LoopExpansion, d: int) -> bool:
-    comp = expansion.components[d - 1]
-    if not comp:
-        return False
-    if not expansion.components[d]:
-        # the expansion dies: some nonzero u has [u, L_1] = 0, so the
-        # loop algebra is finite-dimensional and certainly not thin
-        return True
-    if len(comp) == 1:
-        return False  # M_{d+1} is [u, M_1] by construction
-    return len(comp) > 2 or not _plane_covers(expansion, d)
-
-
 def check_covering(expansion: LoopExpansion, X: Element, Y: Element) -> CoveringReport:
     """Covering property at every degree: [u, M_1] = M_{d+1} for 0 != u in M_d.
 
-    X and Y must span a two-dimensional M_1, else ValueError.  Then a
-    one-dimensional M_d = <u> with M_{d+1} != 0 covers by construction:
-    loop_expand builds M_{d+1} = [u, M_1] = span([u, X], [u, Y]), so nothing
-    is looked up.  Two-dimensional components are decided exactly by
-    determinants (see _plane_covers); larger ones fail.  The verdict at d
-    depends on M_d, M_{d+1} and span(X, Y) alone, so from s + N on (s the
-    period start) it is the verdict at d - N, read back.
+    X and Y must span a two-dimensional M_1, else ValueError.  The verdict
+    at d reads M_d and M_{d+1} alone.  An empty M_d covers; a nonempty one
+    fails when M_{d+1} is empty.  A line M_d = <u> otherwise covers by
+    construction: loop_expand builds M_{d+1} = [u, M_1] = span([u, X],
+    [u, Y]), so nothing is looked up.  A larger M_d is decided by
+    _plane_covers once per distinct pair (M_d, M_{d+1}) of the call.
     """
     _require_plane(expansion, X, Y, "covering checks")
-    n, s = expansion.degmap.modulus, expansion.period_start
-    repeat = expansion.depth if s is None else s + n
+    base, comps = expansion.base, expansion.components
+    m1 = comps[0]
     upto = expansion.depth - 1
+    covers: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     failures = []
     for d in range(1, upto + 1):
-        if (d - n in failures) if d >= repeat else _fails_covering(expansion, d):
+        comp, nxt = comps[d - 1], comps[d]
+        if not comp:
+            continue
+        if not nxt:
+            # the expansion dies: some nonzero u has [u, L_1] = 0, so the
+            # loop algebra is finite-dimensional and certainly not thin
             failures.append(d)
+        elif len(comp) > 1:
+            ok = covers.get((comp, nxt))
+            if ok is None:
+                ok = covers[comp, nxt] = _plane_covers(base, comp, nxt, m1)
+            if not ok:
+                failures.append(d)
     return CoveringReport(not failures, failures, upto)
 
 
@@ -418,31 +413,23 @@ def detect_diamonds(
 
     The verdict at slot d (a record's kind and type, no diamond, or the
     dimension of a malformed M_{d-1}) reads M_{d-1}, M_d, M_{d+1}, X and Y
-    alone.  From d = s + N + 1 on (s the period start), M_{d-1}, M_d and
-    M_{d+1} are M_{d-1-N}, M_{d-N} and M_{d+1-N}, so the verdict is the one at
-    d - N, read back.  That slot was classified when N = 0 mod (q-1): then
-    d - N = 1 mod (q-1) and d - N >= s + 1 >= 2, so d - N >= q.  A slot
-    whose classification raised has already stopped the scan.
+    alone, so it is cached for the call on those three components.  A slot
+    whose classification raises stops the scan at its first degree.
     """
     records = [DiamondRecord(1, 1, "genuine", None)]
     nondiamond: list[int] = []
     anomalies: list[str] = []
     comps = expansion.components
-    n, s = expansion.degmap.modulus, expansion.period_start
-    repeat = expansion.depth + 1 if s is None or n % (q - 1) else s + n + 1
-    verdicts: dict[int, object] = {}  # slot -> (kind, type), None, or dim of M_{d-1}
+    verdicts: dict[tuple, object] = {}  # (M_{d-1}, M_d, M_{d+1}) -> (kind, type), None, or dim of M_{d-1}
     d = q
     ordinal = 2
     while d + 1 <= expansion.depth:
-        if d >= repeat:
-            got = verdicts[d - n]
-        else:
-            vspace = comps[d - 2]
-            if len(vspace) != 1:
-                got = len(vspace)
-            else:
-                got = classify_type(expansion.base.basis_element(vspace[0]), X, Y, comps[d - 1], comps[d], d)
-        verdicts[d] = got
+        key = comps[d - 2], comps[d - 1], comps[d]
+        if key not in verdicts:
+            vspace, slot, following = key
+            verdicts[key] = len(vspace) if len(vspace) != 1 else classify_type(
+                expansion.base.basis_element(vspace[0]), X, Y, slot, following, d)
+        got = verdicts[key]
         if got is None:
             nondiamond.append(d)
         elif isinstance(got, int):

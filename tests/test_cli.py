@@ -46,18 +46,36 @@ def test_out_replaces_a_regular_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
-@pytest.mark.parametrize("args", [
-    ["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"],
-    ["grade", "--grading", "mixed", "--p", "3"],
-    ["construct", "--algebra", "W", "--p", "3", "--n", "1"],
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
+@pytest.mark.parametrize("args,work", [
+    (["verify", "--grading", "finite", "--p", "3", "--q", "3", "--mu3", "0,1"], "run_finite"),
+    (["grade", "--grading", "mixed", "--p", "3"], "mixed_grading"),
+    (["construct", "--algebra", "W", "--p", "3", "--n", "1"], "build_W1n"),
 ], ids=["verify", "grade", "construct"])
-def test_an_unwritable_out_is_a_configuration_error(tmp_path, capsys, args, where):
-    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+def test_an_unwritable_out_is_a_configuration_error(tmp_path, monkeypatch, capsys, args, work, where):
+    # rejected before the run: the driver, grading or builder is never called
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    (tmp_path / "file").write_text("")
+    path, reason = {
+        "missing-dir": (tmp_path / "missing" / "x.json", "No such file or directory"),
+        "a-dir": (tmp_path, "Is a directory"),
+        "under-a-file": (tmp_path / "file" / "x.json", "Not a directory"),
+    }[where]
     assert run_cli([*args, "--out", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: cannot write --out {path}: " in err and "Traceback" not in err
-    assert not (tmp_path / "missing").exists()
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write --out {path}: {reason}\n" and out == ""
+    assert calls == [] and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("target", ["dangling-symlink", "/dev/null"])
+def test_a_writable_out_that_is_not_a_regular_file_passes_the_check(tmp_path, capsys, target):
+    path = Path(target) if target == "/dev/null" else tmp_path / "link.json"
+    if target == "dangling-symlink":
+        path.symlink_to(tmp_path / "target.json")
+    assert run_cli(["construct", "--algebra", "W", "--p", "3", "--n", "1", "--out", str(path)]) == 0
+    if target == "dangling-symlink":
+        assert len(json.loads((tmp_path / "target.json").read_text())["labels"]) == 3
 
 
 def test_construct_rejects_nonprime(capsys):

@@ -1,7 +1,7 @@
-"""Periodic reuse in loop_expand, check_covering and detect_diamonds, the
-centralizer chains and the ideal recursion of parameter_k, against the
-full-depth oracles, which bracket and decide every degree afresh on
-Subspace components.
+"""Periodic reuse in loop_expand, the cached verdicts of check_covering and
+detect_diamonds, the centralizer chains and the ideal recursion of
+parameter_k, against the full-depth oracles, which bracket and decide
+every degree afresh on Subspace components.
 
 Whole thin reports must serialise byte for byte alike on every accepted
 mixed input of the sweep and on a sample of toral runs, each at depths
@@ -18,9 +18,12 @@ chain wraps into degree 1), check_covering raises ValueError instead of a
 verdict.  On the same mixed inputs and hand-built
 tables, parameter_k's table lookups are counted degree by degree against
 the ideal recursion: at most dim L''_{d-1} dim M_1 + dim M_{d-2} dim M_2 up
-to the first full degree, none after it.
+to the first full degree, none after it.  With the period start set to 1
+on the abelian and dies-late-8-6 tables, check_covering and
+detect_diamonds still equal the oracle: no check reads it.
 """
 
+import dataclasses
 import inspect
 import json
 from functools import lru_cache
@@ -31,6 +34,7 @@ from oracles import (
     Subspace,
     oracle_check_covering,
     oracle_component,
+    oracle_detect_diamonds,
     oracle_loop_expand,
     oracle_parameter_k,
     oracle_second_derived_dims,
@@ -41,7 +45,7 @@ from thinlie import thinloop, verify
 from thinlie.errors import NotStabilized
 from thinlie.ffield import field_create
 from thinlie.liealg import DegreeMap, StructureTable, validate_table
-from thinlie.thinloop import check_covering, loop_expand, parameter_k, thin_report
+from thinlie.thinloop import check_covering, detect_diamonds, loop_expand, parameter_k, thin_report
 
 F3, F4, F9, F25 = field_create(3), field_create(2, 2), field_create(3, 2), field_create(5, 2)
 
@@ -258,6 +262,23 @@ def test_parameter_k_brackets_by_the_ideal_recursion_on_hand_built_tables(name, 
 def test_abelian_period_starts_at_two():
     t, degmap, x, y = _abelian()
     assert loop_expand(t, degmap, 9).period_start == 2
+
+
+@pytest.mark.parametrize("name", ["abelian", "dies-late-8-6"])
+def test_no_check_reads_the_period_start(name):
+    # check_covering and detect_diamonds read the components alone: with the
+    # period start set to 1 (s = 2 on abelian, 7 on dies-late-8-6) both
+    # still equal the full-depth oracle
+    t, degmap, x, y = HAND_BUILT[name]()
+    n = degmap.modulus
+    for depth in _depths(n) + [5 * n]:
+        want = oracle_loop_expand(t, degmap, depth)
+        got = loop_expand(t, degmap, depth)
+        assert got.period_start != 1  # None below the first repeat
+        wrong = dataclasses.replace(got, period_start=1)
+        assert check_covering(wrong, x, y) == oracle_check_covering(want, x, y), depth
+        for q in (2, 3, 5, 9):
+            assert detect_diamonds(wrong, x, y, q) == oracle_detect_diamonds(want, x, y, q), (depth, q)
 
 
 def _mutant_loop_expand():
