@@ -326,10 +326,7 @@ def _phi1_args(
 ) -> tuple[CartanParams, FieldSpec, FieldElement]:
     params = CartanParams(p, n1, n2)
     field = field or field_create(p)
-    eps = field.element(eps) if not isinstance(eps, FieldElement) else eps
-    if eps.spec != field:
-        raise ValueError("eps must live in the table's field")
-    return params, field, eps
+    return params, field, field.element(eps)
 
 
 def phi1_monomials(p: int, n1: int, n2: int) -> list[tuple[int, int]]:

@@ -9,8 +9,11 @@ trial division, the tables below) stay instant.
 Each field is one shared FieldSpec per (p, k, modulus), and each of its q
 elements is one shared FieldElement that stores its coordinates and its
 discrete logarithm to a primitive element g (the first in canonical
-order); zero gets the log 2(q-1).  The first time an element of a field is
-asked for, its FieldSpec builds from the polynomial kernels _mul, _add and _neg:
+order); zero gets the log 2(q-1).  One object per field and per element
+means equality is identity, and a copy or pickle of either is the shared
+object (__reduce__ goes back through field_create).  The first time an
+element of a field is asked for, its FieldSpec builds from the polynomial
+kernels _mul, _add and _neg:
 
 - the elements, by canonical index (base-p digits of the coordinates);
 - exp, log -> element: g^i at i and at i + q-1, then zero from 2(q-1) on,
@@ -125,12 +128,13 @@ class FieldSpec:
     """A concrete finite field F_{p^k} with a fixed monic irreducible modulus.
 
     Instances are immutable and shared, one per (p, k, modulus); use
-    :func:`field_create`.  The element, exp and Zech tables are built the
+    :func:`field_create`.  Equality is identity, and a copy or pickle
+    returns the shared object.  The element, exp and Zech tables are built the
     first time an element of the field is asked for.
     """
 
     __slots__ = (
-        "p", "k", "modulus", "_hash", "_elements", "_exp", "_zech", "_units", "_zero_log", "_neg_one",
+        "p", "k", "modulus", "_elements", "_exp", "_zech", "_units", "_zero_log", "_neg_one",
         "_arith",
     )
 
@@ -138,7 +142,6 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.modulus = modulus
-        self._hash = hash((p, k, modulus))
         self._elements: list[FieldElement] | None = None
         self._arith: tuple[list[FieldElement], list[int], int, int] | None = None
 
@@ -146,16 +149,8 @@ class FieldSpec:
     def size(self) -> int:
         return self.p ** self.k
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return field_create, (self.p, self.k, self.modulus)
 
     def __repr__(self) -> str:
         if self.k == 1:
@@ -217,13 +212,12 @@ class FieldSpec:
     # -- element construction ------------------------------------------------
 
     def element(self, value: Coercible) -> FieldElement:
-        """Coerce an int (prime-subfield image), coordinate sequence or element."""
+        """Coerce an int (prime-subfield image), coordinate sequence or element
+        of this field; an element of another field raises ValueError."""
         if isinstance(value, FieldElement):
-            if value.spec is self:
-                return value
-            if value.spec != self:
+            if value.spec is not self:
                 raise ValueError(f"element of {value.spec!r} used in {self!r}")
-            value = value.coords
+            return value
         elements = self._elements or self._build()
         if isinstance(value, int):
             return elements[value % self.p]
@@ -288,32 +282,25 @@ class FieldElement:
     """An element of a :class:`FieldSpec`: polynomial coordinates and the
     discrete logarithm to the field's primitive element (2(q-1) for zero).
 
-    Each element exists once per field, made by its FieldSpec; the operators
+    Each element exists once per field, made by its FieldSpec, so equality
+    is identity and a copy or pickle returns the shared object; the operators
     are table lookups that return those shared objects.  An operand may be
     an element of the same field or anything FieldSpec.element accepts; an
     element of another field raises ValueError.
     """
 
-    __slots__ = ("spec", "coords", "log", "_hash")
+    __slots__ = ("spec", "coords", "log")
 
     def __init__(self, spec: FieldSpec, coords: tuple[int, ...], log: int):
         self.spec = spec
         self.coords = coords
         self.log = log
-        self._hash = hash((spec, coords))
 
     def __bool__(self) -> bool:
         return self.log != self.spec._zero_log
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return self.spec.element, (self.coords,)
 
     def __add__(self, other: Coercible) -> FieldElement:
         spec = self.spec
@@ -461,8 +448,6 @@ def find_roots(field: FieldSpec, coeffs: Sequence[Coercible]) -> list[FieldEleme
     Exhaustive evaluation over the whole field; complete by construction.
     Roots come back in canonical field-element order.
     """
-    if field.size > SEARCH_BOUND:
-        raise FieldTooLarge(f"field size {field.size} exceeds the design bound {SEARCH_BOUND}")
     cs = [field.element(c) for c in coeffs]
     if not any(cs):
         raise ValueError("root finding requires a nonzero polynomial")

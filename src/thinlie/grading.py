@@ -360,21 +360,15 @@ def eigen_quotient(basis: EigenBasis, drop: int) -> StructureTable:
 
 
 def grade_finite(basis: EigenBasis) -> DegreeMap:
-    """Degrees modulo (q-1)p from r mod (q-1) and s mod p, normalized so the
-    distinguished generators X = e[1, rho+sigma] and Y = e[2-q, 2rho+sigma]
-    sit in degree one.  sigma = 0 leaves one eigenvalue per slice, so no
-    residue s to combine: no finite grading."""
+    """Degrees modulo (q-1)p from r mod (q-1) and s mod p: the distinguished
+    generators X = e[1, rho+sigma] at (1, 1) and Y = e[2-q, 2rho+sigma] at
+    (2-q, 1), 2-q = 1 mod q-1, both sit in degree one.  sigma = 0 leaves one
+    eigenvalue per slice, so no residue s to combine: no finite grading."""
     if basis.partial:
         raise ValueError("grade_finite requires a full eigenbasis")
-    p, q = basis.params.p, basis.q
-    n = (q - 1) * p
-    raw = [combine_residues(r % (q - 1), s, q) for r, s, _ in basis.entries]
-    x_pos = basis.position(1, 1)
-    shift = (1 - raw[x_pos]) % n
-    degrees = tuple((k + shift) % n for k in raw)
-    if degrees[basis.position(2 - q, 1)] != 1:
-        raise AssertionError("Y does not land in degree one")
-    return DegreeMap(n, degrees)
+    q = basis.q
+    return DegreeMap((q - 1) * basis.params.p,
+                     tuple(combine_residues(r % (q - 1), s, q) for r, s, _ in basis.entries))
 
 
 def generator_positions(basis: EigenBasis) -> tuple[int, int]:

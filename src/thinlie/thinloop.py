@@ -38,14 +38,11 @@ from .ffield import FieldElement, find_roots
 from .liealg import DegreeMap, Element, StructureTable, bracket, validate_grading
 
 class _Infinity:
-    """Type marker for diamonds whose relation reads -[V,X,Y] = [V,Y,X]."""
+    """Type marker for diamonds whose relation reads -[V,X,Y] = [V,Y,X];
+    a copy or pickle is the module's one marker, INFINITY."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):
+        return "INFINITY"
 
     def __repr__(self):
         return "inf"

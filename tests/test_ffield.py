@@ -8,6 +8,7 @@ from thinlie.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
+from thinlie import ffield
 from thinlie.ffield import (
     FieldSpec,
     combine_residues,
@@ -177,6 +178,14 @@ def test_field_create_shares_one_spec_per_field():
     assert field_create(3, 2, [1, 0, 1]) is f9
     assert FieldSpec.from_json(f9.to_json()) is f9
     assert field_create(3, 2, [2, 1, 1]) is not f9
+
+
+def test_field_create_shares_one_spec_whatever_is_asked_first(monkeypatch):
+    monkeypatch.setattr(ffield, "_FIELDS", {})
+    f9 = field_create(3, 2, [1, 0, 1])
+    assert field_create(3, 2) is f9
+    assert field_create(3, 2, [4, 3, 1]) is f9  # coefficients are read mod p
+    assert FieldSpec.from_json(f9.to_json()) is f9
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])

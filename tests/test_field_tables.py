@@ -1,8 +1,12 @@
 """The log/Zech-table arithmetic of FieldElement against the polynomial
 kernels FieldSpec._add, _neg and _mul, with inverses as a^(q-2) by repeated
-_mul, over prime and extension fields in characteristic 2, 3, 5, 7 and 11."""
+_mul, over prime and extension fields in characteristic 2, 3, 5, 7 and 11;
+and a copy or pickle of a field, an element or the type marker INFINITY is
+the shared object itself."""
 
+import copy
 import operator
+import pickle
 import random
 
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import element_by_index
 from thinlie.ffield import field_create
+from thinlie.grading import params_from_mu3
+from thinlie.thinloop import INFINITY, DiamondRecord
 
 FIELDS = [
     field_create(2), field_create(2, 2), field_create(2, 3),
@@ -120,6 +126,38 @@ def test_element_from_coords_is_the_table_element(args, extra):
     coords = [c + extra * spec.p for c in coords]
     b = spec.element(coords)
     assert b == a and b is a
-    assert hash(b) == hash(a) == hash((spec, a.coords))
+    assert hash(b) == hash(a)
     assert b.to_json() == list(a.coords) and repr(b) == repr(a)
     assert element_by_index(spec, sum(c * spec.p ** e for e, c in enumerate(a.coords))) is a
+
+
+def pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+COPIES = [copy.copy, copy.deepcopy, pickled]
+
+
+@pytest.mark.parametrize("args", [(7,), (3, 2), (3, 2, [1, 0, 1]), (3, 2, [2, 1, 1])], ids=str)
+@pytest.mark.parametrize("dup", COPIES)
+def test_a_copied_field_is_the_shared_field(args, dup):
+    spec = field_create(*args)
+    assert dup(spec) is spec
+    for a in (spec.zero, spec.one, spec.generator()):
+        assert dup(a) is a
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(), st.sampled_from(COPIES))
+def test_a_copied_element_is_the_shared_element(args, dup):
+    _, a, _ = args
+    assert dup(a) is a
+
+
+@pytest.mark.parametrize("dup", COPIES)
+def test_a_copied_infinity_is_the_one_marker(dup):
+    assert dup(INFINITY) is INFINITY
+    assert dup(DiamondRecord(4, 2, "genuine", INFINITY)).type is INFINITY
+    params = params_from_mu3(field_create(3, 2).generator())
+    twin = dup(params)
+    assert all(getattr(twin, name) is getattr(params, name) for name in ("sigma", "rho", "eps"))

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from oracles import dense_row, eigen_bracket_check, oracle_rref
+from test_sweep import ACCEPTED
 from thinlie.cartan import build_H2_phi1, phi1_monomials
 from thinlie.errors import Mu3InPrimeField, NoRootInField
 from thinlie.ffield import field_create, in_prime_field
@@ -126,15 +127,29 @@ def test_eigen_bracket_check_and_formulas(f9_basis):
                 assert not ey
 
 
-def test_grade_finite_degrees(f9_basis):
-    basis = f9_basis[2]
+def _finite_input(args):
+    opts = dict(zip(args[::2], args[1::2]))
+    return int(opts["--p"]), int(opts["--q"]), opts["--mu3"]
+
+
+# (p, q, mu3) of every finite input the sweep accepts, and q = 2, which
+# only grade reaches (verify rejects it)
+FINITE_INPUTS = [_finite_input(args) for args in ACCEPTED if args[1] == "finite"] + [(2, 2, "0,1"), (2, 2, "1,1")]
+
+
+@pytest.mark.parametrize("p, q, mu3", FINITE_INPUTS, ids=str)
+def test_grade_finite_degrees(p, q, mu3):
+    mu3 = field_create(p, 2).element([int(c) for c in mu3.split(",")])
+    basis = eigenbasis(params_from_mu3(mu3), q)
     dm = grade_finite(basis)
-    assert dm.modulus == 6
+    n = (q - 1) * p
+    assert dm.modulus == n
     x_pos, y_pos = generator_positions(basis)
     assert dm.degrees[x_pos] == 1 and dm.degrees[y_pos] == 1
     counts = Counter(dm.degrees)
-    assert [counts[d % 6] for d in range(1, 7)] == [2, 1, 2, 1, 2, 1]
-    assert sum(counts.values()) == 9
+    # the slices r = 1 and r = 2-q share a residue mod q-1: twice each degree of it
+    assert [counts[d % n] for d in range(1, n + 1)] == [1 + ((d - 1) % (q - 1) == 0) for d in range(1, n + 1)]
+    assert sum(counts.values()) == p * q
     assert validate_grading(basis.eigen_table, dm)
 
 
