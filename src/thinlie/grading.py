@@ -30,7 +30,6 @@ eigen_quotient's view without the center too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator
 
 from .cartan import _pascal, monomial_label, monomials
@@ -184,37 +183,43 @@ def eigenbasis(params: ToralParams, q: int) -> EigenBasis:
 
 class AZBrackets(RuleBrackets):
     """The closed Albert-Zassenhaus table on an eigenbasis, read by rule.
-    With B1 = C(j+l-1, l), B2 = C(j+l-1, j) from one table that
-    _derivation reads too (_slice_pair), positions (j, s) < (l, t),
-    m = j w + s, have product (beta B1 - alpha B2) e[2-j-l, alpha+beta],
-    zero unless 0 <= j + l - 1 < q.  With alpha = (1-j) rho + s sigma, s in
-    F_p, that is (rho u + sigma v) at (j + l - 1, s + t mod p), u = (1-l) B1
-    - (1-j) B2, v = t B1 - s B2 mod p."""
+    Its one formula is form, which _derivation reads too: positions
+    (j, s) < (l, t), m = j w + s, have product (rho u + sigma v) at
+    (jc, s + t mod p), v = t B1 - s B2 mod p, for (jc, u, B1, B2) =
+    form(j, l).  With alpha = (1-j) rho + s sigma, s in F_p, that is
+    (beta B1 - alpha B2) e[2-j-l, alpha+beta], B1 = C(j+l-1, l), B2 =
+    C(j+l-1, j), zero unless 0 <= j + l - 1 < q."""
 
     def __init__(self, basis: EigenBasis):
         super().__init__(len(basis.entries))
         params = basis.params
         self._p, self._q, self._entries = params.p, basis.q, basis.entries
         self._width = len(basis.entries) // basis.q
-        self._pairs: dict = {}
         self._rows: list[list[int]] | None = None
         self._rhos = [params.rho * c for c in range(params.p)]
         self._sigmas = [params.sigma * c for c in range(params.p)]
 
     def _slice_pair(self, ja: int, jb: int) -> tuple[int, int, int]:
-        """(jc, B1, B2) = (ja + jb - 1, C(jc, jb), C(jc, ja)) mod p, memoized,
-        from Pascal's triangle mod p up to row q - 1, made on first use;
+        """(jc, B1, B2) = (ja + jb - 1, C(jc, jb), C(jc, ja)) mod p, read off
+        Pascal's triangle mod p up to row q - 1, made on first use;
         B1 = B2 = 0 when jc leaves [0, q-1], where products read as zero."""
-        if (ja, jb) not in self._pairs:
-            jc = ja + jb - 1
-            if 0 <= jc < self._q:
-                if self._rows is None:
-                    self._rows = _pascal(self._q - 1, self._p)
-                row = self._rows[jc]
-                self._pairs[ja, jb] = (jc, row[jb] if 0 <= jb <= jc else 0, row[ja] if 0 <= ja <= jc else 0)
-            else:
-                self._pairs[ja, jb] = (jc, 0, 0)
-        return self._pairs[ja, jb]
+        jc = ja + jb - 1
+        if not 0 <= jc < self._q:
+            return jc, 0, 0
+        if self._rows is None:
+            self._rows = _pascal(self._q - 1, self._p)
+        row = self._rows[jc]
+        return jc, row[jb] if 0 <= jb <= jc else 0, row[ja] if 0 <= ja <= jc else 0
+
+    def form(self, ja: int, jb: int) -> tuple[int, int, int, int]:
+        """(jc, u, B1, B2) of slices ja <= jb, u = (1-jb) B1 - (1-ja) B2 mod
+        p: [e(ja, s), e(jb, t)] = (rho u + sigma (t B1 - s B2)) e(jc, s + t).
+        On (j, j) it reads B1 alone, (jc, 0, B1, B1), which is alternating,
+        or (jc, 0, 0, 0) on width-one slices, which hold no product."""
+        jc, b1, b2 = self._slice_pair(ja, jb)
+        if ja == jb:
+            return (jc, 0, b1, b1) if self._width > 1 else (jc, 0, 0, 0)
+        return jc, ((1 - jb) * b1 - (1 - ja) * b2) % self._p, b1, b2
 
     def _product(self, key) -> tuple[tuple[int, FieldElement]] | None:
         a, b = key
@@ -222,10 +227,10 @@ class AZBrackets(RuleBrackets):
             return None
         w, p = self._width, self._p
         (ja, sa), (jb, sb) = divmod(a, w), divmod(b, w)
-        jc, b1, b2 = self._slice_pair(ja, jb)
-        if not (b1 or b2):
+        jc, u, b1, b2 = self.form(ja, jb)
+        if not (u or b1 or b2):
             return None
-        c = self._rhos[((1 - jb) * b1 - (1 - ja) * b2) % p] + self._sigmas[(sb * b1 - sa * b2) % p]
+        c = self._rhos[u] + self._sigmas[(sb * b1 - sa * b2) % p]
         return ((jc * w + (sa + sb) % p, c),) if c else None
 
     def _sources(self, m: int) -> Iterator[tuple[int, int]]:
@@ -266,52 +271,43 @@ def _generators(basis: EigenBasis) -> list[int]:
 
 def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
     """ad g is a derivation of the rule table for g in gens, on a grid.
-    For g = e(jg, sg) and slices j1 <= j2, the defect [g, [x, y]] -
-    [[g, x], y] - [x, [g, y]] at x = e(j1, s1), y = e(j2, s2) sums products
-    of two rule coefficients rho u + sigma v, u fixed by the slices and v
+    The table is taken to be its slice-pair form (AZBrackets.form): a
+    product changed outside the form is out of the certificate's reach,
+    except on the row of a generator (X and Y, whose rows the thin report
+    reads, among them), which is read through the table first and must be
+    those forms.  For g = e(jg, sg) and slices j1 <= j2, the defect
+    [g, [x, y]] - [[g, x], y] - [x, [g, y]] at x = e(j1, s1), y = e(j2, s2)
+    sums products of two forms rho u + sigma v, u fixed by the slices and v
     affine in (s1, s2), on one target (terms put apart fail): rho^2 A + rho
     sigma B + sigma^2 C, A, B, C mod p of degree at most 2 in each of s1,
     s2.  Zero on S x S, |S| = 3, it is zero on F_p x F_p (Alon,
     "Combinatorial Nullstellensatz", Combin. Probab. Comput. 8 (1999),
-    Lemma 2.1); S = {0, 1, 2}, all of F_p for p <= 3.  As the rule reads the
-    binomial table the grid reads, every product is the affine form of its
-    slice pair, which on (j, j) needs B1 = B2 (checked first): the grid
-    covers every pair.  A, B, C enter the field only when not all zero.
-    The row of each generator (X and Y, whose rows the thin report reads,
-    among them) is read through the table first and must be those forms.
-
-    At w = 2 (p = 2) the only product of a diagonal slice pair (j, j) is
-    [e(j, 0), e(j, 1)], with u = (1-j)(B1 - B2) and v = B1.  When u is even
-    it reads B1 alone, so the table is the one with B2 = B1 there, which is
-    alternating: the check rejects only an odd u, and the form of (j, j)
-    takes B1 for both binomials (for p > 2 they are equal once checked).
+    Lemma 2.1); S = {0, 1, 2}, all of F_p for p <= 3.  The form of (j, j)
+    must have u = 0 and B1 = B2 (checked first), so the table is
+    alternating and the grid covers every pair.  A, B, C enter the field
+    only when not all zero.  The slice bounds below take jc = ja + jb - 1,
+    the target of every form the rule builds; on a form with another
+    target the grid is conservative, failing terms put apart even where
+    they vanish, not exact.
 
     A width-one slice (w = 1, the partial sigma = 0 basis) holds one
-    vector, so a diagonal slice pair holds no product: the rule never reads
-    it, the alternation check is skipped, and a form on it reads as zero,
-    as [x, x] = 0 does.  The grid pair j1 = j2 is then x = y, whose defect
-    is zero in any alternating table, and is skipped too.  A slice pair
-    whose three inner forms, [x, y], [g, x] and [g, y], all have B1 = B2 =
-    0 has every term of its defect zero, and is skipped."""
+    vector, so the grid pair j1 = j2 is x = y, whose defect is zero in any
+    alternating table, and is skipped.  A slice pair whose three inner
+    forms, [x, y], [g, x] and [g, y], are all zero has every term of its
+    defect zero, and is skipped."""
     et, rho, sigma = basis.eigen_table, basis.params.rho, basis.params.sigma
     rule, labels = et.brackets, et.labels
     p, q, w = rule._p, rule._q, rule._width
-    for j in range(q if w > 1 else 0):
-        _, b1, b2 = rule._slice_pair(j, j)
-        if (b1 - b2) * (1 - j if w == 2 else 1) % p:
+    for j in range(q):
+        _, u, b1, b2 = rule.form(j, j)
+        if u % p or (b1 - b2) % p:
             return MapCheck("derivation", f"slice pair ({j}, {j}) is not alternating")
 
-    @cache
-    def form(jx: int, jy: int) -> tuple[int, int, int, int]:
-        # (target slice, u, B1, B2): [e(jx, s), e(jy, t)] = (rho u + sigma (t B1 - s B2)) e(target, s + t)
-        if jx == jy:
-            jc, b1, _ = rule._slice_pair(jx, jx)
-            return (jc, 0, b1, b1) if w > 1 else (jc, 0, 0, 0)
-        if jx < jy:
-            jc, b1, b2 = rule._slice_pair(jx, jy)
-        else:
-            jc, b2, b1 = rule._slice_pair(jy, jx)
-        return jc, (1 - jy) * b1 - (1 - jx) * b2, b1, b2
+    def form(jx: int, jy: int) -> tuple[int, int, int, int]:  # as [y, x] = -[x, y]
+        if jx <= jy:
+            return rule.form(jx, jy)
+        jc, u, b1, b2 = rule.form(jy, jx)
+        return jc, -u, b2, b1
 
     grid = range(min(w, 3))
     for g in gens:
@@ -331,7 +327,7 @@ def _derivation(basis: EigenBasis, gens: list[int]) -> MapCheck:
                     break
                 t12, u12, b12, c12 = form(j1, j2)  # [x, y]
                 tg2, ug2, bg2, cg2 = form(jg, j2)  # [g, y]
-                if not (b12 or c12 or bg1 or cg1 or bg2 or cg2):
+                if not (u12 or b12 or c12 or ug1 or bg1 or cg1 or ug2 or bg2 or cg2):
                     continue
                 t1, u1, b1, c1 = form(jg, t12)  # [g, [x, y]]
                 t2, u2, b2, c2 = form(tg1, j2)  # [[g, x], y]

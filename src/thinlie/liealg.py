@@ -262,19 +262,10 @@ class Element:
         _accumulate(out, ((0, _nonzero(field, other.coords)),), field._arith)
         return Element(self.table, out)
 
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element(self.table, {k: -c for k, c in self.coords.items()})
-
     def scale(self, c: FieldElement) -> "Element":
         if not c:
             return Element(self.table, {})
         return Element(self.table, {k: c * v for k, v in self.coords.items()})
-
-    def __rmul__(self, c: FieldElement) -> "Element":
-        return self.scale(c)
 
     def __repr__(self) -> str:
         if not self.coords:

@@ -5,15 +5,19 @@ oracle_quotient_by_ideal, NotAnIdeal included; and the grid certificate,
 certify_eigenbasis, which proves the rule Lie by itself, against the
 all-pairs generator certificate (oracle_check_structure_map on the
 materialized table), on every finite, sigma-zero and eps-zero input of
-test_sweep.  On hypothesis-drawn changes of one entry of the rule's
-binomial table, and every such change on the width-one slices of
-sigma-zero at q <= 9 and the width-two slices of finite p = 2 at q <= 8,
-the grid passes exactly when the changed table is Lie (validate_table),
-and the map certificate of verify.identify exactly when it is unchanged:
-a change can keep the table Lie, and then only the identification tells
-it from the table of H(2;(1,n2);Phi(1)).  A changed binomial of one slice
-pair fails the derivation, a changed product of a generator off the grid
-the check of the generator rows, and each makes verify exit 1.
+test_sweep.  On hypothesis-drawn changes of one slice-pair form
+(AZBrackets.form, which the rule and the grid both read: its binomials,
+its u or its target slice), and every such change on the width-one slices
+of sigma-zero at q <= 9, the width-two slices of finite p = 2 at q <= 8
+and finite and eps-zero p = q = 5, the grid passes exactly when the
+changed table is Lie (validate_table), or implies it when the target
+moved, and fails a diagonal form that is not alternating; the map
+certificate of verify.identify passes exactly when the grid does and the
+table is unchanged: a change can keep the table Lie, and then only the
+identification tells it from the table of H(2;(1,n2);Phi(1)).  A changed
+binomial of one slice pair fails the derivation, a changed product of a
+generator off the grid the check of the generator rows, and each makes
+verify exit 1.
 """
 
 import dataclasses
@@ -134,66 +138,88 @@ def test_grid_certificate_agrees_with_the_all_pairs_one(args):
 MUTATED = [args for args in TORAL if args[1] != "finite" or args[3] in ("3", "5", "7")][::3]
 
 
+def _form_changes(basis, ja, jb):
+    """Every changed form (jc, u, B1, B2) of the slice pair (ja, jb) of one
+    kind: both binomials set, with u their value, u alone set, or the
+    target slice moved within [0, q - 1]."""
+    p, q = basis.params.p, basis.q
+    jc, u, b1, b2 = AZBrackets(basis).form(ja, jb)
+    binomials = [(jc, ((1 - jb) * c1 - (1 - ja) * c2) % p, c1, c2) for c1 in range(p) for c2 in range(p)]
+    return (binomials, [(jc, v, b1, b2) for v in range(p)], [(t, u, b1, b2) for t in range(q)])
+
+
 @st.composite
-def _binomial_changes(draw):
-    """(args, ja, jb, b1, b2): B1, B2 of the slice pair (ja, jb) set to b1, b2."""
+def _form_change(draw):
+    """(args, ja, jb, change): the form of the slice pair (ja, jb) changed."""
     args = draw(st.sampled_from(MUTATED))
-    p, q = int(args[3]), int(args[5])
-    ja = draw(st.integers(0, q - 1))
-    jb = draw(st.integers(max(ja, 1 - ja), q - 1))  # target slice ja + jb - 1 in [0, q - 1]
-    return args, ja, jb, draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    q = int(args[5])
+    ja = draw(st.integers(0, q // 2))
+    jb = draw(st.integers(max(ja, 1 - ja), q - ja))  # target slice ja + jb - 1 in [0, q - 1]
+    kinds = _form_changes(_basis(*_params(args)), ja, jb)
+    return args, ja, jb, draw(st.sampled_from(draw(st.sampled_from(kinds))))
 
 
 SIGMA_ZERO_2_8 = ["--grading", "sigma-zero", "--p", "2", "--q", "8"]
 
 
 @settings(max_examples=60, deadline=None)
-@given(_binomial_changes())
-# width-one slices: a diagonal slice pair holds no product, so changing it
-# changes nothing, read directly (1, 1) or through a composition (2, 2)
-@example((SIGMA_ZERO_2_8, 1, 1, 0, 1))
-@example((SIGMA_ZERO_2_8, 2, 2, 0, 1))
-def test_grid_certificate_agrees_on_a_changed_binomial(change):
-    args, ja, jb, b1, b2 = change
+@given(_form_change())
+# width-one slices: the rule reads no diagonal form, so one that stays
+# alternating changes nothing (1, 1), and one that does not fails (2, 2)
+@example((SIGMA_ZERO_2_8, 1, 1, (1, 0, 1, 1)))
+@example((SIGMA_ZERO_2_8, 2, 2, (3, 1, 0, 0)))
+def test_grid_certificate_agrees_on_a_changed_form(change):
+    args, ja, jb, form = change
     basis = _basis(*_params(args))
-    if ja + jb - 1 >= basis.q:
-        return
-    _assert_certificates_on_a_change(basis, ja, jb, b1, b2, monomial_images(basis))
+    _assert_certificates_on_a_change(basis, ja, jb, form, monomial_images(basis))
 
 
-def _assert_certificates_on_a_change(basis, ja, jb, b1, b2, images):
-    # the grid passes exactly when the changed table is Lie; the map
-    # certificate exactly when the change changes nothing, since the basis
-    # map is injective and so the monomial table allows one table
+def _assert_certificates_on_a_change(basis, ja, jb, form, images):
+    # the grid passes exactly when the changed table is Lie, but fails a
+    # diagonal form that is not alternating, which a width-one table never
+    # reads; the map certificate passes exactly when the grid does and the
+    # change changes nothing, since the basis map is injective and so the
+    # monomial table allows one table
     rule = AZBrackets(basis)
-    rule._pairs[(ja, jb)] = (ja + jb - 1, b1, b2)
+    real = rule.form
+    rule.form = lambda j, l: form if (j, l) == (ja, jb) else real(j, l)
     field = basis.params.field
     changed = dataclasses.replace(basis, eigen_table=StructureTable(field, basis.labels, rule))
     table = StructureTable(field, basis.labels, dict(rule.items()))
     grid = certify_eigenbasis(changed)
-    assert bool(grid) == validate_table(table).ok, (ja, jb, b1, b2)
+    jc, u, b1, b2 = form
+    if ja == jb and (u or b1 != b2):
+        assert grid.detail == f"slice pair ({ja}, {ja}) is not alternating", (ja, jb, form)
+    elif jc != ja + jb - 1:
+        # a moved target can put the terms of a defect on two slices, which
+        # fails at once, also where they vanish: the grid only implies Lie
+        assert not grid or validate_table(table).ok, (ja, jb, form)
+    else:
+        assert bool(grid) == validate_table(table).ok, (ja, jb, form)
     mapped = _identified(dataclasses.replace(changed, certificate=grid), *images)
-    assert bool(mapped) == (table.brackets == closed_eigen_table(basis).brackets), (ja, jb, b1, b2)
+    assert bool(mapped) == (bool(grid) and table.brackets == closed_eigen_table(basis).brackets), (ja, jb, form)
 
 
-# slices of width one (sigma-zero, q <= 9) and two (finite p = 2, q <= 8)
+# slices of width one (sigma-zero, q <= 9) and two (finite p = 2, q <= 8),
+# and one input of each kind at p = 5
 NARROW = [args for args in TORAL if args[1] == "sigma-zero" and int(args[5]) <= 9
-          or args[1] == "finite" and args[3] == "2" and int(args[5]) <= 8]
+          or args[1] == "finite" and args[3] == "2" and int(args[5]) <= 8] + [
+    ["--grading", "finite", "--p", "5", "--q", "5", "--mu3", "0,1"],
+    ["--grading", "eps-zero", "--p", "5", "--q", "5", "--ratio", "2"],
+]
 
 
 @pytest.mark.parametrize("args", NARROW, ids=_id)
-def test_grid_certificate_agrees_on_every_changed_binomial_of_width_one_slices(args):
-    # every (ja, jb) with a target slice and every (b1, b2), diagonal pairs
-    # included; also on the width-two slices of finite p = 2, where a
-    # diagonal pair (j, j), j odd, reads B1 alone
-    p, n2, params = _params(args)
-    basis = _basis(p, n2, params)
+def test_grid_certificate_agrees_on_every_changed_form_of_narrow_slices(args):
+    # every (ja, jb) with a target slice and every change of each kind,
+    # diagonal pairs included
+    basis = _basis(*_params(args))
     images = monomial_images(basis)
     for ja in range(basis.q):
         for jb in range(max(ja, 1 - ja), basis.q - ja + 1):
-            for b1 in range(p):
-                for b2 in range(p):
-                    _assert_certificates_on_a_change(basis, ja, jb, b1, b2, images)
+            for kind in _form_changes(basis, ja, jb):
+                for form in kind:
+                    _assert_certificates_on_a_change(basis, ja, jb, form, images)
 
 
 F49 = ["--grading", "finite", "--p", "7", "--q", "7", "--mu3", "0,1"]
