@@ -29,7 +29,7 @@ from thinlie import (
     validate_table,
     AlbertFrankSpec,
 )
-from thinlie.cartan import phi1_monomials
+from thinlie.cartan import monomials
 
 failed = []
 
@@ -55,7 +55,7 @@ for p, n1, n2 in [(3, 1, 1), (5, 1, 1), (3, 1, 2)]:
 print("\nThe Phi(1) bracket in coordinates (p = 3, n = (1,1)):")
 F3 = field_create(3)
 H = build_H2_phi1(3, 1, 1, F3, 1)
-mons = phi1_monomials(3, 1, 1)
+mons = monomials(2, 2)  # the basis order of build_H2_phi1(3, 1, 1): x^(i) y^(j) up to tau = (2, 2)
 idx = {m: i for i, m in enumerate(mons)}
 y, ybar, one = (H.basis_element(idx[m]) for m in ((0, 1), (0, 2), (0, 0)))
 print("  {y, ybar} =", bracket(y, ybar), "   (equals 2 xbar ybar)")

@@ -329,12 +329,6 @@ def _phi1_args(
     return params, field, field.element(eps)
 
 
-def phi1_monomials(p: int, n1: int, n2: int) -> list[tuple[int, int]]:
-    """Basis order of build_H2_phi1, shared with the grading module."""
-    params = CartanParams(p, n1, n2)
-    return monomials(*params.tau)
-
-
 class Phi1Brackets(RuleBrackets):
     """The bracket dict of build_H2_phi1(p, n1, n2, field, eps), read by rule.
 

@@ -211,12 +211,14 @@ class StructureTable:
         return Element(self, {k: c for k, c in coeffs.items() if c})
 
     def to_json(self) -> dict:
+        """Each term is [k, c.coords]: the element's own coordinate tuple,
+        which json writes as the list FieldElement.to_json copies."""
         with _gc_paused():
             return {
                 "field": self.field.to_json(),
                 "labels": list(self.labels),
                 "brackets": [
-                    [i, j, [[k, c.to_json()] for k, c in terms]]
+                    [i, j, [[k, c.coords] for k, c in terms]]
                     for (i, j), terms in sorted(self.brackets.items())
                 ],
             }

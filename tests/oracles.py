@@ -45,7 +45,8 @@ before it read ad columns (liealg._AdColumns).  oracle_eigen_equation is
 the scan of [e_0, v] = alpha v, vector by vector, that grading.eigenbasis
 made before the certificate proved it from the homomorphism (now
 verify._identified).  monomial_images gives a basis its monomial table and
-eigenvectors, as verify.identify builds them.
+eigenvectors, as verify.identify builds them, and phi1_monomials the
+basis order of that table.
 """
 
 import bisect
@@ -687,6 +688,14 @@ def eigen_bracket_check(basis) -> bool:
             if list(t.basis_bracket(a, b)) != expected:
                 return False
     return True
+
+
+def phi1_monomials(p: int, n1: int, n2: int) -> list[tuple[int, int]]:
+    """The basis order of cartan.build_H2_phi1(p, n1, n2): the exponent pairs
+    up to CartanParams(p, n1, n2).tau, row-major."""
+    from thinlie.cartan import CartanParams, monomials
+
+    return monomials(*CartanParams(p, n1, n2).tau)
 
 
 def monomial_images(basis):

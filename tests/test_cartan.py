@@ -17,7 +17,6 @@ from thinlie.cartan import (
     coeff_N,
     coeff_Nprime,
     monomials,
-    phi1_monomials,
     zassenhaus_group_basis,
 )
 from thinlie.errors import CriterionFailed, NotAdditivelyClosed, NotASubalgebra, ThetaNotAdditive
@@ -32,6 +31,7 @@ from oracles import (
     oracle_cartan_table,
     oracle_center,
     pascal_binom,
+    phi1_monomials,
     poisson_coefficient,
 )
 

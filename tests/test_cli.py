@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import phi1_monomials
 from thinlie import cli, grading, liealg, thinloop, verify
-from thinlie.cartan import phi1_monomials
 from thinlie.errors import ThinlieError
 from thinlie.ffield import field_create
 from thinlie.grading import toral_params

@@ -2,9 +2,9 @@ from collections import Counter
 
 import pytest
 
-from oracles import dense_row, eigen_bracket_check, oracle_rref
+from oracles import dense_row, eigen_bracket_check, oracle_rref, phi1_monomials
 from test_sweep import ACCEPTED
-from thinlie.cartan import build_H2_phi1, phi1_monomials
+from thinlie.cartan import build_H2_phi1
 from thinlie.errors import Mu3InPrimeField, NoRootInField
 from thinlie.ffield import field_create, in_prime_field
 from thinlie.grading import (

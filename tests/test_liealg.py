@@ -18,10 +18,11 @@ from oracles import (
     oracle_right_normed_span,
     oracle_rref,
     oracle_subalgebra_table,
+    phi1_monomials,
     subalgebra_generated,
 )
 from test_span import BUILT
-from thinlie.cartan import build_H2_phi1, build_W1n, phi1_monomials
+from thinlie.cartan import build_H2_phi1, build_W1n
 from thinlie.errors import NotAnIdeal, NotASubalgebra, TableMismatch
 from thinlie.ffield import field_create
 from thinlie.grading import eigenbasis, grade_mixed, params_from_mu3, toral_params

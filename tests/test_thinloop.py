@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from oracles import Subspace, centralizer_in, oracle_component
-from thinlie.cartan import build_H2_phi1, phi1_monomials
+from oracles import Subspace, centralizer_in, oracle_component, phi1_monomials
+from thinlie.cartan import build_H2_phi1
 from thinlie.errors import (
     ConsecutiveDiamonds,
     MalformedDiamond,
