@@ -49,7 +49,6 @@ _EXPORTS = {
         "bracket",
         "center",
         "check_structure_map",
-        "subalgebra_table",
         "validate_grading",
         "validate_table",
     ),

@@ -27,10 +27,8 @@ ValueError.
 
 liealg reads the tables directly through _arith, the tuple (exp, zech,
 q-1, log(-1)) read in one lookup: every sparse sum on logs there is one
-kernel, liealg._accumulate, that liealg.bracket, its kept ad columns
-(liealg._AdColumns), liealg._combine and the row updates of
-liealg.Echelon share, and liealg._nonzero coerces each coefficient for
-them as the operators do.  liealg's Leibniz index reads only each
+kernel, liealg._accumulate, and liealg._nonzero coerces each coefficient
+for it as the operators do.  liealg's Leibniz index reads only each
 element's log and coordinates and builds its own product table from them.
 """
 

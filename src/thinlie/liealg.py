@@ -8,17 +8,13 @@ basis vector as a view and proves the shape of [L, L] on the rule.
 Every sparse sum of coefficients on the field's discrete logs is one
 kernel, _accumulate, reading FieldSpec._arith: bracket, the kept ad
 columns of _AdColumns (ad u for a fixed u, each column [u, b_m] summed
-once from the stored pairs), _combine, the row updates of Echelon,
-Element addition and StructureTable.from_entries.  Coefficients that come
-in from a caller are coerced by one helper, _nonzero.  Echelon, the one
-incremental echelon kernel, takes and returns sparse {column:
-coefficient} dicts, the same coordinates an Element stores; its cost
-follows the supports of the vectors, not the dimension.
-check_structure_map reads it for the rank of the images and
-proves a map on every pair; the map of an eigen table into the monomial
-table is certified from generators with no elimination
-(verify.identify).  Both intertwine through _AdColumns.  The center is
-read off the stored pairs, with no elimination (center).
+once from the stored pairs), _combine, Element addition and
+StructureTable.from_entries.  Coefficients that come in from a caller
+are coerced by one helper, _nonzero.  Nothing here eliminates:
+check_structure_map proves a basis map a homomorphism on every pair and
+verify._identified one from generators, both through _AdColumns, and
+each caller shows injectivity by argument.  The center is read off the
+stored pairs (center).
 validate_table proves the Jacobi identity with one Leibniz-rule kernel,
 whose cost follows the nonzero bracket compositions, not the number of
 basis triples; it reads flat per-vector lists that one pass over the
@@ -31,14 +27,14 @@ collection paused (_gc_paused): everything they build is acyclic.
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotASubalgebra, TableMismatch
+from .errors import TableMismatch
 from .ffield import FieldElement, FieldSpec
 
 
@@ -411,78 +407,6 @@ class _AdColumns:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: sparse rows, reduced echelon form
-# ---------------------------------------------------------------------------
-
-def _combine(pairs: Iterable[tuple[FieldElement, Vec]]) -> Vec:
-    """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs, v_k with
-    no zero entry, summed by _accumulate; a zero c_k adds nothing."""
-    out: Vec = {}
-    for c, v in pairs:
-        _accumulate(out, ((c.log, v.items()),), c.spec._arith)
-    return out
-
-
-class Echelon:
-    """Reduced row echelon form with unit pivots, grown one vector at a time.
-
-    Vectors go in and come out as sparse {column: coefficient} dicts with no
-    zero coefficient.  rows maps each pivot column to its row, which holds
-    one there and is zero at every other pivot; pivots lists the pivot
-    columns in increasing order.  Row operations touch only the nonzero
-    entries of the row subtracted, so the cost follows the supports; there
-    is no column count.  Every row update is _accumulate with the log of
-    -c, integer work on the field's discrete logs; coefficients are coerced
-    as in bracket (_nonzero), so one of another field raises ValueError.
-    The form is canonical: the same span gives the same rows whatever
-    vectors built it.
-    """
-
-    __slots__ = ("field", "rows", "pivots")
-
-    def __init__(self, field: FieldSpec, vectors: Iterable[Vec] = ()):
-        self.field = field
-        self.rows: dict[int, Vec] = {}
-        self.pivots: list[int] = []
-        for vec in vectors:
-            self.add(vec)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: Vec) -> Vec:
-        """vec with every pivot column eliminated; empty iff vec lies in the span.
-
-        A row is zero at every other pivot, so subtracting it leaves the
-        other pivot entries of vec as they were: each row is subtracted at
-        most once, scaled by the entry of vec itself, and all of them in
-        one _accumulate.
-        """
-        rows, out = self.rows, dict(_nonzero(self.field, vec))
-        _, _, n, neg_one = arith = self.field._arith
-        _accumulate(out, [((c.log + neg_one) % n, rows[i].items()) for i, c in out.items() if i in rows], arith)
-        return out
-
-    def add(self, vec: Vec) -> bool:
-        """Extend the span by vec; False, with nothing changed, if it is already in it."""
-        residual = self.reduce(vec)
-        if not residual:
-            return False
-        exp, _, n, neg_one = arith = self.field._arith
-        pc = min(residual)
-        inv = n - residual[pc].log
-        new = {i: exp[inv + c.log] for i, c in residual.items()}
-        for row in self.rows.values():
-            c = row.get(pc)
-            if c is not None:  # rows store no zeros
-                _accumulate(row, (((c.log + neg_one) % n, new.items()),), arith)
-        insort(self.pivots, pc)
-        self.rows[pc] = new
-        return True
-
-
-# ---------------------------------------------------------------------------
 # table validation
 # ---------------------------------------------------------------------------
 
@@ -723,7 +647,7 @@ class _ReachedSpan:
     """The span of the right-normed brackets [g1, [g2, ..., gk]] of a growing
     list of basis positions gens on a one-term table (in a Lie algebra, the
     subalgebra they generate): the span of b_m for m in reached, grown by
-    one dict lookup per step, with no Element, bracket or Echelon.  There
+    one dict lookup per step, with no Element, bracket or elimination.  There
     ad b_g maps each b_m to a multiple of one b_k.  Let R be the least
     set of positions holding the generators and, for each generator g and m
     in R with [b_g, b_m] = c b_k, holding k.  The span of R holds the
@@ -865,9 +789,9 @@ class MapCheck:
 
 
 def check_structure_map(src: StructureTable, dst: StructureTable, images: Sequence[Element]) -> MapCheck:
-    """Certify the basis map phi: b_i -> images[i] an injective homomorphism:
-    the images are independent (rank, by Echelon) and phi[a, b] = [phi a,
-    phi b] on every pair.  verify._identified reads fewer pairs."""
+    """Prove the basis map phi: b_i -> images[i] a homomorphism, phi[a, b] =
+    [phi a, phi b] on every pair.  Injectivity is the caller's to show, by
+    an argument on the images as in verify._identified."""
     if len(images) != src.dim:
         raise ValueError("need one image per src basis vector")
     if src.field != dst.field:
@@ -875,10 +799,16 @@ def check_structure_map(src: StructureTable, dst: StructureTable, images: Sequen
     if any(e.table is not dst for e in images):
         raise TableMismatch("images live on a table other than dst")
     vecs = [dict(_nonzero(dst.field, e.coords)) for e in images]
-    rank = Echelon(dst.field, vecs).rank
-    if rank != src.dim:
-        return MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
     return _intertwining(src, dst, vecs, range(src.dim))
+
+
+def _combine(pairs: Iterable[tuple[FieldElement, Vec]]) -> Vec:
+    """The sparse coordinates of sum c_k * v_k over (c_k, v_k) pairs, v_k with
+    no zero entry, summed by _accumulate; a zero c_k adds nothing."""
+    out: Vec = {}
+    for c, v in pairs:
+        _accumulate(out, ((c.log, v.items()),), c.spec._arith)
+    return out
 
 
 def _intertwining(src: StructureTable, dst: StructureTable, vecs: list[Vec], gens: Sequence[int]) -> MapCheck:
@@ -897,24 +827,3 @@ def _intertwining(src: StructureTable, dst: StructureTable, vecs: list[Vec], gen
             if lhs != ad(vecs[b]):
                 return MapCheck("intertwining", f"[{src.labels[g]}, {src.labels[b]}]")
     return MapCheck()
-
-
-# ---------------------------------------------------------------------------
-# subalgebra tables
-# ---------------------------------------------------------------------------
-
-def subalgebra_table(t: StructureTable, keep: Sequence[int]) -> StructureTable:
-    """The coordinate subalgebra spanned by the basis vectors at the distinct
-    positions keep: the stored brackets of kept pairs, renumbered in the
-    order of keep, under the same labels.  NotASubalgebra when a nonzero
-    term of such a bracket falls outside keep."""
-    pos = {i: a for a, i in enumerate(keep)}
-    if len(pos) != len(keep):
-        raise ValueError("basis positions repeat")
-    entries = []
-    for (i, j), terms in t.brackets.items():
-        if i in pos and j in pos:
-            if any(c and k not in pos for k, c in terms):
-                raise NotASubalgebra("basis positions are not closed under the bracket")
-            entries.append((pos[i], pos[j], [(pos[k], c) for k, c in terms if c]))
-    return StructureTable.from_entries(t.field, [t.labels[i] for i in keep], entries)

@@ -17,7 +17,7 @@ from .cartan import (
 from .errors import CriterionFailed
 from .ffield import field_create, frobenius, in_prime_field
 from .grading import params_from_mu3, toral_params
-from .liealg import check_structure_map, subalgebra_table, validate_table
+from .liealg import MapCheck, check_structure_map, validate_table
 from .thinloop import check_covering, covering_criterion_at, thin_report
 from .verify import identify, run_eps_zero, run_finite, run_mixed, run_sigma_zero
 
@@ -73,24 +73,40 @@ def criterion_02_jacobi_scan() -> None:
         _require(rep.ok, f"Jacobi fails on dim-{t.dim} table: {rep.violations[:3]}")
 
 
+def transition_rank(field, transition) -> MapCheck:
+    """Rank by argument of zassenhaus_group_basis's transition over field:
+    row m must be (a^0, ..., a^(q-1)) + e_last (0^0 = 1, e_last at E_{q-2})
+    for the m-th of the distinct elements a of field, so the matrix is
+    V + 1 e_last^T = V (I + e_1 e_last^T), V Vandermonde: det = det V != 0."""
+    alphas = list(field.elements())
+    if len(set(alphas)) != len(alphas):
+        return MapCheck("rank", "the field elements repeat")
+    for a, row in zip(alphas, transition, strict=True):
+        want = [a ** pos for pos in range(len(alphas))]
+        want[-1] += field.one
+        if row != {pos: c for pos, c in enumerate(want) if c}:
+            return MapCheck("rank", f"the row of e_{a} is not (a^0, ..., a^(q-1)) + e_last")
+    return MapCheck()
+
+
 def criterion_03_basis_transition() -> None:
     """The transition e_alpha -> its E-coordinates is an isomorphism from the
     group-basis table onto W(1;n): check_structure_map on every pair, the
     statement that conjugating the E-basis table by the transition
-    reproduces the group-basis constants exactly; in characteristic two
-    also on the derived subalgebra, the span of the e_alpha with alpha != 0."""
+    reproduces the group-basis constants exactly, and transition_rank, each
+    failing check named; in characteristic two it restricts to the derived
+    subalgebra, the span of the e_alpha, alpha != 0, which is closed."""
     for p, n in [(3, 1), (3, 2), (5, 1), (2, 2)]:
         fieldspec = field_create(p, n) if n > 1 else field_create(p)
         group, transition = zassenhaus_group_basis(p, n, fieldspec)
         w = build_W1n(p, n, fieldspec)
         images = [w.element(coords) for coords in transition]
-        check = check_structure_map(group, w, images)
-        _require(check, (p, n, str(check)))
+        checks = [check_structure_map(group, w, images), transition_rank(fieldspec, transition)]
+        _require(all(checks), (p, n, "; ".join(str(c) for c in checks if not c)))
         if p == 2:
-            keep = [m for m, a in enumerate(fieldspec.elements()) if a]
-            sub = subalgebra_table(group, keep)
-            check = check_structure_map(sub, w, [images[m] for m in keep])
-            _require(check, f"derived-subalgebra restriction: {check}")
+            keep = {m for m, a in enumerate(fieldspec.elements()) if a}
+            pairs = (terms for (i, j), terms in group.brackets.items() if i in keep and j in keep)
+            _require(all(k in keep for terms in pairs for k, _ in terms), "derived-subalgebra restriction: not closed")
 
 
 def criterion_04_mixed_grading() -> None:
@@ -172,20 +188,17 @@ def criterion_08_parameter_k() -> None:
 
 def criterion_09_char_two_isomorphism() -> None:
     """H(2;(1,n);Phi(tau))^(1) = W(1;n+1)^(1) in characteristic two via the
-    monomial-to-E map, for n = 1, 2."""
+    monomial-to-E map, for n = 1, 2: check_structure_map into W(1;n+1),
+    injective as the basis goes to distinct basis vectors, all but the top."""
     for n in (1, 2):
         f2 = field_create(2)
         src = build_H2_phi_tau_derived(2, 1, n, f2)
         wfull = build_W1n(2, n + 1, f2)
         top_pos = 2 ** (n + 1) - 1  # position of E_{2^{n+1}-2}
-        keep = [i for i in range(wfull.dim) if i != top_pos]
-        dst = subalgebra_table(wfull, keep)
-        dst_index = {lab: i for i, lab in enumerate(dst.labels)}
-        images = []
-        for (i, j) in (m for m in monomials(1, 2 ** n - 1) if m != (0, 0)):
-            e = j - 1 if i == 1 else j + 2 ** n - 2
-            images.append(dst.basis_element(dst_index[f"E_{e}"]))
-        _require(check_structure_map(src, dst, images), f"n = {n}")
+        # x^(i) y^(j) -> E_e at position e + 1, e = j - 1 if i == 1 else j + 2^n - 2
+        targets = [j if i == 1 else j + 2 ** n - 1 for (i, j) in monomials(1, 2 ** n - 1) if (i, j) != (0, 0)]
+        _require(len(set(targets)) == len(targets) == wfull.dim - 1 and top_pos not in targets, f"n = {n}: targets")
+        _require(check_structure_map(src, wfull, [wfull.basis_element(t) for t in targets]), f"n = {n}")
 
 
 def criterion_10_property_suites() -> None:

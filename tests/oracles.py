@@ -30,9 +30,10 @@ own before _LeibnizIndex recorded it in its one pass.
 
 Subspace, centralizer_in and oracle_center are this module's own: the
 subspaces and nullspace centralizers liealg had before it read the center
-off the stored pairs (liealg.center).  A Subspace keeps liealg.Echelon's
+off the stored pairs (liealg.center).  A Subspace keeps OracleEchelon's
 canonical reduced rows, so two are equal exactly when their rows are;
-oracle_component gives a loop expansion's M_d as one.
+oracle_component gives a loop expansion's M_d as one.  OracleEchelon is
+the one echelon kernel of the project: the library eliminates nowhere.
 
 closed_eigen_table, extend_to_generators and oracle_check_structure_map
 are the materialized Albert-Zassenhaus table, its generating set and the
@@ -239,13 +240,23 @@ def oracle_rref(field, rows):
 
 class OracleEchelon:
     """Sparse reduced echelon form with unit pivots by the FieldElement
-    operators, one call per product, sum and zero test: the same rows,
-    pivots, residuals and key order that liealg.Echelon gets on logs."""
+    operators, one call per product, sum and zero test, grown one vector
+    at a time from vectors.  Vectors go in and come out as sparse {column:
+    coefficient} dicts; rows maps each pivot column to its row, which holds
+    one there and is zero at every other pivot, and pivots lists the pivot
+    columns in increasing order.  The form is canonical: the same span
+    gives the same rows whatever vectors built it."""
 
-    def __init__(self, field):
+    def __init__(self, field, vectors=()):
         self.field = field
         self.rows = {}
         self.pivots = []
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
 
     def reduce(self, vec):
         rows = self.rows
@@ -306,9 +317,7 @@ class Subspace:
 
     @classmethod
     def from_elements(cls, table, elements):
-        from thinlie.liealg import Echelon
-
-        return cls(table, Echelon(table.field, (e.coords for e in elements)))
+        return cls(table, OracleEchelon(table.field, (e.coords for e in elements)))
 
     @property
     def dim(self):
@@ -387,9 +396,7 @@ def oracle_center(t, s):
 
 def _nullspace(field, constraints, m):
     """Basis of {x in F^m : A x = 0} for sparse constraint rows A."""
-    from thinlie.liealg import Echelon
-
-    ech = Echelon(field, constraints)
+    ech = OracleEchelon(field, constraints)
     out = []
     for f in range(m):
         if f not in ech.rows:
@@ -843,7 +850,7 @@ def oracle_check_covering(expansion, X, Y):
 def oracle_second_derived_dims(expansion):
     """dim L''_d for d = 0 .. depth (0 at d = 0), with L' and then L'' each
     bracketed as a graded sum over every pair a + b = d at every degree."""
-    from thinlie.liealg import Echelon, bracket
+    from thinlie.liealg import bracket
 
     depth = expansion.depth
     base = expansion.base
@@ -856,7 +863,7 @@ def oracle_second_derived_dims(expansion):
         out = [zero] * (depth + 1)
         for d in range(2, depth + 1):
             cap = m[d].dim
-            acc = Echelon(base.field)
+            acc = OracleEchelon(base.field)
             for a in range(1, d):
                 b = d - a
                 if not lbasis[a] or not rbasis[b]:
@@ -1293,7 +1300,7 @@ def oracle_check_structure_map(src, dst, images, gens=None):
     homomorphism, from a generating set gens of src (basis positions,
     default every one).  The checks, in order:
 
-    - rank: the images are linearly independent (liealg.Echelon);
+    - rank: the images are linearly independent (OracleEchelon);
     - intertwining: phi[g, b] = [phi g, phi b] for g in gens, b in the basis;
     - derivation: ad g is a derivation of src for every g in gens, one
       pass of liealg._leibniz_failures over all pairs each;
@@ -1311,9 +1318,8 @@ def oracle_check_structure_map(src, dst, images, gens=None):
     if src.field != dst.field:
         raise ValueError("structure maps require a common ground field")
     labels = src.labels
-    coerce = liealg.Echelon(dst.field).reduce
-    vecs = [coerce(e.coords) for e in images]
-    rank = liealg.Echelon(dst.field, vecs).rank
+    vecs = [dict(liealg._nonzero(dst.field, e.coords)) for e in images]
+    rank = OracleEchelon(dst.field, vecs).rank
     if rank != src.dim:
         return liealg.MapCheck("rank", f"the images span {rank} of {src.dim} dimensions")
     gens = range(src.dim) if gens is None else gens

@@ -1,6 +1,6 @@
 """liealg._accumulate, the one sparse sum on discrete logs that bracket,
-the ad columns (liealg._AdColumns), _combine and Echelon share, and
-liealg._nonzero, the one coercion they read coefficients through.
+the ad columns (liealg._AdColumns), _combine and element addition share,
+and liealg._nonzero, the one coercion they read coefficients through.
 
 - Property: out += g^c * sum t_k b_k over a list of (c, terms) equals the
   same sum by FieldElement operators, in values and in key order, over

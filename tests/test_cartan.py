@@ -145,16 +145,35 @@ def test_row_03_fails_on_a_one_coefficient_mutation(case, check, monkeypatch):
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (2, 2)])
 def test_every_one_coefficient_mutation_of_the_transition_fails(p, n):
+    # each mutant is no homomorphism, and is refused by the rank argument too
     field = field_create(p, n)
     group, transition = zassenhaus_group_basis(p, n, field)
     w = build_W1n(p, n, field)
     assert check_structure_map(group, w, [w.element(c) for c in transition])
+    assert suite.transition_rank(field, transition)
     for m in range(len(transition)):
         for k in range(w.dim):
             for d in filter(None, field.elements()):
                 images = [w.element(c) for c in transition]
                 images[m] = w.element({**transition[m], k: transition[m].get(k, field.zero) + d})
                 assert not check_structure_map(group, w, images), (m, k, d)
+                mutant = transition[:m] + [images[m].coords] + transition[m + 1:]
+                assert suite.transition_rank(field, mutant).check == "rank", (m, k, d)
+
+
+@pytest.mark.parametrize("change", ["repeat", "top"])
+def test_row_09_fails_on_a_target_that_repeats_or_is_the_top(change, monkeypatch):
+    # the last monomial x y^(2^n - 1) sent where another one goes, or to E_{2^{n+1}-2}
+    real = suite.monomials
+
+    def mutated(tau1, tau2):
+        mons = real(tau1, tau2)
+        mons[-1] = mons[-2] if change == "repeat" else (0, tau2 + 1)
+        return mons
+
+    monkeypatch.setattr(suite, "monomials", mutated)
+    with pytest.raises(CriterionFailed, match="n = 1: targets"):
+        suite.criterion_09_char_two_isomorphism()
 
 
 @pytest.mark.parametrize("p,n1,n2,expected", [(3, 1, 1, 7), (5, 1, 1, 23), (3, 1, 2, 25)])

@@ -9,14 +9,17 @@ mixed for every (p, n1, n2) with dim = p^(n1+n2) <= 125, except n2 = 1 at
 p = 2.
 Outside: mu3 in the prime field, the ratios 0 and -1, eps-zero at p = 2 and
 q = 2, mixed with n1 = 0 or n2 = 0, and mixed at p = 2 with n2 = 1.
-With liealg.Echelon made to raise, every input inside still passes with
-the same JSON: no verify path eliminates; and no input reads a whole rule
-table or a monomial table, with the whole-table build of a rule
+No thinlie module binds a name Echelon or subalgebra_table: no path
+eliminates.  With the whole-table build of a rule
 (liealg.RuleBrackets._build), cartan.build_H2_phi1, grading.toral_element,
-liealg._intertwining and liealg.center made to raise too; characteristic
-two included, where the derived subalgebra is proved on the rule.
+liealg._intertwining and liealg.center made to raise, every input inside
+still passes with the same JSON: no input reads a whole rule table or a
+monomial table; characteristic two included, where the derived
+subalgebra is proved on the rule.
 """
 
+import importlib
+import pkgutil
 import sys
 
 import pytest
@@ -110,18 +113,23 @@ def _raising(monkeypatch, fn):
 
 
 def test_accepted_inputs_need_no_echelon(tmp_path, monkeypatch, capsys):
-    # no elimination on a verify path: with liealg.Echelon raising, every
-    # accepted input still passes, and writes the same JSON; and no run
-    # reads a whole rule table (RuleBrackets._build), in characteristic two
-    # neither, where L' is proved on the rule, or a monomial table: the
-    # toral runs are on the Albert-Zassenhaus rule alone, with no
-    # build_H2_phi1, toral_element, intertwining or center
+    # no elimination anywhere: no thinlie module binds Echelon or
+    # subalgebra_table; and no run reads a whole rule table
+    # (RuleBrackets._build), in characteristic two neither, where L' is
+    # proved on the rule, or a monomial table: the toral runs are on the
+    # Albert-Zassenhaus rule alone, with no build_H2_phi1, toral_element,
+    # intertwining or center; every accepted input still passes with them
+    # raising, and writes the same JSON
+    import thinlie
     from thinlie import cartan, grading, liealg
+
+    modules = [thinlie] + [importlib.import_module(f"thinlie.{m.name}") for m in pkgutil.iter_modules(thinlie.__path__)]
+    assert [(m.__name__, name) for m in modules for name in ("Echelon", "subalgebra_table") if hasattr(m, name)] == []
 
     def whole(*args):
         raise AssertionError("a whole rule table on a verify path")
 
-    unused = [liealg.Echelon, cartan.build_H2_phi1, grading.toral_element, liealg._intertwining, liealg.center]
+    unused = [cartan.build_H2_phi1, grading.toral_element, liealg._intertwining, liealg.center]
     outputs = []
     for patched in (False, True):
         texts = []
