@@ -242,9 +242,11 @@ class OracleEchelon:
     """Sparse reduced echelon form with unit pivots by the FieldElement
     operators, one call per product, sum and zero test, grown one vector
     at a time from vectors.  Vectors go in and come out as sparse {column:
-    coefficient} dicts; rows maps each pivot column to its row, which holds
-    one there and is zero at every other pivot, and pivots lists the pivot
-    columns in increasing order.  The form is canonical: the same span
+    coefficient} dicts, each coefficient coerced by field.element, so one
+    of another field raises ValueError whatever column it sits in; rows
+    maps each pivot column to its row, which holds one there and is zero
+    at every other pivot, and pivots lists the pivot columns in increasing
+    order.  The form is canonical: the same span
     gives the same rows whatever vectors built it."""
 
     def __init__(self, field, vectors=()):
@@ -259,8 +261,8 @@ class OracleEchelon:
         return len(self.pivots)
 
     def reduce(self, vec):
-        rows = self.rows
-        out = {i: c for i, c in vec.items() if c}
+        rows, element = self.rows, self.field.element
+        out = {i: c for i, c in ((i, element(c)) for i, c in vec.items()) if c}
         for pc in [i for i in out if i in rows]:
             c = out[pc]
             for idx, x in rows[pc].items():

@@ -1,9 +1,10 @@
 """The sparse echelon oracle (OracleEchelon, the one echelon kernel; the
 library eliminates nowhere) against the dense Gauss-Jordan oracle, on
-random dense matrices over F_3, F_4 and F_9 and on random sparse vectors
-over F_2, F_3 and F_9; the subalgebra-table oracle on element families
-against the dense change-of-basis oracle, which is itself checked against
-its inverse."""
+random dense matrices over F_3, F_4 and F_9, on random sparse vectors
+over F_2, F_3 and F_9 and on wide vectors, zero coefficients included,
+over F_2 to F_49, and its refusal of coefficients of another field; the
+subalgebra-table oracle on element families against the dense
+change-of-basis oracle, which is itself checked against its inverse."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from thinlie.ffield import field_create
 from thinlie.liealg import StructureTable
 
 F2, F3, F4, F9 = field_create(2), field_create(3), field_create(2, 2), field_create(3, 2)
+F5, F25, F49 = field_create(5), field_create(5, 2), field_create(7, 2)
 SPARSE_FIELDS = pytest.mark.parametrize("field", [F2, F3, F9], ids=["F2", "F3", "F9"])
 FIELDS = pytest.mark.parametrize("field", [F3, F4, F9], ids=["F3", "F4", "F9"])
 TABLES = pytest.mark.parametrize(
@@ -215,6 +217,51 @@ def test_sparse_contains_agrees_with_oracle_rank(field, data):
         inside = len(oracle_rref(field, rows + [dense_row(field, ncols, v)])) == rank
         assert span.contains(table.element(v)) == inside
         assert (not span.echelon.reduce(v)) == inside
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F3, F4, F5, F9, F25, F49], ids=["F2", "F3", "F4", "F5", "F9", "F25", "F49"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_dense_oracle_on_wide_vectors(field, data):
+    # add's verdicts, rows, pivots and residuals; the wide vectors may hold
+    # zero coefficients and come in any key order
+    ncols = data.draw(st.integers(1, 30))
+    wide = st.dictionaries(st.integers(0, ncols - 1), scalars(field), max_size=ncols)
+    vectors = data.draw(sparse_family(field, ncols)) + data.draw(st.lists(wide, max_size=3))
+    vectors = data.draw(st.permutations(vectors))
+    probes = data.draw(sparse_family(field, ncols, max_vectors=4)) + data.draw(st.lists(wide, max_size=3))
+    ech, want = OracleEchelon(field), []
+    for v in vectors:
+        grown = oracle_rref(field, want + [dense_row(field, ncols, v)])
+        assert ech.add(v) == (len(grown) > len(want))
+        want = grown
+    assert [dense_row(field, ncols, ech.rows[pc]) for pc in ech.pivots] == want
+    assert ech.pivots == sorted(ech.rows) and ech.rank == len(want)
+    for v in probes + vectors[:2]:
+        residual = ech.reduce(v)
+        # nonzero off the pivots, and v minus it lies in the span
+        assert all(residual.values()) and not set(residual) & set(ech.rows)
+        gap = [a - b for a, b in zip(dense_row(field, ncols, v), dense_row(field, ncols, residual))]
+        assert len(oracle_rref(field, want + [gap])) == len(want)
+        inside = len(oracle_rref(field, want + [dense_row(field, ncols, v)])) == len(want)
+        assert (not residual) == inside
+
+
+@pytest.mark.parametrize("foreign", [(3, 2, 1), (3, 2, 3), (5, 1, 1)])
+def test_echelon_rejects_coefficients_of_another_field(foreign):
+    # over F_3, a coefficient of F_9 or F_5 raises whether it meets a pivot or not
+    c = element_by_index(field_create(*foreign[:2]), foreign[2])
+    with pytest.raises(ValueError):
+        OracleEchelon(F3, [{0: c}])
+    ech = OracleEchelon(F3, [{0: F3.one}])
+    for vec in ({0: c}, {1: c}, {0: F3.one, 2: c}):
+        with pytest.raises(ValueError):
+            ech.reduce(vec)
+        with pytest.raises(ValueError):
+            ech.add(vec)
+    assert ech.pivots == [0] and ech.rows == {0: {0: F3.one}}
 
 
 def test_basis_elements_are_built_once_and_returned_as_fresh_lists():
